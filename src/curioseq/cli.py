@@ -19,7 +19,7 @@ from . import policy as pol
 from . import synth
 from . import trainer as trn
 from .checkpoint import CheckpointError
-from .vocab import tokenize
+from .vocab import CorpusError, tokenize
 
 CONFIG_KEYS = {f.name for f in dataclasses.fields(trn.TrainConfig)}
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, dat.DatasetError, trn.ConfigError, trn.TrainingAborted,
-            CheckpointError) as exc:
+            CheckpointError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

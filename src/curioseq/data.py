@@ -49,15 +49,8 @@ class Scene:
                 raise DatasetError(f"scene {self.scene_id!r}: reference contains <pad>")
 
     @property
-    def region_count(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def mean_features(self) -> np.ndarray:
-        return self.features.mean(axis=0)
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -102,6 +95,12 @@ def write_manifest(path, scenes: Sequence[tuple[str, str, list[str]]],
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _require(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise DatasetError(f"{where} has no {key!r}")
+    return doc[key]
+
+
 def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
     manifest_path = Path(manifest_path)
     try:
@@ -110,19 +109,20 @@ def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if doc.get("version") != MANIFEST_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"manifest {manifest_path} has unsupported version")
     entries = doc.get("scenes", [])
     if not entries:
         raise DatasetError(f"manifest {manifest_path} lists no scenes")
     base = manifest_path.parent
-    vocab = Vocabulary.load(base / doc["vocabulary"])
+    vocab = Vocabulary.load(base / _require(doc, "vocabulary", f"manifest {manifest_path}"))
 
     scenes: list[Scene] = []
     feature_dim = doc.get("feature_dim")
-    for entry in entries:
-        sid = entry["id"]
-        feat_path = base / entry["features"]
+    for n, entry in enumerate(entries):
+        where = f"manifest {manifest_path} scene entry {n}"
+        sid = _require(entry, "id", where)
+        feat_path = base / _require(entry, "features", where)
         if not feat_path.exists():
             raise DatasetError(f"scene {sid!r}: feature file {feat_path} is missing")
         feats = read_features(feat_path)
@@ -133,7 +133,7 @@ def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
                 f"scene {sid!r}: feature dimension {feats.shape[1]} != dataset dimension {feature_dim}"
             )
         refs = []
-        for text in entry["references"]:
+        for text in _require(entry, "references", where):
             tokens = tokenize(text)
             if not tokens:
                 raise DatasetError(f"scene {sid!r}: empty reference text")

@@ -3,8 +3,11 @@
 Every operation the policy and curiosity networks need is implemented here
 with an explicit forward value and a backward closure. There is no general
 graph compiler: nodes simply remember their parents, and ``backward`` walks
-them in reverse topological order. All math is 64-bit so finite-difference
-checks are reliable.
+them in reverse topological order. The attention-LSTM step runs on fused
+single-node ops (``lstm_cell``, ``additive_attention``, ``project_rows``),
+and weight-matrix gradients are batched into one matmul per Parameter at the
+end of ``backward``. All math is 64-bit so finite-difference checks are
+reliable.
 """
 
 from __future__ import annotations
@@ -115,26 +118,45 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, seed: float = 1.0) -> None:
-    """Accumulate d(loss)/d(param) into every reachable Parameter's grad."""
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.full_like(loss.data, seed)}
+    """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
 
-    def accum(node: Tensor, g: np.ndarray) -> None:
-        key = id(node)
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
-            grads[key] = g
+    Backward closures hand each gradient to ``accum(node, g)``. For a weight
+    matrix they may call ``accum(W, g, x)`` instead, meaning the outer product
+    of g and x (or ``g.T @ x`` for row-stacked 2-d g and x). Such pairs are
+    collected per Parameter and reduced with one ``G.T @ X`` matmul after the
+    walk; a non-Parameter node gets its pair materialised at once. Other
+    contributions to a Parameter go straight into its grad.
+    """
+    grads: dict[int, np.ndarray] = {}
+    deferred: dict[int, tuple[Parameter, list, list]] = {}
 
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+    def accum(node: Tensor, g: np.ndarray, x: np.ndarray | None = None) -> None:
         if isinstance(node, Parameter):
-            node.grad += g
-            continue
-        if node.backward_fn is not None:
+            if x is None:
+                node.grad += g
+                return
+            entry = deferred.get(id(node))
+            if entry is None:
+                deferred[id(node)] = (node, [g], [x])
+            else:
+                entry[1].append(g)
+                entry[2].append(x)
+            return
+        if node.backward_fn is None:
+            return
+        if x is not None:
+            g = np.outer(g, x) if g.ndim == 1 else g.T @ x
+        key = id(node)
+        prev = grads.get(key)
+        grads[key] = g if prev is None else prev + g
+
+    accum(loss, np.full_like(loss.data, seed))
+    for node in reversed(_toposort(loss)):
+        g = grads.pop(id(node), None)
+        if g is not None:
             node.backward_fn(g, accum)
+    for p, gs, xs in deferred.values():
+        p.grad += np.vstack(gs).T @ np.vstack(xs)
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -166,7 +188,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         out = out + b.data
 
     def bw(g, accum):
-        accum(W, np.outer(g, x.data))
+        accum(W, g, x.data)
         accum(x, W.data.T @ g)
         if b is not None:
             accum(b, g)
@@ -260,29 +282,6 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
         accum(x, full)
 
     return Tensor(out, (x,), bw, "vslice")
-
-
-def stack_scalars(nodes: Sequence[Tensor]) -> Tensor:
-    out = np.array([float(n.data) for n in nodes])
-
-    def bw(g, accum):
-        for i, n in enumerate(nodes):
-            accum(n, np.asarray(g[i]))
-
-    return Tensor(out, tuple(nodes), bw, "stack")
-
-
-def pick(x: Tensor, index: int) -> Tensor:
-    if not 0 <= index < x.data.shape[0]:
-        raise IndexError(f"pick index {index} out of range for {x.shape}")
-    out = x.data[index]
-
-    def bw(g, accum):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        accum(x, full)
-
-    return Tensor(out, (x,), bw, "pick")
 
 
 def take_row(W: Tensor, index: int) -> Tensor:
@@ -389,6 +388,43 @@ def attend(weights: Tensor, features: np.ndarray) -> Tensor:
     return Tensor(out, (weights,), bw, "attend")
 
 
+def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor) -> Tensor:
+    """Attention weights softmax_i(w_a . tanh(R_i + h_proj)) over the rows of
+    an (m, Z) matrix R, as one node."""
+    if R.data.ndim != 2 or R.data.shape[0] < 1:
+        raise ShapeError(f"additive_attention expects a non-empty (m, Z) matrix, got {R.shape}")
+    z = R.data.shape[1]
+    if h_proj.data.shape != (z,) or w_a.data.shape != (z,):
+        raise ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
+                         f"do not match rows of {R.shape}")
+    t = np.tanh(R.data + h_proj.data)
+    scores = t @ w_a.data
+    e = np.exp(scores - np.max(scores))
+    a = e / e.sum()
+
+    def bw(g, accum):
+        d_scores = a * (g - float(np.dot(g, a)))
+        accum(w_a, t.T @ d_scores)
+        d_pre = np.outer(d_scores, w_a.data) * (1.0 - t * t)
+        accum(R, d_pre)
+        accum(h_proj, d_pre.sum(axis=0))
+
+    return Tensor(a, (R, h_proj, w_a), bw, "attention")
+
+
+def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
+    """features @ W.T: every row of a constant (m, E) matrix through W (Z, E)
+    in one node; W's gradient is deferred as the pair (g, features)."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or W.data.ndim != 2 or W.data.shape[1] != features.shape[1]:
+        raise ShapeError(f"project_rows expects (m, E) rows for W {W.shape}, got {features.shape}")
+
+    def bw(g, accum):
+        accum(W, g, features)
+
+    return Tensor(features @ W.data.T, (W,), bw, "project_rows")
+
+
 def cross_entropy(dist: Tensor, target_index: int) -> Tensor:
     """-log(dist[target] + eps). When dist comes straight out of a softmax the
     backward pass is routed through it as (dist - onehot) on the logits."""
@@ -472,15 +508,44 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: LstmParams) -> tuple[Tensor, Tensor]:
+    """One LSTM step as a single node holding [h, c], returned as two views.
+
+    The backward pass hands the gate gradient to W_x and W_h as deferred
+    (g, x) pairs, so their outer products are batched by ``backward``.
+    """
+    W_x, W_h, b = params.W_x, params.W_h, params.b
     z = params.hidden_size
-    gates = add(affine(x, params.W_x, params.b), affine(h_prev, params.W_h))
-    i = sigmoid_(vslice(gates, 0, z))
-    f = sigmoid_(vslice(gates, z, 2 * z))
-    g = tanh_(vslice(gates, 2 * z, 3 * z))
-    o = sigmoid_(vslice(gates, 3 * z, 4 * z))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh_(c))
-    return h, c
+    if x.data.ndim != 1 or W_x.data.shape[1] != x.data.shape[0]:
+        raise ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
+    if h_prev.data.shape != (z,) or c_prev.data.shape != (z,):
+        raise ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != ({z},)")
+    gates = (W_x.data @ x.data + b.data) + W_h.data @ h_prev.data
+    i = 1.0 / (1.0 + np.exp(-gates[:z]))
+    f = 1.0 / (1.0 + np.exp(-gates[z:2 * z]))
+    g = np.tanh(gates[2 * z:3 * z])
+    o = 1.0 / (1.0 + np.exp(-gates[3 * z:]))
+    c = f * c_prev.data + i * g
+    tc = np.tanh(c)
+    h = o * tc
+
+    def bw(grad, accum):
+        dh, dc = grad[:z], grad[z:]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d_gates = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev.data * f * (1.0 - f),
+            dc * i * (1.0 - g * g),
+            dh * tc * o * (1.0 - o),
+        ])
+        accum(W_x, d_gates, x.data)
+        accum(W_h, d_gates, h_prev.data)
+        accum(b, d_gates)
+        accum(x, W_x.data.T @ d_gates)
+        accum(h_prev, W_h.data.T @ d_gates)
+        accum(c_prev, dc * f)
+
+    state = Tensor(np.concatenate([h, c]), (x, h_prev, c_prev, W_x, W_h, b), bw, "lstm")
+    return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
 # ---------------------------------------------------------------------------

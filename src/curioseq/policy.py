@@ -19,23 +19,20 @@ from .kernel import (
     LstmParams,
     Parameter,
     Tensor,
-    add,
+    additive_attention,
     affine,
     attend,
     concat,
     constant,
     cross_entropy,
-    dotp,
     init_lstm,
     logprob,
     lstm_cell,
     no_grad,
+    project_rows,
     softmax,
-    stack_scalars,
     take_row,
-    tanh_,
     xavier_uniform,
-    zeros_param,
 )
 from .vocab import BOS_ID, EOS_ID
 
@@ -106,14 +103,13 @@ class ProjectedScene:
     """Per-scene tensors reused across steps of one unrolled graph."""
 
     features: np.ndarray          # (m, E) constant
-    region_proj: list[Tensor]     # W_v v_i
+    region_proj: Tensor           # (m, Z), row i is W_v v_i
     mean_proj: Tensor             # W_v mean(v)
 
 
 def project_scene(params: PolicyParams, features: np.ndarray) -> ProjectedScene:
     features = np.asarray(features, dtype=np.float64)
-    region_proj = [affine(constant(features[i]), params.W_v)
-                   for i in range(features.shape[0])]
+    region_proj = project_rows(features, params.W_v)
     mean_proj = affine(constant(features.mean(axis=0)), params.W_v)
     return ProjectedScene(features=features, region_proj=region_proj, mean_proj=mean_proj)
 
@@ -136,10 +132,7 @@ def policy_step(params: PolicyParams, prev_word: int, state: PolicyState | None,
     s_vis, c_vis = lstm_cell(x_vis, state.s_vis, state.c_vis, params.vis)
 
     h_proj = affine(s_vis, params.W_h)
-    scores = stack_scalars([
-        dotp(params.W_a, tanh_(add(proj_i, h_proj))) for proj_i in scene.region_proj
-    ])
-    attn = softmax(scores)
+    attn = additive_attention(scene.region_proj, h_proj, params.W_a)
     v_hat = attend(attn, scene.features)
 
     x_lang = concat([v_hat, s_vis])

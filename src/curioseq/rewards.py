@@ -3,7 +3,6 @@ advantage shaping and the policy-gradient surrogate loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,18 +10,6 @@ import numpy as np
 from .kernel import Tensor, add_n, scale
 from .metrics import IdfTable, bleu, cider_single
 from .policy import RolloutTrace
-
-
-@dataclass
-class RewardTrace:
-    """Per-step rewards and shaped advantages for one episode."""
-
-    extrinsic: np.ndarray
-    intrinsic: np.ndarray
-    q_values: np.ndarray
-    advantage: np.ndarray
-    bleu4: float
-    cider: float
 
 
 def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
@@ -69,6 +56,10 @@ def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarra
     with G_{t:t+j} the gamma-discounted sum of rewards t..t+j and G_t the
     full-horizon discounted return from t (indices here are 1-based; the
     implementation is 0-based).
+
+    Evaluated in O(T) by the backward recursions G_t = r_t + gamma G_{t+1}
+    and M_t = r_t sum_{j<=H_t} lam^j + gamma lam M_{t+1}, where M_t is the
+    lam-weighted sum of truncated returns and H_t = T - t the horizon.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
@@ -77,14 +68,12 @@ def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarra
     r = np.asarray(rewards, dtype=np.float64)
     t_len = r.shape[0]
     q = np.zeros(t_len)
-    for t in range(t_len):
-        horizon = t_len - 1 - t
-        g = 0.0
-        mixed = 0.0
-        for j in range(horizon + 1):
-            g += (gamma ** j) * r[t + j]
-            mixed += (lam ** j) * g
-        q[t] = (1.0 - lam) * mixed + (lam ** horizon) * g
+    full = mixed = weight_sum = 0.0
+    for t in range(t_len - 1, -1, -1):
+        weight_sum = 1.0 + lam * weight_sum
+        full = r[t] + gamma * full
+        mixed = r[t] * weight_sum + gamma * lam * mixed
+        q[t] = (1.0 - lam) * mixed + (lam ** (t_len - 1 - t)) * full
     return q
 
 

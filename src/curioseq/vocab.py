@@ -67,7 +67,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusError(f"cannot read vocabulary file {path}: {exc}") from exc
         if tuple(lines[:4]) != RESERVED:
             raise CorpusError(f"vocabulary file {path} does not start with the reserved tokens")
         return cls(lines[4:])

@@ -119,6 +119,52 @@ class TestTrain:
         assert "manifest" in capsys.readouterr().err
 
 
+def _train_on(tmp_path, manifest: Path) -> int:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_manifest": str(manifest), "epochs": 1}))
+    return run(["train", "--config", str(cfg)])
+
+
+def _broken_copy(synth_dir: Path, tmp_path: Path, edit) -> Path:
+    doc = json.loads((synth_dir / "train_manifest.json").read_text())
+    for name in ("vocab.txt", "features"):
+        (tmp_path / name).symlink_to(synth_dir / name)
+    edit(doc)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+class TestTrainBadInput:
+    def assert_clean_error(self, capsys, code, *words):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        for word in words:
+            assert word in err
+
+    def test_bad_vocab_file(self, synth_dir, tmp_path, capsys):
+        manifest = _broken_copy(synth_dir, tmp_path,
+                                lambda doc: doc.update(vocabulary="bad_vocab.txt"))
+        (tmp_path / "bad_vocab.txt").write_text("hello\nworld\n")
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "reserved")
+
+    def test_missing_vocab_file(self, synth_dir, tmp_path, capsys):
+        manifest = _broken_copy(synth_dir, tmp_path,
+                                lambda doc: doc.update(vocabulary="none.txt"))
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "none.txt")
+
+    def test_manifest_without_vocabulary(self, synth_dir, tmp_path, capsys):
+        manifest = _broken_copy(synth_dir, tmp_path, lambda doc: doc.pop("vocabulary"))
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "vocabulary")
+
+    @pytest.mark.parametrize("key", ["id", "features", "references"])
+    def test_scene_entry_without_key(self, synth_dir, tmp_path, capsys, key):
+        manifest = _broken_copy(synth_dir, tmp_path, lambda doc: doc["scenes"][1].pop(key))
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), key, "entry 1")
+
+
 class TestEval:
     def test_beam_width_one_equals_greedy(self, trained, capsys):
         out, cfg_path = trained

@@ -300,3 +300,230 @@ def test_identical_seeds_give_bit_identical_updates():
 
     first, second = run(), run()
     assert (first == second).all()
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the composites they replaced
+
+
+def seed_lstm_cell(x, h_prev, c_prev, params):
+    """The LSTM step as the composite of primitive nodes it used to be."""
+    z = params.hidden_size
+    gates = K.add(K.affine(x, params.W_x, params.b), K.affine(h_prev, params.W_h))
+    i = K.sigmoid_(K.vslice(gates, 0, z))
+    f = K.sigmoid_(K.vslice(gates, z, 2 * z))
+    g = K.tanh_(K.vslice(gates, 2 * z, 3 * z))
+    o = K.sigmoid_(K.vslice(gates, 3 * z, 4 * z))
+    c = K.add(K.mul(f, c_prev), K.mul(i, g))
+    return K.mul(o, K.tanh_(c)), c
+
+
+def stack_scalars(nodes):
+    out = np.array([float(n.data) for n in nodes])
+
+    def bw(g, accum):
+        for i, n in enumerate(nodes):
+            accum(n, np.asarray(g[i]))
+
+    return K.Tensor(out, tuple(nodes), bw, "stack")
+
+
+def seed_attention(R, h_proj, w_a):
+    """Per-region add/tanh/dot triples, stacked and soft-maxed."""
+    rows = [K.take_row(R, i) for i in range(R.shape[0])]
+    return K.softmax(stack_scalars(
+        [K.dotp(w_a, K.tanh_(K.add(row, h_proj))) for row in rows]))
+
+
+def seed_project_rows(features, W):
+    return [K.affine(K.constant(row), W) for row in features]
+
+
+def forward_and_grads(fn, params):
+    K.zero_grads(params)
+    out = fn()
+    K.backward(out)
+    grads = [q.grad.copy() for q in params]
+    K.zero_grads(params)
+    return float(out.data), grads
+
+
+def assert_same_function(fused, composite, params, tol=1e-12):
+    value_f, grads_f = forward_and_grads(fused, params)
+    value_c, grads_c = forward_and_grads(composite, params)
+    assert abs(value_f - value_c) <= tol * max(1.0, abs(value_c))
+    for q, a, b in zip(params, grads_f, grads_c):
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol, err_msg=q.name)
+
+
+class TestFusedLstm:
+    def make(self, seed, input_size=7, hidden=5):
+        rng = np.random.default_rng(seed)
+        params = K.init_lstm(rng, "lstm", input_size, hidden, bound=0.8)
+        params.b.data[...] = rng.standard_normal(4 * hidden)
+        x = p("x", rng.standard_normal(input_size))
+        h0 = p("h0", rng.standard_normal(hidden))
+        c0 = p("c0", rng.standard_normal(hidden))
+        wh = K.constant(rng.standard_normal(hidden))
+        wc = K.constant(rng.standard_normal(hidden))
+        return params, x, h0, c0, wh, wc
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_composite(self, seed):
+        params, x, h0, c0, wh, wc = self.make(seed)
+
+        def loss(cell):
+            def fn():
+                h, c = cell(x, h0, c0, params)
+                # two chained steps so the state views feed a second cell
+                h2, c2 = cell(h, h, c, K.LstmParams(
+                    W_x=params.W_h, W_h=params.W_h, b=params.b))
+                return K.add_n([K.dotp(wh, h2), K.dotp(wc, c2), K.dotp(wc, c)])
+            return fn
+
+        checked = params.parameters() + [x, h0, c0]
+        assert_same_function(loss(K.lstm_cell), loss(seed_lstm_cell), checked)
+
+    def test_forward_values_match_composite(self):
+        params, x, h0, c0, _, _ = self.make(11)
+        h, c = K.lstm_cell(x, h0, c0, params)
+        h_ref, c_ref = seed_lstm_cell(x, h0, c0, params)
+        np.testing.assert_allclose(h.data, h_ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.data, c_ref.data, rtol=0, atol=1e-12)
+
+    def test_grad_check(self):
+        params, x, h0, c0, wh, wc = self.make(12)
+
+        def fn():
+            h, c = K.lstm_cell(x, h0, c0, params)
+            return K.add(K.dotp(wh, h), K.dotp(wc, c))
+
+        assert K.grad_check(fn, params.parameters() + [x, h0, c0]) <= 1e-4
+
+    def test_bad_shapes(self):
+        params, x, h0, c0, _, _ = self.make(13)
+        with pytest.raises(K.ShapeError):
+            K.lstm_cell(K.constant(np.zeros(3)), h0, c0, params)
+        with pytest.raises(K.ShapeError):
+            K.lstm_cell(x, K.constant(np.zeros(4)), c0, params)
+        with pytest.raises(K.ShapeError):
+            K.lstm_cell(x, h0, K.constant(np.zeros((5, 1))), params)
+
+
+class TestFusedAttention:
+    def make(self, seed, m=6, z=5):
+        rng = np.random.default_rng(seed)
+        R = p("R", rng.standard_normal((m, z)))
+        h_proj = p("h", rng.standard_normal(z))
+        w_a = p("w_a", rng.standard_normal(z))
+        w = K.constant(rng.standard_normal(m))
+        return R, h_proj, w_a, w
+
+    @pytest.mark.parametrize("seed,m", [(0, 1), (1, 2), (2, 6), (3, 8), (4, 8)])
+    def test_matches_composite(self, seed, m):
+        R, h_proj, w_a, w = self.make(seed, m=m)
+        fused = lambda: K.dotp(w, K.additive_attention(R, h_proj, w_a))  # noqa: E731
+        composite = lambda: K.dotp(w, seed_attention(R, h_proj, w_a))  # noqa: E731
+        np.testing.assert_allclose(K.additive_attention(R, h_proj, w_a).data,
+                                   seed_attention(R, h_proj, w_a).data, rtol=0, atol=1e-12)
+        assert_same_function(fused, composite, [R, h_proj, w_a])
+
+    def test_grad_check(self):
+        R, h_proj, w_a, w = self.make(5)
+        fn = lambda: K.dotp(w, K.additive_attention(R, h_proj, w_a))  # noqa: E731
+        assert K.grad_check(fn, [R, h_proj, w_a]) <= 1e-4
+
+    def test_bad_shapes(self):
+        R, h_proj, w_a, _ = self.make(6)
+        with pytest.raises(K.ShapeError):
+            K.additive_attention(h_proj, h_proj, w_a)
+        with pytest.raises(K.ShapeError):
+            K.additive_attention(K.constant(np.zeros((0, 5))), h_proj, w_a)
+        with pytest.raises(K.ShapeError):
+            K.additive_attention(R, K.constant(np.zeros(4)), w_a)
+        with pytest.raises(K.ShapeError):
+            K.additive_attention(R, h_proj, K.constant(np.zeros(6)))
+
+
+class TestProjectRows:
+    def make(self, seed, m=4, e=3, z=5):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, e)), p("W", rng.standard_normal((z, e))), \
+            K.constant(rng.standard_normal((m, z)))
+
+    def test_matches_per_row_affine(self):
+        features, W, weights = self.make(0)
+        out = K.project_rows(features, W)
+        rows = seed_project_rows(features, W)
+        np.testing.assert_allclose(out.data, np.stack([r.data for r in rows]),
+                                   rtol=0, atol=1e-12)
+
+        def fused():
+            return K.sumsq(K.mul(weights, K.project_rows(features, W)))
+
+        def composite():
+            return K.add_n([K.sumsq(K.mul(K.constant(weights.data[i]), r))
+                            for i, r in enumerate(seed_project_rows(features, W))])
+
+        assert_same_function(fused, composite, [W])
+
+    def test_grad_check(self):
+        features, W, weights = self.make(1)
+        assert K.grad_check(lambda: K.sumsq(K.mul(weights, K.project_rows(features, W))),
+                            [W]) <= 1e-4
+
+    def test_bad_shapes(self):
+        features, W, _ = self.make(2)
+        with pytest.raises(K.ShapeError):
+            K.project_rows(features[0], W)
+        with pytest.raises(K.ShapeError):
+            K.project_rows(np.zeros((4, 2)), W)
+
+
+# ---------------------------------------------------------------------------
+# deferred weight gradients
+
+
+class TestDeferredGradients:
+    def test_mixed_deferred_and_direct_contributions(self):
+        rng = np.random.default_rng(20)
+        W = p("W", rng.standard_normal((4, 3)))
+        xs = [rng.standard_normal(3) for _ in range(3)]
+        ws = [rng.standard_normal(4) for _ in range(3)]
+        feats = rng.standard_normal((2, 3))
+        fw = rng.standard_normal((2, 4))
+        terms = [K.dotp(K.constant(w), K.affine(K.constant(x), W)) for w, x in zip(ws, xs)]
+        terms.append(K.dotp(K.constant(ws[0][:3]), K.take_row(W, 1)))     # direct
+        terms.append(K.sumsq(W))                                           # direct
+        terms.append(K.sumsq(K.mul(K.constant(fw), K.project_rows(feats, W))))
+        K.zero_grads([W])
+        K.backward(K.add_n(terms))
+        expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
+        expected[1] += ws[0][:3]
+        expected += 2.0 * W.data
+        proj = feats @ W.data.T
+        expected += sum(np.outer(2.0 * fw[i] * fw[i] * proj[i], feats[i]) for i in range(2))
+        np.testing.assert_allclose(W.grad, expected, rtol=0, atol=1e-12)
+
+    def test_backward_twice_accumulates(self):
+        rng = np.random.default_rng(21)
+        W = p("W", rng.standard_normal((3, 2)))
+        b = p("b", rng.standard_normal(3))
+        x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
+        w = rng.standard_normal(3)
+        K.zero_grads([W, b])
+        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x1), W, b)))
+        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x2), W, b)))
+        np.testing.assert_allclose(W.grad, np.outer(w, x1) + np.outer(w, x2),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, 2.0 * w, rtol=0, atol=1e-12)
+
+    def test_non_parameter_weight_is_materialised(self):
+        rng = np.random.default_rng(22)
+        P_ = p("P", rng.standard_normal((3, 2)))
+        x = rng.standard_normal(2)
+        w = rng.standard_normal(3)
+        W = K.scale(P_, 2.0)        # a computed, non-Parameter weight matrix
+        K.zero_grads([P_])
+        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x), W)))
+        np.testing.assert_allclose(P_.grad, 2.0 * np.outer(w, x), rtol=0, atol=1e-12)

@@ -64,6 +64,22 @@ class TestPolicyStep:
             state.concat.data,
             np.concatenate([state.s_vis.data, state.s_lang.data]))
 
+    def test_recorded_step_creates_at_most_16_nodes(self, monkeypatch):
+        params, feats = tiny_policy(seed=3)
+        scene = P.project_scene(params, feats)
+        _, state, _, _ = P.policy_step(params, BOS_ID, None, scene)
+        created = []
+        init = K.Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            created.append(tensor)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(K.Tensor, "__init__", counted)
+        P.policy_step(params, 4, state, scene)
+        monkeypatch.undo()
+        assert len(created) <= 16, sorted(t.op for t in created)
+
     def test_word_index_validated(self):
         params, feats = tiny_policy()
         with pytest.raises(IndexError):

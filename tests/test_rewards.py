@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curioseq import kernel as K
 from curioseq import metrics as M
@@ -24,6 +26,23 @@ def oracle_td_lambda(rewards, gamma, lam):
     return np.array(out)
 
 
+def double_sum_td_lambda(rewards, gamma, lam):
+    """The O(T^2) double sum that td_lambda_q evaluated before its backward
+    recursion; same weighting, kept as the reference."""
+    r = np.asarray(rewards, dtype=np.float64)
+    t_len = r.shape[0]
+    q = np.zeros(t_len)
+    for t in range(t_len):
+        horizon = t_len - 1 - t
+        g = 0.0
+        mixed = 0.0
+        for j in range(horizon + 1):
+            g += (gamma ** j) * r[t + j]
+            mixed += (lam ** j) * g
+        q[t] = (1.0 - lam) * mixed + (lam ** horizon) * g
+    return q
+
+
 class TestTdLambda:
     def test_worked_value_closed_form(self):
         got = R.td_lambda_q([0.0, 0.0, 2.0], gamma=0.9, lam=1.0)
@@ -42,6 +61,17 @@ class TestTdLambda:
             got = R.td_lambda_q(r, gamma, lam)
             np.testing.assert_allclose(got, oracle_td_lambda(r, gamma, lam),
                                        rtol=0, atol=1e-12)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=40),
+           st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_recursion_matches_double_sum(self, rewards, gamma, lam):
+        # the absolute term is relative to the reward scale, plus the smallest
+        # normal float: terms that underflow into subnormals round differently
+        # in the two evaluation orders
+        got = R.td_lambda_q(rewards, gamma, lam)
+        np.testing.assert_allclose(got, double_sum_td_lambda(rewards, gamma, lam), rtol=1e-12,
+                                   atol=1e-12 * max(rewards) + np.finfo(np.float64).tiny)
 
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ValueError):
