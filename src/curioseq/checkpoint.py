@@ -9,6 +9,7 @@ is serialized with sorted keys so identical contents produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -60,22 +61,37 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(raw[start:start + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path} has a manifest that is not an object")
     if manifest.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path} has unsupported format version {manifest.get('version')!r}"
         )
+    entries = manifest.get("tensors")
+    extra = manifest.get("extra", {})
+    if not isinstance(entries, list) or not all(map(_valid_entry, entries)):
+        raise CheckpointError(f"{path} has a malformed tensor table")
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path} has a malformed 'extra' field")
     tensors: dict[str, np.ndarray] = {}
     offset = start + manifest_len
-    for entry in manifest["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path} is truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         tensors[entry["name"]] = arr.astype(np.float64)
         offset += nbytes
-    return tensors, manifest.get("extra", {})
+    return tensors, extra
+
+
+def _valid_entry(entry) -> bool:
+    """A tensor-table entry: {"name": str, "shape": [non-negative ints]}."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"]))
 
 
 def params_as_dict(params: Iterable[Parameter]) -> dict[str, np.ndarray]:

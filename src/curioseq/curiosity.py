@@ -21,6 +21,7 @@ from .kernel import (
     concat,
     constant,
     cross_entropy,
+    grad_scale,
     leaky_relu,
     no_grad,
     scale,
@@ -124,8 +125,50 @@ def predict_action(phi_t: Tensor, phi_next: Tensor, params: CuriosityParams) -> 
     return softmax(affine(h, params.ap_W2, params.ap_b2))
 
 
-def _transition_count(trace: RolloutTrace) -> int:
-    return max(len(trace) - 1, 0)
+@dataclass
+class CuriosityPass:
+    """Per-transition curiosity terms of one trace, built on one shared
+    embedding per state."""
+
+    errors: np.ndarray        # per step 1/2 |pred - target|^2, 0 at the first
+    sp_terms: list[Tensor]    # the same values as graph nodes
+    ap_terms: list[Tensor]    # action cross-entropies; empty unless alpha > 0
+
+
+def curiosity_pass(trace: RolloutTrace, params: CuriosityParams, alpha: float = 0.0,
+                   beta: float = 1.0,
+                   targets: Sequence[np.ndarray] | None = None) -> CuriosityPass:
+    """Embed each state of the trace once and build both heads on those nodes.
+
+    The state predictor reads grad_scale(phi, beta) and the action predictor
+    grad_scale(phi, alpha), so one backward over the sum of both losses gives
+    the embedding alpha * d(ap) + beta * d(sp) while each predictor gets its
+    own unweighted gradient. Targets are the detached next-state embeddings
+    unless given (pass frozen ones to finite-difference the prediction path).
+    A trace shorter than two steps embeds nothing and has no terms.
+    """
+    errors = np.zeros(len(trace))
+    if len(trace) < 2:
+        return CuriosityPass(errors, [], [])
+    phi = [embed_state(s, params) for s in trace.states]
+    if targets is None:
+        targets = [p.data for p in phi[1:]]
+    sp_terms = []
+    for k, p in enumerate(phi[:-1]):
+        pred = predict_next_state(grad_scale(p, beta), trace.actions[k], params)
+        sp_terms.append(scale(sumsq(sub(pred, constant(targets[k]))), 0.5))
+    errors[1:] = [float(t.data) for t in sp_terms]
+    ap_terms = []
+    if alpha > 0:
+        to_ap = [grad_scale(p, alpha) for p in phi]
+        ap_terms = [cross_entropy(predict_action(to_ap[k], to_ap[k + 1], params),
+                                  trace.actions[k]) for k in range(len(phi) - 1)]
+    return CuriosityPass(errors, sp_terms, ap_terms)
+
+
+def mean_loss(terms: Sequence[Tensor]) -> Tensor:
+    """Mean of per-transition terms; 0 for a trace without transitions."""
+    return scale(add_n(terms), 1.0 / len(terms)) if terms else constant(0.0)
 
 
 def sp_targets(trace: RolloutTrace, params: CuriosityParams) -> list[np.ndarray]:
@@ -138,38 +181,14 @@ def sp_targets(trace: RolloutTrace, params: CuriosityParams) -> list[np.ndarray]
 def sp_loss(trace: RolloutTrace, params: CuriosityParams,
             targets: Sequence[np.ndarray] | None = None) -> Tensor:
     """Mean over transitions of half the squared next-state prediction error.
-
-    The target embedding is a constant with respect to this loss: no gradient
-    flows through the target path. Pass precomputed targets to evaluate the
-    loss as a pure function of the prediction path (finite differencing).
-    Traces shorter than two steps give 0.
-    """
-    n = _transition_count(trace)
-    if n == 0:
-        return constant(0.0)
-    if targets is None:
-        targets = sp_targets(trace, params)
-    terms = []
-    for k in range(1, len(trace)):
-        phi_prev = embed_state(trace.states[k - 1], params)
-        pred = predict_next_state(phi_prev, trace.actions[k - 1], params)
-        diff = sub(pred, constant(targets[k - 1]))
-        terms.append(scale(sumsq(diff), 0.5))
-    return scale(add_n(terms), 1.0 / n)
+    No gradient flows through the target path; traces shorter than two steps
+    give 0."""
+    return mean_loss(curiosity_pass(trace, params, targets=targets).sp_terms)
 
 
 def ap_loss(trace: RolloutTrace, params: CuriosityParams) -> Tensor:
     """Mean cross-entropy of the true actions under the action predictor."""
-    n = _transition_count(trace)
-    if n == 0:
-        return constant(0.0)
-    terms = []
-    for k in range(1, len(trace)):
-        phi_prev = embed_state(trace.states[k - 1], params)
-        phi_next = embed_state(trace.states[k], params)
-        dist = predict_action(phi_prev, phi_next, params)
-        terms.append(cross_entropy(dist, trace.actions[k - 1]))
-    return scale(add_n(terms), 1.0 / n)
+    return mean_loss(curiosity_pass(trace, params, alpha=1.0).ap_terms)
 
 
 def intrinsic_rewards(trace: RolloutTrace, params: CuriosityParams,
@@ -179,17 +198,5 @@ def intrinsic_rewards(trace: RolloutTrace, params: CuriosityParams,
     gradients flow."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    rewards = np.zeros(len(trace))
     with no_grad():
-        for k in range(1, len(trace)):
-            phi_prev = embed_state(trace.states[k - 1], params)
-            pred = predict_next_state(phi_prev, trace.actions[k - 1], params)
-            actual = embed_state(trace.states[k], params)
-            diff = pred.data - actual.data
-            rewards[k] = 0.5 * rho * float(np.dot(diff, diff))
-    return rewards
-
-
-def state_value(trace: RolloutTrace, params: CuriosityParams, rho: float) -> float:
-    """Total intrinsic value of a trace: the sum of per-step bonuses."""
-    return float(intrinsic_rewards(trace, params, rho).sum())
+        return rho * curiosity_pass(trace, params).errors

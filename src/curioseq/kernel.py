@@ -41,10 +41,6 @@ def no_grad():
         _RECORDING.pop()
 
 
-def recording() -> bool:
-    return _RECORDING[-1]
-
-
 class Tensor:
     """A float64 array node. Leaves carry data only; op outputs carry parents
     and a backward closure while recording is enabled."""
@@ -64,9 +60,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
@@ -88,10 +81,6 @@ class Parameter(Tensor):
 
 def constant(x) -> Tensor:
     return Tensor(x)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +226,17 @@ def scale(a: Tensor, c: float) -> Tensor:
         accum(a, g * c)
 
     return Tensor(a.data * c, (a,), bw, "scale")
+
+
+def grad_scale(x: Tensor, c: float) -> Tensor:
+    """The identity in the forward pass; multiplies the gradient by c in the
+    backward pass. Weights one consumer's gradient into a shared node."""
+    c = float(c)
+
+    def bw(g, accum):
+        accum(x, g * c)
+
+    return Tensor(x.data, (x,), bw, "grad_scale")
 
 
 def add_n(nodes: Sequence[Tensor]) -> Tensor:

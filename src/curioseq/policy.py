@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,10 +151,43 @@ class RolloutTrace:
     logprob_nodes: list[Tensor] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)      # concat values (2Z,)
     attention: list[np.ndarray] = field(default_factory=list)
-    ended_with_eos: bool = False
 
     def __len__(self) -> int:
         return len(self.actions)
+
+    @property
+    def ended_with_eos(self) -> bool:
+        return bool(self.actions) and self.actions[-1] == EOS_ID
+
+    def record(self, action: int, dist: Tensor, state: PolicyState, attn: Tensor) -> None:
+        node = logprob(dist, action)
+        self.actions.append(action)
+        self.log_probs.append(float(node.data))
+        self.logprob_nodes.append(node)
+        self.states.append(state.concat.data.copy())
+        self.attention.append(attn.data.copy())
+
+
+def unroll(params: PolicyParams, features: np.ndarray,
+           choose: Callable[[int, Tensor], int], t_max: int) -> Iterator[tuple]:
+    """The one loop over policy_step. From <bos>, step t feeds back the token
+    choose(t, dist) and yields (token, dist, state, attention); a caller
+    stops early by leaving the loop."""
+    scene = project_scene(params, features)
+    state: PolicyState | None = None
+    token = BOS_ID
+    for t in range(t_max):
+        dist, state, _, attn = policy_step(params, token, state, scene)
+        token = choose(t, dist)
+        yield token, dist, state, attn
+
+
+def _forced(params: PolicyParams, features: np.ndarray,
+            tokens: Sequence[int]) -> Iterator[tuple]:
+    """Teacher-forced steps over tokens; they do not stop at <eos>."""
+    if not tokens:
+        raise ValueError("cannot unroll an empty sequence")
+    return unroll(params, features, lambda t, dist: int(tokens[t]), len(tokens))
 
 
 def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -164,91 +197,49 @@ def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
-                   rng: np.random.Generator, bos: int = BOS_ID,
-                   eos: int = EOS_ID) -> RolloutTrace:
+                   rng: np.random.Generator) -> RolloutTrace:
     """Sample an episode from <bos>; stops at <eos> or t_max. Inverse-CDF
     sampling so identical seeds give identical traces."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    scene = project_scene(params, features)
     trace = RolloutTrace()
-    state: PolicyState | None = None
-    prev = bos
-    for _ in range(t_max):
-        dist, state, _, attn = policy_step(params, prev, state, scene)
-        action = _sample_index(dist.data, rng)
-        node = logprob(dist, action)
-        trace.actions.append(action)
-        trace.log_probs.append(float(node.data))
-        trace.logprob_nodes.append(node)
-        trace.states.append(state.concat.data.copy())
-        trace.attention.append(attn.data.copy())
-        prev = action
-        if action == eos:
-            trace.ended_with_eos = True
+    for step in unroll(params, features, lambda t, dist: _sample_index(dist.data, rng), t_max):
+        trace.record(*step)
+        if step[0] == EOS_ID:
             break
     return trace
 
 
 def unroll_forced(params: PolicyParams, features: np.ndarray,
-                  tokens: Sequence[int], bos: int = BOS_ID) -> RolloutTrace:
+                  tokens: Sequence[int]) -> RolloutTrace:
     """Teacher-forced unroll over a fixed token sequence, recording the
     same per-step quantities as a sampled rollout."""
-    if not tokens:
-        raise ValueError("cannot unroll an empty sequence")
-    scene = project_scene(params, features)
     trace = RolloutTrace()
-    state: PolicyState | None = None
-    prev = bos
-    for tok in tokens:
-        dist, state, _, attn = policy_step(params, prev, state, scene)
-        node = logprob(dist, tok)
-        trace.actions.append(int(tok))
-        trace.log_probs.append(float(node.data))
-        trace.logprob_nodes.append(node)
-        trace.states.append(state.concat.data.copy())
-        trace.attention.append(attn.data.copy())
-        prev = int(tok)
-    trace.ended_with_eos = tokens[-1] == EOS_ID
+    for step in _forced(params, features, tokens):
+        trace.record(*step)
     return trace
 
 
 def forced_step_losses(params: PolicyParams, features: np.ndarray,
-                       tokens: Sequence[int], bos: int = BOS_ID) -> list[Tensor]:
+                       tokens: Sequence[int]) -> list[Tensor]:
     """Per-step cross-entropy nodes of a teacher-forced pass (imitation)."""
-    if not tokens:
-        raise ValueError("cannot unroll an empty sequence")
-    scene = project_scene(params, features)
-    state: PolicyState | None = None
-    prev = bos
-    losses = []
-    for tok in tokens:
-        dist, state, _, _ = policy_step(params, prev, state, scene)
-        losses.append(cross_entropy(dist, int(tok)))
-        prev = int(tok)
-    return losses
+    return [cross_entropy(dist, tok) for tok, dist, _, _ in _forced(params, features, tokens)]
 
 
-def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int,
-                   bos: int = BOS_ID, eos: int = EOS_ID) -> list[int]:
+def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
     """Stepwise argmax decoding; ties break toward the lowest index."""
+    out: list[int] = []
     with no_grad():
-        scene = project_scene(params, features)
-        state: PolicyState | None = None
-        prev = bos
-        out: list[int] = []
-        for _ in range(t_max):
-            dist, state, _, _ = policy_step(params, prev, state, scene)
-            action = int(np.argmax(dist.data))
-            out.append(action)
-            prev = action
-            if action == eos:
+        for token, *_ in unroll(params, features,
+                                lambda t, dist: int(np.argmax(dist.data)), t_max):
+            out.append(token)
+            if token == EOS_ID:
                 break
-        return out
+    return out
 
 
 def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
-                width: int, bos: int = BOS_ID, eos: int = EOS_ID) -> list[int]:
+                width: int) -> list[int]:
     """Keep the width highest cumulative-log-probability partials per step;
     finished sequences are held aside and compete on total log-probability.
     Ties resolve toward the lexicographically smaller token sequence."""
@@ -263,7 +254,7 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
                 break
             candidates = []
             for lp, tokens, state in live:
-                prev = tokens[-1] if tokens else bos
+                prev = tokens[-1] if tokens else BOS_ID
                 dist, new_state, _, _ = policy_step(params, prev, state, scene)
                 logd = np.log(np.maximum(dist.data, LOG_FLOOR))
                 for w in range(params.vocab_size):
@@ -271,7 +262,7 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
             candidates.sort(key=lambda c: (-c[0], c[1]))
             live = []
             for lp, tokens, state in candidates[:width]:
-                if tokens[-1] == eos:
+                if tokens[-1] == EOS_ID:
                     done.append((lp, tokens))
                 else:
                     live.append((lp, tokens, state))
@@ -281,17 +272,8 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
 
 
 def sequence_log_prob(params: PolicyParams, features: np.ndarray,
-                      tokens: Sequence[int], bos: int = BOS_ID) -> float:
+                      tokens: Sequence[int]) -> float:
     """Sum of per-step log conditionals of a forced sequence."""
-    if not tokens:
-        raise ValueError("sequence must be non-empty")
     with no_grad():
-        scene = project_scene(params, features)
-        state: PolicyState | None = None
-        prev = bos
-        total = 0.0
-        for tok in tokens:
-            dist, state, _, _ = policy_step(params, prev, state, scene)
-            total += math.log(max(float(dist.data[int(tok)]), LOG_FLOOR))
-            prev = int(tok)
-        return total
+        return sum(math.log(max(float(dist.data[tok]), LOG_FLOOR))
+                   for tok, dist, _, _ in _forced(params, features, tokens))

@@ -22,30 +22,16 @@ def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
 
 def scored_reward(candidate: Sequence[str], references: Sequence[Sequence[str]],
                   idf: IdfTable, bleu_weight: float, cider_weight: float,
-                  length: int) -> tuple[np.ndarray, float, float]:
-    """Terminal reward vector plus the individual metric values."""
+                  length: int) -> float:
+    """Terminal reward of an episode of `length` steps: the weighted sum of
+    the smoothed sentence BLEU-4 and the TF-IDF consensus score of the
+    finished sequence. A candidate stripped to nothing scores 0."""
     if length < 1:
         raise ValueError("candidate must be non-empty")
-    if candidate:
-        bleu4 = bleu([(candidate, references)], max_n=4, mode="sentence")
-        cdr = cider_single(candidate, references, idf)
-    else:
-        bleu4, cdr = 0.0, 0.0
-    vec = terminal_reward_vector(bleu_weight * bleu4 + cider_weight * cdr, length)
-    return vec, bleu4, cdr
-
-
-def extrinsic_reward(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                     idf: IdfTable, bleu_weight: float = 1.0,
-                     cider_weight: float = 2.0,
-                     length: int | None = None) -> np.ndarray:
-    """Zeros except the final step, which carries the weighted sum of the
-    smoothed sentence BLEU-4 and the TF-IDF consensus score of the finished
-    sequence. length defaults to the candidate length; pass the episode
-    length when control tokens were stripped from the candidate."""
-    n = len(candidate) if length is None else length
-    vec, _, _ = scored_reward(candidate, references, idf, bleu_weight, cider_weight, n)
-    return vec
+    if not candidate:
+        return 0.0
+    return float(bleu_weight * bleu([(candidate, references)], max_n=4, mode="sentence")
+                 + cider_weight * cider_single(candidate, references, idf))
 
 
 def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarray:

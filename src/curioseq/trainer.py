@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -176,90 +176,67 @@ def _check_finite(name: str, value: float) -> float:
 def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                cfg: TrainConfig, vocab: Vocabulary, idf: met.IdfTable,
                rng: np.random.Generator, eta: float, epoch: int = 0) -> StepStats:
-    """One minibatch update.
+    """One minibatch update from one backward pass.
 
     The policy is updated with the combined gradient of the reinforcement
     term plus eta times the imitation term (curiosity losses do not reach it:
     gradients are stopped at the states). The action predictor trains on its
     own loss, the state predictor on its own loss, and the shared embedding
-    on the alpha/beta-weighted sum. Gradients are cleared after the step.
+    on the alpha/beta-weighted sum, which grad_scale in the curiosity pass
+    applies. Gradients are cleared after the step.
     """
     stats = StepStats(episodes=len(batch))
     all_params = model.parameters()
     b = len(batch)
-    use_rl = cfg.mode != "xe"
-
     policy_terms = []
     sp_terms = []
     ap_terms = []
     for scene in batch:
-        if use_rl:
-            trace = pol.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
-            if cfg.mode == "no_intrinsic" or cfg.intrinsic_scale == 0.0:
-                intrinsic = np.zeros(len(trace))
-            else:
-                intrinsic = cur.intrinsic_rewards(trace, model.curiosity, cfg.intrinsic_scale)
-            candidate = vocab.decode_text(trace.actions)
-            references = [vocab.decode_text(ref) for ref in scene.references]
-            r_e, _, _ = rew.scored_reward(
-                candidate, references, idf, cfg.bleu_weight, cfg.cider_weight, len(trace))
-            if cfg.td_lambda == 1.0:
-                q = rew.q_closed_form(r_e[-1], len(trace), cfg.discount)
-            else:
-                q = rew.td_lambda_q(r_e, cfg.discount, cfg.td_lambda)
-            adv = rew.advantages(q, intrinsic)
-            scene_rl = rew.rl_loss(trace, adv)
-            if cfg.state_loss_weight > 0:
-                sp_terms.append(cur.sp_loss(trace, model.curiosity))
-            if cfg.action_loss_weight > 0:
-                ap_terms.append(cur.ap_loss(trace, model.curiosity))
-            stats.intrinsic_sum += float(intrinsic.sum())
-            stats.intrinsic_steps += len(trace)
-            stats.extrinsic_sum += float(r_e[-1])
-        else:
-            scene_rl = None
-        ref_index = epoch  # deterministic rotation through references
-        scene_xe = xe_loss(model.policy, scene, ref_index)
-        if scene_rl is not None:
-            policy_terms.append(add(scene_rl, scale(scene_xe, eta)) if eta != 0.0 else scene_rl)
-        else:
-            policy_terms.append(scale(scene_xe, eta) if eta != 1.0 else scene_xe)
+        # deterministic rotation through references
+        scene_xe = xe_loss(model.policy, scene, epoch)
         stats.xe_loss += float(scene_xe.data) / b
-        if scene_rl is not None:
-            stats.rl_loss += float(scene_rl.data) / b
+        if cfg.mode == "xe":
+            policy_terms.append(scale(scene_xe, eta) if eta != 1.0 else scene_xe)
+            continue
+        trace = pol.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
+        terms = cur.curiosity_pass(trace, model.curiosity, cfg.action_loss_weight,
+                                   cfg.state_loss_weight)
+        intrinsic = (cfg.intrinsic_scale * terms.errors if cfg.mode == "crl"
+                     else np.zeros(len(trace)))
+        candidate = vocab.decode_text(trace.actions)
+        references = [vocab.decode_text(ref) for ref in scene.references]
+        r_e = rew.scored_reward(
+            candidate, references, idf, cfg.bleu_weight, cfg.cider_weight, len(trace))
+        if cfg.td_lambda == 1.0:
+            q = rew.q_closed_form(r_e, len(trace), cfg.discount)
+        else:
+            q = rew.td_lambda_q(rew.terminal_reward_vector(r_e, len(trace)),
+                                cfg.discount, cfg.td_lambda)
+        scene_rl = rew.rl_loss(trace, rew.advantages(q, intrinsic))
+        policy_terms.append(add(scene_rl, scale(scene_xe, eta)) if eta != 0.0 else scene_rl)
+        stats.rl_loss += float(scene_rl.data) / b
+        if cfg.state_loss_weight > 0:
+            sp_terms.append(cur.mean_loss(terms.sp_terms))
+        if cfg.action_loss_weight > 0:
+            ap_terms.append(cur.mean_loss(terms.ap_terms))
+        stats.intrinsic_sum += float(intrinsic.sum())
+        stats.intrinsic_steps += len(trace)
+        stats.extrinsic_sum += r_e
 
     _check_finite("imitation", stats.xe_loss)
     _check_finite("reinforcement", stats.rl_loss)
 
-    policy_loss = scale(add_n(policy_terms), 1.0 / b)
-    policy_grads = gradients(policy_loss, all_params)
-
-    sp_grads = ap_grads = None
+    # one loss, one backward; a zero loss weight keeps its predictor out of it
+    loss = scale(add_n(policy_terms), 1.0 / b)
     if sp_terms:
         sp_batch = scale(add_n(sp_terms), 1.0 / b)
         stats.sp_loss = _check_finite("state-prediction", float(sp_batch.data))
-        sp_grads = gradients(sp_batch, model.curiosity.parameters())
+        loss = add(loss, sp_batch)
     if ap_terms:
         ap_batch = scale(add_n(ap_terms), 1.0 / b)
         stats.ap_loss = _check_finite("action-prediction", float(ap_batch.data))
-        ap_grads = gradients(ap_batch, model.curiosity.parameters())
-
-    # assemble the per-group update per the collaborative objective; a zero
-    # loss weight disables its predictor entirely
-    zero_grads(all_params)
-    for p in model.policy.parameters():
-        p.grad[...] = policy_grads[p.name]
-    for p in model.curiosity.embedding_parameters():
-        if ap_grads is not None:
-            p.grad += cfg.action_loss_weight * ap_grads[p.name]
-        if sp_grads is not None:
-            p.grad += cfg.state_loss_weight * sp_grads[p.name]
-    if sp_grads is not None:
-        for p in model.curiosity.state_predictor_parameters():
-            p.grad[...] = sp_grads[p.name]
-    if ap_grads is not None:
-        for p in model.curiosity.action_predictor_parameters():
-            p.grad[...] = ap_grads[p.name]
+        loss = add(loss, ap_batch)
+    gradients(loss, all_params)
     sgd_step(all_params, opt)
     zero_grads(all_params)
     return stats
@@ -308,7 +285,6 @@ def evaluate(scenes: Sequence[Scene], model: ModelParams, vocab: Vocabulary,
     """Decode every scene and score corpus BLEU-1..4, the consensus metric
     and diversity statistics."""
     samples = []
-    decoded = []
     for scene in scenes:
         if cfg.decode == "beam" and cfg.beam_width > 1:
             tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, cfg.beam_width)
@@ -317,10 +293,9 @@ def evaluate(scenes: Sequence[Scene], model: ModelParams, vocab: Vocabulary,
         cand = vocab.decode_text(tokens)
         refs = [vocab.decode_text(r) for r in scene.references]
         samples.append((cand, refs))
-        decoded.append(cand)
     bleu_scores = {n: met.bleu(samples, max_n=n, mode="corpus") for n in (1, 2, 3, 4)}
     cdr = met.cider(samples, idf)
-    graph = met.diversity_graph(decoded)
+    graph = met.diversity_graph([cand for cand, _ in samples])
     return MetricReport(bleu=bleu_scores, cider=cdr, distinct1=graph.distinct_1,
                         distinct2=graph.distinct_2, n_scenes=len(scenes), graph=graph)
 
@@ -334,10 +309,6 @@ class TrainResult:
     model: ModelParams
     reports: list[EpochReport]
     best_cider: float
-
-
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng([seed, epoch])
 
 
 def save_model(path, model: ModelParams, extra: dict | None = None) -> None:
@@ -383,21 +354,15 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             cfg.imitation_weight, cfg.imitation_decay, epoch)
         opt.learning_rate = lr_schedule(cfg.learning_rate, cfg.lr_decay,
                                         cfg.lr_decay_period, epoch)
-        rng = _epoch_rng(cfg.seed, epoch)
+        rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(train_scenes))
         totals = StepStats()
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_scenes[i] for i in order[lo:lo + cfg.batch_size]]
             stats = train_step(batch, model, opt, cfg, vocab, idf, rng, eta, epoch)
-            totals.rl_loss += stats.rl_loss
-            totals.sp_loss += stats.sp_loss
-            totals.ap_loss += stats.ap_loss
-            totals.xe_loss += stats.xe_loss
-            totals.intrinsic_sum += stats.intrinsic_sum
-            totals.intrinsic_steps += stats.intrinsic_steps
-            totals.extrinsic_sum += stats.extrinsic_sum
-            totals.episodes += stats.episodes
+            for f in fields(StepStats):
+                setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))
             n_batches += 1
 
         val = evaluate(eval_scenes, model, vocab, idf, cfg)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,42 @@ def test_load_into_params_validates(tmp_path):
     tensors, _ = C.load_checkpoint(path)
     with pytest.raises(C.CheckpointError, match="shape"):
         C.load_into_params(params, tensors)
+
+
+def write_with_manifest(path, manifest, payload=b""):
+    """A checkpoint file whose manifest is arbitrary JSON."""
+    body = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(C.MAGIC + struct.pack("<Q", len(body)) + body + payload)
+    return path
+
+
+def entry(**fields):
+    return {"version": C.FORMAT_VERSION, "tensors": [fields], "extra": {}}
+
+
+@pytest.mark.parametrize("manifest", [
+    pytest.param([], id="manifest-not-object"),
+    pytest.param({"version": C.FORMAT_VERSION, "extra": {}}, id="no-tensors"),
+    pytest.param({"version": C.FORMAT_VERSION, "tensors": {}}, id="tensors-not-list"),
+    pytest.param(entry(name="w"), id="no-shape"),
+    pytest.param(entry(shape=[1]), id="no-name"),
+    pytest.param(entry(name=3, shape=[1]), id="name-not-str"),
+    pytest.param(entry(name="w", shape="x"), id="shape-not-list"),
+    pytest.param(entry(name="w", shape=[-1]), id="negative-dim"),
+    pytest.param(entry(name="w", shape=[1.5]), id="float-dim"),
+    pytest.param(entry(name="w", shape=[True]), id="bool-dim"),
+    pytest.param({"version": C.FORMAT_VERSION, "tensors": [], "extra": []},
+                 id="extra-not-object"),
+])
+def test_malformed_manifest_raises_checkpoint_error(tmp_path, manifest):
+    path = write_with_manifest(tmp_path / "bad.ckpt", manifest, payload=bytes(64))
+    with pytest.raises(C.CheckpointError):
+        C.load_checkpoint(path)
+
+
+def test_well_formed_hand_written_manifest_loads(tmp_path):
+    payload = np.arange(3, dtype="<f8").tobytes()
+    path = write_with_manifest(tmp_path / "ok.ckpt", entry(name="w", shape=[3]), payload)
+    tensors, extra = C.load_checkpoint(path)
+    assert tensors["w"].tolist() == [0.0, 1.0, 2.0]
+    assert extra == {}

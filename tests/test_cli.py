@@ -195,6 +195,17 @@ class TestEval:
         code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(bad)])
         assert code != 0
 
+    def test_malformed_checkpoint_manifest_fails_cleanly(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        bad = tmp_path / "bad.ckpt"
+        body = b"[]"
+        bad.write_bytes(b"NTCKPT01" + len(body).to_bytes(8, "little") + body)
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestGenerate:
     def test_decodes_training_scene(self, trained, synth_dir, capsys):

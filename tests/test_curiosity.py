@@ -211,7 +211,6 @@ class TestIntrinsicRewards:
         transitions = len(trace) - 1
         assert total == pytest.approx(
             rho * transitions * float(C.sp_loss(trace, cur).data), abs=1e-12)
-        assert C.state_value(trace, cur, rho) == pytest.approx(total)
 
     def test_rho_must_be_positive(self):
         _, _, trace, cur = make_setup()

@@ -244,6 +244,41 @@ class TestGradCheck:
         assert a == b
 
 
+class TestGradScale:
+    def test_forward_is_identity(self):
+        x = p("x", [1.5, -2.0, 0.25])
+        np.testing.assert_array_equal(K.grad_scale(x, 0.3).data, x.data)
+
+    def test_unit_scale_passes_gradcheck(self):
+        rng = np.random.default_rng(11)
+        x = p("x", rng.standard_normal(5))
+        w = K.constant(rng.standard_normal(5))
+
+        def fn():
+            return K.dotp(w, K.tanh_(K.grad_scale(K.tanh_(x), 1.0)))
+
+        assert K.grad_check(fn, [x]) <= 1e-4
+
+    def test_backward_multiplies_gradient(self):
+        rng = np.random.default_rng(12)
+        x = p("x", rng.standard_normal(4))
+        w = K.constant(rng.standard_normal(4))
+        grads = {}
+        for c in (1.0, 0.25):
+            K.zero_grads([x])
+            K.backward(K.dotp(w, K.tanh_(K.grad_scale(K.tanh_(x), c))))
+            grads[c] = x.grad.copy()
+        np.testing.assert_allclose(grads[0.25], 0.25 * grads[1.0], rtol=1e-15, atol=0)
+
+    def test_zero_scale_blocks_gradient(self):
+        x = p("x", [1.0, -3.0])
+        y = p("y", [2.0, 5.0])
+        K.zero_grads([x, y])
+        K.backward(K.add(K.sumsq(K.grad_scale(x, 0.0)), K.sumsq(y)))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        np.testing.assert_array_equal(y.grad, [4.0, 10.0])
+
+
 class TestGraphMachinery:
     def test_shared_subgraph_accumulates(self):
         x = p("x", [2.0])

@@ -115,29 +115,31 @@ class TestExtrinsicReward:
 
     def test_zero_before_terminal(self):
         cand = list(self.doc1[0])
-        vec = R.extrinsic_reward(cand, self.doc1, self.idf)
+        reward = R.scored_reward(cand, self.doc1, self.idf, 1.0, 2.0, len(cand))
+        vec = R.terminal_reward_vector(reward, len(cand))
         assert (vec[:-1] == 0.0).all()
         assert vec[-1] > 0.0
 
     def test_identical_candidate_gets_bleu_one_plus_cider(self):
         cand = list(self.doc1[0])
-        vec = R.extrinsic_reward(cand, self.doc1, self.idf,
-                                 bleu_weight=1.0, cider_weight=2.0)
+        reward = R.scored_reward(cand, self.doc1, self.idf,
+                                 bleu_weight=1.0, cider_weight=2.0, length=len(cand))
         expected = 1.0 * M.bleu([(cand, self.doc1)], mode="sentence") \
             + 2.0 * M.cider_single(cand, self.doc1, self.idf)
-        assert vec[-1] == pytest.approx(expected)
+        assert reward == pytest.approx(expected)
         assert M.bleu([(cand, self.doc1)], mode="sentence") == pytest.approx(1.0)
 
     def test_explicit_length_for_stripped_candidates(self):
-        vec = R.extrinsic_reward(["a"], self.doc1, self.idf, length=6)
+        reward = R.scored_reward(["a"], self.doc1, self.idf, 1.0, 2.0, 6)
+        vec = R.terminal_reward_vector(reward, 6)
         assert vec.shape == (6,)
         assert (vec[:-1] == 0.0).all()
 
     def test_empty_candidate_rejected_without_length(self):
         with pytest.raises(ValueError):
-            R.extrinsic_reward([], self.doc1, self.idf)
-        vec = R.extrinsic_reward([], self.doc1, self.idf, length=3)
-        assert vec.tolist() == [0.0, 0.0, 0.0]
+            R.scored_reward([], self.doc1, self.idf, 1.0, 2.0, 0)
+        reward = R.scored_reward([], self.doc1, self.idf, 1.0, 2.0, 3)
+        assert R.terminal_reward_vector(reward, 3).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestAdvantages:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import metrics as M
 from curioseq import policy as P
+from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
 
@@ -203,6 +205,66 @@ class TestTrainStep:
         cfg = tiny_config()
         model, _, _ = self.run_step(tiny_corpus, cfg)
         assert K.global_grad_norm(model.parameters()) == 0.0
+
+
+def separate_group_gradients(tiny_corpus, cfg, seed=0):
+    """Oracle for one crl train_step: the policy, state-prediction and
+    action-prediction losses of the same traces, each with its own backward."""
+    train, _, vocab = tiny_corpus
+    model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+    idf = M.build_idf(T.reference_documents(train, vocab))
+    rng = np.random.default_rng(seed)
+    batch = train[: cfg.batch_size]
+    policy_terms, sp_terms, ap_terms = [], [], []
+    for scene in batch:
+        trace = P.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
+        intrinsic = C.intrinsic_rewards(trace, model.curiosity, cfg.intrinsic_scale)
+        cand = vocab.decode_text(trace.actions)
+        refs = [vocab.decode_text(r) for r in scene.references]
+        r_e = 0.0
+        if cand:
+            r_e = (cfg.bleu_weight * M.bleu([(cand, refs)], max_n=4, mode="sentence")
+                   + cfg.cider_weight * M.cider_single(cand, refs, idf))
+        q = R.q_closed_form(r_e, len(trace), cfg.discount)
+        rl = R.rl_loss(trace, R.advantages(q, intrinsic))
+        xe = T.xe_loss(model.policy, scene, 0)
+        policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
+        sp_terms.append(C.sp_loss(trace, model.curiosity))
+        ap_terms.append(C.ap_loss(trace, model.curiosity))
+    losses = [K.scale(K.add_n(terms), 1.0 / len(batch))
+              for terms in (policy_terms, sp_terms, ap_terms)]
+    grads = [K.gradients(loss, model.parameters()) for loss in losses]
+    return grads, [float(loss.data) for loss in losses[1:]]
+
+
+class TestPerGroupUpdate:
+    """One SGD step must give each parameter group its own gradient: the
+    policy its loss, each predictor its own unweighted loss, and the shared
+    embedding alpha * d(ap) + beta * d(sp)."""
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2, 0.8), (0.0, 0.8), (0.2, 0.0)])
+    def test_update_matches_separate_group_gradients(self, tiny_corpus, alpha, beta):
+        cfg = tiny_config(clip_norm=None, action_loss_weight=alpha,
+                          state_loss_weight=beta)
+        model, before, stats = TestTrainStep().run_step(tiny_corpus, cfg)
+        (g_pol, g_sp, g_ap), (sp_value, ap_value) = separate_group_gradients(
+            tiny_corpus, cfg)
+        lr = cfg.learning_rate
+        cur = model.curiosity
+        expected = {p.name: g_pol[p.name] for p in model.policy.parameters()}
+        for p in cur.embedding_parameters():
+            expected[p.name] = alpha * g_ap[p.name] + beta * g_sp[p.name]
+        for p in cur.state_predictor_parameters():
+            expected[p.name] = g_sp[p.name] if beta > 0 else np.zeros_like(p.data)
+        for p in cur.action_predictor_parameters():
+            expected[p.name] = g_ap[p.name] if alpha > 0 else np.zeros_like(p.data)
+        for p in model.parameters():
+            np.testing.assert_allclose(p.data, before[p.name] - lr * expected[p.name],
+                                       rtol=1e-12, atol=0, err_msg=p.name)
+        assert stats.sp_loss == (pytest.approx(sp_value, rel=1e-12) if beta > 0 else 0.0)
+        assert stats.ap_loss == (pytest.approx(ap_value, rel=1e-12) if alpha > 0 else 0.0)
+        assert changed(before, cur.embedding_parameters()) == {"curiosity.phi_W",
+                                                               "curiosity.phi_b"}
 
 
 class TestTrain:
