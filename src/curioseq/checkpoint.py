@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -27,6 +28,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None = None) -> None:
+    """Write the checkpoint to a temporary file beside path, then move it
+    into place with os.replace: a write that fails part-way leaves the
+    previous file at path untouched and no temporary file behind."""
     entries = []
     blobs = []
     for name in sorted(tensors):
@@ -39,12 +43,19 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None 
         "extra": extra or {},
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

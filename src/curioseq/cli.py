@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -140,10 +141,15 @@ def cmd_train(args) -> int:
 
     model = None
     start_epoch = 0
+    best_cider = -math.inf
     if args.resume:
         model, extra = trn.load_model(args.resume, cfg, train_ds.vocab.size,
                                       train_ds.feature_dim)
-        start_epoch = int(extra.get("epoch", -1)) + 1
+        start_epoch = extra.get("epoch", -1)
+        best_cider = extra.get("best_cider", best_cider)
+        if type(start_epoch) is not int or type(best_cider) not in (int, float):
+            raise CliError(f"checkpoint {args.resume} has a malformed epoch or best_cider")
+        start_epoch += 1
         print(f"resuming from {args.resume} at epoch {start_epoch}")
 
     report_file = (out_dir / "reports.jsonl").open("a") if out_dir else None
@@ -157,7 +163,8 @@ def cmd_train(args) -> int:
 
     try:
         trn.train(train_ds.scenes, val_scenes, train_ds.vocab, cfg,
-                  start_epoch=start_epoch, model=model, report_sink=sink)
+                  start_epoch=start_epoch, model=model, report_sink=sink,
+                  best_cider=best_cider)
     finally:
         if report_file:
             report_file.close()

@@ -16,16 +16,15 @@ import numpy as np
 from .kernel import (
     Parameter,
     Tensor,
-    add_n,
     affine,
     concat,
     constant,
     cross_entropy,
+    dotp,
     grad_scale,
     leaky_relu,
     no_grad,
     scale,
-    softmax,
     sub,
     sumsq,
     take_row,
@@ -106,89 +105,106 @@ def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
 
 
 def embed_state(state: Tensor | np.ndarray, params: CuriosityParams) -> Tensor:
-    """Affine + leaky-ReLU embedding of a concatenated policy state."""
+    """Affine + leaky-ReLU embedding of a concatenated policy state, or of
+    every row of an (N, 2Z) matrix of states."""
     node = state if isinstance(state, Tensor) else constant(state)
     return leaky_relu(affine(node, params.phi_W, params.phi_b))
 
 
-def predict_next_state(phi_t: Tensor, action: int, params: CuriosityParams) -> Tensor:
-    """Next-state embedding from the current embedding and the action taken."""
+def predict_next_state(phi_t: Tensor, action, params: CuriosityParams) -> Tensor:
+    """Next-state embedding from the current embedding and the action taken
+    (per row for (N, Zp) embeddings and N actions)."""
     x = concat([phi_t, take_row(params.sp_emb, action)])
     h = leaky_relu(affine(x, params.sp_W1, params.sp_b1))
     return affine(h, params.sp_W2, params.sp_b2)
 
 
 def predict_action(phi_t: Tensor, phi_next: Tensor, params: CuriosityParams) -> Tensor:
-    """Distribution over the vocabulary for the action linking two states."""
+    """Logits over the vocabulary for the action linking two states."""
     x = concat([phi_t, phi_next])
     h = leaky_relu(affine(x, params.ap_W1, params.ap_b1))
-    return softmax(affine(h, params.ap_W2, params.ap_b2))
+    return affine(h, params.ap_W2, params.ap_b2)
 
 
 @dataclass
 class CuriosityPass:
-    """Per-transition curiosity terms of one trace, built on one shared
-    embedding per state."""
+    """The curiosity terms of a set of traces, built on one shared embedding
+    of all their states."""
 
-    errors: np.ndarray        # per step 1/2 |pred - target|^2, 0 at the first
-    sp_terms: list[Tensor]    # the same values as graph nodes
-    ap_terms: list[Tensor]    # action cross-entropies; empty unless alpha > 0
+    errors: list[np.ndarray]  # per trace, per step 1/2 |pred - target|^2, 0 at the first
+    sp_loss: Tensor           # mean over traces of the mean state-prediction error
+    ap_loss: Tensor           # the same for the action cross-entropy; 0 unless alpha > 0
 
 
-def curiosity_pass(trace: RolloutTrace, params: CuriosityParams, alpha: float = 0.0,
-                   beta: float = 1.0,
-                   targets: Sequence[np.ndarray] | None = None) -> CuriosityPass:
-    """Embed each state of the trace once and build both heads on those nodes.
+def curiosity_pass(traces: Sequence[RolloutTrace], params: CuriosityParams,
+                   alpha: float = 0.0, beta: float = 1.0,
+                   targets: np.ndarray | None = None) -> CuriosityPass:
+    """Embed the states of all traces as one (S, 2Z) matrix and build both
+    heads over all N transitions as (N, .) matrices.
 
     The state predictor reads grad_scale(phi, beta) and the action predictor
     grad_scale(phi, alpha), so one backward over the sum of both losses gives
     the embedding alpha * d(ap) + beta * d(sp) while each predictor gets its
-    own unweighted gradient. Targets are the detached next-state embeddings
-    unless given (pass frozen ones to finite-difference the prediction path).
-    A trace shorter than two steps embeds nothing and has no terms.
+    own unweighted gradient. Each loss averages a trace's transitions, then
+    the traces; a trace shorter than two steps has no transitions and adds 0.
+    Targets are the detached next-state embeddings unless given as an
+    (N, Zp) array in transition order (pass frozen ones to
+    finite-difference the prediction path).
     """
-    errors = np.zeros(len(trace))
-    if len(trace) < 2:
-        return CuriosityPass(errors, [], [])
-    phi = [embed_state(s, params) for s in trace.states]
+    errors = [np.zeros(len(trace)) for trace in traces]
+    states, src, actions, weights = [], [], [], []
+    for trace in traces:
+        n = len(trace) - 1
+        if n < 1:
+            continue
+        src.extend(range(len(states), len(states) + n))
+        states.extend(trace.states)
+        actions.extend(trace.actions[:-1])
+        weights.extend([1.0 / (len(traces) * n)] * n)
+    if not src:
+        return CuriosityPass(errors, constant(0.0), constant(0.0))
+    src = np.array(src)
+    dst = src + 1
+    actions = np.array(actions)
+    weights = np.array(weights)
+    phi = embed_state(np.array(states), params)
     if targets is None:
-        targets = [p.data for p in phi[1:]]
-    sp_terms = []
-    for k, p in enumerate(phi[:-1]):
-        pred = predict_next_state(grad_scale(p, beta), trace.actions[k], params)
-        sp_terms.append(scale(sumsq(sub(pred, constant(targets[k]))), 0.5))
-    errors[1:] = [float(t.data) for t in sp_terms]
-    ap_terms = []
+        targets = phi.data[dst]
+    pred = predict_next_state(take_row(grad_scale(phi, beta), src), actions, params)
+    diff = sub(pred, constant(targets))
+    flat = 0.5 * np.einsum("ij,ij->i", diff.data, diff.data)
+    k = 0
+    for err in errors:
+        if len(err) > 1:
+            err[1:] = flat[k:k + len(err) - 1]
+            k += len(err) - 1
+    ap_loss = constant(0.0)
     if alpha > 0:
-        to_ap = [grad_scale(p, alpha) for p in phi]
-        ap_terms = [cross_entropy(predict_action(to_ap[k], to_ap[k + 1], params),
-                                  trace.actions[k]) for k in range(len(phi) - 1)]
-    return CuriosityPass(errors, sp_terms, ap_terms)
+        to_ap = grad_scale(phi, alpha)
+        logits = predict_action(take_row(to_ap, src), take_row(to_ap, dst), params)
+        ap_loss = dotp(cross_entropy(logits, actions), constant(weights))
+    return CuriosityPass(errors, scale(sumsq(diff, weights), 0.5), ap_loss)
 
 
-def mean_loss(terms: Sequence[Tensor]) -> Tensor:
-    """Mean of per-transition terms; 0 for a trace without transitions."""
-    return scale(add_n(terms), 1.0 / len(terms)) if terms else constant(0.0)
-
-
-def sp_targets(trace: RolloutTrace, params: CuriosityParams) -> list[np.ndarray]:
-    """Detached target embeddings phi(s_2..s_T), one per transition."""
+def sp_targets(trace: RolloutTrace, params: CuriosityParams) -> np.ndarray:
+    """Detached target embeddings phi(s_2..s_T), one row per transition."""
+    if len(trace) < 2:
+        return np.zeros((0, params.embed_size))
     with no_grad():
-        return [embed_state(trace.states[k], params).data
-                for k in range(1, len(trace))]
+        return embed_state(np.array(trace.states[1:]), params).data
 
 
 def sp_loss(trace: RolloutTrace, params: CuriosityParams,
-            targets: Sequence[np.ndarray] | None = None) -> Tensor:
+            targets: np.ndarray | None = None) -> Tensor:
     """Mean over transitions of half the squared next-state prediction error.
     No gradient flows through the target path; traces shorter than two steps
     give 0."""
-    return mean_loss(curiosity_pass(trace, params, targets=targets).sp_terms)
+    return curiosity_pass([trace], params, targets=targets).sp_loss
 
 
 def ap_loss(trace: RolloutTrace, params: CuriosityParams) -> Tensor:
     """Mean cross-entropy of the true actions under the action predictor."""
-    return mean_loss(curiosity_pass(trace, params, alpha=1.0).ap_terms)
+    return curiosity_pass([trace], params, alpha=1.0).ap_loss
 
 
 def intrinsic_rewards(trace: RolloutTrace, params: CuriosityParams,
@@ -199,4 +215,4 @@ def intrinsic_rewards(trace: RolloutTrace, params: CuriosityParams,
     if rho <= 0:
         raise ValueError("rho must be positive")
     with no_grad():
-        return rho * curiosity_pass(trace, params).errors
+        return rho * curiosity_pass([trace], params).errors[0]

@@ -38,6 +38,8 @@ class Scene:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise DatasetError(f"scene {self.scene_id!r}: features must be (m>=1, E>=1)")
+        if not np.isfinite(self.features).all():
+            raise DatasetError(f"scene {self.scene_id!r}: features contain NaN or inf")
         if not self.references:
             raise DatasetError(f"scene {self.scene_id!r}: needs at least one reference")
         for ref in self.references:
@@ -70,7 +72,10 @@ def read_features(path) -> np.ndarray:
     expected = _FEATURE_HEADER.size + m * e * 8
     if len(raw) != expected:
         raise DatasetError(f"feature file {path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8", offset=_FEATURE_HEADER.size).reshape(m, e).astype(np.float64)
+    features = np.frombuffer(raw, dtype="<f8", offset=_FEATURE_HEADER.size).reshape(m, e)
+    if not np.isfinite(features).all():
+        raise DatasetError(f"feature file {path} contains NaN or inf")
+    return features.astype(np.float64)
 
 
 @dataclass

@@ -8,6 +8,10 @@ single-node ops (``lstm_cell``, ``additive_attention``, ``project_rows``),
 and weight-matrix gradients are batched into one matmul per Parameter at the
 end of ``backward``. All math is 64-bit so finite-difference checks are
 reliable.
+
+The step ops take either one vector or a matrix with a leading row axis (one
+row per sequence of a minibatch), and the softmax-family ops and ``sumsq``
+work over the last axis, so a whole minibatch unrolls as one graph.
 """
 
 from __future__ import annotations
@@ -164,23 +168,28 @@ def gradients(loss: Tensor, params: Sequence[Parameter]) -> dict[str, np.ndarray
 # primitives
 
 
+def _sum_rows(g: np.ndarray) -> np.ndarray:
+    """A bias gradient: g itself for a vector, its column sums for rows."""
+    return g if g.ndim == 1 else g.sum(axis=0)
+
+
 def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """W @ x (+ b) for a vector x and matrix W."""
-    if W.data.ndim != 2 or x.data.ndim != 1:
-        raise ShapeError(f"affine expects matrix and vector, got {W.shape} and {x.shape}")
-    if W.data.shape[1] != x.data.shape[0]:
+    """x W^T (+ b) for a vector x or for each row of an (n, in) matrix x."""
+    if W.data.ndim != 2 or x.data.ndim not in (1, 2):
+        raise ShapeError(f"affine expects matrix and vector or rows, got {W.shape} and {x.shape}")
+    if W.data.shape[1] != x.data.shape[-1]:
         raise ShapeError(f"affine inner dimensions differ: {W.shape} vs {x.shape}")
-    out = W.data @ x.data
+    out = x.data @ W.data.T
     if b is not None:
-        if b.data.shape != out.shape:
+        if b.data.shape != out.shape[-1:]:
             raise ShapeError(f"affine bias shape {b.shape} does not match output {out.shape}")
         out = out + b.data
 
     def bw(g, accum):
         accum(W, g, x.data)
-        accum(x, W.data.T @ g)
+        accum(x, g @ W.data)
         if b is not None:
-            accum(b, g)
+            accum(b, _sum_rows(g))
 
     parents = (x, W) if b is None else (x, W, b)
     return Tensor(out, parents, bw, "affine")
@@ -256,45 +265,59 @@ def add_n(nodes: Sequence[Tensor]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join vectors, or rows of equal count, along the last axis."""
+    lead = parts[0].data.shape[:-1]
     for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError("concat expects 1-d operands")
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
+        if p.data.ndim not in (1, 2) or p.data.shape[:-1] != lead:
+            raise ShapeError("concat expects vectors or matrices with equal row counts")
+    sizes = [p.data.shape[-1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=-1)
 
     def bw(g, accum):
         off = 0
         for p, n in zip(parts, sizes):
-            accum(p, g[off:off + n])
+            accum(p, g[..., off:off + n])
             off += n
 
     return Tensor(out, tuple(parts), bw, "concat")
 
 
 def vslice(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError("vslice expects a vector")
-    out = x.data[start:stop].copy()
+    """Columns start:stop of the last axis."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError("vslice expects a vector or rows")
+    out = x.data[..., start:stop].copy()
 
     def bw(g, accum):
         full = np.zeros_like(x.data)
-        full[start:stop] = g
+        full[..., start:stop] = g
         accum(x, full)
 
     return Tensor(out, (x,), bw, "vslice")
 
 
-def take_row(W: Tensor, index: int) -> Tensor:
-    """Row lookup, the one-hot-times-matrix product used for embeddings."""
+def _check_index(index, n: int, what: str) -> None:
+    """An int, or a vector of ints, each in [0, n)."""
+    if isinstance(index, np.ndarray):
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ShapeError(f"{what} expects an int or a vector of ints, got {index.dtype}{index.shape}")
+        if index.size and (index.min() < 0 or index.max() >= n):
+            raise IndexError(f"{what} index out of range [0, {n})")
+    elif not 0 <= index < n:
+        raise IndexError(f"{what} index {index} out of range [0, {n})")
+
+
+def take_row(W: Tensor, index) -> Tensor:
+    """Row lookup, the one-hot-times-matrix product used for embeddings: one
+    row for an int index, an (n, cols) matrix for a vector of n indices."""
     if W.data.ndim != 2:
         raise ShapeError("take_row expects a matrix")
-    if not 0 <= index < W.data.shape[0]:
-        raise IndexError(f"row {index} out of range for {W.shape}")
+    _check_index(index, W.data.shape[0], "take_row")
     out = W.data[index].copy()
 
     def bw(g, accum):
         full = np.zeros_like(W.data)
-        full[index] = g
+        np.add.at(full, index, g)
         accum(W, full)
 
     return Tensor(out, (W,), bw, "take_row")
@@ -338,16 +361,21 @@ def nonlinearity(x: Tensor, kind: str, slope: float = DEFAULT_LEAKY_SLOPE) -> Te
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis via max subtraction, as plain arrays:
+    what the decoders and samplers read as the next-word distribution."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x: Tensor) -> Tensor:
-    """Stable softmax via max subtraction. Output sums to 1 and is positive."""
-    if x.data.ndim != 1 or x.data.shape[0] < 1:
-        raise ShapeError("softmax expects a non-empty vector")
-    shifted = x.data - np.max(x.data)
-    e = np.exp(shifted)
-    y = e / e.sum()
+    """Softmax over the last axis. Each row sums to 1 and is positive."""
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] < 1:
+        raise ShapeError("softmax expects a non-empty vector or rows")
+    y = softmax_values(x.data)
 
     def bw(g, accum):
-        accum(x, y * (g - float(np.dot(g, y))))
+        accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return Tensor(y, (x,), bw, "softmax")
 
@@ -364,116 +392,129 @@ def dotp(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), bw, "dot")
 
 
-def sumsq(x: Tensor) -> Tensor:
-    out = np.dot(x.data.ravel(), x.data.ravel())
+def sumsq(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Sum of squares of all entries; with one weight per row of a matrix x,
+    the weighted sum of the rows' squared norms."""
+    if weights is None:
+        out = np.dot(x.data.ravel(), x.data.ravel())
+        factor = 2.0
+    else:
+        if x.data.ndim != 2 or np.shape(weights) != x.data.shape[:1]:
+            raise ShapeError(f"sumsq weights {np.shape(weights)} do not match rows of {x.shape}")
+        out = np.dot(weights, np.einsum("ij,ij->i", x.data, x.data))
+        factor = 2.0 * np.asarray(weights)[:, None]
 
     def bw(g, accum):
-        accum(x, 2.0 * g * x.data)
+        accum(x, factor * g * x.data)
 
     return Tensor(out, (x,), bw, "sumsq")
 
 
 def attend(weights: Tensor, features: np.ndarray) -> Tensor:
-    """Weighted sum of constant region features: features.T @ weights."""
+    """Weighted sum of constant region features: features.T @ weights for
+    (m, E) features, or the same per row for (n, m, E) and (n, m) weights."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or weights.data.shape != (features.shape[0],):
+    if features.ndim not in (2, 3) or weights.data.shape != features.shape[:-1]:
         raise ShapeError(
-            f"attend expects weights ({features.shape[0]},) for features {features.shape}"
+            f"attend expects weights {features.shape[:-1]} for features {features.shape}"
         )
-    out = features.T @ weights.data
+    if features.ndim == 2:
+        out = features.T @ weights.data
+    else:
+        out = np.matmul(weights.data[:, None, :], features)[:, 0, :]
 
     def bw(g, accum):
-        accum(weights, features @ g)
+        accum(weights, np.matmul(features, g[..., None])[..., 0])
 
     return Tensor(out, (weights,), bw, "attend")
 
 
-def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor) -> Tensor:
+def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor,
+                       mask: np.ndarray | None = None) -> Tensor:
     """Attention weights softmax_i(w_a . tanh(R_i + h_proj)) over the rows of
-    an (m, Z) matrix R, as one node."""
-    if R.data.ndim != 2 or R.data.shape[0] < 1:
-        raise ShapeError(f"additive_attention expects a non-empty (m, Z) matrix, got {R.shape}")
-    z = R.data.shape[1]
-    if h_proj.data.shape != (z,) or w_a.data.shape != (z,):
+    an (m, Z) matrix R, as one node. With a leading row axis R is (n, m, Z)
+    and h_proj (n, Z); a boolean (n, m) mask marks the real regions of each
+    row, and padded regions get weight 0 and no gradient."""
+    if R.data.ndim not in (2, 3) or R.data.shape[-2] < 1:
+        raise ShapeError(f"additive_attention expects non-empty (m, Z) regions, got {R.shape}")
+    z = R.data.shape[-1]
+    if h_proj.data.shape != R.data.shape[:-2] + (z,) or w_a.data.shape != (z,):
         raise ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
                          f"do not match rows of {R.shape}")
-    t = np.tanh(R.data + h_proj.data)
+    if mask is not None and mask.shape != R.data.shape[:-1]:
+        raise ShapeError(f"additive_attention mask {mask.shape} does not match {R.shape}")
+    t = np.tanh(R.data + h_proj.data[..., None, :])
     scores = t @ w_a.data
-    e = np.exp(scores - np.max(scores))
-    a = e / e.sum()
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
+    a = softmax_values(scores)
 
     def bw(g, accum):
-        d_scores = a * (g - float(np.dot(g, a)))
-        accum(w_a, t.T @ d_scores)
-        d_pre = np.outer(d_scores, w_a.data) * (1.0 - t * t)
+        d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
+        accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, z))
+        d_pre = d_scores[..., None] * w_a.data * (1.0 - t * t)
         accum(R, d_pre)
-        accum(h_proj, d_pre.sum(axis=0))
+        accum(h_proj, d_pre.sum(axis=-2))
 
     return Tensor(a, (R, h_proj, w_a), bw, "attention")
 
 
 def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
-    """features @ W.T: every row of a constant (m, E) matrix through W (Z, E)
-    in one node; W's gradient is deferred as the pair (g, features)."""
+    """features @ W.T: every region of a constant (m, E) or (n, m, E) array
+    through W (Z, E) in one node; W's gradient is deferred as the pair
+    (g, features) with the regions flattened into rows."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or W.data.ndim != 2 or W.data.shape[1] != features.shape[1]:
+    if (features.ndim not in (2, 3) or W.data.ndim != 2
+            or W.data.shape[1] != features.shape[-1]):
         raise ShapeError(f"project_rows expects (m, E) rows for W {W.shape}, got {features.shape}")
+    flat = features.reshape(-1, features.shape[-1])
+    out = (flat @ W.data.T).reshape(features.shape[:-1] + (W.data.shape[0],))
 
     def bw(g, accum):
-        accum(W, g, features)
+        accum(W, g.reshape(flat.shape[0], -1), flat)
 
-    return Tensor(features @ W.data.T, (W,), bw, "project_rows")
-
-
-def cross_entropy(dist: Tensor, target_index: int) -> Tensor:
-    """-log(dist[target] + eps). When dist comes straight out of a softmax the
-    backward pass is routed through it as (dist - onehot) on the logits."""
-    if not 0 <= target_index < dist.data.shape[0]:
-        raise IndexError(f"target {target_index} out of range for {dist.shape}")
-    p = dist.data[target_index]
-    out = -math.log(p + CE_EPSILON)
-
-    if dist.op == "softmax" and dist.parents:
-        logits = dist.parents[0]
-
-        def bw(g, accum):
-            delta = dist.data.copy()
-            delta[target_index] -= 1.0
-            accum(logits, g * delta)
-
-        return Tensor(out, (logits,), bw, "cross_entropy")
-
-    def bw_plain(g, accum):
-        full = np.zeros_like(dist.data)
-        full[target_index] = -g / (p + CE_EPSILON)
-        accum(dist, full)
-
-    return Tensor(out, (dist,), bw_plain, "cross_entropy")
+    return Tensor(out, (W,), bw, "project_rows")
 
 
-def logprob(dist: Tensor, index: int) -> Tensor:
-    """log dist[index], floored at LOGPROB_FLOOR so exp(result) <= 1."""
-    if not 0 <= index < dist.data.shape[0]:
-        raise IndexError(f"index {index} out of range for {dist.shape}")
-    p = dist.data[index]
-    out = math.log(max(p, LOGPROB_FLOOR))
+def _picked(logits: Tensor, index) -> tuple:
+    """Index tuple of the chosen entry per row: (index,) for a vector of
+    logits and an int, (arange(n), index) for (n, D) logits and n ints."""
+    _check_index(index, logits.data.shape[-1], "log-softmax")
+    if np.shape(index) != logits.data.shape[:-1]:
+        raise ShapeError(f"indices {np.shape(index)} do not match logits {logits.shape}")
+    return (index,) if logits.data.ndim == 1 else (np.arange(len(index)), index)
 
-    if dist.op == "softmax" and dist.parents:
-        logits = dist.parents[0]
 
-        def bw(g, accum):
-            delta = -dist.data.copy()
-            delta[index] += 1.0
-            accum(logits, g * delta)
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """-log(softmax(logits)[target] + eps) over the last axis: a scalar for a
+    vector and an int target, one value per row for (n, D) logits and n
+    targets. The backward pass is softmax(logits) - onehot(target)."""
+    at = _picked(logits, target)
+    p = softmax_values(logits.data)
+    out = -np.log(p[at] + CE_EPSILON)
 
-        return Tensor(out, (logits,), bw, "logprob")
+    def bw(g, accum):
+        delta = p.copy()
+        delta[at] -= 1.0
+        accum(logits, np.expand_dims(g, -1) * delta)
 
-    def bw_plain(g, accum):
-        full = np.zeros_like(dist.data)
-        full[index] = g / max(p, LOGPROB_FLOOR)
-        accum(dist, full)
+    return Tensor(out, (logits,), bw, "cross_entropy")
 
-    return Tensor(out, (dist,), bw_plain, "logprob")
+
+def logprob(logits: Tensor, index) -> Tensor:
+    """log softmax(logits)[index] over the last axis, floored at
+    LOGPROB_FLOOR so exp(result) <= 1; per row for (n, D) logits. The
+    backward pass is onehot(index) - softmax(logits)."""
+    at = _picked(logits, index)
+    p = softmax_values(logits.data)
+    out = np.log(np.maximum(p[at], LOGPROB_FLOOR))
+
+    def bw(g, accum):
+        delta = -p
+        delta[at] += 1.0
+        accum(logits, np.expand_dims(g, -1) * delta)
+
+    return Tensor(out, (logits,), bw, "logprob")
 
 
 # ---------------------------------------------------------------------------
@@ -508,43 +549,44 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step as a single node holding [h, c], returned as two views.
+    """One LSTM step as a single node holding [h, c], returned as two views;
+    x, h_prev and c_prev are vectors or matrices with one row per sequence.
 
     The backward pass hands the gate gradient to W_x and W_h as deferred
     (g, x) pairs, so their outer products are batched by ``backward``.
     """
     W_x, W_h, b = params.W_x, params.W_h, params.b
     z = params.hidden_size
-    if x.data.ndim != 1 or W_x.data.shape[1] != x.data.shape[0]:
+    if x.data.ndim not in (1, 2) or W_x.data.shape[1] != x.data.shape[-1]:
         raise ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
-    if h_prev.data.shape != (z,) or c_prev.data.shape != (z,):
-        raise ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != ({z},)")
-    gates = (W_x.data @ x.data + b.data) + W_h.data @ h_prev.data
-    i = 1.0 / (1.0 + np.exp(-gates[:z]))
-    f = 1.0 / (1.0 + np.exp(-gates[z:2 * z]))
-    g = np.tanh(gates[2 * z:3 * z])
-    o = 1.0 / (1.0 + np.exp(-gates[3 * z:]))
+    state_shape = x.data.shape[:-1] + (z,)
+    if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
+        raise ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
+    gates = (x.data @ W_x.data.T + b.data) + h_prev.data @ W_h.data.T
+    sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
+    i, f, o = sig[..., :z], sig[..., z:2 * z], sig[..., 3 * z:]
+    g = np.tanh(gates[..., 2 * z:3 * z])
     c = f * c_prev.data + i * g
     tc = np.tanh(c)
     h = o * tc
 
     def bw(grad, accum):
-        dh, dc = grad[:z], grad[z:]
+        dh, dc = grad[..., :z], grad[..., z:]
         dc = dc + dh * o * (1.0 - tc * tc)
         d_gates = np.concatenate([
             dc * g * i * (1.0 - i),
             dc * c_prev.data * f * (1.0 - f),
             dc * i * (1.0 - g * g),
             dh * tc * o * (1.0 - o),
-        ])
+        ], axis=-1)
         accum(W_x, d_gates, x.data)
         accum(W_h, d_gates, h_prev.data)
-        accum(b, d_gates)
-        accum(x, W_x.data.T @ d_gates)
-        accum(h_prev, W_h.data.T @ d_gates)
+        accum(b, _sum_rows(d_gates))
+        accum(x, d_gates @ W_x.data)
+        accum(h_prev, d_gates @ W_h.data)
         accum(c_prev, dc * f)
 
-    state = Tensor(np.concatenate([h, c]), (x, h_prev, c_prev, W_x, W_h, b), bw, "lstm")
+    state = Tensor(np.concatenate([h, c], axis=-1), (x, h_prev, c_prev, W_x, W_h, b), bw, "lstm")
     return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 

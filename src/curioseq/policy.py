@@ -16,28 +16,28 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .kernel import (
+    LOGPROB_FLOOR,
     LstmParams,
     Parameter,
     Tensor,
+    add_n,
     additive_attention,
     affine,
     attend,
     concat,
     constant,
     cross_entropy,
+    dotp,
     init_lstm,
     logprob,
     lstm_cell,
     no_grad,
     project_rows,
-    softmax,
+    softmax_values,
     take_row,
     xavier_uniform,
 )
 from .vocab import BOS_ID, EOS_ID
-
-LOG_FLOOR = 1e-12
-
 
 @dataclass
 class PolicyParams:
@@ -92,19 +92,22 @@ class PolicyState:
     concat: Tensor
 
 
-def initial_state(params: PolicyParams) -> PolicyState:
+def initial_state(params: PolicyParams, rows: tuple[int, ...] = ()) -> PolicyState:
+    """Zero states: vectors, or one row each for rows == (n,)."""
     z = params.hidden_size
-    zero = constant(np.zeros(z))
-    return PolicyState(zero, zero, zero, zero, constant(np.zeros(2 * z)))
+    zero = constant(np.zeros(rows + (z,)))
+    return PolicyState(zero, zero, zero, zero, constant(np.zeros(rows + (2 * z,))))
 
 
 @dataclass
 class ProjectedScene:
-    """Per-scene tensors reused across steps of one unrolled graph."""
+    """Per-scene tensors reused across steps of one unrolled graph; with a
+    leading row axis, one zero-padded scene per row."""
 
-    features: np.ndarray          # (m, E) constant
-    region_proj: Tensor           # (m, Z), row i is W_v v_i
-    mean_proj: Tensor             # W_v mean(v)
+    features: np.ndarray          # (m, E) or (n, m, E), constant
+    region_proj: Tensor           # (m, Z) or (n, m, Z), region i is W_v v_i
+    mean_proj: Tensor             # W_v mean(v), (Z,) or (n, Z)
+    mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
 
 
 def project_scene(params: PolicyParams, features: np.ndarray) -> ProjectedScene:
@@ -114,32 +117,47 @@ def project_scene(params: PolicyParams, features: np.ndarray) -> ProjectedScene:
     return ProjectedScene(features=features, region_proj=region_proj, mean_proj=mean_proj)
 
 
-def policy_step(params: PolicyParams, prev_word: int, state: PolicyState | None,
-                scene: ProjectedScene | np.ndarray):
-    """One decoding step.
+def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
+    """One row per (m_r, E) scene: regions zero-padded to the largest m with
+    a region mask, and each row's own region mean."""
+    m = max(f.shape[0] for f in features)
+    padded = np.zeros((len(features), m, features[0].shape[1]))
+    mask = np.zeros((len(features), m), dtype=bool)
+    for r, f in enumerate(features):
+        padded[r, :f.shape[0]] = f
+        mask[r, :f.shape[0]] = True
+    means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
+    return ProjectedScene(features=padded, region_proj=project_rows(padded, params.W_v),
+                          mean_proj=affine(constant(means), params.W_v),
+                          mask=None if mask.all() else mask)
 
-    Returns (dist over vocab, new state, attended features, attention weights).
+
+def policy_step(params: PolicyParams, prev_word, state: PolicyState | None,
+                scene: ProjectedScene | np.ndarray):
+    """One decoding step, for one sequence (an int prev_word) or for a row
+    per sequence (an int array and a project_batch scene).
+
+    Returns (next-word logits, new state, attended features, attention
+    weights).
     """
     if not isinstance(scene, ProjectedScene):
         scene = project_scene(params, scene)
     if state is None:
-        state = initial_state(params)
-    if not 0 <= prev_word < params.vocab_size:
-        raise IndexError(f"word index {prev_word} out of range")
+        state = initial_state(params, scene.mean_proj.shape[:-1])
 
     emb = take_row(params.W_e, prev_word)
     x_vis = concat([state.s_lang, scene.mean_proj, emb])
     s_vis, c_vis = lstm_cell(x_vis, state.s_vis, state.c_vis, params.vis)
 
     h_proj = affine(s_vis, params.W_h)
-    attn = additive_attention(scene.region_proj, h_proj, params.W_a)
+    attn = additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
     v_hat = attend(attn, scene.features)
 
     x_lang = concat([v_hat, s_vis])
     s_lang, c_lang = lstm_cell(x_lang, state.s_lang, state.c_lang, params.lang)
-    dist = softmax(affine(s_lang, params.W_p))
+    logits = affine(s_lang, params.W_p)
     new_state = PolicyState(s_vis, c_vis, s_lang, c_lang, concat([s_vis, s_lang]))
-    return dist, new_state, v_hat, attn
+    return logits, new_state, v_hat, attn
 
 
 @dataclass
@@ -159,8 +177,8 @@ class RolloutTrace:
     def ended_with_eos(self) -> bool:
         return bool(self.actions) and self.actions[-1] == EOS_ID
 
-    def record(self, action: int, dist: Tensor, state: PolicyState, attn: Tensor) -> None:
-        node = logprob(dist, action)
+    def record(self, action: int, logits: Tensor, state: PolicyState, attn: Tensor) -> None:
+        node = logprob(logits, action)
         self.actions.append(action)
         self.log_probs.append(float(node.data))
         self.logprob_nodes.append(node)
@@ -168,18 +186,21 @@ class RolloutTrace:
         self.attention.append(attn.data.copy())
 
 
-def unroll(params: PolicyParams, features: np.ndarray,
+def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
            choose: Callable[[int, Tensor], int], t_max: int) -> Iterator[tuple]:
     """The one loop over policy_step. From <bos>, step t feeds back the token
-    choose(t, dist) and yields (token, dist, state, attention); a caller
-    stops early by leaving the loop."""
-    scene = project_scene(params, features)
+    choose(t, logits) and yields (token, logits, state, attention); a caller
+    stops early by leaving the loop. On a project_batch scene every row
+    steps at once and choose returns one token per row."""
+    if not isinstance(scene, ProjectedScene):
+        scene = project_scene(params, scene)
+    rows = scene.mean_proj.shape[:-1]
     state: PolicyState | None = None
-    token = BOS_ID
+    token = np.full(rows, BOS_ID) if rows else BOS_ID
     for t in range(t_max):
-        dist, state, _, attn = policy_step(params, token, state, scene)
-        token = choose(t, dist)
-        yield token, dist, state, attn
+        logits, state, _, attn = policy_step(params, token, state, scene)
+        token = choose(t, logits)
+        yield token, logits, state, attn
 
 
 def _forced(params: PolicyParams, features: np.ndarray,
@@ -187,7 +208,7 @@ def _forced(params: PolicyParams, features: np.ndarray,
     """Teacher-forced steps over tokens; they do not stop at <eos>."""
     if not tokens:
         raise ValueError("cannot unroll an empty sequence")
-    return unroll(params, features, lambda t, dist: int(tokens[t]), len(tokens))
+    return unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens))
 
 
 def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -203,7 +224,8 @@ def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     trace = RolloutTrace()
-    for step in unroll(params, features, lambda t, dist: _sample_index(dist.data, rng), t_max):
+    for step in unroll(params, features,
+                       lambda t, logits: _sample_index(softmax_values(logits.data), rng), t_max):
         trace.record(*step)
         if step[0] == EOS_ID:
             break
@@ -223,7 +245,57 @@ def unroll_forced(params: PolicyParams, features: np.ndarray,
 def forced_step_losses(params: PolicyParams, features: np.ndarray,
                        tokens: Sequence[int]) -> list[Tensor]:
     """Per-step cross-entropy nodes of a teacher-forced pass (imitation)."""
-    return [cross_entropy(dist, tok) for tok, dist, _, _ in _forced(params, features, tokens)]
+    return [cross_entropy(logits, tok)
+            for tok, logits, _, _ in _forced(params, features, tokens)]
+
+
+@dataclass
+class RowScores:
+    """The weighted loss of a batched teacher-forced pass, with the per-step
+    values behind it (0 on padded steps)."""
+
+    loss: Tensor
+    cross_entropy: np.ndarray     # (n, T) -log(p + CE_EPSILON)
+    log_prob: np.ndarray          # (n, T) log max(p, LOGPROB_FLOOR); 0 without lp weights
+
+
+def _padded(rows: Sequence[Sequence[float]], width: int, dtype=np.float64) -> np.ndarray:
+    out = np.zeros((len(rows), width), dtype=dtype)
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
+
+
+def score_rows(params: PolicyParams, features: Sequence[np.ndarray],
+               tokens: Sequence[Sequence[int]], ce_weights: Sequence[Sequence[float]],
+               lp_weights: Sequence[Sequence[float]] | None = None) -> RowScores:
+    """Teacher-force every row at once: one unroll over (n, .) arrays for
+    the longest row, row r reading scene features[r] and tokens[r].
+
+    The loss is sum_{r,t} ce_weights[r][t] CE_rt + lp_weights[r][t] logp_rt,
+    each weight list as long as its row's tokens. Steps past the end of a
+    row feed <eos> with weight 0 and regions past a scene's m are masked, so
+    padding gets exactly zero gradient.
+    """
+    if not tokens or not all(tokens):
+        raise ValueError("cannot score an empty row")
+    width = max(len(row) for row in tokens)
+    real = _padded([[True] * len(row) for row in tokens], width, bool)
+    forced = np.where(real, _padded(tokens, width, np.intp), EOS_ID)
+    ce_w = _padded(ce_weights, width)
+    lp_w = None if lp_weights is None else _padded(lp_weights, width)
+    ce, lp = np.zeros(real.shape), np.zeros(real.shape)
+    terms = []
+    steps = unroll(params, project_batch(params, features), lambda t, logits: forced[:, t], width)
+    for t, (_, logits, _, _) in enumerate(steps):
+        node = cross_entropy(logits, forced[:, t])
+        ce[:, t] = node.data
+        terms.append(dotp(node, constant(ce_w[:, t])))
+        if lp_w is not None:
+            node = logprob(logits, forced[:, t])
+            lp[:, t] = node.data
+            terms.append(dotp(node, constant(lp_w[:, t])))
+    return RowScores(add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
@@ -231,7 +303,8 @@ def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> li
     out: list[int] = []
     with no_grad():
         for token, *_ in unroll(params, features,
-                                lambda t, dist: int(np.argmax(dist.data)), t_max):
+                                lambda t, logits: int(np.argmax(softmax_values(logits.data))),
+                                t_max):
             out.append(token)
             if token == EOS_ID:
                 break
@@ -255,8 +328,8 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
             candidates = []
             for lp, tokens, state in live:
                 prev = tokens[-1] if tokens else BOS_ID
-                dist, new_state, _, _ = policy_step(params, prev, state, scene)
-                logd = np.log(np.maximum(dist.data, LOG_FLOOR))
+                logits, new_state, _, _ = policy_step(params, prev, state, scene)
+                logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
                 for w in range(params.vocab_size):
                     candidates.append((lp + float(logd[w]), tokens + (w,), new_state))
             candidates.sort(key=lambda c: (-c[0], c[1]))
@@ -275,5 +348,5 @@ def sequence_log_prob(params: PolicyParams, features: np.ndarray,
                       tokens: Sequence[int]) -> float:
     """Sum of per-step log conditionals of a forced sequence."""
     with no_grad():
-        return sum(math.log(max(float(dist.data[tok]), LOG_FLOOR))
-                   for tok, dist, _, _ in _forced(params, features, tokens))
+        return sum(math.log(max(float(softmax_values(logits.data)[tok]), LOGPROB_FLOOR))
+                   for tok, logits, _, _ in _forced(params, features, tokens))

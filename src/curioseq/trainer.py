@@ -19,7 +19,7 @@ from . import metrics as met
 from . import policy as pol
 from . import rewards as rew
 from .data import Scene
-from .kernel import OptimState, Parameter, add, add_n, gradients, scale, sgd_step, zero_grads
+from .kernel import OptimState, Parameter, add, add_n, gradients, no_grad, sgd_step, zero_grads
 from .vocab import Vocabulary
 
 MODES = ("crl", "xe", "no_intrinsic")
@@ -176,66 +176,69 @@ def _check_finite(name: str, value: float) -> float:
 def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                cfg: TrainConfig, vocab: Vocabulary, idf: met.IdfTable,
                rng: np.random.Generator, eta: float, epoch: int = 0) -> StepStats:
-    """One minibatch update from one backward pass.
+    """One minibatch update from one batched graph and one backward pass.
 
-    The policy is updated with the combined gradient of the reinforcement
-    term plus eta times the imitation term (curiosity losses do not reach it:
-    gradients are stopped at the states). The action predictor trains on its
-    own loss, the state predictor on its own loss, and the shared embedding
-    on the alpha/beta-weighted sum, which grad_scale in the curiosity pass
-    applies. Gradients are cleared after the step.
+    Each scene's episode is sampled without a graph, in scene order, so the
+    rng stream is the per-scene sampler's. One teacher-forced unroll then
+    scores every row of the minibatch at once: the B reference rows with
+    weight eta/B on their cross-entropy (imitation) and, outside xe mode,
+    the B sampled rows with weight -A_t/B on their log-probabilities (policy
+    gradient). Curiosity losses do not reach the policy: gradients are
+    stopped at the states. The curiosity pass runs over all sampled
+    transitions at once; the action predictor trains on its own loss, the
+    state predictor on its own loss, and the shared embedding on the
+    alpha/beta-weighted sum, which grad_scale in the curiosity pass applies.
+    Gradients are cleared after the step.
     """
     stats = StepStats(episodes=len(batch))
     all_params = model.parameters()
     b = len(batch)
-    policy_terms = []
-    sp_terms = []
-    ap_terms = []
-    for scene in batch:
-        # deterministic rotation through references
-        scene_xe = xe_loss(model.policy, scene, epoch)
-        stats.xe_loss += float(scene_xe.data) / b
-        if cfg.mode == "xe":
-            policy_terms.append(scale(scene_xe, eta) if eta != 1.0 else scene_xe)
-            continue
-        trace = pol.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
-        terms = cur.curiosity_pass(trace, model.curiosity, cfg.action_loss_weight,
+    # deterministic rotation through references
+    refs = [scene.references[epoch % len(scene.references)] for scene in batch]
+    features = [scene.features for scene in batch]
+    ce_weights = [[eta / b] * len(ref) for ref in refs]
+    if cfg.mode == "xe":
+        scores = pol.score_rows(model.policy, features, refs, ce_weights)
+        stats.xe_loss = _check_finite("imitation", float(scores.cross_entropy.sum()) / b)
+        loss = scores.loss
+    else:
+        with no_grad():
+            traces = [pol.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
+                      for scene in batch]
+        terms = cur.curiosity_pass(traces, model.curiosity, cfg.action_loss_weight,
                                    cfg.state_loss_weight)
-        intrinsic = (cfg.intrinsic_scale * terms.errors if cfg.mode == "crl"
-                     else np.zeros(len(trace)))
-        candidate = vocab.decode_text(trace.actions)
-        references = [vocab.decode_text(ref) for ref in scene.references]
-        r_e = rew.scored_reward(
-            candidate, references, idf, cfg.bleu_weight, cfg.cider_weight, len(trace))
-        if cfg.td_lambda == 1.0:
-            q = rew.q_closed_form(r_e, len(trace), cfg.discount)
-        else:
-            q = rew.td_lambda_q(rew.terminal_reward_vector(r_e, len(trace)),
-                                cfg.discount, cfg.td_lambda)
-        scene_rl = rew.rl_loss(trace, rew.advantages(q, intrinsic))
-        policy_terms.append(add(scene_rl, scale(scene_xe, eta)) if eta != 0.0 else scene_rl)
-        stats.rl_loss += float(scene_rl.data) / b
+        advantages = []
+        for scene, trace, errors in zip(batch, traces, terms.errors):
+            intrinsic = (cfg.intrinsic_scale * errors if cfg.mode == "crl"
+                         else np.zeros(len(trace)))
+            candidate = vocab.decode_text(trace.actions)
+            references = [vocab.decode_text(ref) for ref in scene.references]
+            r_e = rew.scored_reward(
+                candidate, references, idf, cfg.bleu_weight, cfg.cider_weight, len(trace))
+            if cfg.td_lambda == 1.0:
+                q = rew.q_closed_form(r_e, len(trace), cfg.discount)
+            else:
+                q = rew.td_lambda_q(rew.terminal_reward_vector(r_e, len(trace)),
+                                    cfg.discount, cfg.td_lambda)
+            advantages.append(rew.advantages(q, intrinsic))
+            stats.intrinsic_sum += float(intrinsic.sum())
+            stats.intrinsic_steps += len(trace)
+            stats.extrinsic_sum += r_e
+        scores = pol.score_rows(
+            model.policy, features + features, refs + [trace.actions for trace in traces],
+            ce_weights + [[0.0] * len(trace) for trace in traces],
+            [[0.0] * len(ref) for ref in refs] + [-a / b for a in advantages])
+        stats.xe_loss = _check_finite("imitation", float(scores.cross_entropy[:b].sum()) / b)
+        stats.rl_loss = _check_finite("reinforcement", -sum(
+            float(a @ lp[:len(a)]) for a, lp in zip(advantages, scores.log_prob[b:])) / b)
+        # one loss, one backward; a zero loss weight keeps its predictor out of it
+        loss = scores.loss
         if cfg.state_loss_weight > 0:
-            sp_terms.append(cur.mean_loss(terms.sp_terms))
+            stats.sp_loss = _check_finite("state-prediction", float(terms.sp_loss.data))
+            loss = add(loss, terms.sp_loss)
         if cfg.action_loss_weight > 0:
-            ap_terms.append(cur.mean_loss(terms.ap_terms))
-        stats.intrinsic_sum += float(intrinsic.sum())
-        stats.intrinsic_steps += len(trace)
-        stats.extrinsic_sum += r_e
-
-    _check_finite("imitation", stats.xe_loss)
-    _check_finite("reinforcement", stats.rl_loss)
-
-    # one loss, one backward; a zero loss weight keeps its predictor out of it
-    loss = scale(add_n(policy_terms), 1.0 / b)
-    if sp_terms:
-        sp_batch = scale(add_n(sp_terms), 1.0 / b)
-        stats.sp_loss = _check_finite("state-prediction", float(sp_batch.data))
-        loss = add(loss, sp_batch)
-    if ap_terms:
-        ap_batch = scale(add_n(ap_terms), 1.0 / b)
-        stats.ap_loss = _check_finite("action-prediction", float(ap_batch.data))
-        loss = add(loss, ap_batch)
+            stats.ap_loss = _check_finite("action-prediction", float(terms.ap_loss.data))
+            loss = add(loss, terms.ap_loss)
     gradients(loss, all_params)
     sgd_step(all_params, opt)
     zero_grads(all_params)
@@ -326,13 +329,15 @@ def load_model(path, cfg: TrainConfig, vocab_size: int,
 def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
           vocab: Vocabulary, cfg: TrainConfig,
           start_epoch: int = 0, model: ModelParams | None = None,
-          report_sink=None) -> TrainResult:
+          report_sink=None, best_cider: float = -math.inf) -> TrainResult:
     """Run the full training loop.
 
     Deterministic given (scenes, config): parameter init, per-epoch shuffles
     and rollout sampling all derive from cfg.seed. Each epoch applies the
     imitation-weight and learning-rate schedules, evaluates the validation
-    split with greedy decoding, and writes checkpoints when out_dir is set.
+    split with greedy decoding, and writes checkpoints when out_dir is set:
+    last.ckpt every epoch and best.ckpt when the validation CIDEr beats
+    best_cider (a resumed run passes the value stored in its checkpoint).
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
@@ -348,7 +353,6 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
 
     eval_scenes = val_scenes if val_scenes else train_scenes
     reports: list[EpochReport] = []
-    best_cider = -math.inf
     for epoch in range(start_epoch, cfg.epochs):
         eta = 1.0 if cfg.mode == "xe" else eta_schedule(
             cfg.imitation_weight, cfg.imitation_decay, epoch)
@@ -392,7 +396,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
         if improved:
             best_cider = val.cider
         if out_dir:
-            extra = {"epoch": epoch, "config": cfg.semantic_dict()}
+            extra = {"epoch": epoch, "config": cfg.semantic_dict(), "best_cider": best_cider}
             save_model(out_dir / "last.ckpt", model, extra=extra)
             if improved:
                 save_model(out_dir / "best.ckpt", model, extra=extra)

@@ -14,6 +14,7 @@ import pytest
 import curioseq
 from curioseq import kernel as K
 from curioseq import metrics as M
+from curioseq import policy as P
 from curioseq import synth
 from curioseq import trainer as T
 
@@ -50,6 +51,12 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing):
     model = T.init_model(cfg, vocab.size, train[0].feature_dim)
     idf = M.build_idf(T.reference_documents(train, vocab))
     opt = K.OptimState(learning_rate=cfg.learning_rate)
+    # the episodes the step will sample: same initial model, same rng stream
+    rng = np.random.default_rng(0)
+    with K.no_grad():
+        sampled = [len(P.rollout_sample(model.policy, scene.features, cfg.t_max, rng))
+                   for scene in train]
+    longest_row = max(sampled + [len(scene.references[0]) for scene in train])
     tracer = tracing.Tracer()
     tracer.install(curioseq)
     try:
@@ -60,6 +67,7 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing):
     metrics = tracer.metrics()
     assert metrics["trainer.backward_passes_per_step"] == 1.0
     assert 0.0 < metrics["curiosity.embeds_per_state"] <= 1.0
-    # every step goes through the module-level policy_step binding
-    assert metrics["policy.policy_step.calls"] == (metrics["policy.sampled_steps"]
-                                                   + metrics["policy.forced_steps"])
+    assert metrics["policy.sampled_steps"] == sum(sampled)
+    # every step goes through the module-level policy_step binding: one per
+    # sampled step, then one per step of the batched unroll over all rows
+    assert metrics["policy.policy_step.calls"] == metrics["policy.sampled_steps"] + longest_row

@@ -108,3 +108,51 @@ def test_well_formed_hand_written_manifest_loads(tmp_path):
     tensors, extra = C.load_checkpoint(path)
     assert tensors["w"].tolist() == [0.0, 1.0, 2.0]
     assert extra == {}
+
+
+class _FailingFile:
+    """A binary file whose writes raise once `limit` bytes have gone out."""
+
+    def __init__(self, fh, limit):
+        self.fh = fh
+        self.left = limit
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.fh.write(data[: self.left])
+            raise OSError("disk full")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    C.save_checkpoint(path, {"w": np.ones((4, 4))}, extra={"epoch": 0})
+    before = path.read_bytes()
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        # let the magic, the length and part of the manifest through
+        return _FailingFile(open(name, mode, *args, **kwargs), limit=30)
+
+    monkeypatch.setattr(C, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        C.save_checkpoint(path, {"w": np.zeros((4, 4))}, extra={"epoch": 1})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    tensors, extra = C.load_checkpoint(path)
+    assert extra == {"epoch": 0} and (tensors["w"] == 1.0).all()
+
+
+def test_write_replaces_existing_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    C.save_checkpoint(path, {"w": np.ones(2)})
+    C.save_checkpoint(path, {"w": np.full(2, 3.0)})
+    assert C.load_checkpoint(path)[0]["w"].tolist() == [3.0, 3.0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

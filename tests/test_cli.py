@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from curioseq import checkpoint as ckpt
 from curioseq import cli
+from curioseq import data as dat
 from curioseq import metrics as M
 from curioseq.vocab import tokenize
 
@@ -112,6 +115,41 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert '"epoch": 1' in printed
 
+    def test_resumed_epoch_below_stored_best_keeps_best_checkpoint(self, synth_dir, tmp_path,
+                                                                    capsys):
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"),
+               "epochs": 1, "batch_size": 4, "hidden_size": 10, "t_max": 12}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        first = json.loads(capsys.readouterr().out.splitlines()[-1])
+        tensors, extra = ckpt.load_checkpoint(out / "last.ckpt")
+        assert extra["best_cider"] == first["val_cider"]
+        # a stored best that no resumed epoch can reach
+        extra["best_cider"] = 1e9
+        ckpt.save_checkpoint(out / "last.ckpt", tensors, extra=extra)
+        best_before = (out / "best.ckpt").read_bytes()
+        assert run(["train", "--config", str(cfg_path), "--out", str(out),
+                    "--epochs", "2", "--resume", str(out / "last.ckpt")]) == 0
+        assert '"epoch": 1' in capsys.readouterr().out
+        assert (out / "best.ckpt").read_bytes() == best_before
+        assert ckpt.load_checkpoint(out / "last.ckpt")[1]["best_cider"] == 1e9
+
+    @pytest.mark.parametrize("key,value", [("epoch", "x"), ("epoch", None),
+                                           ("best_cider", "high")])
+    def test_resume_from_malformed_extra_fails_cleanly(self, trained, tmp_path, capsys, key,
+                                                       value):
+        out, cfg_path = trained
+        tensors, extra = ckpt.load_checkpoint(out / "best.ckpt")
+        ckpt.save_checkpoint(tmp_path / "bad.ckpt", tensors, extra={**extra, key: value})
+        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--epochs", "2", "--resume", str(tmp_path / "bad.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "bad.ckpt" in err
+
     def test_missing_manifest_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1}))
@@ -163,6 +201,15 @@ class TestTrainBadInput:
     def test_scene_entry_without_key(self, synth_dir, tmp_path, capsys, key):
         manifest = _broken_copy(synth_dir, tmp_path, lambda doc: doc["scenes"][1].pop(key))
         self.assert_clean_error(capsys, _train_on(tmp_path, manifest), key, "entry 1")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_features(self, synth_dir, tmp_path, capsys, bad):
+        feats = np.ones((3, 4))
+        feats[0, 1] = bad
+        dat.write_features(tmp_path / "bad.bin", feats)
+        manifest = _broken_copy(synth_dir, tmp_path,
+                                lambda doc: doc["scenes"][2].update(features="bad.bin"))
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "bad.bin", "NaN or inf")
 
 
 class TestEval:

@@ -75,7 +75,7 @@ class TestPredictAction:
         _, _, trace, cur = make_setup()
         phi_a = C.embed_state(trace.states[0], cur)
         phi_b = C.embed_state(trace.states[1], cur)
-        dist = C.predict_action(phi_a, phi_b, cur)
+        dist = K.softmax(C.predict_action(phi_a, phi_b, cur))
         assert abs(dist.data.sum() - 1.0) <= 1e-9
 
     def test_zero_weights_give_uniform(self):
@@ -83,7 +83,7 @@ class TestPredictAction:
         zeroed(cur)
         phi_a = C.embed_state(trace.states[0], cur)
         phi_b = C.embed_state(trace.states[1], cur)
-        dist = C.predict_action(phi_a, phi_b, cur)
+        dist = K.softmax(C.predict_action(phi_a, phi_b, cur))
         np.testing.assert_allclose(dist.data, 1.0 / 8, atol=1e-15)
 
     def test_gradcheck(self):
@@ -232,3 +232,58 @@ def test_init_scale_shrinks_initial_intrinsic_signal():
     r_big = C.intrinsic_rewards(trace, big, 1.0).sum()
     r_small = C.intrinsic_rewards(trace, small, 1.0).sum()
     assert r_small < r_big
+
+
+class TestBatchedPass:
+    """The pass over many traces at once against the per-trace views."""
+
+    def make(self):
+        policy, feats, trace, cur = make_setup(seed=16, t_max=6)
+        others = [P.unroll_forced(policy, feats, [3]),            # no transitions
+                  P.unroll_forced(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
+        return [trace] + others, cur
+
+    def test_matches_mean_of_per_trace_losses_and_gradients(self):
+        traces, cur = self.make()
+        alpha, beta = 0.3, 0.6
+        terms = C.curiosity_pass(traces, cur, alpha, beta)
+        params = cur.parameters()
+        K.zero_grads(params)
+        K.backward(K.add(terms.sp_loss, terms.ap_loss))
+        batched = {q.name: q.grad.copy() for q in params}
+
+        n = len(traces)
+        per_trace = [C.curiosity_pass([t], cur, alpha, beta) for t in traces]
+        oracle_sp = K.scale(K.add_n([t.sp_loss for t in per_trace]), 1.0 / n)
+        oracle_ap = K.scale(K.add_n([t.ap_loss for t in per_trace]), 1.0 / n)
+        assert float(terms.sp_loss.data) == pytest.approx(float(oracle_sp.data), rel=1e-12)
+        assert float(terms.ap_loss.data) == pytest.approx(float(oracle_ap.data), rel=1e-12)
+        K.zero_grads(params)
+        K.backward(K.add(oracle_sp, oracle_ap))
+        for q in params:
+            np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
+                                       atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
+        for trace, errors in zip(traces, terms.errors):
+            np.testing.assert_allclose(errors, C.intrinsic_rewards(trace, cur, 1.0),
+                                       rtol=1e-12, atol=0)
+
+    def test_one_embedding_call_per_pass(self, monkeypatch):
+        traces, cur = self.make()
+        calls = []
+        embed = C.embed_state
+
+        def counted(states, params):
+            calls.append(np.shape(states))
+            return embed(states, params)
+
+        monkeypatch.setattr(C, "embed_state", counted)
+        C.curiosity_pass(traces, cur, 0.2, 0.8)
+        # every state of the traces with a transition, as one matrix
+        assert calls == [(len(traces[0]) + len(traces[2]), cur.phi_W.data.shape[1])]
+
+    def test_no_transitions_embed_nothing(self, monkeypatch):
+        policy, feats, _, cur = make_setup()
+        monkeypatch.setattr(C, "embed_state", None)
+        terms = C.curiosity_pass([P.unroll_forced(policy, feats, [2])] * 2, cur, 1.0, 1.0)
+        assert float(terms.sp_loss.data) == float(terms.ap_loss.data) == 0.0
+        assert [e.tolist() for e in terms.errors] == [[0.0], [0.0]]

@@ -36,6 +36,22 @@ def test_feature_file_length_validated(tmp_path):
         D.read_features(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_file_with_non_finite_value_rejected(tmp_path, bad):
+    feats = np.ones((2, 3))
+    feats[1, 2] = bad
+    path = tmp_path / "f.bin"
+    D.write_features(path, feats)
+    with pytest.raises(D.DatasetError, match="NaN or inf"):
+        D.read_features(path)
+
+
+def test_non_finite_feature_file_names_it_in_manifest_load(corpus_dir):
+    D.write_features(corpus_dir / "s1.bin", np.full((3, 4), np.nan))
+    with pytest.raises(D.DatasetError, match="s1.bin"):
+        D.load_dataset(corpus_dir / "manifest.json")
+
+
 def test_load_two_scene_manifest(corpus_dir):
     ds = D.load_dataset(corpus_dir / "manifest.json")
     assert len(ds.scenes) == 2
@@ -99,6 +115,11 @@ class TestSceneValidation:
     def test_reference_must_not_contain_pad(self):
         with pytest.raises(D.DatasetError, match="pad"):
             D.Scene("x", np.zeros((1, 1)), [[0, EOS_ID]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_features_must_be_finite(self, bad):
+        with pytest.raises(D.DatasetError, match="NaN or inf"):
+            D.Scene("x", np.array([[0.5, bad]]), [[5, EOS_ID]])
 
     def test_needs_references(self):
         with pytest.raises(D.DatasetError, match="reference"):

@@ -100,8 +100,8 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_onehot_target_is_near_zero(self):
-        dist = K.constant([0.0, 1.0, 0.0])
-        assert abs(K.cross_entropy(dist, 1).data) <= 1e-11
+        logits = K.constant([0.0, 1000.0, 0.0])   # softmax is exactly one-hot
+        assert abs(K.cross_entropy(logits, 1).data) <= 1e-11
 
     def test_uniform_is_log_k(self):
         dist = K.constant([0.25] * 4)
@@ -116,25 +116,26 @@ class TestCrossEntropy:
         rng = np.random.default_rng(5)
         x = p("x", rng.standard_normal(7))
         K.zero_grads([x])
-        K.backward(K.cross_entropy(K.softmax(x), 3))
+        K.backward(K.cross_entropy(x, 3))
         expected = np.exp(x.data - x.data.max())
         expected /= expected.sum()
         expected[3] -= 1.0
         np.testing.assert_allclose(x.grad, expected, atol=1e-10)
 
     def test_plain_distribution_backward(self):
-        dist = p("d", [0.2, 0.3, 0.5])
-        assert K.grad_check(lambda: K.cross_entropy(dist, 2), [dist]) <= 1e-4
+        # the logits of a plain vector go through the one log-softmax path
+        logits = p("d", [0.2, 0.3, 0.5])
+        assert K.grad_check(lambda: K.cross_entropy(logits, 2), [logits]) <= 1e-4
 
 
 class TestLogprob:
     def test_exp_of_logprob_at_most_one(self):
-        assert math.exp(float(K.logprob(K.softmax(K.constant([5.0])), 0).data)) <= 1.0
+        assert math.exp(float(K.logprob(K.constant([5.0]), 0).data)) <= 1.0
 
     def test_matches_log_of_probability(self):
-        dist = K.softmax(K.constant([0.3, -0.2, 1.4]))
-        lp = K.logprob(dist, 2)
-        assert float(lp.data) == pytest.approx(math.log(dist.data[2]))
+        logits = K.constant([0.3, -0.2, 1.4])
+        lp = K.logprob(logits, 2)
+        assert float(lp.data) == pytest.approx(math.log(K.softmax(logits).data[2]))
 
 
 class TestLstmCell:
@@ -562,3 +563,209 @@ class TestDeferredGradients:
         K.zero_grads([P_])
         K.backward(K.dotp(K.constant(w), K.affine(K.constant(x), W)))
         np.testing.assert_allclose(P_.grad, 2.0 * np.outer(w, x), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the leading row axis: every op that takes one against its 1-d form
+
+N_ROWS = 3
+
+
+def _rng_case(seed=30):
+    return np.random.default_rng(seed)
+
+
+def _case_affine(rng):
+    W, b = p("W", rng.standard_normal((4, 5))), p("b", rng.standard_normal(4))
+    return {"x": rng.standard_normal((N_ROWS, 5))}, [W, b], \
+        lambda get, r: K.affine(get("x"), W, b)
+
+
+def _case_lstm(rng):
+    params = K.init_lstm(rng, "lstm", 6, 3, bound=0.8)
+    params.b.data[...] = rng.standard_normal(12)
+    inputs = {"x": rng.standard_normal((N_ROWS, 6)), "h": rng.standard_normal((N_ROWS, 3)),
+              "c": rng.standard_normal((N_ROWS, 3))}
+
+    def build(get, r):
+        h, c = K.lstm_cell(get("x"), get("h"), get("c"), params)
+        return K.concat([h, c])
+
+    return inputs, params.parameters(), build
+
+
+def _case_concat(rng):
+    return {"a": rng.standard_normal((N_ROWS, 2)), "b": rng.standard_normal((N_ROWS, 3))}, [], \
+        lambda get, r: K.concat([get("a"), get("b")])
+
+
+def _case_vslice(rng):
+    return {"x": rng.standard_normal((N_ROWS, 5))}, [], lambda get, r: K.vslice(get("x"), 1, 4)
+
+
+def _case_take_row(rng):
+    W = p("W", rng.standard_normal((7, 4)))
+    rows = np.array([3, 0, 3])      # a repeated row accumulates both gradients
+    return {}, [W], lambda get, r: K.take_row(W, rows if r is None else int(rows[r]))
+
+
+def _case_attention(rng):
+    w_a = p("w_a", rng.standard_normal(4))
+    return {"R": rng.standard_normal((N_ROWS, 5, 4)), "h": rng.standard_normal((N_ROWS, 4))}, \
+        [w_a], lambda get, r: K.additive_attention(get("R"), get("h"), w_a)
+
+
+def _case_attend(rng):
+    features = rng.standard_normal((N_ROWS, 4, 3))
+    return {"a": rng.standard_normal((N_ROWS, 4))}, [], \
+        lambda get, r: K.attend(get("a"), features if r is None else features[r])
+
+
+def _case_project_rows(rng):
+    W = p("W", rng.standard_normal((5, 3)))
+    features = rng.standard_normal((N_ROWS, 4, 3))
+    return {}, [W], lambda get, r: K.project_rows(features if r is None else features[r], W)
+
+
+def _case_softmax(rng):
+    return {"x": rng.standard_normal((N_ROWS, 6))}, [], lambda get, r: K.softmax(get("x"))
+
+
+def _case_cross_entropy(rng):
+    targets = np.array([1, 5, 0])
+    return {"x": 2.0 * rng.standard_normal((N_ROWS, 6))}, [], \
+        lambda get, r: K.cross_entropy(get("x"), targets if r is None else int(targets[r]))
+
+
+def _case_logprob(rng):
+    index = np.array([4, 4, 2])
+    return {"x": 2.0 * rng.standard_normal((N_ROWS, 6))}, [], \
+        lambda get, r: K.logprob(get("x"), index if r is None else int(index[r]))
+
+
+ROW_CASES = {
+    "affine": _case_affine, "lstm_cell": _case_lstm, "concat": _case_concat,
+    "vslice": _case_vslice, "take_row": _case_take_row,
+    "additive_attention": _case_attention, "attend": _case_attend,
+    "project_rows": _case_project_rows, "softmax": _case_softmax,
+    "cross_entropy": _case_cross_entropy, "logprob": _case_logprob,
+}
+
+
+def _reduce(out, w):
+    """A scalar that depends nonlinearly on every output entry."""
+    return K.sumsq(K.mul(K.constant(w), out))
+
+
+class TestRowAxis:
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_grad_check(self, name):
+        rng = _rng_case()
+        inputs, shared, build = ROW_CASES[name](rng)
+        full = {k: p(k, v) for k, v in inputs.items()}
+        out = build(full.get, None)
+        assert out.shape[0] == N_ROWS
+        w = rng.standard_normal(out.shape)
+        err = K.grad_check(lambda: _reduce(build(full.get, None), w),
+                           shared + list(full.values()))
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_matches_vector_form_row_by_row(self, name):
+        rng = _rng_case(31)
+        inputs, shared, build = ROW_CASES[name](rng)
+        full = {k: p(k, v) for k, v in inputs.items()}
+        out = build(full.get, None)
+        w = rng.standard_normal(out.shape)
+        K.zero_grads(shared + list(full.values()))
+        K.backward(_reduce(out, w))
+        batched = {q.name: q.grad.copy() for q in shared}
+        K.zero_grads(shared)
+        for r in range(N_ROWS):
+            row = {k: p(k, v[r]) for k, v in inputs.items()}
+            out_r = build(row.get, r)
+            np.testing.assert_allclose(out.data[r], out_r.data, rtol=1e-12, atol=1e-15)
+            K.backward(_reduce(out_r, w[r]))          # accumulates the shared grads
+            for k, q in row.items():
+                np.testing.assert_allclose(full[k].grad[r], q.grad, rtol=1e-12, atol=1e-15,
+                                           err_msg=k)
+        for q in shared:
+            np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
+                                       err_msg=q.name)
+
+    def test_weighted_sumsq_is_the_weighted_sum_of_row_norms(self):
+        rng = _rng_case(32)
+        x = p("x", rng.standard_normal((N_ROWS, 4)))
+        weights = np.array([0.5, 0.0, 2.0])
+        rows = [p(f"x{r}", x.data[r]) for r in range(N_ROWS)]
+        assert_same_function(
+            lambda: K.sumsq(x, weights),
+            lambda: K.add_n([K.scale(K.sumsq(K.constant(x.data[r])), weights[r])
+                             for r in range(N_ROWS)]), [])
+        K.zero_grads([x] + rows)
+        K.backward(K.sumsq(x, weights))
+        for r, row in enumerate(rows):
+            K.backward(K.scale(K.sumsq(row), weights[r]))
+            np.testing.assert_allclose(x.grad[r], row.grad, rtol=1e-12, atol=0)
+        assert (x.grad[1] == 0.0).all()
+        assert K.grad_check(lambda: K.sumsq(x, weights), [x]) <= 1e-4
+        with pytest.raises(K.ShapeError):
+            K.sumsq(x, weights[:2])
+
+    def test_masked_regions_get_zero_weight_and_zero_gradient(self):
+        rng = _rng_case(33)
+        R = p("R", rng.standard_normal((2, 5, 4)))
+        h = p("h", rng.standard_normal((2, 4)))
+        w_a = p("w_a", rng.standard_normal(4))
+        mask = np.array([[True, True, False, False, False], [True] * 5])
+        attn = K.additive_attention(R, h, w_a, mask)
+        assert (attn.data[0, 2:] == 0.0).all()
+        w = rng.standard_normal(attn.shape)
+        K.zero_grads([R, h, w_a])
+        K.backward(_reduce(attn, w))
+        assert (R.grad[0, 2:] == 0.0).all()
+        # the real regions of row 0 are the 1-d op on its two regions
+        R0, h0 = p("R0", R.data[0, :2]), p("h0", h.data[0])
+        attn0 = K.additive_attention(R0, h0, w_a)
+        np.testing.assert_allclose(attn.data[0, :2], attn0.data, rtol=1e-12, atol=0)
+        K.backward(_reduce(attn0, w[0, :2]))
+        np.testing.assert_allclose(R.grad[0, :2], R0.grad, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h.grad[0], h0.grad, rtol=1e-12, atol=1e-15)
+        assert K.grad_check(lambda: _reduce(K.additive_attention(R, h, w_a, mask), w),
+                            [R, h, w_a]) <= 1e-4
+
+    def test_zero_weighted_rows_get_zero_gradient(self):
+        rng = _rng_case(34)
+        logits = p("x", rng.standard_normal((N_ROWS, 5)))
+        targets = np.array([2, 0, 4])
+        K.zero_grads([logits])
+        K.backward(K.add(K.dotp(K.cross_entropy(logits, targets), K.constant([1.5, 0.0, 0.0])),
+                         K.dotp(K.logprob(logits, targets), K.constant([0.0, 0.0, -0.7]))))
+        assert (logits.grad[1] == 0.0).all()
+        assert (logits.grad[0] != 0.0).any() and (logits.grad[2] != 0.0).any()
+
+    def test_bad_row_shapes(self):
+        rng = _rng_case(35)
+        W = p("W", rng.standard_normal((4, 3)))
+        with pytest.raises(K.ShapeError):
+            K.affine(K.constant(np.zeros((2, 2, 3))), W)
+        with pytest.raises(K.ShapeError):
+            K.concat([K.constant(np.zeros((2, 3))), K.constant(np.zeros((3, 3)))])
+        with pytest.raises(K.ShapeError):
+            K.take_row(W, np.array([[0, 1]]))
+        with pytest.raises(IndexError):
+            K.take_row(W, np.array([0, 4]))
+        with pytest.raises(IndexError):
+            K.cross_entropy(K.constant(np.zeros((2, 3))), np.array([0, 3]))
+        with pytest.raises(K.ShapeError):
+            K.logprob(K.constant(np.zeros((2, 3))), np.array([0, 1, 2]))
+        with pytest.raises(K.ShapeError):
+            K.attend(K.constant(np.zeros((2, 4))), np.zeros((3, 4, 5)))
+        with pytest.raises(K.ShapeError):
+            K.additive_attention(K.constant(np.zeros((2, 4, 3))), K.constant(np.zeros((2, 3))),
+                                 K.constant(np.zeros(3)),
+                                 np.ones((2, 5), dtype=bool))
+        params = K.init_lstm(rng, "l", 3, 2)
+        with pytest.raises(K.ShapeError):
+            K.lstm_cell(K.constant(np.zeros((2, 3))), K.constant(np.zeros(2)),
+                        K.constant(np.zeros(2)), params)

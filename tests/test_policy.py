@@ -3,6 +3,7 @@ import pytest
 
 from curioseq import kernel as K
 from curioseq import policy as P
+from curioseq import rewards as R
 from curioseq.vocab import BOS_ID, EOS_ID
 
 
@@ -36,7 +37,7 @@ class TestPolicyStep:
         rng = np.random.default_rng(2)
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
         feats = rng.standard_normal((1, 3))
-        dist, _, v_hat, attn = P.policy_step(params, BOS_ID, None, feats)
+        _, _, v_hat, attn = P.policy_step(params, BOS_ID, None, feats)
         assert attn.data.tolist() == [1.0]
         np.testing.assert_allclose(v_hat.data, feats[0], atol=1e-15)
 
@@ -44,14 +45,15 @@ class TestPolicyStep:
         params, feats = tiny_policy(vocab_size=8)
         for p in params.parameters():
             p.data[...] = 0.0
-        dist, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
-        np.testing.assert_allclose(dist.data, 1.0 / 8, atol=1e-15)
+        logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
+        np.testing.assert_allclose(K.softmax(logits).data, 1.0 / 8, atol=1e-15)
 
     def test_distribution_and_attention_normalized(self):
         params, feats = tiny_policy(seed=5)
         state = None
         for word in (BOS_ID, 4, 7):
-            dist, state, _, attn = P.policy_step(params, word, state, feats)
+            logits, state, _, attn = P.policy_step(params, word, state, feats)
+            dist = K.softmax(logits)
             assert abs(dist.data.sum() - 1.0) <= 1e-9
             assert (dist.data > 0).all()
             assert abs(attn.data.sum() - 1.0) <= 1e-9
@@ -161,8 +163,8 @@ class TestGreedy:
         expected = []
         with K.no_grad():
             for _ in range(3):
-                dist, state, _, _ = P.policy_step(params, prev, state, feats)
-                prev = int(np.argmax(dist.data))
+                logits, state, _, _ = P.policy_step(params, prev, state, feats)
+                prev = int(np.argmax(K.softmax(logits).data))
                 expected.append(prev)
                 if prev == EOS_ID:
                     break
@@ -198,9 +200,9 @@ class TestSequenceLogProb:
     def test_single_step(self):
         params, feats = tiny_policy(seed=14)
         with K.no_grad():
-            dist, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
+            logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
         assert P.sequence_log_prob(params, feats, [3]) == pytest.approx(
-            float(np.log(dist.data[3])))
+            float(np.log(K.softmax(logits).data[3])))
 
     def test_exp_at_most_one(self):
         params, feats = tiny_policy(seed=15)
@@ -222,3 +224,100 @@ def test_full_unroll_backprop_gradcheck():
         return K.add_n(P.forced_step_losses(params, feats, tokens))
 
     assert K.grad_check(fn, params.parameters(), max_coords=15, seed=1) <= 1e-4
+
+
+class TestScoreRows:
+    """One batched teacher-forced unroll against the per-scene entry points."""
+
+    def make(self):
+        params, _ = tiny_policy(seed=21, vocab_size=9, hidden=6, feature_dim=4)
+        rng = np.random.default_rng(22)
+        f2, f5 = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
+        refs = [[4, 6, EOS_ID], [5, 3, 7, 4, 8, EOS_ID]]
+        sampled = [[7, 7, 3, 6], [8, 5]]
+        advantages = [rng.uniform(-1.0, 2.0, len(s)) for s in sampled]
+        return params, [f2, f5], refs, sampled, advantages
+
+    def test_matches_summed_per_scene_losses(self):
+        params, feats, refs, sampled, adv = self.make()
+        eta = [0.7, 1.3]
+        scores = P.score_rows(
+            params, feats + feats, refs + sampled,
+            [[eta[0]] * 3, [eta[1]] * 6, [0.0] * 4, [0.0] * 2],
+            [[0.0] * 3, [0.0] * 6, -adv[0], -adv[1]])
+        names = [q.name for q in params.parameters()]
+        K.zero_grads(params.parameters())
+        K.backward(scores.loss)
+        batched = {q.name: q.grad.copy() for q in params.parameters()}
+
+        per_scene = []
+        for f, ref, e in zip(feats, refs, eta):
+            per_scene.append(K.scale(K.add_n(P.forced_step_losses(params, f, ref)), e))
+        traces = [P.unroll_forced(params, f, s) for f, s in zip(feats, sampled)]
+        per_scene += [R.rl_loss(trace, a) for trace, a in zip(traces, adv)]
+        oracle = K.add_n(per_scene)
+        K.zero_grads(params.parameters())
+        K.backward(oracle)
+        assert float(scores.loss.data) == pytest.approx(float(oracle.data), rel=1e-12)
+        for name, q in zip(names, params.parameters()):
+            scale = np.abs(q.grad).max()
+            np.testing.assert_allclose(batched[name], q.grad, rtol=0, atol=1e-12 * scale,
+                                       err_msg=name)
+        for r, ref in enumerate(refs):
+            expected = [float(n.data) for n in P.forced_step_losses(params, feats[r], ref)]
+            np.testing.assert_allclose(scores.cross_entropy[r, :len(ref)], expected, rtol=1e-12)
+            assert (scores.cross_entropy[r, len(ref):] == 0.0).all()
+        for r, trace in enumerate(traces):
+            np.testing.assert_allclose(scores.log_prob[2 + r, :len(trace)], trace.log_probs,
+                                       rtol=1e-12)
+            assert (scores.log_prob[2 + r, len(trace):] == 0.0).all()
+
+    def test_padded_steps_and_regions_get_exactly_zero_gradient(self, monkeypatch):
+        params, feats, refs, _, _ = self.make()
+        # row 0 ends after two steps: its last token 6 and then <eos> are fed
+        # only on its padded steps, and row 1 feeds neither
+        tokens = [[4, 6], [5, 3, 7, 4, 8, 2]]
+        region_grads = []
+        project = P.project_batch
+
+        def with_region_parameter(params_, features):
+            scene = project(params_, features)
+            scene.region_proj = K.Parameter(scene.region_proj.data.copy(), "regions")
+            region_grads.append(scene.region_proj)
+            return scene
+
+        monkeypatch.setattr(P, "project_batch", with_region_parameter)
+        scores = P.score_rows(params, feats, tokens, [[1.0] * 2, [1.0] * 6])
+        monkeypatch.undo()
+        (regions,) = region_grads
+        K.zero_grads(params.parameters() + [regions])
+        K.backward(scores.loss)
+        assert scores.cross_entropy.shape == (2, 6)
+        assert (scores.cross_entropy[0, 2:] == 0.0).all()
+        assert (params.W_e.grad[EOS_ID] == 0.0).all()
+        assert (params.W_e.grad[6] == 0.0).all()
+        assert (params.W_e.grad[4] != 0.0).any()          # fed on row 0's second step
+        assert (regions.grad[0, 2:] == 0.0).all()         # scene 0 has m = 2 of 5
+        assert (regions.grad[0, :2] != 0.0).any()
+
+    def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
+        params, feats, _, _, _ = self.make()
+        scene = P.project_batch(params, feats)
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
+        created = []
+        init = K.Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            created.append(tensor)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(K.Tensor, "__init__", counted)
+        logits, _, _, attn = P.policy_step(params, np.array([4, 5]), state, scene)
+        monkeypatch.undo()
+        assert logits.shape == (2, params.vocab_size) and attn.shape == (2, 5)
+        assert len(created) <= 16
+
+    def test_empty_row_rejected(self):
+        params, feats, _, _, _ = self.make()
+        with pytest.raises(ValueError):
+            P.score_rows(params, feats, [[4], []], [[1.0], []])

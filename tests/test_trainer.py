@@ -111,8 +111,8 @@ class TestXeLoss:
             state = None
             prev = BOS_ID
             for tok in scene.references[0]:
-                dist, state, _, _ = P.policy_step(model.policy, prev, state, scene.features)
-                total += -math.log(dist.data[tok] + 1e-12)
+                logits, state, _, _ = P.policy_step(model.policy, prev, state, scene.features)
+                total += -math.log(K.softmax(logits).data[tok] + 1e-12)
                 prev = tok
         assert loss == pytest.approx(total, abs=1e-10)
 
