@@ -62,15 +62,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     (manifest_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     start = len(MAGIC) + 8
+    if start + manifest_len > len(raw):
+        raise CheckpointError(f"{path} has a manifest length past the end of the file")
     try:
         manifest = json.loads(raw[start:start + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path} has a corrupt manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path} has a manifest that is not an object")

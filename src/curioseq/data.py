@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import EOS_ID, PAD_ID, Vocabulary, tokenize
+from .vocab import EOS_ID, PAD_ID, CorpusError, Vocabulary, tokenize
 
 MANIFEST_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<II")
@@ -65,7 +65,10 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"cannot read feature file {path}: {exc}") from exc
     if len(raw) < _FEATURE_HEADER.size:
         raise DatasetError(f"feature file {path} is too short for its header")
     m, e = _FEATURE_HEADER.unpack_from(raw)
@@ -100,34 +103,46 @@ def write_manifest(path, scenes: Sequence[tuple[str, str, list[str]]],
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _require(doc, key: str, where: str):
+def _require(doc, key: str, where: str, kind: type):
     if not isinstance(doc, dict) or key not in doc:
         raise DatasetError(f"{where} has no {key!r}")
+    if not isinstance(doc[key], kind):
+        raise DatasetError(f"{where}: {key!r} must be a {kind.__name__}")
     return doc[key]
 
 
 def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
+    """Load every scene of a manifest. Any fault of the manifest, of the
+    files it names or of their contents raises DatasetError."""
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"manifest {manifest_path} has unsupported version")
-    entries = doc.get("scenes", [])
+    where = f"manifest {manifest_path}"
+    entries = _require(doc, "scenes", where, list)
     if not entries:
         raise DatasetError(f"manifest {manifest_path} lists no scenes")
+    feature_dim = doc.get("feature_dim")
+    if feature_dim is not None and (type(feature_dim) is not int or feature_dim < 1):
+        raise DatasetError(f"{where}: 'feature_dim' must be a positive int")
     base = manifest_path.parent
-    vocab = Vocabulary.load(base / _require(doc, "vocabulary", f"manifest {manifest_path}"))
+    try:
+        vocab = Vocabulary.load(base / _require(doc, "vocabulary", where, str))
+    except CorpusError as exc:
+        raise DatasetError(str(exc)) from exc
 
     scenes: list[Scene] = []
-    feature_dim = doc.get("feature_dim")
     for n, entry in enumerate(entries):
         where = f"manifest {manifest_path} scene entry {n}"
-        sid = _require(entry, "id", where)
-        feat_path = base / _require(entry, "features", where)
+        sid = _require(entry, "id", where, str)
+        feat_path = base / _require(entry, "features", where, str)
         if not feat_path.exists():
             raise DatasetError(f"scene {sid!r}: feature file {feat_path} is missing")
         feats = read_features(feat_path)
@@ -138,11 +153,13 @@ def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
                 f"scene {sid!r}: feature dimension {feats.shape[1]} != dataset dimension {feature_dim}"
             )
         refs = []
-        for text in _require(entry, "references", where):
+        for text in _require(entry, "references", where, list):
+            if not isinstance(text, str):
+                raise DatasetError(f"scene {sid!r}: reference {text!r} is not text")
             tokens = tokenize(text)
             if not tokens:
                 raise DatasetError(f"scene {sid!r}: empty reference text")
             ids = vocab.encode(tokens)[: t_max - 1] + [EOS_ID]
             refs.append(ids)
         scenes.append(Scene(scene_id=sid, features=feats, references=refs))
-    return LoadedDataset(scenes=scenes, vocab=vocab, feature_dim=int(feature_dim))
+    return LoadedDataset(scenes=scenes, vocab=vocab, feature_dim=feature_dim)

@@ -45,6 +45,11 @@ def no_grad():
         _RECORDING.pop()
 
 
+def recording() -> bool:
+    """Whether new op outputs record their parents (False inside no_grad)."""
+    return _RECORDING[-1]
+
+
 class Tensor:
     """A float64 array node. Leaves carry data only; op outputs carry parents
     and a backward closure while recording is enabled."""

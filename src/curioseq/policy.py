@@ -10,7 +10,7 @@ LSTM whose state is projected to the next-word distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -211,25 +211,58 @@ def _forced(params: PolicyParams, features: np.ndarray,
     return unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens))
 
 
-def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, dist.shape[0] - 1)
+def sample_rows(params: PolicyParams, features: Sequence[np.ndarray], t_max: int,
+                rngs: Sequence[np.random.Generator]) -> list[RolloutTrace]:
+    """Sample one episode per scene as one row unroll under no_grad: row r
+    reads features[r] and draws its inverse-CDF u from rngs[r] alone, so its
+    episode does not depend on the other rows. A row ends at <eos> or t_max;
+    a finished row is fed <eos>, draws nothing and records nothing, and the
+    loop stops once every row has finished. Each step's log-prob is read
+    from the sampler's own softmax row, so the traces carry no graph."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if len(rngs) != len(features):
+        raise ValueError(f"{len(features)} scenes need as many generators, got {len(rngs)}")
+    n = len(features)
+    live = np.ones(n, dtype=bool)
+    lengths = np.zeros(n, dtype=np.intp)
+    dist = np.empty(0)
+    steps: list[tuple] = []
+
+    def choose(t: int, logits: Tensor) -> np.ndarray:
+        nonlocal dist
+        dist = softmax_values(logits.data)
+        rows = np.flatnonzero(live)
+        u = np.array([rngs[r].random() for r in rows])
+        cdf = np.cumsum(dist[rows], axis=-1)
+        token = np.full(n, EOS_ID)
+        # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
+        token[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), dist.shape[-1] - 1)
+        return token
+
+    with no_grad():
+        for token, _, state, attn in unroll(params, project_batch(params, features),
+                                            choose, t_max):
+            picked = dist[np.arange(n), token]
+            steps.append((token, np.log(np.maximum(picked, LOGPROB_FLOOR)),
+                          state.concat.data, attn.data))
+            lengths += live
+            live &= token != EOS_ID
+            if not live.any():
+                break
+    actions, log_probs, states, attention = (np.stack(part, axis=1) for part in zip(*steps))
+    return [RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
+                         states=list(states[r, :k]),
+                         attention=list(attention[r, :k, :f.shape[0]]))
+            for r, (k, f) in enumerate(zip(lengths, features))]
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
                    rng: np.random.Generator) -> RolloutTrace:
-    """Sample an episode from <bos>; stops at <eos> or t_max. Inverse-CDF
-    sampling so identical seeds give identical traces."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    trace = RolloutTrace()
-    for step in unroll(params, features,
-                       lambda t, logits: _sample_index(softmax_values(logits.data), rng), t_max):
-        trace.record(*step)
-        if step[0] == EOS_ID:
-            break
-    return trace
+    """Sample an episode from <bos>; stops at <eos> or t_max. The one-row
+    view of sample_rows: inverse-CDF sampling, so identical seeds give
+    identical traces, and no log-prob nodes."""
+    return sample_rows(params, [features], t_max, [rng])[0]
 
 
 def unroll_forced(params: PolicyParams, features: np.ndarray,
@@ -315,31 +348,44 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
                 width: int) -> list[int]:
     """Keep the width highest cumulative-log-probability partials per step;
     finished sequences are held aside and compete on total log-probability.
-    Ties resolve toward the lexicographically smaller token sequence."""
+    Ties resolve toward the lexicographically smaller token sequence.
+
+    The live partials step as the rows of one policy_step, each row's state
+    gathered from its parent's. Every candidate scoring at least the
+    width-th largest score is sorted by (-score, token path), which picks
+    the same width as a sort of all candidates."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
+    vocab = params.vocab_size
     with no_grad():
-        scene = project_scene(params, features)
-        live: list[tuple[float, tuple[int, ...], PolicyState | None]] = [(0.0, (), None)]
+        scenes: dict[int, ProjectedScene] = {}    # the scene once per live row
+        live_lp = np.zeros(1)
+        live: list[tuple[int, ...]] = [()]
+        state: PolicyState | None = None
         done: list[tuple[float, tuple[int, ...]]] = []
         for _ in range(t_max):
             if not live:
                 break
-            candidates = []
-            for lp, tokens, state in live:
-                prev = tokens[-1] if tokens else BOS_ID
-                logits, new_state, _, _ = policy_step(params, prev, state, scene)
-                logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
-                for w in range(params.vocab_size):
-                    candidates.append((lp + float(logd[w]), tokens + (w,), new_state))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            live = []
-            for lp, tokens, state in candidates[:width]:
-                if tokens[-1] == EOS_ID:
-                    done.append((lp, tokens))
-                else:
-                    live.append((lp, tokens, state))
-        done.extend((lp, tokens) for lp, tokens, _ in live)
+            if len(live) not in scenes:
+                scenes[len(live)] = project_batch(params, [features] * len(live))
+            prev = np.array([tokens[-1] if tokens else BOS_ID for tokens in live])
+            logits, state, _, _ = policy_step(params, prev, state, scenes[len(live)])
+            logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
+            scores = (live_lp[:, None] + logd).ravel()
+            picked = np.arange(scores.size)
+            if scores.size > width:
+                picked = np.flatnonzero(scores >= -np.partition(-scores, width - 1)[width - 1])
+            chosen = sorted((-float(scores[i]), live[i // vocab] + (int(i % vocab),), i // vocab)
+                            for i in picked)[:width]
+            keep = [(-neg, tokens, parent) for neg, tokens, parent in chosen
+                    if tokens[-1] != EOS_ID]
+            done.extend((-neg, tokens) for neg, tokens, _ in chosen if tokens[-1] == EOS_ID)
+            live_lp = np.array([lp for lp, _, _ in keep])
+            live = [tokens for _, tokens, _ in keep]
+            parents = [parent for _, _, parent in keep]
+            state = PolicyState(*(constant(getattr(state, f.name).data[parents])
+                                  for f in fields(PolicyState)))
+        done.extend(zip(live_lp.tolist(), live))
         best = min(done, key=lambda c: (-c[0], c[1]))
         return list(best[1])
 

@@ -19,7 +19,7 @@ from . import metrics as met
 from . import policy as pol
 from . import rewards as rew
 from .data import Scene
-from .kernel import OptimState, Parameter, add, add_n, gradients, no_grad, sgd_step, zero_grads
+from .kernel import OptimState, Parameter, add, add_n, gradients, sgd_step, zero_grads
 from .vocab import Vocabulary
 
 MODES = ("crl", "xe", "no_intrinsic")
@@ -175,12 +175,13 @@ def _check_finite(name: str, value: float) -> float:
 
 def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                cfg: TrainConfig, vocab: Vocabulary, idf: met.IdfTable,
-               rng: np.random.Generator, eta: float, epoch: int = 0) -> StepStats:
+               rngs: Sequence[np.random.Generator], eta: float, epoch: int = 0) -> StepStats:
     """One minibatch update from one batched graph and one backward pass.
 
-    Each scene's episode is sampled without a graph, in scene order, so the
-    rng stream is the per-scene sampler's. One teacher-forced unroll then
-    scores every row of the minibatch at once: the B reference rows with
+    Outside xe mode, the episodes of all scenes are sampled as one row
+    unroll without a graph, scene i drawing from its own generator rngs[i]
+    (xe mode draws nothing). One teacher-forced unroll then scores every
+    row of the minibatch at once: the B reference rows with
     weight eta/B on their cross-entropy (imitation) and, outside xe mode,
     the B sampled rows with weight -A_t/B on their log-probabilities (policy
     gradient). Curiosity losses do not reach the policy: gradients are
@@ -202,9 +203,7 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
         stats.xe_loss = _check_finite("imitation", float(scores.cross_entropy.sum()) / b)
         loss = scores.loss
     else:
-        with no_grad():
-            traces = [pol.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
-                      for scene in batch]
+        traces = pol.sample_rows(model.policy, features, cfg.t_max, rngs)
         terms = cur.curiosity_pass(traces, model.curiosity, cfg.action_loss_weight,
                                    cfg.state_loss_weight)
         advantages = []
@@ -333,7 +332,9 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     """Run the full training loop.
 
     Deterministic given (scenes, config): parameter init, per-epoch shuffles
-    and rollout sampling all derive from cfg.seed. Each epoch applies the
+    and rollout sampling all derive from cfg.seed; in epoch e, scene i of
+    train_scenes samples from its own default_rng([cfg.seed, e, i]),
+    whichever minibatch the shuffle puts it in. Each epoch applies the
     imitation-weight and learning-rate schedules, evaluates the validation
     split with greedy decoding, and writes checkpoints when out_dir is set:
     last.ckpt every epoch and best.ckpt when the validation CIDEr beats
@@ -358,13 +359,14 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             cfg.imitation_weight, cfg.imitation_decay, epoch)
         opt.learning_rate = lr_schedule(cfg.learning_rate, cfg.lr_decay,
                                         cfg.lr_decay_period, epoch)
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(train_scenes))
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_scenes))
         totals = StepStats()
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_scenes[i] for i in order[lo:lo + cfg.batch_size]]
-            stats = train_step(batch, model, opt, cfg, vocab, idf, rng, eta, epoch)
+            indices = order[lo:lo + cfg.batch_size].tolist()
+            batch = [train_scenes[i] for i in indices]
+            rngs = [np.random.default_rng([cfg.seed, epoch, i]) for i in indices]
+            stats = train_step(batch, model, opt, cfg, vocab, idf, rngs, eta, epoch)
             for f in fields(StepStats):
                 setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))
             n_batches += 1

@@ -69,7 +69,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # ValueError: not UTF-8, or a NUL in path
             raise CorpusError(f"cannot read vocabulary file {path}: {exc}") from exc
         if tuple(lines[:4]) != RESERVED:
             raise CorpusError(f"vocabulary file {path} does not start with the reserved tokens")

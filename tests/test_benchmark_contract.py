@@ -17,6 +17,7 @@ from curioseq import metrics as M
 from curioseq import policy as P
 from curioseq import synth
 from curioseq import trainer as T
+from oracles import one_row_sample
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,32 +43,48 @@ def test_trainer_shares_the_kernel_gradients_binding(tracing):
     assert curioseq.trainer.gradients is curioseq.kernel.gradients
 
 
-def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing):
+def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, monkeypatch):
     spec = synth.GrammarSpec(nouns=("box", "tree", "dog"), adjectives=("red",),
                              verbs=("standing",), objects_per_scene=2, regions=3,
                              feature_dim=6, references_per_scene=2, seed=5)
     train, _, vocab = synth.synth_split(spec, 4, 1)
-    cfg = T.TrainConfig(batch_size=4, hidden_size=6, t_max=8, epochs=1)
+    cfg = T.TrainConfig(batch_size=4, hidden_size=6, t_max=12, epochs=1)
     model = T.init_model(cfg, vocab.size, train[0].feature_dim)
     idf = M.build_idf(T.reference_documents(train, vocab))
     opt = K.OptimState(learning_rate=cfg.learning_rate)
-    # the episodes the step will sample: same initial model, same rng stream
-    rng = np.random.default_rng(0)
-    with K.no_grad():
-        sampled = [len(P.rollout_sample(model.policy, scene.features, cfg.t_max, rng))
-                   for scene in train]
-    longest_row = max(sampled + [len(scene.references[0]) for scene in train])
+
+    def rngs():
+        return [np.random.default_rng([4, i]) for i in range(len(train))]
+
+    # the episodes the step must sample: same initial model, same generators;
+    # all of them end at <eos> before t_max
+    oracle = [one_row_sample(model.policy, scene.features, cfg.t_max, rng)
+              for scene, rng in zip(train, rngs())]
+    assert max(len(t) for t in oracle) < cfg.t_max
+    longest_row = max([len(t) for t in oracle] + [len(scene.references[0]) for scene in train])
+    captured = []
+    sample_rows = P.sample_rows
+
+    def capture(*args):
+        captured.append(sample_rows(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(P, "sample_rows", capture)
     tracer = tracing.Tracer()
     tracer.install(curioseq)
     try:
-        curioseq.trainer.train_step(train, model, opt, cfg, vocab, idf,
-                                    np.random.default_rng(0), eta=1.0)
+        curioseq.trainer.train_step(train, model, opt, cfg, vocab, idf, rngs(), eta=1.0)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
     assert metrics["trainer.backward_passes_per_step"] == 1.0
-    assert 0.0 < metrics["curiosity.embeds_per_state"] <= 1.0
-    assert metrics["policy.sampled_steps"] == sum(sampled)
+    # the curiosity pass embeds all sampled states in one call
+    assert metrics["curiosity.embed_state.calls"] == 1
     # every step goes through the module-level policy_step binding: one per
-    # sampled step, then one per step of the batched unroll over all rows
-    assert metrics["policy.policy_step.calls"] == metrics["policy.sampled_steps"] + longest_row
+    # step of the row sampler, which runs until its longest episode ends,
+    # then one per step of the batched scoring unroll over all rows
+    assert metrics["policy.policy_step.calls"] == max(len(t) for t in oracle) + longest_row
+    (episodes,) = captured
+    assert [t.actions for t in episodes] == [t.actions for t in oracle]
+    for got, want in zip(episodes, oracle):
+        np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)

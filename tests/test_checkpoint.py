@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curioseq import checkpoint as C
 from curioseq.kernel import Parameter
@@ -156,3 +158,49 @@ def test_write_replaces_existing_file(tmp_path):
     C.save_checkpoint(path, {"w": np.full(2, 3.0)})
     assert C.load_checkpoint(path)[0]["w"].tolist() == [3.0, 3.0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_manifest_length_past_end_of_file_rejected(tmp_path):
+    path = tmp_path / "long.ckpt"
+    body = json.dumps({"version": 1, "tensors": [], "extra": {}}).encode()
+    path.write_bytes(C.MAGIC + struct.pack("<Q", len(body) + 1) + body)
+    with pytest.raises(C.CheckpointError, match="past the end"):
+        C.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt"
+    C.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                      extra={"epoch": 1})
+    return path
+
+
+def _loads_or_raises_checkpoint_error(path):
+    try:
+        C.load_checkpoint(path)
+    except C.CheckpointError:
+        pass
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_bytes_raise_only_checkpoint_error(fuzz_path, raw):
+    path = fuzz_path.with_name("bytes.ckpt")
+    path.write_bytes(raw)
+    _loads_or_raises_checkpoint_error(path)
+    path.write_bytes(C.MAGIC + raw)
+    _loads_or_raises_checkpoint_error(path)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_edits_of_a_valid_checkpoint_raise_only_checkpoint_error(fuzz_path, data):
+    raw = bytearray(fuzz_path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] = data.draw(st.integers(0, 255))
+    raw = raw[:data.draw(st.integers(0, len(raw)))]
+    path = fuzz_path.with_name("edited.ckpt")
+    path.write_bytes(bytes(raw))
+    _loads_or_raises_checkpoint_error(path)

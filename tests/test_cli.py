@@ -179,6 +179,7 @@ class TestTrainBadInput:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
         for word in words:
             assert word in err
 
@@ -201,6 +202,21 @@ class TestTrainBadInput:
     def test_scene_entry_without_key(self, synth_dir, tmp_path, capsys, key):
         manifest = _broken_copy(synth_dir, tmp_path, lambda doc: doc["scenes"][1].pop(key))
         self.assert_clean_error(capsys, _train_on(tmp_path, manifest), key, "entry 1")
+
+    @pytest.mark.parametrize("edit,word", [
+        (lambda doc: doc.update(scenes=5), "scenes"),
+        (lambda doc: doc.update(vocabulary=5), "vocabulary"),
+        (lambda doc: doc["scenes"][0].update(references=5), "references"),
+        (lambda doc: doc["scenes"][0].update(features=5), "features"),
+    ], ids=["scenes", "vocabulary", "references", "features"])
+    def test_mistyped_manifest_field(self, synth_dir, tmp_path, capsys, edit, word):
+        manifest = _broken_copy(synth_dir, tmp_path, edit)
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), word)
+
+    def test_non_utf8_manifest(self, synth_dir, tmp_path, capsys):
+        manifest = _broken_copy(synth_dir, tmp_path, lambda doc: None)
+        manifest.write_bytes(manifest.read_bytes().replace(b'"vocab.txt"', b'"vocab\xff.txt"'))
+        self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "UTF-8")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_features(self, synth_dir, tmp_path, capsys, bad):
@@ -252,6 +268,18 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+    def test_manifest_length_past_end_of_checkpoint(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        bad = tmp_path / "bad.ckpt"
+        raw = (out / "last.ckpt").read_bytes()
+        bad.write_bytes(raw[:8] + (len(raw) * 2).to_bytes(8, "little") + raw[16:])
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "past the end" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestGenerate:

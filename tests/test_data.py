@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curioseq import data as D
 from curioseq.vocab import EOS_ID, Vocabulary
@@ -124,3 +126,101 @@ class TestSceneValidation:
     def test_needs_references(self):
         with pytest.raises(D.DatasetError, match="reference"):
             D.Scene("x", np.zeros((1, 1)), [])
+
+
+@pytest.mark.parametrize("key,value", [("scenes", 5), ("vocabulary", 5), ("feature_dim", "4")])
+def test_mistyped_manifest_field_raises_dataset_error(corpus_dir, key, value):
+    doc = json.loads((corpus_dir / "manifest.json").read_text())
+    doc[key] = value
+    (corpus_dir / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(D.DatasetError, match=key):
+        D.load_dataset(corpus_dir / "manifest.json")
+
+
+@pytest.mark.parametrize("key,value", [("references", 5), ("references", [5]),
+                                       ("features", 5), ("id", ["s0"])])
+def test_mistyped_scene_field_raises_dataset_error(corpus_dir, key, value):
+    doc = json.loads((corpus_dir / "manifest.json").read_text())
+    doc["scenes"][0][key] = value
+    (corpus_dir / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(D.DatasetError):
+        D.load_dataset(corpus_dir / "manifest.json")
+
+
+def test_non_utf8_manifest_raises_dataset_error(corpus_dir):
+    (corpus_dir / "manifest.json").write_bytes(b'{"version": 1, "id": "\xff"}')
+    with pytest.raises(D.DatasetError, match="UTF-8"):
+        D.load_dataset(corpus_dir / "manifest.json")
+
+
+def test_bad_vocabulary_file_raises_dataset_error(corpus_dir):
+    (corpus_dir / "vocab.txt").write_text("hello\nworld\n")
+    with pytest.raises(D.DatasetError, match="reserved"):
+        D.load_dataset(corpus_dir / "manifest.json")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: arbitrary input raises DatasetError and nothing else
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    Vocabulary(["the", "red", "box", "."]).save(base / "vocab.txt")
+    D.write_features(base / "s0.bin", np.ones((2, 3)))
+    D.write_manifest(base / "manifest.json", [("s0", "s0.bin", ["the red box ."])],
+                     "vocab.txt", 3)
+    return base
+
+
+def _loads_or_raises_dataset_error(fn, path):
+    try:
+        fn(path)
+    except D.DatasetError:
+        pass
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_feature_file_raises_only_dataset_error(fuzz_dir, raw):
+    path = fuzz_dir / "fuzz.bin"
+    for content in (raw, D._FEATURE_HEADER.pack(len(raw) // 16, 2) + raw):
+        path.write_bytes(content)
+        _loads_or_raises_dataset_error(D.read_features, path)
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_manifest_bytes_raise_only_dataset_error(fuzz_dir, raw):
+    path = fuzz_dir / "fuzz.json"
+    path.write_bytes(raw)
+    _loads_or_raises_dataset_error(D.load_dataset, path)
+
+
+# JSON values whose strings hold no "/", so a path read from them stays in
+# the fuzz directory or its parent
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(blacklist_characters="/"), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(st.sampled_from(["version", "feature_dim", "vocabulary", "scenes",
+                        "scenes.0", "id", "features", "references", "references.0"]),
+       _json_values)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_manifest_fields_raise_only_dataset_error(fuzz_dir, field, value):
+    doc = json.loads((fuzz_dir / "manifest.json").read_text())
+    if field in ("version", "feature_dim", "vocabulary", "scenes"):
+        doc[field] = value
+    elif field == "scenes.0":
+        doc["scenes"][0] = value
+    elif field == "references.0":
+        doc["scenes"][0]["references"][0] = value
+    else:
+        doc["scenes"][0][field] = value
+    path = fuzz_dir / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    _loads_or_raises_dataset_error(D.load_dataset, path)

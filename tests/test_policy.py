@@ -5,6 +5,7 @@ from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.vocab import BOS_ID, EOS_ID
+from oracles import one_row_sample, per_hypothesis_beam
 
 
 def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
@@ -125,7 +126,8 @@ class TestRolloutSample:
         trace = P.rollout_sample(params, feats, 8, np.random.default_rng(4))
         t = len(trace)
         assert len(trace.log_probs) == len(trace.states) == len(trace.attention) == t
-        assert len(trace.logprob_nodes) == t
+        assert trace.logprob_nodes == []          # sampled without a graph
+        assert len(P.unroll_forced(params, feats, trace.actions).logprob_nodes) == t
         assert trace.ended_with_eos == (trace.actions[-1] == EOS_ID)
         for attn in trace.attention:
             assert abs(attn.sum() - 1.0) <= 1e-9
@@ -135,6 +137,73 @@ class TestRolloutSample:
         trace = P.rollout_sample(params, feats, 6, np.random.default_rng(9))
         assert P.sequence_log_prob(params, feats, trace.actions) == pytest.approx(
             sum(trace.log_probs), abs=1e-12)
+
+
+class TestSampleRows:
+    """The row sampler against the one-row oracle, scene for scene."""
+
+    T_MAX = 6
+
+    def make(self):
+        # token 5's output row is scaled so far that the distribution of
+        # every step saturates toward or away from it, depending on the state
+        rng = np.random.default_rng(14)
+        params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
+        params.W_p.data[5] = 1e4 * rng.standard_normal(6)
+        params.W_p.data[EOS_ID] += 1.5
+        feats = [rng.standard_normal((m, 4)) for m in (2, 5, 2, 5, 5, 2)]
+        return params, feats
+
+    @staticmethod
+    def rngs(n):
+        return [np.random.default_rng([14, i]) for i in range(n)]
+
+    def test_batch_covers_the_edge_cases(self):
+        params, feats = self.make()
+        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
+        lengths = [len(t) for t in traces]
+        assert 1 in lengths and self.T_MAX in lengths
+        assert any(1 < n < self.T_MAX for n in lengths)
+        assert {f.shape[0] for f in feats} == {2, 5}
+        top = [K.softmax_values(logits.data).max()
+               for f, t in zip(feats, traces)
+               for _, logits, _, _ in P._forced(params, f, t.actions)]
+        assert max(top) > 1.0 - 1e-12
+
+    def test_equals_one_row_sampler_scene_for_scene(self):
+        params, feats = self.make()
+        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
+        oracle = [one_row_sample(params, f, self.T_MAX, rng)
+                  for f, rng in zip(feats, self.rngs(len(feats)))]
+        for got, want in zip(traces, oracle):
+            assert got.actions == want.actions
+            np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-12)
+            assert [a.shape for a in got.attention] == [a.shape for a in want.attention]
+            np.testing.assert_allclose(got.attention, want.attention, rtol=0, atol=1e-12)
+            assert got.logprob_nodes == []
+
+    def test_log_probs_equal_forced_unroll(self):
+        params, feats = self.make()
+        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
+        for f, trace in zip(feats, traces):
+            forced = P.unroll_forced(params, f, trace.actions)
+            np.testing.assert_allclose(trace.log_probs, forced.log_probs, rtol=0, atol=1e-12)
+
+    def test_each_generator_draws_once_per_recorded_step(self):
+        params, feats = self.make()
+        rngs = self.rngs(len(feats))
+        traces = P.sample_rows(params, feats, self.T_MAX, rngs)
+        for rng, fresh, trace in zip(rngs, self.rngs(len(feats)), traces):
+            fresh.random(len(trace))
+            assert rng.random() == fresh.random()
+
+    def test_rejects_bad_arguments(self):
+        params, feats = self.make()
+        with pytest.raises(ValueError):
+            P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats) - 1))
+        with pytest.raises(ValueError):
+            P.sample_rows(params, feats, 0, self.rngs(len(feats)))
 
 
 class TestGreedy:
@@ -189,6 +258,25 @@ class TestBeamSearch:
                 tokens = P.beam_search(params, feats, 3, width=width)
                 scores.append(P.sequence_log_prob(params, feats, tokens))
             assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 27])
+    def test_row_beam_equals_per_hypothesis_beam(self, width):
+        for seed in range(20):
+            params, feats = tiny_policy(seed=seed, vocab_size=5, hidden=4,
+                                        feature_dim=3, sharpen=3.0)
+            assert P.beam_search(params, feats, 4, width) == per_hypothesis_beam(
+                params, feats, 4, width), f"seed {seed}"
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 27])
+    def test_exact_ties_break_toward_the_smaller_token_path(self, width):
+        # zero output weights: every candidate of a step has the same score,
+        # so the beam keeps the `width` smallest tokens; once <eos> is among
+        # them, the one-step paragraph wins on total log-probability
+        params, feats = tiny_policy(seed=3, vocab_size=5, hidden=4, feature_dim=3)
+        params.W_p.data[...] = 0.0
+        expected = [EOS_ID] if width > EOS_ID else [0, 0, 0, 0]
+        assert P.beam_search(params, feats, 4, width) == expected
+        assert per_hypothesis_beam(params, feats, 4, width) == expected
 
     def test_rejects_zero_width(self):
         params, feats = tiny_policy()

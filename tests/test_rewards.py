@@ -165,8 +165,8 @@ def small_rollout():
     rng = np.random.default_rng(0)
     params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
     feats = rng.standard_normal((2, 4))
-    trace = P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
-    return params, feats, trace
+    sampled = P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
+    return params, feats, P.unroll_forced(params, feats, sampled.actions)
 
 
 class TestRlLoss:
@@ -228,3 +228,23 @@ class TestRlLoss:
         silent.logprob_nodes = []
         with pytest.raises(ValueError):
             R.rl_loss(silent, np.zeros(len(silent)))
+
+    def test_rejects_sampled_trace(self, small_rollout):
+        params, feats, _ = small_rollout
+        sampled = P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
+        with pytest.raises(ValueError, match="unroll_forced"):
+            R.rl_loss(sampled, np.ones(len(sampled)))
+
+    def test_rejects_nodes_made_under_no_grad_while_recording(self, small_rollout):
+        params, feats, trace = small_rollout
+        with K.no_grad():
+            detached = P.unroll_forced(params, feats, trace.actions)
+        with pytest.raises(ValueError, match="no_grad"):
+            R.rl_loss(detached, np.ones(len(detached)))
+
+    def test_value_only_evaluation_inside_no_grad(self, small_rollout):
+        params, feats, trace = small_rollout
+        adv = np.linspace(0.5, 1.5, len(trace))
+        with K.no_grad():
+            value = float(R.rl_loss(P.unroll_forced(params, feats, trace.actions), adv).data)
+        assert value == float(R.rl_loss(trace, adv).data)

@@ -128,6 +128,11 @@ class TestXeLoss:
         assert K.grad_check(fn, model.policy.parameters(), max_coords=10) <= 1e-4
 
 
+def scene_rngs(seed, n):
+    """One sampling generator per scene of a minibatch."""
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
 def snapshot(params):
     return {p.name: p.data.copy() for p in params}
 
@@ -143,11 +148,11 @@ class TestTrainStep:
         idf = M.build_idf(T.reference_documents(train, vocab))
         opt = K.OptimState(learning_rate=cfg.learning_rate, clip_norm=cfg.clip_norm,
                            variant=cfg.optimizer)
-        rng = np.random.default_rng(seed)
         batch = train[: cfg.batch_size]
         eta = 1.0 if cfg.mode == "xe" else cfg.imitation_weight
         before = snapshot(model.parameters())
-        stats = T.train_step(batch, model, opt, cfg, vocab, idf, rng, eta=eta)
+        stats = T.train_step(batch, model, opt, cfg, vocab, idf, scene_rngs(seed, len(batch)),
+                             eta=eta)
         return model, before, stats
 
     def test_zero_weights_and_advantages_change_nothing(self, tiny_corpus):
@@ -198,8 +203,7 @@ class TestTrainStep:
         idf = M.build_idf(T.reference_documents(train, vocab))
         opt = K.OptimState(learning_rate=cfg.learning_rate)
         with pytest.raises(T.TrainingAborted, match="imitation|reinforcement"):
-            T.train_step(train[:4], model, opt, cfg, vocab, idf,
-                         np.random.default_rng(0), eta=1.0)
+            T.train_step(train[:4], model, opt, cfg, vocab, idf, scene_rngs(0, 4), eta=1.0)
 
     def test_grads_cleared_after_step(self, tiny_corpus):
         cfg = tiny_config()
@@ -213,10 +217,9 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
     train, _, vocab = tiny_corpus
     model = T.init_model(cfg, vocab.size, train[0].feature_dim)
     idf = M.build_idf(T.reference_documents(train, vocab))
-    rng = np.random.default_rng(seed)
     batch = train[: cfg.batch_size]
     policy_terms, sp_terms, ap_terms = [], [], []
-    for scene in batch:
+    for scene, rng in zip(batch, scene_rngs(seed, len(batch))):
         trace = P.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
         intrinsic = C.intrinsic_rewards(trace, model.curiosity, cfg.intrinsic_scale)
         cand = vocab.decode_text(trace.actions)
@@ -226,7 +229,8 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
             r_e = (cfg.bleu_weight * M.bleu([(cand, refs)], max_n=4, mode="sentence")
                    + cfg.cider_weight * M.cider_single(cand, refs, idf))
         q = R.q_closed_form(r_e, len(trace), cfg.discount)
-        rl = R.rl_loss(trace, R.advantages(q, intrinsic))
+        forced = P.unroll_forced(model.policy, scene.features, trace.actions)
+        rl = R.rl_loss(forced, R.advantages(q, intrinsic))
         xe = T.xe_loss(model.policy, scene, 0)
         policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
         sp_terms.append(C.sp_loss(trace, model.curiosity))

@@ -82,3 +82,20 @@ def test_decode_text_strips_control_tokens():
     vocab = V.build_vocab([["word"]])
     ids = [V.BOS_ID] + vocab.encode(["word"]) + [V.EOS_ID]
     assert vocab.decode_text(ids) == ["word"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_vocabulary_file_raises_only_corpus_error(fuzz_dir, raw):
+    path = fuzz_dir / "vocab.txt"
+    for content in (raw, "\n".join(V.RESERVED).encode() + b"\n" + raw):
+        path.write_bytes(content)
+        try:
+            V.Vocabulary.load(path)
+        except V.CorpusError:
+            pass
