@@ -30,13 +30,11 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None = None) -> None:
     """Write the checkpoint to a temporary file beside path, then move it
     into place with os.replace: a write that fails part-way leaves the
-    previous file at path untouched and no temporary file behind."""
-    entries = []
-    blobs = []
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr).tobytes())
+    previous file at path untouched and no temporary file behind. Each
+    tensor is written from its own buffer, without a copy of the payload."""
+    names = sorted(tensors)
+    arrays = [np.asarray(tensors[name], dtype="<f8", order="C") for name in names]
+    entries = [{"name": name, "shape": list(arr.shape)} for name, arr in zip(names, arrays)]
     manifest = {
         "version": FORMAT_VERSION,
         "tensors": entries,
@@ -50,8 +48,8 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None 
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(payload)))
             fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
+            for arr in arrays:
+                fh.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

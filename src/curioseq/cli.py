@@ -139,12 +139,12 @@ def cmd_train(args) -> int:
     val_ds = _load_split(cfg.val_manifest, cfg.t_max)
     val_scenes = val_ds.scenes if val_ds else []
 
-    model = None
+    model = opt = None
     start_epoch = 0
     best_cider = -math.inf
     if args.resume:
-        model, extra = trn.load_model(args.resume, cfg, train_ds.vocab.size,
-                                      train_ds.feature_dim)
+        model, opt, extra = trn.resume_state(args.resume, cfg, train_ds.vocab.size,
+                                             train_ds.feature_dim)
         start_epoch = extra.get("epoch", -1)
         best_cider = extra.get("best_cider", best_cider)
         if type(start_epoch) is not int or type(best_cider) not in (int, float):
@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     try:
         trn.train(train_ds.scenes, val_scenes, train_ds.vocab, cfg,
                   start_epoch=start_epoch, model=model, report_sink=sink,
-                  best_cider=best_cider)
+                  best_cider=best_cider, opt=opt)
     finally:
         if report_file:
             report_file.close()

@@ -11,7 +11,8 @@ reliable.
 
 The step ops take either one vector or a matrix with a leading row axis (one
 row per sequence of a minibatch), and the softmax-family ops and ``sumsq``
-work over the last axis, so a whole minibatch unrolls as one graph.
+work over the last axis, so a whole minibatch unrolls as one graph;
+``take_row`` gathers rows along that axis to drop finished sequences.
 """
 
 from __future__ import annotations
@@ -306,23 +307,29 @@ def _check_index(index, n: int, what: str) -> None:
     if isinstance(index, np.ndarray):
         if index.ndim != 1 or index.dtype.kind not in "iu":
             raise ShapeError(f"{what} expects an int or a vector of ints, got {index.dtype}{index.shape}")
-        if index.size and (index.min() < 0 or index.max() >= n):
+        values = index.tolist()     # min and max of a short list beat two numpy reductions
+        if values and (min(values) < 0 or max(values) >= n):
             raise IndexError(f"{what} index out of range [0, {n})")
     elif not 0 <= index < n:
         raise IndexError(f"{what} index {index} out of range [0, {n})")
 
 
 def take_row(W: Tensor, index) -> Tensor:
-    """Row lookup, the one-hot-times-matrix product used for embeddings: one
-    row for an int index, an (n, cols) matrix for a vector of n indices."""
-    if W.data.ndim != 2:
-        raise ShapeError("take_row expects a matrix")
+    """Gather along axis 0 of an array of any rank: W[index] for an int, or
+    the n slices W[index[i]] stacked for a vector of n indices. The backward
+    pass scatters into zeros, adding up the gradients of a repeated index.
+    It is the embedding lookup, and it moves rows of states and scenes."""
+    if W.data.ndim < 1:
+        raise ShapeError("take_row expects an array with at least one axis")
     _check_index(index, W.data.shape[0], "take_row")
-    out = W.data[index].copy()
+    out = W.data[index] if isinstance(index, np.ndarray) else W.data[index].copy()
 
     def bw(g, accum):
         full = np.zeros_like(W.data)
-        np.add.at(full, index, g)
+        if isinstance(index, np.ndarray) and len(set(index.tolist())) < index.size:
+            np.add.at(full, index, g)
+        else:                  # no index repeats: a plain scatter is the same sum
+            full[index] = g
         accum(W, full)
 
     return Tensor(out, (W,), bw, "take_row")

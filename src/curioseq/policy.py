@@ -91,6 +91,10 @@ class PolicyState:
     c_lang: Tensor
     concat: Tensor
 
+    def take(self, rows: np.ndarray) -> "PolicyState":
+        """The states of the given rows, in that order; a row may repeat."""
+        return PolicyState(*(take_row(getattr(self, f.name), rows) for f in fields(self)))
+
 
 def initial_state(params: PolicyParams, rows: tuple[int, ...] = ()) -> PolicyState:
     """Zero states: vectors, or one row each for rows == (n,)."""
@@ -108,6 +112,13 @@ class ProjectedScene:
     region_proj: Tensor           # (m, Z) or (n, m, Z), region i is W_v v_i
     mean_proj: Tensor             # W_v mean(v), (Z,) or (n, Z)
     mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
+
+    def take(self, rows: np.ndarray) -> "ProjectedScene":
+        """The scenes of the given rows, in that order; a row may repeat."""
+        return ProjectedScene(features=self.features[rows],
+                              region_proj=take_row(self.region_proj, rows),
+                              mean_proj=take_row(self.mean_proj, rows),
+                              mask=None if self.mask is None else self.mask[rows])
 
 
 def project_scene(params: PolicyParams, features: np.ndarray) -> ProjectedScene:
@@ -187,11 +198,17 @@ class RolloutTrace:
 
 
 def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
-           choose: Callable[[int, Tensor], int], t_max: int) -> Iterator[tuple]:
+           choose: Callable[[int, Tensor], int], t_max: int,
+           live: Callable[[int, np.ndarray], np.ndarray] | None = None) -> Iterator[tuple]:
     """The one loop over policy_step. From <bos>, step t feeds back the token
     choose(t, logits) and yields (token, logits, state, attention); a caller
     stops early by leaving the loop. On a project_batch scene every row
-    steps at once and choose returns one token per row."""
+    steps at once and choose returns one token per row.
+
+    With live given, live(t, token) returns the ascending positions of the
+    rows that go on after step t: their state, scene and token rows are
+    gathered with take_row before the next step, and the loop ends once no
+    row is left."""
     if not isinstance(scene, ProjectedScene):
         scene = project_scene(params, scene)
     rows = scene.mean_proj.shape[:-1]
@@ -201,6 +218,12 @@ def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
         logits, state, _, attn = policy_step(params, token, state, scene)
         token = choose(t, logits)
         yield token, logits, state, attn
+        if live is not None:
+            keep = live(t, token)
+            if keep.size == 0:
+                return
+            if keep.size < token.size:
+                token, state, scene = token[keep], state.take(keep), scene.take(keep)
 
 
 def _forced(params: PolicyParams, features: np.ndarray,
@@ -211,58 +234,119 @@ def _forced(params: PolicyParams, features: np.ndarray,
     return unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens))
 
 
-def sample_rows(params: PolicyParams, features: Sequence[np.ndarray], t_max: int,
-                rngs: Sequence[np.random.Generator]) -> list[RolloutTrace]:
-    """Sample one episode per scene as one row unroll under no_grad: row r
-    reads features[r] and draws its inverse-CDF u from rngs[r] alone, so its
-    episode does not depend on the other rows. A row ends at <eos> or t_max;
-    a finished row is fed <eos>, draws nothing and records nothing, and the
-    loop stops once every row has finished. Each step's log-prob is read
-    from the sampler's own softmax row, so the traces carry no graph."""
-    if t_max < 1:
+@dataclass
+class RowUnroll:
+    """One recorded unroll over the rows of a minibatch, teacher-forced rows
+    first. Step t ran on the rows rows[t] that had not finished, in
+    ascending order, and its nodes hold one value per such row for the token
+    the row took: its reference token or the token it sampled."""
+
+    rows: list[np.ndarray]          # per step, the ids of the rows that stepped
+    cross_entropy: list[Tensor]     # per step, -log(p + CE_EPSILON) of each row's token
+    log_prob: list[Tensor]          # per step, log max(p, LOGPROB_FLOOR); only with sampled rows
+    ce_values: np.ndarray           # (rows, steps) cross-entropy values, 0 where a row did not step
+    traces: list[RolloutTrace]      # the episodes of the sampled rows, without graph nodes
+
+    def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
+        """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
+        (+ lp_weights[r, t] logp_rt), for (rows, steps) weight arrays; the
+        weights of steps a row did not take are never read."""
+        if lp_weights is not None and not self.log_prob:
+            raise ValueError("log-prob weights need sampled rows")
+        terms = []
+        for t, rows in enumerate(self.rows):
+            terms.append(dotp(self.cross_entropy[t], constant(ce_weights[rows, t])))
+            if lp_weights is not None:
+                terms.append(dotp(self.log_prob[t], constant(lp_weights[rows, t])))
+        return add_n(terms)
+
+
+def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
+                forced: Sequence[Sequence[int]], t_max: int,
+                rngs: Sequence[np.random.Generator] = ()) -> RowUnroll:
+    """Unroll a minibatch as one graph over (rows, .) arrays: a
+    teacher-forced row per reference (row r reads features[r] and is fed
+    forced[r]), then a sampled row per generator (row len(forced) + i reads
+    features[i] and draws its inverse-CDF u from rngs[i] alone, once per
+    step it takes, from its own softmax row).
+
+    A forced row ends after its last token, and a sampled row at <eos> or
+    after t_max steps, so at most max(t_max, longest reference) steps run.
+    After every step the rows that ended drop out: unroll gathers the state
+    and scene rows of the others, so no step runs on a finished row and
+    finished rows and padded regions get exactly zero gradient. The caller
+    weights the recorded nodes with RowUnroll.loss, after it has scored the
+    sampled episodes, and the whole minibatch has one backward pass."""
+    n, n_forced = len(features), len(forced)
+    if n_forced not in (0, n) or len(rngs) not in (0, n) or not n_forced + len(rngs):
+        raise ValueError(f"{n} scenes need a reference each, a generator each, or both")
+    if not all(forced):
+        raise ValueError("cannot unroll an empty reference")
+    if rngs and t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if len(rngs) != len(features):
-        raise ValueError(f"{len(features)} scenes need as many generators, got {len(rngs)}")
-    n = len(features)
-    live = np.ones(n, dtype=bool)
-    lengths = np.zeros(n, dtype=np.intp)
-    dist = np.empty(0)
-    steps: list[tuple] = []
+    ends = np.array([len(ref) for ref in forced] + [t_max] * len(rngs))
+    steps = int(ends.max())
+    tokens = np.full((n_forced, steps), EOS_ID)
+    for r, ref in enumerate(forced):
+        tokens[r, :len(ref)] = ref
+    scene = project_batch(params, (list(features) if forced else [])
+                          + (list(features) if rngs else []))
+    ids = np.arange(len(ends))          # the rows of the current step
+    # the sampled rows' episodes, (len(rngs), steps, ...) with 0 past their ends
+    actions = np.zeros((len(rngs), steps), dtype=np.intp)
+    log_probs = np.zeros((len(rngs), steps))
+    states = np.zeros((len(rngs), steps, 2 * params.hidden_size))
+    attention = np.zeros((len(rngs), steps, scene.features.shape[1]))
+    lengths = np.zeros(len(rngs), dtype=np.intp)
 
     def choose(t: int, logits: Tensor) -> np.ndarray:
-        nonlocal dist
-        dist = softmax_values(logits.data)
-        rows = np.flatnonzero(live)
-        u = np.array([rngs[r].random() for r in rows])
-        cdf = np.cumsum(dist[rows], axis=-1)
-        token = np.full(n, EOS_ID)
-        # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
-        token[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), dist.shape[-1] - 1)
+        k = np.searchsorted(ids, n_forced)
+        token = np.empty(len(ids), dtype=np.intp)
+        token[:k] = tokens[ids[:k], t]
+        if k < len(ids):
+            dist = softmax_values(logits.data[k:])
+            u = np.array([rngs[r - n_forced].random() for r in ids[k:]])
+            cdf = np.cumsum(dist, axis=-1)
+            # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
+            token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), dist.shape[-1] - 1)
         return token
 
-    with no_grad():
-        for token, _, state, attn in unroll(params, project_batch(params, features),
-                                            choose, t_max):
-            picked = dist[np.arange(n), token]
-            steps.append((token, np.log(np.maximum(picked, LOGPROB_FLOOR)),
-                          state.concat.data, attn.data))
-            lengths += live
-            live &= token != EOS_ID
-            if not live.any():
-                break
-    actions, log_probs, states, attention = (np.stack(part, axis=1) for part in zip(*steps))
-    return [RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
-                         states=list(states[r, :k]),
-                         attention=list(attention[r, :k, :f.shape[0]]))
-            for r, (k, f) in enumerate(zip(lengths, features))]
+    def live(t: int, token: np.ndarray) -> np.ndarray:
+        nonlocal ids
+        keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
+        ids = ids[keep]
+        return keep
+
+    out = RowUnroll([], [], [], np.empty(0), [])
+    for t, (token, logits, state, attn) in enumerate(unroll(params, scene, choose, steps, live)):
+        out.rows.append(ids)
+        out.cross_entropy.append(cross_entropy(logits, token))
+        if rngs:
+            out.log_prob.append(logprob(logits, token))
+            k = np.searchsorted(ids, n_forced)
+            s = ids[k:] - n_forced
+            actions[s, t] = token[k:]
+            log_probs[s, t] = out.log_prob[-1].data[k:]
+            states[s, t] = state.concat.data[k:]
+            attention[s, t] = attn.data[k:]
+            lengths[s] += 1
+    out.ce_values = np.zeros((len(ends), len(out.rows)))
+    for t, (rows, node) in enumerate(zip(out.rows, out.cross_entropy)):
+        out.ce_values[rows, t] = node.data
+    out.traces = [RolloutTrace(actions=actions[i, :k].tolist(), log_probs=log_probs[i, :k].tolist(),
+                               states=list(states[i, :k]),
+                               attention=list(attention[i, :k, :features[i].shape[0]]))
+                  for i, k in enumerate(lengths)]
+    return out
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
                    rng: np.random.Generator) -> RolloutTrace:
     """Sample an episode from <bos>; stops at <eos> or t_max. The one-row
-    view of sample_rows: inverse-CDF sampling, so identical seeds give
-    identical traces, and no log-prob nodes."""
-    return sample_rows(params, [features], t_max, [rng])[0]
+    view of unroll_rows, without a graph: inverse-CDF sampling, so identical
+    seeds give identical traces."""
+    with no_grad():
+        return unroll_rows(params, [features], [], t_max, [rng]).traces[0]
 
 
 def unroll_forced(params: PolicyParams, features: np.ndarray,
@@ -280,55 +364,6 @@ def forced_step_losses(params: PolicyParams, features: np.ndarray,
     """Per-step cross-entropy nodes of a teacher-forced pass (imitation)."""
     return [cross_entropy(logits, tok)
             for tok, logits, _, _ in _forced(params, features, tokens)]
-
-
-@dataclass
-class RowScores:
-    """The weighted loss of a batched teacher-forced pass, with the per-step
-    values behind it (0 on padded steps)."""
-
-    loss: Tensor
-    cross_entropy: np.ndarray     # (n, T) -log(p + CE_EPSILON)
-    log_prob: np.ndarray          # (n, T) log max(p, LOGPROB_FLOOR); 0 without lp weights
-
-
-def _padded(rows: Sequence[Sequence[float]], width: int, dtype=np.float64) -> np.ndarray:
-    out = np.zeros((len(rows), width), dtype=dtype)
-    for r, row in enumerate(rows):
-        out[r, :len(row)] = row
-    return out
-
-
-def score_rows(params: PolicyParams, features: Sequence[np.ndarray],
-               tokens: Sequence[Sequence[int]], ce_weights: Sequence[Sequence[float]],
-               lp_weights: Sequence[Sequence[float]] | None = None) -> RowScores:
-    """Teacher-force every row at once: one unroll over (n, .) arrays for
-    the longest row, row r reading scene features[r] and tokens[r].
-
-    The loss is sum_{r,t} ce_weights[r][t] CE_rt + lp_weights[r][t] logp_rt,
-    each weight list as long as its row's tokens. Steps past the end of a
-    row feed <eos> with weight 0 and regions past a scene's m are masked, so
-    padding gets exactly zero gradient.
-    """
-    if not tokens or not all(tokens):
-        raise ValueError("cannot score an empty row")
-    width = max(len(row) for row in tokens)
-    real = _padded([[True] * len(row) for row in tokens], width, bool)
-    forced = np.where(real, _padded(tokens, width, np.intp), EOS_ID)
-    ce_w = _padded(ce_weights, width)
-    lp_w = None if lp_weights is None else _padded(lp_weights, width)
-    ce, lp = np.zeros(real.shape), np.zeros(real.shape)
-    terms = []
-    steps = unroll(params, project_batch(params, features), lambda t, logits: forced[:, t], width)
-    for t, (_, logits, _, _) in enumerate(steps):
-        node = cross_entropy(logits, forced[:, t])
-        ce[:, t] = node.data
-        terms.append(dotp(node, constant(ce_w[:, t])))
-        if lp_w is not None:
-            node = logprob(logits, forced[:, t])
-            lp[:, t] = node.data
-            terms.append(dotp(node, constant(lp_w[:, t])))
-    return RowScores(add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
@@ -351,9 +386,9 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
     Ties resolve toward the lexicographically smaller token sequence.
 
     The live partials step as the rows of one policy_step, each row's state
-    gathered from its parent's. Every candidate scoring at least the
-    width-th largest score is sorted by (-score, token path), which picks
-    the same width as a sort of all candidates."""
+    gathered from its parent's with take_row. Every candidate
+    scoring at least the width-th largest score is sorted by (-score, token
+    path), which picks the same width as a sort of all candidates."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
     vocab = params.vocab_size
@@ -383,8 +418,8 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
             live_lp = np.array([lp for lp, _, _ in keep])
             live = [tokens for _, tokens, _ in keep]
             parents = [parent for _, _, parent in keep]
-            state = PolicyState(*(constant(getattr(state, f.name).data[parents])
-                                  for f in fields(PolicyState)))
+            if parents != list(range(len(prev))):      # no gather when every row goes on
+                state = state.take(np.array(parents, dtype=np.intp))
         done.extend(zip(live_lp.tolist(), live))
         best = min(done, key=lambda c: (-c[0], c[1]))
         return list(best[1])

@@ -162,9 +162,10 @@ class StepStats:
     ap_loss: float = 0.0
     xe_loss: float = 0.0
     intrinsic_sum: float = 0.0
-    intrinsic_steps: int = 0
     extrinsic_sum: float = 0.0
-    episodes: int = 0
+    episodes: int = 0                     # sampled episodes; none in xe mode
+    sampled_steps: int = 0                # their summed length
+    eos_episodes: int = 0                 # those that ended with <eos>
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -178,36 +179,37 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                rngs: Sequence[np.random.Generator], eta: float, epoch: int = 0) -> StepStats:
     """One minibatch update from one batched graph and one backward pass.
 
-    Outside xe mode, the episodes of all scenes are sampled as one row
-    unroll without a graph, scene i drawing from its own generator rngs[i]
-    (xe mode draws nothing). One teacher-forced unroll then scores every
-    row of the minibatch at once: the B reference rows with
-    weight eta/B on their cross-entropy (imitation) and, outside xe mode,
-    the B sampled rows with weight -A_t/B on their log-probabilities (policy
-    gradient). Curiosity losses do not reach the policy: gradients are
-    stopped at the states. The curiosity pass runs over all sampled
-    transitions at once; the action predictor trains on its own loss, the
-    state predictor on its own loss, and the shared embedding on the
-    alpha/beta-weighted sum, which grad_scale in the curiosity pass applies.
-    Gradients are cleared after the step.
+    One recorded row unroll steps the B reference rows (teacher-forced) and,
+    outside xe mode, the B sampled rows, scene i sampling from its own
+    generator rngs[i] (xe mode draws nothing). Once the curiosity pass and
+    the rewards have scored the sampled episodes, the reference rows get
+    weight eta/B on their cross-entropy (imitation) and the sampled rows
+    weight -A_t/B on their log-probabilities (policy gradient). Curiosity
+    losses do not reach the policy: gradients are stopped at the states.
+    The curiosity pass runs over all sampled transitions at once; the action
+    predictor trains on its own loss, the state predictor on its own loss,
+    and the shared embedding on the alpha/beta-weighted sum, which
+    grad_scale in the curiosity pass applies. Gradients are cleared after
+    the step.
     """
-    stats = StepStats(episodes=len(batch))
     all_params = model.parameters()
     b = len(batch)
     # deterministic rotation through references
     refs = [scene.references[epoch % len(scene.references)] for scene in batch]
-    features = [scene.features for scene in batch]
-    ce_weights = [[eta / b] * len(ref) for ref in refs]
+    run = pol.unroll_rows(model.policy, [scene.features for scene in batch], refs, cfg.t_max,
+                          [] if cfg.mode == "xe" else rngs)
+    stats = StepStats(episodes=len(run.traces))
+    stats.xe_loss = _check_finite("imitation", float(run.ce_values[:b].sum()) / b)
+    ce_weights = np.zeros(run.ce_values.shape)
+    ce_weights[:b] = eta / b
     if cfg.mode == "xe":
-        scores = pol.score_rows(model.policy, features, refs, ce_weights)
-        stats.xe_loss = _check_finite("imitation", float(scores.cross_entropy.sum()) / b)
-        loss = scores.loss
+        loss = run.loss(ce_weights)
     else:
-        traces = pol.sample_rows(model.policy, features, cfg.t_max, rngs)
-        terms = cur.curiosity_pass(traces, model.curiosity, cfg.action_loss_weight,
+        terms = cur.curiosity_pass(run.traces, model.curiosity, cfg.action_loss_weight,
                                    cfg.state_loss_weight)
-        advantages = []
-        for scene, trace, errors in zip(batch, traces, terms.errors):
+        lp_weights = np.zeros(run.ce_values.shape)
+        rl = 0.0
+        for i, (scene, trace, errors) in enumerate(zip(batch, run.traces, terms.errors)):
             intrinsic = (cfg.intrinsic_scale * errors if cfg.mode == "crl"
                          else np.zeros(len(trace)))
             candidate = vocab.decode_text(trace.actions)
@@ -219,19 +221,16 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
             else:
                 q = rew.td_lambda_q(rew.terminal_reward_vector(r_e, len(trace)),
                                     cfg.discount, cfg.td_lambda)
-            advantages.append(rew.advantages(q, intrinsic))
+            advantage = rew.advantages(q, intrinsic)
+            lp_weights[b + i, :len(trace)] = -advantage / b
+            rl -= float(advantage @ np.array(trace.log_probs))
             stats.intrinsic_sum += float(intrinsic.sum())
-            stats.intrinsic_steps += len(trace)
+            stats.sampled_steps += len(trace)
+            stats.eos_episodes += trace.ended_with_eos
             stats.extrinsic_sum += r_e
-        scores = pol.score_rows(
-            model.policy, features + features, refs + [trace.actions for trace in traces],
-            ce_weights + [[0.0] * len(trace) for trace in traces],
-            [[0.0] * len(ref) for ref in refs] + [-a / b for a in advantages])
-        stats.xe_loss = _check_finite("imitation", float(scores.cross_entropy[:b].sum()) / b)
-        stats.rl_loss = _check_finite("reinforcement", -sum(
-            float(a @ lp[:len(a)]) for a, lp in zip(advantages, scores.log_prob[b:])) / b)
+        stats.rl_loss = _check_finite("reinforcement", rl / b)
         # one loss, one backward; a zero loss weight keeps its predictor out of it
-        loss = scores.loss
+        loss = run.loss(ce_weights, lp_weights)
         if cfg.state_loss_weight > 0:
             stats.sp_loss = _check_finite("state-prediction", float(terms.sp_loss.data))
             loss = add(loss, terms.sp_loss)
@@ -262,6 +261,8 @@ class EpochReport:
     val_cider: float
     val_distinct1: float
     val_distinct2: float
+    mean_episode_length: float            # of the sampled episodes; 0 in xe mode
+    eos_rate: float                       # the fraction of them that ended with <eos>
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -313,22 +314,70 @@ class TrainResult:
     best_cider: float
 
 
-def save_model(path, model: ModelParams, extra: dict | None = None) -> None:
-    ckpt.save_checkpoint(path, ckpt.params_as_dict(model.parameters()), extra=extra)
+def save_model(path, model: ModelParams, extra: dict | None = None,
+               opt: OptimState | None = None) -> None:
+    """Write the model's parameters; with opt, also the optimizer state that
+    resume_state reads back: its variant and step count in extra, and for
+    adam the moments of each parameter as tensors "adam.m.<name>" and
+    "adam.v.<name>"."""
+    tensors = ckpt.params_as_dict(model.parameters())
+    if opt is not None:
+        extra = {**(extra or {}),
+                 "optimizer": {"variant": opt.variant, "step_count": opt.step_count}}
+        for name, slot in opt.slots.items():
+            tensors[f"adam.m.{name}"] = slot["m"]
+            tensors[f"adam.v.{name}"] = slot["v"]
+    ckpt.save_checkpoint(path, tensors, extra=extra)
+
+
+def _load(path, cfg: TrainConfig, vocab_size: int, feature_dim: int):
+    model = init_model(cfg, vocab_size, feature_dim)
+    tensors, extra = ckpt.load_checkpoint(path)
+    ckpt.load_into_params(model.parameters(), tensors)
+    return model, tensors, extra
 
 
 def load_model(path, cfg: TrainConfig, vocab_size: int,
                feature_dim: int) -> tuple[ModelParams, dict]:
-    model = init_model(cfg, vocab_size, feature_dim)
-    tensors, extra = ckpt.load_checkpoint(path)
-    ckpt.load_into_params(model.parameters(), tensors)
+    model, _, extra = _load(path, cfg, vocab_size, feature_dim)
     return model, extra
+
+
+def new_optimizer(cfg: TrainConfig) -> OptimState:
+    return OptimState(learning_rate=cfg.learning_rate, clip_norm=cfg.clip_norm,
+                      variant=cfg.optimizer)
+
+
+def resume_state(path, cfg: TrainConfig, vocab_size: int,
+                 feature_dim: int) -> tuple[ModelParams, OptimState, dict]:
+    """The model, optimizer state and extra record of a checkpoint that train
+    wrote, to continue its run exactly. Raises CheckpointError unless the
+    checkpoint holds the state of the optimizer cfg names."""
+    model, tensors, extra = _load(path, cfg, vocab_size, feature_dim)
+    record = extra.get("optimizer")
+    if (not isinstance(record, dict) or type(record.get("step_count")) is not int
+            or record["step_count"] < 0):
+        raise ckpt.CheckpointError(f"checkpoint {path} holds no optimizer state to resume")
+    if record.get("variant") != cfg.optimizer:
+        raise ckpt.CheckpointError(f"checkpoint {path} was trained with optimizer "
+                                   f"{record.get('variant')!r}, not {cfg.optimizer!r}")
+    opt = new_optimizer(cfg)
+    opt.step_count = record["step_count"]
+    if opt.variant == "adam" and opt.step_count > 0:
+        for p in model.parameters():
+            m, v = tensors.get(f"adam.m.{p.name}"), tensors.get(f"adam.v.{p.name}")
+            if m is None or v is None or m.shape != p.data.shape or v.shape != p.data.shape:
+                raise ckpt.CheckpointError(f"checkpoint {path} lacks the adam moments of "
+                                           f"{p.name!r}")
+            opt.slots[p.name] = {"m": m, "v": v}
+    return model, opt, extra
 
 
 def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
           vocab: Vocabulary, cfg: TrainConfig,
           start_epoch: int = 0, model: ModelParams | None = None,
-          report_sink=None, best_cider: float = -math.inf) -> TrainResult:
+          report_sink=None, best_cider: float = -math.inf,
+          opt: OptimState | None = None) -> TrainResult:
     """Run the full training loop.
 
     Deterministic given (scenes, config): parameter init, per-epoch shuffles
@@ -338,7 +387,9 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     imitation-weight and learning-rate schedules, evaluates the validation
     split with greedy decoding, and writes checkpoints when out_dir is set:
     last.ckpt every epoch and best.ckpt when the validation CIDEr beats
-    best_cider (a resumed run passes the value stored in its checkpoint).
+    best_cider. Both hold the optimizer state, so a run resumed from
+    resume_state(last.ckpt) with its epoch, best_cider and optimizer state
+    matches the uninterrupted run.
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
@@ -346,8 +397,8 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     if model is None:
         model = init_model(cfg, vocab.size, feature_dim)
     idf = met.build_idf(reference_documents(train_scenes, vocab))
-    opt = OptimState(learning_rate=cfg.learning_rate, clip_norm=cfg.clip_norm,
-                     variant=cfg.optimizer)
+    if opt is None:
+        opt = new_optimizer(cfg)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -372,12 +423,17 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             n_batches += 1
 
         val = evaluate(eval_scenes, model, vocab, idf, cfg)
+
+        def per_episode(total: float) -> float:
+            return total / totals.episodes if totals.episodes else 0.0
+
         report = EpochReport(
             epoch=epoch,
-            mean_intrinsic_reward=(totals.intrinsic_sum / totals.intrinsic_steps
-                                   if totals.intrinsic_steps else 0.0),
-            mean_extrinsic_reward=(totals.extrinsic_sum / totals.episodes
-                                   if totals.episodes and cfg.mode != "xe" else 0.0),
+            mean_intrinsic_reward=(totals.intrinsic_sum / totals.sampled_steps
+                                   if totals.sampled_steps else 0.0),
+            mean_extrinsic_reward=per_episode(totals.extrinsic_sum),
+            mean_episode_length=per_episode(totals.sampled_steps),
+            eos_rate=per_episode(totals.eos_episodes),
             rl_loss=totals.rl_loss / n_batches,
             sp_loss=totals.sp_loss / n_batches,
             ap_loss=totals.ap_loss / n_batches,
@@ -399,7 +455,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             best_cider = val.cider
         if out_dir:
             extra = {"epoch": epoch, "config": cfg.semantic_dict(), "best_cider": best_cider}
-            save_model(out_dir / "last.ckpt", model, extra=extra)
+            save_model(out_dir / "last.ckpt", model, extra=extra, opt=opt)
             if improved:
-                save_model(out_dir / "best.ckpt", model, extra=extra)
+                save_model(out_dir / "best.ckpt", model, extra=extra, opt=opt)
     return TrainResult(model=model, reports=reports, best_cider=best_cider)

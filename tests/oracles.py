@@ -1,11 +1,17 @@
-"""Reference decoders for the row paths of curioseq.policy.
+"""Reference decoders and scorers for the row paths of curioseq.policy.
 
 `one_row_sample` is the sampler that stepped one scene at a time through the
 vector form of policy_step, and `per_hypothesis_beam` is the beam search that
 stepped each live hypothesis on its own and sorted all width x vocab
-candidates. `policy.sample_rows` and `policy.beam_search` must agree with
-them; the tests import them from here.
+candidates. `padded_sample_rows` and `padded_score_rows` are the two row
+unrolls that a train step ran before `policy.unroll_rows` joined them: a
+graph-less sampler and a recorded teacher-forced scorer, each stepping every
+row, finished or not, until its longest row ended. `policy.unroll_rows`,
+`policy.rollout_sample` and `policy.beam_search` must agree with them; the
+tests import them from here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,3 +68,78 @@ def per_hypothesis_beam(params, features, t_max, width):
         done.extend((lp, tokens) for lp, tokens, _ in live)
         best = min(done, key=lambda c: (-c[0], c[1]))
         return list(best[1])
+
+
+def padded_sample_rows(params, features, t_max, rngs):
+    """Sample one episode per scene as one graph-less row unroll in which a
+    finished row is fed <eos>, draws nothing and records nothing, until
+    every row has finished."""
+    n = len(features)
+    live = np.ones(n, dtype=bool)
+    lengths = np.zeros(n, dtype=np.intp)
+    dist = np.empty(0)
+    steps = []
+
+    def choose(t, logits):
+        nonlocal dist
+        dist = K.softmax_values(logits.data)
+        rows = np.flatnonzero(live)
+        u = np.array([rngs[r].random() for r in rows])
+        cdf = np.cumsum(dist[rows], axis=-1)
+        token = np.full(n, EOS_ID)
+        token[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), dist.shape[-1] - 1)
+        return token
+
+    with K.no_grad():
+        for token, _, state, attn in P.unroll(params, P.project_batch(params, features),
+                                              choose, t_max):
+            picked = dist[np.arange(n), token]
+            steps.append((token, np.log(np.maximum(picked, K.LOGPROB_FLOOR)),
+                          state.concat.data, attn.data))
+            lengths += live
+            live &= token != EOS_ID
+            if not live.any():
+                break
+    actions, log_probs, states, attention = (np.stack(part, axis=1) for part in zip(*steps))
+    return [P.RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
+                           states=list(states[r, :k]),
+                           attention=list(attention[r, :k, :f.shape[0]]))
+            for r, (k, f) in enumerate(zip(lengths, features))]
+
+
+@dataclass
+class PaddedScores:
+    loss: K.Tensor
+    cross_entropy: np.ndarray     # (n, T), 0 on padded steps
+    log_prob: np.ndarray          # (n, T), 0 on padded steps and without lp weights
+
+
+def _padded(rows, width, dtype=np.float64):
+    out = np.zeros((len(rows), width), dtype=dtype)
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
+
+
+def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
+    """Teacher-force every row for as many steps as the longest one: the
+    loss is sum_{r,t} ce_weights[r][t] CE_rt + lp_weights[r][t] logp_rt, and
+    steps past the end of a row feed <eos> with weight 0."""
+    width = max(len(row) for row in tokens)
+    real = _padded([[True] * len(row) for row in tokens], width, bool)
+    forced = np.where(real, _padded(tokens, width, np.intp), EOS_ID)
+    ce_w = _padded(ce_weights, width)
+    lp_w = None if lp_weights is None else _padded(lp_weights, width)
+    ce, lp = np.zeros(real.shape), np.zeros(real.shape)
+    terms = []
+    steps = P.unroll(params, P.project_batch(params, features),
+                     lambda t, logits: forced[:, t], width)
+    for t, (_, logits, _, _) in enumerate(steps):
+        node = K.cross_entropy(logits, forced[:, t])
+        ce[:, t] = node.data
+        terms.append(K.dotp(node, K.constant(ce_w[:, t])))
+        if lp_w is not None:
+            node = K.logprob(logits, forced[:, t])
+            lp[:, t] = node.data
+            terms.append(K.dotp(node, K.constant(lp_w[:, t])))
+    return PaddedScores(K.add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))

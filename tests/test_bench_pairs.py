@@ -1,0 +1,73 @@
+"""The summary math of tools/bench_pairs.py on synthetic records; nothing
+here runs the benchmark. The tool uses only the standard library, so it is
+loaded by path."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("curioseq_bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(epoch_s, rss=80.0, correct=True, failed=0):
+    return {"correct": correct, "failed": failed,
+            "metrics": {"epoch_s": {"value": epoch_s, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_quartiles_match_statistics(bench_pairs):
+    values = [2.0, 1.0, 4.0, 3.0, 10.0]
+    q = bench_pairs.quartiles(values)
+    assert q == {"median": 3.0, "q1": 1.5, "q3": 7.0}
+    assert [q["q1"], q["q3"]] == statistics.quantiles(values, n=4)[::2]
+    assert bench_pairs.quartiles([5.0]) == {"median": 5.0, "q1": 5.0, "q3": 5.0}
+    with pytest.raises(ValueError):
+        bench_pairs.quartiles([])
+
+
+def test_summary_counts_wins_ties_and_the_gap(bench_pairs):
+    parent = [2.0, 2.2, 1.9, 2.1]
+    change = [1.5, 2.3, 1.4, 1.6]
+    pairs = [{"parent": record(p, rss=80.0), "change": record(c, rss=r)}
+             for p, c, r in zip(parent, change, [79.0, 80.0, 81.0, 80.5])]
+    s = bench_pairs.summarize(pairs)
+    assert s["pairs"] == 4 and s["all_correct"]
+    e = s["epoch_s"]
+    assert e["parent"] == {"median": 2.05, "q1": statistics.quantiles(parent, n=4)[0],
+                           "q3": statistics.quantiles(parent, n=4)[2]}
+    assert e["change"]["median"] == 1.55
+    assert e["change_wins"] == 3 and e["ties"] == 0
+    assert e["relative_change"] == pytest.approx(1.55 / 2.05 - 1.0, rel=1e-15)
+    # gap 0.5 against a parent quartile distance of 2.175 - 1.925 = 0.25
+    assert e["gap_exceeds_parent_iqr"] is True
+    r = s["peak_rss_mb"]
+    assert r["change_wins"] == 1 and r["ties"] == 1
+    assert r["gap_exceeds_parent_iqr"] is False
+
+
+def test_a_failed_or_incorrect_run_clears_all_correct(bench_pairs):
+    ok = {"parent": record(2.0), "change": record(1.0)}
+    for bad in (record(1.0, failed=1), record(1.0, correct=False)):
+        assert not bench_pairs.summarize([ok, {"parent": record(2.0), "change": bad}])[
+            "all_correct"]
+
+
+def test_only_metrics_every_run_has_are_summarized(bench_pairs):
+    extra = record(1.0)
+    extra["metrics"]["setup_s"] = {"value": 0.1, "unit": "s"}
+    s = bench_pairs.summarize([{"parent": record(2.0), "change": extra}])
+    assert "setup_s" not in s and "epoch_s" in s
+
+
+def test_plan_parsing(bench_pairs):
+    assert bench_pairs.parse_plan("crl_epoch:7919:4") == ("crl_epoch", 7919, 4)

@@ -61,15 +61,15 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, m
     oracle = [one_row_sample(model.policy, scene.features, cfg.t_max, rng)
               for scene, rng in zip(train, rngs())]
     assert max(len(t) for t in oracle) < cfg.t_max
-    longest_row = max([len(t) for t in oracle] + [len(scene.references[0]) for scene in train])
+    steps = max([len(t) for t in oracle] + [len(scene.references[0]) for scene in train])
     captured = []
-    sample_rows = P.sample_rows
+    unroll_rows = P.unroll_rows
 
     def capture(*args):
-        captured.append(sample_rows(*args))
+        captured.append(unroll_rows(*args))
         return captured[-1]
 
-    monkeypatch.setattr(P, "sample_rows", capture)
+    monkeypatch.setattr(P, "unroll_rows", capture)
     tracer = tracing.Tracer()
     tracer.install(curioseq)
     try:
@@ -81,10 +81,10 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, m
     # the curiosity pass embeds all sampled states in one call
     assert metrics["curiosity.embed_state.calls"] == 1
     # every step goes through the module-level policy_step binding: one per
-    # step of the row sampler, which runs until its longest episode ends,
-    # then one per step of the batched scoring unroll over all rows
-    assert metrics["policy.policy_step.calls"] == max(len(t) for t in oracle) + longest_row
-    (episodes,) = captured
-    assert [t.actions for t in episodes] == [t.actions for t in oracle]
-    for got, want in zip(episodes, oracle):
+    # step of the single row unroll, which samples and scores in the same
+    # steps and runs until its longest row ends
+    assert metrics["policy.policy_step.calls"] == steps
+    (run,) = captured
+    assert [t.actions for t in run.traces] == [t.actions for t in oracle]
+    for got, want in zip(run.traces, oracle):
         np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)

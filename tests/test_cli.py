@@ -150,6 +150,34 @@ class TestTrain:
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
         assert "bad.ckpt" in err
 
+    def test_resume_with_another_optimizer_fails_cleanly(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--epochs", "2", "--optimizer", "adam",
+                    "--resume", str(out / "last.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "'sgd', not 'adam'" in err
+
+    def test_resumed_adam_run_writes_the_uninterrupted_checkpoint(self, synth_dir, tmp_path,
+                                                                  capsys):
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"),
+               "epochs": 2, "batch_size": 4, "hidden_size": 10, "t_max": 12,
+               "optimizer": "adam"}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert run(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
+        assert run(["train", "--config", str(cfg_path), "--out", str(part),
+                    "--epochs", "1"]) == 0
+        assert run(["train", "--config", str(cfg_path), "--out", str(part),
+                    "--resume", str(part / "last.ckpt")]) == 0
+        assert (part / "last.ckpt").read_bytes() == (full / "last.ckpt").read_bytes()
+        reports = [(d / "reports.jsonl").read_text().splitlines() for d in (full, part)]
+        assert reports[0] == reports[1]
+
     def test_missing_manifest_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1}))

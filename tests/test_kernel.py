@@ -712,6 +712,24 @@ class TestRowAxis:
         with pytest.raises(K.ShapeError):
             K.sumsq(x, weights[:2])
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 3, 2)])
+    def test_take_row_gathers_any_rank_and_repeats_accumulate(self, shape):
+        rng = _rng_case(36)
+        x = p("x", rng.standard_normal(shape))
+        rows = np.array([4, 0, 4, 2, 4])          # row 4 three times, rows 1 and 3 never
+        out = K.take_row(x, rows)
+        np.testing.assert_array_equal(out.data, x.data[rows])
+        w = rng.standard_normal(out.shape)
+        K.zero_grads([x])
+        K.backward(_reduce(out, w))
+        expected = np.zeros(shape)
+        for i, r in enumerate(rows):
+            expected[r] += 2.0 * w[i] * w[i] * x.data[r]
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
+        assert (x.grad[[1, 3]] == 0.0).all()
+        assert K.grad_check(lambda: _reduce(K.take_row(x, rows), w), [x]) <= 1e-4
+        assert K.take_row(x, 2).shape == shape[1:]
+
     def test_masked_regions_get_zero_weight_and_zero_gradient(self):
         rng = _rng_case(33)
         R = p("R", rng.standard_normal((2, 5, 4)))
@@ -753,6 +771,8 @@ class TestRowAxis:
             K.concat([K.constant(np.zeros((2, 3))), K.constant(np.zeros((3, 3)))])
         with pytest.raises(K.ShapeError):
             K.take_row(W, np.array([[0, 1]]))
+        with pytest.raises(K.ShapeError):
+            K.take_row(K.constant(1.0), 0)
         with pytest.raises(IndexError):
             K.take_row(W, np.array([0, 4]))
         with pytest.raises(IndexError):

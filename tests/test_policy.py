@@ -5,7 +5,8 @@ from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.vocab import BOS_ID, EOS_ID
-from oracles import one_row_sample, per_hypothesis_beam
+from oracles import (one_row_sample, padded_sample_rows, padded_score_rows,
+                     per_hypothesis_beam)
 
 
 def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
@@ -139,31 +140,59 @@ class TestRolloutSample:
             sum(trace.log_probs), abs=1e-12)
 
 
+T_MAX = 6
+
+
+def row_batch():
+    """Six scenes with m = 2 and m = 5, one reference each (one longer than
+    T_MAX, one of a single token) and a generator each. Token 5's output row
+    is scaled so far that the distribution of every step saturates toward
+    or away from it, depending on the state; the sampled episodes include a
+    one-step episode and one stopped at T_MAX."""
+    rng = np.random.default_rng(14)
+    params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
+    params.W_p.data[5] = 1e4 * rng.standard_normal(6)
+    params.W_p.data[EOS_ID] += 1.5
+    feats = [rng.standard_normal((m, 4)) for m in (2, 5, 2, 5, 5, 2)]
+    refs = [[4, 6, EOS_ID], [5, 3, 7, 4, 8, 6, 3, EOS_ID], [EOS_ID], [7, 7, 3, EOS_ID],
+            [8, 5, EOS_ID], [6, 4, 4, 8, 3, EOS_ID]]
+    return params, feats, refs
+
+
+def row_rngs(n):
+    return [np.random.default_rng([14, i]) for i in range(n)]
+
+
+def unroll_batch(params, feats, refs):
+    return P.unroll_rows(params, feats, refs, T_MAX, row_rngs(len(feats)))
+
+
+def weighted_loss(run, refs):
+    """Imitation weights eta_r on each reference row and -A_t on each
+    sampled row, with seeded advantages; returns (eta, advantages, loss)."""
+    n = len(refs)
+    eta = np.linspace(0.5, 1.5, n)
+    adv = [np.random.default_rng([15, i]).uniform(-1.0, 2.0, len(t))
+           for i, t in enumerate(run.traces)]
+    ce_w, lp_w = np.zeros(run.ce_values.shape), np.zeros(run.ce_values.shape)
+    for r, ref in enumerate(refs):
+        ce_w[r, :len(ref)] = eta[r]
+    for i, a in enumerate(adv):
+        lp_w[n + i, :len(a)] = -a
+    return eta, adv, run.loss(ce_w, lp_w)
+
+
 class TestSampleRows:
-    """The row sampler against the one-row oracle, scene for scene."""
-
-    T_MAX = 6
-
-    def make(self):
-        # token 5's output row is scaled so far that the distribution of
-        # every step saturates toward or away from it, depending on the state
-        rng = np.random.default_rng(14)
-        params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
-        params.W_p.data[5] = 1e4 * rng.standard_normal(6)
-        params.W_p.data[EOS_ID] += 1.5
-        feats = [rng.standard_normal((m, 4)) for m in (2, 5, 2, 5, 5, 2)]
-        return params, feats
-
-    @staticmethod
-    def rngs(n):
-        return [np.random.default_rng([14, i]) for i in range(n)]
+    """The sampled rows of unroll_rows against the one-row sampler and the
+    padded row sampler, scene for scene."""
 
     def test_batch_covers_the_edge_cases(self):
-        params, feats = self.make()
-        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
+        params, feats, refs = row_batch()
+        traces = unroll_batch(params, feats, refs).traces
         lengths = [len(t) for t in traces]
-        assert 1 in lengths and self.T_MAX in lengths
-        assert any(1 < n < self.T_MAX for n in lengths)
+        assert 1 in lengths and T_MAX in lengths
+        assert any(1 < n < T_MAX for n in lengths)
+        assert max(len(ref) for ref in refs) > T_MAX
         assert {f.shape[0] for f in feats} == {2, 5}
         top = [K.softmax_values(logits.data).max()
                for f, t in zip(feats, traces)
@@ -171,39 +200,208 @@ class TestSampleRows:
         assert max(top) > 1.0 - 1e-12
 
     def test_equals_one_row_sampler_scene_for_scene(self):
-        params, feats = self.make()
-        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
-        oracle = [one_row_sample(params, f, self.T_MAX, rng)
-                  for f, rng in zip(feats, self.rngs(len(feats)))]
-        for got, want in zip(traces, oracle):
-            assert got.actions == want.actions
-            np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-12)
-            assert [a.shape for a in got.attention] == [a.shape for a in want.attention]
-            np.testing.assert_allclose(got.attention, want.attention, rtol=0, atol=1e-12)
-            assert got.logprob_nodes == []
+        params, feats, refs = row_batch()
+        traces = unroll_batch(params, feats, refs).traces
+        one_row = [one_row_sample(params, f, T_MAX, rng)
+                   for f, rng in zip(feats, row_rngs(len(feats)))]
+        padded = padded_sample_rows(params, feats, T_MAX, row_rngs(len(feats)))
+        for oracle in (one_row, padded):
+            for got, want in zip(traces, oracle):
+                assert got.actions == want.actions
+                np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-12)
+                assert [a.shape for a in got.attention] == [a.shape for a in want.attention]
+                np.testing.assert_allclose(got.attention, want.attention, rtol=0, atol=1e-12)
+                assert got.logprob_nodes == []
 
     def test_log_probs_equal_forced_unroll(self):
-        params, feats = self.make()
-        traces = P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats)))
+        params, feats, refs = row_batch()
+        traces = unroll_batch(params, feats, refs).traces
         for f, trace in zip(feats, traces):
             forced = P.unroll_forced(params, f, trace.actions)
             np.testing.assert_allclose(trace.log_probs, forced.log_probs, rtol=0, atol=1e-12)
 
     def test_each_generator_draws_once_per_recorded_step(self):
-        params, feats = self.make()
-        rngs = self.rngs(len(feats))
-        traces = P.sample_rows(params, feats, self.T_MAX, rngs)
-        for rng, fresh, trace in zip(rngs, self.rngs(len(feats)), traces):
+        params, feats, refs = row_batch()
+        rngs = row_rngs(len(feats))
+        traces = P.unroll_rows(params, feats, refs, T_MAX, rngs).traces
+        for rng, fresh, trace in zip(rngs, row_rngs(len(feats)), traces):
             fresh.random(len(trace))
             assert rng.random() == fresh.random()
 
     def test_rejects_bad_arguments(self):
-        params, feats = self.make()
+        params, feats, refs = row_batch()
+        n = len(feats)
         with pytest.raises(ValueError):
-            P.sample_rows(params, feats, self.T_MAX, self.rngs(len(feats) - 1))
+            P.unroll_rows(params, feats, refs, T_MAX, row_rngs(n - 1))
         with pytest.raises(ValueError):
-            P.sample_rows(params, feats, 0, self.rngs(len(feats)))
+            P.unroll_rows(params, feats, refs[:-1], T_MAX)
+        with pytest.raises(ValueError):
+            P.unroll_rows(params, feats, [], 0, row_rngs(n))
+        with pytest.raises(ValueError):
+            P.unroll_rows(params, feats, [], T_MAX)
+
+
+class TestScoreRows:
+    """The weighted loss of unroll_rows against the per-scene entry points."""
+
+    def test_matches_summed_per_scene_losses(self):
+        params, feats, refs = row_batch()
+        run = unroll_batch(params, feats, refs)
+        n = len(feats)
+        eta, adv, loss = weighted_loss(run, refs)
+        K.zero_grads(params.parameters())
+        K.backward(loss)
+        batched = {q.name: q.grad.copy() for q in params.parameters()}
+
+        per_scene = [K.scale(K.add_n(P.forced_step_losses(params, f, ref)), e)
+                     for f, ref, e in zip(feats, refs, eta)]
+        traces = [P.unroll_forced(params, f, t.actions) for f, t in zip(feats, run.traces)]
+        per_scene += [R.rl_loss(trace, a) for trace, a in zip(traces, adv)]
+        oracle = K.add_n(per_scene)
+        K.zero_grads(params.parameters())
+        K.backward(oracle)
+        assert float(loss.data) == pytest.approx(float(oracle.data), rel=1e-12)
+        for q in params.parameters():
+            np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
+                                       atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
+        for r, (f, ref) in enumerate(zip(feats, refs)):
+            expected = [float(node.data) for node in P.forced_step_losses(params, f, ref)]
+            np.testing.assert_allclose(run.ce_values[r, :len(ref)], expected, rtol=1e-12)
+            assert (run.ce_values[r, len(ref):] == 0.0).all()
+
+    def test_padded_steps_and_regions_get_exactly_zero_gradient(self, monkeypatch):
+        params, feats, _ = row_batch()
+        feats, refs = feats[:2], [[4, 6], [5, 3, 7, 4, 8, EOS_ID]]
+        # row 0 ends after two steps and row 1 after six: token 6 would be
+        # fed only to row 0 past its end, and <eos> to neither
+        projected = []
+        project = P.project_batch
+
+        def with_region_parameter(params_, features):
+            scene = project(params_, features)
+            scene.region_proj = K.Parameter(scene.region_proj.data.copy(), "regions")
+            projected.append((list(features), scene.region_proj))
+            return scene
+
+        monkeypatch.setattr(P, "project_batch", with_region_parameter)
+        forced = P.unroll_rows(params, feats, refs, T_MAX)
+        joint = P.unroll_rows(params, feats, refs, T_MAX, row_rngs(2))
+        monkeypatch.undo()
+        for run, (rows, regions) in zip((forced, joint), projected):
+            weights = np.ones(run.ce_values.shape)
+            K.zero_grads(params.parameters() + [regions])
+            if run.traces:
+                K.backward(run.loss(weights, -weights))
+            else:
+                K.backward(run.loss(weights))
+                assert (params.W_e.grad[EOS_ID] == 0.0).all()
+                assert (params.W_e.grad[6] == 0.0).all()
+                assert (params.W_e.grad[4] != 0.0).any()      # fed on row 0's second step
+            # each scene's regions, wherever its rows are: m = 2, then m = 5 of 5
+            for f in feats:
+                m = f.shape[0]
+                for r in [r for r, g in enumerate(rows) if g is f]:
+                    assert (regions.grad[r, m:] == 0.0).all()
+                    assert (regions.grad[r, :m] != 0.0).any()
+
+    def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
+        params, feats, _ = row_batch()
+        scene = P.project_batch(params, feats[:2])
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
+        created = []
+        init = K.Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            created.append(tensor)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(K.Tensor, "__init__", counted)
+        logits, _, _, attn = P.policy_step(params, np.array([4, 5]), state, scene)
+        monkeypatch.undo()
+        assert logits.shape == (2, params.vocab_size) and attn.shape == (2, 5)
+        assert len(created) <= 16
+
+    def test_empty_row_rejected(self):
+        params, feats, _ = row_batch()
+        with pytest.raises(ValueError):
+            P.unroll_rows(params, feats[:2], [[4], []], T_MAX)
+        run = P.unroll_rows(params, feats[:2], [[4], [5]], T_MAX)
+        with pytest.raises(ValueError):        # no sampled rows, so no log-probs to weight
+            run.loss(np.ones(run.ce_values.shape), np.ones(run.ce_values.shape))
+
+
+class TestUnrollRows:
+    """The joint unroll against the padded sampler and scorer it replaces."""
+
+    def test_sampled_rows_do_not_depend_on_the_forced_rows(self):
+        params, feats, refs = row_batch()
+        joint = unroll_batch(params, feats, refs).traces
+        alone = P.unroll_rows(params, feats, [], T_MAX, row_rngs(len(feats))).traces
+        one = [P.rollout_sample(params, f, T_MAX, rng)
+               for f, rng in zip(feats, row_rngs(len(feats)))]
+        for a, b, c in zip(joint, alone, one):
+            assert a.actions == b.actions == c.actions
+            np.testing.assert_allclose(a.log_probs, b.log_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.log_probs, c.log_probs, rtol=0, atol=1e-12)
+
+    def test_steps_only_the_rows_that_have_not_finished(self, monkeypatch):
+        params, feats, refs = row_batch()
+        rows = []
+        step = P.policy_step
+
+        def counted(params_, prev, state, scene):
+            rows.append(len(prev))
+            return step(params_, prev, state, scene)
+
+        monkeypatch.setattr(P, "policy_step", counted)
+        run = unroll_batch(params, feats, refs)
+        monkeypatch.undo()
+        ends = [len(ref) for ref in refs] + [len(t) for t in run.traces]
+        assert len(rows) == max(ends) == len(run.rows)
+        assert rows == [sum(e > t for e in ends) for t in range(len(rows))]
+        for t, ids in enumerate(run.rows):
+            assert ids.tolist() == [r for r, e in enumerate(ends) if e > t]
+
+    def test_loss_and_gradients_equal_the_padded_scorer(self):
+        params, feats, refs = row_batch()
+        run = unroll_batch(params, feats, refs)
+        n = len(feats)
+        eta, adv, loss = weighted_loss(run, refs)
+        K.zero_grads(params.parameters())
+        K.backward(loss)
+        grads = {q.name: q.grad.copy() for q in params.parameters()}
+
+        sampled = [t.actions for t in run.traces]
+        oracle = padded_score_rows(params, feats + feats, refs + sampled,
+                                   [[e] * len(ref) for e, ref in zip(eta, refs)]
+                                   + [[0.0] * len(s) for s in sampled],
+                                   [[0.0] * len(ref) for ref in refs] + [-a for a in adv])
+        K.zero_grads(params.parameters())
+        K.backward(oracle.loss)
+        assert float(loss.data) == pytest.approx(float(oracle.loss.data), rel=1e-12, abs=0)
+        for q in params.parameters():
+            np.testing.assert_allclose(grads[q.name], q.grad, rtol=0,
+                                       atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
+        assert run.ce_values.shape == oracle.cross_entropy.shape
+        np.testing.assert_allclose(run.ce_values[:n], oracle.cross_entropy[:n], rtol=1e-12, atol=0)
+        for i, trace in enumerate(run.traces):
+            np.testing.assert_allclose(oracle.log_prob[n + i, :len(trace)], trace.log_probs,
+                                       rtol=1e-12, atol=0)
+
+    def test_weights_of_finished_steps_are_never_read(self):
+        params, feats, refs = row_batch()
+        run = unroll_batch(params, feats, refs)
+        n = len(feats)
+        ends = [len(ref) for ref in refs] + [len(t) for t in run.traces]
+        ce_w = np.full(run.ce_values.shape, np.nan)
+        lp_w = np.full(run.ce_values.shape, np.nan)
+        for r, end in enumerate(ends):
+            ce_w[r, :end] = 1.0 if r < n else 0.0
+            lp_w[r, :end] = 0.0 if r < n else -1.0
+        K.zero_grads(params.parameters())
+        K.backward(run.loss(ce_w, lp_w))
+        assert all(np.isfinite(q.grad).all() for q in params.parameters())
 
 
 class TestGreedy:
@@ -312,100 +510,3 @@ def test_full_unroll_backprop_gradcheck():
         return K.add_n(P.forced_step_losses(params, feats, tokens))
 
     assert K.grad_check(fn, params.parameters(), max_coords=15, seed=1) <= 1e-4
-
-
-class TestScoreRows:
-    """One batched teacher-forced unroll against the per-scene entry points."""
-
-    def make(self):
-        params, _ = tiny_policy(seed=21, vocab_size=9, hidden=6, feature_dim=4)
-        rng = np.random.default_rng(22)
-        f2, f5 = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
-        refs = [[4, 6, EOS_ID], [5, 3, 7, 4, 8, EOS_ID]]
-        sampled = [[7, 7, 3, 6], [8, 5]]
-        advantages = [rng.uniform(-1.0, 2.0, len(s)) for s in sampled]
-        return params, [f2, f5], refs, sampled, advantages
-
-    def test_matches_summed_per_scene_losses(self):
-        params, feats, refs, sampled, adv = self.make()
-        eta = [0.7, 1.3]
-        scores = P.score_rows(
-            params, feats + feats, refs + sampled,
-            [[eta[0]] * 3, [eta[1]] * 6, [0.0] * 4, [0.0] * 2],
-            [[0.0] * 3, [0.0] * 6, -adv[0], -adv[1]])
-        names = [q.name for q in params.parameters()]
-        K.zero_grads(params.parameters())
-        K.backward(scores.loss)
-        batched = {q.name: q.grad.copy() for q in params.parameters()}
-
-        per_scene = []
-        for f, ref, e in zip(feats, refs, eta):
-            per_scene.append(K.scale(K.add_n(P.forced_step_losses(params, f, ref)), e))
-        traces = [P.unroll_forced(params, f, s) for f, s in zip(feats, sampled)]
-        per_scene += [R.rl_loss(trace, a) for trace, a in zip(traces, adv)]
-        oracle = K.add_n(per_scene)
-        K.zero_grads(params.parameters())
-        K.backward(oracle)
-        assert float(scores.loss.data) == pytest.approx(float(oracle.data), rel=1e-12)
-        for name, q in zip(names, params.parameters()):
-            scale = np.abs(q.grad).max()
-            np.testing.assert_allclose(batched[name], q.grad, rtol=0, atol=1e-12 * scale,
-                                       err_msg=name)
-        for r, ref in enumerate(refs):
-            expected = [float(n.data) for n in P.forced_step_losses(params, feats[r], ref)]
-            np.testing.assert_allclose(scores.cross_entropy[r, :len(ref)], expected, rtol=1e-12)
-            assert (scores.cross_entropy[r, len(ref):] == 0.0).all()
-        for r, trace in enumerate(traces):
-            np.testing.assert_allclose(scores.log_prob[2 + r, :len(trace)], trace.log_probs,
-                                       rtol=1e-12)
-            assert (scores.log_prob[2 + r, len(trace):] == 0.0).all()
-
-    def test_padded_steps_and_regions_get_exactly_zero_gradient(self, monkeypatch):
-        params, feats, refs, _, _ = self.make()
-        # row 0 ends after two steps: its last token 6 and then <eos> are fed
-        # only on its padded steps, and row 1 feeds neither
-        tokens = [[4, 6], [5, 3, 7, 4, 8, 2]]
-        region_grads = []
-        project = P.project_batch
-
-        def with_region_parameter(params_, features):
-            scene = project(params_, features)
-            scene.region_proj = K.Parameter(scene.region_proj.data.copy(), "regions")
-            region_grads.append(scene.region_proj)
-            return scene
-
-        monkeypatch.setattr(P, "project_batch", with_region_parameter)
-        scores = P.score_rows(params, feats, tokens, [[1.0] * 2, [1.0] * 6])
-        monkeypatch.undo()
-        (regions,) = region_grads
-        K.zero_grads(params.parameters() + [regions])
-        K.backward(scores.loss)
-        assert scores.cross_entropy.shape == (2, 6)
-        assert (scores.cross_entropy[0, 2:] == 0.0).all()
-        assert (params.W_e.grad[EOS_ID] == 0.0).all()
-        assert (params.W_e.grad[6] == 0.0).all()
-        assert (params.W_e.grad[4] != 0.0).any()          # fed on row 0's second step
-        assert (regions.grad[0, 2:] == 0.0).all()         # scene 0 has m = 2 of 5
-        assert (regions.grad[0, :2] != 0.0).any()
-
-    def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
-        params, feats, _, _, _ = self.make()
-        scene = P.project_batch(params, feats)
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
-        created = []
-        init = K.Tensor.__init__
-
-        def counted(tensor, *args, **kwargs):
-            created.append(tensor)
-            init(tensor, *args, **kwargs)
-
-        monkeypatch.setattr(K.Tensor, "__init__", counted)
-        logits, _, _, attn = P.policy_step(params, np.array([4, 5]), state, scene)
-        monkeypatch.undo()
-        assert logits.shape == (2, params.vocab_size) and attn.shape == (2, 5)
-        assert len(created) <= 16
-
-    def test_empty_row_rejected(self):
-        params, feats, _, _, _ = self.make()
-        with pytest.raises(ValueError):
-            P.score_rows(params, feats, [[4], []], [[1.0], []])

@@ -10,6 +10,7 @@ from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
+from curioseq.vocab import EOS_ID
 
 
 @pytest.fixture(scope="module")
@@ -323,20 +324,86 @@ class TestTrain:
             assert (a.data == b.data).all()
 
     def test_resumed_run_matches_uninterrupted(self, tiny_corpus, tmp_path):
+        # for both optimizers: the report and last.ckpt bytes of the resumed
+        # epoch equal those of the uninterrupted run
         train, val, vocab = tiny_corpus
-        full_cfg = tiny_config(epochs=3, seed=9)
-        full = T.train(train, val, vocab, full_cfg)
+        for optimizer in ("sgd", "adam"):
+            full_dir, part_dir = tmp_path / optimizer / "full", tmp_path / optimizer / "part"
+            full_cfg = tiny_config(epochs=3, seed=9, optimizer=optimizer, out_dir=str(full_dir))
+            full = T.train(train, val, vocab, full_cfg)
 
-        part_cfg = tiny_config(epochs=2, seed=9, out_dir=str(tmp_path))
-        T.train(train, val, vocab, part_cfg)
-        resumed_cfg = tiny_config(epochs=3, seed=9)
-        model, extra = T.load_model(tmp_path / "last.ckpt", resumed_cfg,
-                                    vocab.size, train[0].feature_dim)
-        resumed = T.train(train, val, vocab, resumed_cfg,
-                          start_epoch=extra["epoch"] + 1, model=model)
-        assert [r.epoch for r in resumed.reports] == [2]
-        for a, b in zip(full.model.parameters(), resumed.model.parameters()):
-            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=0)
+            part_cfg = tiny_config(epochs=2, seed=9, optimizer=optimizer, out_dir=str(part_dir))
+            T.train(train, val, vocab, part_cfg)
+            model, opt, extra = T.resume_state(part_dir / "last.ckpt", full_cfg,
+                                               vocab.size, train[0].feature_dim)
+            resumed_cfg = tiny_config(epochs=3, seed=9, optimizer=optimizer,
+                                      out_dir=str(part_dir))
+            resumed = T.train(train, val, vocab, resumed_cfg, start_epoch=extra["epoch"] + 1,
+                              model=model, best_cider=extra["best_cider"], opt=opt)
+            assert [r.epoch for r in resumed.reports] == [2]
+            assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
+            for a, b in zip(full.model.parameters(), resumed.model.parameters()):
+                np.testing.assert_allclose(a.data, b.data, rtol=0, atol=0, err_msg=optimizer)
+            assert ((part_dir / "last.ckpt").read_bytes()
+                    == (full_dir / "last.ckpt").read_bytes()), optimizer
+
+    def test_resume_state_restores_the_optimizer_it_was_saved_with(self, tiny_corpus, tmp_path):
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
+        T.train(train, val, vocab, cfg)
+        path = tmp_path / "last.ckpt"
+        _, opt, extra = T.resume_state(path, cfg, vocab.size, train[0].feature_dim)
+        steps = -(-len(train) // cfg.batch_size)
+        assert extra["optimizer"] == {"variant": "adam", "step_count": steps}
+        assert opt.step_count == steps and opt.variant == "adam"
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        assert sorted(opt.slots) == sorted(p.name for p in model.parameters())
+        # a plain model load reads past the moments
+        T.load_model(path, cfg, vocab.size, train[0].feature_dim)
+        with pytest.raises(T.ckpt.CheckpointError, match="'adam', not 'sgd'"):
+            T.resume_state(path, tiny_config(optimizer="sgd"), vocab.size, train[0].feature_dim)
+
+    def test_resume_state_rejects_missing_optimizer_state(self, tiny_corpus, tmp_path):
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
+        T.train(train, val, vocab, cfg)
+        tensors, extra = T.ckpt.load_checkpoint(tmp_path / "last.ckpt")
+        no_record = {k: v for k, v in extra.items() if k != "optimizer"}
+        no_moment = {k: v for k, v in tensors.items() if k != "adam.v.policy.W_e"}
+        for name, (t, e) in {"a.ckpt": (tensors, no_record),
+                             "b.ckpt": (no_moment, extra)}.items():
+            T.ckpt.save_checkpoint(tmp_path / name, t, extra=e)
+            with pytest.raises(T.ckpt.CheckpointError, match=name):
+                T.resume_state(tmp_path / name, cfg, vocab.size, train[0].feature_dim)
+
+
+class TestLearningDynamics:
+    def test_episode_length_and_eos_rate_count_the_sampled_episodes(self, tiny_corpus,
+                                                                     monkeypatch):
+        train, val, vocab = tiny_corpus
+        captured = []
+        unroll_rows = P.unroll_rows
+
+        def capture(*args):
+            captured.append(unroll_rows(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(P, "unroll_rows", capture)
+        (report,) = T.train(train, val, vocab, tiny_config(epochs=1, t_max=6)).reports
+        traces = [trace for run in captured for trace in run.traces]
+        assert len(traces) == len(train)
+        lengths = [len(trace.actions) for trace in traces]
+        ended = [trace.actions[-1] == EOS_ID for trace in traces]
+        # the batch has both kinds of episode: some reach <eos>, some t_max
+        assert 0 < sum(ended) < len(traces)
+        assert report.mean_episode_length == sum(lengths) / len(traces)
+        assert report.eos_rate == sum(ended) / len(traces)
+        assert all(n == 6 for n, eos in zip(lengths, ended) if not eos)
+
+    def test_zero_in_xe_mode(self, tiny_corpus):
+        train, val, vocab = tiny_corpus
+        (report,) = T.train(train, val, vocab, tiny_config(epochs=1, mode="xe")).reports
+        assert report.mean_episode_length == 0.0 and report.eos_rate == 0.0
 
 
 class TestEvaluate:
