@@ -12,7 +12,7 @@ reliable.
 The step ops take either one vector or a matrix with a leading row axis (one
 row per sequence of a minibatch), and the softmax-family ops and ``sumsq``
 work over the last axis, so a whole minibatch unrolls as one graph;
-``take_row`` gathers rows along that axis to drop finished sequences.
+``take_row`` gathers along the leading row axis to drop finished sequences.
 """
 
 from __future__ import annotations
@@ -307,8 +307,7 @@ def _check_index(index, n: int, what: str) -> None:
     if isinstance(index, np.ndarray):
         if index.ndim != 1 or index.dtype.kind not in "iu":
             raise ShapeError(f"{what} expects an int or a vector of ints, got {index.dtype}{index.shape}")
-        values = index.tolist()     # min and max of a short list beat two numpy reductions
-        if values and (min(values) < 0 or max(values) >= n):
+        if index.size and (index.min() < 0 or index.max() >= n):
             raise IndexError(f"{what} index out of range [0, {n})")
     elif not 0 <= index < n:
         raise IndexError(f"{what} index {index} out of range [0, {n})")
@@ -322,14 +321,11 @@ def take_row(W: Tensor, index) -> Tensor:
     if W.data.ndim < 1:
         raise ShapeError("take_row expects an array with at least one axis")
     _check_index(index, W.data.shape[0], "take_row")
-    out = W.data[index] if isinstance(index, np.ndarray) else W.data[index].copy()
+    out = W.data[index].copy()
 
     def bw(g, accum):
         full = np.zeros_like(W.data)
-        if isinstance(index, np.ndarray) and len(set(index.tolist())) < index.size:
-            np.add.at(full, index, g)
-        else:                  # no index repeats: a plain scatter is the same sum
-            full[index] = g
+        np.add.at(full, index, g)
         accum(W, full)
 
     return Tensor(out, (W,), bw, "take_row")

@@ -314,32 +314,37 @@ class TrainResult:
     best_cider: float
 
 
+def optimizer_path(path) -> Path:
+    """The file beside checkpoint path that holds the adam moments of its
+    optimizer state: last.ckpt.adam for last.ckpt."""
+    path = Path(path)
+    return path.with_name(path.name + ".adam")
+
+
 def save_model(path, model: ModelParams, extra: dict | None = None,
                opt: OptimState | None = None) -> None:
     """Write the model's parameters; with opt, also the optimizer state that
     resume_state reads back: its variant and step count in extra, and for
-    adam the moments of each parameter as tensors "adam.m.<name>" and
-    "adam.v.<name>"."""
-    tensors = ckpt.params_as_dict(model.parameters())
+    adam the moments of each parameter, as tensors "m.<name>" and "v.<name>",
+    in their own file optimizer_path(path), so that the checkpoint itself
+    stays the size of the model. The moments are written first, under the
+    same variant and step count: a write that stops between the two files
+    leaves a pair whose step counts differ, which resume_state rejects."""
     if opt is not None:
-        extra = {**(extra or {}),
-                 "optimizer": {"variant": opt.variant, "step_count": opt.step_count}}
-        for name, slot in opt.slots.items():
-            tensors[f"adam.m.{name}"] = slot["m"]
-            tensors[f"adam.v.{name}"] = slot["v"]
-    ckpt.save_checkpoint(path, tensors, extra=extra)
-
-
-def _load(path, cfg: TrainConfig, vocab_size: int, feature_dim: int):
-    model = init_model(cfg, vocab_size, feature_dim)
-    tensors, extra = ckpt.load_checkpoint(path)
-    ckpt.load_into_params(model.parameters(), tensors)
-    return model, tensors, extra
+        record = {"variant": opt.variant, "step_count": opt.step_count}
+        extra = {**(extra or {}), "optimizer": record}
+        if opt.slots:
+            moments = {f"{key}.{name}": slot[key]
+                       for name, slot in opt.slots.items() for key in ("m", "v")}
+            ckpt.save_checkpoint(optimizer_path(path), moments, extra=record)
+    ckpt.save_checkpoint(path, ckpt.params_as_dict(model.parameters()), extra=extra)
 
 
 def load_model(path, cfg: TrainConfig, vocab_size: int,
                feature_dim: int) -> tuple[ModelParams, dict]:
-    model, _, extra = _load(path, cfg, vocab_size, feature_dim)
+    model = init_model(cfg, vocab_size, feature_dim)
+    tensors, extra = ckpt.load_checkpoint(path)
+    ckpt.load_into_params(model.parameters(), tensors)
     return model, extra
 
 
@@ -350,24 +355,35 @@ def new_optimizer(cfg: TrainConfig) -> OptimState:
 
 def resume_state(path, cfg: TrainConfig, vocab_size: int,
                  feature_dim: int) -> tuple[ModelParams, OptimState, dict]:
-    """The model, optimizer state and extra record of a checkpoint that train
-    wrote, to continue its run exactly. Raises CheckpointError unless the
-    checkpoint holds the state of the optimizer cfg names."""
-    model, tensors, extra = _load(path, cfg, vocab_size, feature_dim)
+    """The model, optimizer state and extra record of a last.ckpt that train
+    wrote, to continue its run exactly. Under sgd, which keeps no state, a
+    checkpoint without an optimizer record (one written before the record
+    was kept, or a best.ckpt) resumes with a fresh optimizer. Raises
+    CheckpointError when the record names another optimizer than cfg, or
+    when an adam checkpoint has no record or its moments are missing or do
+    not belong to it."""
+    model, extra = load_model(path, cfg, vocab_size, feature_dim)
+    opt = new_optimizer(cfg)
     record = extra.get("optimizer")
+    if record is None and opt.variant == "sgd":
+        return model, opt, extra
     if (not isinstance(record, dict) or type(record.get("step_count")) is not int
             or record["step_count"] < 0):
         raise ckpt.CheckpointError(f"checkpoint {path} holds no optimizer state to resume")
-    if record.get("variant") != cfg.optimizer:
+    if record.get("variant") != opt.variant:
         raise ckpt.CheckpointError(f"checkpoint {path} was trained with optimizer "
-                                   f"{record.get('variant')!r}, not {cfg.optimizer!r}")
-    opt = new_optimizer(cfg)
+                                   f"{record.get('variant')!r}, not {opt.variant!r}")
     opt.step_count = record["step_count"]
     if opt.variant == "adam" and opt.step_count > 0:
+        moments_path = optimizer_path(path)
+        moments, stored = ckpt.load_checkpoint(moments_path)
+        if stored != record:
+            raise ckpt.CheckpointError(f"{moments_path} holds the optimizer state of "
+                                       f"another step than checkpoint {path}")
         for p in model.parameters():
-            m, v = tensors.get(f"adam.m.{p.name}"), tensors.get(f"adam.v.{p.name}")
+            m, v = moments.get(f"m.{p.name}"), moments.get(f"v.{p.name}")
             if m is None or v is None or m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ckpt.CheckpointError(f"checkpoint {path} lacks the adam moments of "
+                raise ckpt.CheckpointError(f"{moments_path} lacks the adam moments of "
                                            f"{p.name!r}")
             opt.slots[p.name] = {"m": m, "v": v}
     return model, opt, extra
@@ -387,9 +403,10 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     imitation-weight and learning-rate schedules, evaluates the validation
     split with greedy decoding, and writes checkpoints when out_dir is set:
     last.ckpt every epoch and best.ckpt when the validation CIDEr beats
-    best_cider. Both hold the optimizer state, so a run resumed from
-    resume_state(last.ckpt) with its epoch, best_cider and optimizer state
-    matches the uninterrupted run.
+    best_cider. last.ckpt also holds the optimizer state (the adam moments
+    in last.ckpt.adam beside it), so a run resumed from resume_state(last.ckpt)
+    with its epoch, best_cider and optimizer state matches the
+    uninterrupted run.
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
@@ -457,5 +474,5 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             extra = {"epoch": epoch, "config": cfg.semantic_dict(), "best_cider": best_cider}
             save_model(out_dir / "last.ckpt", model, extra=extra, opt=opt)
             if improved:
-                save_model(out_dir / "best.ckpt", model, extra=extra, opt=opt)
+                save_model(out_dir / "best.ckpt", model, extra=extra)
     return TrainResult(model=model, reports=reports, best_cider=best_cider)

@@ -174,7 +174,8 @@ class TestTrain:
                     "--epochs", "1"]) == 0
         assert run(["train", "--config", str(cfg_path), "--out", str(part),
                     "--resume", str(part / "last.ckpt")]) == 0
-        assert (part / "last.ckpt").read_bytes() == (full / "last.ckpt").read_bytes()
+        for name in ("last.ckpt", "last.ckpt.adam"):
+            assert (part / name).read_bytes() == (full / name).read_bytes()
         reports = [(d / "reports.jsonl").read_text().splitlines() for d in (full, part)]
         assert reports[0] == reports[1]
 

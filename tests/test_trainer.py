@@ -344,22 +344,32 @@ class TestTrain:
             assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
             for a, b in zip(full.model.parameters(), resumed.model.parameters()):
                 np.testing.assert_allclose(a.data, b.data, rtol=0, atol=0, err_msg=optimizer)
-            assert ((part_dir / "last.ckpt").read_bytes()
-                    == (full_dir / "last.ckpt").read_bytes()), optimizer
+            for name in ("last.ckpt", "last.ckpt.adam"):
+                assert (part_dir / name).exists() == (full_dir / name).exists()
+                if (full_dir / name).exists():
+                    assert ((part_dir / name).read_bytes()
+                            == (full_dir / name).read_bytes()), (optimizer, name)
+            assert (full_dir / "last.ckpt.adam").exists() == (optimizer == "adam")
 
     def test_resume_state_restores_the_optimizer_it_was_saved_with(self, tiny_corpus, tmp_path):
         train, val, vocab = tiny_corpus
         cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
-        T.train(train, val, vocab, cfg)
+        result = T.train(train, val, vocab, cfg)
         path = tmp_path / "last.ckpt"
         _, opt, extra = T.resume_state(path, cfg, vocab.size, train[0].feature_dim)
         steps = -(-len(train) // cfg.batch_size)
         assert extra["optimizer"] == {"variant": "adam", "step_count": steps}
         assert opt.step_count == steps and opt.variant == "adam"
-        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
-        assert sorted(opt.slots) == sorted(p.name for p in model.parameters())
-        # a plain model load reads past the moments
-        T.load_model(path, cfg, vocab.size, train[0].feature_dim)
+        names = sorted(p.name for p in result.model.parameters())
+        assert sorted(opt.slots) == names
+        # the checkpoints hold the parameters alone; the moments lie beside last.ckpt
+        for name in ("last.ckpt", "best.ckpt"):
+            tensors, _ = T.ckpt.load_checkpoint(tmp_path / name)
+            assert sorted(tensors) == names
+        moments, stored = T.ckpt.load_checkpoint(T.optimizer_path(path))
+        assert stored == extra["optimizer"]
+        assert sorted(moments) == sorted(f"{k}.{n}" for n in names for k in "mv")
+        assert not T.optimizer_path(tmp_path / "best.ckpt").exists()
         with pytest.raises(T.ckpt.CheckpointError, match="'adam', not 'sgd'"):
             T.resume_state(path, tiny_config(optimizer="sgd"), vocab.size, train[0].feature_dim)
 
@@ -368,13 +378,39 @@ class TestTrain:
         cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
         T.train(train, val, vocab, cfg)
         tensors, extra = T.ckpt.load_checkpoint(tmp_path / "last.ckpt")
+        moments, record = T.ckpt.load_checkpoint(T.optimizer_path(tmp_path / "last.ckpt"))
         no_record = {k: v for k, v in extra.items() if k != "optimizer"}
-        no_moment = {k: v for k, v in tensors.items() if k != "adam.v.policy.W_e"}
-        for name, (t, e) in {"a.ckpt": (tensors, no_record),
-                             "b.ckpt": (no_moment, extra)}.items():
-            T.ckpt.save_checkpoint(tmp_path / name, t, extra=e)
+        no_moment = {k: v for k, v in moments.items() if k != "v.policy.W_e"}
+        later = {**record, "step_count": record["step_count"] + 1}
+        cases = {"a.ckpt": (no_record, None),        # no optimizer record
+                 "b.ckpt": (extra, (no_moment, record)),
+                 "c.ckpt": (extra, None),            # no moments file
+                 "d.ckpt": (extra, (moments, later))}    # moments of another step
+        for name, (e, beside) in cases.items():
+            T.ckpt.save_checkpoint(tmp_path / name, tensors, extra=e)
+            if beside is not None:
+                T.ckpt.save_checkpoint(T.optimizer_path(tmp_path / name), *beside)
             with pytest.raises(T.ckpt.CheckpointError, match=name):
                 T.resume_state(tmp_path / name, cfg, vocab.size, train[0].feature_dim)
+
+    def test_sgd_resumes_from_a_checkpoint_without_optimizer_state(self, tiny_corpus,
+                                                                   tmp_path):
+        # sgd keeps no state, so a checkpoint saved without one (as best.ckpt
+        # is, and as every checkpoint was before the state was kept) resumes
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=1, optimizer="sgd")
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        T.save_model(tmp_path / "old.ckpt", model, extra={"epoch": 0})
+        resumed, opt, extra = T.resume_state(tmp_path / "old.ckpt", cfg, vocab.size,
+                                             train[0].feature_dim)
+        assert extra == {"epoch": 0}
+        assert (opt.variant, opt.step_count, opt.slots) == ("sgd", 0, {})
+        assert opt.learning_rate == cfg.learning_rate and opt.clip_norm == cfg.clip_norm
+        for a, b in zip(model.parameters(), resumed.parameters()):
+            assert (a.data == b.data).all()
+        with pytest.raises(T.ckpt.CheckpointError, match="no optimizer state"):
+            T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer="adam"), vocab.size,
+                           train[0].feature_dim)
 
 
 class TestLearningDynamics:

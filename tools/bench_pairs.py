@@ -27,8 +27,7 @@ import time
 from pathlib import Path
 
 PAIRING = "pair i runs parent then change for even i, change then parent for odd i"
-BENCHMARK = ("python3 perfbench/run.py --workload <w> --seed <s> --seconds <seconds> "
-             "--trace <t>")
+BENCHMARK = "python3 perfbench/run.py --workload <w> --seed <s> --trace <t>"
 
 
 def quartiles(values: list[float]) -> dict:
@@ -69,11 +68,12 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int,
-             log: list[str], label: str) -> dict:
-    """One perfbench run in tree; returns its .perfbench_out/ record."""
+def run_once(tree: Path, workload: str, seed: int, trace: int, log: list[str],
+             label: str) -> dict:
+    """One perfbench run in tree, at the benchmark's own run length; returns
+    its .perfbench_out/ record."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     log.append(f"{time.strftime('%H:%M:%S')} {label} {workload} seed {seed} trace {trace}: "
@@ -105,7 +105,6 @@ def main(argv=None) -> int:
                         help="workload:seed:pairs, repeatable")
     parser.add_argument("--traced", action="append", default=[],
                         help="a workload to trace once per tree (seed 0), repeatable")
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
     log: list[str] = []
@@ -116,16 +115,13 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"order": ", ".join(order)}
             for side in order:
-                pair[side] = run_once(trees[side], workload, seed, args.seconds, 0, log,
-                                      f"pair {i} {side}")
+                pair[side] = run_once(trees[side], workload, seed, 0, log, f"pair {i} {side}")
             pairs.append(pair)
         paired[f"{workload}-seed{seed}"] = {"pairs": pairs, "summary": summarize(pairs)}
-    traced = {workload: {side: run_once(trees[side], workload, 0, args.seconds, 1, log,
-                                        f"traced {side}")
+    traced = {workload: {side: run_once(trees[side], workload, 0, 1, log, f"traced {side}")
                          for side in ("parent", "change")}
               for workload in args.traced}
-    doc = {"benchmark": BENCHMARK.replace("<seconds>", f"{args.seconds:g}"),
-           "pairing": PAIRING, "parent_commit": commit_of(trees["parent"]),
+    doc = {"benchmark": BENCHMARK, "pairing": PAIRING, "parent_commit": commit_of(trees["parent"]),
            "paired": paired, "traced": traced, "run_log": log}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for key, entry in paired.items():
