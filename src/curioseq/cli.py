@@ -54,14 +54,27 @@ def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
+def make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create directory {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def dump_effective_config(cfg: trn.TrainConfig, out_dir: Path | None) -> None:
     line = cfg.to_json()
     print(f"config {line}")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "effective_config.json").write_text(
-            json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        make_dir(out_dir)
+        write_text(out_dir / "effective_config.json",
+                   json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
@@ -92,7 +105,7 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     spec = _load_grammar(args.grammar, args.seed)
     train_scenes, val_scenes, vocab = synth.synth_split(spec, args.scenes, args.val_scenes)
     vocab.save(out / "vocab.txt")
@@ -179,6 +192,9 @@ def cmd_eval(args) -> int:
     manifest = {"train": cfg.train_manifest, "val": cfg.val_manifest}[args.split]
     if manifest is None:
         raise CliError(f"config does not name a manifest for split {args.split!r}")
+    if cfg.train_manifest is None:
+        raise CliError("config does not name a train_manifest, which CIDEr's document "
+                       "frequencies are built from")
     ds = dat.load_dataset(manifest, t_max=cfg.t_max)
     train_ds = ds if args.split == "train" else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
     model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
@@ -196,9 +212,8 @@ def cmd_eval(args) -> int:
     }
     print(json.dumps(record, sort_keys=True))
     if args.graph_out:
-        Path(args.graph_out).write_text(
-            json.dumps(report.graph.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_text(args.graph_out,
+                   json.dumps(report.graph.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -231,7 +246,7 @@ def cmd_diversity(args) -> int:
     graph = met.diversity_graph(paragraphs)
     payload = json.dumps(graph.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        write_text(args.output, payload)
     else:
         sys.stdout.write(payload)
     return 0

@@ -3,11 +3,12 @@
 Every operation the policy and curiosity networks need is implemented here
 with an explicit forward value and a backward closure. There is no general
 graph compiler: nodes simply remember their parents, and ``backward`` walks
-them in reverse topological order. The attention-LSTM step runs on fused
-single-node ops (``lstm_cell``, ``additive_attention``, ``project_rows``),
-and weight-matrix gradients are batched into one matmul per Parameter at the
-end of ``backward``. All math is 64-bit so finite-difference checks are
-reliable.
+them in reverse topological order. The LSTM and additive-attention math lives
+once, in plain-array forward/backward helpers (``lstm_forward``,
+``attention_forward`` and their backward halves); the fused policy step and
+the single-node ``lstm_cell``/``additive_attention`` ops both call them.
+Weight-matrix gradients are batched into one matmul per Parameter at the end
+of ``backward``. All math is 64-bit so finite-difference checks are reliable.
 
 The step ops take either one vector or a matrix with a leading row axis (one
 row per sequence of a minibatch), and the softmax-family ops and ``sumsq``
@@ -302,7 +303,7 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(out, (x,), bw, "vslice")
 
 
-def _check_index(index, n: int, what: str) -> None:
+def check_index(index, n: int, what: str) -> None:
     """An int, or a vector of ints, each in [0, n)."""
     if isinstance(index, np.ndarray):
         if index.ndim != 1 or index.dtype.kind not in "iu":
@@ -320,7 +321,7 @@ def take_row(W: Tensor, index) -> Tensor:
     It is the embedding lookup, and it moves rows of states and scenes."""
     if W.data.ndim < 1:
         raise ShapeError("take_row expects an array with at least one axis")
-    _check_index(index, W.data.shape[0], "take_row")
+    check_index(index, W.data.shape[0], "take_row")
     out = W.data[index].copy()
 
     def bw(g, accum):
@@ -418,31 +419,62 @@ def sumsq(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
     return Tensor(out, (x,), bw, "sumsq")
 
 
+def attend_values(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """features.T @ weights for (m, E) features and (m,) weights, or the same
+    per row for (n, m, E) features and (n, m) weights."""
+    if features.ndim == 2:
+        return features.T @ weights
+    return np.matmul(weights[:, None, :], features)[:, 0, :]
+
+
+def attend_grad(features: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The attention-weight gradient of attend_values, given g on its output."""
+    return np.matmul(features, g[..., None])[..., 0]
+
+
 def attend(weights: Tensor, features: np.ndarray) -> Tensor:
-    """Weighted sum of constant region features: features.T @ weights for
-    (m, E) features, or the same per row for (n, m, E) and (n, m) weights."""
+    """Weighted sum of constant region features (attend_values) as a node."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim not in (2, 3) or weights.data.shape != features.shape[:-1]:
         raise ShapeError(
             f"attend expects weights {features.shape[:-1]} for features {features.shape}"
         )
-    if features.ndim == 2:
-        out = features.T @ weights.data
-    else:
-        out = np.matmul(weights.data[:, None, :], features)[:, 0, :]
 
     def bw(g, accum):
-        accum(weights, np.matmul(features, g[..., None])[..., 0])
+        accum(weights, attend_grad(features, g))
 
-    return Tensor(out, (weights,), bw, "attend")
+    return Tensor(attend_values(weights.data, features), (weights,), bw, "attend")
+
+
+def attention_forward(R: np.ndarray, h_proj: np.ndarray, w_a: np.ndarray,
+                      mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights a = softmax_i(w_a . tanh(R_i + h_proj)) over the
+    regions R_i (rows of (m, Z) R, or per row of (n, m, Z) R and (n, Z)
+    h_proj), -inf scores where a boolean mask is False; returns (a, t) with
+    t the tanh that attention_backward reads."""
+    t = np.tanh(R + h_proj[..., None, :])
+    scores = t @ w_a
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
+    return softmax_values(scores), t
+
+
+def attention_backward(accum, w_a: Tensor, a: np.ndarray, t: np.ndarray,
+                       g: np.ndarray) -> np.ndarray:
+    """Hand w_a its gradient for g on the weights a; return the gradient on
+    the pre-tanh sums R_i + h_proj (h_proj's is its sum over the regions).
+    Masked regions have a = 0, so their gradient is exactly zero."""
+    d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
+    accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]))
+    return d_scores[..., None] * w_a.data * (1.0 - t * t)
 
 
 def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor,
                        mask: np.ndarray | None = None) -> Tensor:
-    """Attention weights softmax_i(w_a . tanh(R_i + h_proj)) over the rows of
-    an (m, Z) matrix R, as one node. With a leading row axis R is (n, m, Z)
-    and h_proj (n, Z); a boolean (n, m) mask marks the real regions of each
-    row, and padded regions get weight 0 and no gradient."""
+    """attention_forward as one node over an (m, Z) region matrix R, or with
+    a leading row axis (n, m, Z) R, (n, Z) h_proj and an optional boolean
+    (n, m) mask of the real regions; padded regions get weight 0 and no
+    gradient."""
     if R.data.ndim not in (2, 3) or R.data.shape[-2] < 1:
         raise ShapeError(f"additive_attention expects non-empty (m, Z) regions, got {R.shape}")
     z = R.data.shape[-1]
@@ -451,16 +483,10 @@ def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor,
                          f"do not match rows of {R.shape}")
     if mask is not None and mask.shape != R.data.shape[:-1]:
         raise ShapeError(f"additive_attention mask {mask.shape} does not match {R.shape}")
-    t = np.tanh(R.data + h_proj.data[..., None, :])
-    scores = t @ w_a.data
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    a = softmax_values(scores)
+    a, t = attention_forward(R.data, h_proj.data, w_a.data, mask)
 
     def bw(g, accum):
-        d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
-        accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, z))
-        d_pre = d_scores[..., None] * w_a.data * (1.0 - t * t)
+        d_pre = attention_backward(accum, w_a, a, t, g)
         accum(R, d_pre)
         accum(h_proj, d_pre.sum(axis=-2))
 
@@ -487,18 +513,19 @@ def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
 def _picked(logits: Tensor, index) -> tuple:
     """Index tuple of the chosen entry per row: (index,) for a vector of
     logits and an int, (arange(n), index) for (n, D) logits and n ints."""
-    _check_index(index, logits.data.shape[-1], "log-softmax")
+    check_index(index, logits.data.shape[-1], "log-softmax")
     if np.shape(index) != logits.data.shape[:-1]:
         raise ShapeError(f"indices {np.shape(index)} do not match logits {logits.shape}")
     return (index,) if logits.data.ndim == 1 else (np.arange(len(index)), index)
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
+def cross_entropy(logits: Tensor, target, probs: np.ndarray | None = None) -> Tensor:
     """-log(softmax(logits)[target] + eps) over the last axis: a scalar for a
     vector and an int target, one value per row for (n, D) logits and n
-    targets. The backward pass is softmax(logits) - onehot(target)."""
+    targets. A caller that already holds softmax_values(logits.data) passes
+    it as probs. The backward pass is softmax(logits) - onehot(target)."""
     at = _picked(logits, target)
-    p = softmax_values(logits.data)
+    p = softmax_values(logits.data) if probs is None else probs
     out = -np.log(p[at] + CE_EPSILON)
 
     def bw(g, accum):
@@ -555,46 +582,61 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
     )
 
 
+def lstm_forward(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
+                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One LSTM step over plain arrays, a vector or a row per sequence;
+    returns (h, c, cache), the cache being what lstm_backward reads."""
+    z = params.hidden_size
+    gates = (x @ params.W_x.data.T + params.b.data) + h_prev @ params.W_h.data.T
+    sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
+    i, f, o = sig[..., :z], sig[..., z:2 * z], sig[..., 3 * z:]
+    g = np.tanh(gates[..., 2 * z:3 * z])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
+
+
+def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
+                  dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Given dh and dc on an lstm_forward step's outputs, hand W_x and W_h
+    the gate gradient as deferred (g, x) pairs and b its sum, and return the
+    gradients (dx, dh_prev, dc_prev) on the step's inputs."""
+    x, h_prev, c_prev, i, f, o, g, tc = cache
+    dc = dc + dh * o * (1.0 - tc * tc)
+    d_gates = np.concatenate([
+        dc * g * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dc * i * (1.0 - g * g),
+        dh * tc * o * (1.0 - o),
+    ], axis=-1)
+    accum(params.W_x, d_gates, x)
+    accum(params.W_h, d_gates, h_prev)
+    accum(params.b, _sum_rows(d_gates))
+    return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc * f
+
+
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step as a single node holding [h, c], returned as two views;
-    x, h_prev and c_prev are vectors or matrices with one row per sequence.
-
-    The backward pass hands the gate gradient to W_x and W_h as deferred
-    (g, x) pairs, so their outer products are batched by ``backward``.
-    """
-    W_x, W_h, b = params.W_x, params.W_h, params.b
+    """lstm_forward as a single node holding [h, c], returned as two views;
+    x, h_prev and c_prev are vectors or matrices with one row per sequence."""
+    W_x = params.W_x
     z = params.hidden_size
     if x.data.ndim not in (1, 2) or W_x.data.shape[1] != x.data.shape[-1]:
         raise ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
     state_shape = x.data.shape[:-1] + (z,)
     if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
         raise ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
-    gates = (x.data @ W_x.data.T + b.data) + h_prev.data @ W_h.data.T
-    sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
-    i, f, o = sig[..., :z], sig[..., z:2 * z], sig[..., 3 * z:]
-    g = np.tanh(gates[..., 2 * z:3 * z])
-    c = f * c_prev.data + i * g
-    tc = np.tanh(c)
-    h = o * tc
+    h, c, cache = lstm_forward(params, x.data, h_prev.data, c_prev.data)
 
     def bw(grad, accum):
-        dh, dc = grad[..., :z], grad[..., z:]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        d_gates = np.concatenate([
-            dc * g * i * (1.0 - i),
-            dc * c_prev.data * f * (1.0 - f),
-            dc * i * (1.0 - g * g),
-            dh * tc * o * (1.0 - o),
-        ], axis=-1)
-        accum(W_x, d_gates, x.data)
-        accum(W_h, d_gates, h_prev.data)
-        accum(b, _sum_rows(d_gates))
-        accum(x, d_gates @ W_x.data)
-        accum(h_prev, d_gates @ W_h.data)
-        accum(c_prev, dc * f)
+        dx, dh_prev, dc_prev = lstm_backward(accum, params, cache, grad[..., :z], grad[..., z:])
+        accum(x, dx)
+        accum(h_prev, dh_prev)
+        accum(c_prev, dc_prev)
 
-    state = Tensor(np.concatenate([h, c], axis=-1), (x, h_prev, c_prev, W_x, W_h, b), bw, "lstm")
+    state = Tensor(np.concatenate([h, c], axis=-1),
+                   (x, h_prev, c_prev, *params.parameters()), bw, "lstm")
     return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 

@@ -4,13 +4,15 @@ rollout, greedy decoding and beam search.
 Step structure: a visual LSTM reads [previous language state, projected mean
 features, previous word embedding]; its state attends over projected region
 features; the attended feature vector and the visual state drive a language
-LSTM whose state is projected to the next-word distribution.
+LSTM whose state is projected to the next-word distribution. policy_step
+runs all of it as one recorded node over one state array per sequence,
+[s_vis, s_lang, c_vis, c_lang], plus a node for the output projection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -19,18 +21,22 @@ from .kernel import (
     LOGPROB_FLOOR,
     LstmParams,
     Parameter,
+    ShapeError,
     Tensor,
     add_n,
-    additive_attention,
     affine,
-    attend,
-    concat,
+    attend_grad,
+    attend_values,
+    attention_backward,
+    attention_forward,
+    check_index,
     constant,
     cross_entropy,
     dotp,
     init_lstm,
     logprob,
-    lstm_cell,
+    lstm_backward,
+    lstm_forward,
     no_grad,
     project_rows,
     softmax_values,
@@ -81,26 +87,11 @@ def init_policy(rng: np.random.Generator, vocab_size: int, hidden: int,
     )
 
 
-@dataclass
-class PolicyState:
-    """Hidden and cell states of both LSTMs; concat is [s_vis, s_lang]."""
-
-    s_vis: Tensor
-    c_vis: Tensor
-    s_lang: Tensor
-    c_lang: Tensor
-    concat: Tensor
-
-    def take(self, rows: np.ndarray) -> "PolicyState":
-        """The states of the given rows, in that order; a row may repeat."""
-        return PolicyState(*(take_row(getattr(self, f.name), rows) for f in fields(self)))
-
-
-def initial_state(params: PolicyParams, rows: tuple[int, ...] = ()) -> PolicyState:
-    """Zero states: vectors, or one row each for rows == (n,)."""
-    z = params.hidden_size
-    zero = constant(np.zeros(rows + (z,)))
-    return PolicyState(zero, zero, zero, zero, constant(np.zeros(rows + (2 * z,))))
+def initial_state(params: PolicyParams, rows: tuple[int, ...] = ()) -> Tensor:
+    """Zero states [s_vis, s_lang, c_vis, c_lang]: a (4Z,) vector, or one
+    row each for rows == (n,). The first 2Z columns, [s_vis, s_lang], are
+    the state the curiosity module reads."""
+    return constant(np.zeros(rows + (4 * params.hidden_size,)))
 
 
 @dataclass
@@ -143,31 +134,68 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
                           mask=None if mask.all() else mask)
 
 
-def policy_step(params: PolicyParams, prev_word, state: PolicyState | None,
+def policy_step(params: PolicyParams, prev_word, state: Tensor | None,
                 scene: ProjectedScene | np.ndarray):
-    """One decoding step, for one sequence (an int prev_word) or for a row
-    per sequence (an int array and a project_batch scene).
+    """One decoding step, for one sequence (an int prev_word and a (4Z,)
+    state) or for a row per sequence (an int array, (n, 4Z) states and a
+    project_batch scene).
 
     Returns (next-word logits, new state, attended features, attention
-    weights).
+    weights). The state is one node whose backward pass runs the whole step
+    in reverse, and the logits a second node over its s_lang columns; the
+    attended features and attention weights are plain arrays, as no
+    gradient flows back through them.
     """
     if not isinstance(scene, ProjectedScene):
         scene = project_scene(params, scene)
+    rows = scene.mean_proj.shape[:-1]
     if state is None:
-        state = initial_state(params, scene.mean_proj.shape[:-1])
+        state = initial_state(params, rows)
+    z = params.hidden_size
+    if state.shape != rows + (4 * z,) or np.shape(prev_word) != rows:
+        raise ShapeError(f"policy_step expects words {rows} and states {rows + (4 * z,)}, "
+                         f"got {np.shape(prev_word)} and {state.shape}")
+    check_index(prev_word, params.vocab_size, "policy_step")
+    prev = state.data
+    x_vis = np.concatenate([prev[..., z:2 * z], scene.mean_proj.data, params.W_e.data[prev_word]],
+                           axis=-1)
+    s_vis, c_vis, vis = lstm_forward(params.vis, x_vis, prev[..., :z], prev[..., 2 * z:3 * z])
+    attn, t = attention_forward(scene.region_proj.data, s_vis @ params.W_h.data.T,
+                                params.W_a.data, scene.mask)
+    v_hat = attend_values(attn, scene.features)
+    x_lang = np.concatenate([v_hat, s_vis], axis=-1)
+    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, prev[..., z:2 * z], prev[..., 3 * z:])
 
-    emb = take_row(params.W_e, prev_word)
-    x_vis = concat([state.s_lang, scene.mean_proj, emb])
-    s_vis, c_vis = lstm_cell(x_vis, state.s_vis, state.c_vis, params.vis)
+    def step_bw(g, accum):
+        e = v_hat.shape[-1]
+        dx_lang, ds_lang, dc_lang = lstm_backward(accum, params.lang, lang,
+                                                  g[..., z:2 * z], g[..., 3 * z:])
+        d_pre = attention_backward(accum, params.W_a, attn, t,
+                                   attend_grad(scene.features, dx_lang[..., :e]))
+        accum(scene.region_proj, d_pre)
+        d_hproj = d_pre.sum(axis=-2)
+        accum(params.W_h, d_hproj, s_vis)
+        dx_vis, ds_vis, dc_vis = lstm_backward(
+            accum, params.vis, vis, g[..., :z] + dx_lang[..., e:] + d_hproj @ params.W_h.data,
+            g[..., 2 * z:3 * z])
+        accum(scene.mean_proj, dx_vis[..., z:2 * z])
+        onehot = np.zeros(rows + (params.vocab_size,))     # the embedding lookup's (g, x) pair
+        onehot[(np.arange(rows[0]), prev_word) if rows else prev_word] = 1.0
+        accum(params.W_e, onehot, dx_vis[..., 2 * z:])
+        accum(state, np.concatenate([ds_vis, ds_lang + dx_vis[..., :z], dc_vis, dc_lang], axis=-1))
 
-    h_proj = affine(s_vis, params.W_h)
-    attn = additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
-    v_hat = attend(attn, scene.features)
+    new_state = Tensor(np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1),
+                       (state, scene.region_proj, scene.mean_proj, params.W_e, params.W_h,
+                        params.W_a, *params.vis.parameters(), *params.lang.parameters()),
+                       step_bw, "policy_step")
 
-    x_lang = concat([v_hat, s_vis])
-    s_lang, c_lang = lstm_cell(x_lang, state.s_lang, state.c_lang, params.lang)
-    logits = affine(s_lang, params.W_p)
-    new_state = PolicyState(s_vis, c_vis, s_lang, c_lang, concat([s_vis, s_lang]))
+    def logits_bw(g, accum):
+        accum(params.W_p, g, s_lang)
+        d_state = np.zeros(new_state.shape)
+        d_state[..., z:2 * z] = g @ params.W_p.data
+        accum(new_state, d_state)
+
+    logits = Tensor(s_lang @ params.W_p.data.T, (new_state, params.W_p), logits_bw, "logits")
     return logits, new_state, v_hat, attn
 
 
@@ -178,7 +206,7 @@ class RolloutTrace:
     actions: list[int] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)
     logprob_nodes: list[Tensor] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)      # concat values (2Z,)
+    states: list[np.ndarray] = field(default_factory=list)      # [s_vis, s_lang] values (2Z,)
     attention: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -188,13 +216,13 @@ class RolloutTrace:
     def ended_with_eos(self) -> bool:
         return bool(self.actions) and self.actions[-1] == EOS_ID
 
-    def record(self, action: int, logits: Tensor, state: PolicyState, attn: Tensor) -> None:
+    def record(self, action: int, logits: Tensor, state: Tensor, attn: np.ndarray) -> None:
         node = logprob(logits, action)
         self.actions.append(action)
         self.log_probs.append(float(node.data))
         self.logprob_nodes.append(node)
-        self.states.append(state.concat.data.copy())
-        self.attention.append(attn.data.copy())
+        self.states.append(state.data[:state.shape[-1] // 2].copy())
+        self.attention.append(attn.copy())
 
 
 def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
@@ -206,13 +234,13 @@ def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
     steps at once and choose returns one token per row.
 
     With live given, live(t, token) returns the ascending positions of the
-    rows that go on after step t: their state, scene and token rows are
-    gathered with take_row before the next step, and the loop ends once no
-    row is left."""
+    rows that go on after step t: their state rows (one take_row), scene
+    and token rows are gathered before the next step, and the loop ends once
+    no row is left."""
     if not isinstance(scene, ProjectedScene):
         scene = project_scene(params, scene)
     rows = scene.mean_proj.shape[:-1]
-    state: PolicyState | None = None
+    state: Tensor | None = None
     token = np.full(rows, BOS_ID) if rows else BOS_ID
     for t in range(t_max):
         logits, state, _, attn = policy_step(params, token, state, scene)
@@ -223,7 +251,7 @@ def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
             if keep.size == 0:
                 return
             if keep.size < token.size:
-                token, state, scene = token[keep], state.take(keep), scene.take(keep)
+                token, state, scene = token[keep], take_row(state, keep), scene.take(keep)
 
 
 def _forced(params: PolicyParams, features: np.ndarray,
@@ -238,26 +266,33 @@ def _forced(params: PolicyParams, features: np.ndarray,
 class RowUnroll:
     """One recorded unroll over the rows of a minibatch, teacher-forced rows
     first. Step t ran on the rows rows[t] that had not finished, in
-    ascending order, and its nodes hold one value per such row for the token
-    the row took: its reference token or the token it sampled."""
+    ascending order, and its cross-entropy node holds one value per such row
+    for the token the row took: its reference token or the token it
+    sampled."""
 
     rows: list[np.ndarray]          # per step, the ids of the rows that stepped
     cross_entropy: list[Tensor]     # per step, -log(p + CE_EPSILON) of each row's token
-    log_prob: list[Tensor]          # per step, log max(p, LOGPROB_FLOOR); only with sampled rows
     ce_values: np.ndarray           # (rows, steps) cross-entropy values, 0 where a row did not step
     traces: list[RolloutTrace]      # the episodes of the sampled rows, without graph nodes
+    n_forced: int                   # rows below n_forced are teacher-forced, the others sampled
 
     def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
         """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
-        (+ lp_weights[r, t] logp_rt), for (rows, steps) weight arrays; the
-        weights of steps a row did not take are never read."""
-        if lp_weights is not None and not self.log_prob:
+        on the teacher-forced rows and lp_weights[r, t] logp_rt on the
+        sampled rows, for (rows, steps) weight arrays; the weights of steps a
+        row did not take are never read. -CE_rt stands in for logp_rt: its
+        gradient is the same, and its value differs by at most
+        log(1 + CE_EPSILON / p)."""
+        if lp_weights is not None and not self.traces:
             raise ValueError("log-prob weights need sampled rows")
         terms = []
-        for t, rows in enumerate(self.rows):
-            terms.append(dotp(self.cross_entropy[t], constant(ce_weights[rows, t])))
+        for t, (rows, node) in enumerate(zip(self.rows, self.cross_entropy)):
+            k = np.searchsorted(rows, self.n_forced)
+            w = np.zeros(len(rows))
+            w[:k] = ce_weights[rows[:k], t]
             if lp_weights is not None:
-                terms.append(dotp(self.log_prob[t], constant(lp_weights[rows, t])))
+                w[k:] = -lp_weights[rows[k:], t]
+            terms.append(dotp(node, constant(w)))
         return add_n(terms)
 
 
@@ -317,18 +352,18 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
         ids = ids[keep]
         return keep
 
-    out = RowUnroll([], [], [], np.empty(0), [])
+    out = RowUnroll([], [], np.empty(0), [], n_forced)
     for t, (token, logits, state, attn) in enumerate(unroll(params, scene, choose, steps, live)):
+        p = softmax_values(logits.data)
         out.rows.append(ids)
-        out.cross_entropy.append(cross_entropy(logits, token))
+        out.cross_entropy.append(cross_entropy(logits, token, p))
         if rngs:
-            out.log_prob.append(logprob(logits, token))
             k = np.searchsorted(ids, n_forced)
             s = ids[k:] - n_forced
             actions[s, t] = token[k:]
-            log_probs[s, t] = out.log_prob[-1].data[k:]
-            states[s, t] = state.concat.data[k:]
-            attention[s, t] = attn.data[k:]
+            log_probs[s, t] = np.log(np.maximum(p[np.arange(k, len(ids)), token[k:]], LOGPROB_FLOOR))
+            states[s, t] = state.data[k:, :2 * params.hidden_size]
+            attention[s, t] = attn[k:]
             lengths[s] += 1
     out.ce_values = np.zeros((len(ends), len(out.rows)))
     for t, (rows, node) in enumerate(zip(out.rows, out.cross_entropy)):
@@ -396,7 +431,7 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
         scenes: dict[int, ProjectedScene] = {}    # the scene once per live row
         live_lp = np.zeros(1)
         live: list[tuple[int, ...]] = [()]
-        state: PolicyState | None = None
+        state: Tensor | None = None
         done: list[tuple[float, tuple[int, ...]]] = []
         for _ in range(t_max):
             if not live:
@@ -419,7 +454,7 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
             live = [tokens for _, tokens, _ in keep]
             parents = [parent for _, _, parent in keep]
             if parents != list(range(len(prev))):      # no gather when every row goes on
-                state = state.take(np.array(parents, dtype=np.intp))
+                state = take_row(state, np.array(parents, dtype=np.intp))
         done.extend(zip(live_lp.tolist(), live))
         best = min(done, key=lambda c: (-c[0], c[1]))
         return list(best[1])

@@ -1,5 +1,7 @@
 """Reference decoders and scorers for the row paths of curioseq.policy.
 
+`composite_policy_step` is the attention-LSTM step as the graph of
+single-purpose kernel ops that `policy.policy_step` fuses into one node.
 `one_row_sample` is the sampler that stepped one scene at a time through the
 vector form of policy_step, and `per_hypothesis_beam` is the beam search that
 stepped each live hypothesis on its own and sorted all width x vocab
@@ -18,6 +20,30 @@ import numpy as np
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
+
+
+def composite_policy_step(params, prev_word, state, scene):
+    """policy_step as a composite graph: a take_row for the embedding, four
+    vslices of the state, three concats, two lstm_cell nodes (each with two
+    vslice views), two affines, additive_attention and attend. Returns
+    (logits, [s_vis, s_lang, c_vis, c_lang] state, attended features,
+    attention weights), all as nodes."""
+    if not isinstance(scene, P.ProjectedScene):
+        scene = P.project_scene(params, scene)
+    if state is None:
+        state = P.initial_state(params, scene.mean_proj.shape[:-1])
+    z = params.hidden_size
+    s_vis0, s_lang0, c_vis0, c_lang0 = (K.vslice(state, i * z, (i + 1) * z) for i in range(4))
+    emb = K.take_row(params.W_e, prev_word)
+    x_vis = K.concat([s_lang0, scene.mean_proj, emb])
+    s_vis, c_vis = K.lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
+    h_proj = K.affine(s_vis, params.W_h)
+    attn = K.additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
+    v_hat = K.attend(attn, scene.features)
+    x_lang = K.concat([v_hat, s_vis])
+    s_lang, c_lang = K.lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
+    logits = K.affine(s_lang, params.W_p)
+    return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
 def one_row_sample(params, features, t_max, rng):
@@ -95,7 +121,7 @@ def padded_sample_rows(params, features, t_max, rngs):
                                               choose, t_max):
             picked = dist[np.arange(n), token]
             steps.append((token, np.log(np.maximum(picked, K.LOGPROB_FLOOR)),
-                          state.concat.data, attn.data))
+                          state.data[:, :2 * params.hidden_size], attn))
             lengths += live
             live &= token != EOS_ID
             if not live.any():

@@ -15,6 +15,25 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_clean_error(capsys, code, *words):
+    """Exit status 1 and one `error:` line naming each word, no traceback."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    for word in words:
+        assert word in err
+
+
+def under_a_file(tmp_path: Path, name: str) -> Path:
+    """A path whose parent is a regular file, so it can be neither created
+    nor written."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / name
+
+
 def filecmp_dirs(a: Path, b: Path) -> bool:
     names_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     names_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
@@ -52,6 +71,11 @@ def trained(tmp_path_factory, synth_dir):
 
 
 class TestSynth:
+    def test_out_under_a_regular_file_fails_cleanly(self, tmp_path, capsys):
+        out = under_a_file(tmp_path, "corpus")
+        code = run(["synth", "--out", str(out), "--scenes", "2", "--val-scenes", "1"])
+        assert_clean_error(capsys, code, str(out))
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -84,6 +108,12 @@ class TestSynth:
 
 
 class TestTrain:
+    def test_out_under_a_regular_file_fails_cleanly(self, synth_dir, tmp_path, capsys):
+        out = under_a_file(tmp_path, "run")
+        code = run(["train", "--train-manifest", str(synth_dir / "train_manifest.json"),
+                    "--epochs", "1", "--out", str(out)])
+        assert_clean_error(capsys, code, str(out))
+
     def test_emits_one_report_line_per_epoch(self, trained, capsys):
         out, cfg_path = trained
         reports = (out / "reports.jsonl").read_text().strip().splitlines()
@@ -204,13 +234,7 @@ def _broken_copy(synth_dir: Path, tmp_path: Path, edit) -> Path:
 
 class TestTrainBadInput:
     def assert_clean_error(self, capsys, code, *words):
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        for word in words:
-            assert word in err
+        assert_clean_error(capsys, code, *words)
 
     def test_bad_vocab_file(self, synth_dir, tmp_path, capsys):
         manifest = _broken_copy(synth_dir, tmp_path,
@@ -279,6 +303,23 @@ class TestEval:
         doc = json.loads(graph_path.read_text())
         assert doc["stats"]["node_count"] == len(doc["nodes"])
         assert doc["stats"]["edge_count"] == len(doc["edges"])
+
+    def test_graph_out_under_a_regular_file_fails_cleanly(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        graph_path = under_a_file(tmp_path, "graph.json")
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
+                    "--graph-out", str(graph_path)])
+        assert_clean_error(capsys, code, str(graph_path))
+
+    def test_val_split_without_train_manifest_fails_cleanly(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        cfg = json.loads(cfg_path.read_text())
+        del cfg["train_manifest"]
+        val_only = tmp_path / "val_only.json"
+        val_only.write_text(json.dumps(cfg))
+        code = run(["eval", "--config", str(val_only), "--checkpoint", str(out / "last.ckpt"),
+                    "--split", "val"])
+        assert_clean_error(capsys, code, "train_manifest")
 
     def test_corrupt_checkpoint_fails_cleanly(self, trained, tmp_path, capsys):
         out, cfg_path = trained
@@ -359,3 +400,10 @@ class TestDiversity:
 
     def test_missing_input(self, tmp_path, capsys):
         assert run(["diversity", "--input", str(tmp_path / "none.txt")]) == 1
+
+    def test_output_under_a_regular_file_fails_cleanly(self, tmp_path, capsys):
+        text = tmp_path / "gen.txt"
+        text.write_text("the red box sits .")
+        out_path = under_a_file(tmp_path, "graph.json")
+        code = run(["diversity", "--input", str(text), "--output", str(out_path)])
+        assert_clean_error(capsys, code, str(out_path))

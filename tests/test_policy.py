@@ -5,8 +5,8 @@ from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.vocab import BOS_ID, EOS_ID
-from oracles import (one_row_sample, padded_sample_rows, padded_score_rows,
-                     per_hypothesis_beam)
+from oracles import (composite_policy_step, one_row_sample, padded_sample_rows,
+                     padded_score_rows, per_hypothesis_beam)
 
 
 def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
@@ -40,8 +40,8 @@ class TestPolicyStep:
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
         feats = rng.standard_normal((1, 3))
         _, _, v_hat, attn = P.policy_step(params, BOS_ID, None, feats)
-        assert attn.data.tolist() == [1.0]
-        np.testing.assert_allclose(v_hat.data, feats[0], atol=1e-15)
+        assert attn.tolist() == [1.0]
+        np.testing.assert_allclose(v_hat, feats[0], atol=1e-15)
 
     def test_zero_parameters_give_uniform_distribution(self):
         params, feats = tiny_policy(vocab_size=8)
@@ -58,17 +58,23 @@ class TestPolicyStep:
             dist = K.softmax(logits)
             assert abs(dist.data.sum() - 1.0) <= 1e-9
             assert (dist.data > 0).all()
-            assert abs(attn.data.sum() - 1.0) <= 1e-9
-            assert (attn.data >= 0).all()
+            assert abs(attn.sum() - 1.0) <= 1e-9
+            assert (attn >= 0).all()
 
     def test_state_concat_invariant(self):
+        # one state array [s_vis, s_lang, c_vis, c_lang]; a trace records its
+        # first 2Z columns, [s_vis, s_lang], as the curiosity state
         params, feats = tiny_policy(seed=6)
+        z = params.hidden_size
         _, state, _, _ = P.policy_step(params, BOS_ID, None, feats)
-        np.testing.assert_array_equal(
-            state.concat.data,
-            np.concatenate([state.s_vis.data, state.s_lang.data]))
+        _, parts, _, _ = composite_policy_step(params, BOS_ID, None, feats)
+        assert state.shape == (4 * z,)
+        np.testing.assert_array_equal(state.data, parts.data)
+        trace = P.RolloutTrace()
+        trace.record(*next(P._forced(params, feats, [4])))
+        np.testing.assert_array_equal(trace.states[0], state.data[:2 * z])
 
-    def test_recorded_step_creates_at_most_16_nodes(self, monkeypatch):
+    def test_recorded_step_creates_at_most_3_nodes(self, monkeypatch):
         params, feats = tiny_policy(seed=3)
         scene = P.project_scene(params, feats)
         _, state, _, _ = P.policy_step(params, BOS_ID, None, scene)
@@ -82,7 +88,7 @@ class TestPolicyStep:
         monkeypatch.setattr(K.Tensor, "__init__", counted)
         P.policy_step(params, 4, state, scene)
         monkeypatch.undo()
-        assert len(created) <= 16, sorted(t.op for t in created)
+        assert len(created) <= 3, sorted(t.op for t in created)
 
     def test_word_index_validated(self):
         params, feats = tiny_policy()
@@ -320,7 +326,7 @@ class TestScoreRows:
         logits, _, _, attn = P.policy_step(params, np.array([4, 5]), state, scene)
         monkeypatch.undo()
         assert logits.shape == (2, params.vocab_size) and attn.shape == (2, 5)
-        assert len(created) <= 16
+        assert len(created) <= 3, sorted(t.op for t in created)
 
     def test_empty_row_rejected(self):
         params, feats, _ = row_batch()
@@ -402,6 +408,134 @@ class TestUnrollRows:
         K.zero_grads(params.parameters())
         K.backward(run.loss(ce_w, lp_w))
         assert all(np.isfinite(q.grad).all() for q in params.parameters())
+
+
+def _values(x):
+    return x.data if isinstance(x, K.Tensor) else x
+
+
+def run_steps(step, params, scene, words, targets):
+    """Feed words through step from the zero state. Returns the per-step
+    (logits, state, attended features, attention) values and a scalar loss:
+    the weighted cross-entropy of targets under every step's logits plus the
+    squared norm of the last state, so every output block gets a gradient."""
+    state, outs, terms = None, [], []
+    for word, target in zip(words, targets):
+        logits, state, v_hat, attn = step(params, word, state, scene)
+        outs.append((logits.data, state.data, _values(v_hat), _values(attn)))
+        ce = K.cross_entropy(logits, target)
+        terms.append(ce if ce.data.ndim == 0
+                     else K.dotp(ce, K.constant(np.linspace(0.5, 1.5, ce.shape[0]))))
+    return outs, K.add_n(terms + [K.sumsq(state)])
+
+
+class TestFusedStep:
+    """policy_step, one node over one state array, against the composite
+    graph of single-purpose kernel ops it fuses: the same outputs bit for
+    bit, and the same gradients up to summation order."""
+
+    @staticmethod
+    def vector_case():
+        params, feats = tiny_policy(seed=21)
+        return params, lambda: P.project_scene(params, feats), [BOS_ID, 4, 7], [4, 7, EOS_ID]
+
+    @staticmethod
+    def row_case(saturated=True):
+        params, feats, _ = row_batch()          # m = 2 and m = 5: masked regions
+        if not saturated:                       # finite differences need smooth logits
+            params.W_p.data[...] = np.random.default_rng(3).uniform(-0.5, 0.5, params.W_p.shape)
+        words = [np.full(6, BOS_ID), np.array([4, 5, 6, 7, 8, 3]), np.array([5, 5, 2, EOS_ID, 4, 6])]
+        return params, lambda: P.project_batch(params, feats), words, words[1:] + [words[0]]
+
+    @pytest.mark.parametrize("case", ["vector_case", "row_case"])
+    def test_outputs_equal_the_composite_step(self, case):
+        params, scene, words, targets = getattr(self, case)()
+        fused, _ = run_steps(P.policy_step, params, scene(), words, targets)
+        composite, _ = run_steps(composite_policy_step, params, scene(), words, targets)
+        for got, want in zip(fused, composite):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["vector_case", "row_case"])
+    def test_gradients_equal_the_composite_step(self, case):
+        params, scene, words, targets = getattr(self, case)()
+        grads = []
+        for step in (P.policy_step, composite_policy_step):
+            K.zero_grads(params.parameters())
+            K.backward(run_steps(step, params, scene(), words, targets)[1])
+            grads.append({q.name: q.grad.copy() for q in params.parameters()})
+        for q in params.parameters():
+            want = grads[1][q.name]
+            assert np.abs(want).max() > 0.0, q.name
+            np.testing.assert_allclose(grads[0][q.name], want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=q.name)
+
+    @pytest.mark.parametrize("case", ["vector_case", "row_case"])
+    def test_gradients_match_finite_differences(self, case):
+        params, scene, words, targets = (self.vector_case() if case == "vector_case"
+                                          else self.row_case(saturated=False))
+        err = K.grad_check(lambda: run_steps(P.policy_step, params, scene(), words, targets)[1],
+                           params.parameters(), max_coords=20)
+        assert err <= 1e-4
+
+    def test_padded_regions_get_exactly_zero_gradient(self):
+        params, scene, words, targets = self.row_case()
+        projected = scene()
+        projected.region_proj = K.Parameter(projected.region_proj.data.copy(), "regions")
+        K.zero_grads(params.parameters() + [projected.region_proj])
+        K.backward(run_steps(P.policy_step, params, projected, words, targets)[1])
+        grad, mask = projected.region_proj.grad, projected.mask
+        assert (grad[~mask] == 0.0).all() and (grad[mask] != 0.0).any(axis=-1).all()
+
+    @staticmethod
+    def gathers(monkeypatch):
+        """Record each policy_step's state and each take_row's source, in
+        call order."""
+        events = []
+        step, take = P.policy_step, P.take_row
+
+        def counted_step(*args):
+            out = step(*args)
+            events.append(("step", out[1]))
+            return out
+
+        def counted_take(W, index):
+            events.append(("take", W))
+            return take(W, index)
+
+        monkeypatch.setattr(P, "policy_step", counted_step)
+        monkeypatch.setattr(P, "take_row", counted_take)
+        return events
+
+    @staticmethod
+    def state_gathers(events):
+        """Per step, how many take_rows gathered the state it returned."""
+        counts = []
+        for kind, tensor in events:
+            if kind == "step":
+                counts.append(0)
+                last = tensor
+            elif tensor is last:
+                counts[-1] += 1
+        return counts
+
+    def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
+        params, feats = tiny_policy(seed=2, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
+        events = self.gathers(monkeypatch)
+        P.beam_search(params, feats, 6, width=3)
+        monkeypatch.undo()
+        counts = self.state_gathers(events)
+        assert max(counts) == 1 and sum(counts) >= 2
+        assert sum(kind == "take" for kind, _ in events) == sum(counts)
+
+    def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
+        params, feats, refs = row_batch()
+        events = self.gathers(monkeypatch)
+        run = unroll_batch(params, feats, refs)
+        monkeypatch.undo()
+        drops = [len(a) > len(b) for a, b in zip(run.rows, run.rows[1:])] + [False]
+        assert sum(drops) >= 2
+        assert self.state_gathers(events) == [int(d) for d in drops]
 
 
 class TestGreedy:
