@@ -508,14 +508,16 @@ class TestFusedStep:
         return events
 
     @staticmethod
-    def state_gathers(events):
-        """Per step, how many take_rows gathered the state it returned."""
+    def state_gathers(events, z):
+        """Per step, the take_rows after it of (rows, 4Z) state arrays; each
+        must gather the state that step returned."""
         counts = []
         for kind, tensor in events:
             if kind == "step":
                 counts.append(0)
                 last = tensor
-            elif tensor is last:
+            elif tensor.shape[-1] == 4 * z and tensor.data.ndim == 2:
+                assert tensor is last
                 counts[-1] += 1
         return counts
 
@@ -524,7 +526,7 @@ class TestFusedStep:
         events = self.gathers(monkeypatch)
         P.beam_search(params, feats, 6, width=3)
         monkeypatch.undo()
-        counts = self.state_gathers(events)
+        counts = self.state_gathers(events, params.hidden_size)
         assert max(counts) == 1 and sum(counts) >= 2
         assert sum(kind == "take" for kind, _ in events) == sum(counts)
 
@@ -535,7 +537,7 @@ class TestFusedStep:
         monkeypatch.undo()
         drops = [len(a) > len(b) for a, b in zip(run.rows, run.rows[1:])] + [False]
         assert sum(drops) >= 2
-        assert self.state_gathers(events) == [int(d) for d in drops]
+        assert self.state_gathers(events, params.hidden_size) == [int(d) for d in drops]
 
 
 class TestGreedy:
