@@ -89,17 +89,19 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
     except json.JSONDecodeError as exc:
         raise CliError(
             f"grammar spec {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"grammar spec {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(synth.GrammarSpec)}
     for key in doc:
         if key not in known:
             raise CliError(f"grammar spec {path}: unknown key {key!r}")
-    for key in ("nouns", "adjectives", "verbs", "templates"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     doc["seed"] = seed
     try:
+        for key in ("nouns", "adjectives", "verbs", "generic_templates", "templates"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
         return synth.GrammarSpec(**doc)
-    except synth.GrammarError as exc:
+    except (synth.GrammarError, TypeError) as exc:
         raise CliError(f"grammar spec {path}: {exc}") from exc
 
 
@@ -310,7 +312,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, dat.DatasetError, trn.ConfigError, trn.TrainingAborted,
-            CheckpointError, CorpusError) as exc:
+            CheckpointError, CorpusError, synth.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

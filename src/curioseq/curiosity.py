@@ -186,14 +186,6 @@ def curiosity_pass(traces: Sequence[RolloutTrace], params: CuriosityParams,
     return CuriosityPass(errors, scale(sumsq(diff, weights), 0.5), ap_loss)
 
 
-def sp_targets(trace: RolloutTrace, params: CuriosityParams) -> np.ndarray:
-    """Detached target embeddings phi(s_2..s_T), one row per transition."""
-    if len(trace) < 2:
-        return np.zeros((0, params.embed_size))
-    with no_grad():
-        return embed_state(np.array(trace.states[1:]), params).data
-
-
 def sp_loss(trace: RolloutTrace, params: CuriosityParams,
             targets: np.ndarray | None = None) -> Tensor:
     """Mean over transitions of half the squared next-state prediction error.

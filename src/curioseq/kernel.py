@@ -5,15 +5,15 @@ with an explicit forward value and a backward closure. There is no general
 graph compiler: nodes simply remember their parents, and ``backward`` walks
 them in reverse topological order. The LSTM and additive-attention math lives
 once, in plain-array forward/backward helpers (``lstm_forward``,
-``attention_forward`` and their backward halves); the fused policy step and
-the single-node ``lstm_cell``/``additive_attention`` ops both call them.
-Weight-matrix gradients are batched into one matmul per Parameter at the end
-of ``backward``. All math is 64-bit so finite-difference checks are reliable.
+``attention_forward`` and their backward halves) that the fused policy step
+calls. Weight-matrix gradients are batched into one matmul per Parameter at
+the end of ``backward``. All math is 64-bit so finite-difference checks are
+reliable.
 
-The step ops take either one vector or a matrix with a leading row axis (one
-row per sequence of a minibatch), and the softmax-family ops and ``sumsq``
-work over the last axis, so a whole minibatch unrolls as one graph;
-``take_row`` gathers along the leading row axis to drop finished sequences.
+The ops take either one vector or a matrix with a leading row axis (one row
+per sequence of a minibatch), and ``cross_entropy`` and ``sumsq`` work over
+the last axis, so a whole minibatch unrolls as one graph; ``take_row``
+gathers along the leading row axis to drop finished sequences.
 """
 
 from __future__ import annotations
@@ -224,17 +224,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data - b.data, (a, b), bw, "sub")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-
-    def bw(g, accum):
-        accum(a, g * b.data)
-        accum(b, g * a.data)
-
-    return Tensor(a.data * b.data, (a, b), bw, "mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -289,20 +278,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(out, tuple(parts), bw, "concat")
 
 
-def vslice(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start:stop of the last axis."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError("vslice expects a vector or rows")
-    out = x.data[..., start:stop].copy()
-
-    def bw(g, accum):
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        accum(x, full)
-
-    return Tensor(out, (x,), bw, "vslice")
-
-
 def check_index(index, n: int, what: str) -> None:
     """An int, or a vector of ints, each in [0, n)."""
     if isinstance(index, np.ndarray):
@@ -332,24 +307,6 @@ def take_row(W: Tensor, index) -> Tensor:
     return Tensor(out, (W,), bw, "take_row")
 
 
-def tanh_(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def bw(g, accum):
-        accum(x, g * (1.0 - y * y))
-
-    return Tensor(y, (x,), bw, "tanh")
-
-
-def sigmoid_(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(g, accum):
-        accum(x, g * y * (1.0 - y))
-
-    return Tensor(y, (x,), bw, "sigmoid")
-
-
 def leaky_relu(x: Tensor, slope: float = DEFAULT_LEAKY_SLOPE) -> Tensor:
     factor = np.where(x.data > 0, 1.0, slope)
     y = x.data * factor
@@ -360,33 +317,11 @@ def leaky_relu(x: Tensor, slope: float = DEFAULT_LEAKY_SLOPE) -> Tensor:
     return Tensor(y, (x,), bw, "leaky_relu")
 
 
-def nonlinearity(x: Tensor, kind: str, slope: float = DEFAULT_LEAKY_SLOPE) -> Tensor:
-    if kind == "tanh":
-        return tanh_(x)
-    if kind == "sigmoid":
-        return sigmoid_(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x, slope)
-    raise ValueError(f"unknown nonlinearity {kind!r}")
-
-
 def softmax_values(x: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis via max subtraction, as plain arrays:
     what the decoders and samplers read as the next-word distribution."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis. Each row sums to 1 and is positive."""
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] < 1:
-        raise ShapeError("softmax expects a non-empty vector or rows")
-    y = softmax_values(x.data)
-
-    def bw(g, accum):
-        accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return Tensor(y, (x,), bw, "softmax")
 
 
 def dotp(a: Tensor, b: Tensor) -> Tensor:
@@ -432,20 +367,6 @@ def attend_grad(features: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.matmul(features, g[..., None])[..., 0]
 
 
-def attend(weights: Tensor, features: np.ndarray) -> Tensor:
-    """Weighted sum of constant region features (attend_values) as a node."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (2, 3) or weights.data.shape != features.shape[:-1]:
-        raise ShapeError(
-            f"attend expects weights {features.shape[:-1]} for features {features.shape}"
-        )
-
-    def bw(g, accum):
-        accum(weights, attend_grad(features, g))
-
-    return Tensor(attend_values(weights.data, features), (weights,), bw, "attend")
-
-
 def attention_forward(R: np.ndarray, h_proj: np.ndarray, w_a: np.ndarray,
                       mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Attention weights a = softmax_i(w_a . tanh(R_i + h_proj)) over the
@@ -467,30 +388,6 @@ def attention_backward(accum, w_a: Tensor, a: np.ndarray, t: np.ndarray,
     d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
     accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]))
     return d_scores[..., None] * w_a.data * (1.0 - t * t)
-
-
-def additive_attention(R: Tensor, h_proj: Tensor, w_a: Tensor,
-                       mask: np.ndarray | None = None) -> Tensor:
-    """attention_forward as one node over an (m, Z) region matrix R, or with
-    a leading row axis (n, m, Z) R, (n, Z) h_proj and an optional boolean
-    (n, m) mask of the real regions; padded regions get weight 0 and no
-    gradient."""
-    if R.data.ndim not in (2, 3) or R.data.shape[-2] < 1:
-        raise ShapeError(f"additive_attention expects non-empty (m, Z) regions, got {R.shape}")
-    z = R.data.shape[-1]
-    if h_proj.data.shape != R.data.shape[:-2] + (z,) or w_a.data.shape != (z,):
-        raise ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
-                         f"do not match rows of {R.shape}")
-    if mask is not None and mask.shape != R.data.shape[:-1]:
-        raise ShapeError(f"additive_attention mask {mask.shape} does not match {R.shape}")
-    a, t = attention_forward(R.data, h_proj.data, w_a.data, mask)
-
-    def bw(g, accum):
-        d_pre = attention_backward(accum, w_a, a, t, g)
-        accum(R, d_pre)
-        accum(h_proj, d_pre.sum(axis=-2))
-
-    return Tensor(a, (R, h_proj, w_a), bw, "attention")
 
 
 def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
@@ -534,22 +431,6 @@ def cross_entropy(logits: Tensor, target, probs: np.ndarray | None = None) -> Te
         accum(logits, np.expand_dims(g, -1) * delta)
 
     return Tensor(out, (logits,), bw, "cross_entropy")
-
-
-def logprob(logits: Tensor, index) -> Tensor:
-    """log softmax(logits)[index] over the last axis, floored at
-    LOGPROB_FLOOR so exp(result) <= 1; per row for (n, D) logits. The
-    backward pass is onehot(index) - softmax(logits)."""
-    at = _picked(logits, index)
-    p = softmax_values(logits.data)
-    out = np.log(np.maximum(p[at], LOGPROB_FLOOR))
-
-    def bw(g, accum):
-        delta = -p
-        delta[at] += 1.0
-        accum(logits, np.expand_dims(g, -1) * delta)
-
-    return Tensor(out, (logits,), bw, "logprob")
 
 
 # ---------------------------------------------------------------------------
@@ -614,30 +495,6 @@ def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
     accum(params.W_h, d_gates, h_prev)
     accum(params.b, _sum_rows(d_gates))
     return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc * f
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: LstmParams) -> tuple[Tensor, Tensor]:
-    """lstm_forward as a single node holding [h, c], returned as two views;
-    x, h_prev and c_prev are vectors or matrices with one row per sequence."""
-    W_x = params.W_x
-    z = params.hidden_size
-    if x.data.ndim not in (1, 2) or W_x.data.shape[1] != x.data.shape[-1]:
-        raise ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
-    state_shape = x.data.shape[:-1] + (z,)
-    if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
-        raise ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
-    h, c, cache = lstm_forward(params, x.data, h_prev.data, c_prev.data)
-
-    def bw(grad, accum):
-        dx, dh_prev, dc_prev = lstm_backward(accum, params, cache, grad[..., :z], grad[..., z:])
-        accum(x, dx)
-        accum(h_prev, dh_prev)
-        accum(c_prev, dc_prev)
-
-    state = Tensor(np.concatenate([h, c], axis=-1),
-                   (x, h_prev, c_prev, *params.parameters()), bw, "lstm")
-    return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ runs all of it as one recorded node over one state array per sequence,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -34,11 +33,11 @@ from .kernel import (
     cross_entropy,
     dotp,
     init_lstm,
-    logprob,
     lstm_backward,
     lstm_forward,
     no_grad,
     project_rows,
+    recording,
     softmax_values,
     take_row,
     xavier_uniform,
@@ -201,13 +200,11 @@ def policy_step(params: PolicyParams, prev_word, state: Tensor | None,
 
 @dataclass
 class RolloutTrace:
-    """Per-step record of one sampled or forced episode."""
+    """Per-step record of one sampled episode, without graph nodes."""
 
     actions: list[int] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)
-    logprob_nodes: list[Tensor] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)      # [s_vis, s_lang] values (2Z,)
-    attention: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -216,20 +213,12 @@ class RolloutTrace:
     def ended_with_eos(self) -> bool:
         return bool(self.actions) and self.actions[-1] == EOS_ID
 
-    def record(self, action: int, logits: Tensor, state: Tensor, attn: np.ndarray) -> None:
-        node = logprob(logits, action)
-        self.actions.append(action)
-        self.log_probs.append(float(node.data))
-        self.logprob_nodes.append(node)
-        self.states.append(state.data[:state.shape[-1] // 2].copy())
-        self.attention.append(attn.copy())
-
 
 def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
            choose: Callable[[int, Tensor], int], t_max: int,
            live: Callable[[int, np.ndarray], np.ndarray] | None = None) -> Iterator[tuple]:
     """The one loop over policy_step. From <bos>, step t feeds back the token
-    choose(t, logits) and yields (token, logits, state, attention); a caller
+    choose(t, logits) and yields (token, logits, state); a caller
     stops early by leaving the loop. On a project_batch scene every row
     steps at once and choose returns one token per row.
 
@@ -243,23 +232,15 @@ def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
     state: Tensor | None = None
     token = np.full(rows, BOS_ID) if rows else BOS_ID
     for t in range(t_max):
-        logits, state, _, attn = policy_step(params, token, state, scene)
+        logits, state, _, _ = policy_step(params, token, state, scene)
         token = choose(t, logits)
-        yield token, logits, state, attn
+        yield token, logits, state
         if live is not None:
             keep = live(t, token)
             if keep.size == 0:
                 return
             if keep.size < token.size:
                 token, state, scene = token[keep], take_row(state, keep), scene.take(keep)
-
-
-def _forced(params: PolicyParams, features: np.ndarray,
-            tokens: Sequence[int]) -> Iterator[tuple]:
-    """Teacher-forced steps over tokens; they do not stop at <eos>."""
-    if not tokens:
-        raise ValueError("cannot unroll an empty sequence")
-    return unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens))
 
 
 @dataclass
@@ -282,9 +263,12 @@ class RowUnroll:
         sampled rows, for (rows, steps) weight arrays; the weights of steps a
         row did not take are never read. -CE_rt stands in for logp_rt: its
         gradient is the same, and its value differs by at most
-        log(1 + CE_EPSILON / p)."""
+        log(1 + CE_EPSILON / p). While recording, an unroll made under no_grad
+        is rejected, as its loss would have a silent zero gradient."""
         if lp_weights is not None and not self.traces:
             raise ValueError("log-prob weights need sampled rows")
+        if recording() and not all(node.parents for node in self.cross_entropy):
+            raise ValueError("the unroll ran under no_grad and has no path to the parameters")
         terms = []
         for t, (rows, node) in enumerate(zip(self.rows, self.cross_entropy)):
             k = np.searchsorted(rows, self.n_forced)
@@ -331,7 +315,6 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     actions = np.zeros((len(rngs), steps), dtype=np.intp)
     log_probs = np.zeros((len(rngs), steps))
     states = np.zeros((len(rngs), steps, 2 * params.hidden_size))
-    attention = np.zeros((len(rngs), steps, scene.features.shape[1]))
     lengths = np.zeros(len(rngs), dtype=np.intp)
 
     def choose(t: int, logits: Tensor) -> np.ndarray:
@@ -353,7 +336,7 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
         return keep
 
     out = RowUnroll([], [], np.empty(0), [], n_forced)
-    for t, (token, logits, state, attn) in enumerate(unroll(params, scene, choose, steps, live)):
+    for t, (token, logits, state) in enumerate(unroll(params, scene, choose, steps, live)):
         p = softmax_values(logits.data)
         out.rows.append(ids)
         out.cross_entropy.append(cross_entropy(logits, token, p))
@@ -363,14 +346,12 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
             actions[s, t] = token[k:]
             log_probs[s, t] = np.log(np.maximum(p[np.arange(k, len(ids)), token[k:]], LOGPROB_FLOOR))
             states[s, t] = state.data[k:, :2 * params.hidden_size]
-            attention[s, t] = attn[k:]
             lengths[s] += 1
     out.ce_values = np.zeros((len(ends), len(out.rows)))
     for t, (rows, node) in enumerate(zip(out.rows, out.cross_entropy)):
         out.ce_values[rows, t] = node.data
     out.traces = [RolloutTrace(actions=actions[i, :k].tolist(), log_probs=log_probs[i, :k].tolist(),
-                               states=list(states[i, :k]),
-                               attention=list(attention[i, :k, :features[i].shape[0]]))
+                               states=list(states[i, :k]))
                   for i, k in enumerate(lengths)]
     return out
 
@@ -384,21 +365,11 @@ def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
         return unroll_rows(params, [features], [], t_max, [rng]).traces[0]
 
 
-def unroll_forced(params: PolicyParams, features: np.ndarray,
-                  tokens: Sequence[int]) -> RolloutTrace:
-    """Teacher-forced unroll over a fixed token sequence, recording the
-    same per-step quantities as a sampled rollout."""
-    trace = RolloutTrace()
-    for step in _forced(params, features, tokens):
-        trace.record(*step)
-    return trace
-
-
 def forced_step_losses(params: PolicyParams, features: np.ndarray,
                        tokens: Sequence[int]) -> list[Tensor]:
-    """Per-step cross-entropy nodes of a teacher-forced pass (imitation)."""
-    return [cross_entropy(logits, tok)
-            for tok, logits, _, _ in _forced(params, features, tokens)]
+    """Per-step (1,) cross-entropy nodes of a teacher-forced pass (imitation):
+    the one-row view of unroll_rows."""
+    return unroll_rows(params, [features], [tokens], len(tokens)).cross_entropy
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
@@ -458,11 +429,3 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
         done.extend(zip(live_lp.tolist(), live))
         best = min(done, key=lambda c: (-c[0], c[1]))
         return list(best[1])
-
-
-def sequence_log_prob(params: PolicyParams, features: np.ndarray,
-                      tokens: Sequence[int]) -> float:
-    """Sum of per-step log conditionals of a forced sequence."""
-    with no_grad():
-        return sum(math.log(max(float(softmax_values(logits.data)[tok]), LOGPROB_FLOOR))
-                   for tok, logits, _, _ in _forced(params, features, tokens))

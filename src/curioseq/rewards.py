@@ -7,7 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import Tensor, add_n, recording, scale
 from .metrics import IdfTable, bleu, cider_single
 from .policy import RolloutTrace
 
@@ -84,22 +83,11 @@ def advantages(q_values: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
     return q_values + intrinsic
 
 
-def rl_loss(trace: RolloutTrace, advantage: np.ndarray) -> Tensor:
-    """Surrogate loss -sum_t A_t log pi(y_t | s_t) whose gradient is the
-    advantage-weighted policy gradient. Advantages are constants.
-
-    The trace needs log-prob nodes: a sampled trace has none, so score its
-    actions with unroll_forced. While the graph records, nodes made under
-    no_grad are rejected too, since they would give a silent zero gradient;
-    inside no_grad they give the loss value alone."""
+def rl_loss(trace: RolloutTrace, advantage: np.ndarray) -> float:
+    """The value of the surrogate loss -sum_t A_t log pi(y_t | s_t) of a
+    sampled episode, from the log-probabilities its trace recorded. Its
+    gradient comes from the sampled row of policy.RowUnroll.loss."""
     advantage = np.asarray(advantage, dtype=np.float64)
     if advantage.shape != (len(trace),):
         raise ValueError(f"advantage length {advantage.shape} != trace length {len(trace)}")
-    if not trace.logprob_nodes:
-        raise ValueError("trace carries no log-probability nodes (a sampled trace; "
-                         "score its actions with unroll_forced)")
-    if recording() and not all(node.parents for node in trace.logprob_nodes):
-        raise ValueError("trace's log-probability nodes were made under no_grad "
-                         "and have no path to the parameters")
-    terms = [scale(node, -float(a)) for node, a in zip(trace.logprob_nodes, advantage)]
-    return add_n(terms)
+    return float(-advantage @ np.asarray(trace.log_probs))

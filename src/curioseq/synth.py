@@ -9,8 +9,9 @@ The reference distribution is deliberately skewed: most sentences use a
 generic template that is identical across scenes, while a minority use
 specific templates with each object's bound attribute and verb. Likelihood
 training therefore collapses onto the generic phrasing (its n-grams carry
-near-zero inverse document frequency), and consensus-metric rewards favor the
-rare specific phrasings, which is the regime the training method targets.
+near-zero inverse document frequency), and the scored reward favors it too:
+on the seed-0 desk corpus, oracle val paragraphs naming each scene's objects
+score a mean 1.95 all generic against 0.79-0.97 all in one specific template.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from . import metrics as met
 from . import policy as pol
 from . import rewards as rew
 from .data import Scene
-from .kernel import OptimState, Parameter, add, add_n, gradients, sgd_step, zero_grads
+from .kernel import OptimState, Parameter, add, gradients, sgd_step, zero_grads
 from .vocab import Vocabulary
 
 MODES = ("crl", "xe", "no_intrinsic")
@@ -68,6 +68,11 @@ class TrainConfig:
     beam_width: int = 1
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "t_max", "hidden_size", "seed", "beam_width"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
+        if self.embed_size is not None and (type(self.embed_size) is not int or self.embed_size < 1):
+            raise ConfigError("embed_size must be an integer >= 1 or null")
         for name in ("intrinsic_scale", "action_loss_weight", "state_loss_weight",
                      "imitation_weight", "bleu_weight", "cider_weight"):
             if getattr(self, name) < 0:
@@ -84,8 +89,8 @@ class TrainConfig:
             raise ConfigError("lr_decay_period must be >= 1")
         if self.batch_size < 1 or self.epochs < 0 or self.t_max < 1:
             raise ConfigError("batch_size >= 1, epochs >= 0, t_max >= 1 required")
-        if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be >= 1")
+        if self.hidden_size < 1 or self.seed < 0:
+            raise ConfigError("hidden_size must be >= 1 and seed >= 0")
         if self.curiosity_init_scale <= 0:
             raise ConfigError("curiosity_init_scale must be positive")
         if self.clip_norm is not None and self.clip_norm <= 0:
@@ -150,9 +155,10 @@ def init_model(cfg: TrainConfig, vocab_size: int, feature_dim: int) -> ModelPara
 
 def xe_loss(policy: pol.PolicyParams, scene: Scene, reference_index: int = 0):
     """Teacher-forced negative log-likelihood of one reference, summed over
-    steps."""
+    steps: a 0-d node, the one-row view of the train step's imitation loss."""
     tokens = scene.references[reference_index % len(scene.references)]
-    return add_n(pol.forced_step_losses(policy, scene.features, tokens))
+    run = pol.unroll_rows(policy, [scene.features], [tokens], len(tokens))
+    return run.loss(np.ones((1, len(tokens))))
 
 
 @dataclass
@@ -223,7 +229,7 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                                     cfg.discount, cfg.td_lambda)
             advantage = rew.advantages(q, intrinsic)
             lp_weights[b + i, :len(trace)] = -advantage / b
-            rl -= float(advantage @ np.array(trace.log_probs))
+            rl += rew.rl_loss(trace, advantage)
             stats.intrinsic_sum += float(intrinsic.sum())
             stats.sampled_steps += len(trace)
             stats.eos_episodes += trace.ended_with_eos

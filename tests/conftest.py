@@ -1,6 +1,14 @@
+import os
 from collections import defaultdict
 
 import pytest
+
+# One BLAS thread unless the caller chose a count, as curioseq sets it: BLAS
+# reads these once, when numpy loads, so this runs before any test imports it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 _acceptance: dict[str, list[bool]] = defaultdict(list)
 

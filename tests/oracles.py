@@ -1,25 +1,124 @@
-"""Reference decoders and scorers for the row paths of curioseq.policy.
+"""Reference decoders, scorers and graph ops that the tests compare
+curioseq's row paths against.
 
 `composite_policy_step` is the attention-LSTM step as the graph of
-single-purpose kernel ops that `policy.policy_step` fuses into one node.
-`one_row_sample` is the sampler that stepped one scene at a time through the
-vector form of policy_step, and `per_hypothesis_beam` is the beam search that
-stepped each live hypothesis on its own and sorted all width x vocab
-candidates. `padded_sample_rows` and `padded_score_rows` are the two row
-unrolls that a train step ran before `policy.unroll_rows` joined them: a
-graph-less sampler and a recorded teacher-forced scorer, each stepping every
-row, finished or not, until its longest row ended. `policy.unroll_rows`,
-`policy.rollout_sample` and `policy.beam_search` must agree with them; the
-tests import them from here.
+single-purpose ops (`vslice`, `lstm_cell`, `additive_attention`, `attend`,
+defined here over the kernel's plain-array helpers) that
+`policy.policy_step` fuses into one node. `forced_unroll` is the
+teacher-forced unroll one scene at a time through the vector form of
+policy_step, which `sequence_log_prob`, `forced_trace` and `rl_surrogate`
+(the per-scene log-prob graph of the policy-gradient loss) read.
+`one_row_sample` is the sampler that stepped one scene at a time, and
+`per_hypothesis_beam` is the beam search that stepped each live hypothesis
+on its own and sorted all width x vocab candidates. `padded_sample_rows` and
+`padded_score_rows` are the two row unrolls that a train step ran before
+`policy.unroll_rows` joined them: a graph-less sampler and a recorded
+teacher-forced scorer with a `logprob` node, each stepping every row,
+finished or not, until its longest row ended. `policy.unroll_rows`,
+`policy.rollout_sample` and `policy.beam_search` must agree with them.
+`sp_targets` gives the frozen next-state targets that finite-difference the
+curiosity state predictor.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
+
+
+def vslice(x, start, stop):
+    """Columns start:stop of the last axis."""
+    if x.data.ndim not in (1, 2):
+        raise K.ShapeError("vslice expects a vector or rows")
+    out = x.data[..., start:stop].copy()
+
+    def bw(g, accum):
+        full = np.zeros_like(x.data)
+        full[..., start:stop] = g
+        accum(x, full)
+
+    return K.Tensor(out, (x,), bw, "vslice")
+
+
+def attend(weights, features):
+    """Weighted sum of constant region features (attend_values) as a node."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim not in (2, 3) or weights.data.shape != features.shape[:-1]:
+        raise K.ShapeError(
+            f"attend expects weights {features.shape[:-1]} for features {features.shape}"
+        )
+
+    def bw(g, accum):
+        accum(weights, K.attend_grad(features, g))
+
+    return K.Tensor(K.attend_values(weights.data, features), (weights,), bw, "attend")
+
+
+def additive_attention(R, h_proj, w_a, mask=None):
+    """attention_forward as one node over an (m, Z) region matrix R, or with
+    a leading row axis (n, m, Z) R, (n, Z) h_proj and an optional boolean
+    (n, m) mask of the real regions; padded regions get weight 0 and no
+    gradient."""
+    if R.data.ndim not in (2, 3) or R.data.shape[-2] < 1:
+        raise K.ShapeError(f"additive_attention expects non-empty (m, Z) regions, got {R.shape}")
+    z = R.data.shape[-1]
+    if h_proj.data.shape != R.data.shape[:-2] + (z,) or w_a.data.shape != (z,):
+        raise K.ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
+                           f"do not match rows of {R.shape}")
+    if mask is not None and mask.shape != R.data.shape[:-1]:
+        raise K.ShapeError(f"additive_attention mask {mask.shape} does not match {R.shape}")
+    a, t = K.attention_forward(R.data, h_proj.data, w_a.data, mask)
+
+    def bw(g, accum):
+        d_pre = K.attention_backward(accum, w_a, a, t, g)
+        accum(R, d_pre)
+        accum(h_proj, d_pre.sum(axis=-2))
+
+    return K.Tensor(a, (R, h_proj, w_a), bw, "attention")
+
+
+def logprob(logits, index):
+    """log softmax(logits)[index] over the last axis, floored at
+    LOGPROB_FLOOR so exp(result) <= 1; per row for (n, D) logits. The
+    backward pass is onehot(index) - softmax(logits)."""
+    at = K._picked(logits, index)
+    p = K.softmax_values(logits.data)
+    out = np.log(np.maximum(p[at], K.LOGPROB_FLOOR))
+
+    def bw(g, accum):
+        delta = -p
+        delta[at] += 1.0
+        accum(logits, np.expand_dims(g, -1) * delta)
+
+    return K.Tensor(out, (logits,), bw, "logprob")
+
+
+def lstm_cell(x, h_prev, c_prev, params):
+    """lstm_forward as a single node holding [h, c], returned as two views;
+    x, h_prev and c_prev are vectors or matrices with one row per sequence."""
+    W_x = params.W_x
+    z = params.hidden_size
+    if x.data.ndim not in (1, 2) or W_x.data.shape[1] != x.data.shape[-1]:
+        raise K.ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
+    state_shape = x.data.shape[:-1] + (z,)
+    if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
+        raise K.ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
+    h, c, cache = K.lstm_forward(params, x.data, h_prev.data, c_prev.data)
+
+    def bw(grad, accum):
+        dx, dh_prev, dc_prev = K.lstm_backward(accum, params, cache, grad[..., :z], grad[..., z:])
+        accum(x, dx)
+        accum(h_prev, dh_prev)
+        accum(c_prev, dc_prev)
+
+    state = K.Tensor(np.concatenate([h, c], axis=-1),
+                     (x, h_prev, c_prev, *params.parameters()), bw, "lstm")
+    return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
 def composite_policy_step(params, prev_word, state, scene):
@@ -33,17 +132,63 @@ def composite_policy_step(params, prev_word, state, scene):
     if state is None:
         state = P.initial_state(params, scene.mean_proj.shape[:-1])
     z = params.hidden_size
-    s_vis0, s_lang0, c_vis0, c_lang0 = (K.vslice(state, i * z, (i + 1) * z) for i in range(4))
+    s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
     emb = K.take_row(params.W_e, prev_word)
     x_vis = K.concat([s_lang0, scene.mean_proj, emb])
-    s_vis, c_vis = K.lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
+    s_vis, c_vis = lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
     h_proj = K.affine(s_vis, params.W_h)
-    attn = K.additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
-    v_hat = K.attend(attn, scene.features)
+    attn = additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
+    v_hat = attend(attn, scene.features)
     x_lang = K.concat([v_hat, s_vis])
-    s_lang, c_lang = K.lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
+    s_lang, c_lang = lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
     logits = K.affine(s_lang, params.W_p)
     return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
+
+
+def forced_unroll(params, features, tokens):
+    """(token, logits, state) per step of a teacher-forced unroll of one
+    scene through the vector form of policy_step; it does not stop at
+    <eos>."""
+    if not tokens:
+        raise ValueError("cannot unroll an empty sequence")
+    return list(P.unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens)))
+
+
+def _trace(steps, hidden):
+    """The RolloutTrace of (token, logits, state) vector steps."""
+    return P.RolloutTrace(
+        actions=[int(token) for token, _, _ in steps],
+        log_probs=[float(np.log(max(K.softmax_values(logits.data)[token], K.LOGPROB_FLOOR)))
+                   for token, logits, _ in steps],
+        states=[state.data[:2 * hidden].copy() for _, _, state in steps])
+
+
+def forced_trace(params, features, tokens):
+    """The trace of a teacher-forced one-scene unroll over tokens."""
+    with K.no_grad():
+        return _trace(forced_unroll(params, features, tokens), params.hidden_size)
+
+
+def sequence_log_prob(params, features, tokens):
+    """Sum of per-step log conditionals of a forced sequence."""
+    with K.no_grad():
+        return sum(math.log(max(float(K.softmax_values(logits.data)[tok]), K.LOGPROB_FLOOR))
+                   for tok, logits, _ in forced_unroll(params, features, tokens))
+
+
+def rl_surrogate(params, features, actions, advantage):
+    """-sum_t A_t log pi(y_t | s_t) of one scene's actions as a graph of
+    per-step logprob nodes: the policy-gradient loss that the sampled rows
+    of policy.RowUnroll.loss weight with -A_t."""
+    return K.add_n([K.scale(logprob(logits, token), -float(a))
+                    for (token, logits, _), a in zip(forced_unroll(params, features, actions),
+                                                     advantage)])
+
+
+def sp_targets(trace, params):
+    """Detached target embeddings phi(s_2..s_T), one row per transition."""
+    with K.no_grad():
+        return C.embed_state(np.array(trace.states[1:]), params).data
 
 
 def one_row_sample(params, features, t_max, rng):
@@ -56,13 +201,13 @@ def one_row_sample(params, features, t_max, rng):
         cdf = np.cumsum(K.softmax_values(logits.data))
         return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
 
-    trace = P.RolloutTrace()
+    steps = []
     with K.no_grad():
         for step in P.unroll(params, features, choose, t_max):
-            trace.record(*step)
+            steps.append(step)
             if step[0] == EOS_ID:
                 break
-    return trace
+    return _trace(steps, params.hidden_size)
 
 
 def per_hypothesis_beam(params, features, t_max, width):
@@ -117,20 +262,19 @@ def padded_sample_rows(params, features, t_max, rngs):
         return token
 
     with K.no_grad():
-        for token, _, state, attn in P.unroll(params, P.project_batch(params, features),
-                                              choose, t_max):
+        for token, _, state in P.unroll(params, P.project_batch(params, features),
+                                        choose, t_max):
             picked = dist[np.arange(n), token]
             steps.append((token, np.log(np.maximum(picked, K.LOGPROB_FLOOR)),
-                          state.data[:, :2 * params.hidden_size], attn))
+                          state.data[:, :2 * params.hidden_size]))
             lengths += live
             live &= token != EOS_ID
             if not live.any():
                 break
-    actions, log_probs, states, attention = (np.stack(part, axis=1) for part in zip(*steps))
+    actions, log_probs, states = (np.stack(part, axis=1) for part in zip(*steps))
     return [P.RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
-                           states=list(states[r, :k]),
-                           attention=list(attention[r, :k, :f.shape[0]]))
-            for r, (k, f) in enumerate(zip(lengths, features))]
+                           states=list(states[r, :k]))
+            for r, k in enumerate(lengths)]
 
 
 @dataclass
@@ -160,12 +304,12 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
     terms = []
     steps = P.unroll(params, P.project_batch(params, features),
                      lambda t, logits: forced[:, t], width)
-    for t, (_, logits, _, _) in enumerate(steps):
+    for t, (_, logits, _) in enumerate(steps):
         node = K.cross_entropy(logits, forced[:, t])
         ce[:, t] = node.data
         terms.append(K.dotp(node, K.constant(ce_w[:, t])))
         if lp_w is not None:
-            node = K.logprob(logits, forced[:, t])
+            node = logprob(logits, forced[:, t])
             lp[:, t] = node.data
             terms.append(K.dotp(node, K.constant(lp_w[:, t])))
     return PaddedScores(K.add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))

@@ -14,6 +14,7 @@ from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
+from oracles import sequence_log_prob, sp_targets
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -33,7 +34,7 @@ def test_criterion_1_gradient_integrity():
     tokens = [4, 7, 5, 9, 2]
 
     def unroll_loss():
-        return K.add_n(P.forced_step_losses(policy, feats, tokens))
+        return P.unroll_rows(policy, [feats], [tokens], len(tokens)).loss(np.ones((1, 5)))
 
     err_unroll = K.grad_check(unroll_loss, policy.parameters(), max_coords=200)
     assert err_unroll <= 1e-4, f"policy unroll gradient error {err_unroll}"
@@ -42,7 +43,7 @@ def test_criterion_1_gradient_integrity():
     trace = P.rollout_sample(policy, feats, t_max=5, rng=np.random.default_rng(1))
     cur = C.init_curiosity(np.random.default_rng(2), vocab_size=11,
                            state_size=16, embed_size=8)
-    targets = C.sp_targets(trace, cur)
+    targets = sp_targets(trace, cur)
     err_sp = K.grad_check(lambda: C.sp_loss(trace, cur, targets),
                           cur.parameters(), max_coords=200)
     assert err_sp <= 1e-4, f"state-prediction gradient error {err_sp}"
@@ -50,11 +51,14 @@ def test_criterion_1_gradient_integrity():
                           cur.parameters(), max_coords=200)
     assert err_ap <= 1e-4, f"action-prediction gradient error {err_ap}"
 
-    # (d) policy-gradient surrogate with frozen advantages
+    # (d) policy-gradient surrogate with frozen advantages: the log-prob
+    # weights of RowUnroll.loss on the row that samples the same trace
     advantage = np.linspace(0.5, 1.5, len(trace))
+    lp_weights = -advantage[None, :]
 
     def rl_fn():
-        return R.rl_loss(P.unroll_forced(policy, feats, trace.actions), advantage)
+        run = P.unroll_rows(policy, [feats], [], 5, [np.random.default_rng(1)])
+        return run.loss(np.zeros(lp_weights.shape), lp_weights)
 
     err_rl = K.grad_check(rl_fn, policy.parameters(), max_coords=200)
     assert err_rl <= 1e-4, f"policy-gradient surrogate error {err_rl}"
@@ -166,7 +170,7 @@ def test_criterion_5_full_width_beam_is_exhaustive_argmax():
         def rec(prefix):
             if prefix and (prefix[-1] == eos or len(prefix) == t_max):
                 results.append(
-                    (P.sequence_log_prob(policy, feats, list(prefix)), prefix))
+                    (sequence_log_prob(policy, feats, list(prefix)), prefix))
                 return
             for w in range(policy.vocab_size):
                 rec(prefix + (w,))

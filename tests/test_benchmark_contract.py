@@ -1,8 +1,11 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps curioseq functions by
-module and name. These checks fail here, rather than in a traced benchmark
-run, when a traced name disappears or a train step grows extra backward
-passes. tracing.py uses only the standard library, so it is loaded by path."""
+module and name, and its workloads (perfbench/workloads.py) call and probe
+them. These checks fail here, rather than in a benchmark run, when a traced
+or called name disappears, a probed decoder stops being called once per
+scene or a train step grows extra backward passes. tracing.py uses only the
+standard library, so it is loaded by path."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -19,7 +22,8 @@ from curioseq import synth
 from curioseq import trainer as T
 from oracles import one_row_sample
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,63 @@ def test_every_traced_name_resolves(tracing):
     missing = [f"{mod}.{fn}" for mod, fn in tracing.TRACED
                if not callable(getattr(getattr(curioseq, mod), fn, None))]
     assert missing == []
+
+
+def workload_names():
+    """(module, name) of every cs.<module>.<name> that workloads.py reads
+    and every Probe(cs.<module>, "<name>") it installs."""
+    names = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name) and node.value.value.id == "cs"):
+            names.add((node.value.attr, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe":
+            module, attr = node.args
+            names.add((module.attr, attr.value))
+    return names
+
+
+def test_every_workload_name_resolves(tracing):
+    names = workload_names()
+    assert ("trainer", "xe_loss") in names and ("policy", "beam_search") in names
+    assert [f"{mod}.{name}" for mod, name in sorted(names)
+            if not hasattr(getattr(curioseq, mod), name)] == []
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    spec = synth.GrammarSpec(nouns=("box", "tree", "dog"), adjectives=("red",),
+                             verbs=("standing",), objects_per_scene=2, regions=3,
+                             feature_dim=6, references_per_scene=2, seed=5)
+    return synth.synth_split(spec, 4, 3)
+
+
+@pytest.mark.parametrize("decode,width,probed", [("greedy", 1, "rollout_greedy"),
+                                                 ("beam", 2, "beam_search")])
+def test_evaluate_calls_the_probed_decoder_once_per_scene(corpus, monkeypatch, decode, width,
+                                                          probed):
+    train, val, vocab = corpus
+    cfg = T.TrainConfig(hidden_size=6, t_max=8, decode=decode, beam_width=width)
+    model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+    calls = []
+    for name in ("rollout_greedy", "beam_search"):
+        def counted(params, features, *rest, _name=name, _decode=getattr(P, name)):
+            calls.append((_name, id(features)))
+            return _decode(params, features, *rest)
+
+        monkeypatch.setattr(P, name, counted)
+    T.evaluate(val, model, vocab, M.build_idf(T.reference_documents(train, vocab)), cfg)
+    assert calls == [(probed, id(scene.features)) for scene in val]
+
+
+def test_xe_loss_is_a_0d_node(corpus):
+    train, _, vocab = corpus
+    cfg = T.TrainConfig(hidden_size=6)
+    model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+    with K.no_grad():
+        loss = T.xe_loss(model.policy, train[0], 0)
+    assert loss.data.ndim == 0
+    assert float(loss.data) > 0.0
 
 
 def test_trainer_shares_the_kernel_gradients_binding(tracing):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curioseq
+from conftest import BLAS_THREAD_VARS
 from curioseq import checkpoint as ckpt
 from curioseq import cli
 from curioseq import data as dat
@@ -98,6 +103,20 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "line" in err
 
+    @pytest.mark.parametrize("flag,value", [("--scenes", "0"), ("--val-scenes", "-1")])
+    def test_bad_scene_count_fails_cleanly(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--out", str(tmp_path / "o"), "--scenes", "2", "--val-scenes", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert_clean_error(capsys, run(argv), "scenes")
+
+    @pytest.mark.parametrize("spec", ['[]', '{"nouns": 5}', '{"regions": "3"}'])
+    def test_mistyped_grammar_fails_cleanly(self, tmp_path, capsys, spec):
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(spec)
+        code = run(["synth", "--out", str(tmp_path / "o"), "--grammar", str(grammar),
+                    "--scenes", "2", "--val-scenes", "1"])
+        assert_clean_error(capsys, code, str(grammar))
+
     def test_unknown_grammar_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "grammar.json"
         bad.write_text('{"colors": ["red"]}')
@@ -130,6 +149,36 @@ class TestTrain:
         code = run(["train", "--config", str(effective), "--out", str(rerun)])
         assert code == 0
         assert (out / "last.ckpt").read_bytes() == (rerun / "last.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("hidden_size", 2.5), ("t_max", 2.5),
+                                           ("embed_size", 0), ("seed", -1)])
+    def test_bad_config_value_fails_cleanly(self, synth_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_manifest": str(synth_dir / "train_manifest.json"),
+                                   "epochs": 1, key: value}))
+        assert_clean_error(capsys, run(["train", "--config", str(cfg)]), key)
+
+    def test_unset_blas_thread_counts_give_the_one_thread_run(self, synth_dir, tmp_path):
+        """curioseq sets each unset BLAS thread count to 1 before numpy loads,
+        so a crl epoch writes the same bytes with the variables unset as with
+        each at 1. Without that, OpenBLAS splits the minibatch matmuls over
+        the cores of a multi-core host, and the sums round differently."""
+        src = str(Path(curioseq.__file__).resolve().parents[1])
+        written = []
+        for value in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+            if value is not None:
+                env.update(dict.fromkeys(BLAS_THREAD_VARS, value))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"run_{value}"
+            subprocess.run([sys.executable, "-m", "curioseq.cli", "train",
+                            "--train-manifest", str(synth_dir / "train_manifest.json"),
+                            "--val-manifest", str(synth_dir / "val_manifest.json"),
+                            "--epochs", "1", "--batch-size", "16", "--mode", "crl",
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            written.append([(out / name).read_bytes() for name in ("reports.jsonl", "last.ckpt")])
+        assert written[0] == written[1]
 
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import pytest
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
+from oracles import forced_trace, sp_targets
 
 
 def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
@@ -75,16 +76,16 @@ class TestPredictAction:
         _, _, trace, cur = make_setup()
         phi_a = C.embed_state(trace.states[0], cur)
         phi_b = C.embed_state(trace.states[1], cur)
-        dist = K.softmax(C.predict_action(phi_a, phi_b, cur))
-        assert abs(dist.data.sum() - 1.0) <= 1e-9
+        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)
+        assert abs(dist.sum() - 1.0) <= 1e-9
 
     def test_zero_weights_give_uniform(self):
         _, _, trace, cur = make_setup(vocab_size=8)
         zeroed(cur)
         phi_a = C.embed_state(trace.states[0], cur)
         phi_b = C.embed_state(trace.states[1], cur)
-        dist = K.softmax(C.predict_action(phi_a, phi_b, cur))
-        np.testing.assert_allclose(dist.data, 1.0 / 8, atol=1e-15)
+        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)
+        np.testing.assert_allclose(dist, 1.0 / 8, atol=1e-15)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
@@ -116,7 +117,7 @@ class TestSpLoss:
 
     def test_short_trace_is_zero(self):
         policy, feats, _, cur = make_setup()
-        one_step = P.unroll_forced(policy, feats, [2])
+        one_step = forced_trace(policy, feats, [2])
         assert float(C.sp_loss(one_step, cur).data) == 0.0
 
     def test_nonnegative(self):
@@ -125,7 +126,7 @@ class TestSpLoss:
 
     def test_gradcheck_with_frozen_targets(self):
         _, _, trace, cur = make_setup(seed=6)
-        targets = C.sp_targets(trace, cur)
+        targets = sp_targets(trace, cur)
         err = K.grad_check(lambda: C.sp_loss(trace, cur, targets),
                            cur.parameters(), max_coords=30)
         assert err <= 1e-4
@@ -146,7 +147,7 @@ class TestApLoss:
         # force a constant-action trace, then saturate the output layer
         # toward that action so every predicted distribution is one-hot
         policy, feats, _, cur = make_setup(vocab_size=6)
-        trace = P.unroll_forced(policy, feats, [4, 4, 4, 4])
+        trace = forced_trace(policy, feats, [4, 4, 4, 4])
         zeroed(cur)
         cur.ap_b2.data[4] = 1000.0
         assert float(C.ap_loss(trace, cur).data) <= 1e-11
@@ -160,7 +161,7 @@ class TestApLoss:
     def test_nonnegative_and_short_trace_zero(self):
         policy, feats, trace, cur = make_setup(seed=8)
         assert float(C.ap_loss(trace, cur).data) >= 0.0
-        one_step = P.unroll_forced(policy, feats, [2])
+        one_step = forced_trace(policy, feats, [2])
         assert float(C.ap_loss(one_step, cur).data) == 0.0
 
     def test_gradcheck(self):
@@ -239,8 +240,8 @@ class TestBatchedPass:
 
     def make(self):
         policy, feats, trace, cur = make_setup(seed=16, t_max=6)
-        others = [P.unroll_forced(policy, feats, [3]),            # no transitions
-                  P.unroll_forced(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
+        others = [forced_trace(policy, feats, [3]),            # no transitions
+                  forced_trace(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
         return [trace] + others, cur
 
     def test_matches_mean_of_per_trace_losses_and_gradients(self):
@@ -284,6 +285,6 @@ class TestBatchedPass:
     def test_no_transitions_embed_nothing(self, monkeypatch):
         policy, feats, _, cur = make_setup()
         monkeypatch.setattr(C, "embed_state", None)
-        terms = C.curiosity_pass([P.unroll_forced(policy, feats, [2])] * 2, cur, 1.0, 1.0)
+        terms = C.curiosity_pass([forced_trace(policy, feats, [2])] * 2, cur, 1.0, 1.0)
         assert float(terms.sp_loss.data) == float(terms.ap_loss.data) == 0.0
         assert [e.tolist() for e in terms.errors] == [[0.0], [0.0]]

@@ -6,10 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curioseq import kernel as K
+from oracles import additive_attention, attend, logprob, lstm_cell, vslice
 
 
 def p(name, arr):
     return K.Parameter(np.asarray(arr, dtype=np.float64), name)
+
+
+# Elementwise nodes that the composite references below are built from; the
+# program's fused ops do this math on plain arrays.
+
+
+def _elementwise(x, y, dydx, op):
+    """The node y = f(x), with the derivative dydx of each entry."""
+    return K.Tensor(y, (x,), lambda g, accum: accum(x, g * dydx), op)
+
+
+def tanh_(x):
+    y = np.tanh(x.data)
+    return _elementwise(x, y, 1.0 - y * y, "tanh")
+
+
+def sigmoid_(x):
+    y = 1.0 / (1.0 + np.exp(-x.data))
+    return _elementwise(x, y, y * (1.0 - y), "sigmoid")
+
+
+def softmax(x):
+    """Softmax over the last axis as a node."""
+    y = K.softmax_values(x.data)
+    return K.Tensor(y, (x,), lambda g, accum: accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True))),
+                    "softmax")
+
+
+def mul(a, b):
+    def bw(g, accum):
+        accum(a, g * b.data)
+        accum(b, g * a.data)
+
+    return K.Tensor(a.data * b.data, (a, b), bw, "mul")
+
+
+NONLINEARITIES = {"tanh": tanh_, "sigmoid": sigmoid_, "leaky_relu": K.leaky_relu}
 
 
 class TestAffine:
@@ -47,18 +85,14 @@ class TestAffine:
 
 class TestNonlinearities:
     def test_tanh_zero(self):
-        assert K.nonlinearity(K.constant([0.0]), "tanh").data[0] == 0.0
+        assert tanh_(K.constant([0.0])).data[0] == 0.0
 
     def test_sigmoid_zero(self):
-        assert K.nonlinearity(K.constant([0.0]), "sigmoid").data[0] == 0.5
+        assert sigmoid_(K.constant([0.0])).data[0] == 0.5
 
     def test_leaky_relu_negative_slope(self):
-        out = K.nonlinearity(K.constant([-1.0]), "leaky_relu")
+        out = K.leaky_relu(K.constant([-1.0]))
         assert out.data[0] == pytest.approx(-0.01)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            K.nonlinearity(K.constant([0.0]), "gelu")
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "leaky_relu"])
     def test_backward(self, kind):
@@ -66,36 +100,36 @@ class TestNonlinearities:
         w = K.constant(np.random.default_rng(2).standard_normal(6))
 
         def fn():
-            return K.dotp(w, K.nonlinearity(x, kind))
+            return K.dotp(w, NONLINEARITIES[kind](x))
 
         assert K.grad_check(fn, [x]) <= 1e-4
 
 
 class TestSoftmax:
     def test_constant_vector_is_uniform(self):
-        out = K.softmax(K.constant([7.0, 7.0, 7.0, 7.0]))
-        np.testing.assert_allclose(out.data, 0.25, atol=1e-15)
+        out = K.softmax_values(np.array([7.0, 7.0, 7.0, 7.0]))
+        np.testing.assert_allclose(out, 0.25, atol=1e-15)
 
     def test_singleton(self):
-        assert K.softmax(K.constant([123.0])).data[0] == 1.0
+        assert K.softmax_values(np.array([123.0]))[0] == 1.0
 
     def test_large_inputs_do_not_overflow(self):
-        out = K.softmax(K.constant([1000.0, 0.0]))
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-300)
+        out = K.softmax_values(np.array([1000.0, 0.0]))
+        assert np.isfinite(out).all()
+        assert out[0] == pytest.approx(1.0)
+        assert out[1] == pytest.approx(0.0, abs=1e-300)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_sums_to_one_and_positive(self, values):
-        out = K.softmax(K.constant(values))
-        assert abs(out.data.sum() - 1.0) <= 1e-9
-        assert (out.data > 0).all()
+        out = K.softmax_values(np.array(values))
+        assert abs(out.sum() - 1.0) <= 1e-9
+        assert (out > 0).all()
 
     def test_backward(self):
         x = p("x", np.random.default_rng(3).standard_normal(5))
         w = K.constant(np.random.default_rng(4).standard_normal(5))
-        assert K.grad_check(lambda: K.dotp(w, K.softmax(x)), [x]) <= 1e-4
+        assert K.grad_check(lambda: K.dotp(w, softmax(x)), [x]) <= 1e-4
 
 
 class TestCrossEntropy:
@@ -130,12 +164,12 @@ class TestCrossEntropy:
 
 class TestLogprob:
     def test_exp_of_logprob_at_most_one(self):
-        assert math.exp(float(K.logprob(K.constant([5.0]), 0).data)) <= 1.0
+        assert math.exp(float(logprob(K.constant([5.0]), 0).data)) <= 1.0
 
     def test_matches_log_of_probability(self):
         logits = K.constant([0.3, -0.2, 1.4])
-        lp = K.logprob(logits, 2)
-        assert float(lp.data) == pytest.approx(math.log(K.softmax(logits).data[2]))
+        lp = logprob(logits, 2)
+        assert float(lp.data) == pytest.approx(math.log(K.softmax_values(logits.data)[2]))
 
 
 class TestLstmCell:
@@ -148,8 +182,8 @@ class TestLstmCell:
             W_h=p("W_h", np.zeros((16, 4))),
             b=p("b", np.zeros(16)),
         )
-        h, c = K.lstm_cell(K.constant(np.zeros(5)), K.constant(np.zeros(4)),
-                           K.constant(np.zeros(4)), params)
+        h, c = lstm_cell(K.constant(np.zeros(5)), K.constant(np.zeros(4)),
+                         K.constant(np.zeros(4)), params)
         np.testing.assert_array_equal(h.data, np.zeros(4))
         np.testing.assert_array_equal(c.data, np.zeros(4))
 
@@ -165,8 +199,8 @@ class TestLstmCell:
             b=p("b", b),
         )
         c_prev = np.array([0.3, -0.8, 1.1])
-        _, c = K.lstm_cell(K.constant(np.zeros(2)), K.constant(np.zeros(3)),
-                           K.constant(c_prev), params)
+        _, c = lstm_cell(K.constant(np.zeros(2)), K.constant(np.zeros(3)),
+                         K.constant(c_prev), params)
         np.testing.assert_allclose(c.data, c_prev, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
@@ -178,7 +212,7 @@ class TestLstmCell:
         w = K.constant(rng.standard_normal(4))
 
         def fn():
-            h, c = K.lstm_cell(x, h0, c0, params)
+            h, c = lstm_cell(x, h0, c0, params)
             return K.add(K.dotp(w, h), K.dotp(w, c))
 
         checked = params.parameters() + [x, h0, c0]
@@ -238,7 +272,7 @@ class TestGradCheck:
         direction = K.constant(rng.standard_normal(500))
 
         def fn():
-            return K.dotp(direction, K.tanh_(w))
+            return K.dotp(direction, tanh_(w))
 
         a = K.grad_check(fn, [w], max_coords=50, seed=3)
         b = K.grad_check(fn, [w], max_coords=50, seed=3)
@@ -256,7 +290,7 @@ class TestGradScale:
         w = K.constant(rng.standard_normal(5))
 
         def fn():
-            return K.dotp(w, K.tanh_(K.grad_scale(K.tanh_(x), 1.0)))
+            return K.dotp(w, tanh_(K.grad_scale(tanh_(x), 1.0)))
 
         assert K.grad_check(fn, [x]) <= 1e-4
 
@@ -267,7 +301,7 @@ class TestGradScale:
         grads = {}
         for c in (1.0, 0.25):
             K.zero_grads([x])
-            K.backward(K.dotp(w, K.tanh_(K.grad_scale(K.tanh_(x), c))))
+            K.backward(K.dotp(w, tanh_(K.grad_scale(tanh_(x), c))))
             grads[c] = x.grad.copy()
         np.testing.assert_allclose(grads[0.25], 0.25 * grads[1.0], rtol=1e-15, atol=0)
 
@@ -283,7 +317,7 @@ class TestGradScale:
 class TestGraphMachinery:
     def test_shared_subgraph_accumulates(self):
         x = p("x", [2.0])
-        y = K.mul(x, x)  # x^2, dy/dx = 2x = 4
+        y = mul(x, x)  # x^2, dy/dx = 2x = 4
         K.zero_grads([x])
         K.backward(y)
         assert x.grad[0] == pytest.approx(4.0)
@@ -306,14 +340,14 @@ class TestGraphMachinery:
         rng = np.random.default_rng(9)
         x = K.constant(rng.standard_normal(8))
         W = p("W", rng.standard_normal((8, 8)))
-        out = K.softmax(K.tanh_(K.affine(x, W)))
+        out = softmax(tanh_(K.affine(x, W)))
         assert np.isfinite(out.data).all()
 
     def test_concat_slice_roundtrip_gradient(self):
         a = p("a", [1.0, 2.0])
         b = p("b", [3.0])
         joined = K.concat([a, b])
-        piece = K.vslice(joined, 1, 3)
+        piece = vslice(joined, 1, 3)
         w = K.constant([1.0, 10.0])
         K.zero_grads([a, b])
         K.backward(K.dotp(w, piece))
@@ -328,7 +362,7 @@ def test_identical_seeds_give_bit_identical_updates():
         opt = K.OptimState(learning_rate=0.05)
         for _ in range(5):
             x = K.constant(rng.standard_normal(4))
-            loss = K.sumsq(K.tanh_(K.affine(x, w)))
+            loss = K.sumsq(tanh_(K.affine(x, w)))
             K.zero_grads([w])
             K.backward(loss)
             K.sgd_step([w], opt)
@@ -346,12 +380,12 @@ def seed_lstm_cell(x, h_prev, c_prev, params):
     """The LSTM step as the composite of primitive nodes it used to be."""
     z = params.hidden_size
     gates = K.add(K.affine(x, params.W_x, params.b), K.affine(h_prev, params.W_h))
-    i = K.sigmoid_(K.vslice(gates, 0, z))
-    f = K.sigmoid_(K.vslice(gates, z, 2 * z))
-    g = K.tanh_(K.vslice(gates, 2 * z, 3 * z))
-    o = K.sigmoid_(K.vslice(gates, 3 * z, 4 * z))
-    c = K.add(K.mul(f, c_prev), K.mul(i, g))
-    return K.mul(o, K.tanh_(c)), c
+    i = sigmoid_(vslice(gates, 0, z))
+    f = sigmoid_(vslice(gates, z, 2 * z))
+    g = tanh_(vslice(gates, 2 * z, 3 * z))
+    o = sigmoid_(vslice(gates, 3 * z, 4 * z))
+    c = K.add(mul(f, c_prev), mul(i, g))
+    return mul(o, tanh_(c)), c
 
 
 def stack_scalars(nodes):
@@ -367,8 +401,8 @@ def stack_scalars(nodes):
 def seed_attention(R, h_proj, w_a):
     """Per-region add/tanh/dot triples, stacked and soft-maxed."""
     rows = [K.take_row(R, i) for i in range(R.shape[0])]
-    return K.softmax(stack_scalars(
-        [K.dotp(w_a, K.tanh_(K.add(row, h_proj))) for row in rows]))
+    return softmax(stack_scalars(
+        [K.dotp(w_a, tanh_(K.add(row, h_proj))) for row in rows]))
 
 
 def seed_project_rows(features, W):
@@ -418,11 +452,11 @@ class TestFusedLstm:
             return fn
 
         checked = params.parameters() + [x, h0, c0]
-        assert_same_function(loss(K.lstm_cell), loss(seed_lstm_cell), checked)
+        assert_same_function(loss(lstm_cell), loss(seed_lstm_cell), checked)
 
     def test_forward_values_match_composite(self):
         params, x, h0, c0, _, _ = self.make(11)
-        h, c = K.lstm_cell(x, h0, c0, params)
+        h, c = lstm_cell(x, h0, c0, params)
         h_ref, c_ref = seed_lstm_cell(x, h0, c0, params)
         np.testing.assert_allclose(h.data, h_ref.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c.data, c_ref.data, rtol=0, atol=1e-12)
@@ -431,7 +465,7 @@ class TestFusedLstm:
         params, x, h0, c0, wh, wc = self.make(12)
 
         def fn():
-            h, c = K.lstm_cell(x, h0, c0, params)
+            h, c = lstm_cell(x, h0, c0, params)
             return K.add(K.dotp(wh, h), K.dotp(wc, c))
 
         assert K.grad_check(fn, params.parameters() + [x, h0, c0]) <= 1e-4
@@ -439,11 +473,11 @@ class TestFusedLstm:
     def test_bad_shapes(self):
         params, x, h0, c0, _, _ = self.make(13)
         with pytest.raises(K.ShapeError):
-            K.lstm_cell(K.constant(np.zeros(3)), h0, c0, params)
+            lstm_cell(K.constant(np.zeros(3)), h0, c0, params)
         with pytest.raises(K.ShapeError):
-            K.lstm_cell(x, K.constant(np.zeros(4)), c0, params)
+            lstm_cell(x, K.constant(np.zeros(4)), c0, params)
         with pytest.raises(K.ShapeError):
-            K.lstm_cell(x, h0, K.constant(np.zeros((5, 1))), params)
+            lstm_cell(x, h0, K.constant(np.zeros((5, 1))), params)
 
 
 class TestFusedAttention:
@@ -458,27 +492,27 @@ class TestFusedAttention:
     @pytest.mark.parametrize("seed,m", [(0, 1), (1, 2), (2, 6), (3, 8), (4, 8)])
     def test_matches_composite(self, seed, m):
         R, h_proj, w_a, w = self.make(seed, m=m)
-        fused = lambda: K.dotp(w, K.additive_attention(R, h_proj, w_a))  # noqa: E731
+        fused = lambda: K.dotp(w, additive_attention(R, h_proj, w_a))  # noqa: E731
         composite = lambda: K.dotp(w, seed_attention(R, h_proj, w_a))  # noqa: E731
-        np.testing.assert_allclose(K.additive_attention(R, h_proj, w_a).data,
+        np.testing.assert_allclose(additive_attention(R, h_proj, w_a).data,
                                    seed_attention(R, h_proj, w_a).data, rtol=0, atol=1e-12)
         assert_same_function(fused, composite, [R, h_proj, w_a])
 
     def test_grad_check(self):
         R, h_proj, w_a, w = self.make(5)
-        fn = lambda: K.dotp(w, K.additive_attention(R, h_proj, w_a))  # noqa: E731
+        fn = lambda: K.dotp(w, additive_attention(R, h_proj, w_a))  # noqa: E731
         assert K.grad_check(fn, [R, h_proj, w_a]) <= 1e-4
 
     def test_bad_shapes(self):
         R, h_proj, w_a, _ = self.make(6)
         with pytest.raises(K.ShapeError):
-            K.additive_attention(h_proj, h_proj, w_a)
+            additive_attention(h_proj, h_proj, w_a)
         with pytest.raises(K.ShapeError):
-            K.additive_attention(K.constant(np.zeros((0, 5))), h_proj, w_a)
+            additive_attention(K.constant(np.zeros((0, 5))), h_proj, w_a)
         with pytest.raises(K.ShapeError):
-            K.additive_attention(R, K.constant(np.zeros(4)), w_a)
+            additive_attention(R, K.constant(np.zeros(4)), w_a)
         with pytest.raises(K.ShapeError):
-            K.additive_attention(R, h_proj, K.constant(np.zeros(6)))
+            additive_attention(R, h_proj, K.constant(np.zeros(6)))
 
 
 class TestProjectRows:
@@ -495,17 +529,17 @@ class TestProjectRows:
                                    rtol=0, atol=1e-12)
 
         def fused():
-            return K.sumsq(K.mul(weights, K.project_rows(features, W)))
+            return K.sumsq(mul(weights, K.project_rows(features, W)))
 
         def composite():
-            return K.add_n([K.sumsq(K.mul(K.constant(weights.data[i]), r))
+            return K.add_n([K.sumsq(mul(K.constant(weights.data[i]), r))
                             for i, r in enumerate(seed_project_rows(features, W))])
 
         assert_same_function(fused, composite, [W])
 
     def test_grad_check(self):
         features, W, weights = self.make(1)
-        assert K.grad_check(lambda: K.sumsq(K.mul(weights, K.project_rows(features, W))),
+        assert K.grad_check(lambda: K.sumsq(mul(weights, K.project_rows(features, W))),
                             [W]) <= 1e-4
 
     def test_bad_shapes(self):
@@ -531,7 +565,7 @@ class TestDeferredGradients:
         terms = [K.dotp(K.constant(w), K.affine(K.constant(x), W)) for w, x in zip(ws, xs)]
         terms.append(K.dotp(K.constant(ws[0][:3]), K.take_row(W, 1)))     # direct
         terms.append(K.sumsq(W))                                           # direct
-        terms.append(K.sumsq(K.mul(K.constant(fw), K.project_rows(feats, W))))
+        terms.append(K.sumsq(mul(K.constant(fw), K.project_rows(feats, W))))
         K.zero_grads([W])
         K.backward(K.add_n(terms))
         expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
@@ -588,7 +622,7 @@ def _case_lstm(rng):
               "c": rng.standard_normal((N_ROWS, 3))}
 
     def build(get, r):
-        h, c = K.lstm_cell(get("x"), get("h"), get("c"), params)
+        h, c = lstm_cell(get("x"), get("h"), get("c"), params)
         return K.concat([h, c])
 
     return inputs, params.parameters(), build
@@ -600,7 +634,7 @@ def _case_concat(rng):
 
 
 def _case_vslice(rng):
-    return {"x": rng.standard_normal((N_ROWS, 5))}, [], lambda get, r: K.vslice(get("x"), 1, 4)
+    return {"x": rng.standard_normal((N_ROWS, 5))}, [], lambda get, r: vslice(get("x"), 1, 4)
 
 
 def _case_take_row(rng):
@@ -612,13 +646,13 @@ def _case_take_row(rng):
 def _case_attention(rng):
     w_a = p("w_a", rng.standard_normal(4))
     return {"R": rng.standard_normal((N_ROWS, 5, 4)), "h": rng.standard_normal((N_ROWS, 4))}, \
-        [w_a], lambda get, r: K.additive_attention(get("R"), get("h"), w_a)
+        [w_a], lambda get, r: additive_attention(get("R"), get("h"), w_a)
 
 
 def _case_attend(rng):
     features = rng.standard_normal((N_ROWS, 4, 3))
     return {"a": rng.standard_normal((N_ROWS, 4))}, [], \
-        lambda get, r: K.attend(get("a"), features if r is None else features[r])
+        lambda get, r: attend(get("a"), features if r is None else features[r])
 
 
 def _case_project_rows(rng):
@@ -628,7 +662,7 @@ def _case_project_rows(rng):
 
 
 def _case_softmax(rng):
-    return {"x": rng.standard_normal((N_ROWS, 6))}, [], lambda get, r: K.softmax(get("x"))
+    return {"x": rng.standard_normal((N_ROWS, 6))}, [], lambda get, r: softmax(get("x"))
 
 
 def _case_cross_entropy(rng):
@@ -640,7 +674,7 @@ def _case_cross_entropy(rng):
 def _case_logprob(rng):
     index = np.array([4, 4, 2])
     return {"x": 2.0 * rng.standard_normal((N_ROWS, 6))}, [], \
-        lambda get, r: K.logprob(get("x"), index if r is None else int(index[r]))
+        lambda get, r: logprob(get("x"), index if r is None else int(index[r]))
 
 
 ROW_CASES = {
@@ -654,7 +688,7 @@ ROW_CASES = {
 
 def _reduce(out, w):
     """A scalar that depends nonlinearly on every output entry."""
-    return K.sumsq(K.mul(K.constant(w), out))
+    return K.sumsq(mul(K.constant(w), out))
 
 
 class TestRowAxis:
@@ -736,7 +770,7 @@ class TestRowAxis:
         h = p("h", rng.standard_normal((2, 4)))
         w_a = p("w_a", rng.standard_normal(4))
         mask = np.array([[True, True, False, False, False], [True] * 5])
-        attn = K.additive_attention(R, h, w_a, mask)
+        attn = additive_attention(R, h, w_a, mask)
         assert (attn.data[0, 2:] == 0.0).all()
         w = rng.standard_normal(attn.shape)
         K.zero_grads([R, h, w_a])
@@ -744,12 +778,12 @@ class TestRowAxis:
         assert (R.grad[0, 2:] == 0.0).all()
         # the real regions of row 0 are the 1-d op on its two regions
         R0, h0 = p("R0", R.data[0, :2]), p("h0", h.data[0])
-        attn0 = K.additive_attention(R0, h0, w_a)
+        attn0 = additive_attention(R0, h0, w_a)
         np.testing.assert_allclose(attn.data[0, :2], attn0.data, rtol=1e-12, atol=0)
         K.backward(_reduce(attn0, w[0, :2]))
         np.testing.assert_allclose(R.grad[0, :2], R0.grad, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h.grad[0], h0.grad, rtol=1e-12, atol=1e-15)
-        assert K.grad_check(lambda: _reduce(K.additive_attention(R, h, w_a, mask), w),
+        assert K.grad_check(lambda: _reduce(additive_attention(R, h, w_a, mask), w),
                             [R, h, w_a]) <= 1e-4
 
     def test_zero_weighted_rows_get_zero_gradient(self):
@@ -758,7 +792,7 @@ class TestRowAxis:
         targets = np.array([2, 0, 4])
         K.zero_grads([logits])
         K.backward(K.add(K.dotp(K.cross_entropy(logits, targets), K.constant([1.5, 0.0, 0.0])),
-                         K.dotp(K.logprob(logits, targets), K.constant([0.0, 0.0, -0.7]))))
+                         K.dotp(logprob(logits, targets), K.constant([0.0, 0.0, -0.7]))))
         assert (logits.grad[1] == 0.0).all()
         assert (logits.grad[0] != 0.0).any() and (logits.grad[2] != 0.0).any()
 
@@ -778,14 +812,14 @@ class TestRowAxis:
         with pytest.raises(IndexError):
             K.cross_entropy(K.constant(np.zeros((2, 3))), np.array([0, 3]))
         with pytest.raises(K.ShapeError):
-            K.logprob(K.constant(np.zeros((2, 3))), np.array([0, 1, 2]))
+            logprob(K.constant(np.zeros((2, 3))), np.array([0, 1, 2]))
         with pytest.raises(K.ShapeError):
-            K.attend(K.constant(np.zeros((2, 4))), np.zeros((3, 4, 5)))
+            attend(K.constant(np.zeros((2, 4))), np.zeros((3, 4, 5)))
         with pytest.raises(K.ShapeError):
-            K.additive_attention(K.constant(np.zeros((2, 4, 3))), K.constant(np.zeros((2, 3))),
-                                 K.constant(np.zeros(3)),
-                                 np.ones((2, 5), dtype=bool))
+            additive_attention(K.constant(np.zeros((2, 4, 3))), K.constant(np.zeros((2, 3))),
+                               K.constant(np.zeros(3)),
+                               np.ones((2, 5), dtype=bool))
         params = K.init_lstm(rng, "l", 3, 2)
         with pytest.raises(K.ShapeError):
-            K.lstm_cell(K.constant(np.zeros((2, 3))), K.constant(np.zeros(2)),
-                        K.constant(np.zeros(2)), params)
+            lstm_cell(K.constant(np.zeros((2, 3))), K.constant(np.zeros(2)),
+                      K.constant(np.zeros(2)), params)

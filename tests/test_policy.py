@@ -3,10 +3,10 @@ import pytest
 
 from curioseq import kernel as K
 from curioseq import policy as P
-from curioseq import rewards as R
 from curioseq.vocab import BOS_ID, EOS_ID
-from oracles import (composite_policy_step, one_row_sample, padded_sample_rows,
-                     padded_score_rows, per_hypothesis_beam)
+from oracles import (composite_policy_step, forced_trace, forced_unroll, one_row_sample,
+                     padded_sample_rows, padded_score_rows, per_hypothesis_beam, rl_surrogate,
+                     sequence_log_prob)
 
 
 def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
@@ -25,7 +25,7 @@ def enumerate_best(params, feats, t_max, eos=EOS_ID):
 
     def rec(prefix):
         if prefix and (prefix[-1] == eos or len(prefix) == t_max):
-            results.append((P.sequence_log_prob(params, feats, list(prefix)), prefix))
+            results.append((sequence_log_prob(params, feats, list(prefix)), prefix))
             return
         for w in range(params.vocab_size):
             rec(prefix + (w,))
@@ -48,16 +48,16 @@ class TestPolicyStep:
         for p in params.parameters():
             p.data[...] = 0.0
         logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
-        np.testing.assert_allclose(K.softmax(logits).data, 1.0 / 8, atol=1e-15)
+        np.testing.assert_allclose(K.softmax_values(logits.data), 1.0 / 8, atol=1e-15)
 
     def test_distribution_and_attention_normalized(self):
         params, feats = tiny_policy(seed=5)
         state = None
         for word in (BOS_ID, 4, 7):
             logits, state, _, attn = P.policy_step(params, word, state, feats)
-            dist = K.softmax(logits)
-            assert abs(dist.data.sum() - 1.0) <= 1e-9
-            assert (dist.data > 0).all()
+            dist = K.softmax_values(logits.data)
+            assert abs(dist.sum() - 1.0) <= 1e-9
+            assert (dist > 0).all()
             assert abs(attn.sum() - 1.0) <= 1e-9
             assert (attn >= 0).all()
 
@@ -70,8 +70,7 @@ class TestPolicyStep:
         _, parts, _, _ = composite_policy_step(params, BOS_ID, None, feats)
         assert state.shape == (4 * z,)
         np.testing.assert_array_equal(state.data, parts.data)
-        trace = P.RolloutTrace()
-        trace.record(*next(P._forced(params, feats, [4])))
+        trace = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(trace.states[0], state.data[:2 * z])
 
     def test_recorded_step_creates_at_most_3_nodes(self, monkeypatch):
@@ -100,7 +99,7 @@ class TestPolicyStep:
         tokens = [4, 6, 3, EOS_ID]
 
         def fn():
-            return K.add_n(P.forced_step_losses(params, feats, tokens))
+            return P.unroll_rows(params, [feats], [tokens], len(tokens)).loss(np.ones((1, 4)))
 
         assert K.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
 
@@ -132,17 +131,13 @@ class TestRolloutSample:
         params, feats = tiny_policy(seed=11)
         trace = P.rollout_sample(params, feats, 8, np.random.default_rng(4))
         t = len(trace)
-        assert len(trace.log_probs) == len(trace.states) == len(trace.attention) == t
-        assert trace.logprob_nodes == []          # sampled without a graph
-        assert len(P.unroll_forced(params, feats, trace.actions).logprob_nodes) == t
+        assert len(trace.log_probs) == len(trace.states) == t
         assert trace.ended_with_eos == (trace.actions[-1] == EOS_ID)
-        for attn in trace.attention:
-            assert abs(attn.sum() - 1.0) <= 1e-9
 
     def test_log_probs_match_forced_recomputation(self):
         params, feats = tiny_policy(seed=12)
         trace = P.rollout_sample(params, feats, 6, np.random.default_rng(9))
-        assert P.sequence_log_prob(params, feats, trace.actions) == pytest.approx(
+        assert sequence_log_prob(params, feats, trace.actions) == pytest.approx(
             sum(trace.log_probs), abs=1e-12)
 
 
@@ -202,7 +197,7 @@ class TestSampleRows:
         assert {f.shape[0] for f in feats} == {2, 5}
         top = [K.softmax_values(logits.data).max()
                for f, t in zip(feats, traces)
-               for _, logits, _, _ in P._forced(params, f, t.actions)]
+               for _, logits, _ in forced_unroll(params, f, t.actions)]
         assert max(top) > 1.0 - 1e-12
 
     def test_equals_one_row_sampler_scene_for_scene(self):
@@ -216,15 +211,12 @@ class TestSampleRows:
                 assert got.actions == want.actions
                 np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-12)
-                assert [a.shape for a in got.attention] == [a.shape for a in want.attention]
-                np.testing.assert_allclose(got.attention, want.attention, rtol=0, atol=1e-12)
-                assert got.logprob_nodes == []
 
     def test_log_probs_equal_forced_unroll(self):
         params, feats, refs = row_batch()
         traces = unroll_batch(params, feats, refs).traces
         for f, trace in zip(feats, traces):
-            forced = P.unroll_forced(params, f, trace.actions)
+            forced = forced_trace(params, f, trace.actions)
             np.testing.assert_allclose(trace.log_probs, forced.log_probs, rtol=0, atol=1e-12)
 
     def test_each_generator_draws_once_per_recorded_step(self):
@@ -260,10 +252,11 @@ class TestScoreRows:
         K.backward(loss)
         batched = {q.name: q.grad.copy() for q in params.parameters()}
 
-        per_scene = [K.scale(K.add_n(P.forced_step_losses(params, f, ref)), e)
+        per_scene = [K.scale(K.add_n([K.cross_entropy(logits, tok)
+                                      for tok, logits, _ in forced_unroll(params, f, ref)]), e)
                      for f, ref, e in zip(feats, refs, eta)]
-        traces = [P.unroll_forced(params, f, t.actions) for f, t in zip(feats, run.traces)]
-        per_scene += [R.rl_loss(trace, a) for trace, a in zip(traces, adv)]
+        per_scene += [rl_surrogate(params, f, t.actions, a)
+                      for f, t, a in zip(feats, run.traces, adv)]
         oracle = K.add_n(per_scene)
         K.zero_grads(params.parameters())
         K.backward(oracle)
@@ -272,7 +265,7 @@ class TestScoreRows:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
                                        atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
         for r, (f, ref) in enumerate(zip(feats, refs)):
-            expected = [float(node.data) for node in P.forced_step_losses(params, f, ref)]
+            expected = [float(node.data[0]) for node in P.forced_step_losses(params, f, ref)]
             np.testing.assert_allclose(run.ce_values[r, :len(ref)], expected, rtol=1e-12)
             assert (run.ce_values[r, len(ref):] == 0.0).all()
 
@@ -567,7 +560,7 @@ class TestGreedy:
         with K.no_grad():
             for _ in range(3):
                 logits, state, _, _ = P.policy_step(params, prev, state, feats)
-                prev = int(np.argmax(K.softmax(logits).data))
+                prev = int(np.argmax(K.softmax_values(logits.data)))
                 expected.append(prev)
                 if prev == EOS_ID:
                     break
@@ -590,7 +583,7 @@ class TestBeamSearch:
             scores = []
             for width in (1, 2, 4, 16, 64):
                 tokens = P.beam_search(params, feats, 3, width=width)
-                scores.append(P.sequence_log_prob(params, feats, tokens))
+                scores.append(sequence_log_prob(params, feats, tokens))
             assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 27])
@@ -623,18 +616,18 @@ class TestSequenceLogProb:
         params, feats = tiny_policy(seed=14)
         with K.no_grad():
             logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
-        assert P.sequence_log_prob(params, feats, [3]) == pytest.approx(
-            float(np.log(K.softmax(logits).data[3])))
+        assert sequence_log_prob(params, feats, [3]) == pytest.approx(
+            float(np.log(K.softmax_values(logits.data)[3])))
 
     def test_exp_at_most_one(self):
         params, feats = tiny_policy(seed=15)
-        lp = P.sequence_log_prob(params, feats, [1, 2])
+        lp = sequence_log_prob(params, feats, [1, 2])
         assert np.exp(lp) <= 1.0
 
     def test_empty_sequence_rejected(self):
         params, feats = tiny_policy()
         with pytest.raises(ValueError):
-            P.sequence_log_prob(params, feats, [])
+            sequence_log_prob(params, feats, [])
 
 
 def test_full_unroll_backprop_gradcheck():
@@ -643,6 +636,6 @@ def test_full_unroll_backprop_gradcheck():
     tokens = [5, 3, 7, 4, EOS_ID]
 
     def fn():
-        return K.add_n(P.forced_step_losses(params, feats, tokens))
+        return P.unroll_rows(params, [feats], [tokens], len(tokens)).loss(np.ones((1, 5)))
 
     assert K.grad_check(fn, params.parameters(), max_coords=15, seed=1) <= 1e-4

@@ -160,34 +160,49 @@ class TestAdvantages:
             R.advantages(np.zeros(3), np.zeros(2))
 
 
+def sampled_run(params, feats, t_max=4):
+    """The recorded one-row unroll that samples small_rollout's episode."""
+    return P.unroll_rows(params, [feats], [], t_max, [np.random.default_rng(5)])
+
+
+def lp_loss(run, advantage):
+    """The policy-gradient loss of the run's sampled row: weight -A_t on its
+    log-probabilities, as train_step weights them."""
+    lp_weights = np.zeros(run.ce_values.shape)
+    lp_weights[0, :len(advantage)] = -np.asarray(advantage)
+    return run.loss(np.zeros(run.ce_values.shape), lp_weights)
+
+
 @pytest.fixture
 def small_rollout():
     rng = np.random.default_rng(0)
     params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
     feats = rng.standard_normal((2, 4))
-    sampled = P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
-    return params, feats, P.unroll_forced(params, feats, sampled.actions)
+    return params, feats, P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
 
 
 class TestRlLoss:
+    """rl_loss is the value of the policy-gradient loss; its gradient is the
+    log-prob path of RowUnroll.loss on the sampled row."""
+
     def test_zero_advantage_gives_zero_loss_and_grads(self, small_rollout):
-        params, _, trace = small_rollout
-        loss = R.rl_loss(trace, np.zeros(len(trace)))
+        params, feats, trace = small_rollout
+        assert R.rl_loss(trace, np.zeros(len(trace))) == 0.0
+        loss = lp_loss(sampled_run(params, feats), np.zeros(len(trace)))
         assert float(loss.data) == 0.0
         K.zero_grads(params.parameters())
         K.backward(loss)
         assert K.global_grad_norm(params.parameters()) == 0.0
 
-    def test_single_step_unit_advantage_matches_cross_entropy_gradient(self):
-        rng = np.random.default_rng(1)
-        params = P.init_policy(rng, vocab_size=7, hidden=5, feature_dim=3)
-        feats = rng.standard_normal((2, 3))
-        trace = P.unroll_forced(params, feats, [4])
+    def test_single_step_unit_advantage_matches_cross_entropy_gradient(self, small_rollout):
+        params, feats, _ = small_rollout
+        run = sampled_run(params, feats, t_max=1)
+        assert len(run.traces[0]) == 1
         K.zero_grads(params.parameters())
-        K.backward(R.rl_loss(trace, np.ones(1)))
+        K.backward(lp_loss(run, np.ones(1)))
         rl_grads = {p.name: p.grad.copy() for p in params.parameters()}
 
-        xe = K.add_n(P.forced_step_losses(params, feats, [4]))
+        xe = P.unroll_rows(params, [feats], [run.traces[0].actions], 1).loss(np.ones((1, 1)))
         K.zero_grads(params.parameters())
         K.backward(xe)
         for p in params.parameters():
@@ -197,12 +212,11 @@ class TestRlLoss:
         params, feats, trace = small_rollout
         adv = np.linspace(0.2, 1.0, len(trace))
         K.zero_grads(params.parameters())
-        K.backward(R.rl_loss(trace, adv))
+        K.backward(lp_loss(sampled_run(params, feats), adv))
         base = {p.name: p.grad.copy() for p in params.parameters()}
 
-        fresh = P.unroll_forced(params, feats, trace.actions)
         K.zero_grads(params.parameters())
-        K.backward(R.rl_loss(fresh, 3.0 * adv))
+        K.backward(lp_loss(sampled_run(params, feats), 3.0 * adv))
         for p in params.parameters():
             np.testing.assert_allclose(p.grad, 3.0 * base[p.name], rtol=1e-12, atol=1e-14)
 
@@ -211,7 +225,7 @@ class TestRlLoss:
         adv = np.linspace(0.5, 1.5, len(trace))
 
         def fn():
-            return R.rl_loss(P.unroll_forced(params, feats, trace.actions), adv)
+            return lp_loss(sampled_run(params, feats), adv)
 
         assert K.grad_check(fn, params.parameters(), max_coords=25) <= 1e-4
 
@@ -220,31 +234,19 @@ class TestRlLoss:
         with pytest.raises(ValueError):
             R.rl_loss(trace, np.zeros(len(trace) + 1))
 
-    def test_rejects_graphless_trace(self, small_rollout):
-        params, feats, trace = small_rollout
-        with K.no_grad():
-            silent = P.rollout_sample(params, feats, t_max=4,
-                                      rng=np.random.default_rng(5))
-        silent.logprob_nodes = []
-        with pytest.raises(ValueError):
-            R.rl_loss(silent, np.zeros(len(silent)))
-
-    def test_rejects_sampled_trace(self, small_rollout):
-        params, feats, _ = small_rollout
-        sampled = P.rollout_sample(params, feats, t_max=4, rng=np.random.default_rng(5))
-        with pytest.raises(ValueError, match="unroll_forced"):
-            R.rl_loss(sampled, np.ones(len(sampled)))
-
     def test_rejects_nodes_made_under_no_grad_while_recording(self, small_rollout):
         params, feats, trace = small_rollout
         with K.no_grad():
-            detached = P.unroll_forced(params, feats, trace.actions)
+            detached = sampled_run(params, feats)
         with pytest.raises(ValueError, match="no_grad"):
-            R.rl_loss(detached, np.ones(len(detached)))
+            lp_loss(detached, np.ones(len(trace)))
 
     def test_value_only_evaluation_inside_no_grad(self, small_rollout):
         params, feats, trace = small_rollout
         adv = np.linspace(0.5, 1.5, len(trace))
         with K.no_grad():
-            value = float(R.rl_loss(P.unroll_forced(params, feats, trace.actions), adv).data)
-        assert value == float(R.rl_loss(trace, adv).data)
+            value = float(lp_loss(sampled_run(params, feats), adv).data)
+        assert value == float(lp_loss(sampled_run(params, feats), adv).data)
+        # -CE stands in for log p: the values differ by at most log(1 + eps / p)
+        assert R.rl_loss(trace, adv) == pytest.approx(value, rel=0, abs=1e-9)
+        assert R.rl_loss(trace, adv) == -float(adv @ np.array(trace.log_probs))

@@ -11,6 +11,7 @@ from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
+from oracles import rl_surrogate
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestXeLoss:
             prev = BOS_ID
             for tok in scene.references[0]:
                 logits, state, _, _ = P.policy_step(model.policy, prev, state, scene.features)
-                total += -math.log(K.softmax(logits).data[tok] + 1e-12)
+                total += -math.log(K.softmax_values(logits.data)[tok] + 1e-12)
                 prev = tok
         assert loss == pytest.approx(total, abs=1e-10)
 
@@ -230,8 +231,8 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
             r_e = (cfg.bleu_weight * M.bleu([(cand, refs)], max_n=4, mode="sentence")
                    + cfg.cider_weight * M.cider_single(cand, refs, idf))
         q = R.q_closed_form(r_e, len(trace), cfg.discount)
-        forced = P.unroll_forced(model.policy, scene.features, trace.actions)
-        rl = R.rl_loss(forced, R.advantages(q, intrinsic))
+        rl = rl_surrogate(model.policy, scene.features, trace.actions,
+                          R.advantages(q, intrinsic))
         xe = T.xe_loss(model.policy, scene, 0)
         policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
         sp_terms.append(C.sp_loss(trace, model.curiosity))
