@@ -105,22 +105,23 @@ def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
 
 
 def embed_state(state: Tensor | np.ndarray, params: CuriosityParams) -> Tensor:
-    """Affine + leaky-ReLU embedding of a concatenated policy state, or of
-    every row of an (N, 2Z) matrix of states."""
+    """Affine + leaky-ReLU embedding of every row of an (N, 2Z) matrix of
+    concatenated policy states."""
     node = state if isinstance(state, Tensor) else constant(state)
     return leaky_relu(affine(node, params.phi_W, params.phi_b))
 
 
-def predict_next_state(phi_t: Tensor, action, params: CuriosityParams) -> Tensor:
-    """Next-state embedding from the current embedding and the action taken
-    (per row for (N, Zp) embeddings and N actions)."""
+def predict_next_state(phi_t: Tensor, action: np.ndarray, params: CuriosityParams) -> Tensor:
+    """Next-state embedding from the current embedding and the action taken,
+    per row of (N, Zp) embeddings and an int vector of N actions."""
     x = concat([phi_t, take_row(params.sp_emb, action)])
     h = leaky_relu(affine(x, params.sp_W1, params.sp_b1))
     return affine(h, params.sp_W2, params.sp_b2)
 
 
 def predict_action(phi_t: Tensor, phi_next: Tensor, params: CuriosityParams) -> Tensor:
-    """Logits over the vocabulary for the action linking two states."""
+    """Logits over the vocabulary for the action linking two states, per row
+    of two (N, Zp) embeddings."""
     x = concat([phi_t, phi_next])
     h = leaky_relu(affine(x, params.ap_W1, params.ap_b1))
     return affine(h, params.ap_W2, params.ap_b2)

@@ -10,10 +10,11 @@ calls. Weight-matrix gradients are batched into one matmul per Parameter at
 the end of ``backward``. All math is 64-bit so finite-difference checks are
 reliable.
 
-The ops take either one vector or a matrix with a leading row axis (one row
-per sequence of a minibatch), and ``cross_entropy`` and ``sumsq`` work over
-the last axis, so a whole minibatch unrolls as one graph; ``take_row``
-gathers along the leading row axis to drop finished sequences.
+The step ops take rows: an array with a leading row axis, one row per
+sequence of a minibatch, so a whole minibatch unrolls as one graph and one
+sequence is one row. Indices are int vectors, one per row; ``take_row``
+gathers along the leading row axis to drop finished sequences, and ``dotp``
+and ``sumsq`` reduce per-row values to a scalar loss.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def backward(loss: Tensor, seed: float = 1.0) -> None:
     """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
 
     Backward closures hand each gradient to ``accum(node, g)``. For a weight
-    matrix they may call ``accum(W, g, x)`` instead, meaning the outer product
-    of g and x (or ``g.T @ x`` for row-stacked 2-d g and x). Such pairs are
-    collected per Parameter and reduced with one ``G.T @ X`` matmul after the
-    walk; a non-Parameter node gets its pair materialised at once. Other
+    matrix they may call ``accum(W, g, x)`` instead, meaning ``g.T @ x`` for
+    row-stacked (n, out) g and (n, in) x. Such pairs are collected per
+    Parameter and reduced with one ``G.T @ X`` matmul after the walk; a
+    non-Parameter node gets its pair materialised at once. Other
     contributions to a Parameter go straight into its grad.
     """
     grads: dict[int, np.ndarray] = {}
@@ -145,7 +146,7 @@ def backward(loss: Tensor, seed: float = 1.0) -> None:
         if node.backward_fn is None:
             return
         if x is not None:
-            g = np.outer(g, x) if g.ndim == 1 else g.T @ x
+            g = g.T @ x
         key = id(node)
         prev = grads.get(key)
         grads[key] = g if prev is None else prev + g
@@ -175,15 +176,10 @@ def gradients(loss: Tensor, params: Sequence[Parameter]) -> dict[str, np.ndarray
 # primitives
 
 
-def _sum_rows(g: np.ndarray) -> np.ndarray:
-    """A bias gradient: g itself for a vector, its column sums for rows."""
-    return g if g.ndim == 1 else g.sum(axis=0)
-
-
 def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """x W^T (+ b) for a vector x or for each row of an (n, in) matrix x."""
-    if W.data.ndim != 2 or x.data.ndim not in (1, 2):
-        raise ShapeError(f"affine expects matrix and vector or rows, got {W.shape} and {x.shape}")
+    """x W^T (+ b) for each row of an (n, in) matrix x."""
+    if W.data.ndim != 2 or x.data.ndim != 2:
+        raise ShapeError(f"affine expects a matrix and rows, got {W.shape} and {x.shape}")
     if W.data.shape[1] != x.data.shape[-1]:
         raise ShapeError(f"affine inner dimensions differ: {W.shape} vs {x.shape}")
     out = x.data @ W.data.T
@@ -196,7 +192,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         accum(W, g, x.data)
         accum(x, g @ W.data)
         if b is not None:
-            accum(b, _sum_rows(g))
+            accum(b, g.sum(axis=0))
 
     parents = (x, W) if b is None else (x, W, b)
     return Tensor(out, parents, bw, "affine")
@@ -261,39 +257,37 @@ def add_n(nodes: Sequence[Tensor]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join vectors, or rows of equal count, along the last axis."""
-    lead = parts[0].data.shape[:-1]
+    """Join matrices of equal row count along their columns."""
+    n = parts[0].data.shape[0]
     for p in parts:
-        if p.data.ndim not in (1, 2) or p.data.shape[:-1] != lead:
-            raise ShapeError("concat expects vectors or matrices with equal row counts")
-    sizes = [p.data.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
+        if p.data.ndim != 2 or p.data.shape[0] != n:
+            raise ShapeError("concat expects matrices with equal row counts")
+    sizes = [p.data.shape[1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=1)
 
     def bw(g, accum):
         off = 0
-        for p, n in zip(parts, sizes):
-            accum(p, g[..., off:off + n])
-            off += n
+        for p, k in zip(parts, sizes):
+            accum(p, g[:, off:off + k])
+            off += k
 
     return Tensor(out, tuple(parts), bw, "concat")
 
 
-def check_index(index, n: int, what: str) -> None:
-    """An int, or a vector of ints, each in [0, n)."""
-    if isinstance(index, np.ndarray):
-        if index.ndim != 1 or index.dtype.kind not in "iu":
-            raise ShapeError(f"{what} expects an int or a vector of ints, got {index.dtype}{index.shape}")
-        if index.size and (index.min() < 0 or index.max() >= n):
-            raise IndexError(f"{what} index out of range [0, {n})")
-    elif not 0 <= index < n:
-        raise IndexError(f"{what} index {index} out of range [0, {n})")
+def check_index(index: np.ndarray, n: int, what: str) -> None:
+    """A vector of ints, each in [0, n)."""
+    if not isinstance(index, np.ndarray) or index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ShapeError(f"{what} expects a vector of ints, got {np.asarray(index).dtype}"
+                         f"{np.shape(index)}")
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise IndexError(f"{what} index out of range [0, {n})")
 
 
-def take_row(W: Tensor, index) -> Tensor:
-    """Gather along axis 0 of an array of any rank: W[index] for an int, or
-    the n slices W[index[i]] stacked for a vector of n indices. The backward
-    pass scatters into zeros, adding up the gradients of a repeated index.
-    It is the embedding lookup, and it moves rows of states and scenes."""
+def take_row(W: Tensor, index: np.ndarray) -> Tensor:
+    """Gather along axis 0 of an array of any rank: the n slices W[index[i]]
+    stacked for a vector of n indices. The backward pass scatters into
+    zeros, adding up the gradients of a repeated index. It is the embedding
+    lookup, and it moves rows of states and scenes."""
     if W.data.ndim < 1:
         raise ShapeError("take_row expects an array with at least one axis")
     check_index(index, W.data.shape[0], "take_row")
@@ -355,25 +349,23 @@ def sumsq(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
 
 
 def attend_values(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """features.T @ weights for (m, E) features and (m,) weights, or the same
-    per row for (n, m, E) features and (n, m) weights."""
-    if features.ndim == 2:
-        return features.T @ weights
+    """features[r].T @ weights[r] per row r of (n, m, E) features and (n, m)
+    weights."""
     return np.matmul(weights[:, None, :], features)[:, 0, :]
 
 
 def attend_grad(features: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The attention-weight gradient of attend_values, given g on its output."""
-    return np.matmul(features, g[..., None])[..., 0]
+    return np.matmul(features, g[:, :, None])[:, :, 0]
 
 
 def attention_forward(R: np.ndarray, h_proj: np.ndarray, w_a: np.ndarray,
                       mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Attention weights a = softmax_i(w_a . tanh(R_i + h_proj)) over the
-    regions R_i (rows of (m, Z) R, or per row of (n, m, Z) R and (n, Z)
-    h_proj), -inf scores where a boolean mask is False; returns (a, t) with
-    t the tanh that attention_backward reads."""
-    t = np.tanh(R + h_proj[..., None, :])
+    regions R_i, per row of (n, m, Z) R and (n, Z) h_proj, -inf scores where
+    a boolean (n, m) mask is False; returns (a, t) with t the tanh that
+    attention_backward reads."""
+    t = np.tanh(R + h_proj[:, None, :])
     scores = t @ w_a
     if mask is not None:
         scores = np.where(mask, scores, -np.inf)
@@ -391,13 +383,12 @@ def attention_backward(accum, w_a: Tensor, a: np.ndarray, t: np.ndarray,
 
 
 def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
-    """features @ W.T: every region of a constant (m, E) or (n, m, E) array
-    through W (Z, E) in one node; W's gradient is deferred as the pair
-    (g, features) with the regions flattened into rows."""
+    """features @ W.T: every region of a constant (n, m, E) array through
+    W (Z, E) in one node; W's gradient is deferred as the pair (g, features)
+    with the regions flattened into rows."""
     features = np.asarray(features, dtype=np.float64)
-    if (features.ndim not in (2, 3) or W.data.ndim != 2
-            or W.data.shape[1] != features.shape[-1]):
-        raise ShapeError(f"project_rows expects (m, E) rows for W {W.shape}, got {features.shape}")
+    if features.ndim != 3 or W.data.ndim != 2 or W.data.shape[1] != features.shape[-1]:
+        raise ShapeError(f"project_rows expects (n, m, E) rows for W {W.shape}, got {features.shape}")
     flat = features.reshape(-1, features.shape[-1])
     out = (flat @ W.data.T).reshape(features.shape[:-1] + (W.data.shape[0],))
 
@@ -407,20 +398,20 @@ def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
     return Tensor(out, (W,), bw, "project_rows")
 
 
-def _picked(logits: Tensor, index) -> tuple:
-    """Index tuple of the chosen entry per row: (index,) for a vector of
-    logits and an int, (arange(n), index) for (n, D) logits and n ints."""
+def _picked(logits: Tensor, index: np.ndarray) -> tuple:
+    """Index tuple (arange(n), index) of the chosen entry per row, for (n, D)
+    logits and n ints."""
     check_index(index, logits.data.shape[-1], "log-softmax")
-    if np.shape(index) != logits.data.shape[:-1]:
-        raise ShapeError(f"indices {np.shape(index)} do not match logits {logits.shape}")
-    return (index,) if logits.data.ndim == 1 else (np.arange(len(index)), index)
+    if logits.data.ndim != 2 or index.shape != logits.data.shape[:1]:
+        raise ShapeError(f"indices {index.shape} do not match logits {logits.shape}")
+    return np.arange(len(index)), index
 
 
-def cross_entropy(logits: Tensor, target, probs: np.ndarray | None = None) -> Tensor:
-    """-log(softmax(logits)[target] + eps) over the last axis: a scalar for a
-    vector and an int target, one value per row for (n, D) logits and n
-    targets. A caller that already holds softmax_values(logits.data) passes
-    it as probs. The backward pass is softmax(logits) - onehot(target)."""
+def cross_entropy(logits: Tensor, target: np.ndarray, probs: np.ndarray | None = None) -> Tensor:
+    """-log(softmax(logits)[target] + eps), one value per row of (n, D)
+    logits for n targets. A caller that already holds
+    softmax_values(logits.data) passes it as probs. The backward pass is
+    softmax(logits) - onehot(target)."""
     at = _picked(logits, target)
     p = softmax_values(logits.data) if probs is None else probs
     out = -np.log(p[at] + CE_EPSILON)
@@ -428,7 +419,7 @@ def cross_entropy(logits: Tensor, target, probs: np.ndarray | None = None) -> Te
     def bw(g, accum):
         delta = p.copy()
         delta[at] -= 1.0
-        accum(logits, np.expand_dims(g, -1) * delta)
+        accum(logits, g[:, None] * delta)
 
     return Tensor(out, (logits,), bw, "cross_entropy")
 
@@ -465,13 +456,13 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
 
 def lstm_forward(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
                  c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step over plain arrays, a vector or a row per sequence;
-    returns (h, c, cache), the cache being what lstm_backward reads."""
+    """One LSTM step over plain arrays, a row per sequence; returns
+    (h, c, cache), the cache being what lstm_backward reads."""
     z = params.hidden_size
     gates = (x @ params.W_x.data.T + params.b.data) + h_prev @ params.W_h.data.T
     sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
-    i, f, o = sig[..., :z], sig[..., z:2 * z], sig[..., 3 * z:]
-    g = np.tanh(gates[..., 2 * z:3 * z])
+    i, f, o = sig[:, :z], sig[:, z:2 * z], sig[:, 3 * z:]
+    g = np.tanh(gates[:, 2 * z:3 * z])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -493,7 +484,7 @@ def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
     ], axis=-1)
     accum(params.W_x, d_gates, x)
     accum(params.W_h, d_gates, h_prev)
-    accum(params.b, _sum_rows(d_gates))
+    accum(params.b, d_gates.sum(axis=0))
     return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc * f
 
 

@@ -7,6 +7,10 @@ features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
 runs all of it as one recorded node over one state array per sequence,
 [s_vis, s_lang, c_vis, c_lang], plus a node for the output projection.
+
+Every sequence is a row: a scene is one row of project_batch, a word an int
+vector with one entry per row and a state an (n, 4Z) array, so one scene
+decodes as one row.
 """
 
 from __future__ import annotations
@@ -86,21 +90,21 @@ def init_policy(rng: np.random.Generator, vocab_size: int, hidden: int,
     )
 
 
-def initial_state(params: PolicyParams, rows: tuple[int, ...] = ()) -> Tensor:
-    """Zero states [s_vis, s_lang, c_vis, c_lang]: a (4Z,) vector, or one
-    row each for rows == (n,). The first 2Z columns, [s_vis, s_lang], are
-    the state the curiosity module reads."""
-    return constant(np.zeros(rows + (4 * params.hidden_size,)))
+def initial_state(params: PolicyParams, n: int) -> Tensor:
+    """Zero states [s_vis, s_lang, c_vis, c_lang], one (4Z,) row for each of
+    n sequences. The first 2Z columns, [s_vis, s_lang], are the state the
+    curiosity module reads."""
+    return constant(np.zeros((n, 4 * params.hidden_size)))
 
 
 @dataclass
 class ProjectedScene:
-    """Per-scene tensors reused across steps of one unrolled graph; with a
-    leading row axis, one zero-padded scene per row."""
+    """Per-scene tensors reused across steps of one unrolled graph, one
+    zero-padded scene per row."""
 
-    features: np.ndarray          # (m, E) or (n, m, E), constant
-    region_proj: Tensor           # (m, Z) or (n, m, Z), region i is W_v v_i
-    mean_proj: Tensor             # W_v mean(v), (Z,) or (n, Z)
+    features: np.ndarray          # (n, m, E), constant
+    region_proj: Tensor           # (n, m, Z), region i is W_v v_i
+    mean_proj: Tensor             # (n, Z), W_v mean(v)
     mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
 
     def take(self, rows: np.ndarray) -> "ProjectedScene":
@@ -109,13 +113,6 @@ class ProjectedScene:
                               region_proj=take_row(self.region_proj, rows),
                               mean_proj=take_row(self.mean_proj, rows),
                               mask=None if self.mask is None else self.mask[rows])
-
-
-def project_scene(params: PolicyParams, features: np.ndarray) -> ProjectedScene:
-    features = np.asarray(features, dtype=np.float64)
-    region_proj = project_rows(features, params.W_v)
-    mean_proj = affine(constant(features.mean(axis=0)), params.W_v)
-    return ProjectedScene(features=features, region_proj=region_proj, mean_proj=mean_proj)
 
 
 def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
@@ -133,11 +130,11 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
                           mask=None if mask.all() else mask)
 
 
-def policy_step(params: PolicyParams, prev_word, state: Tensor | None,
-                scene: ProjectedScene | np.ndarray):
-    """One decoding step, for one sequence (an int prev_word and a (4Z,)
-    state) or for a row per sequence (an int array, (n, 4Z) states and a
-    project_batch scene).
+def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | None,
+                scene: ProjectedScene):
+    """One decoding step for a row per sequence: an int vector of n previous
+    words, (n, 4Z) states (None for the zero states) and an n-row
+    project_batch scene.
 
     Returns (next-word logits, new state, attended features, attention
     weights). The state is one node whose backward pass runs the whole step
@@ -145,43 +142,41 @@ def policy_step(params: PolicyParams, prev_word, state: Tensor | None,
     attended features and attention weights are plain arrays, as no
     gradient flows back through them.
     """
-    if not isinstance(scene, ProjectedScene):
-        scene = project_scene(params, scene)
-    rows = scene.mean_proj.shape[:-1]
+    n = scene.mean_proj.shape[0]
     if state is None:
-        state = initial_state(params, rows)
+        state = initial_state(params, n)
     z = params.hidden_size
-    if state.shape != rows + (4 * z,) or np.shape(prev_word) != rows:
-        raise ShapeError(f"policy_step expects words {rows} and states {rows + (4 * z,)}, "
+    if state.shape != (n, 4 * z) or np.shape(prev_word) != (n,):
+        raise ShapeError(f"policy_step expects words ({n},) and states ({n}, {4 * z}), "
                          f"got {np.shape(prev_word)} and {state.shape}")
     check_index(prev_word, params.vocab_size, "policy_step")
     prev = state.data
-    x_vis = np.concatenate([prev[..., z:2 * z], scene.mean_proj.data, params.W_e.data[prev_word]],
+    x_vis = np.concatenate([prev[:, z:2 * z], scene.mean_proj.data, params.W_e.data[prev_word]],
                            axis=-1)
-    s_vis, c_vis, vis = lstm_forward(params.vis, x_vis, prev[..., :z], prev[..., 2 * z:3 * z])
+    s_vis, c_vis, vis = lstm_forward(params.vis, x_vis, prev[:, :z], prev[:, 2 * z:3 * z])
     attn, t = attention_forward(scene.region_proj.data, s_vis @ params.W_h.data.T,
                                 params.W_a.data, scene.mask)
     v_hat = attend_values(attn, scene.features)
     x_lang = np.concatenate([v_hat, s_vis], axis=-1)
-    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, prev[..., z:2 * z], prev[..., 3 * z:])
+    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, prev[:, z:2 * z], prev[:, 3 * z:])
 
     def step_bw(g, accum):
         e = v_hat.shape[-1]
         dx_lang, ds_lang, dc_lang = lstm_backward(accum, params.lang, lang,
-                                                  g[..., z:2 * z], g[..., 3 * z:])
+                                                  g[:, z:2 * z], g[:, 3 * z:])
         d_pre = attention_backward(accum, params.W_a, attn, t,
-                                   attend_grad(scene.features, dx_lang[..., :e]))
+                                   attend_grad(scene.features, dx_lang[:, :e]))
         accum(scene.region_proj, d_pre)
         d_hproj = d_pre.sum(axis=-2)
         accum(params.W_h, d_hproj, s_vis)
         dx_vis, ds_vis, dc_vis = lstm_backward(
-            accum, params.vis, vis, g[..., :z] + dx_lang[..., e:] + d_hproj @ params.W_h.data,
-            g[..., 2 * z:3 * z])
-        accum(scene.mean_proj, dx_vis[..., z:2 * z])
-        onehot = np.zeros(rows + (params.vocab_size,))     # the embedding lookup's (g, x) pair
-        onehot[(np.arange(rows[0]), prev_word) if rows else prev_word] = 1.0
-        accum(params.W_e, onehot, dx_vis[..., 2 * z:])
-        accum(state, np.concatenate([ds_vis, ds_lang + dx_vis[..., :z], dc_vis, dc_lang], axis=-1))
+            accum, params.vis, vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data,
+            g[:, 2 * z:3 * z])
+        accum(scene.mean_proj, dx_vis[:, z:2 * z])
+        onehot = np.zeros((n, params.vocab_size))     # the embedding lookup's (g, x) pair
+        onehot[np.arange(n), prev_word] = 1.0
+        accum(params.W_e, onehot, dx_vis[:, 2 * z:])
+        accum(state, np.concatenate([ds_vis, ds_lang + dx_vis[:, :z], dc_vis, dc_lang], axis=-1))
 
     new_state = Tensor(np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1),
                        (state, scene.region_proj, scene.mean_proj, params.W_e, params.W_h,
@@ -191,7 +186,7 @@ def policy_step(params: PolicyParams, prev_word, state: Tensor | None,
     def logits_bw(g, accum):
         accum(params.W_p, g, s_lang)
         d_state = np.zeros(new_state.shape)
-        d_state[..., z:2 * z] = g @ params.W_p.data
+        d_state[:, z:2 * z] = g @ params.W_p.data
         accum(new_state, d_state)
 
     logits = Tensor(s_lang @ params.W_p.data.T, (new_state, params.W_p), logits_bw, "logits")
@@ -214,23 +209,20 @@ class RolloutTrace:
         return bool(self.actions) and self.actions[-1] == EOS_ID
 
 
-def unroll(params: PolicyParams, scene: ProjectedScene | np.ndarray,
-           choose: Callable[[int, Tensor], int], t_max: int,
+def unroll(params: PolicyParams, scene: ProjectedScene,
+           choose: Callable[[int, Tensor], np.ndarray], t_max: int,
            live: Callable[[int, np.ndarray], np.ndarray] | None = None) -> Iterator[tuple]:
-    """The one loop over policy_step. From <bos>, step t feeds back the token
-    choose(t, logits) and yields (token, logits, state); a caller
-    stops early by leaving the loop. On a project_batch scene every row
-    steps at once and choose returns one token per row.
+    """The one loop over policy_step. From <bos>, every row of the
+    project_batch scene steps at once: step t feeds back the tokens
+    choose(t, logits), one per row, and yields (token, logits, state); a
+    caller stops early by leaving the loop.
 
     With live given, live(t, token) returns the ascending positions of the
     rows that go on after step t: their state rows (one take_row), scene
     and token rows are gathered before the next step, and the loop ends once
     no row is left."""
-    if not isinstance(scene, ProjectedScene):
-        scene = project_scene(params, scene)
-    rows = scene.mean_proj.shape[:-1]
     state: Tensor | None = None
-    token = np.full(rows, BOS_ID) if rows else BOS_ID
+    token = np.full(scene.mean_proj.shape[0], BOS_ID)
     for t in range(t_max):
         logits, state, _, _ = policy_step(params, token, state, scene)
         token = choose(t, logits)
@@ -373,14 +365,15 @@ def forced_step_losses(params: PolicyParams, features: np.ndarray,
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
-    """Stepwise argmax decoding; ties break toward the lowest index."""
+    """Stepwise argmax decoding of one scene as one row; ties break toward
+    the lowest index."""
     out: list[int] = []
     with no_grad():
-        for token, *_ in unroll(params, features,
-                                lambda t, logits: int(np.argmax(softmax_values(logits.data))),
+        for token, *_ in unroll(params, project_batch(params, [features]),
+                                lambda t, logits: np.argmax(softmax_values(logits.data), axis=-1),
                                 t_max):
-            out.append(token)
-            if token == EOS_ID:
+            out.append(int(token[0]))
+            if out[-1] == EOS_ID:
                 break
     return out
 

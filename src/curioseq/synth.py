@@ -60,6 +60,10 @@ class GrammarSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("objects_per_scene", "regions", "feature_dim", "references_per_scene"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise GrammarError(f"{name} must be an integer, got {value!r}")
         if self.objects_per_scene < 1 or self.objects_per_scene > len(self.nouns):
             raise GrammarError("objects_per_scene must be in [1, len(nouns)]")
         if self.feature_dim < len(self.nouns):

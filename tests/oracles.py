@@ -1,21 +1,25 @@
 """Reference decoders, scorers and graph ops that the tests compare
 curioseq's row paths against.
 
+Like the program, every op here takes rows, one per sequence; a scene is
+one row of `policy.project_batch`, and `first_row` drops the row axis of a
+one-row node.
+
 `composite_policy_step` is the attention-LSTM step as the graph of
 single-purpose ops (`vslice`, `lstm_cell`, `additive_attention`, `attend`,
 defined here over the kernel's plain-array helpers) that
 `policy.policy_step` fuses into one node. `forced_unroll` is the
-teacher-forced unroll one scene at a time through the vector form of
-policy_step, which `sequence_log_prob`, `forced_trace` and `rl_surrogate`
-(the per-scene log-prob graph of the policy-gradient loss) read.
-`one_row_sample` is the sampler that stepped one scene at a time, and
-`per_hypothesis_beam` is the beam search that stepped each live hypothesis
-on its own and sorted all width x vocab candidates. `padded_sample_rows` and
-`padded_score_rows` are the two row unrolls that a train step ran before
-`policy.unroll_rows` joined them: a graph-less sampler and a recorded
-teacher-forced scorer with a `logprob` node, each stepping every row,
-finished or not, until its longest row ended. `policy.unroll_rows`,
-`policy.rollout_sample` and `policy.beam_search` must agree with them.
+teacher-forced unroll of one scene as one row, which `sequence_log_prob`,
+`forced_trace` and `rl_surrogate` (the per-scene log-prob graph of the
+policy-gradient loss) read. `one_row_sample` is the sampler that stepped
+one scene at a time, and `per_hypothesis_beam` is the beam search that
+stepped each live hypothesis on its own, as one row, and sorted all width x
+vocab candidates. `padded_sample_rows` and `padded_score_rows` are the two
+row unrolls that a train step ran before `policy.unroll_rows` joined them:
+a graph-less sampler and a recorded teacher-forced scorer with a `logprob`
+node, each stepping every row, finished or not, until its longest row
+ended. `policy.unroll_rows`, `policy.rollout_sample` and
+`policy.beam_search` must agree with them.
 `sp_targets` gives the frozen next-state targets that finite-difference the
 curiosity state predictor.
 """
@@ -32,23 +36,31 @@ from curioseq.vocab import BOS_ID, EOS_ID
 
 
 def vslice(x, start, stop):
-    """Columns start:stop of the last axis."""
-    if x.data.ndim not in (1, 2):
-        raise K.ShapeError("vslice expects a vector or rows")
-    out = x.data[..., start:stop].copy()
+    """Columns start:stop of every row."""
+    if x.data.ndim != 2:
+        raise K.ShapeError(f"vslice expects rows, got {x.shape}")
+    out = x.data[:, start:stop].copy()
 
     def bw(g, accum):
         full = np.zeros_like(x.data)
-        full[..., start:stop] = g
+        full[:, start:stop] = g
         accum(x, full)
 
     return K.Tensor(out, (x,), bw, "vslice")
 
 
+def first_row(x):
+    """Row 0 of a one-row node, without the row axis: a (1, k) node as a
+    (k,) vector and a (1,) node as a scalar, so a one-row output feeds
+    `dotp`, or is the scalar loss that `grad_check` reads."""
+    return K.Tensor(x.data[0], (x,), lambda g, accum: accum(x, g[None]), "first_row")
+
+
 def attend(weights, features):
-    """Weighted sum of constant region features (attend_values) as a node."""
+    """Weighted sum of constant (n, m, E) region features (attend_values) as
+    a node, for (n, m) weights."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (2, 3) or weights.data.shape != features.shape[:-1]:
+    if features.ndim != 3 or weights.data.shape != features.shape[:-1]:
         raise K.ShapeError(
             f"attend expects weights {features.shape[:-1]} for features {features.shape}"
         )
@@ -60,14 +72,13 @@ def attend(weights, features):
 
 
 def additive_attention(R, h_proj, w_a, mask=None):
-    """attention_forward as one node over an (m, Z) region matrix R, or with
-    a leading row axis (n, m, Z) R, (n, Z) h_proj and an optional boolean
-    (n, m) mask of the real regions; padded regions get weight 0 and no
-    gradient."""
-    if R.data.ndim not in (2, 3) or R.data.shape[-2] < 1:
-        raise K.ShapeError(f"additive_attention expects non-empty (m, Z) regions, got {R.shape}")
+    """attention_forward as one node over (n, m, Z) regions R, (n, Z) h_proj
+    and an optional boolean (n, m) mask of the real regions; padded regions
+    get weight 0 and no gradient."""
+    if R.data.ndim != 3 or R.data.shape[1] < 1:
+        raise K.ShapeError(f"additive_attention expects non-empty (n, m, Z) regions, got {R.shape}")
     z = R.data.shape[-1]
-    if h_proj.data.shape != R.data.shape[:-2] + (z,) or w_a.data.shape != (z,):
+    if h_proj.data.shape != (R.data.shape[0], z) or w_a.data.shape != (z,):
         raise K.ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
                            f"do not match rows of {R.shape}")
     if mask is not None and mask.shape != R.data.shape[:-1]:
@@ -77,15 +88,15 @@ def additive_attention(R, h_proj, w_a, mask=None):
     def bw(g, accum):
         d_pre = K.attention_backward(accum, w_a, a, t, g)
         accum(R, d_pre)
-        accum(h_proj, d_pre.sum(axis=-2))
+        accum(h_proj, d_pre.sum(axis=1))
 
     return K.Tensor(a, (R, h_proj, w_a), bw, "attention")
 
 
 def logprob(logits, index):
-    """log softmax(logits)[index] over the last axis, floored at
-    LOGPROB_FLOOR so exp(result) <= 1; per row for (n, D) logits. The
-    backward pass is onehot(index) - softmax(logits)."""
+    """log softmax(logits)[index] per row of (n, D) logits, floored at
+    LOGPROB_FLOOR so exp(result) <= 1. The backward pass is onehot(index) -
+    softmax(logits)."""
     at = K._picked(logits, index)
     p = K.softmax_values(logits.data)
     out = np.log(np.maximum(p[at], K.LOGPROB_FLOOR))
@@ -93,25 +104,25 @@ def logprob(logits, index):
     def bw(g, accum):
         delta = -p
         delta[at] += 1.0
-        accum(logits, np.expand_dims(g, -1) * delta)
+        accum(logits, g[:, None] * delta)
 
     return K.Tensor(out, (logits,), bw, "logprob")
 
 
 def lstm_cell(x, h_prev, c_prev, params):
     """lstm_forward as a single node holding [h, c], returned as two views;
-    x, h_prev and c_prev are vectors or matrices with one row per sequence."""
+    x, h_prev and c_prev have one row per sequence."""
     W_x = params.W_x
     z = params.hidden_size
-    if x.data.ndim not in (1, 2) or W_x.data.shape[1] != x.data.shape[-1]:
+    if x.data.ndim != 2 or W_x.data.shape[1] != x.data.shape[-1]:
         raise K.ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
-    state_shape = x.data.shape[:-1] + (z,)
+    state_shape = (x.data.shape[0], z)
     if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
         raise K.ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
     h, c, cache = K.lstm_forward(params, x.data, h_prev.data, c_prev.data)
 
     def bw(grad, accum):
-        dx, dh_prev, dc_prev = K.lstm_backward(accum, params, cache, grad[..., :z], grad[..., z:])
+        dx, dh_prev, dc_prev = K.lstm_backward(accum, params, cache, grad[:, :z], grad[:, z:])
         accum(x, dx)
         accum(h_prev, dh_prev)
         accum(c_prev, dc_prev)
@@ -127,10 +138,8 @@ def composite_policy_step(params, prev_word, state, scene):
     vslice views), two affines, additive_attention and attend. Returns
     (logits, [s_vis, s_lang, c_vis, c_lang] state, attended features,
     attention weights), all as nodes."""
-    if not isinstance(scene, P.ProjectedScene):
-        scene = P.project_scene(params, scene)
     if state is None:
-        state = P.initial_state(params, scene.mean_proj.shape[:-1])
+        state = P.initial_state(params, scene.mean_proj.shape[0])
     z = params.hidden_size
     s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
     emb = K.take_row(params.W_e, prev_word)
@@ -147,20 +156,21 @@ def composite_policy_step(params, prev_word, state, scene):
 
 def forced_unroll(params, features, tokens):
     """(token, logits, state) per step of a teacher-forced unroll of one
-    scene through the vector form of policy_step; it does not stop at
-    <eos>."""
+    scene as one row, so a token is a (1,) array, the logits (1, D) and the
+    state (1, 4Z); it does not stop at <eos>."""
     if not tokens:
         raise ValueError("cannot unroll an empty sequence")
-    return list(P.unroll(params, features, lambda t, logits: int(tokens[t]), len(tokens)))
+    return list(P.unroll(params, P.project_batch(params, [features]),
+                         lambda t, logits: np.array([tokens[t]]), len(tokens)))
 
 
 def _trace(steps, hidden):
-    """The RolloutTrace of (token, logits, state) vector steps."""
+    """The RolloutTrace of (token, logits, state) one-row steps."""
     return P.RolloutTrace(
-        actions=[int(token) for token, _, _ in steps],
-        log_probs=[float(np.log(max(K.softmax_values(logits.data)[token], K.LOGPROB_FLOOR)))
+        actions=[int(token[0]) for token, _, _ in steps],
+        log_probs=[float(np.log(max(K.softmax_values(logits.data)[0, token[0]], K.LOGPROB_FLOOR)))
                    for token, logits, _ in steps],
-        states=[state.data[:2 * hidden].copy() for _, _, state in steps])
+        states=[state.data[0, :2 * hidden].copy() for _, _, state in steps])
 
 
 def forced_trace(params, features, tokens):
@@ -172,7 +182,7 @@ def forced_trace(params, features, tokens):
 def sequence_log_prob(params, features, tokens):
     """Sum of per-step log conditionals of a forced sequence."""
     with K.no_grad():
-        return sum(math.log(max(float(K.softmax_values(logits.data)[tok]), K.LOGPROB_FLOOR))
+        return sum(math.log(max(float(K.softmax_values(logits.data)[0, tok[0]]), K.LOGPROB_FLOOR))
                    for tok, logits, _ in forced_unroll(params, features, tokens))
 
 
@@ -180,7 +190,7 @@ def rl_surrogate(params, features, actions, advantage):
     """-sum_t A_t log pi(y_t | s_t) of one scene's actions as a graph of
     per-step logprob nodes: the policy-gradient loss that the sampled rows
     of policy.RowUnroll.loss weight with -A_t."""
-    return K.add_n([K.scale(logprob(logits, token), -float(a))
+    return K.add_n([K.dotp(logprob(logits, token), K.constant([-float(a)]))
                     for (token, logits, _), a in zip(forced_unroll(params, features, actions),
                                                      advantage)])
 
@@ -192,31 +202,32 @@ def sp_targets(trace, params):
 
 
 def one_row_sample(params, features, t_max, rng):
-    """Sample one episode from <bos> until <eos> or t_max: one vector
+    """Sample one episode from <bos> until <eos> or t_max: one one-row
     policy_step per step and one inverse-CDF draw from rng per step."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
 
     def choose(t, logits):
-        cdf = np.cumsum(K.softmax_values(logits.data))
-        return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
+        cdf = np.cumsum(K.softmax_values(logits.data)[0])
+        return np.array([min(int(np.searchsorted(cdf, rng.random(), side="right")),
+                             cdf.shape[0] - 1)])
 
     steps = []
     with K.no_grad():
-        for step in P.unroll(params, features, choose, t_max):
+        for step in P.unroll(params, P.project_batch(params, [features]), choose, t_max):
             steps.append(step)
-            if step[0] == EOS_ID:
+            if step[0][0] == EOS_ID:
                 break
     return _trace(steps, params.hidden_size)
 
 
 def per_hypothesis_beam(params, features, t_max, width):
-    """Beam search with one vector policy_step per live hypothesis and a full
-    sort of every candidate by (-log-probability, token path)."""
+    """Beam search with one one-row policy_step per live hypothesis and a
+    full sort of every candidate by (-log-probability, token path)."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
     with K.no_grad():
-        scene = P.project_scene(params, features)
+        scene = P.project_batch(params, [features])
         live = [(0.0, (), None)]
         done = []
         for _ in range(t_max):
@@ -225,8 +236,8 @@ def per_hypothesis_beam(params, features, t_max, width):
             candidates = []
             for lp, tokens, state in live:
                 prev = tokens[-1] if tokens else BOS_ID
-                logits, new_state, _, _ = P.policy_step(params, prev, state, scene)
-                logd = np.log(np.maximum(K.softmax_values(logits.data), K.LOGPROB_FLOOR))
+                logits, new_state, _, _ = P.policy_step(params, np.array([prev]), state, scene)
+                logd = np.log(np.maximum(K.softmax_values(logits.data)[0], K.LOGPROB_FLOOR))
                 for w in range(params.vocab_size):
                     candidates.append((lp + float(logd[w]), tokens + (w,), new_state))
             candidates.sort(key=lambda c: (-c[0], c[1]))

@@ -69,5 +69,26 @@ def test_only_metrics_every_run_has_are_summarized(bench_pairs):
     assert "setup_s" not in s and "epoch_s" in s
 
 
+def test_end_to_end_metrics_are_checked_against_their_bounds(bench_pairs):
+    # epoch_s 2.0 -> 2.6 (+30%) misses a 25% bound; peak_rss_mb 80 -> 85 (+6.25%)
+    # stays inside 10%; xe_loss has no samples here and setup_s no bound
+    pairs = [{"parent": record(2.0, rss=80.0), "change": record(2.6, rss=85.0)}]
+    s = bench_pairs.summarize(pairs, {"epoch_s": 0.25, "peak_rss_mb": 0.1, "xe_loss": 0.1})
+    assert s["epoch_s"]["bound"] == 0.25 and s["epoch_s"]["worse_than_bound"] is True
+    assert s["peak_rss_mb"]["bound"] == 0.1 and s["peak_rss_mb"]["worse_than_bound"] is False
+    assert "xe_loss" not in s
+    lines = bench_pairs.bound_lines("decode-seed0", s)
+    assert len(lines) == 2
+    assert lines[0].startswith("decode-seed0: epoch_s 2 -> 2.6 (+30.0%, bound +25%: WORSE)")
+    assert lines[1].startswith("decode-seed0: peak_rss_mb 80 -> 85 (+6.2%, bound +10%: within)")
+    assert "bound" not in bench_pairs.summarize(pairs)["epoch_s"]
+
+
+def test_bounds_are_read_from_the_benchmark_declaration(bench_pairs):
+    bounds = bench_pairs.end_to_end_bounds(TOOL.parents[1])
+    assert set(bounds) == {"setup_s", "epoch_s", "xe_loss", "step_ms.p90", "peak_rss_mb"}
+    assert all(0.0 < b < 1.0 for b in bounds.values())
+
+
 def test_plan_parsing(bench_pairs):
     assert bench_pairs.parse_plan("crl_epoch:7919:4") == ("crl_epoch", 7919, 4)

@@ -117,6 +117,16 @@ class TestSynth:
                     "--scenes", "2", "--val-scenes", "1"])
         assert_clean_error(capsys, code, str(grammar))
 
+    @pytest.mark.parametrize("field,value", [("objects_per_scene", 2.5), ("regions", 2.5),
+                                             ("feature_dim", 12.5),
+                                             ("references_per_scene", True)])
+    def test_non_integer_count_fails_cleanly(self, tmp_path, capsys, field, value):
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(json.dumps({field: value}))
+        code = run(["synth", "--out", str(tmp_path / "o"), "--grammar", str(grammar),
+                    "--scenes", "2", "--val-scenes", "1"])
+        assert_clean_error(capsys, code, str(grammar), field)
+
     def test_unknown_grammar_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "grammar.json"
         bad.write_text('{"colors": ["red"]}')
@@ -431,6 +441,58 @@ class TestGenerate:
                     "--scene-id", "nope"])
         assert code == 1
         assert "nope" in capsys.readouterr().err
+
+
+class TestShapeMismatch:
+    """A checkpoint whose hidden size, curiosity embedding size or feature
+    dimension differs from the config or the corpus: eval, generate and
+    train --resume each exit 1 with one error line naming the tensor."""
+
+    @pytest.fixture(scope="class")
+    def wide_features(self, tmp_path_factory):
+        """The trained corpus's grammar with 32-dimensional region features."""
+        out = tmp_path_factory.mktemp("wide")
+        grammar = out / "grammar.json"
+        grammar.write_text(json.dumps({"feature_dim": 32}))
+        assert run(["synth", "--out", str(out), "--seed", "3", "--grammar", str(grammar),
+                    "--scenes", "8", "--val-scenes", "3"]) == 0
+        return out
+
+    @pytest.fixture(params=["hidden_size", "embed_size", "feature_dim"])
+    def mismatched(self, request, trained, wide_features, tmp_path):
+        """(config path, train manifest, the tensor named in the error)."""
+        _, cfg_path = trained
+        cfg = json.loads(cfg_path.read_text())
+        tensor = {"hidden_size": "policy.W_e", "embed_size": "curiosity.phi_W",
+                  "feature_dim": "policy.W_v"}[request.param]
+        if request.param == "feature_dim":
+            cfg["train_manifest"] = str(wide_features / "train_manifest.json")
+            cfg["val_manifest"] = str(wide_features / "val_manifest.json")
+        else:
+            cfg[request.param] = 12 if request.param == "hidden_size" else 7
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path, cfg["train_manifest"], tensor
+
+    def test_eval(self, trained, mismatched, capsys):
+        out, _ = trained
+        cfg_path, _, tensor = mismatched
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt")])
+        assert_clean_error(capsys, code, tensor, "expected")
+
+    def test_generate(self, trained, mismatched, capsys):
+        out, _ = trained
+        cfg_path, manifest, tensor = mismatched
+        code = run(["generate", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
+                    "--manifest", manifest, "--scene-id", "train_0000"])
+        assert_clean_error(capsys, code, tensor, "expected")
+
+    def test_train_resume(self, trained, mismatched, tmp_path, capsys):
+        out, _ = trained
+        cfg_path, _, tensor = mismatched
+        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--epochs", "2", "--resume", str(out / "last.ckpt")])
+        assert_clean_error(capsys, code, tensor, "expected")
 
 
 class TestDiversity:

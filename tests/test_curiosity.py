@@ -4,7 +4,7 @@ import pytest
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
-from oracles import forced_trace, sp_targets
+from oracles import first_row, forced_trace, sp_targets
 
 
 def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
@@ -17,6 +17,11 @@ def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
     return policy, feats, trace, cur
 
 
+def state_row(trace, t):
+    """Step t's state as a one-row matrix."""
+    return np.array(trace.states[t:t + 1])
+
+
 def zeroed(params):
     for p in params.parameters():
         p.data[...] = 0.0
@@ -27,13 +32,13 @@ class TestEmbedState:
     def test_zero_weights_give_zero_embedding(self):
         _, _, trace, cur = make_setup()
         zeroed(cur)
-        out = C.embed_state(trace.states[0], cur)
-        np.testing.assert_array_equal(out.data, np.zeros(cur.embed_size))
+        out = C.embed_state(state_row(trace, 0), cur)
+        np.testing.assert_array_equal(out.data, np.zeros((1, cur.embed_size)))
 
     def test_deterministic(self):
         _, _, trace, cur = make_setup()
-        a = C.embed_state(trace.states[0], cur)
-        b = C.embed_state(trace.states[0], cur)
+        a = C.embed_state(state_row(trace, 0), cur)
+        b = C.embed_state(state_row(trace, 0), cur)
         assert (a.data == b.data).all()
 
     def test_gradcheck(self):
@@ -41,31 +46,36 @@ class TestEmbedState:
         w = K.constant(np.random.default_rng(3).standard_normal(cur.embed_size))
 
         def fn():
-            return K.dotp(w, C.embed_state(trace.states[0], cur))
+            return K.dotp(w, first_row(C.embed_state(state_row(trace, 0), cur)))
 
         assert K.grad_check(fn, cur.embedding_parameters()) <= 1e-4
+
+    def test_a_state_vector_is_rejected(self):
+        _, _, trace, cur = make_setup()
+        with pytest.raises(K.ShapeError):
+            C.embed_state(trace.states[0], cur)
 
 
 class TestPredictNextState:
     def test_zero_weights_give_zero_prediction(self):
         _, _, trace, cur = make_setup()
         zeroed(cur)
-        phi = C.embed_state(trace.states[0], cur)
-        out = C.predict_next_state(phi, trace.actions[0], cur)
-        np.testing.assert_array_equal(out.data, np.zeros(cur.embed_size))
+        phi = C.embed_state(state_row(trace, 0), cur)
+        out = C.predict_next_state(phi, np.array(trace.actions[:1]), cur)
+        np.testing.assert_array_equal(out.data, np.zeros((1, cur.embed_size)))
 
     def test_output_dimension(self):
         _, _, trace, cur = make_setup(embed=7)
-        phi = C.embed_state(trace.states[0], cur)
-        assert C.predict_next_state(phi, 2, cur).shape == (7,)
+        phi = C.embed_state(state_row(trace, 0), cur)
+        assert C.predict_next_state(phi, np.array([2]), cur).shape == (1, 7)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
         w = K.constant(np.random.default_rng(4).standard_normal(cur.embed_size))
 
         def fn():
-            phi = C.embed_state(trace.states[0], cur)
-            return K.dotp(w, C.predict_next_state(phi, trace.actions[0], cur))
+            phi = C.embed_state(state_row(trace, 0), cur)
+            return K.dotp(w, first_row(C.predict_next_state(phi, np.array(trace.actions[:1]), cur)))
 
         params = cur.embedding_parameters() + cur.state_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4
@@ -74,26 +84,27 @@ class TestPredictNextState:
 class TestPredictAction:
     def test_distribution_sums_to_one(self):
         _, _, trace, cur = make_setup()
-        phi_a = C.embed_state(trace.states[0], cur)
-        phi_b = C.embed_state(trace.states[1], cur)
-        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)
+        phi_a = C.embed_state(state_row(trace, 0), cur)
+        phi_b = C.embed_state(state_row(trace, 1), cur)
+        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)[0]
         assert abs(dist.sum() - 1.0) <= 1e-9
 
     def test_zero_weights_give_uniform(self):
         _, _, trace, cur = make_setup(vocab_size=8)
         zeroed(cur)
-        phi_a = C.embed_state(trace.states[0], cur)
-        phi_b = C.embed_state(trace.states[1], cur)
-        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)
+        phi_a = C.embed_state(state_row(trace, 0), cur)
+        phi_b = C.embed_state(state_row(trace, 1), cur)
+        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)[0]
         np.testing.assert_allclose(dist, 1.0 / 8, atol=1e-15)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
 
         def fn():
-            phi_a = C.embed_state(trace.states[0], cur)
-            phi_b = C.embed_state(trace.states[1], cur)
-            return K.cross_entropy(C.predict_action(phi_a, phi_b, cur), trace.actions[0])
+            phi_a = C.embed_state(state_row(trace, 0), cur)
+            phi_b = C.embed_state(state_row(trace, 1), cur)
+            return first_row(K.cross_entropy(C.predict_action(phi_a, phi_b, cur),
+                                             np.array(trace.actions[:1])))
 
         params = cur.embedding_parameters() + cur.action_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curioseq import kernel as K
-from oracles import additive_attention, attend, logprob, lstm_cell, vslice
+from oracles import additive_attention, attend, first_row, logprob, lstm_cell, vslice
 
 
 def p(name, arr):
@@ -52,33 +52,35 @@ NONLINEARITIES = {"tanh": tanh_, "sigmoid": sigmoid_, "leaky_relu": K.leaky_relu
 
 class TestAffine:
     def test_identity(self):
-        x = K.constant([3.0, 4.0])
+        x = K.constant([[3.0, 4.0]])
         W = p("W", np.eye(2))
         out = K.affine(x, W)
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
+        np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_zero_matrix_annihilates(self):
-        x = K.constant([5.0, -7.0])
+        x = K.constant([[5.0, -7.0]])
         out = K.affine(x, p("W", np.zeros((2, 2))))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0])
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_bias(self):
-        out = K.affine(K.constant([1.0, 2.0]), p("W", [[1.0, 1.0]]), p("b", [10.0]))
-        np.testing.assert_array_equal(out.data, [13.0])
+        out = K.affine(K.constant([[1.0, 2.0]]), p("W", [[1.0, 1.0]]), p("b", [10.0]))
+        np.testing.assert_array_equal(out.data, [[13.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(K.ShapeError):
-            K.affine(K.constant([1.0, 2.0, 3.0]), p("W", np.eye(2)))
+            K.affine(K.constant([[1.0, 2.0, 3.0]]), p("W", np.eye(2)))
+        with pytest.raises(K.ShapeError):            # a vector is not a row
+            K.affine(K.constant([1.0, 2.0]), p("W", np.eye(2)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         W = p("W", rng.standard_normal((4, 3)))
         b = p("b", rng.standard_normal(4))
-        x = p("x", rng.standard_normal(3))
+        x = p("x", rng.standard_normal((1, 3)))
         weights = K.constant(rng.standard_normal(4))
 
         def fn():
-            return K.dotp(weights, K.affine(x, W, b))
+            return K.dotp(weights, first_row(K.affine(x, W, b)))
 
         assert K.grad_check(fn, [W, b, x], h=1e-5) <= 1e-4
 
@@ -134,42 +136,44 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_onehot_target_is_near_zero(self):
-        logits = K.constant([0.0, 1000.0, 0.0])   # softmax is exactly one-hot
-        assert abs(K.cross_entropy(logits, 1).data) <= 1e-11
+        logits = K.constant([[0.0, 1000.0, 0.0]])   # softmax is exactly one-hot
+        assert abs(K.cross_entropy(logits, np.array([1])).data[0]) <= 1e-11
 
     def test_uniform_is_log_k(self):
-        dist = K.constant([0.25] * 4)
-        assert float(K.cross_entropy(dist, 2).data) == pytest.approx(math.log(4), abs=1e-9)
+        dist = K.constant([[0.25] * 4])
+        assert float(K.cross_entropy(dist, np.array([2])).data[0]) == pytest.approx(
+            math.log(4), abs=1e-9)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            K.cross_entropy(K.constant([1.0]), 3)
+            K.cross_entropy(K.constant([[1.0]]), np.array([3]))
 
     def test_fused_softmax_gradient_identity(self):
         # d(-log softmax(x)[i])/dx == softmax(x) - onehot(i)
         rng = np.random.default_rng(5)
-        x = p("x", rng.standard_normal(7))
+        x = p("x", rng.standard_normal((1, 7)))
         K.zero_grads([x])
-        K.backward(K.cross_entropy(x, 3))
-        expected = np.exp(x.data - x.data.max())
+        K.backward(K.cross_entropy(x, np.array([3])))
+        expected = np.exp(x.data[0] - x.data.max())
         expected /= expected.sum()
         expected[3] -= 1.0
-        np.testing.assert_allclose(x.grad, expected, atol=1e-10)
+        np.testing.assert_allclose(x.grad[0], expected, atol=1e-10)
 
     def test_plain_distribution_backward(self):
-        # the logits of a plain vector go through the one log-softmax path
-        logits = p("d", [0.2, 0.3, 0.5])
-        assert K.grad_check(lambda: K.cross_entropy(logits, 2), [logits]) <= 1e-4
+        # the logits of a plain distribution go through the one log-softmax path
+        logits = p("d", [[0.2, 0.3, 0.5]])
+        assert K.grad_check(lambda: first_row(K.cross_entropy(logits, np.array([2]))),
+                            [logits]) <= 1e-4
 
 
 class TestLogprob:
     def test_exp_of_logprob_at_most_one(self):
-        assert math.exp(float(logprob(K.constant([5.0]), 0).data)) <= 1.0
+        assert math.exp(float(logprob(K.constant([[5.0]]), np.array([0])).data[0])) <= 1.0
 
     def test_matches_log_of_probability(self):
-        logits = K.constant([0.3, -0.2, 1.4])
-        lp = logprob(logits, 2)
-        assert float(lp.data) == pytest.approx(math.log(K.softmax_values(logits.data)[2]))
+        logits = K.constant([[0.3, -0.2, 1.4]])
+        lp = logprob(logits, np.array([2]))
+        assert float(lp.data[0]) == pytest.approx(math.log(K.softmax_values(logits.data)[0, 2]))
 
 
 class TestLstmCell:
@@ -182,10 +186,10 @@ class TestLstmCell:
             W_h=p("W_h", np.zeros((16, 4))),
             b=p("b", np.zeros(16)),
         )
-        h, c = lstm_cell(K.constant(np.zeros(5)), K.constant(np.zeros(4)),
-                         K.constant(np.zeros(4)), params)
-        np.testing.assert_array_equal(h.data, np.zeros(4))
-        np.testing.assert_array_equal(c.data, np.zeros(4))
+        h, c = lstm_cell(K.constant(np.zeros((1, 5))), K.constant(np.zeros((1, 4))),
+                         K.constant(np.zeros((1, 4))), params)
+        np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(c.data, np.zeros((1, 4)))
 
     def test_saturated_gates_carry_cell_state(self):
         # forget gate ~1 and input gate ~0 leave the cell state unchanged
@@ -198,22 +202,22 @@ class TestLstmCell:
             W_h=p("W_h", np.zeros((12, 3))),
             b=p("b", b),
         )
-        c_prev = np.array([0.3, -0.8, 1.1])
-        _, c = lstm_cell(K.constant(np.zeros(2)), K.constant(np.zeros(3)),
+        c_prev = np.array([[0.3, -0.8, 1.1]])
+        _, c = lstm_cell(K.constant(np.zeros((1, 2))), K.constant(np.zeros((1, 3))),
                          K.constant(c_prev), params)
         np.testing.assert_allclose(c.data, c_prev, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         params = self.make(rng)
-        x = p("x", rng.standard_normal(5))
-        h0 = p("h0", rng.standard_normal(4))
-        c0 = p("c0", rng.standard_normal(4))
+        x = p("x", rng.standard_normal((1, 5)))
+        h0 = p("h0", rng.standard_normal((1, 4)))
+        c0 = p("c0", rng.standard_normal((1, 4)))
         w = K.constant(rng.standard_normal(4))
 
         def fn():
             h, c = lstm_cell(x, h0, c0, params)
-            return K.add(K.dotp(w, h), K.dotp(w, c))
+            return K.add(K.dotp(w, first_row(h)), K.dotp(w, first_row(c)))
 
         checked = params.parameters() + [x, h0, c0]
         assert K.grad_check(fn, checked) <= 1e-4
@@ -338,21 +342,21 @@ class TestGraphMachinery:
 
     def test_forward_values_finite(self):
         rng = np.random.default_rng(9)
-        x = K.constant(rng.standard_normal(8))
+        x = K.constant(rng.standard_normal((1, 8)))
         W = p("W", rng.standard_normal((8, 8)))
         out = softmax(tanh_(K.affine(x, W)))
         assert np.isfinite(out.data).all()
 
     def test_concat_slice_roundtrip_gradient(self):
-        a = p("a", [1.0, 2.0])
-        b = p("b", [3.0])
+        a = p("a", [[1.0, 2.0]])
+        b = p("b", [[3.0]])
         joined = K.concat([a, b])
         piece = vslice(joined, 1, 3)
         w = K.constant([1.0, 10.0])
         K.zero_grads([a, b])
-        K.backward(K.dotp(w, piece))
-        np.testing.assert_array_equal(a.grad, [0.0, 1.0])
-        np.testing.assert_array_equal(b.grad, [10.0])
+        K.backward(K.dotp(w, first_row(piece)))
+        np.testing.assert_array_equal(a.grad, [[0.0, 1.0]])
+        np.testing.assert_array_equal(b.grad, [[10.0]])
 
 
 def test_identical_seeds_give_bit_identical_updates():
@@ -361,7 +365,7 @@ def test_identical_seeds_give_bit_identical_updates():
         w = p("w", rng.standard_normal((4, 4)))
         opt = K.OptimState(learning_rate=0.05)
         for _ in range(5):
-            x = K.constant(rng.standard_normal(4))
+            x = K.constant(rng.standard_normal((1, 4)))
             loss = K.sumsq(tanh_(K.affine(x, w)))
             K.zero_grads([w])
             K.backward(loss)
@@ -399,14 +403,17 @@ def stack_scalars(nodes):
 
 
 def seed_attention(R, h_proj, w_a):
-    """Per-region add/tanh/dot triples, stacked and soft-maxed."""
-    rows = [K.take_row(R, i) for i in range(R.shape[0])]
+    """Per-region add/tanh/dot triples over the one-row (1, m, Z) regions R
+    and (1, Z) h_proj, stacked and soft-maxed into an (m,) vector."""
+    regions, h = first_row(R), first_row(h_proj)
+    rows = [first_row(K.take_row(regions, np.array([i]))) for i in range(R.shape[1])]
     return softmax(stack_scalars(
-        [K.dotp(w_a, tanh_(K.add(row, h_proj))) for row in rows]))
+        [K.dotp(w_a, tanh_(K.add(row, h))) for row in rows]))
 
 
 def seed_project_rows(features, W):
-    return [K.affine(K.constant(row), W) for row in features]
+    """One (1, Z) affine per region of one-row (1, m, E) features."""
+    return [K.affine(K.constant(region[None]), W) for region in features[0]]
 
 
 def forward_and_grads(fn, params):
@@ -431,9 +438,9 @@ class TestFusedLstm:
         rng = np.random.default_rng(seed)
         params = K.init_lstm(rng, "lstm", input_size, hidden, bound=0.8)
         params.b.data[...] = rng.standard_normal(4 * hidden)
-        x = p("x", rng.standard_normal(input_size))
-        h0 = p("h0", rng.standard_normal(hidden))
-        c0 = p("c0", rng.standard_normal(hidden))
+        x = p("x", rng.standard_normal((1, input_size)))
+        h0 = p("h0", rng.standard_normal((1, hidden)))
+        c0 = p("c0", rng.standard_normal((1, hidden)))
         wh = K.constant(rng.standard_normal(hidden))
         wc = K.constant(rng.standard_normal(hidden))
         return params, x, h0, c0, wh, wc
@@ -448,7 +455,8 @@ class TestFusedLstm:
                 # two chained steps so the state views feed a second cell
                 h2, c2 = cell(h, h, c, K.LstmParams(
                     W_x=params.W_h, W_h=params.W_h, b=params.b))
-                return K.add_n([K.dotp(wh, h2), K.dotp(wc, c2), K.dotp(wc, c)])
+                return K.add_n([K.dotp(wh, first_row(h2)), K.dotp(wc, first_row(c2)),
+                                K.dotp(wc, first_row(c))])
             return fn
 
         checked = params.parameters() + [x, h0, c0]
@@ -466,16 +474,18 @@ class TestFusedLstm:
 
         def fn():
             h, c = lstm_cell(x, h0, c0, params)
-            return K.add(K.dotp(wh, h), K.dotp(wc, c))
+            return K.add(K.dotp(wh, first_row(h)), K.dotp(wc, first_row(c)))
 
         assert K.grad_check(fn, params.parameters() + [x, h0, c0]) <= 1e-4
 
     def test_bad_shapes(self):
         params, x, h0, c0, _, _ = self.make(13)
         with pytest.raises(K.ShapeError):
-            lstm_cell(K.constant(np.zeros(3)), h0, c0, params)
+            lstm_cell(K.constant(np.zeros((1, 3))), h0, c0, params)
         with pytest.raises(K.ShapeError):
-            lstm_cell(x, K.constant(np.zeros(4)), c0, params)
+            lstm_cell(x, K.constant(np.zeros((1, 4))), c0, params)
+        with pytest.raises(K.ShapeError):            # vectors are not rows
+            lstm_cell(first_row(x), first_row(h0), first_row(c0), params)
         with pytest.raises(K.ShapeError):
             lstm_cell(x, h0, K.constant(np.zeros((5, 1))), params)
 
@@ -483,8 +493,8 @@ class TestFusedLstm:
 class TestFusedAttention:
     def make(self, seed, m=6, z=5):
         rng = np.random.default_rng(seed)
-        R = p("R", rng.standard_normal((m, z)))
-        h_proj = p("h", rng.standard_normal(z))
+        R = p("R", rng.standard_normal((1, m, z)))
+        h_proj = p("h", rng.standard_normal((1, z)))
         w_a = p("w_a", rng.standard_normal(z))
         w = K.constant(rng.standard_normal(m))
         return R, h_proj, w_a, w
@@ -492,15 +502,15 @@ class TestFusedAttention:
     @pytest.mark.parametrize("seed,m", [(0, 1), (1, 2), (2, 6), (3, 8), (4, 8)])
     def test_matches_composite(self, seed, m):
         R, h_proj, w_a, w = self.make(seed, m=m)
-        fused = lambda: K.dotp(w, additive_attention(R, h_proj, w_a))  # noqa: E731
+        fused = lambda: K.dotp(w, first_row(additive_attention(R, h_proj, w_a)))  # noqa: E731
         composite = lambda: K.dotp(w, seed_attention(R, h_proj, w_a))  # noqa: E731
-        np.testing.assert_allclose(additive_attention(R, h_proj, w_a).data,
+        np.testing.assert_allclose(additive_attention(R, h_proj, w_a).data[0],
                                    seed_attention(R, h_proj, w_a).data, rtol=0, atol=1e-12)
         assert_same_function(fused, composite, [R, h_proj, w_a])
 
     def test_grad_check(self):
         R, h_proj, w_a, w = self.make(5)
-        fn = lambda: K.dotp(w, additive_attention(R, h_proj, w_a))  # noqa: E731
+        fn = lambda: K.dotp(w, first_row(additive_attention(R, h_proj, w_a)))  # noqa: E731
         assert K.grad_check(fn, [R, h_proj, w_a]) <= 1e-4
 
     def test_bad_shapes(self):
@@ -508,31 +518,33 @@ class TestFusedAttention:
         with pytest.raises(K.ShapeError):
             additive_attention(h_proj, h_proj, w_a)
         with pytest.raises(K.ShapeError):
-            additive_attention(K.constant(np.zeros((0, 5))), h_proj, w_a)
+            additive_attention(K.constant(np.zeros((1, 0, 5))), h_proj, w_a)
         with pytest.raises(K.ShapeError):
-            additive_attention(R, K.constant(np.zeros(4)), w_a)
+            additive_attention(R, K.constant(np.zeros((1, 4))), w_a)
         with pytest.raises(K.ShapeError):
             additive_attention(R, h_proj, K.constant(np.zeros(6)))
+        with pytest.raises(K.ShapeError):            # (m, Z) regions without the row axis
+            additive_attention(first_row(R), first_row(h_proj), w_a)
 
 
 class TestProjectRows:
     def make(self, seed, m=4, e=3, z=5):
         rng = np.random.default_rng(seed)
-        return rng.standard_normal((m, e)), p("W", rng.standard_normal((z, e))), \
-            K.constant(rng.standard_normal((m, z)))
+        return rng.standard_normal((1, m, e)), p("W", rng.standard_normal((z, e))), \
+            K.constant(rng.standard_normal((1, m, z)))
 
     def test_matches_per_row_affine(self):
         features, W, weights = self.make(0)
         out = K.project_rows(features, W)
         rows = seed_project_rows(features, W)
-        np.testing.assert_allclose(out.data, np.stack([r.data for r in rows]),
+        np.testing.assert_allclose(out.data[0], np.concatenate([r.data for r in rows]),
                                    rtol=0, atol=1e-12)
 
         def fused():
             return K.sumsq(mul(weights, K.project_rows(features, W)))
 
         def composite():
-            return K.add_n([K.sumsq(mul(K.constant(weights.data[i]), r))
+            return K.add_n([K.sumsq(mul(K.constant(weights.data[0, i:i + 1]), r))
                             for i, r in enumerate(seed_project_rows(features, W))])
 
         assert_same_function(fused, composite, [W])
@@ -544,10 +556,10 @@ class TestProjectRows:
 
     def test_bad_shapes(self):
         features, W, _ = self.make(2)
-        with pytest.raises(K.ShapeError):
+        with pytest.raises(K.ShapeError):            # (m, E) regions without the row axis
             K.project_rows(features[0], W)
         with pytest.raises(K.ShapeError):
-            K.project_rows(np.zeros((4, 2)), W)
+            K.project_rows(np.zeros((1, 4, 2)), W)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +574,12 @@ class TestDeferredGradients:
         ws = [rng.standard_normal(4) for _ in range(3)]
         feats = rng.standard_normal((2, 3))
         fw = rng.standard_normal((2, 4))
-        terms = [K.dotp(K.constant(w), K.affine(K.constant(x), W)) for w, x in zip(ws, xs)]
-        terms.append(K.dotp(K.constant(ws[0][:3]), K.take_row(W, 1)))     # direct
+        terms = [K.dotp(K.constant(w), first_row(K.affine(K.constant(x[None]), W)))
+                 for w, x in zip(ws, xs)]
+        terms.append(K.dotp(K.constant(ws[0][:3]),
+                            first_row(K.take_row(W, np.array([1])))))      # direct
         terms.append(K.sumsq(W))                                           # direct
-        terms.append(K.sumsq(mul(K.constant(fw), K.project_rows(feats, W))))
+        terms.append(K.sumsq(mul(K.constant(fw[None]), K.project_rows(feats[None], W))))
         K.zero_grads([W])
         K.backward(K.add_n(terms))
         expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
@@ -582,8 +596,8 @@ class TestDeferredGradients:
         x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
         w = rng.standard_normal(3)
         K.zero_grads([W, b])
-        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x1), W, b)))
-        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x2), W, b)))
+        K.backward(K.dotp(K.constant(w), first_row(K.affine(K.constant(x1[None]), W, b))))
+        K.backward(K.dotp(K.constant(w), first_row(K.affine(K.constant(x2[None]), W, b))))
         np.testing.assert_allclose(W.grad, np.outer(w, x1) + np.outer(w, x2),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, 2.0 * w, rtol=0, atol=1e-12)
@@ -595,12 +609,12 @@ class TestDeferredGradients:
         w = rng.standard_normal(3)
         W = K.scale(P_, 2.0)        # a computed, non-Parameter weight matrix
         K.zero_grads([P_])
-        K.backward(K.dotp(K.constant(w), K.affine(K.constant(x), W)))
+        K.backward(K.dotp(K.constant(w), first_row(K.affine(K.constant(x[None]), W))))
         np.testing.assert_allclose(P_.grad, 2.0 * np.outer(w, x), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the leading row axis: every op that takes one against its 1-d form
+# the leading row axis: every op on n rows against n one-row calls
 
 N_ROWS = 3
 
@@ -640,7 +654,7 @@ def _case_vslice(rng):
 def _case_take_row(rng):
     W = p("W", rng.standard_normal((7, 4)))
     rows = np.array([3, 0, 3])      # a repeated row accumulates both gradients
-    return {}, [W], lambda get, r: K.take_row(W, rows if r is None else int(rows[r]))
+    return {}, [W], lambda get, r: K.take_row(W, rows if r is None else rows[r:r + 1])
 
 
 def _case_attention(rng):
@@ -652,13 +666,13 @@ def _case_attention(rng):
 def _case_attend(rng):
     features = rng.standard_normal((N_ROWS, 4, 3))
     return {"a": rng.standard_normal((N_ROWS, 4))}, [], \
-        lambda get, r: attend(get("a"), features if r is None else features[r])
+        lambda get, r: attend(get("a"), features if r is None else features[r:r + 1])
 
 
 def _case_project_rows(rng):
     W = p("W", rng.standard_normal((5, 3)))
     features = rng.standard_normal((N_ROWS, 4, 3))
-    return {}, [W], lambda get, r: K.project_rows(features if r is None else features[r], W)
+    return {}, [W], lambda get, r: K.project_rows(features if r is None else features[r:r + 1], W)
 
 
 def _case_softmax(rng):
@@ -668,13 +682,13 @@ def _case_softmax(rng):
 def _case_cross_entropy(rng):
     targets = np.array([1, 5, 0])
     return {"x": 2.0 * rng.standard_normal((N_ROWS, 6))}, [], \
-        lambda get, r: K.cross_entropy(get("x"), targets if r is None else int(targets[r]))
+        lambda get, r: K.cross_entropy(get("x"), targets if r is None else targets[r:r + 1])
 
 
 def _case_logprob(rng):
     index = np.array([4, 4, 2])
     return {"x": 2.0 * rng.standard_normal((N_ROWS, 6))}, [], \
-        lambda get, r: logprob(get("x"), index if r is None else int(index[r]))
+        lambda get, r: logprob(get("x"), index if r is None else index[r:r + 1])
 
 
 ROW_CASES = {
@@ -706,6 +720,8 @@ class TestRowAxis:
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
     def test_matches_vector_form_row_by_row(self, name):
+        """The vector form of a row op is its one-row call: an n-row call
+        equals n one-row calls, in values and in gradients."""
         rng = _rng_case(31)
         inputs, shared, build = ROW_CASES[name](rng)
         full = {k: p(k, v) for k, v in inputs.items()}
@@ -716,12 +732,13 @@ class TestRowAxis:
         batched = {q.name: q.grad.copy() for q in shared}
         K.zero_grads(shared)
         for r in range(N_ROWS):
-            row = {k: p(k, v[r]) for k, v in inputs.items()}
+            row = {k: p(k, v[r:r + 1]) for k, v in inputs.items()}
             out_r = build(row.get, r)
-            np.testing.assert_allclose(out.data[r], out_r.data, rtol=1e-12, atol=1e-15)
-            K.backward(_reduce(out_r, w[r]))          # accumulates the shared grads
+            assert out_r.shape == (1,) + out.shape[1:]
+            np.testing.assert_allclose(out.data[r:r + 1], out_r.data, rtol=1e-12, atol=1e-15)
+            K.backward(_reduce(out_r, w[r:r + 1]))    # accumulates the shared grads
             for k, q in row.items():
-                np.testing.assert_allclose(full[k].grad[r], q.grad, rtol=1e-12, atol=1e-15,
+                np.testing.assert_allclose(full[k].grad[r:r + 1], q.grad, rtol=1e-12, atol=1e-15,
                                            err_msg=k)
         for q in shared:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
@@ -762,7 +779,7 @@ class TestRowAxis:
         np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
         assert (x.grad[[1, 3]] == 0.0).all()
         assert K.grad_check(lambda: _reduce(K.take_row(x, rows), w), [x]) <= 1e-4
-        assert K.take_row(x, 2).shape == shape[1:]
+        assert K.take_row(x, np.array([2])).shape == (1,) + shape[1:]
 
     def test_masked_regions_get_zero_weight_and_zero_gradient(self):
         rng = _rng_case(33)
@@ -776,13 +793,13 @@ class TestRowAxis:
         K.zero_grads([R, h, w_a])
         K.backward(_reduce(attn, w))
         assert (R.grad[0, 2:] == 0.0).all()
-        # the real regions of row 0 are the 1-d op on its two regions
-        R0, h0 = p("R0", R.data[0, :2]), p("h0", h.data[0])
+        # the real regions of row 0 are the one-row op on its two regions
+        R0, h0 = p("R0", R.data[:1, :2]), p("h0", h.data[:1])
         attn0 = additive_attention(R0, h0, w_a)
-        np.testing.assert_allclose(attn.data[0, :2], attn0.data, rtol=1e-12, atol=0)
-        K.backward(_reduce(attn0, w[0, :2]))
-        np.testing.assert_allclose(R.grad[0, :2], R0.grad, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(h.grad[0], h0.grad, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(attn.data[:1, :2], attn0.data, rtol=1e-12, atol=0)
+        K.backward(_reduce(attn0, w[:1, :2]))
+        np.testing.assert_allclose(R.grad[:1, :2], R0.grad, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h.grad[:1], h0.grad, rtol=1e-12, atol=1e-15)
         assert K.grad_check(lambda: _reduce(additive_attention(R, h, w_a, mask), w),
                             [R, h, w_a]) <= 1e-4
 
@@ -806,7 +823,16 @@ class TestRowAxis:
         with pytest.raises(K.ShapeError):
             K.take_row(W, np.array([[0, 1]]))
         with pytest.raises(K.ShapeError):
-            K.take_row(K.constant(1.0), 0)
+            K.take_row(K.constant(1.0), np.array([0]))
+        for index in (1, [0, 1], np.array([0.0, 1.0])):      # only int vectors index
+            with pytest.raises(K.ShapeError):
+                K.take_row(W, index)
+        with pytest.raises(K.ShapeError):
+            K.cross_entropy(K.constant(np.zeros((2, 3))), 1)
+        with pytest.raises(K.ShapeError):
+            K.cross_entropy(K.constant(np.zeros(3)), np.array([1]))
+        with pytest.raises(K.ShapeError):
+            K.concat([K.constant(np.zeros(2)), K.constant(np.zeros(3))])
         with pytest.raises(IndexError):
             K.take_row(W, np.array([0, 4]))
         with pytest.raises(IndexError):

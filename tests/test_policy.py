@@ -19,6 +19,11 @@ def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
     return params, feats
 
 
+def one_row(params, feats):
+    """One scene as the single row of a project_batch scene."""
+    return P.project_batch(params, [feats])
+
+
 def enumerate_best(params, feats, t_max, eos=EOS_ID):
     """Exhaustive scoring of every action sequence that ends at eos or t_max."""
     results = []
@@ -39,22 +44,23 @@ class TestPolicyStep:
         rng = np.random.default_rng(2)
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
         feats = rng.standard_normal((1, 3))
-        _, _, v_hat, attn = P.policy_step(params, BOS_ID, None, feats)
-        assert attn.tolist() == [1.0]
-        np.testing.assert_allclose(v_hat, feats[0], atol=1e-15)
+        _, _, v_hat, attn = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        assert attn.tolist() == [[1.0]]
+        np.testing.assert_allclose(v_hat, feats, atol=1e-15)
 
     def test_zero_parameters_give_uniform_distribution(self):
         params, feats = tiny_policy(vocab_size=8)
         for p in params.parameters():
             p.data[...] = 0.0
-        logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
+        logits, _, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         np.testing.assert_allclose(K.softmax_values(logits.data), 1.0 / 8, atol=1e-15)
 
     def test_distribution_and_attention_normalized(self):
         params, feats = tiny_policy(seed=5)
         state = None
         for word in (BOS_ID, 4, 7):
-            logits, state, _, attn = P.policy_step(params, word, state, feats)
+            logits, state, _, attn = P.policy_step(params, np.array([word]), state,
+                                                   one_row(params, feats))
             dist = K.softmax_values(logits.data)
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert (dist > 0).all()
@@ -66,17 +72,18 @@ class TestPolicyStep:
         # first 2Z columns, [s_vis, s_lang], as the curiosity state
         params, feats = tiny_policy(seed=6)
         z = params.hidden_size
-        _, state, _, _ = P.policy_step(params, BOS_ID, None, feats)
-        _, parts, _, _ = composite_policy_step(params, BOS_ID, None, feats)
-        assert state.shape == (4 * z,)
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        _, parts, _, _ = composite_policy_step(params, np.array([BOS_ID]), None,
+                                               one_row(params, feats))
+        assert state.shape == (1, 4 * z)
         np.testing.assert_array_equal(state.data, parts.data)
         trace = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(trace.states[0], state.data[:2 * z])
+        np.testing.assert_array_equal(trace.states[0], state.data[0, :2 * z])
 
     def test_recorded_step_creates_at_most_3_nodes(self, monkeypatch):
         params, feats = tiny_policy(seed=3)
-        scene = P.project_scene(params, feats)
-        _, state, _, _ = P.policy_step(params, BOS_ID, None, scene)
+        scene = one_row(params, feats)
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, scene)
         created = []
         init = K.Tensor.__init__
 
@@ -85,14 +92,25 @@ class TestPolicyStep:
             init(tensor, *args, **kwargs)
 
         monkeypatch.setattr(K.Tensor, "__init__", counted)
-        P.policy_step(params, 4, state, scene)
+        P.policy_step(params, np.array([4]), state, scene)
         monkeypatch.undo()
         assert len(created) <= 3, sorted(t.op for t in created)
 
     def test_word_index_validated(self):
         params, feats = tiny_policy()
         with pytest.raises(IndexError):
-            P.policy_step(params, params.vocab_size, None, feats)
+            P.policy_step(params, np.array([params.vocab_size]), None, one_row(params, feats))
+
+    def test_an_int_word_or_a_state_vector_is_rejected(self):
+        params, feats = tiny_policy()
+        scene = one_row(params, feats)
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, scene)
+        with pytest.raises(K.ShapeError):
+            P.policy_step(params, BOS_ID, None, scene)
+        with pytest.raises(K.ShapeError):
+            P.policy_step(params, np.array([4]), K.constant(state.data[0]), scene)
+        with pytest.raises(K.ShapeError):
+            P.policy_step(params, np.array([4, 4]), state, scene)
 
     def test_teacher_forced_gradients_match_finite_differences(self):
         params, feats = tiny_policy(seed=7, vocab_size=7, hidden=5)
@@ -252,8 +270,9 @@ class TestScoreRows:
         K.backward(loss)
         batched = {q.name: q.grad.copy() for q in params.parameters()}
 
-        per_scene = [K.scale(K.add_n([K.cross_entropy(logits, tok)
-                                      for tok, logits, _ in forced_unroll(params, f, ref)]), e)
+        per_scene = [K.dotp(K.add_n([K.cross_entropy(logits, tok)
+                                     for tok, logits, _ in forced_unroll(params, f, ref)]),
+                            K.constant([e]))
                      for f, ref, e in zip(feats, refs, eta)]
         per_scene += [rl_surrogate(params, f, t.actions, a)
                       for f, t, a in zip(feats, run.traces, adv)]
@@ -407,30 +426,34 @@ def _values(x):
     return x.data if isinstance(x, K.Tensor) else x
 
 
-def run_steps(step, params, scene, words, targets):
+def run_steps(step, params, scene, words, targets, weights=None):
     """Feed words through step from the zero state. Returns the per-step
     (logits, state, attended features, attention) values and a scalar loss:
-    the weighted cross-entropy of targets under every step's logits plus the
-    squared norm of the last state, so every output block gets a gradient."""
+    the cross-entropy of targets under every step's logits, weighted per row
+    (by default from 0.5 to 1.5), plus the squared norm of the last state,
+    so every output block gets a gradient."""
+    if weights is None:
+        weights = np.linspace(0.5, 1.5, len(words[0]))
     state, outs, terms = None, [], []
     for word, target in zip(words, targets):
         logits, state, v_hat, attn = step(params, word, state, scene)
         outs.append((logits.data, state.data, _values(v_hat), _values(attn)))
-        ce = K.cross_entropy(logits, target)
-        terms.append(ce if ce.data.ndim == 0
-                     else K.dotp(ce, K.constant(np.linspace(0.5, 1.5, ce.shape[0]))))
+        terms.append(K.dotp(K.cross_entropy(logits, target), K.constant(weights)))
     return outs, K.add_n(terms + [K.sumsq(state)])
 
 
 class TestFusedStep:
     """policy_step, one node over one state array, against the composite
     graph of single-purpose kernel ops it fuses: the same outputs bit for
-    bit, and the same gradients up to summation order."""
+    bit, and the same gradients up to summation order; and an n-row step
+    against n one-row steps."""
 
     @staticmethod
     def vector_case():
+        """One sequence, as one row."""
         params, feats = tiny_policy(seed=21)
-        return params, lambda: P.project_scene(params, feats), [BOS_ID, 4, 7], [4, 7, EOS_ID]
+        words = [np.array([w]) for w in (BOS_ID, 4, 7, EOS_ID)]
+        return params, lambda: one_row(params, feats), words[:-1], words[1:]
 
     @staticmethod
     def row_case(saturated=True):
@@ -470,6 +493,32 @@ class TestFusedStep:
         err = K.grad_check(lambda: run_steps(P.policy_step, params, scene(), words, targets)[1],
                            params.parameters(), max_coords=20)
         assert err <= 1e-4
+
+    def test_each_row_equals_a_one_row_step(self):
+        # n rows, each with its own scene (m = 2 padded to 5, or m = 5),
+        # against n one-row calls, one scene each
+        params, scene, words, targets = self.row_case(saturated=False)
+        weights = np.linspace(0.5, 1.5, len(words[0]))
+        K.zero_grads(params.parameters())
+        rows, loss = run_steps(P.policy_step, params, scene(), words, targets, weights)
+        K.backward(loss)
+        batched = {q.name: q.grad.copy() for q in params.parameters()}
+        K.zero_grads(params.parameters())
+        _, feats, _ = row_batch()
+        for r, f in enumerate(feats):
+            m = f.shape[0]
+            one, loss_r = run_steps(P.policy_step, params, one_row(params, f),
+                                    [w[r:r + 1] for w in words], [t[r:r + 1] for t in targets],
+                                    weights[r:r + 1])
+            K.backward(loss_r)                    # accumulates over the rows
+            for got, want in zip(rows, one):
+                for a, b in zip(got[:3], want[:3]):
+                    np.testing.assert_allclose(a[r:r + 1], b, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(got[3][r:r + 1, :m], want[3], rtol=1e-12, atol=1e-15)
+                assert (got[3][r, m:] == 0.0).all()
+        for q in params.parameters():
+            np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
+                                       err_msg=q.name)
 
     def test_padded_regions_get_exactly_zero_gradient(self):
         params, scene, words, targets = self.row_case()
@@ -559,8 +608,9 @@ class TestGreedy:
         expected = []
         with K.no_grad():
             for _ in range(3):
-                logits, state, _, _ = P.policy_step(params, prev, state, feats)
-                prev = int(np.argmax(K.softmax_values(logits.data)))
+                logits, state, _, _ = P.policy_step(params, np.array([prev]), state,
+                                                    one_row(params, feats))
+                prev = int(np.argmax(K.softmax_values(logits.data)[0]))
                 expected.append(prev)
                 if prev == EOS_ID:
                     break
@@ -615,9 +665,9 @@ class TestSequenceLogProb:
     def test_single_step(self):
         params, feats = tiny_policy(seed=14)
         with K.no_grad():
-            logits, _, _, _ = P.policy_step(params, BOS_ID, None, feats)
+            logits, _, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         assert sequence_log_prob(params, feats, [3]) == pytest.approx(
-            float(np.log(K.softmax_values(logits.data)[3])))
+            float(np.log(K.softmax_values(logits.data)[0, 3])))
 
     def test_exp_at_most_one(self):
         params, feats = tiny_policy(seed=15)

@@ -13,7 +13,11 @@ change first in odd pairs. Each `--traced workload` adds one `--trace 1` run
 (seed 0) per tree. The output embeds every `.perfbench_out/` record
 verbatim, with the run log and, per workload and seed, each metric's median
 and [q1, q3] per side and the pairs the change won. Every metric of the
-benchmark is lower-is-better. Uses only the standard library.
+benchmark is lower-is-better. For each end-to-end metric of the changed
+tree's BENCHMARK.json, the summary also records its bound and whether the
+change's median is worse than the parent's by more than it, and the tool
+prints one line per workload, seed and end-to-end metric. Uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -41,11 +45,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end_bounds(tree: Path) -> dict[str, float]:
+    """The relative bound of each end-to-end metric in tree's BENCHMARK.json."""
+    doc = json.loads((tree / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in doc["end_to_end"]}
+
+
+def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict:
     """Per metric over pairs of {"parent": record, "change": record}: each
     side's median and [q1, q3], the pairs the change won (a lower value)
     and tied, its median relative to the parent's, and whether the gap
-    between the medians exceeds the parent's quartile distance."""
+    between the medians exceeds the parent's quartile distance. A metric
+    with a bound also records it and whether the change's median is worse
+    than the parent's by more than the bound."""
+    bounds = bounds or {}
     out: dict = {"pairs": len(pairs),
                  "all_correct": all(p[side]["correct"] and p[side]["failed"] == 0
                                     for p in pairs for side in ("parent", "change"))}
@@ -65,7 +78,20 @@ def summarize(pairs: list[dict]) -> dict:
                                 if parent["median"] else 0.0),
             "gap_exceeds_parent_iqr": gap > parent["q3"] - parent["q1"],
         }
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["worse_than_bound"] = out[name]["relative_change"] > bounds[name]
     return out
+
+
+def bound_lines(key: str, summary: dict) -> list[str]:
+    """One line per metric of summary that has a bound."""
+    return [f"{key}: {name} {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+            f"({m['relative_change']:+.1%}, bound +{m['bound']:.0%}: "
+            f"{'WORSE' if m['worse_than_bound'] else 'within'}), change won "
+            f"{m['change_wins']}/{summary['pairs']}, gap exceeds parent IQR: "
+            f"{m['gap_exceeds_parent_iqr']}"
+            for name, m in sorted(summary.items()) if isinstance(m, dict) and "bound" in m]
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int, log: list[str],
@@ -107,6 +133,7 @@ def main(argv=None) -> int:
                         help="a workload to trace once per tree (seed 0), repeatable")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    bounds = end_to_end_bounds(trees["change"])
     log: list[str] = []
     paired = {}
     for workload, seed, n in args.plan:
@@ -117,7 +144,7 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(trees[side], workload, seed, 0, log, f"pair {i} {side}")
             pairs.append(pair)
-        paired[f"{workload}-seed{seed}"] = {"pairs": pairs, "summary": summarize(pairs)}
+        paired[f"{workload}-seed{seed}"] = {"pairs": pairs, "summary": summarize(pairs, bounds)}
     traced = {workload: {side: run_once(trees[side], workload, 0, 1, log, f"traced {side}")
                          for side in ("parent", "change")}
               for workload in args.traced}
@@ -125,12 +152,8 @@ def main(argv=None) -> int:
            "paired": paired, "traced": traced, "run_log": log}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for key, entry in paired.items():
-        s = entry["summary"]
-        if "epoch_s" in s:
-            e = s["epoch_s"]
-            print(f"{key}: epoch_s {e['parent']['median']:.3f} -> {e['change']['median']:.3f} s "
-                  f"({e['relative_change']:+.1%}), change won {e['change_wins']}/{s['pairs']}, "
-                  f"gap exceeds parent IQR: {e['gap_exceeds_parent_iqr']}")
+        for line in bound_lines(key, entry["summary"]):
+            print(line)
     return 0
 
 
