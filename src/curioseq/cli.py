@@ -34,12 +34,14 @@ def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
     if path:
         try:
             raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
         try:
             values = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise CliError(f"config {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise CliError(f"config {path} is nested too deeply") from exc
         if not isinstance(values, dict):
             raise CliError(f"config {path} must hold a JSON object")
         for key in values:
@@ -82,13 +84,15 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
         return synth.GrammarSpec(seed=seed)
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read grammar spec {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"grammar spec {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CliError(f"grammar spec {path} is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CliError(f"grammar spec {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(synth.GrammarSpec)}
@@ -242,7 +246,7 @@ def cmd_generate(args) -> int:
 def cmd_diversity(args) -> int:
     try:
         lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {args.input}: {exc}") from exc
     paragraphs = [tokenize(line) for line in lines if line.strip()]
     graph = met.diversity_graph(paragraphs)

@@ -123,6 +123,8 @@ def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
         raise DatasetError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:       # a NUL byte in the path
+        raise DatasetError(f"cannot read manifest {str(manifest_path)!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"manifest {manifest_path} has unsupported version")
     where = f"manifest {manifest_path}"

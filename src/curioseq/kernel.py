@@ -279,7 +279,8 @@ def check_index(index: np.ndarray, n: int, what: str) -> None:
     if not isinstance(index, np.ndarray) or index.ndim != 1 or index.dtype.kind not in "iu":
         raise ShapeError(f"{what} expects a vector of ints, got {np.asarray(index).dtype}"
                          f"{np.shape(index)}")
-    if index.size and (index.min() < 0 or index.max() >= n):
+    values = index.tolist()     # numpy's min/max cost ~5 us even on a one-word vector
+    if values and (min(values) < 0 or max(values) >= n):
         raise IndexError(f"{what} index out of range [0, {n})")
 
 

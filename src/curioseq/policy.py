@@ -16,7 +16,7 @@ decodes as one row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -210,29 +210,24 @@ class RolloutTrace:
 
 
 def unroll(params: PolicyParams, scene: ProjectedScene,
-           choose: Callable[[int, Tensor], np.ndarray], t_max: int,
-           live: Callable[[int, np.ndarray], np.ndarray] | None = None) -> Iterator[tuple]:
+           step: Callable[[int, Tensor, Tensor], tuple[np.ndarray, np.ndarray]],
+           t_max: int) -> None:
     """The one loop over policy_step. From <bos>, every row of the
-    project_batch scene steps at once: step t feeds back the tokens
-    choose(t, logits), one per row, and yields (token, logits, state); a
-    caller stops early by leaving the loop.
-
-    With live given, live(t, token) returns the ascending positions of the
-    rows that go on after step t: their state rows (one take_row), scene
-    and token rows are gathered before the next step, and the loop ends once
-    no row is left."""
+    project_batch scene steps at once; after step t, step(t, logits, state)
+    returns (rows, token): the positions of the rows that go on, in the
+    order they go on (a row may repeat), and the word each of them feeds
+    next. Unless rows is every row in order, the state (one take_row) and
+    the scene rows are gathered before the next step. The loop ends when
+    rows is empty or after t_max steps."""
     state: Tensor | None = None
     token = np.full(scene.mean_proj.shape[0], BOS_ID)
     for t in range(t_max):
         logits, state, _, _ = policy_step(params, token, state, scene)
-        token = choose(t, logits)
-        yield token, logits, state
-        if live is not None:
-            keep = live(t, token)
-            if keep.size == 0:
-                return
-            if keep.size < token.size:
-                token, state, scene = token[keep], take_row(state, keep), scene.take(keep)
+        rows, token = step(t, logits, state)
+        if rows.size == 0:
+            return
+        if rows.size != state.shape[0] or (rows != np.arange(rows.size)).any():
+            state, scene = take_row(state, rows), scene.take(rows)
 
 
 @dataclass
@@ -309,36 +304,31 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     states = np.zeros((len(rngs), steps, 2 * params.hidden_size))
     lengths = np.zeros(len(rngs), dtype=np.intp)
 
-    def choose(t: int, logits: Tensor) -> np.ndarray:
+    out = RowUnroll([], [], np.empty(0), [], n_forced)
+
+    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal ids
+        p = softmax_values(logits.data)
         k = np.searchsorted(ids, n_forced)
         token = np.empty(len(ids), dtype=np.intp)
         token[:k] = tokens[ids[:k], t]
         if k < len(ids):
-            dist = softmax_values(logits.data[k:])
             u = np.array([rngs[r - n_forced].random() for r in ids[k:]])
-            cdf = np.cumsum(dist, axis=-1)
+            cdf = np.cumsum(p[k:], axis=-1)
             # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
-            token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), dist.shape[-1] - 1)
-        return token
-
-    def live(t: int, token: np.ndarray) -> np.ndarray:
-        nonlocal ids
-        keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
-        ids = ids[keep]
-        return keep
-
-    out = RowUnroll([], [], np.empty(0), [], n_forced)
-    for t, (token, logits, state) in enumerate(unroll(params, scene, choose, steps, live)):
-        p = softmax_values(logits.data)
-        out.rows.append(ids)
-        out.cross_entropy.append(cross_entropy(logits, token, p))
-        if rngs:
-            k = np.searchsorted(ids, n_forced)
+            token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), p.shape[-1] - 1)
             s = ids[k:] - n_forced
             actions[s, t] = token[k:]
             log_probs[s, t] = np.log(np.maximum(p[np.arange(k, len(ids)), token[k:]], LOGPROB_FLOOR))
             states[s, t] = state.data[k:, :2 * params.hidden_size]
             lengths[s] += 1
+        out.rows.append(ids)
+        out.cross_entropy.append(cross_entropy(logits, token, p))
+        keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
+        ids = ids[keep]
+        return keep, token[keep]
+
+    unroll(params, scene, step, steps)
     out.ce_values = np.zeros((len(ends), len(out.rows)))
     for t, (rows, node) in enumerate(zip(out.rows, out.cross_entropy)):
         out.ce_values[rows, t] = node.data
@@ -368,13 +358,14 @@ def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> li
     """Stepwise argmax decoding of one scene as one row; ties break toward
     the lowest index."""
     out: list[int] = []
+
+    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        token = np.argmax(softmax_values(logits.data), axis=-1)
+        out.append(int(token[0]))
+        return np.flatnonzero(token != EOS_ID), token[token != EOS_ID]
+
     with no_grad():
-        for token, *_ in unroll(params, project_batch(params, [features]),
-                                lambda t, logits: np.argmax(softmax_values(logits.data), axis=-1),
-                                t_max):
-            out.append(int(token[0]))
-            if out[-1] == EOS_ID:
-                break
+        unroll(params, project_batch(params, [features]), step, t_max)
     return out
 
 
@@ -384,41 +375,40 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
     finished sequences are held aside and compete on total log-probability.
     Ties resolve toward the lexicographically smaller token sequence.
 
-    The live partials step as the rows of one policy_step, each row's state
-    gathered from its parent's with take_row. Every candidate
-    scoring at least the width-th largest score is sorted by (-score, token
-    path), which picks the same width as a sort of all candidates."""
+    The live partials are the rows of one unroll: each step's rows are the
+    parents of the partials that go on. Every candidate scoring at least the
+    width-th largest score is sorted by (-score, token path), which picks the
+    same width as a sort of all candidates. As no log-probability term is
+    positive, a live score can only fall, so the search stops once the best
+    finished score is strictly above every live score; an exact tie goes on
+    for the token-path tie-break."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
     vocab = params.vocab_size
+    live_lp = np.zeros(1)
+    live: list[tuple[int, ...]] = [()]
+    done: list[tuple[float, tuple[int, ...]]] = []
+
+    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal live_lp, live
+        logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
+        scores = (live_lp[:, None] + logd).ravel()
+        picked = np.arange(scores.size)
+        if scores.size > width:
+            picked = np.flatnonzero(scores >= -np.partition(-scores, width - 1)[width - 1])
+        chosen = sorted((-float(scores[i]), live[i // vocab] + (int(i % vocab),), i // vocab)
+                        for i in picked)[:width]
+        keep = [(-neg, tokens, parent) for neg, tokens, parent in chosen if tokens[-1] != EOS_ID]
+        done.extend((-neg, tokens) for neg, tokens, _ in chosen if tokens[-1] == EOS_ID)
+        live_lp = np.array([lp for lp, _, _ in keep])
+        live = [tokens for _, tokens, _ in keep]
+        if done and live and max(lp for lp, _ in done) > live_lp.max():
+            keep = []
+        return (np.array([parent for _, _, parent in keep], dtype=np.intp),
+                np.array([tokens[-1] for _, tokens, _ in keep], dtype=np.intp))
+
     with no_grad():
-        scenes: dict[int, ProjectedScene] = {}    # the scene once per live row
-        live_lp = np.zeros(1)
-        live: list[tuple[int, ...]] = [()]
-        state: Tensor | None = None
-        done: list[tuple[float, tuple[int, ...]]] = []
-        for _ in range(t_max):
-            if not live:
-                break
-            if len(live) not in scenes:
-                scenes[len(live)] = project_batch(params, [features] * len(live))
-            prev = np.array([tokens[-1] if tokens else BOS_ID for tokens in live])
-            logits, state, _, _ = policy_step(params, prev, state, scenes[len(live)])
-            logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
-            scores = (live_lp[:, None] + logd).ravel()
-            picked = np.arange(scores.size)
-            if scores.size > width:
-                picked = np.flatnonzero(scores >= -np.partition(-scores, width - 1)[width - 1])
-            chosen = sorted((-float(scores[i]), live[i // vocab] + (int(i % vocab),), i // vocab)
-                            for i in picked)[:width]
-            keep = [(-neg, tokens, parent) for neg, tokens, parent in chosen
-                    if tokens[-1] != EOS_ID]
-            done.extend((-neg, tokens) for neg, tokens, _ in chosen if tokens[-1] == EOS_ID)
-            live_lp = np.array([lp for lp, _, _ in keep])
-            live = [tokens for _, tokens, _ in keep]
-            parents = [parent for _, _, parent in keep]
-            if parents != list(range(len(prev))):      # no gather when every row goes on
-                state = take_row(state, np.array(parents, dtype=np.intp))
-        done.extend(zip(live_lp.tolist(), live))
-        best = min(done, key=lambda c: (-c[0], c[1]))
-        return list(best[1])
+        unroll(params, project_batch(params, [features]), step, t_max)
+    done.extend(zip(live_lp.tolist(), live))
+    best = min(done, key=lambda c: (-c[0], c[1]))
+    return list(best[1])

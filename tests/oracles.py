@@ -8,10 +8,11 @@ one-row node.
 `composite_policy_step` is the attention-LSTM step as the graph of
 single-purpose ops (`vslice`, `lstm_cell`, `additive_attention`, `attend`,
 defined here over the kernel's plain-array helpers) that
-`policy.policy_step` fuses into one node. `forced_unroll` is the
-teacher-forced unroll of one scene as one row, which `sequence_log_prob`,
-`forced_trace` and `rl_surrogate` (the per-scene log-prob graph of the
-policy-gradient loss) read. `one_row_sample` is the sampler that stepped
+`policy.policy_step` fuses into one node. `row_steps` is the references'
+own loop over `policy.policy_step`, apart from the `policy.unroll` they
+check. `forced_unroll` is the teacher-forced unroll of one scene as one
+row, which `sequence_log_prob`, `forced_trace` and `rl_surrogate` (the
+per-scene log-prob graph of the policy-gradient loss) read. `one_row_sample` is the sampler that stepped
 one scene at a time, and `per_hypothesis_beam` is the beam search that
 stepped each live hypothesis on its own, as one row, and sorted all width x
 vocab candidates. `padded_sample_rows` and `padded_score_rows` are the two
@@ -154,14 +155,26 @@ def composite_policy_step(params, prev_word, state, scene):
     return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
+def row_steps(params, scene, choose, t_max):
+    """(token, logits, state) per step of a plain loop over policy_step from
+    <bos> that feeds every row of scene the tokens choose(t, logits); a
+    caller stops early by leaving the loop. It stands apart from
+    policy.unroll, so no reference runs the loop it checks."""
+    state, token = None, np.full(scene.mean_proj.shape[0], BOS_ID)
+    for t in range(t_max):
+        logits, state, _, _ = P.policy_step(params, token, state, scene)
+        token = choose(t, logits)
+        yield token, logits, state
+
+
 def forced_unroll(params, features, tokens):
     """(token, logits, state) per step of a teacher-forced unroll of one
     scene as one row, so a token is a (1,) array, the logits (1, D) and the
     state (1, 4Z); it does not stop at <eos>."""
     if not tokens:
         raise ValueError("cannot unroll an empty sequence")
-    return list(P.unroll(params, P.project_batch(params, [features]),
-                         lambda t, logits: np.array([tokens[t]]), len(tokens)))
+    return list(row_steps(params, P.project_batch(params, [features]),
+                          lambda t, logits: np.array([tokens[t]]), len(tokens)))
 
 
 def _trace(steps, hidden):
@@ -214,7 +227,7 @@ def one_row_sample(params, features, t_max, rng):
 
     steps = []
     with K.no_grad():
-        for step in P.unroll(params, P.project_batch(params, [features]), choose, t_max):
+        for step in row_steps(params, P.project_batch(params, [features]), choose, t_max):
             steps.append(step)
             if step[0][0] == EOS_ID:
                 break
@@ -273,8 +286,8 @@ def padded_sample_rows(params, features, t_max, rngs):
         return token
 
     with K.no_grad():
-        for token, _, state in P.unroll(params, P.project_batch(params, features),
-                                        choose, t_max):
+        for token, _, state in row_steps(params, P.project_batch(params, features),
+                                         choose, t_max):
             picked = dist[np.arange(n), token]
             steps.append((token, np.log(np.maximum(picked, K.LOGPROB_FLOOR)),
                           state.data[:, :2 * params.hidden_size]))
@@ -313,8 +326,8 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
     lp_w = None if lp_weights is None else _padded(lp_weights, width)
     ce, lp = np.zeros(real.shape), np.zeros(real.shape)
     terms = []
-    steps = P.unroll(params, P.project_batch(params, features),
-                     lambda t, logits: forced[:, t], width)
+    steps = row_steps(params, P.project_batch(params, features),
+                      lambda t, logits: forced[:, t], width)
     for t, (_, logits, _) in enumerate(steps):
         node = K.cross_entropy(logits, forced[:, t])
         ce[:, t] = node.data

@@ -1,9 +1,11 @@
-"""The summary math of tools/bench_pairs.py on synthetic records; nothing
-here runs the benchmark. The tool uses only the standard library, so it is
-loaded by path."""
+"""The summary math and the exit status of tools/bench_pairs.py on
+synthetic records; nothing here runs the benchmark. The tool uses only the
+standard library, so it is loaded by path."""
 
 import importlib.util
+import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,86 @@ def test_bounds_are_read_from_the_benchmark_declaration(bench_pairs):
 
 def test_plan_parsing(bench_pairs):
     assert bench_pairs.parse_plan("crl_epoch:7919:4") == ("crl_epoch", 7919, 4)
+
+
+def fake_runs(bench_pairs, monkeypatch, epoch_s, fail_at=None, correct=True):
+    """Replace run_once: the i-th run (from 0) returns record(epoch_s[side]),
+    and run fail_at raises RunFailed as a run exiting 3 would."""
+    calls = []
+
+    def run_once(tree, workload, seed, trace, log, label):
+        side = label.split()[-1]
+        log.append(f"{label} {workload} seed {seed} trace {trace}: exit "
+                   f"{3 if len(calls) == fail_at else 0}")
+        if len(calls) == fail_at:
+            log.append("Traceback: the last line of stderr")
+            raise bench_pairs.RunFailed(f"{label} {workload} seed {seed} trace {trace} exited 3")
+        calls.append(label)
+        return record(epoch_s[side], correct=correct or side == "parent")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda tree: "parent")
+    monkeypatch.chdir(TOOL.parents[1])
+    return calls
+
+
+def main(bench_pairs, tmp_path, *extra):
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(tmp_path), "--out", str(out),
+                             "--plan", "decode:0:2", *extra])
+    return code, json.loads(out.read_text())
+
+
+def test_a_flat_correct_plan_exits_0(bench_pairs, monkeypatch, tmp_path, capsys):
+    fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.1})
+    code, doc = main(bench_pairs, tmp_path, "--traced", "decode")
+    assert code == 0 and "failed_run" not in doc
+    assert doc["paired"]["decode-seed0"]["summary"]["epoch_s"]["worse_than_bound"] is False
+    assert set(doc["traced"]["decode"]) == {"parent", "change"}
+    assert "within" in capsys.readouterr().out
+
+
+def test_a_failed_last_run_writes_the_record_so_far(bench_pairs, monkeypatch, tmp_path, capsys):
+    # two pairs and two traced runs: the sixth run, the last, fails
+    calls = fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.0}, fail_at=5)
+    code, doc = main(bench_pairs, tmp_path, "--traced", "decode")
+    assert code == 1 and len(calls) == 5
+    assert len(doc["paired"]["decode-seed0"]["pairs"]) == 2
+    assert "summary" in doc["paired"]["decode-seed0"] and doc["traced"] == {}
+    assert doc["failed_run"] == "traced change decode seed 0 trace 1 exited 3"
+    assert doc["run_log"][-2:] == ["traced change decode seed 0 trace 1: exit 3",
+                                   "Traceback: the last line of stderr"]
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: traced change")
+
+
+def test_a_failed_run_keeps_the_complete_pairs(bench_pairs, monkeypatch, tmp_path):
+    fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.0}, fail_at=3)
+    code, doc = main(bench_pairs, tmp_path)
+    assert code == 1
+    entry = doc["paired"]["decode-seed0"]
+    assert len(entry["pairs"]) == 1 and "summary" not in entry
+
+
+def test_a_median_worse_than_its_bound_exits_1(bench_pairs, monkeypatch, tmp_path, capsys):
+    fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.6})
+    code, doc = main(bench_pairs, tmp_path)
+    assert code == 1 and "failed_run" not in doc
+    assert doc["paired"]["decode-seed0"]["summary"]["epoch_s"]["worse_than_bound"] is True
+    assert "WORSE" in capsys.readouterr().out
+
+
+def test_an_incorrect_run_exits_1(bench_pairs, monkeypatch, tmp_path):
+    fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.0}, correct=False)
+    code, doc = main(bench_pairs, tmp_path)
+    assert code == 1 and not doc["paired"]["decode-seed0"]["summary"]["all_correct"]
+
+
+def test_run_once_logs_the_exit_code_and_stderr_tail(bench_pairs, monkeypatch, tmp_path):
+    stderr = "\n".join(f"line {i}" for i in range(50)) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw:
+                        subprocess.CompletedProcess(cmd, 3, "partial\n", stderr))
+    log = []
+    with pytest.raises(bench_pairs.RunFailed, match="exited 3"):
+        bench_pairs.run_once(tmp_path, "decode", 0, 0, log, "pair 0 change")
+    assert "exit 3 partial" in log[0]
+    assert log[1:] == [f"line {i}" for i in range(50 - bench_pairs.STDERR_TAIL, 50)]

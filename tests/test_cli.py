@@ -340,6 +340,36 @@ class TestTrainBadInput:
         self.assert_clean_error(capsys, _train_on(tmp_path, manifest), "bad.bin", "NaN or inf")
 
 
+class TestUnreadableInput:
+    """A file that is not UTF-8, JSON nested past the recursion limit and a
+    path with a NUL byte each end in one `error:` line."""
+
+    @staticmethod
+    def write(tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "non_utf8":
+            path.write_bytes(b'{"epochs": \xff1}')
+        elif kind == "deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            path.write_text(json.dumps({"train_manifest": "a\u0000b", "epochs": 1}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv,kind,word", [
+        (["train", "--config"], "non_utf8", "utf-8"),
+        (["eval", "--checkpoint", "none.ckpt", "--config"], "non_utf8", "utf-8"),
+        (["diversity", "--input"], "non_utf8", "utf-8"),
+        (["synth", "--out", "corpus", "--grammar"], "non_utf8", "utf-8"),
+        (["train", "--config"], "deep", "nested too deeply"),
+        (["synth", "--out", "corpus", "--grammar"], "deep", "nested too deeply"),
+        (["train", "--config"], "nul_path", "null byte"),
+    ], ids=["train-non-utf8", "eval-non-utf8", "diversity-non-utf8", "synth-non-utf8",
+            "train-deep", "synth-deep", "train-nul-manifest"])
+    def test_fails_cleanly(self, tmp_path, capsys, monkeypatch, argv, kind, word):
+        monkeypatch.chdir(tmp_path)
+        assert_clean_error(capsys, run(argv + [self.write(tmp_path, kind)]), word)
+
+
 class TestEval:
     def test_beam_width_one_equals_greedy(self, trained, capsys):
         out, cfg_path = trained

@@ -153,6 +153,11 @@ def test_non_utf8_manifest_raises_dataset_error(corpus_dir):
         D.load_dataset(corpus_dir / "manifest.json")
 
 
+def test_nul_byte_in_manifest_path_raises_dataset_error():
+    with pytest.raises(D.DatasetError, match="null byte"):
+        D.load_dataset("a\x00b")
+
+
 def test_bad_vocabulary_file_raises_dataset_error(corpus_dir):
     (corpus_dir / "vocab.txt").write_text("hello\nworld\n")
     with pytest.raises(D.DatasetError, match="reserved"):

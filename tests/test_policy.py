@@ -39,6 +39,31 @@ def enumerate_best(params, feats, t_max, eos=EOS_ID):
     return min(results, key=lambda c: (-c[0], c[1]))
 
 
+def counted_steps(monkeypatch):
+    """Patch policy.policy_step to record the arguments of every call."""
+    calls = []
+    step = P.policy_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(P, "policy_step", counted)
+    return calls
+
+
+def eos_first(seed, boost):
+    """A tiny policy whose <eos> logit at the first step is raised by boost:
+    W_p's <eos> row gains boost times the direction of that step's s_lang."""
+    params, feats = tiny_policy(seed=seed, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
+    with K.no_grad():
+        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+    z = params.hidden_size
+    s_lang = state.data[0, z:2 * z]
+    params.W_p.data[EOS_ID] += boost * s_lang / (s_lang @ s_lang)
+    return params, feats
+
+
 class TestPolicyStep:
     def test_single_region_attention_is_one(self):
         rng = np.random.default_rng(2)
@@ -199,6 +224,57 @@ def weighted_loss(run, refs):
     for i, a in enumerate(adv):
         lp_w[n + i, :len(a)] = -a
     return eta, adv, run.loss(ce_w, lp_w)
+
+
+class TestUnroll:
+    """The step contract of policy.unroll: step(t, logits, state) returns
+    the rows that go on, in order and possibly repeated, and their tokens."""
+
+    def test_repeated_and_reordered_rows_read_their_parents_rows(self, monkeypatch):
+        params, feats, _ = row_batch()          # m = 2 and m = 5: masked regions
+        scene = P.project_batch(params, feats[:3])
+        rows, token = np.array([2, 0, 0, 1, 2]), np.array([4, 5, 6, 7, 8])
+        seen = []
+
+        def step(t, logits, state):
+            seen.append(state)
+            return rows, token
+
+        calls = counted_steps(monkeypatch)
+        with K.no_grad():
+            P.unroll(params, scene, step, 2)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        _, prev, state, child = calls[1]
+        np.testing.assert_array_equal(prev, token)
+        np.testing.assert_array_equal(state.data, seen[0].data[rows])
+        np.testing.assert_array_equal(child.features, scene.features[rows])
+        np.testing.assert_array_equal(child.region_proj.data, scene.region_proj.data[rows])
+        np.testing.assert_array_equal(child.mean_proj.data, scene.mean_proj.data[rows])
+        np.testing.assert_array_equal(child.mask, scene.mask[rows])
+
+    def test_every_row_in_order_gathers_nothing(self, monkeypatch):
+        params, feats, _ = row_batch()
+        n = len(feats)
+        taken = []
+        take = P.take_row
+        monkeypatch.setattr(P, "take_row", lambda W, index: taken.append(W) or take(W, index))
+        calls = counted_steps(monkeypatch)
+        with K.no_grad():
+            P.unroll(params, P.project_batch(params, feats), lambda t, logits, state:
+                     (np.arange(n), np.full(n, 4)), 3)
+        monkeypatch.undo()
+        assert len(calls) == 3 and taken == []
+
+    def test_empty_rows_end_the_loop(self, monkeypatch):
+        params, feats, _ = row_batch()
+        calls = counted_steps(monkeypatch)
+        with K.no_grad():
+            P.unroll(params, P.project_batch(params, feats), lambda t, logits, state:
+                     (np.arange(len(feats)) if t < 1 else np.empty(0, dtype=np.intp),
+                      np.full(len(feats), 4)), 5)
+        monkeypatch.undo()
+        assert len(calls) == 2
 
 
 class TestSampleRows:
@@ -531,14 +607,14 @@ class TestFusedStep:
 
     @staticmethod
     def gathers(monkeypatch):
-        """Record each policy_step's state and each take_row's source, in
-        call order."""
+        """Record each policy_step's state and scene and each take_row's
+        source, in call order."""
         events = []
         step, take = P.policy_step, P.take_row
 
         def counted_step(*args):
             out = step(*args)
-            events.append(("step", out[1]))
+            events.append(("step", (out[1], args[3])))
             return out
 
         def counted_take(W, index):
@@ -557,20 +633,31 @@ class TestFusedStep:
         for kind, tensor in events:
             if kind == "step":
                 counts.append(0)
-                last = tensor
+                last = tensor[0]
             elif tensor.shape[-1] == 4 * z and tensor.data.ndim == 2:
                 assert tensor is last
                 counts[-1] += 1
         return counts
 
     def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
-        params, feats = tiny_policy(seed=2, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
+        # after each step, either nothing is gathered or, once each, the state
+        # that step returned and the two scene tensors it read
+        params, feats = tiny_policy(seed=3, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
         events = self.gathers(monkeypatch)
         P.beam_search(params, feats, 6, width=3)
         monkeypatch.undo()
-        counts = self.state_gathers(events, params.hidden_size)
-        assert max(counts) == 1 and sum(counts) >= 2
-        assert sum(kind == "take" for kind, _ in events) == sum(counts)
+        steps, taken = [], []
+        for kind, value in events:
+            if kind == "step":
+                steps.append(value)
+                taken.append([])
+            else:
+                taken[-1].append(value)
+        assert len(steps) == 6 and sum(map(bool, taken)) >= 2
+        for (state, scene), sources in zip(steps, taken):
+            if sources:
+                assert [id(x) for x in sources] == [id(state), id(scene.region_proj),
+                                                    id(scene.mean_proj)]
 
     def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
         params, feats, refs = row_batch()
@@ -654,6 +741,28 @@ class TestBeamSearch:
         expected = [EOS_ID] if width > EOS_ID else [0, 0, 0, 0]
         assert P.beam_search(params, feats, 4, width) == expected
         assert per_hypothesis_beam(params, feats, 4, width) == expected
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_stops_once_a_finished_score_beats_every_live_score(self, monkeypatch, width):
+        # <eos> dominates the first step, so after it the finished [<eos>]
+        # beats every live partial: one step, where the oracle runs on
+        params, feats = eos_first(seed=0, boost=10.0)
+        calls = counted_steps(monkeypatch)
+        got = P.beam_search(params, feats, 6, width)
+        assert len(calls) == 1
+        del calls[:]
+        assert per_hypothesis_beam(params, feats, 6, width) == got == [EOS_ID]
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("boost", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_early_stop_equals_the_per_hypothesis_beam(self, width, boost):
+        # at widths 2 and 3, boost -1 runs all 6 steps on every seed, boost 0
+        # stops after 1, 2 or 6 steps, and boost 1 after step 1
+        for seed in range(20):
+            params, feats = eos_first(seed=seed, boost=boost)
+            assert P.beam_search(params, feats, 6, width) == per_hypothesis_beam(
+                params, feats, 6, width), f"seed {seed}"
 
     def test_rejects_zero_width(self):
         params, feats = tiny_policy()

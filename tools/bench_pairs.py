@@ -18,6 +18,11 @@ tree's BENCHMARK.json, the summary also records its bound and whether the
 change's median is worse than the parent's by more than it, and the tool
 prints one line per workload, seed and end-to-end metric. Uses only the
 standard library.
+
+A run that exits non-zero ends the plan: the record so far is written, with
+that run's exit code and the tail of its stderr in the run log, and the tool
+exits 1. It also exits 1 when a run was incorrect or when an end-to-end
+median is worse than its bound.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from pathlib import Path
 
 PAIRING = "pair i runs parent then change for even i, change then parent for odd i"
 BENCHMARK = "python3 perfbench/run.py --workload <w> --seed <s> --trace <t>"
+STDERR_TAIL = 20        # lines of a failed run's stderr kept in the run log
+
+
+class RunFailed(Exception):
+    """A perfbench run that exited non-zero."""
 
 
 def quartiles(values: list[float]) -> dict:
@@ -97,7 +107,8 @@ def bound_lines(key: str, summary: dict) -> list[str]:
 def run_once(tree: Path, workload: str, seed: int, trace: int, log: list[str],
              label: str) -> dict:
     """One perfbench run in tree, at the benchmark's own run length; returns
-    its .perfbench_out/ record."""
+    its .perfbench_out/ record. Raises RunFailed when the run exits non-zero,
+    after logging its exit code and the tail of its stderr."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -106,7 +117,8 @@ def run_once(tree: Path, workload: str, seed: int, trace: int, log: list[str],
                f"exit {proc.returncode} {last[0]}")
     print(log[-1], file=sys.stderr)
     if proc.returncode != 0:
-        raise SystemExit(f"error: {label} run failed:\n{proc.stderr}")
+        log.extend(proc.stderr.rstrip().splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"{label} {workload} seed {seed} trace {trace} exited {proc.returncode}")
     path = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(path.read_text())
 
@@ -122,6 +134,17 @@ def commit_of(tree: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+def passed(doc: dict) -> bool:
+    """Every summarized run correct with no failed operation, every traced
+    run too, and no end-to-end median worse than its bound."""
+    summaries = [entry["summary"] for entry in doc["paired"].values() if "summary" in entry]
+    return (all(s["all_correct"] for s in summaries)
+            and not any(m.get("worse_than_bound") for s in summaries for m in s.values()
+                        if isinstance(m, dict))
+            and all(rec["correct"] and rec["failed"] == 0
+                    for sides in doc["traced"].values() for rec in sides.values()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
@@ -135,26 +158,36 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
     bounds = end_to_end_bounds(trees["change"])
     log: list[str] = []
-    paired = {}
-    for workload, seed, n in args.plan:
-        pairs = []
-        for i in range(n):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"order": ", ".join(order)}
-            for side in order:
-                pair[side] = run_once(trees[side], workload, seed, 0, log, f"pair {i} {side}")
-            pairs.append(pair)
-        paired[f"{workload}-seed{seed}"] = {"pairs": pairs, "summary": summarize(pairs, bounds)}
-    traced = {workload: {side: run_once(trees[side], workload, 0, 1, log, f"traced {side}")
-                         for side in ("parent", "change")}
-              for workload in args.traced}
+    paired: dict = {}
+    traced: dict = {}
+    failure = None
+    try:
+        for workload, seed, n in args.plan:
+            pairs = []
+            paired[f"{workload}-seed{seed}"] = {"pairs": pairs}
+            for i in range(n):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"order": ", ".join(order)}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed, 0, log, f"pair {i} {side}")
+                pairs.append(pair)
+            paired[f"{workload}-seed{seed}"]["summary"] = summarize(pairs, bounds)
+        for workload in args.traced:
+            traced[workload] = {side: run_once(trees[side], workload, 0, 1, log, f"traced {side}")
+                                for side in ("parent", "change")}
+    except RunFailed as exc:
+        failure = str(exc)
     doc = {"benchmark": BENCHMARK, "pairing": PAIRING, "parent_commit": commit_of(trees["parent"]),
            "paired": paired, "traced": traced, "run_log": log}
+    if failure:
+        doc["failed_run"] = failure
+        print(f"error: {failure}", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for key, entry in paired.items():
-        for line in bound_lines(key, entry["summary"]):
-            print(line)
-    return 0
+        if "summary" in entry:
+            for line in bound_lines(key, entry["summary"]):
+                print(line)
+    return 0 if failure is None and passed(doc) else 1
 
 
 if __name__ == "__main__":
