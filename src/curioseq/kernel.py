@@ -292,11 +292,14 @@ def take_row(W: Tensor, index: np.ndarray) -> Tensor:
     if W.data.ndim < 1:
         raise ShapeError("take_row expects an array with at least one axis")
     check_index(index, W.data.shape[0], "take_row")
-    out = W.data[index].copy()
+    out = W.data[index]         # advanced indexing copies
 
     def bw(g, accum):
         full = np.zeros_like(W.data)
-        np.add.at(full, index, g)
+        if (index[1:] > index[:-1]).all():
+            full[index] += g    # no index repeats: the same sums as np.add.at, faster
+        else:
+            np.add.at(full, index, g)
         accum(W, full)
 
     return Tensor(out, (W,), bw, "take_row")
@@ -560,11 +563,20 @@ def sgd_step(params: Sequence[Parameter], opt: OptimState) -> None:
         if slot is None:
             slot = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
             opt.slots[p.name] = slot
-        slot["m"] = opt.beta1 * slot["m"] + (1.0 - opt.beta1) * p.grad
-        slot["v"] = opt.beta2 * slot["v"] + (1.0 - opt.beta2) * (p.grad * p.grad)
-        m_hat = slot["m"] / (1.0 - opt.beta1 ** t)
-        v_hat = slot["v"] / (1.0 - opt.beta2 ** t)
-        p.data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+        # in place, with the operations and their order of
+        #   m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) (g g),
+        #   data -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        m, v = slot["m"], slot["v"]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * p.grad
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (p.grad * p.grad)
+        step = m / (1.0 - opt.beta1 ** t)
+        step *= opt.learning_rate
+        denom = np.sqrt(v / (1.0 - opt.beta2 ** t))
+        denom += opt.eps
+        step /= denom
+        p.data -= step
 
 
 # ---------------------------------------------------------------------------

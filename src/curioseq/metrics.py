@@ -18,68 +18,18 @@ SENTENCE_BOUNDARY = "."
 
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    """The n-grams of tokens, counted in the order they first occur."""
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+def candidate_counts(tokens: TokenSeq, max_n: int = MAX_NGRAM) -> list[Counter]:
+    """A candidate's n-gram counts for n = 1..max_n: what BLEU and the
+    consensus score both read from it."""
+    return [ngram_counts(tokens, n) for n in range(1, max_n + 1)]
 
 
 # ---------------------------------------------------------------------------
-# BLEU
-
-
-def _closest_ref_length(cand_len: int, refs: Sequence[TokenSeq]) -> int:
-    # closest reference length, ties resolved toward the shorter reference
-    return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
-
-
-def bleu(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
-         max_n: int = 4, mode: str = "corpus") -> float:
-    """Geometric mean of clipped n-gram precisions with brevity penalty.
-
-    samples: (candidate, references) pairs, aggregated corpus-style.
-    mode "corpus" uses raw precisions; "sentence" adds 1 to numerator and
-    denominator for n >= 2 so single-sentence scores stay informative.
-    """
-    if mode not in ("corpus", "sentence"):
-        raise ValueError(f"unknown BLEU mode {mode!r}")
-    if not samples:
-        raise ValueError("bleu needs at least one sample")
-    matched = [0] * max_n
-    total = [0] * max_n
-    cand_len_sum = 0
-    ref_len_sum = 0
-    for cand, refs in samples:
-        if not refs:
-            raise ValueError("bleu sample without references")
-        cand_len_sum += len(cand)
-        ref_len_sum += _closest_ref_length(len(cand), refs)
-        for n in range(1, max_n + 1):
-            cg = ngram_counts(cand, n)
-            if not cg:
-                continue
-            best = Counter()
-            for ref in refs:
-                rg = ngram_counts(ref, n)
-                for g in cg:
-                    if rg[g] > best[g]:
-                        best[g] = rg[g]
-            matched[n - 1] += sum(min(c, best[g]) for g, c in cg.items())
-            total[n - 1] += sum(cg.values())
-    if cand_len_sum == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        m, t = matched[n - 1], total[n - 1]
-        if mode == "sentence" and n >= 2:
-            m, t = m + 1, t + 1
-        if t == 0 or m == 0:
-            return 0.0
-        log_sum += math.log(m / t)
-    precision_term = math.exp(log_sum / max_n)
-    bp = 1.0 if cand_len_sum >= ref_len_sum else math.exp(1.0 - ref_len_sum / cand_len_sum)
-    return bp * precision_term
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF consensus (CIDEr)
+# TF-IDF table and per-scene reference statistics
 
 
 @dataclass
@@ -112,28 +62,138 @@ def build_idf(reference_docs: Sequence[Sequence[TokenSeq]],
     )
 
 
-def _tfidf_cosine(cand: TokenSeq, ref: TokenSeq, idf: IdfTable, n: int) -> float:
-    cg = ngram_counts(cand, n)
-    rg = ngram_counts(ref, n)
-    num = 0.0
-    for g, c in cg.items():
-        if g in rg:
-            w = idf.get(g)
-            num += (c * w) * (rg[g] * w)
-    cnorm = math.sqrt(sum((c * idf.get(g)) ** 2 for g, c in cg.items()))
-    rnorm = math.sqrt(sum((c * idf.get(g)) ** 2 for g, c in rg.items()))
-    if cnorm == 0.0 or rnorm == 0.0:
-        return 0.0
-    return num / (cnorm * rnorm)
+@dataclass
+class References:
+    """One scene's references, counted once against an IdfTable, for n =
+    1..max_n. Index [n - 1] of max_counts, vectors and norms holds the
+    n-grams:
+
+    - max_counts: BLEU's clip, each gram's largest count in any reference.
+    - vectors: per reference, count * idf of each of its grams, in the order
+      the reference first has them.
+    - norms: per reference, the Euclidean norm of its vector.
+    """
+
+    idf: IdfTable
+    lengths: list[int]
+    max_counts: list[dict[Ngram, int]]
+    vectors: list[list[dict[Ngram, float]]]
+    norms: list[list[float]]
+
+
+def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
+                    max_n: int = MAX_NGRAM) -> References:
+    """Count refs once: the statistics that BLEU and the consensus score of
+    any candidate against them read."""
+    get = idf.values.get
+    max_counts, vectors, norms = [], [], []
+    for n in range(1, max_n + 1):
+        counts = [ngram_counts(ref, n) for ref in refs]
+        best: dict[Ngram, int] = {}
+        for rg in counts:
+            for g, c in rg.items():
+                if c > best.get(g, 0):
+                    best[g] = c
+        vecs = [{g: c * get(g, 0.0) for g, c in rg.items()} for rg in counts]
+        max_counts.append(best)
+        vectors.append(vecs)
+        norms.append([math.sqrt(sum(w ** 2 for w in vec.values())) for vec in vecs])
+    return References(idf, [len(ref) for ref in refs], max_counts, vectors, norms)
+
+
+# ---------------------------------------------------------------------------
+# BLEU
+
+
+class BleuSums:
+    """Clipped n-gram matches and totals per n, and the candidate and closest
+    reference lengths, summed over the samples added; score(n) is BLEU-n of
+    those sums for any n up to max_n."""
+
+    def __init__(self, max_n: int = MAX_NGRAM):
+        self.matched = [0] * max_n
+        self.total = [0] * max_n
+        self.cand_len = 0
+        self.ref_len = 0
+        self.samples = 0
+
+    def add(self, counts: Sequence[Counter], cand_len: int, refs: References) -> None:
+        if not refs.lengths:
+            raise ValueError("bleu sample without references")
+        self.samples += 1
+        self.cand_len += cand_len
+        # closest reference length, ties resolved toward the shorter reference
+        self.ref_len += min((abs(r - cand_len), r) for r in refs.lengths)[1]
+        for k, (cg, best) in enumerate(zip(counts, refs.max_counts)):
+            self.matched[k] += sum(min(c, best.get(g, 0)) for g, c in cg.items())
+            self.total[k] += sum(cg.values())
+
+    def score(self, max_n: int, mode: str = "corpus") -> float:
+        """Geometric mean of the clipped n-gram precisions for n = 1..max_n,
+        with brevity penalty. Mode "corpus" uses raw precisions; "sentence"
+        adds 1 to numerator and denominator for n >= 2 so single-sentence
+        scores stay informative."""
+        if mode not in ("corpus", "sentence"):
+            raise ValueError(f"unknown BLEU mode {mode!r}")
+        if not self.samples:
+            raise ValueError("bleu needs at least one sample")
+        if self.cand_len == 0:
+            return 0.0
+        log_sum = 0.0
+        for n in range(1, max_n + 1):
+            m, t = self.matched[n - 1], self.total[n - 1]
+            if mode == "sentence" and n >= 2:
+                m, t = m + 1, t + 1
+            if t == 0 or m == 0:
+                return 0.0
+            log_sum += math.log(m / t)
+        precision_term = math.exp(log_sum / max_n)
+        bp = (1.0 if self.cand_len >= self.ref_len
+              else math.exp(1.0 - self.ref_len / self.cand_len))
+        return bp * precision_term
+
+
+# BLEU reads no idf: bleu builds its statistics against this empty table
+NO_IDF = IdfTable({}, 0)
+
+
+def bleu(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
+         max_n: int = 4, mode: str = "corpus") -> float:
+    """BleuSums.score over (candidate, references) token pairs, aggregated
+    corpus-style."""
+    sums = BleuSums(max_n)
+    for cand, refs in samples:
+        sums.add(candidate_counts(cand, max_n), len(cand), reference_stats(refs, NO_IDF, max_n))
+    return sums.score(max_n, mode)
+
+
+# ---------------------------------------------------------------------------
+# TF-IDF consensus (CIDEr)
+
+
+def consensus(counts: Sequence[Counter], refs: References) -> float:
+    """The TF-IDF cosine of a candidate's n-gram counts with each reference,
+    averaged over the references and then over n: the per-candidate
+    consensus score. A zero-norm side scores 0."""
+    get = refs.idf.values.get
+    per_n = []
+    for cg, vecs, norms in zip(counts, refs.vectors, refs.norms):
+        weights = {g: c * get(g, 0.0) for g, c in cg.items()}
+        cnorm = math.sqrt(sum(w ** 2 for w in weights.values()))
+        sims = []
+        for rw, rnorm in zip(vecs, norms):
+            num = 0.0
+            for g, w in weights.items():
+                if g in rw:
+                    num += w * rw[g]
+            sims.append(0.0 if cnorm == 0.0 or rnorm == 0.0 else num / (cnorm * rnorm))
+        per_n.append(sum(sims) / len(sims))
+    return sum(per_n) / len(per_n)
 
 
 def cider_single(cand: TokenSeq, refs: Sequence[TokenSeq], idf: IdfTable,
                  max_n: int = MAX_NGRAM) -> float:
-    per_n = []
-    for n in range(1, max_n + 1):
-        sims = [_tfidf_cosine(cand, ref, idf, n) for ref in refs]
-        per_n.append(sum(sims) / len(sims))
-    return sum(per_n) / max_n
+    return consensus(candidate_counts(cand, max_n), reference_stats(refs, idf, max_n))
 
 
 def cider(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],

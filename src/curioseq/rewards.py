@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import IdfTable, bleu, cider_single
+from . import metrics as met
 from .policy import RolloutTrace
 
 
@@ -19,18 +19,22 @@ def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
     return out
 
 
-def scored_reward(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                  idf: IdfTable, bleu_weight: float, cider_weight: float,
-                  length: int) -> float:
+def scored_reward(candidate: Sequence[str], references: met.References,
+                  bleu_weight: float, cider_weight: float, length: int) -> float:
     """Terminal reward of an episode of `length` steps: the weighted sum of
     the smoothed sentence BLEU-4 and the TF-IDF consensus score of the
-    finished sequence. A candidate stripped to nothing scores 0."""
+    finished sequence against its scene's reference statistics. The
+    candidate's n-grams are counted once for both. A candidate stripped to
+    nothing scores 0."""
     if length < 1:
         raise ValueError("candidate must be non-empty")
     if not candidate:
         return 0.0
-    return float(bleu_weight * bleu([(candidate, references)], max_n=4, mode="sentence")
-                 + cider_weight * cider_single(candidate, references, idf))
+    counts = met.candidate_counts(candidate)
+    sums = met.BleuSums()
+    sums.add(counts, len(candidate), references)
+    return float(bleu_weight * sums.score(met.MAX_NGRAM, "sentence")
+                 + cider_weight * met.consensus(counts, references))
 
 
 def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarray:

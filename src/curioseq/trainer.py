@@ -181,17 +181,19 @@ def _check_finite(name: str, value: float) -> float:
 
 
 def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
-               cfg: TrainConfig, vocab: Vocabulary, idf: met.IdfTable,
+               cfg: TrainConfig, vocab: Vocabulary, references: Sequence[met.References],
                rngs: Sequence[np.random.Generator], eta: float, epoch: int = 0) -> StepStats:
     """One minibatch update from one batched graph and one backward pass.
 
     One recorded row unroll steps the B reference rows (teacher-forced) and,
     outside xe mode, the B sampled rows, scene i sampling from its own
     generator rngs[i] (xe mode draws nothing). Once the curiosity pass and
-    the rewards have scored the sampled episodes, the reference rows get
-    weight eta/B on their cross-entropy (imitation) and the sampled rows
-    weight -A_t/B on their log-probabilities (policy gradient). Curiosity
-    losses do not reach the policy: gradients are stopped at the states.
+    the rewards have scored the sampled episodes, episode i against its
+    scene's reference statistics references[i] (xe mode reads none), the
+    reference rows get weight eta/B on their cross-entropy (imitation) and
+    the sampled rows weight -A_t/B on their log-probabilities (policy
+    gradient). Curiosity losses do not reach the policy: gradients are
+    stopped at the states.
     The curiosity pass runs over all sampled transitions at once; the action
     predictor trains on its own loss, the state predictor on its own loss,
     and the shared embedding on the alpha/beta-weighted sum, which
@@ -215,13 +217,12 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                                    cfg.state_loss_weight)
         lp_weights = np.zeros(run.ce_values.shape)
         rl = 0.0
-        for i, (scene, trace, errors) in enumerate(zip(batch, run.traces, terms.errors)):
+        for i, (scene_refs, trace, errors) in enumerate(zip(references, run.traces,
+                                                            terms.errors, strict=True)):
             intrinsic = (cfg.intrinsic_scale * errors if cfg.mode == "crl"
                          else np.zeros(len(trace)))
-            candidate = vocab.decode_text(trace.actions)
-            references = [vocab.decode_text(ref) for ref in scene.references]
-            r_e = rew.scored_reward(
-                candidate, references, idf, cfg.bleu_weight, cfg.cider_weight, len(trace))
+            r_e = rew.scored_reward(vocab.decode_text(trace.actions), scene_refs,
+                                    cfg.bleu_weight, cfg.cider_weight, len(trace))
             if cfg.td_lambda == 1.0:
                 q = rew.q_closed_form(r_e, len(trace), cfg.discount)
             else:
@@ -292,21 +293,27 @@ class MetricReport:
 def evaluate(scenes: Sequence[Scene], model: ModelParams, vocab: Vocabulary,
              idf: met.IdfTable, cfg: TrainConfig) -> MetricReport:
     """Decode every scene and score corpus BLEU-1..4, the consensus metric
-    and diversity statistics."""
-    samples = []
+    and diversity statistics. Each candidate's n-grams are counted once, for
+    BLEU's sums and its consensus score against its scene's references."""
+    sums = met.BleuSums()
+    consensus = []
+    candidates = []
     for scene in scenes:
         if cfg.decode == "beam" and cfg.beam_width > 1:
             tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, cfg.beam_width)
         else:
             tokens = pol.rollout_greedy(model.policy, scene.features, cfg.t_max)
         cand = vocab.decode_text(tokens)
-        refs = [vocab.decode_text(r) for r in scene.references]
-        samples.append((cand, refs))
-    bleu_scores = {n: met.bleu(samples, max_n=n, mode="corpus") for n in (1, 2, 3, 4)}
-    cdr = met.cider(samples, idf)
-    graph = met.diversity_graph([cand for cand, _ in samples])
-    return MetricReport(bleu=bleu_scores, cider=cdr, distinct1=graph.distinct_1,
-                        distinct2=graph.distinct_2, n_scenes=len(scenes), graph=graph)
+        refs = met.reference_stats([vocab.decode_text(r) for r in scene.references], idf)
+        counts = met.candidate_counts(cand)
+        sums.add(counts, len(cand), refs)
+        consensus.append(met.consensus(counts, refs))
+        candidates.append(cand)
+    bleu_scores = {n: sums.score(n, "corpus") for n in (1, 2, 3, 4)}
+    graph = met.diversity_graph(candidates)
+    return MetricReport(bleu=bleu_scores, cider=sum(consensus) / len(consensus),
+                        distinct1=graph.distinct_1, distinct2=graph.distinct_2,
+                        n_scenes=len(scenes), graph=graph)
 
 
 def reference_documents(scenes: Sequence[Scene], vocab: Vocabulary) -> list[list[list[str]]]:
@@ -419,7 +426,11 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     feature_dim = train_scenes[0].feature_dim
     if model is None:
         model = init_model(cfg, vocab.size, feature_dim)
-    idf = met.build_idf(reference_documents(train_scenes, vocab))
+    documents = reference_documents(train_scenes, vocab)
+    idf = met.build_idf(documents)
+    # xe mode scores no sampled episodes, so it needs no reference statistics
+    references = ([] if cfg.mode == "xe"
+                  else [met.reference_stats(doc, idf) for doc in documents])
     if opt is None:
         opt = new_optimizer(cfg)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
@@ -440,7 +451,8 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             indices = order[lo:lo + cfg.batch_size].tolist()
             batch = [train_scenes[i] for i in indices]
             rngs = [np.random.default_rng([cfg.seed, epoch, i]) for i in indices]
-            stats = train_step(batch, model, opt, cfg, vocab, idf, rngs, eta, epoch)
+            batch_refs = [references[i] for i in indices] if references else []
+            stats = train_step(batch, model, opt, cfg, vocab, batch_refs, rngs, eta, epoch)
             for f in fields(StepStats):
                 setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))
             n_batches += 1

@@ -23,16 +23,24 @@ ended. `policy.unroll_rows`, `policy.rollout_sample` and
 `policy.beam_search` must agree with them.
 `sp_targets` gives the frozen next-state targets that finite-difference the
 curiosity state predictor.
+
+`bleu`, `cider_single`, `cider` and `scored_reward` are the scorers that
+counted every candidate and reference n-gram again at each call, before
+`metrics.reference_stats` counted a scene's references once; the
+statistics-based scorers must equal them exactly.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
+from curioseq.metrics import MAX_NGRAM, IdfTable, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
 
 
@@ -337,3 +345,110 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
             lp[:, t] = node.data
             terms.append(K.dotp(node, K.constant(lp_w[:, t])))
     return PaddedScores(K.add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
+
+
+def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+# ---------------------------------------------------------------------------
+# BLEU
+
+
+def _closest_ref_length(cand_len: int, refs: Sequence[TokenSeq]) -> int:
+    # closest reference length, ties resolved toward the shorter reference
+    return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
+
+
+def bleu(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
+         max_n: int = 4, mode: str = "corpus") -> float:
+    """Geometric mean of clipped n-gram precisions with brevity penalty.
+
+    samples: (candidate, references) pairs, aggregated corpus-style.
+    mode "corpus" uses raw precisions; "sentence" adds 1 to numerator and
+    denominator for n >= 2 so single-sentence scores stay informative.
+    """
+    if mode not in ("corpus", "sentence"):
+        raise ValueError(f"unknown BLEU mode {mode!r}")
+    if not samples:
+        raise ValueError("bleu needs at least one sample")
+    matched = [0] * max_n
+    total = [0] * max_n
+    cand_len_sum = 0
+    ref_len_sum = 0
+    for cand, refs in samples:
+        if not refs:
+            raise ValueError("bleu sample without references")
+        cand_len_sum += len(cand)
+        ref_len_sum += _closest_ref_length(len(cand), refs)
+        for n in range(1, max_n + 1):
+            cg = ngram_counts(cand, n)
+            if not cg:
+                continue
+            best = Counter()
+            for ref in refs:
+                rg = ngram_counts(ref, n)
+                for g in cg:
+                    if rg[g] > best[g]:
+                        best[g] = rg[g]
+            matched[n - 1] += sum(min(c, best[g]) for g, c in cg.items())
+            total[n - 1] += sum(cg.values())
+    if cand_len_sum == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        m, t = matched[n - 1], total[n - 1]
+        if mode == "sentence" and n >= 2:
+            m, t = m + 1, t + 1
+        if t == 0 or m == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+    precision_term = math.exp(log_sum / max_n)
+    bp = 1.0 if cand_len_sum >= ref_len_sum else math.exp(1.0 - ref_len_sum / cand_len_sum)
+    return bp * precision_term
+
+
+def _tfidf_cosine(cand: TokenSeq, ref: TokenSeq, idf: IdfTable, n: int) -> float:
+    cg = ngram_counts(cand, n)
+    rg = ngram_counts(ref, n)
+    num = 0.0
+    for g, c in cg.items():
+        if g in rg:
+            w = idf.get(g)
+            num += (c * w) * (rg[g] * w)
+    cnorm = math.sqrt(sum((c * idf.get(g)) ** 2 for g, c in cg.items()))
+    rnorm = math.sqrt(sum((c * idf.get(g)) ** 2 for g, c in rg.items()))
+    if cnorm == 0.0 or rnorm == 0.0:
+        return 0.0
+    return num / (cnorm * rnorm)
+
+
+def cider_single(cand: TokenSeq, refs: Sequence[TokenSeq], idf: IdfTable,
+                 max_n: int = MAX_NGRAM) -> float:
+    per_n = []
+    for n in range(1, max_n + 1):
+        sims = [_tfidf_cosine(cand, ref, idf, n) for ref in refs]
+        per_n.append(sum(sims) / len(sims))
+    return sum(per_n) / max_n
+
+
+def cider(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
+          idf: IdfTable, max_n: int = MAX_NGRAM) -> float:
+    """Mean over candidates of the per-n-averaged TF-IDF cosine consensus."""
+    if not samples:
+        raise ValueError("cider needs at least one sample")
+    return sum(cider_single(c, r, idf, max_n) for c, r in samples) / len(samples)
+
+
+def scored_reward(candidate: Sequence[str], references: Sequence[Sequence[str]],
+                  idf: IdfTable, bleu_weight: float, cider_weight: float,
+                  length: int) -> float:
+    """Terminal reward of an episode of `length` steps: the weighted sum of
+    the smoothed sentence BLEU-4 and the TF-IDF consensus score of the
+    finished sequence. A candidate stripped to nothing scores 0."""
+    if length < 1:
+        raise ValueError("candidate must be non-empty")
+    if not candidate:
+        return 0.0
+    return float(bleu_weight * bleu([(candidate, references)], max_n=4, mode="sentence")
+                 + cider_weight * cider_single(candidate, references, idf))

@@ -177,3 +177,38 @@ def test_run_once_logs_the_exit_code_and_stderr_tail(bench_pairs, monkeypatch, t
         bench_pairs.run_once(tmp_path, "decode", 0, 0, log, "pair 0 change")
     assert "exit 3 partial" in log[0]
     assert log[1:] == [f"line {i}" for i in range(50 - bench_pairs.STDERR_TAIL, 50)]
+
+
+def test_the_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    # seed 0: the change wins pairs 0-8 and ties pair 9, which counts for
+    # neither side, so 9/10; seed 1: a second tie leaves 8/10; seed 2: 10/10
+    # wins by a gap inside the parent's quartile distance
+    parent = [2.0, 2.1, 1.9, 2.2, 2.0, 2.1, 1.9, 2.0, 2.1, 2.0]
+    epoch_s = {
+        0: {"parent": parent, "change": [1.5, 1.6, 1.4, 1.7, 1.5, 1.6, 1.4, 1.5, 1.6, 2.0]},
+        1: {"parent": parent, "change": [1.5, 1.6, 1.4, 1.7, 1.5, 1.6, 1.4, 1.5, 2.1, 2.0]},
+        2: {"parent": parent, "change": [p - 0.01 for p in parent]},
+    }
+
+    def run_once(tree, workload, seed, trace, log, label):
+        _, i, side = label.split()
+        return record(epoch_s[seed][side][int(i)])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda tree: "parent")
+    monkeypatch.chdir(TOOL.parents[1])
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--plan",
+                             "decode:0:10", "--plan", "decode:1:10", "--plan", "decode:2:10"])
+    assert code == 0
+    summaries = {seed: json.loads(out.read_text())["paired"][f"decode-seed{seed}"]["summary"]
+                 for seed in epoch_s}
+    assert [(s["epoch_s"]["change_wins"], s["epoch_s"]["ties"], s["epoch_s"]["gain_rule_holds"])
+            for s in summaries.values()] == [(9, 1, True), (8, 2, False), (10, 0, False)]
+    assert summaries[2]["epoch_s"]["gap_exceeds_parent_iqr"] is False
+    # peak_rss_mb ties in every pair: no wins, no gain
+    assert summaries[0]["peak_rss_mb"]["gain_rule_holds"] is False
+    lines = [line for line in capsys.readouterr().out.splitlines() if " epoch_s " in line]
+    assert [line.rsplit("gain rule: ", 1)[1] for line in lines] == ["holds", "not met",
+                                                                     "not met"]

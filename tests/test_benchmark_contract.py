@@ -111,7 +111,9 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, m
     train, _, vocab = synth.synth_split(spec, 4, 1)
     cfg = T.TrainConfig(batch_size=4, hidden_size=6, t_max=12, epochs=1)
     model = T.init_model(cfg, vocab.size, train[0].feature_dim)
-    idf = M.build_idf(T.reference_documents(train, vocab))
+    docs = T.reference_documents(train, vocab)
+    idf = M.build_idf(docs)
+    references = [M.reference_stats(doc, idf) for doc in docs]
     opt = K.OptimState(learning_rate=cfg.learning_rate)
 
     def rngs():
@@ -134,7 +136,8 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, m
     tracer = tracing.Tracer()
     tracer.install(curioseq)
     try:
-        curioseq.trainer.train_step(train, model, opt, cfg, vocab, idf, rngs(), eta=1.0)
+        curioseq.trainer.train_step(train, model, opt, cfg, vocab, references, rngs(),
+                                    eta=1.0)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()

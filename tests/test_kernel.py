@@ -262,6 +262,24 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             K.OptimState(learning_rate=0.0)
 
+    def test_adam_in_place_equals_the_moment_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        w = p("w", rng.standard_normal((3, 4)))
+        opt = K.OptimState(learning_rate=0.003, clip_norm=None, variant="adam")
+        data, m, v = w.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 6):
+            g = rng.standard_normal((3, 4))
+            w.grad[...] = g
+            K.sgd_step([w], opt)
+            m = opt.beta1 * m + (1.0 - opt.beta1) * g
+            v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
+            m_hat = m / (1.0 - opt.beta1 ** t)
+            v_hat = v / (1.0 - opt.beta2 ** t)
+            data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+            np.testing.assert_array_equal(w.data, data)
+            np.testing.assert_array_equal(opt.slots["w"]["m"], m)
+            np.testing.assert_array_equal(opt.slots["w"]["v"], v)
+
 
 class TestGradCheck:
     def test_linear_function_is_nearly_exact(self):
@@ -780,6 +798,22 @@ class TestRowAxis:
         assert (x.grad[[1, 3]] == 0.0).all()
         assert K.grad_check(lambda: _reduce(K.take_row(x, rows), w), [x]) <= 1e-4
         assert K.take_row(x, np.array([2])).shape == (1,) + shape[1:]
+
+    @pytest.mark.parametrize("rows", [[0, 2, 3, 5], [5], [], [3, 1, 4], [4, 0, 4, 2, 4]])
+    def test_take_row_scatter_equals_add_at_bit_for_bit(self, rows):
+        # increasing rows scatter with +=, the others with np.add.at
+        rng = _rng_case(37)
+        x = p("x", rng.standard_normal((6, 3, 2)))
+        index = np.array(rows, dtype=np.intp)
+        out = K.take_row(x, index)
+        g = rng.standard_normal(out.shape)
+        g[..., 0] = -0.0                          # 0.0 + -0.0 is 0.0 on either path
+        grads = []
+        out.backward_fn(g, lambda node, grad: grads.append(grad))
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, index, g)
+        (got,) = grads
+        assert got.tobytes() == expected.tobytes()
 
     def test_masked_regions_get_zero_weight_and_zero_gradient(self):
         rng = _rng_case(33)

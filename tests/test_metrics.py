@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from curioseq import metrics as M
+from curioseq import rewards as R
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles, kept free of the implementation's helpers
@@ -178,6 +180,80 @@ class TestCider:
     def test_nonnegative(self):
         idf = M.build_idf([DOC1, DOC2])
         assert M.cider([(("box", "box", "box"), DOC1)], idf) >= 0.0
+
+
+# token lists over a small alphabet, so grams repeat and references share
+# grams with the candidate; "z" never reaches an idf table below
+TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d", ".", "z"]), max_size=16)
+REFS = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "."]), max_size=16),
+                min_size=1, max_size=3)
+
+
+class TestReferenceStatistics:
+    """The scorers that read per-scene reference statistics against the
+    scorers that counted every n-gram again at each call (oracles), with
+    exact equality: the sums run in the same order, so no bit may differ."""
+
+    @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=9), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_ngram_counts_iterate_in_the_oracle_order(self, tokens, n):
+        assert list(M.ngram_counts(tokens, n).items()) == list(
+            oracles.ngram_counts(tokens, n).items())
+
+    @given(TOKENS, REFS, st.lists(REFS, max_size=3), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_scored_reward_equals_the_oracle(self, cand, refs, other_docs, a, b):
+        idf = M.build_idf([refs] + other_docs)
+        stats = M.reference_stats(refs, idf)
+        for length in (len(cand), len(cand) + 2):
+            if length < 1:
+                with pytest.raises(ValueError):
+                    R.scored_reward(cand, stats, a, b, length)
+                continue
+            assert R.scored_reward(cand, stats, a, b, length) == oracles.scored_reward(
+                cand, refs, idf, a, b, length)
+
+    @given(st.lists(st.tuples(TOKENS, REFS), min_size=1, max_size=4), st.lists(REFS, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_bleu_and_cider_equal_the_oracle(self, samples, other_docs):
+        idf = M.build_idf([refs for _, refs in samples[:2]] + other_docs)
+        for n in (1, 2, 3, 4):
+            for mode in ("corpus", "sentence"):
+                assert M.bleu(samples, max_n=n, mode=mode) == oracles.bleu(samples, n, mode)
+        assert M.cider(samples, idf) == oracles.cider(samples, idf)
+        for cand, refs in samples:
+            assert M.cider_single(cand, refs, idf) == oracles.cider_single(cand, refs, idf)
+
+    def test_edge_cases_equal_the_oracle(self):
+        idf = M.build_idf([DOC1, DOC2])
+        refs = [("a", "red", "box", "a", "red", "box"), ("a", "red")]
+        cases = [(), ("a",), ("a", "red"), ("z", "z", "z"), ("a", "red", "box", "a", "red"),
+                 ("box", "box", "box", "box")]
+        for cand in cases:
+            for ref_set in (refs[:1], refs, [()] + refs):
+                stats = M.reference_stats(ref_set, idf)
+                assert R.scored_reward(cand, stats, 1.0, 2.0, 5) == oracles.scored_reward(
+                    cand, ref_set, idf, 1.0, 2.0, 5)
+                sample = [(cand, ref_set)]
+                assert M.bleu(sample, mode="sentence") == oracles.bleu(sample, 4, "sentence")
+                assert M.cider(sample, idf) == oracles.cider(sample, idf)
+
+    def test_statistics_hold_the_clip_lengths_and_norms(self):
+        idf = M.build_idf([DOC1, DOC2])
+        refs = [("a", "red", "a"), ("a", "box")]
+        stats = M.reference_stats(refs, idf)
+        assert stats.lengths == [3, 2]
+        assert stats.max_counts[0] == {("a",): 2, ("red",): 1, ("box",): 1}
+        assert stats.max_counts[2] == {("a", "red", "a"): 1}
+        assert stats.vectors[0][1] == {("a",): idf.get(("a",)), ("box",): idf.get(("box",))}
+        assert stats.norms[1][1] == math.sqrt(idf.get(("a", "box")) ** 2)
+        assert stats.vectors[3] == [{}, {}] and stats.norms[3] == [0.0, 0.0]
+
+    def test_a_sample_without_references_is_rejected(self):
+        with pytest.raises(ValueError, match="without references"):
+            M.bleu([(("a",), [])])
+        with pytest.raises(ValueError, match="at least one sample"):
+            M.bleu([])
 
 
 class TestDiversityGraph:

@@ -107,6 +107,7 @@ class TestExtrinsicReward:
         self.doc1 = [tuple("a red box sits here".split())]
         self.doc2 = [tuple("the tall tree stands there".split())]
         self.idf = M.build_idf([self.doc1, self.doc2])
+        self.refs1 = M.reference_stats(self.doc1, self.idf)
 
     def test_weighted_combination(self):
         # stubbed metric values: terminal = a * bleu4 + b * cider
@@ -115,14 +116,14 @@ class TestExtrinsicReward:
 
     def test_zero_before_terminal(self):
         cand = list(self.doc1[0])
-        reward = R.scored_reward(cand, self.doc1, self.idf, 1.0, 2.0, len(cand))
+        reward = R.scored_reward(cand, self.refs1, 1.0, 2.0, len(cand))
         vec = R.terminal_reward_vector(reward, len(cand))
         assert (vec[:-1] == 0.0).all()
         assert vec[-1] > 0.0
 
     def test_identical_candidate_gets_bleu_one_plus_cider(self):
         cand = list(self.doc1[0])
-        reward = R.scored_reward(cand, self.doc1, self.idf,
+        reward = R.scored_reward(cand, self.refs1,
                                  bleu_weight=1.0, cider_weight=2.0, length=len(cand))
         expected = 1.0 * M.bleu([(cand, self.doc1)], mode="sentence") \
             + 2.0 * M.cider_single(cand, self.doc1, self.idf)
@@ -130,15 +131,15 @@ class TestExtrinsicReward:
         assert M.bleu([(cand, self.doc1)], mode="sentence") == pytest.approx(1.0)
 
     def test_explicit_length_for_stripped_candidates(self):
-        reward = R.scored_reward(["a"], self.doc1, self.idf, 1.0, 2.0, 6)
+        reward = R.scored_reward(["a"], self.refs1, 1.0, 2.0, 6)
         vec = R.terminal_reward_vector(reward, 6)
         assert vec.shape == (6,)
         assert (vec[:-1] == 0.0).all()
 
     def test_empty_candidate_rejected_without_length(self):
         with pytest.raises(ValueError):
-            R.scored_reward([], self.doc1, self.idf, 1.0, 2.0, 0)
-        reward = R.scored_reward([], self.doc1, self.idf, 1.0, 2.0, 3)
+            R.scored_reward([], self.refs1, 1.0, 2.0, 0)
+        reward = R.scored_reward([], self.refs1, 1.0, 2.0, 3)
         assert R.terminal_reward_vector(reward, 3).tolist() == [0.0, 0.0, 0.0]
 
 

@@ -11,6 +11,7 @@ from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
+import oracles
 from oracles import rl_surrogate
 
 
@@ -132,6 +133,13 @@ class TestXeLoss:
         assert K.grad_check(fn, model.policy.parameters(), max_coords=10) <= 1e-4
 
 
+def reference_stats(batch, train, vocab):
+    """The reference statistics of each scene of batch against the idf of
+    the train split, as train builds them."""
+    idf = M.build_idf(T.reference_documents(train, vocab))
+    return [M.reference_stats(doc, idf) for doc in T.reference_documents(batch, vocab)]
+
+
 def scene_rngs(seed, n):
     """One sampling generator per scene of a minibatch."""
     return [np.random.default_rng([seed, i]) for i in range(n)]
@@ -149,14 +157,13 @@ class TestTrainStep:
     def run_step(self, tiny_corpus, cfg, seed=0):
         train, _, vocab = tiny_corpus
         model = T.init_model(cfg, vocab.size, train[0].feature_dim)
-        idf = M.build_idf(T.reference_documents(train, vocab))
         opt = K.OptimState(learning_rate=cfg.learning_rate, clip_norm=cfg.clip_norm,
                            variant=cfg.optimizer)
         batch = train[: cfg.batch_size]
         eta = 1.0 if cfg.mode == "xe" else cfg.imitation_weight
         before = snapshot(model.parameters())
-        stats = T.train_step(batch, model, opt, cfg, vocab, idf, scene_rngs(seed, len(batch)),
-                             eta=eta)
+        stats = T.train_step(batch, model, opt, cfg, vocab, reference_stats(batch, train, vocab),
+                             scene_rngs(seed, len(batch)), eta=eta)
         return model, before, stats
 
     def test_zero_weights_and_advantages_change_nothing(self, tiny_corpus):
@@ -204,10 +211,10 @@ class TestTrainStep:
         cfg = tiny_config()
         model = T.init_model(cfg, vocab.size, train[0].feature_dim)
         model.policy.W_p.data[0, 0] = np.nan
-        idf = M.build_idf(T.reference_documents(train, vocab))
         opt = K.OptimState(learning_rate=cfg.learning_rate)
         with pytest.raises(T.TrainingAborted, match="imitation|reinforcement"):
-            T.train_step(train[:4], model, opt, cfg, vocab, idf, scene_rngs(0, 4), eta=1.0)
+            T.train_step(train[:4], model, opt, cfg, vocab,
+                         reference_stats(train[:4], train, vocab), scene_rngs(0, 4), eta=1.0)
 
     def test_grads_cleared_after_step(self, tiny_corpus):
         cfg = tiny_config()
@@ -473,6 +480,86 @@ class TestEvaluate:
         beam = T.evaluate(val, model, vocab, idf, cfg_b)
         # both are finite reports; no ordering between them is asserted
         assert math.isfinite(greedy.cider) and math.isfinite(beam.cider)
+
+
+@pytest.fixture(scope="module")
+def desk_corpus():
+    """The desk-scale corpus: 200 train and 50 val scenes of the default grammar."""
+    return synth.synth_split(synth.GrammarSpec(seed=0), 200, 50)
+
+
+def reference_fragments(corpus):
+    """Decodes that share many grams with the references, in another order:
+    scene i decodes its own reference i % 2, or every third scene the next
+    scene's, rotated by 7i tokens and cut to (11i mod 31) tokens, some empty."""
+    train, val, _ = corpus
+    scenes = train + val
+    out = []
+    for i, scene in enumerate(scenes):
+        source = scenes[(i + 1) % len(scenes)] if i % 3 == 2 else scene
+        tokens = list(source.references[i % 2])
+        k = 7 * i % len(tokens)
+        out.append((tokens[k:] + tokens[:k])[:11 * i % 31])
+    return out
+
+
+class TestEvaluateScoring:
+    """evaluate's one pass over the samples against the oracle scorer's four
+    corpus BLEU calls and its CIDEr call on the same decodes, bit for bit."""
+
+    def oracle_scores(self, scenes, vocab, idf, decodes):
+        samples = [(vocab.decode_text(tokens), [vocab.decode_text(r) for r in s.references])
+                   for s, tokens in zip(scenes, decodes)]
+        return ({n: oracles.bleu(samples, max_n=n, mode="corpus") for n in (1, 2, 3, 4)},
+                oracles.cider(samples, idf))
+
+    def capture(self, monkeypatch, name):
+        decodes = []
+        decode = getattr(P, name)
+
+        def captured(*args):
+            decodes.append(decode(*args))
+            return decodes[-1]
+
+        monkeypatch.setattr(P, name, captured)
+        return decodes
+
+    @pytest.mark.parametrize("decode,width,name", [("greedy", 1, "rollout_greedy"),
+                                                   ("beam", 2, "beam_search")])
+    def test_model_decodes_score_as_the_oracle(self, desk_corpus, monkeypatch, decode, width,
+                                               name):
+        train, val, vocab = desk_corpus
+        cfg = T.TrainConfig(hidden_size=64, t_max=30, decode=decode, beam_width=width)
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        idf = M.build_idf(T.reference_documents(train, vocab))
+        decodes = self.capture(monkeypatch, name)
+        report = T.evaluate(val, model, vocab, idf, cfg)
+        assert (report.bleu, report.cider) == self.oracle_scores(val, vocab, idf, decodes)
+
+    def test_reference_fragments_score_as_the_oracle(self, desk_corpus, monkeypatch):
+        train, val, vocab = desk_corpus
+        scenes = train + val
+        fragments = {id(s.features): tokens
+                     for s, tokens in zip(scenes, reference_fragments(desk_corpus))}
+        monkeypatch.setattr(P, "rollout_greedy",
+                            lambda params, features, t_max: fragments[id(features)])
+        cfg = T.TrainConfig(hidden_size=8, t_max=30)
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        idf = M.build_idf(T.reference_documents(train, vocab))
+        report = T.evaluate(scenes, model, vocab, idf, cfg)
+        decodes = [fragments[id(s.features)] for s in scenes]
+        bleu, cider = self.oracle_scores(scenes, vocab, idf, decodes)
+        assert report.bleu == bleu and report.cider == cider
+        assert 0.0 < min(bleu.values()) and 0.0 < cider
+
+    def test_rewards_of_reference_fragments_equal_the_oracle(self, desk_corpus):
+        train, val, vocab = desk_corpus
+        docs = T.reference_documents(train + val, vocab)
+        idf = M.build_idf(docs[:len(train)])
+        for tokens, refs in zip(reference_fragments(desk_corpus), docs):
+            cand = vocab.decode_text(tokens)
+            assert R.scored_reward(cand, M.reference_stats(refs, idf), 1.0, 2.0, 30) == \
+                oracles.scored_reward(cand, refs, idf, 1.0, 2.0, 30)
 
 
 class TestAblationModes:

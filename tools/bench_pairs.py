@@ -12,12 +12,15 @@ times in each tree, alternating: the parent runs first in even pairs and the
 change first in odd pairs. Each `--traced workload` adds one `--trace 1` run
 (seed 0) per tree. The output embeds every `.perfbench_out/` record
 verbatim, with the run log and, per workload and seed, each metric's median
-and [q1, q3] per side and the pairs the change won. Every metric of the
-benchmark is lower-is-better. For each end-to-end metric of the changed
-tree's BENCHMARK.json, the summary also records its bound and whether the
-change's median is worse than the parent's by more than it, and the tool
-prints one line per workload, seed and end-to-end metric. Uses only the
-standard library.
+and [q1, q3] per side, the pairs the change won and whether the gain rule
+holds: the change won at least 9 of every 10 pairs, ties counting for
+neither side, and the gap between the medians exceeds the distance between
+the parent's quartiles. Every metric of the benchmark is lower-is-better.
+For each end-to-end metric of the changed tree's BENCHMARK.json, the
+summary also records its bound and whether the change's median is worse
+than the parent's by more than it, and the tool prints one line per
+workload, seed and end-to-end metric, with the gain rule's verdict. Uses
+only the standard library.
 
 A run that exits non-zero ends the plan: the record so far is written, with
 that run's exit code and the tail of its stderr in the run log, and the tool
@@ -64,8 +67,9 @@ def end_to_end_bounds(tree: Path) -> dict[str, float]:
 def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict:
     """Per metric over pairs of {"parent": record, "change": record}: each
     side's median and [q1, q3], the pairs the change won (a lower value)
-    and tied, its median relative to the parent's, and whether the gap
-    between the medians exceeds the parent's quartile distance. A metric
+    and tied, its median relative to the parent's, whether the gap between
+    the medians exceeds the parent's quartile distance, and whether the
+    gain rule holds: that gap, with wins in at least 9 of 10 pairs. A metric
     with a bound also records it and whether the change's median is worse
     than the parent's by more than the bound."""
     bounds = bounds or {}
@@ -79,14 +83,17 @@ def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict
                   for side in ("parent", "change")}
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         gap = parent["median"] - change["median"]
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        gap_exceeds = gap > parent["q3"] - parent["q1"]
         out[name] = {
             "parent": parent,
             "change": change,
-            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            "change_wins": wins,
             "ties": sum(c == p for p, c in zip(values["parent"], values["change"])),
             "relative_change": (change["median"] / parent["median"] - 1.0
                                 if parent["median"] else 0.0),
-            "gap_exceeds_parent_iqr": gap > parent["q3"] - parent["q1"],
+            "gap_exceeds_parent_iqr": gap_exceeds,
+            "gain_rule_holds": 10 * wins >= 9 * len(pairs) and gap_exceeds,
         }
         if name in bounds:
             out[name]["bound"] = bounds[name]
@@ -100,7 +107,8 @@ def bound_lines(key: str, summary: dict) -> list[str]:
             f"({m['relative_change']:+.1%}, bound +{m['bound']:.0%}: "
             f"{'WORSE' if m['worse_than_bound'] else 'within'}), change won "
             f"{m['change_wins']}/{summary['pairs']}, gap exceeds parent IQR: "
-            f"{m['gap_exceeds_parent_iqr']}"
+            f"{m['gap_exceeds_parent_iqr']}, gain rule: "
+            f"{'holds' if m['gain_rule_holds'] else 'not met'}"
             for name, m in sorted(summary.items()) if isinstance(m, dict) and "bound" in m]
 
 
