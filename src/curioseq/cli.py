@@ -29,24 +29,29 @@ class CliError(ValueError):
     pass
 
 
+def read_json_object(path: str, what: str, known: set[str]) -> dict:
+    """The JSON object in the file at path, each of whose keys must be in
+    known; every error names the file as `what` and its path."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{what} {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{what} {path} is nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} {path} must hold a JSON object")
+    for key in doc:
+        if key not in known:
+            raise CliError(f"{what} {path}: unknown key {key!r}")
+    return doc
+
+
 def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
-    values: dict = {}
-    if path:
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from exc
-        try:
-            values = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise CliError(f"config {path} is nested too deeply") from exc
-        if not isinstance(values, dict):
-            raise CliError(f"config {path} must hold a JSON object")
-        for key in values:
-            if key not in CONFIG_KEYS:
-                raise CliError(f"config {path}: unknown key {key!r}")
+    values = read_json_object(path, "config", CONFIG_KEYS) if path else {}
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
@@ -56,49 +61,20 @@ def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
-def make_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create directory {path}: {exc}") from exc
-
-
-def write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
 def dump_effective_config(cfg: trn.TrainConfig, out_dir: Path | None) -> None:
     line = cfg.to_json()
     print(f"config {line}")
     if out_dir is not None:
-        make_dir(out_dir)
-        write_text(out_dir / "effective_config.json",
-                   json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "effective_config.json").write_text(
+            json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
     if path is None:
         return synth.GrammarSpec(seed=seed)
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read grammar spec {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"grammar spec {path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise CliError(f"grammar spec {path} is nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"grammar spec {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(synth.GrammarSpec)}
-    for key in doc:
-        if key not in known:
-            raise CliError(f"grammar spec {path}: unknown key {key!r}")
+    doc = read_json_object(path, "grammar spec",
+                           {f.name for f in dataclasses.fields(synth.GrammarSpec)})
     doc["seed"] = seed
     try:
         for key in ("nouns", "adjectives", "verbs", "generic_templates", "templates"):
@@ -111,12 +87,11 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    make_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     spec = _load_grammar(args.grammar, args.seed)
     train_scenes, val_scenes, vocab = synth.synth_split(spec, args.scenes, args.val_scenes)
     vocab.save(out / "vocab.txt")
-    feat_dir = out / "features"
-    feat_dir.mkdir(exist_ok=True)
+    (out / "features").mkdir(exist_ok=True)
 
     def write_split(name: str, scenes):
         entries = []
@@ -134,12 +109,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_split(manifest: str | None, t_max: int) -> dat.LoadedDataset | None:
-    if manifest is None:
-        return None
-    return dat.load_dataset(manifest, t_max=t_max)
-
-
 def cmd_train(args) -> int:
     overrides = {
         "seed": args.seed, "epochs": args.epochs, "batch_size": args.batch_size,
@@ -155,8 +124,8 @@ def cmd_train(args) -> int:
     dump_effective_config(cfg, out_dir)
 
     train_ds = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
-    val_ds = _load_split(cfg.val_manifest, cfg.t_max)
-    val_scenes = val_ds.scenes if val_ds else []
+    val_scenes = ([] if cfg.val_manifest is None
+                  else dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max).scenes)
 
     model = opt = None
     start_epoch = 0
@@ -218,8 +187,8 @@ def cmd_eval(args) -> int:
     }
     print(json.dumps(record, sort_keys=True))
     if args.graph_out:
-        write_text(args.graph_out,
-                   json.dumps(report.graph.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(args.graph_out).write_text(
+            json.dumps(report.graph.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
@@ -252,7 +221,7 @@ def cmd_diversity(args) -> int:
     graph = met.diversity_graph(paragraphs)
     payload = json.dumps(graph.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.output:
-        write_text(args.output, payload)
+        Path(args.output).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
     return 0
@@ -311,12 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Bad input, and a file the system refuses to read or
+    write, end it with exit status 1 and one `error:` line on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, dat.DatasetError, trn.ConfigError, trn.TrainingAborted,
-            CheckpointError, CorpusError, synth.GrammarError) as exc:
+            CheckpointError, CorpusError, synth.GrammarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ embedding and predictor weights, never the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .kernel import (
     xavier_uniform,
     zeros_param,
 )
-from .policy import RolloutTrace
+from .policy import Episodes
 
 
 @dataclass
@@ -129,56 +128,48 @@ def predict_action(phi_t: Tensor, phi_next: Tensor, params: CuriosityParams) -> 
 
 @dataclass
 class CuriosityPass:
-    """The curiosity terms of a set of traces, built on one shared embedding
-    of all their states."""
+    """The curiosity terms of a set of episodes, built on one shared
+    embedding of all their states."""
 
-    errors: list[np.ndarray]  # per trace, per step 1/2 |pred - target|^2, 0 at the first
-    sp_loss: Tensor           # mean over traces of the mean state-prediction error
+    errors: np.ndarray        # (B, T) 1/2 |pred - target|^2; 0 at the first step and past the end
+    sp_loss: Tensor           # mean over episodes of the mean state-prediction error
     ap_loss: Tensor           # the same for the action cross-entropy; 0 unless alpha > 0
 
 
-def curiosity_pass(traces: Sequence[RolloutTrace], params: CuriosityParams,
+def curiosity_pass(episodes: Episodes, params: CuriosityParams,
                    alpha: float = 0.0, beta: float = 1.0,
                    targets: np.ndarray | None = None) -> CuriosityPass:
-    """Embed the states of all traces as one (S, 2Z) matrix and build both
+    """Embed the states of all episodes as one (S, 2Z) matrix and build both
     heads over all N transitions as (N, .) matrices.
 
     The state predictor reads grad_scale(phi, beta) and the action predictor
     grad_scale(phi, alpha), so one backward over the sum of both losses gives
     the embedding alpha * d(ap) + beta * d(sp) while each predictor gets its
-    own unweighted gradient. Each loss averages a trace's transitions, then
-    the traces; a trace shorter than two steps has no transitions and adds 0.
-    Targets are the detached next-state embeddings unless given as an
-    (N, Zp) array in transition order (pass frozen ones to
-    finite-difference the prediction path).
+    own unweighted gradient. Each loss averages an episode's transitions,
+    then the episodes; an episode shorter than two steps has no transitions,
+    adds 0 and is not embedded. Targets are the detached next-state
+    embeddings unless given as an (N, Zp) array in transition order, row by
+    row (pass frozen ones to finite-difference the prediction path).
     """
-    errors = [np.zeros(len(trace)) for trace in traces]
-    states, src, actions, weights = [], [], [], []
-    for trace in traces:
-        n = len(trace) - 1
-        if n < 1:
-            continue
-        src.extend(range(len(states), len(states) + n))
-        states.extend(trace.states)
-        actions.extend(trace.actions[:-1])
-        weights.extend([1.0 / (len(traces) * n)] * n)
-    if not src:
+    b, t_len = episodes.actions.shape
+    lengths = episodes.lengths
+    errors = np.zeros((b, t_len))
+    # transition (r, t) goes from step t to step t + 1 of row r
+    rows, steps = np.nonzero(np.arange(t_len) + 1 < lengths[:, None])
+    if not rows.size:
         return CuriosityPass(errors, constant(0.0), constant(0.0))
-    src = np.array(src)
+    embedded = (np.arange(t_len) < lengths[:, None]) & (lengths > 1)[:, None]
+    flat = np.cumsum(embedded).reshape(embedded.shape) - 1     # each step's row in the matrix
+    src = flat[rows, steps]
     dst = src + 1
-    actions = np.array(actions)
-    weights = np.array(weights)
-    phi = embed_state(np.array(states), params)
+    actions = episodes.actions[rows, steps]
+    weights = 1.0 / (b * (lengths[rows] - 1))
+    phi = embed_state(episodes.states[embedded], params)
     if targets is None:
         targets = phi.data[dst]
     pred = predict_next_state(take_row(grad_scale(phi, beta), src), actions, params)
     diff = sub(pred, constant(targets))
-    flat = 0.5 * np.einsum("ij,ij->i", diff.data, diff.data)
-    k = 0
-    for err in errors:
-        if len(err) > 1:
-            err[1:] = flat[k:k + len(err) - 1]
-            k += len(err) - 1
+    errors[rows, steps + 1] = 0.5 * np.einsum("ij,ij->i", diff.data, diff.data)
     ap_loss = constant(0.0)
     if alpha > 0:
         to_ap = grad_scale(phi, alpha)
@@ -187,25 +178,25 @@ def curiosity_pass(traces: Sequence[RolloutTrace], params: CuriosityParams,
     return CuriosityPass(errors, scale(sumsq(diff, weights), 0.5), ap_loss)
 
 
-def sp_loss(trace: RolloutTrace, params: CuriosityParams,
+def sp_loss(episodes: Episodes, params: CuriosityParams,
             targets: np.ndarray | None = None) -> Tensor:
-    """Mean over transitions of half the squared next-state prediction error.
-    No gradient flows through the target path; traces shorter than two steps
-    give 0."""
-    return curiosity_pass([trace], params, targets=targets).sp_loss
+    """Mean over episodes of the mean over their transitions of half the
+    squared next-state prediction error. No gradient flows through the
+    target path; episodes shorter than two steps give 0."""
+    return curiosity_pass(episodes, params, targets=targets).sp_loss
 
 
-def ap_loss(trace: RolloutTrace, params: CuriosityParams) -> Tensor:
+def ap_loss(episodes: Episodes, params: CuriosityParams) -> Tensor:
     """Mean cross-entropy of the true actions under the action predictor."""
-    return curiosity_pass([trace], params, alpha=1.0).ap_loss
+    return curiosity_pass(episodes, params, alpha=1.0).ap_loss
 
 
-def intrinsic_rewards(trace: RolloutTrace, params: CuriosityParams,
+def intrinsic_rewards(episodes: Episodes, params: CuriosityParams,
                       rho: float) -> np.ndarray:
-    """Per-step curiosity bonus: rho/2 times the squared state-prediction
-    error, with no reward at the first step. A pure scalar signal, no
-    gradients flow."""
+    """(B, T) per-step curiosity bonus: rho/2 times the squared
+    state-prediction error, with no reward at the first step or past the
+    end. A pure scalar signal, no gradients flow."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     with no_grad():
-        return rho * curiosity_pass([trace], params).errors[0]
+        return rho * curiosity_pass(episodes, params).errors

@@ -15,7 +15,7 @@ decodes as one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,19 +194,23 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | Non
 
 
 @dataclass
-class RolloutTrace:
-    """Per-step record of one sampled episode, without graph nodes."""
+class Episodes:
+    """The sampled episodes of B rows as (B, T) arrays over the T steps the
+    unroll ran, without graph nodes; steps past a row's length hold 0."""
 
-    actions: list[int] = field(default_factory=list)
-    log_probs: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)      # [s_vis, s_lang] values (2Z,)
+    actions: np.ndarray       # (B, T) ints
+    log_probs: np.ndarray     # (B, T) log pi(y_t | s_t), floored at LOGPROB_FLOOR
+    states: np.ndarray        # (B, T, 2Z) [s_vis, s_lang] values
+    lengths: np.ndarray       # (B,) the steps each row took
 
     def __len__(self) -> int:
-        return len(self.actions)
+        """The number of sampled steps over all rows."""
+        return int(self.lengths.sum())
 
     @property
-    def ended_with_eos(self) -> bool:
-        return bool(self.actions) and self.actions[-1] == EOS_ID
+    def ended_with_eos(self) -> np.ndarray:
+        """(B,), whether each row's last step took <eos>."""
+        return self.actions[np.arange(self.lengths.size), self.lengths - 1] == EOS_ID
 
 
 def unroll(params: PolicyParams, scene: ProjectedScene,
@@ -241,7 +245,7 @@ class RowUnroll:
     rows: list[np.ndarray]          # per step, the ids of the rows that stepped
     cross_entropy: list[Tensor]     # per step, -log(p + CE_EPSILON) of each row's token
     ce_values: np.ndarray           # (rows, steps) cross-entropy values, 0 where a row did not step
-    traces: list[RolloutTrace]      # the episodes of the sampled rows, without graph nodes
+    episodes: Episodes              # the sampled rows' episodes, row n_forced + i as row i
     n_forced: int                   # rows below n_forced are teacher-forced, the others sampled
 
     def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
@@ -252,7 +256,7 @@ class RowUnroll:
         gradient is the same, and its value differs by at most
         log(1 + CE_EPSILON / p). While recording, an unroll made under no_grad
         is rejected, as its loss would have a silent zero gradient."""
-        if lp_weights is not None and not self.traces:
+        if lp_weights is not None and not self.episodes.lengths.size:
             raise ValueError("log-prob weights need sampled rows")
         if recording() and not all(node.parents for node in self.cross_entropy):
             raise ValueError("the unroll ran under no_grad and has no path to the parameters")
@@ -304,7 +308,8 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     states = np.zeros((len(rngs), steps, 2 * params.hidden_size))
     lengths = np.zeros(len(rngs), dtype=np.intp)
 
-    out = RowUnroll([], [], np.empty(0), [], n_forced)
+    stepped: list[np.ndarray] = []
+    nodes: list[Tensor] = []
 
     def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
         nonlocal ids
@@ -322,29 +327,29 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
             log_probs[s, t] = np.log(np.maximum(p[np.arange(k, len(ids)), token[k:]], LOGPROB_FLOOR))
             states[s, t] = state.data[k:, :2 * params.hidden_size]
             lengths[s] += 1
-        out.rows.append(ids)
-        out.cross_entropy.append(cross_entropy(logits, token, p))
+        stepped.append(ids)
+        nodes.append(cross_entropy(logits, token, p))
         keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
         ids = ids[keep]
         return keep, token[keep]
 
     unroll(params, scene, step, steps)
-    out.ce_values = np.zeros((len(ends), len(out.rows)))
-    for t, (rows, node) in enumerate(zip(out.rows, out.cross_entropy)):
-        out.ce_values[rows, t] = node.data
-    out.traces = [RolloutTrace(actions=actions[i, :k].tolist(), log_probs=log_probs[i, :k].tolist(),
-                               states=list(states[i, :k]))
-                  for i, k in enumerate(lengths)]
-    return out
+    ran = len(nodes)
+    ce_values = np.zeros((len(ends), ran))
+    for t, (rows, node) in enumerate(zip(stepped, nodes)):
+        ce_values[rows, t] = node.data
+    return RowUnroll(stepped, nodes, ce_values,
+                     Episodes(actions[:, :ran], log_probs[:, :ran], states[:, :ran], lengths),
+                     n_forced)
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
-                   rng: np.random.Generator) -> RolloutTrace:
+                   rng: np.random.Generator) -> Episodes:
     """Sample an episode from <bos>; stops at <eos> or t_max. The one-row
     view of unroll_rows, without a graph: inverse-CDF sampling, so identical
-    seeds give identical traces."""
+    seeds give identical episodes, and len() is the number of steps."""
     with no_grad():
-        return unroll_rows(params, [features], [], t_max, [rng]).traces[0]
+        return unroll_rows(params, [features], [], t_max, [rng]).episodes
 
 
 def forced_step_losses(params: PolicyParams, features: np.ndarray,

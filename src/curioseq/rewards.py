@@ -1,5 +1,6 @@
-"""Reward assembly: terminal linguistic rewards, temporal-difference returns,
-advantage shaping and the policy-gradient surrogate loss."""
+"""Rewards of the sampled episodes: the terminal linguistic reward, its
+temporal-difference returns Q as (B, T) arrays over a batch of episodes,
+and the value of the policy-gradient surrogate loss."""
 
 from __future__ import annotations
 
@@ -8,26 +9,15 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics as met
-from .policy import RolloutTrace
-
-
-def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
-    if length < 1:
-        raise ValueError("episode length must be >= 1")
-    out = np.zeros(length)
-    out[-1] = reward
-    return out
+from .policy import Episodes
 
 
 def scored_reward(candidate: Sequence[str], references: met.References,
-                  bleu_weight: float, cider_weight: float, length: int) -> float:
-    """Terminal reward of an episode of `length` steps: the weighted sum of
-    the smoothed sentence BLEU-4 and the TF-IDF consensus score of the
-    finished sequence against its scene's reference statistics. The
-    candidate's n-grams are counted once for both. A candidate stripped to
-    nothing scores 0."""
-    if length < 1:
-        raise ValueError("candidate must be non-empty")
+                  bleu_weight: float, cider_weight: float) -> float:
+    """Terminal reward of an episode: the weighted sum of the smoothed
+    sentence BLEU-4 and the TF-IDF consensus score of the finished sequence
+    against its scene's reference statistics. The candidate's n-grams are
+    counted once for both. A candidate stripped to nothing scores 0."""
     if not candidate:
         return 0.0
     counts = met.candidate_counts(candidate)
@@ -37,8 +27,10 @@ def scored_reward(candidate: Sequence[str], references: met.References,
                  + cider_weight * met.consensus(counts, references))
 
 
-def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarray:
-    """Per-step return estimates Q(s_t) mixing truncated j-step returns:
+def td_lambda_q(rewards: Sequence[float] | np.ndarray, gamma: float,
+                lam: float) -> np.ndarray:
+    """Per-step return estimates Q(s_t) over the last axis, mixing truncated
+    j-step returns:
 
         Q_t = (1 - lam) * sum_{j=0}^{T-t} lam^j G_{t:t+j} + lam^{T-t} G_t
 
@@ -55,14 +47,14 @@ def td_lambda_q(rewards: Sequence[float], gamma: float, lam: float) -> np.ndarra
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
     r = np.asarray(rewards, dtype=np.float64)
-    t_len = r.shape[0]
-    q = np.zeros(t_len)
+    t_len = r.shape[-1]
+    q = np.zeros(r.shape)
     full = mixed = weight_sum = 0.0
     for t in range(t_len - 1, -1, -1):
         weight_sum = 1.0 + lam * weight_sum
-        full = r[t] + gamma * full
-        mixed = r[t] * weight_sum + gamma * lam * mixed
-        q[t] = (1.0 - lam) * mixed + (lam ** (t_len - 1 - t)) * full
+        full = r[..., t] + gamma * full
+        mixed = r[..., t] * weight_sum + gamma * lam * mixed
+        q[..., t] = (1.0 - lam) * mixed + (lam ** (t_len - 1 - t)) * full
     return q
 
 
@@ -77,21 +69,31 @@ def q_closed_form(r_terminal: float, length: int, gamma: float) -> np.ndarray:
     return (gamma ** exponents) * r_terminal
 
 
-def advantages(q_values: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
-    """Shaped per-step weights: the discounted extrinsic return plus the
-    intrinsic bonus (additive shaping, no baseline subtraction)."""
-    q_values = np.asarray(q_values, dtype=np.float64)
-    intrinsic = np.asarray(intrinsic, dtype=np.float64)
-    if q_values.shape != intrinsic.shape:
-        raise ValueError(f"length mismatch: {q_values.shape} vs {intrinsic.shape}")
-    return q_values + intrinsic
+def terminal_q(terminal: np.ndarray, lengths: np.ndarray, steps: int, gamma: float,
+               lam: float) -> np.ndarray:
+    """(B, steps) Q of B episodes rewarded only at their last step, 0 past
+    their ends: q_closed_form at lam 1, else td_lambda_q run once over the
+    episodes aligned at their last step. Q_t depends only on the steps left,
+    so both equal the per-episode functions bit for bit."""
+    mask = np.arange(steps) < lengths[:, None]
+    aligned = np.where(mask, np.arange(steps) + steps - lengths[:, None], steps - 1)
+    if lam == 1.0:
+        q = q_closed_form(1.0, steps, gamma)[aligned] * terminal[:, None]
+    else:
+        rewards = np.zeros((lengths.size, steps))
+        rewards[:, -1] = terminal
+        q = np.take_along_axis(td_lambda_q(rewards, gamma, lam), aligned, axis=1)
+    return np.where(mask, q, 0.0)
 
 
-def rl_loss(trace: RolloutTrace, advantage: np.ndarray) -> float:
-    """The value of the surrogate loss -sum_t A_t log pi(y_t | s_t) of a
-    sampled episode, from the log-probabilities its trace recorded. Its
-    gradient comes from the sampled row of policy.RowUnroll.loss."""
-    advantage = np.asarray(advantage, dtype=np.float64)
-    if advantage.shape != (len(trace),):
-        raise ValueError(f"advantage length {advantage.shape} != trace length {len(trace)}")
-    return float(-advantage @ np.asarray(trace.log_probs))
+def rl_loss(episodes: Episodes, advantage: np.ndarray) -> float:
+    """The value of the surrogate loss -sum_t A_t log pi(y_t | s_t) of the
+    episodes, over each one's own steps, for (B, T) advantages. Its gradient
+    comes from the sampled rows of policy.RowUnroll.loss."""
+    if advantage.shape != episodes.log_probs.shape:
+        raise ValueError(f"advantage shape {advantage.shape} != episodes "
+                         f"{episodes.log_probs.shape}")
+    total = 0.0
+    for a, log_probs, k in zip(advantage, episodes.log_probs, episodes.lengths):
+        total += float(-a[:k] @ log_probs[:k])
+    return total

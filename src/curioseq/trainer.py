@@ -187,13 +187,14 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
 
     One recorded row unroll steps the B reference rows (teacher-forced) and,
     outside xe mode, the B sampled rows, scene i sampling from its own
-    generator rngs[i] (xe mode draws nothing). Once the curiosity pass and
-    the rewards have scored the sampled episodes, episode i against its
-    scene's reference statistics references[i] (xe mode reads none), the
-    reference rows get weight eta/B on their cross-entropy (imitation) and
-    the sampled rows weight -A_t/B on their log-probabilities (policy
-    gradient). Curiosity losses do not reach the policy: gradients are
-    stopped at the states.
+    generator rngs[i] (xe mode draws nothing). Its episodes stay (B, T)
+    arrays: one assembly adds the TD(lambda) returns Q of their terminal
+    rewards, episode i scored against references[i] (xe mode reads none),
+    and rho times their curiosity errors (not in no_intrinsic mode) into
+    the advantages A. The reference rows get weight eta/B on their
+    cross-entropy (imitation) and the sampled rows weight -A_t/B on their
+    log-probabilities (policy gradient). Curiosity losses do not reach the
+    policy: gradients are stopped at the states.
     The curiosity pass runs over all sampled transitions at once; the action
     predictor trains on its own loss, the state predictor on its own loss,
     and the shared embedding on the alpha/beta-weighted sum, which
@@ -206,36 +207,32 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
     refs = [scene.references[epoch % len(scene.references)] for scene in batch]
     run = pol.unroll_rows(model.policy, [scene.features for scene in batch], refs, cfg.t_max,
                           [] if cfg.mode == "xe" else rngs)
-    stats = StepStats(episodes=len(run.traces))
+    episodes = run.episodes
+    stats = StepStats(episodes=episodes.lengths.size, sampled_steps=len(episodes),
+                      eos_episodes=int(episodes.ended_with_eos.sum()))
     stats.xe_loss = _check_finite("imitation", float(run.ce_values[:b].sum()) / b)
     ce_weights = np.zeros(run.ce_values.shape)
     ce_weights[:b] = eta / b
     if cfg.mode == "xe":
         loss = run.loss(ce_weights)
     else:
-        terms = cur.curiosity_pass(run.traces, model.curiosity, cfg.action_loss_weight,
+        terms = cur.curiosity_pass(episodes, model.curiosity, cfg.action_loss_weight,
                                    cfg.state_loss_weight)
+        terminal = np.array([rew.scored_reward(vocab.decode_text(actions[:k]), scene_refs,
+                                               cfg.bleu_weight, cfg.cider_weight)
+                             for actions, k, scene_refs in zip(episodes.actions, episodes.lengths,
+                                                               references, strict=True)])
+        intrinsic = (cfg.intrinsic_scale * terms.errors if cfg.mode == "crl"
+                     else np.zeros(terms.errors.shape))
+        advantage = rew.terminal_q(terminal, episodes.lengths, episodes.actions.shape[1],
+                                   cfg.discount, cfg.td_lambda) + intrinsic
         lp_weights = np.zeros(run.ce_values.shape)
-        rl = 0.0
-        for i, (scene_refs, trace, errors) in enumerate(zip(references, run.traces,
-                                                            terms.errors, strict=True)):
-            intrinsic = (cfg.intrinsic_scale * errors if cfg.mode == "crl"
-                         else np.zeros(len(trace)))
-            r_e = rew.scored_reward(vocab.decode_text(trace.actions), scene_refs,
-                                    cfg.bleu_weight, cfg.cider_weight, len(trace))
-            if cfg.td_lambda == 1.0:
-                q = rew.q_closed_form(r_e, len(trace), cfg.discount)
-            else:
-                q = rew.td_lambda_q(rew.terminal_reward_vector(r_e, len(trace)),
-                                    cfg.discount, cfg.td_lambda)
-            advantage = rew.advantages(q, intrinsic)
-            lp_weights[b + i, :len(trace)] = -advantage / b
-            rl += rew.rl_loss(trace, advantage)
-            stats.intrinsic_sum += float(intrinsic.sum())
-            stats.sampled_steps += len(trace)
-            stats.eos_episodes += trace.ended_with_eos
+        lp_weights[b:] = -advantage / b
+        stats.rl_loss = _check_finite("reinforcement", rew.rl_loss(episodes, advantage) / b)
+        # over each episode's own steps, in order: a zero-padded row's sum rounds otherwise
+        for r_e, row, k in zip(terminal.tolist(), intrinsic, episodes.lengths):
+            stats.intrinsic_sum += float(row[:k].sum())
             stats.extrinsic_sum += r_e
-        stats.rl_loss = _check_finite("reinforcement", rl / b)
         # one loss, one backward; a zero loss weight keeps its predictor out of it
         loss = run.loss(ce_weights, lp_weights)
         if cfg.state_loss_weight > 0:

@@ -24,6 +24,12 @@ ended. `policy.unroll_rows`, `policy.rollout_sample` and
 `sp_targets` gives the frozen next-state targets that finite-difference the
 curiosity state predictor.
 
+`RolloutTrace` is the per-episode record that the samplers here return;
+`stack` and `unstack` turn traces into the rows of a `policy.Episodes` and
+back. `per_episode_assembly` is the loop that built each sampled episode's
+Q, advantage and log-prob weights one at a time, which the (B, T) assembly
+of `trainer.train_step` must equal exactly.
+
 `bleu`, `cider_single`, `cider` and `scored_reward` are the scorers that
 counted every candidate and reference n-gram again at each call, before
 `metrics.reference_stats` counted a scene's references once; the
@@ -40,6 +46,7 @@ import numpy as np
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
+from curioseq import rewards as R
 from curioseq.metrics import MAX_NGRAM, IdfTable, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
 
@@ -185,9 +192,50 @@ def forced_unroll(params, features, tokens):
                           lambda t, logits: np.array([tokens[t]]), len(tokens)))
 
 
+@dataclass
+class RolloutTrace:
+    """Per-step record of one episode, without graph nodes: what the
+    samplers here return, and what the trainer kept per episode before its
+    episodes became the (B, T) arrays of policy.Episodes."""
+
+    actions: list[int]
+    log_probs: list[float]
+    states: list[np.ndarray]      # [s_vis, s_lang] values (2Z,)
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    @property
+    def ended_with_eos(self) -> bool:
+        return bool(self.actions) and self.actions[-1] == EOS_ID
+
+
+def stack(traces):
+    """The non-empty traces as the rows of one policy.Episodes as long as
+    the longest of them, 0 past each one's end."""
+    steps = max(len(t) for t in traces)
+    actions = np.zeros((len(traces), steps), dtype=np.intp)
+    log_probs = np.zeros((len(traces), steps))
+    states = np.zeros((len(traces), steps, traces[0].states[0].shape[0]))
+    for r, trace in enumerate(traces):
+        actions[r, :len(trace)] = trace.actions
+        log_probs[r, :len(trace)] = trace.log_probs
+        states[r, :len(trace)] = trace.states
+    return P.Episodes(actions, log_probs, states,
+                      np.array([len(t) for t in traces], dtype=np.intp))
+
+
+def unstack(episodes):
+    """Each row of a policy.Episodes as the trace of its own steps."""
+    return [RolloutTrace(actions=episodes.actions[r, :k].tolist(),
+                         log_probs=episodes.log_probs[r, :k].tolist(),
+                         states=list(episodes.states[r, :k]))
+            for r, k in enumerate(episodes.lengths)]
+
+
 def _trace(steps, hidden):
     """The RolloutTrace of (token, logits, state) one-row steps."""
-    return P.RolloutTrace(
+    return RolloutTrace(
         actions=[int(token[0]) for token, _, _ in steps],
         log_probs=[float(np.log(max(K.softmax_values(logits.data)[0, token[0]], K.LOGPROB_FLOOR)))
                    for token, logits, _ in steps],
@@ -216,10 +264,13 @@ def rl_surrogate(params, features, actions, advantage):
                                                      advantage)])
 
 
-def sp_targets(trace, params):
-    """Detached target embeddings phi(s_2..s_T), one row per transition."""
+def sp_targets(episodes, params):
+    """Detached target embeddings phi(s_{t+1}), one row per transition of a
+    policy.Episodes, row by row."""
+    rows, steps = np.nonzero(np.arange(episodes.actions.shape[1]) + 1
+                             < episodes.lengths[:, None])
     with K.no_grad():
-        return C.embed_state(np.array(trace.states[1:]), params).data
+        return C.embed_state(episodes.states[rows, steps + 1], params).data
 
 
 def one_row_sample(params, features, t_max, rng):
@@ -304,8 +355,8 @@ def padded_sample_rows(params, features, t_max, rngs):
             if not live.any():
                 break
     actions, log_probs, states = (np.stack(part, axis=1) for part in zip(*steps))
-    return [P.RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
-                           states=list(states[r, :k]))
+    return [RolloutTrace(actions=actions[r, :k].tolist(), log_probs=log_probs[r, :k].tolist(),
+                         states=list(states[r, :k]))
             for r, k in enumerate(lengths)]
 
 
@@ -441,14 +492,57 @@ def cider(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
 
 
 def scored_reward(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                  idf: IdfTable, bleu_weight: float, cider_weight: float,
-                  length: int) -> float:
-    """Terminal reward of an episode of `length` steps: the weighted sum of
-    the smoothed sentence BLEU-4 and the TF-IDF consensus score of the
-    finished sequence. A candidate stripped to nothing scores 0."""
-    if length < 1:
-        raise ValueError("candidate must be non-empty")
+                  idf: IdfTable, bleu_weight: float, cider_weight: float) -> float:
+    """Terminal reward of an episode: the weighted sum of the smoothed
+    sentence BLEU-4 and the TF-IDF consensus score of the finished sequence.
+    A candidate stripped to nothing scores 0."""
     if not candidate:
         return 0.0
     return float(bleu_weight * bleu([(candidate, references)], max_n=4, mode="sentence")
                  + cider_weight * cider_single(candidate, references, idf))
+
+
+# ---------------------------------------------------------------------------
+# the per-episode advantage assembly
+
+
+def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
+    if length < 1:
+        raise ValueError("episode length must be >= 1")
+    out = np.zeros(length)
+    out[-1] = reward
+    return out
+
+
+def per_episode_assembly(traces, errors, references, vocab, cfg, shape):
+    """The log-prob weights (an array of the given (2B, T) shape) and the
+    report sums of one train step's B sampled traces, built one episode at a
+    time, as train_step built them before its episodes stayed (B, T)
+    arrays: episode i's Q (q_closed_form at lambda 1, otherwise td_lambda_q
+    of its terminal reward vector) plus its intrinsic reward from errors[i],
+    the per-step curiosity errors of its own steps. Returns (lp_weights,
+    {StepStats field: value}) for the fields it fills."""
+    b = len(traces)
+    lp_weights = np.zeros(shape)
+    stats = dict(rl_loss=0.0, intrinsic_sum=0.0, extrinsic_sum=0.0, episodes=b,
+                 sampled_steps=0, eos_episodes=0)
+    rl = 0.0
+    for i, (scene_refs, trace, err) in enumerate(zip(references, traces, errors, strict=True)):
+        intrinsic = (cfg.intrinsic_scale * err if cfg.mode == "crl"
+                     else np.zeros(len(trace)))
+        r_e = R.scored_reward(vocab.decode_text(trace.actions), scene_refs,
+                              cfg.bleu_weight, cfg.cider_weight)
+        if cfg.td_lambda == 1.0:
+            q = R.q_closed_form(r_e, len(trace), cfg.discount)
+        else:
+            q = R.td_lambda_q(terminal_reward_vector(r_e, len(trace)),
+                              cfg.discount, cfg.td_lambda)
+        advantage = q + intrinsic
+        lp_weights[b + i, :len(trace)] = -advantage / b
+        rl += float(-advantage @ np.asarray(trace.log_probs))
+        stats["intrinsic_sum"] += float(intrinsic.sum())
+        stats["sampled_steps"] += len(trace)
+        stats["eos_episodes"] += trace.ended_with_eos
+        stats["extrinsic_sum"] += r_e
+    stats["rl_loss"] = rl / b
+    return lp_weights, stats

@@ -20,7 +20,7 @@ from curioseq import metrics as M
 from curioseq import policy as P
 from curioseq import synth
 from curioseq import trainer as T
-from oracles import one_row_sample
+from oracles import one_row_sample, unstack
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -149,6 +149,32 @@ def test_traced_crl_step_has_one_backward_and_one_embedding_per_state(tracing, m
     # steps and runs until its longest row ends
     assert metrics["policy.policy_step.calls"] == steps
     (run,) = captured
-    assert [t.actions for t in run.traces] == [t.actions for t in oracle]
-    for got, want in zip(run.traces, oracle):
+    assert [t.actions for t in unstack(run.episodes)] == [t.actions for t in oracle]
+    for got, want in zip(unstack(run.episodes), oracle):
         np.testing.assert_allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
+
+
+def test_traced_step_counts_read_the_length_of_each_result(tracing, corpus):
+    """The tracer's _observe takes len() of what rollout_sample and
+    forced_step_losses return as their number of steps."""
+    train, _, vocab = corpus
+    cfg = T.TrainConfig(hidden_size=6)
+    model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+    # scene i samples with t_max 2 + i, so the episodes differ in length
+    oracle = [one_row_sample(model.policy, scene.features, 2 + i, np.random.default_rng([9, i]))
+              for i, scene in enumerate(train)]
+    assert len({len(t) for t in oracle}) > 1
+    tracer = tracing.Tracer()
+    tracer.install(curioseq)
+    try:
+        for i, scene in enumerate(train):
+            curioseq.policy.rollout_sample(model.policy, scene.features, 2 + i,
+                                           np.random.default_rng([9, i]))
+            curioseq.policy.forced_step_losses(model.policy, scene.features,
+                                               scene.references[0])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["policy.rollout_sample.calls"] == len(train)
+    assert metrics["policy.sampled_steps"] == sum(len(t) for t in oracle)
+    assert metrics["policy.forced_steps"] == sum(len(s.references[0]) for s in train)

@@ -81,6 +81,16 @@ class TestSynth:
         code = run(["synth", "--out", str(out), "--scenes", "2", "--val-scenes", "1"])
         assert_clean_error(capsys, code, str(out))
 
+    @pytest.mark.parametrize("name,as_dir", [("features", False), ("vocab.txt", True),
+                                             ("train_manifest.json", True)])
+    def test_blocked_output_fails_cleanly(self, tmp_path, capsys, name, as_dir):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        blocked = out / name
+        blocked.mkdir() if as_dir else blocked.write_text("")
+        code = run(["synth", "--out", str(out), "--scenes", "2", "--val-scenes", "1"])
+        assert_clean_error(capsys, code, str(blocked))
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -142,6 +152,14 @@ class TestTrain:
         code = run(["train", "--train-manifest", str(synth_dir / "train_manifest.json"),
                     "--epochs", "1", "--out", str(out)])
         assert_clean_error(capsys, code, str(out))
+
+    @pytest.mark.parametrize("name", ["reports.jsonl", "last.ckpt"])
+    def test_blocked_output_fails_cleanly(self, synth_dir, tmp_path, capsys, name):
+        blocked = tmp_path / "run" / name
+        blocked.mkdir(parents=True)
+        code = run(["train", "--train-manifest", str(synth_dir / "train_manifest.json"),
+                    "--epochs", "1", "--hidden-size", "8", "--out", str(blocked.parent)])
+        assert_clean_error(capsys, code, str(blocked))
 
     def test_emits_one_report_line_per_epoch(self, trained, capsys):
         out, cfg_path = trained

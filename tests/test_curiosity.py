@@ -4,13 +4,14 @@ import pytest
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
-from oracles import first_row, forced_trace, sp_targets
+from oracles import first_row, forced_trace, sp_targets, stack, unstack
 
 
 def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
     rng = np.random.default_rng(seed)
     policy = P.init_policy(rng, vocab_size, hidden, feature_dim=4)
     feats = rng.standard_normal((2, 4))
+    # one sampled episode, as a one-row Episodes
     trace = P.rollout_sample(policy, feats, t_max, np.random.default_rng(seed + 100))
     cur = C.init_curiosity(np.random.default_rng(seed + 200), vocab_size,
                            state_size=2 * hidden, embed_size=embed)
@@ -19,7 +20,7 @@ def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
 
 def state_row(trace, t):
     """Step t's state as a one-row matrix."""
-    return np.array(trace.states[t:t + 1])
+    return trace.states[0, t:t + 1]
 
 
 def zeroed(params):
@@ -53,7 +54,7 @@ class TestEmbedState:
     def test_a_state_vector_is_rejected(self):
         _, _, trace, cur = make_setup()
         with pytest.raises(K.ShapeError):
-            C.embed_state(trace.states[0], cur)
+            C.embed_state(trace.states[0, 0], cur)
 
 
 class TestPredictNextState:
@@ -61,7 +62,7 @@ class TestPredictNextState:
         _, _, trace, cur = make_setup()
         zeroed(cur)
         phi = C.embed_state(state_row(trace, 0), cur)
-        out = C.predict_next_state(phi, np.array(trace.actions[:1]), cur)
+        out = C.predict_next_state(phi, trace.actions[0, :1], cur)
         np.testing.assert_array_equal(out.data, np.zeros((1, cur.embed_size)))
 
     def test_output_dimension(self):
@@ -75,7 +76,7 @@ class TestPredictNextState:
 
         def fn():
             phi = C.embed_state(state_row(trace, 0), cur)
-            return K.dotp(w, first_row(C.predict_next_state(phi, np.array(trace.actions[:1]), cur)))
+            return K.dotp(w, first_row(C.predict_next_state(phi, trace.actions[0, :1], cur)))
 
         params = cur.embedding_parameters() + cur.state_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4
@@ -104,7 +105,7 @@ class TestPredictAction:
             phi_a = C.embed_state(state_row(trace, 0), cur)
             phi_b = C.embed_state(state_row(trace, 1), cur)
             return first_row(K.cross_entropy(C.predict_action(phi_a, phi_b, cur),
-                                             np.array(trace.actions[:1])))
+                                             trace.actions[0, :1]))
 
         params = cur.embedding_parameters() + cur.action_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4
@@ -128,7 +129,7 @@ class TestSpLoss:
 
     def test_short_trace_is_zero(self):
         policy, feats, _, cur = make_setup()
-        one_step = forced_trace(policy, feats, [2])
+        one_step = stack([forced_trace(policy, feats, [2])])
         assert float(C.sp_loss(one_step, cur).data) == 0.0
 
     def test_nonnegative(self):
@@ -158,7 +159,7 @@ class TestApLoss:
         # force a constant-action trace, then saturate the output layer
         # toward that action so every predicted distribution is one-hot
         policy, feats, _, cur = make_setup(vocab_size=6)
-        trace = forced_trace(policy, feats, [4, 4, 4, 4])
+        trace = stack([forced_trace(policy, feats, [4, 4, 4, 4])])
         zeroed(cur)
         cur.ap_b2.data[4] = 1000.0
         assert float(C.ap_loss(trace, cur).data) <= 1e-11
@@ -172,7 +173,7 @@ class TestApLoss:
     def test_nonnegative_and_short_trace_zero(self):
         policy, feats, trace, cur = make_setup(seed=8)
         assert float(C.ap_loss(trace, cur).data) >= 0.0
-        one_step = forced_trace(policy, feats, [2])
+        one_step = stack([forced_trace(policy, feats, [2])])
         assert float(C.ap_loss(one_step, cur).data) == 0.0
 
     def test_gradcheck(self):
@@ -197,11 +198,11 @@ class TestIntrinsicRewards:
         _, _, trace, cur = make_setup()
         zeroed(cur)
         np.testing.assert_array_equal(C.intrinsic_rewards(trace, cur, 1.0),
-                                      np.zeros(len(trace)))
+                                      np.zeros((1, len(trace))))
 
     def test_first_step_has_no_reward(self):
         _, _, trace, cur = make_setup(seed=11)
-        assert C.intrinsic_rewards(trace, cur, 1.0)[0] == 0.0
+        assert C.intrinsic_rewards(trace, cur, 1.0)[0, 0] == 0.0
 
     def test_single_transition_arithmetic(self):
         _, _, trace, cur = make_setup(t_max=2)
@@ -210,7 +211,7 @@ class TestIntrinsicRewards:
         offset[0] = np.sqrt(0.5)
         cur.sp_b2.data[...] = offset
         rewards = C.intrinsic_rewards(trace, cur, rho=1.0)
-        assert rewards[1] == pytest.approx(0.25)
+        assert rewards[0, 1] == pytest.approx(0.25)
 
     def test_nonnegative(self):
         _, _, trace, cur = make_setup(seed=12)
@@ -247,25 +248,25 @@ def test_init_scale_shrinks_initial_intrinsic_signal():
 
 
 class TestBatchedPass:
-    """The pass over many traces at once against the per-trace views."""
+    """The pass over many episodes at once against the one-episode views."""
 
     def make(self):
-        policy, feats, trace, cur = make_setup(seed=16, t_max=6)
-        others = [forced_trace(policy, feats, [3]),            # no transitions
-                  forced_trace(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
-        return [trace] + others, cur
+        policy, feats, episode, cur = make_setup(seed=16, t_max=6)
+        traces = unstack(episode) + [forced_trace(policy, feats, [3]),       # no transitions
+                                     forced_trace(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
+        return traces, cur
 
     def test_matches_mean_of_per_trace_losses_and_gradients(self):
         traces, cur = self.make()
         alpha, beta = 0.3, 0.6
-        terms = C.curiosity_pass(traces, cur, alpha, beta)
+        terms = C.curiosity_pass(stack(traces), cur, alpha, beta)
         params = cur.parameters()
         K.zero_grads(params)
         K.backward(K.add(terms.sp_loss, terms.ap_loss))
         batched = {q.name: q.grad.copy() for q in params}
 
         n = len(traces)
-        per_trace = [C.curiosity_pass([t], cur, alpha, beta) for t in traces]
+        per_trace = [C.curiosity_pass(stack([t]), cur, alpha, beta) for t in traces]
         oracle_sp = K.scale(K.add_n([t.sp_loss for t in per_trace]), 1.0 / n)
         oracle_ap = K.scale(K.add_n([t.ap_loss for t in per_trace]), 1.0 / n)
         assert float(terms.sp_loss.data) == pytest.approx(float(oracle_sp.data), rel=1e-12)
@@ -275,9 +276,12 @@ class TestBatchedPass:
         for q in params:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
                                        atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
+        assert terms.errors.shape == (n, max(len(t) for t in traces))
         for trace, errors in zip(traces, terms.errors):
-            np.testing.assert_allclose(errors, C.intrinsic_rewards(trace, cur, 1.0),
+            np.testing.assert_allclose(errors[:len(trace)],
+                                       C.intrinsic_rewards(stack([trace]), cur, 1.0)[0],
                                        rtol=1e-12, atol=0)
+            assert (errors[len(trace):] == 0.0).all()
 
     def test_one_embedding_call_per_pass(self, monkeypatch):
         traces, cur = self.make()
@@ -289,13 +293,13 @@ class TestBatchedPass:
             return embed(states, params)
 
         monkeypatch.setattr(C, "embed_state", counted)
-        C.curiosity_pass(traces, cur, 0.2, 0.8)
-        # every state of the traces with a transition, as one matrix
+        C.curiosity_pass(stack(traces), cur, 0.2, 0.8)
+        # every state of the episodes with a transition, as one matrix
         assert calls == [(len(traces[0]) + len(traces[2]), cur.phi_W.data.shape[1])]
 
     def test_no_transitions_embed_nothing(self, monkeypatch):
         policy, feats, _, cur = make_setup()
         monkeypatch.setattr(C, "embed_state", None)
-        terms = C.curiosity_pass([forced_trace(policy, feats, [2])] * 2, cur, 1.0, 1.0)
+        terms = C.curiosity_pass(stack([forced_trace(policy, feats, [2])] * 2), cur, 1.0, 1.0)
         assert float(terms.sp_loss.data) == float(terms.ap_loss.data) == 0.0
-        assert [e.tolist() for e in terms.errors] == [[0.0], [0.0]]
+        assert terms.errors.tolist() == [[0.0], [0.0]]

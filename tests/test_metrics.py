@@ -205,13 +205,7 @@ class TestReferenceStatistics:
     def test_scored_reward_equals_the_oracle(self, cand, refs, other_docs, a, b):
         idf = M.build_idf([refs] + other_docs)
         stats = M.reference_stats(refs, idf)
-        for length in (len(cand), len(cand) + 2):
-            if length < 1:
-                with pytest.raises(ValueError):
-                    R.scored_reward(cand, stats, a, b, length)
-                continue
-            assert R.scored_reward(cand, stats, a, b, length) == oracles.scored_reward(
-                cand, refs, idf, a, b, length)
+        assert R.scored_reward(cand, stats, a, b) == oracles.scored_reward(cand, refs, idf, a, b)
 
     @given(st.lists(st.tuples(TOKENS, REFS), min_size=1, max_size=4), st.lists(REFS, max_size=2))
     @settings(max_examples=300, deadline=None)
@@ -232,8 +226,8 @@ class TestReferenceStatistics:
         for cand in cases:
             for ref_set in (refs[:1], refs, [()] + refs):
                 stats = M.reference_stats(ref_set, idf)
-                assert R.scored_reward(cand, stats, 1.0, 2.0, 5) == oracles.scored_reward(
-                    cand, ref_set, idf, 1.0, 2.0, 5)
+                assert R.scored_reward(cand, stats, 1.0, 2.0) == oracles.scored_reward(
+                    cand, ref_set, idf, 1.0, 2.0)
                 sample = [(cand, ref_set)]
                 assert M.bleu(sample, mode="sentence") == oracles.bleu(sample, 4, "sentence")
                 assert M.cider(sample, idf) == oracles.cider(sample, idf)

@@ -6,7 +6,13 @@ from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
 from oracles import (composite_policy_step, forced_trace, forced_unroll, one_row_sample,
                      padded_sample_rows, padded_score_rows, per_hypothesis_beam, rl_surrogate,
-                     sequence_log_prob)
+                     sequence_log_prob, unstack)
+
+
+def sample_trace(params, feats, t_max, rng):
+    """rollout_sample's one-row episode as a trace of its steps."""
+    (trace,) = unstack(P.rollout_sample(params, feats, t_max, rng))
+    return trace
 
 
 def tiny_policy(seed=0, vocab_size=9, hidden=6, feature_dim=4, sharpen=1.0):
@@ -93,8 +99,8 @@ class TestPolicyStep:
             assert (attn >= 0).all()
 
     def test_state_concat_invariant(self):
-        # one state array [s_vis, s_lang, c_vis, c_lang]; a trace records its
-        # first 2Z columns, [s_vis, s_lang], as the curiosity state
+        # one state array [s_vis, s_lang, c_vis, c_lang]; an episode records
+        # its first 2Z columns, [s_vis, s_lang], as the curiosity state
         params, feats = tiny_policy(seed=6)
         z = params.hidden_size
         _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
@@ -102,8 +108,8 @@ class TestPolicyStep:
                                                one_row(params, feats))
         assert state.shape == (1, 4 * z)
         np.testing.assert_array_equal(state.data, parts.data)
-        trace = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(trace.states[0], state.data[0, :2 * z])
+        episode = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
+        np.testing.assert_array_equal(episode.states[0, 0], state.data[0, :2 * z])
 
     def test_recorded_step_creates_at_most_3_nodes(self, monkeypatch):
         params, feats = tiny_policy(seed=3)
@@ -150,36 +156,39 @@ class TestPolicyStep:
 class TestRolloutSample:
     def test_same_seed_same_trace(self):
         params, feats = tiny_policy(seed=8)
-        a = P.rollout_sample(params, feats, 6, np.random.default_rng(3))
-        b = P.rollout_sample(params, feats, 6, np.random.default_rng(3))
+        a = sample_trace(params, feats, 6, np.random.default_rng(3))
+        b = sample_trace(params, feats, 6, np.random.default_rng(3))
         assert a.actions == b.actions
         assert a.log_probs == b.log_probs
 
     def test_never_exceeds_t_max(self):
         params, feats = tiny_policy(seed=9)
         for t_max in (1, 2, 5):
-            trace = P.rollout_sample(params, feats, t_max, np.random.default_rng(0))
-            assert 1 <= len(trace) <= t_max
+            episode = P.rollout_sample(params, feats, t_max, np.random.default_rng(0))
+            assert 1 <= len(episode) <= t_max
+            assert episode.actions.shape == (1, len(episode))
 
     def test_deterministic_distribution_ignores_seed(self):
         # saturate the output projection so one token gets probability ~1
         params, feats = tiny_policy(seed=10)
         params.W_p.data[...] = 0.0
         params.W_p.data[5, :] = 500.0  # row 5 dominates for any nonzero state
-        traces = [P.rollout_sample(params, feats, 4, np.random.default_rng(s))
+        traces = [sample_trace(params, feats, 4, np.random.default_rng(s))
                   for s in (0, 1, 2)]
         assert traces[0].actions == traces[1].actions == traces[2].actions
 
     def test_trace_lists_aligned_and_eos_flag(self):
         params, feats = tiny_policy(seed=11)
-        trace = P.rollout_sample(params, feats, 8, np.random.default_rng(4))
-        t = len(trace)
-        assert len(trace.log_probs) == len(trace.states) == t
-        assert trace.ended_with_eos == (trace.actions[-1] == EOS_ID)
+        episode = P.rollout_sample(params, feats, 8, np.random.default_rng(4))
+        t = len(episode)
+        assert episode.lengths.tolist() == [t]
+        assert episode.log_probs.shape == (1, t)
+        assert episode.states.shape == (1, t, 2 * params.hidden_size)
+        assert episode.ended_with_eos.tolist() == [episode.actions[0, -1] == EOS_ID]
 
     def test_log_probs_match_forced_recomputation(self):
         params, feats = tiny_policy(seed=12)
-        trace = P.rollout_sample(params, feats, 6, np.random.default_rng(9))
+        trace = sample_trace(params, feats, 6, np.random.default_rng(9))
         assert sequence_log_prob(params, feats, trace.actions) == pytest.approx(
             sum(trace.log_probs), abs=1e-12)
 
@@ -216,8 +225,8 @@ def weighted_loss(run, refs):
     sampled row, with seeded advantages; returns (eta, advantages, loss)."""
     n = len(refs)
     eta = np.linspace(0.5, 1.5, n)
-    adv = [np.random.default_rng([15, i]).uniform(-1.0, 2.0, len(t))
-           for i, t in enumerate(run.traces)]
+    adv = [np.random.default_rng([15, i]).uniform(-1.0, 2.0, k)
+           for i, k in enumerate(run.episodes.lengths)]
     ce_w, lp_w = np.zeros(run.ce_values.shape), np.zeros(run.ce_values.shape)
     for r, ref in enumerate(refs):
         ce_w[r, :len(ref)] = eta[r]
@@ -283,7 +292,7 @@ class TestSampleRows:
 
     def test_batch_covers_the_edge_cases(self):
         params, feats, refs = row_batch()
-        traces = unroll_batch(params, feats, refs).traces
+        traces = unstack(unroll_batch(params, feats, refs).episodes)
         lengths = [len(t) for t in traces]
         assert 1 in lengths and T_MAX in lengths
         assert any(1 < n < T_MAX for n in lengths)
@@ -296,7 +305,7 @@ class TestSampleRows:
 
     def test_equals_one_row_sampler_scene_for_scene(self):
         params, feats, refs = row_batch()
-        traces = unroll_batch(params, feats, refs).traces
+        traces = unstack(unroll_batch(params, feats, refs).episodes)
         one_row = [one_row_sample(params, f, T_MAX, rng)
                    for f, rng in zip(feats, row_rngs(len(feats)))]
         padded = padded_sample_rows(params, feats, T_MAX, row_rngs(len(feats)))
@@ -308,7 +317,7 @@ class TestSampleRows:
 
     def test_log_probs_equal_forced_unroll(self):
         params, feats, refs = row_batch()
-        traces = unroll_batch(params, feats, refs).traces
+        traces = unstack(unroll_batch(params, feats, refs).episodes)
         for f, trace in zip(feats, traces):
             forced = forced_trace(params, f, trace.actions)
             np.testing.assert_allclose(trace.log_probs, forced.log_probs, rtol=0, atol=1e-12)
@@ -316,7 +325,7 @@ class TestSampleRows:
     def test_each_generator_draws_once_per_recorded_step(self):
         params, feats, refs = row_batch()
         rngs = row_rngs(len(feats))
-        traces = P.unroll_rows(params, feats, refs, T_MAX, rngs).traces
+        traces = unstack(P.unroll_rows(params, feats, refs, T_MAX, rngs).episodes)
         for rng, fresh, trace in zip(rngs, row_rngs(len(feats)), traces):
             fresh.random(len(trace))
             assert rng.random() == fresh.random()
@@ -351,7 +360,7 @@ class TestScoreRows:
                             K.constant([e]))
                      for f, ref, e in zip(feats, refs, eta)]
         per_scene += [rl_surrogate(params, f, t.actions, a)
-                      for f, t, a in zip(feats, run.traces, adv)]
+                      for f, t, a in zip(feats, unstack(run.episodes), adv)]
         oracle = K.add_n(per_scene)
         K.zero_grads(params.parameters())
         K.backward(oracle)
@@ -385,7 +394,7 @@ class TestScoreRows:
         for run, (rows, regions) in zip((forced, joint), projected):
             weights = np.ones(run.ce_values.shape)
             K.zero_grads(params.parameters() + [regions])
-            if run.traces:
+            if run.episodes.lengths.size:
                 K.backward(run.loss(weights, -weights))
             else:
                 K.backward(run.loss(weights))
@@ -430,9 +439,9 @@ class TestUnrollRows:
 
     def test_sampled_rows_do_not_depend_on_the_forced_rows(self):
         params, feats, refs = row_batch()
-        joint = unroll_batch(params, feats, refs).traces
-        alone = P.unroll_rows(params, feats, [], T_MAX, row_rngs(len(feats))).traces
-        one = [P.rollout_sample(params, f, T_MAX, rng)
+        joint = unstack(unroll_batch(params, feats, refs).episodes)
+        alone = unstack(P.unroll_rows(params, feats, [], T_MAX, row_rngs(len(feats))).episodes)
+        one = [sample_trace(params, f, T_MAX, rng)
                for f, rng in zip(feats, row_rngs(len(feats)))]
         for a, b, c in zip(joint, alone, one):
             assert a.actions == b.actions == c.actions
@@ -451,11 +460,20 @@ class TestUnrollRows:
         monkeypatch.setattr(P, "policy_step", counted)
         run = unroll_batch(params, feats, refs)
         monkeypatch.undo()
-        ends = [len(ref) for ref in refs] + [len(t) for t in run.traces]
+        ends = [len(ref) for ref in refs] + [len(t) for t in unstack(run.episodes)]
         assert len(rows) == max(ends) == len(run.rows)
         assert rows == [sum(e > t for e in ends) for t in range(len(rows))]
         for t, ids in enumerate(run.rows):
             assert ids.tolist() == [r for r, e in enumerate(ends) if e > t]
+        # the episodes span the steps that ran, with 0 past each one's end
+        episodes = run.episodes
+        assert episodes.lengths.tolist() == ends[len(refs):]
+        assert episodes.actions.shape == episodes.log_probs.shape == (len(feats), len(rows))
+        assert episodes.states.shape == (len(feats), len(rows), 2 * params.hidden_size)
+        past = np.arange(len(rows)) >= episodes.lengths[:, None]
+        assert (episodes.actions[past] == 0).all() and (episodes.log_probs[past] == 0).all()
+        assert (episodes.states[past] == 0).all()
+        assert len(episodes) == sum(ends[len(refs):])
 
     def test_loss_and_gradients_equal_the_padded_scorer(self):
         params, feats, refs = row_batch()
@@ -466,7 +484,7 @@ class TestUnrollRows:
         K.backward(loss)
         grads = {q.name: q.grad.copy() for q in params.parameters()}
 
-        sampled = [t.actions for t in run.traces]
+        sampled = [t.actions for t in unstack(run.episodes)]
         oracle = padded_score_rows(params, feats + feats, refs + sampled,
                                    [[e] * len(ref) for e, ref in zip(eta, refs)]
                                    + [[0.0] * len(s) for s in sampled],
@@ -479,7 +497,7 @@ class TestUnrollRows:
                                        atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
         assert run.ce_values.shape == oracle.cross_entropy.shape
         np.testing.assert_allclose(run.ce_values[:n], oracle.cross_entropy[:n], rtol=1e-12, atol=0)
-        for i, trace in enumerate(run.traces):
+        for i, trace in enumerate(unstack(run.episodes)):
             np.testing.assert_allclose(oracle.log_prob[n + i, :len(trace)], trace.log_probs,
                                        rtol=1e-12, atol=0)
 
@@ -487,7 +505,7 @@ class TestUnrollRows:
         params, feats, refs = row_batch()
         run = unroll_batch(params, feats, refs)
         n = len(feats)
-        ends = [len(ref) for ref in refs] + [len(t) for t in run.traces]
+        ends = [len(ref) for ref in refs] + [len(t) for t in unstack(run.episodes)]
         ce_w = np.full(run.ce_values.shape, np.nan)
         lp_w = np.full(run.ce_values.shape, np.nan)
         for r, end in enumerate(ends):

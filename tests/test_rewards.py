@@ -7,6 +7,8 @@ from curioseq import kernel as K
 from curioseq import metrics as M
 from curioseq import policy as P
 from curioseq import rewards as R
+import oracles
+from oracles import unstack
 
 # ---------------------------------------------------------------------------
 # independent oracle: literal evaluation of the mixed-return double sum
@@ -110,55 +112,73 @@ class TestExtrinsicReward:
         self.refs1 = M.reference_stats(self.doc1, self.idf)
 
     def test_weighted_combination(self):
-        # stubbed metric values: terminal = a * bleu4 + b * cider
-        vec = R.terminal_reward_vector(1.0 * 0.1 + 2.0 * 0.2, 4)
-        assert vec.tolist() == [0.0, 0.0, 0.0, 0.5]
+        # stubbed metric values: terminal = a * bleu4 + b * cider; at gamma 0
+        # the Q of a terminal reward is the reward vector itself
+        q = R.terminal_q(np.array([1.0 * 0.1 + 2.0 * 0.2]), np.array([4]), 4, 0.0, 1.0)
+        assert q.tolist() == [[0.0, 0.0, 0.0, 0.5]]
 
     def test_zero_before_terminal(self):
         cand = list(self.doc1[0])
-        reward = R.scored_reward(cand, self.refs1, 1.0, 2.0, len(cand))
-        vec = R.terminal_reward_vector(reward, len(cand))
+        reward = R.scored_reward(cand, self.refs1, 1.0, 2.0)
+        (vec,) = R.terminal_q(np.array([reward]), np.array([len(cand)]), len(cand), 0.0, 0.5)
         assert (vec[:-1] == 0.0).all()
         assert vec[-1] > 0.0
 
     def test_identical_candidate_gets_bleu_one_plus_cider(self):
         cand = list(self.doc1[0])
-        reward = R.scored_reward(cand, self.refs1,
-                                 bleu_weight=1.0, cider_weight=2.0, length=len(cand))
+        reward = R.scored_reward(cand, self.refs1, bleu_weight=1.0, cider_weight=2.0)
         expected = 1.0 * M.bleu([(cand, self.doc1)], mode="sentence") \
             + 2.0 * M.cider_single(cand, self.doc1, self.idf)
         assert reward == pytest.approx(expected)
         assert M.bleu([(cand, self.doc1)], mode="sentence") == pytest.approx(1.0)
 
     def test_explicit_length_for_stripped_candidates(self):
-        reward = R.scored_reward(["a"], self.refs1, 1.0, 2.0, 6)
-        vec = R.terminal_reward_vector(reward, 6)
-        assert vec.shape == (6,)
-        assert (vec[:-1] == 0.0).all()
+        # the episode's length, not the stripped candidate's, sets Q's steps
+        reward = R.scored_reward(["a"], self.refs1, 1.0, 2.0)
+        q = R.terminal_q(np.array([reward]), np.array([6]), 8, 0.0, 1.0)
+        assert q.shape == (1, 8)
+        assert (q[0, :5] == 0.0).all() and q[0, 5] == reward and (q[0, 6:] == 0.0).all()
 
-    def test_empty_candidate_rejected_without_length(self):
+    def test_empty_candidate_scores_zero(self):
+        reward = R.scored_reward([], self.refs1, 1.0, 2.0)
+        assert reward == 0.0
+        assert R.terminal_q(np.array([reward]), np.array([3]), 3, 0.9, 0.5).tolist() == [
+            [0.0, 0.0, 0.0]]
+
+
+class TestTerminalQ:
+    """terminal_q against the per-episode q_closed_form and td_lambda_q."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0])
+    def test_equals_the_per_episode_functions_exactly(self, gamma, lam):
+        rng = np.random.default_rng([21, int(10 * gamma), int(100 * lam)])
+        for _ in range(20):
+            lengths = rng.integers(1, 12, size=rng.integers(1, 7))
+            steps = int(lengths.max()) + int(rng.integers(0, 3))
+            terminal = rng.uniform(-1.0, 3.0, lengths.size)
+            q = R.terminal_q(terminal, lengths, steps, gamma, lam)
+            assert q.shape == (lengths.size, steps)
+            for row, r, k in zip(q, terminal, lengths):
+                if lam == 1.0:
+                    want = R.q_closed_form(float(r), int(k), gamma)
+                else:
+                    want = R.td_lambda_q(oracles.terminal_reward_vector(float(r), int(k)),
+                                         gamma, lam)
+                assert row[:k].tolist() == want.tolist()
+                assert (row[k:] == 0.0).all()
+
+    def test_rejects_bad_coefficients(self):
         with pytest.raises(ValueError):
-            R.scored_reward([], self.refs1, 1.0, 2.0, 0)
-        reward = R.scored_reward([], self.refs1, 1.0, 2.0, 3)
-        assert R.terminal_reward_vector(reward, 3).tolist() == [0.0, 0.0, 0.0]
-
-
-class TestAdvantages:
-    def test_zero_intrinsic_keeps_q(self):
-        q = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(R.advantages(q, np.zeros(2)), q)
-
-    def test_zero_q_keeps_intrinsic(self):
-        ri = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(R.advantages(np.zeros(2), ri), ri)
-
-    def test_worked_sum(self):
-        got = R.advantages(np.array([1.62, 1.8, 2.0]), np.array([0.0, 0.25, 0.1]))
-        np.testing.assert_allclose(got, [1.62, 2.05, 2.1])
-
-    def test_length_mismatch(self):
+            R.terminal_q(np.ones(1), np.array([2]), 2, 1.5, 1.0)
         with pytest.raises(ValueError):
-            R.advantages(np.zeros(3), np.zeros(2))
+            R.terminal_q(np.ones(1), np.array([2]), 2, 0.5, -0.1)
+
+    def test_td_lambda_q_runs_over_leading_axes(self):
+        rewards = np.random.default_rng(4).standard_normal((3, 2, 5))
+        got = R.td_lambda_q(rewards, 0.8, 0.6)
+        for index in np.ndindex(3, 2):
+            assert got[index].tolist() == R.td_lambda_q(rewards[index], 0.8, 0.6).tolist()
 
 
 def sampled_run(params, feats, t_max=4):
@@ -188,7 +208,7 @@ class TestRlLoss:
 
     def test_zero_advantage_gives_zero_loss_and_grads(self, small_rollout):
         params, feats, trace = small_rollout
-        assert R.rl_loss(trace, np.zeros(len(trace))) == 0.0
+        assert R.rl_loss(trace, np.zeros((1, len(trace)))) == 0.0
         loss = lp_loss(sampled_run(params, feats), np.zeros(len(trace)))
         assert float(loss.data) == 0.0
         K.zero_grads(params.parameters())
@@ -198,12 +218,13 @@ class TestRlLoss:
     def test_single_step_unit_advantage_matches_cross_entropy_gradient(self, small_rollout):
         params, feats, _ = small_rollout
         run = sampled_run(params, feats, t_max=1)
-        assert len(run.traces[0]) == 1
+        assert len(run.episodes) == 1
         K.zero_grads(params.parameters())
         K.backward(lp_loss(run, np.ones(1)))
         rl_grads = {p.name: p.grad.copy() for p in params.parameters()}
 
-        xe = P.unroll_rows(params, [feats], [run.traces[0].actions], 1).loss(np.ones((1, 1)))
+        xe = P.unroll_rows(params, [feats], [unstack(run.episodes)[0].actions], 1).loss(
+            np.ones((1, 1)))
         K.zero_grads(params.parameters())
         K.backward(xe)
         for p in params.parameters():
@@ -233,7 +254,7 @@ class TestRlLoss:
     def test_length_mismatch(self, small_rollout):
         _, _, trace = small_rollout
         with pytest.raises(ValueError):
-            R.rl_loss(trace, np.zeros(len(trace) + 1))
+            R.rl_loss(trace, np.zeros((1, len(trace) + 1)))
 
     def test_rejects_nodes_made_under_no_grad_while_recording(self, small_rollout):
         params, feats, trace = small_rollout
@@ -249,5 +270,18 @@ class TestRlLoss:
             value = float(lp_loss(sampled_run(params, feats), adv).data)
         assert value == float(lp_loss(sampled_run(params, feats), adv).data)
         # -CE stands in for log p: the values differ by at most log(1 + eps / p)
-        assert R.rl_loss(trace, adv) == pytest.approx(value, rel=0, abs=1e-9)
-        assert R.rl_loss(trace, adv) == -float(adv @ np.array(trace.log_probs))
+        assert R.rl_loss(trace, adv[None]) == pytest.approx(value, rel=0, abs=1e-9)
+        assert R.rl_loss(trace, adv[None]) == -float(adv @ trace.log_probs[0])
+
+    def test_sums_the_episodes_over_their_own_steps(self):
+        rng = np.random.default_rng(0)
+        params = P.init_policy(rng, vocab_size=9, hidden=6, feature_dim=4)
+        feats = [rng.standard_normal((2, 4)) for _ in range(3)]
+        episodes = P.unroll_rows(params, feats, [], 5,
+                                 [np.random.default_rng([6, i]) for i in range(3)]).episodes
+        assert len(set(episodes.lengths.tolist())) > 1
+        adv = np.random.default_rng(7).uniform(-1.0, 2.0, episodes.log_probs.shape)
+        want = 0.0
+        for trace, a in zip(unstack(episodes), adv):
+            want += -float(a[:len(trace)] @ np.array(trace.log_probs))
+        assert R.rl_loss(episodes, adv) == want

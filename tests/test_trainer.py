@@ -231,8 +231,9 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
     batch = train[: cfg.batch_size]
     policy_terms, sp_terms, ap_terms = [], [], []
     for scene, rng in zip(batch, scene_rngs(seed, len(batch))):
-        trace = P.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
-        intrinsic = C.intrinsic_rewards(trace, model.curiosity, cfg.intrinsic_scale)
+        episode = P.rollout_sample(model.policy, scene.features, cfg.t_max, rng)
+        (intrinsic,) = C.intrinsic_rewards(episode, model.curiosity, cfg.intrinsic_scale)
+        (trace,) = oracles.unstack(episode)
         cand = vocab.decode_text(trace.actions)
         refs = [vocab.decode_text(r) for r in scene.references]
         r_e = 0.0
@@ -240,12 +241,11 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
             r_e = (cfg.bleu_weight * M.bleu([(cand, refs)], max_n=4, mode="sentence")
                    + cfg.cider_weight * M.cider_single(cand, refs, idf))
         q = R.q_closed_form(r_e, len(trace), cfg.discount)
-        rl = rl_surrogate(model.policy, scene.features, trace.actions,
-                          R.advantages(q, intrinsic))
+        rl = rl_surrogate(model.policy, scene.features, trace.actions, q + intrinsic)
         xe = T.xe_loss(model.policy, scene, 0)
         policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
-        sp_terms.append(C.sp_loss(trace, model.curiosity))
-        ap_terms.append(C.ap_loss(trace, model.curiosity))
+        sp_terms.append(C.sp_loss(episode, model.curiosity))
+        ap_terms.append(C.ap_loss(episode, model.curiosity))
     losses = [K.scale(K.add_n(terms), 1.0 / len(batch))
               for terms in (policy_terms, sp_terms, ap_terms)]
     grads = [K.gradients(loss, model.parameters()) for loss in losses]
@@ -280,6 +280,53 @@ class TestPerGroupUpdate:
         assert stats.ap_loss == (pytest.approx(ap_value, rel=1e-12) if alpha > 0 else 0.0)
         assert changed(before, cur.embedding_parameters()) == {"curiosity.phi_W",
                                                                "curiosity.phi_b"}
+
+
+class TestAdvantageAssembly:
+    """train_step's (B, T) assembly against the per-episode loop it replaced
+    (oracles.per_episode_assembly), fed the same episodes and curiosity
+    errors: the log-prob weights handed to RowUnroll.loss and the step's
+    report sums must be equal, not close."""
+
+    @pytest.mark.parametrize("mode", ["crl", "no_intrinsic"])
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_weights_and_stats_equal_the_per_episode_oracle(self, tiny_corpus, monkeypatch,
+                                                            mode, lam):
+        train, _, vocab = tiny_corpus
+        # episodes of up to 16 steps and a large curiosity init: with these a
+        # sum over a zero-padded row rounds apart from one over the episode's
+        # own steps, which the report sums must keep
+        cfg = tiny_config(mode=mode, td_lambda=lam, t_max=16, intrinsic_scale=0.7,
+                          curiosity_init_scale=3.0, batch_size=10)
+        batch = train[:cfg.batch_size]
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        seen = {}
+        curiosity_pass, loss = C.curiosity_pass, P.RowUnroll.loss
+
+        def record_pass(*args, **kwargs):
+            seen["terms"] = curiosity_pass(*args, **kwargs)
+            return seen["terms"]
+
+        def record_loss(run, ce_weights, lp_weights=None):
+            seen["run"], seen["lp_weights"] = run, lp_weights
+            return loss(run, ce_weights, lp_weights)
+
+        monkeypatch.setattr(C, "curiosity_pass", record_pass)
+        monkeypatch.setattr(P.RowUnroll, "loss", record_loss)
+        references = reference_stats(batch, train, vocab)
+        stats = T.train_step(batch, model, K.OptimState(learning_rate=cfg.learning_rate), cfg,
+                             vocab, references, scene_rngs(0, len(batch)), eta=1.0)
+        run = seen["run"]
+        traces = oracles.unstack(run.episodes)
+        # the batch holds episodes that end at <eos> and at t_max, of several lengths
+        assert 0 < sum(t.ended_with_eos for t in traces) < len(traces)
+        assert len({len(t) for t in traces}) > 2
+        errors = [e[:len(t)] for e, t in zip(seen["terms"].errors, traces)]
+        lp_weights, sums = oracles.per_episode_assembly(traces, errors, references, vocab, cfg,
+                                                        run.ce_values.shape)
+        assert np.array_equal(seen["lp_weights"], lp_weights)
+        assert {name: getattr(stats, name) for name in sums} == sums
+        assert (sums["intrinsic_sum"] > 0.0) == (mode == "crl")
 
 
 class TestTrain:
@@ -436,7 +483,7 @@ class TestLearningDynamics:
 
         monkeypatch.setattr(P, "unroll_rows", capture)
         (report,) = T.train(train, val, vocab, tiny_config(epochs=1, t_max=6)).reports
-        traces = [trace for run in captured for trace in run.traces]
+        traces = [trace for run in captured for trace in oracles.unstack(run.episodes)]
         assert len(traces) == len(train)
         lengths = [len(trace.actions) for trace in traces]
         ended = [trace.actions[-1] == EOS_ID for trace in traces]
@@ -558,8 +605,8 @@ class TestEvaluateScoring:
         idf = M.build_idf(docs[:len(train)])
         for tokens, refs in zip(reference_fragments(desk_corpus), docs):
             cand = vocab.decode_text(tokens)
-            assert R.scored_reward(cand, M.reference_stats(refs, idf), 1.0, 2.0, 30) == \
-                oracles.scored_reward(cand, refs, idf, 1.0, 2.0, 30)
+            assert R.scored_reward(cand, M.reference_stats(refs, idf), 1.0, 2.0) == \
+                oracles.scored_reward(cand, refs, idf, 1.0, 2.0)
 
 
 class TestAblationModes:
