@@ -122,6 +122,12 @@ def cmd_train(args) -> int:
         raise CliError("a train manifest is required (config train_manifest or --train-manifest)")
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     dump_effective_config(cfg, out_dir)
+    if out_dir:
+        # train writes these after its first epoch; find a blocked one before it
+        last = out_dir / "last.ckpt"
+        for path in (last, trn.optimizer_path(last), out_dir / "best.ckpt"):
+            if path.is_dir():
+                raise CliError(f"cannot write checkpoint {path}: it is a directory")
 
     train_ds = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
     val_scenes = ([] if cfg.val_manifest is None

@@ -4,9 +4,10 @@ Every operation the policy and curiosity networks need is implemented here
 with an explicit forward value and a backward closure. There is no general
 graph compiler: nodes simply remember their parents, and ``backward`` walks
 them in reverse topological order. The LSTM and additive-attention math lives
-once, in plain-array forward/backward helpers (``lstm_forward``,
-``attention_forward`` and their backward halves) that the fused policy step
-calls. Weight-matrix gradients are batched into one matmul per Parameter at
+once, in plain-array forward/backward helpers (``lstm_cell_forward``
+over precomputed gates, ``lstm_forward``, ``attention_forward`` and their
+backward halves) that the fused policy step and the unroll's reverse pass
+call. Weight-matrix gradients are batched into one matmul per Parameter at
 the end of ``backward``. All math is 64-bit so finite-difference checks are
 reliable.
 
@@ -240,22 +241,6 @@ def grad_scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data, (x,), bw, "grad_scale")
 
 
-def add_n(nodes: Sequence[Tensor]) -> Tensor:
-    if not nodes:
-        raise ValueError("add_n of empty sequence")
-    out = nodes[0].data.copy()
-    for n in nodes[1:]:
-        if n.data.shape != out.shape:
-            raise ShapeError("add_n operands must share a shape")
-        out += n.data
-
-    def bw(g, accum):
-        for n in nodes:
-            accum(n, g)
-
-    return Tensor(out, tuple(nodes), bw, "add_n")
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join matrices of equal row count along their columns."""
     n = parts[0].data.shape[0]
@@ -411,13 +396,12 @@ def _picked(logits: Tensor, index: np.ndarray) -> tuple:
     return np.arange(len(index)), index
 
 
-def cross_entropy(logits: Tensor, target: np.ndarray, probs: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     """-log(softmax(logits)[target] + eps), one value per row of (n, D)
-    logits for n targets. A caller that already holds
-    softmax_values(logits.data) passes it as probs. The backward pass is
-    softmax(logits) - onehot(target)."""
+    logits for n targets. The backward pass is softmax(logits) -
+    onehot(target)."""
     at = _picked(logits, target)
-    p = softmax_values(logits.data) if probs is None else probs
+    p = softmax_values(logits.data)
     out = -np.log(p[at] + CE_EPSILON)
 
     def bw(g, accum):
@@ -458,27 +442,24 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
     )
 
 
-def lstm_forward(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step over plain arrays, a row per sequence; returns
-    (h, c, cache), the cache being what lstm_backward reads."""
-    z = params.hidden_size
-    gates = (x @ params.W_x.data.T + params.b.data) + h_prev @ params.W_h.data.T
+def lstm_cell_forward(gates: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The LSTM cell over its (n, 4Z) pre-activation gates, a row per
+    sequence; returns (h, c, cache), the cache being what
+    lstm_cell_backward reads."""
+    z = gates.shape[-1] // 4
     sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
     i, f, o = sig[:, :z], sig[:, z:2 * z], sig[:, 3 * z:]
     g = np.tanh(gates[:, 2 * z:3 * z])
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
+    return o * tc, c, (c_prev, i, f, o, g, tc)
 
 
-def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
-                  dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Given dh and dc on an lstm_forward step's outputs, hand W_x and W_h
-    the gate gradient as deferred (g, x) pairs and b its sum, and return the
-    gradients (dx, dh_prev, dc_prev) on the step's inputs."""
-    x, h_prev, c_prev, i, f, o, g, tc = cache
+def lstm_cell_backward(cache: tuple, dh: np.ndarray,
+                       dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Given dh and dc on an lstm_cell_forward step's outputs, return the
+    gradients (d_gates, dc_prev) on its inputs."""
+    c_prev, i, f, o, g, tc = cache
     dc = dc + dh * o * (1.0 - tc * tc)
     d_gates = np.concatenate([
         dc * g * i * (1.0 - i),
@@ -486,10 +467,29 @@ def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
         dc * i * (1.0 - g * g),
         dh * tc * o * (1.0 - o),
     ], axis=-1)
+    return d_gates, dc * f
+
+
+def lstm_forward(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
+                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One LSTM step over plain arrays, a row per sequence; returns
+    (h, c, cache), the cache being what lstm_backward reads."""
+    gates = (x @ params.W_x.data.T + params.b.data) + h_prev @ params.W_h.data.T
+    h, c, cell = lstm_cell_forward(gates, c_prev)
+    return h, c, (x, h_prev, cell)
+
+
+def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
+                  dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Given dh and dc on an lstm_forward step's outputs, hand W_x and W_h
+    the gate gradient as deferred (g, x) pairs and b its sum, and return the
+    gradients (dx, dh_prev, dc_prev) on the step's inputs."""
+    x, h_prev, cell = cache
+    d_gates, dc_prev = lstm_cell_backward(cell, dh, dc)
     accum(params.W_x, d_gates, x)
     accum(params.W_h, d_gates, h_prev)
     accum(params.b, d_gates.sum(axis=0))
-    return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc * f
+    return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc_prev
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,16 @@ Step structure: a visual LSTM reads [previous language state, projected mean
 features, previous word embedding]; its state attends over projected region
 features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
-runs all of it as one recorded node over one state array per sequence,
-[s_vis, s_lang, c_vis, c_lang], plus a node for the output projection.
+runs all of it over one state array per sequence, [s_vis, s_lang, c_vis,
+c_lang]: one recorded node for the state plus one for the output
+projection, or, inside unroll_rows, no node at all (the unroll records one
+node whose backward pass runs its steps in reverse).
+
+Two thirds of the visual LSTM's input is fixed within an unroll, per scene
+row and per word, so project_batch multiplies those parts by the LSTM's
+weights once per unroll: a step's visual gates are one matmul over its
+state's [s_vis, s_lang] columns plus a row of the mean-feature term and a
+row of the word table.
 
 Every sequence is a row: a scene is one row of project_batch, a word an int
 vector with one entry per row and a state an (n, 4Z) array, so one scene
@@ -21,23 +29,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernel import (
+    CE_EPSILON,
     LOGPROB_FLOOR,
     LstmParams,
     Parameter,
     ShapeError,
     Tensor,
-    add_n,
-    affine,
     attend_grad,
     attend_values,
     attention_backward,
     attention_forward,
     check_index,
     constant,
-    cross_entropy,
-    dotp,
     init_lstm,
     lstm_backward,
+    lstm_cell_backward,
+    lstm_cell_forward,
     lstm_forward,
     no_grad,
     project_rows,
@@ -57,7 +64,7 @@ class PolicyParams:
     W_h: Parameter        # (Z, Z) visual-state projection for attention
     W_a: Parameter        # (Z,)   attention scorer
     W_p: Parameter        # (D, Z) output projection
-    vis: LstmParams       # input 3Z
+    vis: LstmParams       # input 3Z: [s_lang, W_v mean(v), W_e word]
     lang: LstmParams      # input E + Z
 
     @property
@@ -99,25 +106,86 @@ def initial_state(params: PolicyParams, n: int) -> Tensor:
 
 @dataclass
 class ProjectedScene:
-    """Per-scene tensors reused across steps of one unrolled graph, one
-    zero-padded scene per row."""
+    """What every step of one unroll reads and no step changes, one
+    zero-padded scene per row: the projected regions and the visual LSTM's
+    step-invariant gate terms."""
 
     features: np.ndarray          # (n, m, E), constant
     region_proj: Tensor           # (n, m, Z), region i is W_v v_i
-    mean_proj: Tensor             # (n, Z), W_v mean(v)
+    mean_gates: Tensor            # (n, 4Z), the visual gates' term of W_v mean(v), plus its bias
+    word_gates: Tensor            # (D, 4Z), the visual gates' term of each word's embedding
+    W_state: Tensor               # (4Z, 2Z), the visual gate weights of [s_vis, s_lang]
     mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
+
+    @property
+    def terms(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        return self.region_proj, self.mean_gates, self.word_gates, self.W_state
 
     def take(self, rows: np.ndarray) -> "ProjectedScene":
         """The scenes of the given rows, in that order; a row may repeat."""
         return ProjectedScene(features=self.features[rows],
                               region_proj=take_row(self.region_proj, rows),
-                              mean_proj=take_row(self.mean_proj, rows),
+                              mean_gates=take_row(self.mean_gates, rows),
+                              word_gates=self.word_gates, W_state=self.W_state,
                               mask=None if self.mask is None else self.mask[rows])
+
+    def backward(self, accum, d_regions: np.ndarray, d_mean: np.ndarray, d_gates: np.ndarray,
+                 words: np.ndarray, reads: np.ndarray) -> None:
+        """Hand the terms their gradients: d_regions and d_mean per scene
+        row, and (n, 4Z) visual gate gradients d_gates of steps that were
+        fed words and read the [s_vis, s_lang] states reads."""
+        accum(self.region_proj, d_regions)
+        accum(self.mean_gates, d_mean)
+        onehot = np.zeros((words.size, self.word_gates.shape[0]))
+        onehot[np.arange(words.size), words] = 1.0
+        accum(self.word_gates, onehot, d_gates)
+        accum(self.W_state, d_gates, reads)
+
+
+def _in_columns(block: np.ndarray, start: int, width: int) -> np.ndarray:
+    """block as columns start: of a zero matrix width columns wide."""
+    full = np.zeros((block.shape[0], width))
+    full[:, start:start + block.shape[1]] = block
+    return full
+
+
+def visual_gate_terms(params: PolicyParams, means: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """The visual LSTM's gate terms that are fixed within an unroll, from
+    its W_x columns [s_lang | mean | word] and (n, E) region means: the
+    (n, 4Z) mean-feature term plus the bias, the (D, 4Z) word table and the
+    (4Z, 2Z) weights [W_h | W_x's s_lang columns] of [s_vis, s_lang]. Each
+    is one node, so a whole unroll's gradient on it is multiplied through
+    the weights once."""
+    vis, z = params.vis, params.hidden_size
+    W_x = vis.W_x.data
+    width = W_x.shape[1]
+    mean_proj = means @ params.W_v.data.T
+
+    def mean_bw(g, accum):
+        accum(params.W_v, g @ W_x[:, z:2 * z], means)
+        accum(vis.W_x, _in_columns(g.T @ mean_proj, z, width))
+        accum(vis.b, g.sum(axis=0))
+
+    def word_bw(g, accum):
+        accum(params.W_e, g @ W_x[:, 2 * z:])
+        accum(vis.W_x, _in_columns(g.T @ params.W_e.data, 2 * z, width))
+
+    def state_bw(g, accum):
+        accum(vis.W_h, g[:, :z])
+        accum(vis.W_x, _in_columns(g[:, z:], 0, width))
+
+    return (Tensor(mean_proj @ W_x[:, z:2 * z].T + vis.b.data, (params.W_v, vis.W_x, vis.b),
+                   mean_bw, "mean_gates"),
+            Tensor(params.W_e.data @ W_x[:, 2 * z:].T, (params.W_e, vis.W_x), word_bw,
+                   "word_gates"),
+            Tensor(np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), (vis.W_h, vis.W_x),
+                   state_bw, "state_weights"))
 
 
 def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
     """One row per (m_r, E) scene: regions zero-padded to the largest m with
-    a region mask, and each row's own region mean."""
+    a region mask, and the visual gate terms of each row's own region
+    mean."""
     m = max(f.shape[0] for f in features)
     padded = np.zeros((len(features), m, features[0].shape[1]))
     mask = np.zeros((len(features), m), dtype=bool)
@@ -125,13 +193,68 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
         padded[r, :f.shape[0]] = f
         mask[r, :f.shape[0]] = True
     means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
+    mean_gates, word_gates, W_state = visual_gate_terms(params, means)
     return ProjectedScene(features=padded, region_proj=project_rows(padded, params.W_v),
-                          mean_proj=affine(constant(means), params.W_v),
+                          mean_gates=mean_gates, word_gates=word_gates, W_state=W_state,
                           mask=None if mask.all() else mask)
 
 
+@dataclass
+class StepRecord:
+    """The plain arrays of one policy_step that its reverse pass reads."""
+
+    words: np.ndarray         # (n,) the previous words
+    read: np.ndarray          # (n, 4Z) the state the step read
+    state: np.ndarray         # (n, 4Z) the state it made
+    features: np.ndarray      # (n, m, E) its rows' regions
+    vis: tuple                # lstm_cell_forward's cache of the visual LSTM
+    attn: np.ndarray          # (n, m) attention weights
+    tanh: np.ndarray          # (n, m, Z) attention_forward's tanh
+    lang: tuple               # lstm_forward's cache of the language LSTM
+
+
+def _step_forward(params: PolicyParams, prev_word: np.ndarray, read: np.ndarray,
+                  scene: ProjectedScene) -> tuple[np.ndarray, np.ndarray, StepRecord]:
+    """(next-word logits, attended features, record) of one step over plain
+    arrays."""
+    z = params.hidden_size
+    gates = ((read[:, :2 * z] @ scene.W_state.data.T + scene.mean_gates.data)
+             + scene.word_gates.data[prev_word])
+    s_vis, c_vis, vis = lstm_cell_forward(gates, read[:, 2 * z:3 * z])
+    attn, t = attention_forward(scene.region_proj.data, s_vis @ params.W_h.data.T,
+                                params.W_a.data, scene.mask)
+    v_hat = attend_values(attn, scene.features)
+    x_lang = np.concatenate([v_hat, s_vis], axis=-1)
+    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, read[:, z:2 * z], read[:, 3 * z:])
+    state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
+    return (s_lang @ params.W_p.data.T, v_hat,
+            StepRecord(prev_word, read, state, scene.features, vis, attn, t, lang))
+
+
+def _step_backward(accum, params: PolicyParams, step: StepRecord, W_state: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step in reverse, given g (n, 4Z) on the state it made: hands
+    W_h, W_a and the language LSTM their gradients through accum and
+    returns the gradients on the state it read, on its visual gates and on
+    its pre-tanh attention sums (those of the regions, whose sum over the
+    regions W_h's projection of s_vis got)."""
+    z = params.hidden_size
+    e = step.features.shape[-1]
+    dx_lang, ds_lang, dc_lang = lstm_backward(accum, params.lang, step.lang,
+                                              g[:, z:2 * z], g[:, 3 * z:])
+    d_pre = attention_backward(accum, params.W_a, step.attn, step.tanh,
+                               attend_grad(step.features, dx_lang[:, :e]))
+    d_hproj = d_pre.sum(axis=-2)
+    accum(params.W_h, d_hproj, step.state[:, :z])
+    d_gates, dc_vis = lstm_cell_backward(
+        step.vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data, g[:, 2 * z:3 * z])
+    d_read = d_gates @ W_state
+    return (np.concatenate([d_read[:, :z], ds_lang + d_read[:, z:], dc_vis, dc_lang], axis=-1),
+            d_gates, d_pre)
+
+
 def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | None,
-                scene: ProjectedScene):
+                scene: ProjectedScene, tape: list[StepRecord] | None = None):
     """One decoding step for a row per sequence: an int vector of n previous
     words, (n, 4Z) states (None for the zero states) and an n-row
     project_batch scene.
@@ -140,9 +263,10 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | Non
     weights). The state is one node whose backward pass runs the whole step
     in reverse, and the logits a second node over its s_lang columns; the
     attended features and attention weights are plain arrays, as no
-    gradient flows back through them.
+    gradient flows back through them. With a tape, the step also appends
+    its StepRecord to it, for a reverse pass run outside the graph.
     """
-    n = scene.mean_proj.shape[0]
+    n = scene.features.shape[0]
     if state is None:
         state = initial_state(params, n)
     z = params.hidden_size
@@ -150,47 +274,26 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | Non
         raise ShapeError(f"policy_step expects words ({n},) and states ({n}, {4 * z}), "
                          f"got {np.shape(prev_word)} and {state.shape}")
     check_index(prev_word, params.vocab_size, "policy_step")
-    prev = state.data
-    x_vis = np.concatenate([prev[:, z:2 * z], scene.mean_proj.data, params.W_e.data[prev_word]],
-                           axis=-1)
-    s_vis, c_vis, vis = lstm_forward(params.vis, x_vis, prev[:, :z], prev[:, 2 * z:3 * z])
-    attn, t = attention_forward(scene.region_proj.data, s_vis @ params.W_h.data.T,
-                                params.W_a.data, scene.mask)
-    v_hat = attend_values(attn, scene.features)
-    x_lang = np.concatenate([v_hat, s_vis], axis=-1)
-    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, prev[:, z:2 * z], prev[:, 3 * z:])
+    logits, v_hat, step = _step_forward(params, prev_word, state.data, scene)
+    if tape is not None:
+        tape.append(step)
 
     def step_bw(g, accum):
-        e = v_hat.shape[-1]
-        dx_lang, ds_lang, dc_lang = lstm_backward(accum, params.lang, lang,
-                                                  g[:, z:2 * z], g[:, 3 * z:])
-        d_pre = attention_backward(accum, params.W_a, attn, t,
-                                   attend_grad(scene.features, dx_lang[:, :e]))
-        accum(scene.region_proj, d_pre)
-        d_hproj = d_pre.sum(axis=-2)
-        accum(params.W_h, d_hproj, s_vis)
-        dx_vis, ds_vis, dc_vis = lstm_backward(
-            accum, params.vis, vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data,
-            g[:, 2 * z:3 * z])
-        accum(scene.mean_proj, dx_vis[:, z:2 * z])
-        onehot = np.zeros((n, params.vocab_size))     # the embedding lookup's (g, x) pair
-        onehot[np.arange(n), prev_word] = 1.0
-        accum(params.W_e, onehot, dx_vis[:, 2 * z:])
-        accum(state, np.concatenate([ds_vis, ds_lang + dx_vis[:, :z], dc_vis, dc_lang], axis=-1))
+        d_read, d_gates, d_pre = _step_backward(accum, params, step, scene.W_state.data, g)
+        scene.backward(accum, d_pre, d_gates, d_gates, prev_word, step.read[:, :2 * z])
+        accum(state, d_read)
 
-    new_state = Tensor(np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1),
-                       (state, scene.region_proj, scene.mean_proj, params.W_e, params.W_h,
-                        params.W_a, *params.vis.parameters(), *params.lang.parameters()),
-                       step_bw, "policy_step")
+    new_state = Tensor(step.state, (state, *scene.terms, params.W_h, params.W_a,
+                                    *params.lang.parameters()), step_bw, "policy_step")
 
     def logits_bw(g, accum):
-        accum(params.W_p, g, s_lang)
+        accum(params.W_p, g, step.state[:, z:2 * z])
         d_state = np.zeros(new_state.shape)
         d_state[:, z:2 * z] = g @ params.W_p.data
         accum(new_state, d_state)
 
-    logits = Tensor(s_lang @ params.W_p.data.T, (new_state, params.W_p), logits_bw, "logits")
-    return logits, new_state, v_hat, attn
+    return (Tensor(logits, (new_state, params.W_p), logits_bw, "logits"), new_state, v_hat,
+            step.attn)
 
 
 @dataclass
@@ -215,18 +318,19 @@ class Episodes:
 
 def unroll(params: PolicyParams, scene: ProjectedScene,
            step: Callable[[int, Tensor, Tensor], tuple[np.ndarray, np.ndarray]],
-           t_max: int) -> None:
+           t_max: int, tape: list[StepRecord] | None = None) -> None:
     """The one loop over policy_step. From <bos>, every row of the
     project_batch scene steps at once; after step t, step(t, logits, state)
     returns (rows, token): the positions of the rows that go on, in the
     order they go on (a row may repeat), and the word each of them feeds
     next. Unless rows is every row in order, the state (one take_row) and
     the scene rows are gathered before the next step. The loop ends when
-    rows is empty or after t_max steps."""
+    rows is empty or after t_max steps. Each step's record goes to tape
+    when one is given."""
     state: Tensor | None = None
-    token = np.full(scene.mean_proj.shape[0], BOS_ID)
+    token = np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
-        logits, state, _, _ = policy_step(params, token, state, scene)
+        logits, state, _, _ = policy_step(params, token, state, scene, tape=tape)
         rows, token = step(t, logits, state)
         if rows.size == 0:
             return
@@ -236,17 +340,20 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
 
 @dataclass
 class RowUnroll:
-    """One recorded unroll over the rows of a minibatch, teacher-forced rows
-    first. Step t ran on the rows rows[t] that had not finished, in
-    ascending order, and its cross-entropy node holds one value per such row
-    for the token the row took: its reference token or the token it
-    sampled."""
+    """One unroll over the rows of a minibatch, teacher-forced rows first,
+    kept as its steps' records instead of graph nodes. Step t ran on the
+    rows rows[t] that had not finished, in ascending order, and each of them
+    took one token: its reference token or the token it sampled."""
 
     rows: list[np.ndarray]          # per step, the ids of the rows that stepped
-    cross_entropy: list[Tensor]     # per step, -log(p + CE_EPSILON) of each row's token
-    ce_values: np.ndarray           # (rows, steps) cross-entropy values, 0 where a row did not step
+    ce_values: np.ndarray           # (rows, steps) -log(p + CE_EPSILON) of each row's token, 0 where a row did not step
     episodes: Episodes              # the sampled rows' episodes, row n_forced + i as row i
     n_forced: int                   # rows below n_forced are teacher-forced, the others sampled
+    params: PolicyParams
+    scene: ProjectedScene           # the project_batch scene of every row
+    steps: list[StepRecord] | None  # per step, policy_step's record; None for an unroll run under no_grad
+    probs: list[np.ndarray]         # per step, the softmax of each row's logits
+    tokens: list[np.ndarray]        # per step, the token each row took
 
     def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
         """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
@@ -254,39 +361,93 @@ class RowUnroll:
         sampled rows, for (rows, steps) weight arrays; the weights of steps a
         row did not take are never read. -CE_rt stands in for logp_rt: its
         gradient is the same, and its value differs by at most
-        log(1 + CE_EPSILON / p). While recording, an unroll made under no_grad
-        is rejected, as its loss would have a silent zero gradient."""
+        log(1 + CE_EPSILON / p). The loss is one node whose backward pass
+        runs the unroll's steps in reverse. While recording, an unroll made
+        under no_grad is rejected, as its loss would have a silent zero
+        gradient."""
         if lp_weights is not None and not self.episodes.lengths.size:
             raise ValueError("log-prob weights need sampled rows")
-        if recording() and not all(node.parents for node in self.cross_entropy):
+        if recording() and self.steps is None:
             raise ValueError("the unroll ran under no_grad and has no path to the parameters")
-        terms = []
-        for t, (rows, node) in enumerate(zip(self.rows, self.cross_entropy)):
+        coefs = []
+        value = 0.0
+        for t, rows in enumerate(self.rows):
             k = np.searchsorted(rows, self.n_forced)
             w = np.zeros(len(rows))
             w[:k] = ce_weights[rows[:k], t]
             if lp_weights is not None:
                 w[k:] = -lp_weights[rows[k:], t]
-            terms.append(dotp(node, constant(w)))
-        return add_n(terms)
+            coefs.append(w)
+            value += np.dot(self.ce_values[rows, t], w)
+        params = self.params
+        return Tensor(value, (*self.scene.terms, params.W_h, params.W_a, params.W_p,
+                              *params.lang.parameters()),
+                      lambda g, accum: self._backward([g * c for c in coefs], accum), "unroll")
+
+    def _backward(self, coefs: list[np.ndarray], accum) -> None:
+        """The reverse pass for the loss weights coefs[t] of step t's rows:
+        every step's logit gradient (softmax minus onehot, times its weight)
+        at once, then the steps in reverse, each handing the gradient on the
+        state it read to the step before. The running sums of the scene
+        terms' gradients stay aligned with the current step's rows and
+        spread out where rows ended, so they are summed per row (and per
+        word) and handed on once; W_p's and the visual gate weights' (g, x)
+        rows are stacked for one matmul each."""
+        params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
+        d_logits = np.concatenate(self.probs)
+        d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
+        d_logits *= np.concatenate(coefs)[:, None]
+        accum(params.W_p, d_logits, np.concatenate([s.state[:, z:2 * z] for s in steps]))
+        ds_lang = d_logits @ params.W_p.data
+        n = self.rows[-1].size
+        carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
+        regions = np.zeros((n,) + scene.region_proj.shape[1:])
+        mean = np.zeros((n, 4 * z))
+        gates = []
+        end = ds_lang.shape[0]
+        for t in reversed(range(len(steps))):
+            rows = self.rows[t]
+            if rows.size != carry.shape[0]:         # rows that ended after step t come back
+                keep = np.searchsorted(rows, self.rows[t + 1])
+                carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
+            carry[:, z:2 * z] += ds_lang[end - rows.size:end]
+            end -= rows.size
+            carry, d_gates, d_pre = _step_backward(accum, params, steps[t], scene.W_state.data,
+                                                   carry)
+            regions += d_pre
+            mean += d_gates
+            gates.append(d_gates)
+        backwards = steps[::-1]
+        scene.backward(accum, regions, mean, np.concatenate(gates),
+                       np.concatenate([s.words for s in backwards]),
+                       np.concatenate([s.read[:, :2 * z] for s in backwards]))
+
+
+def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
+    """a's rows at positions keep of n zero rows."""
+    out = np.zeros((n,) + a.shape[1:])
+    out[keep] = a
+    return out
 
 
 def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
                 forced: Sequence[Sequence[int]], t_max: int,
                 rngs: Sequence[np.random.Generator] = ()) -> RowUnroll:
-    """Unroll a minibatch as one graph over (rows, .) arrays: a
-    teacher-forced row per reference (row r reads features[r] and is fed
-    forced[r]), then a sampled row per generator (row len(forced) + i reads
-    features[i] and draws its inverse-CDF u from rngs[i] alone, once per
-    step it takes, from its own softmax row).
+    """Unroll a minibatch over (rows, .) arrays: a teacher-forced row per
+    reference (row r reads features[r] and is fed forced[r]), then a
+    sampled row per generator (row len(forced) + i reads features[i] and
+    draws its inverse-CDF u from rngs[i] alone, once per step it takes,
+    from its own softmax row).
 
     A forced row ends after its last token, and a sampled row at <eos> or
     after t_max steps, so at most max(t_max, longest reference) steps run.
     After every step the rows that ended drop out: unroll gathers the state
     and scene rows of the others, so no step runs on a finished row and
-    finished rows and padded regions get exactly zero gradient. The caller
-    weights the recorded nodes with RowUnroll.loss, after it has scored the
-    sampled episodes, and the whole minibatch has one backward pass."""
+    finished rows and padded regions get exactly zero gradient. The steps
+    record no graph nodes; while recording, each step's record is kept for
+    the one node of RowUnroll.loss, which the caller weights after it has
+    scored the sampled episodes, so the whole minibatch has one backward
+    pass."""
     n, n_forced = len(features), len(forced)
     if n_forced not in (0, n) or len(rngs) not in (0, n) or not n_forced + len(rngs):
         raise ValueError(f"{n} scenes need a reference each, a generator each, or both")
@@ -302,14 +463,10 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     scene = project_batch(params, (list(features) if forced else [])
                           + (list(features) if rngs else []))
     ids = np.arange(len(ends))          # the rows of the current step
-    # the sampled rows' episodes, (len(rngs), steps, ...) with 0 past their ends
-    actions = np.zeros((len(rngs), steps), dtype=np.intp)
-    log_probs = np.zeros((len(rngs), steps))
-    states = np.zeros((len(rngs), steps, 2 * params.hidden_size))
-    lengths = np.zeros(len(rngs), dtype=np.intp)
-
+    states = np.zeros((len(rngs), steps, 2 * params.hidden_size))   # the sampled rows'
     stepped: list[np.ndarray] = []
-    nodes: list[Tensor] = []
+    probs: list[np.ndarray] = []
+    taken: list[np.ndarray] = []
 
     def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
         nonlocal ids
@@ -322,25 +479,33 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
             cdf = np.cumsum(p[k:], axis=-1)
             # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
             token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), p.shape[-1] - 1)
-            s = ids[k:] - n_forced
-            actions[s, t] = token[k:]
-            log_probs[s, t] = np.log(np.maximum(p[np.arange(k, len(ids)), token[k:]], LOGPROB_FLOOR))
-            states[s, t] = state.data[k:, :2 * params.hidden_size]
-            lengths[s] += 1
+            states[ids[k:] - n_forced, t] = state.data[k:, :2 * params.hidden_size]
         stepped.append(ids)
-        nodes.append(cross_entropy(logits, token, p))
+        probs.append(p)
+        taken.append(token)
         keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
         ids = ids[keep]
         return keep, token[keep]
 
-    unroll(params, scene, step, steps)
-    ran = len(nodes)
+    tape = [] if recording() else None
+    with no_grad():
+        unroll(params, scene, step, steps, tape)
+    # the per-step values of all steps at once, as (rows, steps) arrays with
+    # 0 where a row did not step; the sampled rows' as row i of their episodes
+    ran = len(stepped)
+    rows, took = np.concatenate(stepped), np.concatenate(taken)
+    at = np.repeat(np.arange(ran), [r.size for r in stepped])
+    picked = np.concatenate(probs)[np.arange(rows.size), took]
     ce_values = np.zeros((len(ends), ran))
-    for t, (rows, node) in enumerate(zip(stepped, nodes)):
-        ce_values[rows, t] = node.data
-    return RowUnroll(stepped, nodes, ce_values,
-                     Episodes(actions[:, :ran], log_probs[:, :ran], states[:, :ran], lengths),
-                     n_forced)
+    ce_values[rows, at] = -np.log(picked + CE_EPSILON)
+    s = rows >= n_forced
+    actions = np.zeros((len(rngs), ran), dtype=np.intp)
+    log_probs = np.zeros((len(rngs), ran))
+    actions[rows[s] - n_forced, at[s]] = took[s]
+    log_probs[rows[s] - n_forced, at[s]] = np.log(np.maximum(picked[s], LOGPROB_FLOOR))
+    lengths = np.bincount(rows[s] - n_forced, minlength=len(rngs))
+    return RowUnroll(stepped, ce_values, Episodes(actions, log_probs, states[:, :ran], lengths),
+                     n_forced, params, scene, tape, probs, taken)
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
@@ -353,10 +518,11 @@ def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
 
 
 def forced_step_losses(params: PolicyParams, features: np.ndarray,
-                       tokens: Sequence[int]) -> list[Tensor]:
-    """Per-step (1,) cross-entropy nodes of a teacher-forced pass (imitation):
-    the one-row view of unroll_rows."""
-    return unroll_rows(params, [features], [tokens], len(tokens)).cross_entropy
+                       tokens: Sequence[int]) -> np.ndarray:
+    """The per-step cross-entropies of a teacher-forced pass (imitation), one
+    value per step: the one-row view of unroll_rows, without a graph."""
+    with no_grad():
+        return unroll_rows(params, [features], [tokens], len(tokens)).ce_values[0]
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:

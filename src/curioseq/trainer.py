@@ -288,20 +288,24 @@ class MetricReport:
 
 
 def evaluate(scenes: Sequence[Scene], model: ModelParams, vocab: Vocabulary,
-             idf: met.IdfTable, cfg: TrainConfig) -> MetricReport:
+             idf: met.IdfTable, cfg: TrainConfig,
+             references: Sequence[met.References] | None = None) -> MetricReport:
     """Decode every scene and score corpus BLEU-1..4, the consensus metric
     and diversity statistics. Each candidate's n-grams are counted once, for
-    BLEU's sums and its consensus score against its scene's references."""
+    BLEU's sums and its consensus score against its scene's references.
+    Scene i's reference statistics against idf are references[i] when
+    given, and are otherwise built here, one scene at a time."""
     sums = met.BleuSums()
     consensus = []
     candidates = []
-    for scene in scenes:
+    for i, scene in enumerate(scenes):
         if cfg.decode == "beam" and cfg.beam_width > 1:
             tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, cfg.beam_width)
         else:
             tokens = pol.rollout_greedy(model.policy, scene.features, cfg.t_max)
         cand = vocab.decode_text(tokens)
-        refs = met.reference_stats([vocab.decode_text(r) for r in scene.references], idf)
+        refs = (met.reference_stats([vocab.decode_text(r) for r in scene.references], idf)
+                if references is None else references[i])
         counts = met.candidate_counts(cand)
         sums.add(counts, len(cand), refs)
         consensus.append(met.consensus(counts, refs))
@@ -425,16 +429,18 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
         model = init_model(cfg, vocab.size, feature_dim)
     documents = reference_documents(train_scenes, vocab)
     idf = met.build_idf(documents)
-    # xe mode scores no sampled episodes, so it needs no reference statistics
+    # xe mode scores no sampled episodes, so it needs no train reference statistics
     references = ([] if cfg.mode == "xe"
                   else [met.reference_stats(doc, idf) for doc in documents])
+    eval_scenes = val_scenes if val_scenes else train_scenes
+    eval_references = [met.reference_stats(doc, idf)
+                       for doc in reference_documents(eval_scenes, vocab)]
     if opt is None:
         opt = new_optimizer(cfg)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    eval_scenes = val_scenes if val_scenes else train_scenes
     reports: list[EpochReport] = []
     for epoch in range(start_epoch, cfg.epochs):
         eta = 1.0 if cfg.mode == "xe" else eta_schedule(
@@ -454,7 +460,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
                 setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))
             n_batches += 1
 
-        val = evaluate(eval_scenes, model, vocab, idf, cfg)
+        val = evaluate(eval_scenes, model, vocab, idf, cfg, eval_references)
 
         def per_episode(total: float) -> float:
             return total / totals.episodes if totals.episodes else 0.0

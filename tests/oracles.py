@@ -6,12 +6,18 @@ one row of `policy.project_batch`, and `first_row` drops the row axis of a
 one-row node.
 
 `composite_policy_step` is the attention-LSTM step as the graph of
-single-purpose ops (`vslice`, `lstm_cell`, `additive_attention`, `attend`,
-defined here over the kernel's plain-array helpers) that
-`policy.policy_step` fuses into one node. `row_steps` is the references'
-own loop over `policy.policy_step`, apart from the `policy.unroll` they
-check. `forced_unroll` is the teacher-forced unroll of one scene as one
-row, which `sequence_log_prob`, `forced_trace` and `rl_surrogate` (the
+single-purpose ops (`vslice`, `lstm_cell`, `gates_cell`,
+`additive_attention`, `attend`, defined here over the kernel's plain-array
+helpers) that `policy.policy_step` fuses into one node, reading the visual
+LSTM's hoisted gate terms of `policy.project_batch` as it does.
+`unhoisted_policy_step` is the same step with the visual LSTM's whole
+input [s_lang, W_v mean(v), W_e word] multiplied by its W_x at every step,
+as it was before those terms were hoisted, over an `unhoisted_batch` scene
+that `policy.project_batch` has no part in. `row_steps` is the references'
+own loop over `policy.policy_step`, whose per-step nodes are the gradient
+reference of the one node `policy.RowUnroll.loss` records, apart from the
+`policy.unroll` they check. `forced_unroll` is the teacher-forced unroll of
+one scene as one row, which `sequence_log_prob`, `forced_trace` and `rl_surrogate` (the
 per-scene log-prob graph of the policy-gradient loss) read. `one_row_sample` is the sampler that stepped
 one scene at a time, and `per_hypothesis_beam` is the beam search that
 stepped each live hypothesis on its own, as one row, and sorted all width x
@@ -49,6 +55,23 @@ from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.metrics import MAX_NGRAM, IdfTable, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
+
+
+def add_n(nodes):
+    """The sum of equal-shaped nodes."""
+    if not nodes:
+        raise ValueError("add_n of empty sequence")
+    out = nodes[0].data.copy()
+    for n in nodes[1:]:
+        if n.data.shape != out.shape:
+            raise K.ShapeError("add_n operands must share a shape")
+        out += n.data
+
+    def bw(g, accum):
+        for n in nodes:
+            accum(n, g)
+
+    return K.Tensor(out, tuple(nodes), bw, "add_n")
 
 
 def vslice(x, start, stop):
@@ -148,36 +171,104 @@ def lstm_cell(x, h_prev, c_prev, params):
     return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
-def composite_policy_step(params, prev_word, state, scene):
-    """policy_step as a composite graph: a take_row for the embedding, four
-    vslices of the state, three concats, two lstm_cell nodes (each with two
-    vslice views), two affines, additive_attention and attend. Returns
-    (logits, [s_vis, s_lang, c_vis, c_lang] state, attended features,
-    attention weights), all as nodes."""
-    if state is None:
-        state = P.initial_state(params, scene.mean_proj.shape[0])
-    z = params.hidden_size
-    s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
-    emb = K.take_row(params.W_e, prev_word)
-    x_vis = K.concat([s_lang0, scene.mean_proj, emb])
-    s_vis, c_vis = lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
+def gates_cell(gates, c_prev):
+    """lstm_cell_forward as a single node holding [h, c] over (n, 4Z)
+    pre-activation gates, returned as two views."""
+    z = c_prev.data.shape[-1]
+    if gates.data.shape != (c_prev.data.shape[0], 4 * z):
+        raise K.ShapeError(f"gates_cell gates {gates.shape} do not match cells {c_prev.shape}")
+    h, c, cache = K.lstm_cell_forward(gates.data, c_prev.data)
+
+    def bw(grad, accum):
+        d_gates, dc_prev = K.lstm_cell_backward(cache, grad[:, :z], grad[:, z:])
+        accum(gates, d_gates)
+        accum(c_prev, dc_prev)
+
+    state = K.Tensor(np.concatenate([h, c], axis=-1), (gates, c_prev), bw, "gates_cell")
+    return vslice(state, 0, z), vslice(state, z, 2 * z)
+
+
+def _attend_and_speak(params, scene, s_vis, s_lang0, c_lang0):
+    """The step after the visual LSTM: (logits, s_lang, c_lang, attended
+    features, attention weights)."""
     h_proj = K.affine(s_vis, params.W_h)
     attn = additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
     v_hat = attend(attn, scene.features)
     x_lang = K.concat([v_hat, s_vis])
     s_lang, c_lang = lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
-    logits = K.affine(s_lang, params.W_p)
+    return K.affine(s_lang, params.W_p), s_lang, c_lang, v_hat, attn
+
+
+def composite_policy_step(params, prev_word, state, scene):
+    """policy_step as a composite graph: four vslices of the state and one
+    of its [s_vis, s_lang] columns, the visual gates as an affine of those
+    by the scene's W_state plus its mean_gates and a take_row of its
+    word_gates, a gates_cell and an lstm_cell node (each with two vslice
+    views), two more affines, two concats, additive_attention and attend.
+    Returns (logits, [s_vis, s_lang, c_vis, c_lang] state, attended
+    features, attention weights), all as nodes."""
+    if state is None:
+        state = P.initial_state(params, scene.features.shape[0])
+    z = params.hidden_size
+    s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
+    gates = K.add(K.add(K.affine(vslice(state, 0, 2 * z), scene.W_state), scene.mean_gates),
+                  K.take_row(scene.word_gates, prev_word))
+    s_vis, c_vis = gates_cell(gates, c_vis0)
+    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, s_vis, s_lang0,
+                                                            c_lang0)
     return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
-def row_steps(params, scene, choose, t_max):
-    """(token, logits, state) per step of a plain loop over policy_step from
-    <bos> that feeds every row of scene the tokens choose(t, logits); a
-    caller stops early by leaving the loop. It stands apart from
-    policy.unroll, so no reference runs the loop it checks."""
-    state, token = None, np.full(scene.mean_proj.shape[0], BOS_ID)
+@dataclass
+class UnhoistedScene:
+    """The scene rows that unhoisted_policy_step reads, none of them built
+    by policy.project_batch."""
+
+    features: np.ndarray          # (n, m, E), zero-padded
+    region_proj: K.Tensor         # (n, m, Z), a project_rows node
+    mean_proj: K.Tensor           # (n, Z), W_v mean(v) as an affine node
+    mask: np.ndarray | None
+
+
+def unhoisted_batch(params, features):
+    """project_batch as it was before the visual gate terms were hoisted:
+    the padded regions through W_v and each row's W_v mean(v)."""
+    m = max(f.shape[0] for f in features)
+    padded = np.zeros((len(features), m, features[0].shape[1]))
+    mask = np.zeros((len(features), m), dtype=bool)
+    for r, f in enumerate(features):
+        padded[r, :f.shape[0]] = f
+        mask[r, :f.shape[0]] = True
+    means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
+    return UnhoistedScene(padded, K.project_rows(padded, params.W_v),
+                          K.affine(K.constant(means), params.W_v), None if mask.all() else mask)
+
+
+def unhoisted_policy_step(params, prev_word, state, scene):
+    """composite_policy_step as it was before the visual gate terms were
+    hoisted, over an unhoisted_batch scene: the visual LSTM's input [s_lang,
+    W_v mean(v), W_e word] is concatenated and multiplied by its W_x at
+    every step (an lstm_cell node)."""
+    if state is None:
+        state = P.initial_state(params, scene.features.shape[0])
+    z = params.hidden_size
+    s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
+    x_vis = K.concat([s_lang0, scene.mean_proj, K.take_row(params.W_e, prev_word)])
+    s_vis, c_vis = lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
+    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, s_vis, s_lang0,
+                                                            c_lang0)
+    return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
+
+
+def row_steps(params, scene, choose, t_max, step=None):
+    """(token, logits, state) per step of a plain loop over step (by default
+    policy_step) from <bos> that feeds every row of scene the tokens
+    choose(t, logits); a caller stops early by leaving the loop. It stands
+    apart from policy.unroll, so no reference runs the loop it checks."""
+    step = step or P.policy_step
+    state, token = None, np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
-        logits, state, _, _ = P.policy_step(params, token, state, scene)
+        logits, state, _, _ = step(params, token, state, scene)
         token = choose(t, logits)
         yield token, logits, state
 
@@ -259,9 +350,9 @@ def rl_surrogate(params, features, actions, advantage):
     """-sum_t A_t log pi(y_t | s_t) of one scene's actions as a graph of
     per-step logprob nodes: the policy-gradient loss that the sampled rows
     of policy.RowUnroll.loss weight with -A_t."""
-    return K.add_n([K.dotp(logprob(logits, token), K.constant([-float(a)]))
-                    for (token, logits, _), a in zip(forced_unroll(params, features, actions),
-                                                     advantage)])
+    return add_n([K.dotp(logprob(logits, token), K.constant([-float(a)]))
+                  for (token, logits, _), a in zip(forced_unroll(params, features, actions),
+                                                   advantage)])
 
 
 def sp_targets(episodes, params):
@@ -374,10 +465,11 @@ def _padded(rows, width, dtype=np.float64):
     return out
 
 
-def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
+def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None, unhoisted=False):
     """Teacher-force every row for as many steps as the longest one: the
     loss is sum_{r,t} ce_weights[r][t] CE_rt + lp_weights[r][t] logp_rt, and
-    steps past the end of a row feed <eos> with weight 0."""
+    steps past the end of a row feed <eos> with weight 0. Each step is a
+    recorded policy_step, or with unhoisted an unhoisted_policy_step."""
     width = max(len(row) for row in tokens)
     real = _padded([[True] * len(row) for row in tokens], width, bool)
     forced = np.where(real, _padded(tokens, width, np.intp), EOS_ID)
@@ -385,8 +477,9 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
     lp_w = None if lp_weights is None else _padded(lp_weights, width)
     ce, lp = np.zeros(real.shape), np.zeros(real.shape)
     terms = []
-    steps = row_steps(params, P.project_batch(params, features),
-                      lambda t, logits: forced[:, t], width)
+    scene = (unhoisted_batch if unhoisted else P.project_batch)(params, features)
+    steps = row_steps(params, scene, lambda t, logits: forced[:, t], width,
+                      unhoisted_policy_step if unhoisted else P.policy_step)
     for t, (_, logits, _) in enumerate(steps):
         node = K.cross_entropy(logits, forced[:, t])
         ce[:, t] = node.data
@@ -395,7 +488,7 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None):
             node = logprob(logits, forced[:, t])
             lp[:, t] = node.data
             terms.append(K.dotp(node, K.constant(lp_w[:, t])))
-    return PaddedScores(K.add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
+    return PaddedScores(add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
 
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:

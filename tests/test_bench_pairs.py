@@ -212,3 +212,29 @@ def test_the_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr(
     lines = [line for line in capsys.readouterr().out.splitlines() if " epoch_s " in line]
     assert [line.rsplit("gain rule: ", 1)[1] for line in lines] == ["holds", "not met",
                                                                      "not met"]
+
+
+SHA = "0123456789abcdef0123456789ABCDEF01234567"
+
+
+def test_a_parent_without_git_is_named_by_parent_commit(bench_pairs, monkeypatch, tmp_path):
+    fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.0})
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda tree: None)
+    code, doc = main(bench_pairs, tmp_path, "--parent-commit", SHA)
+    assert code == 0 and doc["parent_commit"] == SHA.lower()
+
+
+def test_an_unnamed_parent_commit_stops_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                       capsys):
+    commit_of = bench_pairs.commit_of
+    assert commit_of(tmp_path) is None        # tmp_path holds no git metadata
+    calls = fake_runs(bench_pairs, monkeypatch, {"parent": 2.0, "change": 2.0})
+    monkeypatch.setattr(bench_pairs, "commit_of", commit_of)
+    out = tmp_path / "bench.json"
+    for extra in ([], ["--parent-commit", "unknown"], ["--parent-commit", SHA[:39]]):
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--plan",
+                              "decode:0:2", *extra])
+        assert exit_.value.code == 2
+        assert "--parent-commit" in capsys.readouterr().err
+    assert calls == [] and not out.exists()

@@ -161,6 +161,20 @@ class TestTrain:
                     "--epochs", "1", "--hidden-size", "8", "--out", str(blocked.parent)])
         assert_clean_error(capsys, code, str(blocked))
 
+    @pytest.mark.parametrize("name", ["last.ckpt", "last.ckpt.adam", "best.ckpt"])
+    def test_a_checkpoint_path_that_is_a_directory_fails_before_training(
+            self, synth_dir, tmp_path, capsys, name):
+        blocked = tmp_path / "run" / name
+        blocked.mkdir(parents=True)
+        code = run(["train", "--train-manifest", str(synth_dir / "train_manifest.json"),
+                    "--epochs", "1", "--hidden-size", "8", "--out", str(blocked.parent)])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines() == [f"error: cannot write checkpoint {blocked}: it is a directory"]
+        # no epoch ran: no report printed or written
+        assert [line for line in out.splitlines() if not line.startswith("config ")] == []
+        assert not (blocked.parent / "reports.jsonl").exists()
+
     def test_emits_one_report_line_per_epoch(self, trained, capsys):
         out, cfg_path = trained
         reports = (out / "reports.jsonl").read_text().strip().splitlines()

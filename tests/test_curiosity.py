@@ -4,7 +4,7 @@ import pytest
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
-from oracles import first_row, forced_trace, sp_targets, stack, unstack
+from oracles import add_n, first_row, forced_trace, sp_targets, stack, unstack
 
 
 def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
@@ -267,8 +267,8 @@ class TestBatchedPass:
 
         n = len(traces)
         per_trace = [C.curiosity_pass(stack([t]), cur, alpha, beta) for t in traces]
-        oracle_sp = K.scale(K.add_n([t.sp_loss for t in per_trace]), 1.0 / n)
-        oracle_ap = K.scale(K.add_n([t.ap_loss for t in per_trace]), 1.0 / n)
+        oracle_sp = K.scale(add_n([t.sp_loss for t in per_trace]), 1.0 / n)
+        oracle_ap = K.scale(add_n([t.ap_loss for t in per_trace]), 1.0 / n)
         assert float(terms.sp_loss.data) == pytest.approx(float(oracle_sp.data), rel=1e-12)
         assert float(terms.ap_loss.data) == pytest.approx(float(oracle_ap.data), rel=1e-12)
         K.zero_grads(params)

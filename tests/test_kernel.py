@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curioseq import kernel as K
-from oracles import additive_attention, attend, first_row, logprob, lstm_cell, vslice
+from oracles import (add_n, additive_attention, attend, first_row, gates_cell, logprob, lstm_cell,
+                     vslice)
 
 
 def p(name, arr):
@@ -206,6 +207,15 @@ class TestLstmCell:
         _, c = lstm_cell(K.constant(np.zeros((1, 2))), K.constant(np.zeros((1, 3))),
                          K.constant(c_prev), params)
         np.testing.assert_allclose(c.data, c_prev, atol=1e-15)
+
+    def test_is_the_gates_cell_of_its_affine_gates(self):
+        rng = np.random.default_rng(5)
+        params = self.make(rng)
+        params.b.data[...] = rng.standard_normal(16)
+        x, h0, c0 = (K.constant(rng.standard_normal((2, k))) for k in (5, 4, 4))
+        gates = K.add(K.affine(x, params.W_x, params.b), K.affine(h0, params.W_h))
+        for a, b in zip(lstm_cell(x, h0, c0, params), gates_cell(gates, c0)):
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -473,8 +483,8 @@ class TestFusedLstm:
                 # two chained steps so the state views feed a second cell
                 h2, c2 = cell(h, h, c, K.LstmParams(
                     W_x=params.W_h, W_h=params.W_h, b=params.b))
-                return K.add_n([K.dotp(wh, first_row(h2)), K.dotp(wc, first_row(c2)),
-                                K.dotp(wc, first_row(c))])
+                return add_n([K.dotp(wh, first_row(h2)), K.dotp(wc, first_row(c2)),
+                              K.dotp(wc, first_row(c))])
             return fn
 
         checked = params.parameters() + [x, h0, c0]
@@ -562,8 +572,8 @@ class TestProjectRows:
             return K.sumsq(mul(weights, K.project_rows(features, W)))
 
         def composite():
-            return K.add_n([K.sumsq(mul(K.constant(weights.data[0, i:i + 1]), r))
-                            for i, r in enumerate(seed_project_rows(features, W))])
+            return add_n([K.sumsq(mul(K.constant(weights.data[0, i:i + 1]), r))
+                          for i, r in enumerate(seed_project_rows(features, W))])
 
         assert_same_function(fused, composite, [W])
 
@@ -599,7 +609,7 @@ class TestDeferredGradients:
         terms.append(K.sumsq(W))                                           # direct
         terms.append(K.sumsq(mul(K.constant(fw[None]), K.project_rows(feats[None], W))))
         K.zero_grads([W])
-        K.backward(K.add_n(terms))
+        K.backward(add_n(terms))
         expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
         expected[1] += ws[0][:3]
         expected += 2.0 * W.data
@@ -660,6 +670,16 @@ def _case_lstm(rng):
     return inputs, params.parameters(), build
 
 
+def _case_gates_cell(rng):
+    inputs = {"g": 2.0 * rng.standard_normal((N_ROWS, 12)), "c": rng.standard_normal((N_ROWS, 3))}
+
+    def build(get, r):
+        h, c = gates_cell(get("g"), get("c"))
+        return K.concat([h, c])
+
+    return inputs, [], build
+
+
 def _case_concat(rng):
     return {"a": rng.standard_normal((N_ROWS, 2)), "b": rng.standard_normal((N_ROWS, 3))}, [], \
         lambda get, r: K.concat([get("a"), get("b")])
@@ -710,7 +730,8 @@ def _case_logprob(rng):
 
 
 ROW_CASES = {
-    "affine": _case_affine, "lstm_cell": _case_lstm, "concat": _case_concat,
+    "affine": _case_affine, "lstm_cell": _case_lstm, "gates_cell": _case_gates_cell,
+    "concat": _case_concat,
     "vslice": _case_vslice, "take_row": _case_take_row,
     "additive_attention": _case_attention, "attend": _case_attend,
     "project_rows": _case_project_rows, "softmax": _case_softmax,
@@ -769,8 +790,8 @@ class TestRowAxis:
         rows = [p(f"x{r}", x.data[r]) for r in range(N_ROWS)]
         assert_same_function(
             lambda: K.sumsq(x, weights),
-            lambda: K.add_n([K.scale(K.sumsq(K.constant(x.data[r])), weights[r])
-                             for r in range(N_ROWS)]), [])
+            lambda: add_n([K.scale(K.sumsq(K.constant(x.data[r])), weights[r])
+                           for r in range(N_ROWS)]), [])
         K.zero_grads([x] + rows)
         K.backward(K.sumsq(x, weights))
         for r, row in enumerate(rows):

@@ -4,9 +4,9 @@ import pytest
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
-from oracles import (composite_policy_step, forced_trace, forced_unroll, one_row_sample,
+from oracles import (add_n, composite_policy_step, forced_trace, forced_unroll, one_row_sample,
                      padded_sample_rows, padded_score_rows, per_hypothesis_beam, rl_surrogate,
-                     sequence_log_prob, unstack)
+                     sequence_log_prob, unhoisted_batch, unhoisted_policy_step, unstack)
 
 
 def sample_trace(params, feats, t_max, rng):
@@ -46,13 +46,14 @@ def enumerate_best(params, feats, t_max, eos=EOS_ID):
 
 
 def counted_steps(monkeypatch):
-    """Patch policy.policy_step to record the arguments of every call."""
+    """Patch policy.policy_step to record the positional arguments of every
+    call."""
     calls = []
     step = P.policy_step
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(P, "policy_step", counted)
     return calls
@@ -259,7 +260,8 @@ class TestUnroll:
         np.testing.assert_array_equal(state.data, seen[0].data[rows])
         np.testing.assert_array_equal(child.features, scene.features[rows])
         np.testing.assert_array_equal(child.region_proj.data, scene.region_proj.data[rows])
-        np.testing.assert_array_equal(child.mean_proj.data, scene.mean_proj.data[rows])
+        np.testing.assert_array_equal(child.mean_gates.data, scene.mean_gates.data[rows])
+        assert child.word_gates is scene.word_gates and child.W_state is scene.W_state
         np.testing.assert_array_equal(child.mask, scene.mask[rows])
 
     def test_every_row_in_order_gathers_nothing(self, monkeypatch):
@@ -355,13 +357,13 @@ class TestScoreRows:
         K.backward(loss)
         batched = {q.name: q.grad.copy() for q in params.parameters()}
 
-        per_scene = [K.dotp(K.add_n([K.cross_entropy(logits, tok)
-                                     for tok, logits, _ in forced_unroll(params, f, ref)]),
+        per_scene = [K.dotp(add_n([K.cross_entropy(logits, tok)
+                                   for tok, logits, _ in forced_unroll(params, f, ref)]),
                             K.constant([e]))
                      for f, ref, e in zip(feats, refs, eta)]
         per_scene += [rl_surrogate(params, f, t.actions, a)
                       for f, t, a in zip(feats, unstack(run.episodes), adv)]
-        oracle = K.add_n(per_scene)
+        oracle = add_n(per_scene)
         K.zero_grads(params.parameters())
         K.backward(oracle)
         assert float(loss.data) == pytest.approx(float(oracle.data), rel=1e-12)
@@ -369,7 +371,8 @@ class TestScoreRows:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
                                        atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
         for r, (f, ref) in enumerate(zip(feats, refs)):
-            expected = [float(node.data[0]) for node in P.forced_step_losses(params, f, ref)]
+            expected = P.forced_step_losses(params, f, ref)
+            assert expected.shape == (len(ref),)
             np.testing.assert_allclose(run.ce_values[r, :len(ref)], expected, rtol=1e-12)
             assert (run.ce_values[r, len(ref):] == 0.0).all()
 
@@ -453,9 +456,9 @@ class TestUnrollRows:
         rows = []
         step = P.policy_step
 
-        def counted(params_, prev, state, scene):
+        def counted(params_, prev, state, scene, **kwargs):
             rows.append(len(prev))
-            return step(params_, prev, state, scene)
+            return step(params_, prev, state, scene, **kwargs)
 
         monkeypatch.setattr(P, "policy_step", counted)
         run = unroll_batch(params, feats, refs)
@@ -516,6 +519,131 @@ class TestUnrollRows:
         assert all(np.isfinite(q.grad).all() for q in params.parameters())
 
 
+class TestUnrollNode:
+    """RowUnroll.loss is one node whose backward pass runs the unroll's
+    steps in reverse: its loss and gradients against the padded scorer's
+    per-step graph, built on policy_step's nodes or on the unhoisted step."""
+
+    @staticmethod
+    def unrolled(kind, t_max, scenes=slice(None)):
+        """(params, feats, refs, run, ce_weights, lp_weights) of a forced,
+        sampled or joint unroll of row_batch's scenes, weighted as in
+        weighted_loss (refs is [] when no row is forced)."""
+        params, feats, refs = row_batch()
+        feats, refs = feats[scenes], refs[scenes]
+        forced = refs if kind != "sampled" else []
+        rngs = row_rngs(len(feats)) if kind != "forced" else []
+        run = P.unroll_rows(params, feats, forced, t_max, rngs)
+        ce_w, lp_w = np.zeros(run.ce_values.shape), np.zeros(run.ce_values.shape)
+        for r, ref in enumerate(forced):
+            ce_w[r, :len(ref)] = 0.5 + r / len(forced)
+        for i, k in enumerate(run.episodes.lengths):
+            lp_w[len(forced) + i, :k] = -np.random.default_rng([15, i]).uniform(-1.0, 2.0, k)
+        return params, feats, forced, run, ce_w, lp_w if rngs else None
+
+    @pytest.mark.parametrize("unhoisted", [False, True])
+    @pytest.mark.parametrize("kind,t_max,scenes", [
+        ("forced", T_MAX, slice(None)), ("sampled", T_MAX, slice(None)),
+        ("joint", T_MAX, slice(None)), ("sampled", 1, slice(None)), ("joint", 1, slice(None)),
+        ("joint", T_MAX, slice(1, 2)), ("forced", T_MAX, slice(2, 3))])
+    def test_loss_and_gradients_equal_the_padded_scorer(self, kind, t_max, scenes, unhoisted):
+        params, feats, forced, run, ce_w, lp_w = self.unrolled(kind, t_max, scenes)
+        if kind == "forced" and scenes == slice(None):
+            # row drops down to one-row steps, over m = 2 and m = 5 regions
+            assert len(run.rows[-1]) == 1 and len({len(r) for r in run.rows}) > 2
+            assert [EOS_ID] in forced
+        K.zero_grads(params.parameters())
+        loss = run.loss(ce_w, lp_w)
+        K.backward(loss)
+        grads = {q.name: q.grad.copy() for q in params.parameters()}
+
+        sampled = [t.actions for t in unstack(run.episodes)]
+        n = len(forced)
+        rows = [(ce_w[r, :len(tok)], np.zeros(len(tok)) if lp_w is None else lp_w[r, :len(tok)])
+                for r, tok in enumerate(list(forced) + sampled)]
+        oracle = padded_score_rows(params, (feats if forced else []) + (feats if sampled else []),
+                                   list(forced) + sampled, [c for c, _ in rows],
+                                   [lp for _, lp in rows], unhoisted=unhoisted)
+        K.zero_grads(params.parameters())
+        K.backward(oracle.loss)
+        # -CE stands in for logp in the loss value, not in its gradient
+        lp_as_ce = 0.0 if lp_w is None else -float((lp_w * oracle.cross_entropy).sum())
+        assert float(loss.data) == pytest.approx(
+            float((ce_w * oracle.cross_entropy).sum()) + lp_as_ce, rel=1e-12, abs=0)
+        if lp_w is None:
+            assert float(loss.data) == pytest.approx(float(oracle.loss.data), rel=1e-12, abs=0)
+        for q in params.parameters():
+            want = q.grad
+            # one step from the zero state gives the recurrent weights nothing
+            assert np.abs(want).max() > 0.0 or (len(run.rows) == 1
+                                                and q in (params.vis.W_h, params.lang.W_h))
+            np.testing.assert_allclose(grads[q.name], want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=q.name)
+        np.testing.assert_allclose(run.ce_values, oracle.cross_entropy, rtol=1e-12, atol=0)
+
+    def test_records_one_node_and_no_step_nodes(self, monkeypatch):
+        params, feats, refs = row_batch()
+        created = []
+        init = K.Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+
+        monkeypatch.setattr(K.Tensor, "__init__", counted)
+        run = unroll_batch(params, feats, refs)
+        monkeypatch.undo()
+        recorded = sorted(t.op for t in created if t.parents)
+        assert recorded == ["mean_gates", "project_rows", "state_weights", "word_gates"]
+        _, _, loss = weighted_loss(run, refs)
+        graph = [node.op for node in K._toposort(loss) if node.op != "param"]
+        assert sorted(graph) == ["mean_gates", "project_rows", "state_weights", "unroll",
+                                 "word_gates"]
+
+    @pytest.mark.parametrize("kind", ["forced", "joint"])
+    def test_gradients_match_finite_differences(self, kind):
+        rng = np.random.default_rng(17)
+        params = P.init_policy(rng, vocab_size=7, hidden=5, feature_dim=4)
+        feats = [rng.standard_normal((m, 4)) for m in (2, 4, 3)]
+        refs = [[4, 6, EOS_ID], [5, EOS_ID], [3, 4, 5, 6, EOS_ID]]
+
+        def fn():
+            run = P.unroll_rows(params, feats, refs, 4,
+                                row_rngs(len(feats)) if kind == "joint" else [])
+            w = np.ones(run.ce_values.shape)
+            return run.loss(0.7 * w, -0.4 * w if kind == "joint" else None)
+
+        assert K.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
+
+    def test_visual_gate_terms_match_finite_differences(self):
+        rng = np.random.default_rng(18)
+        params = P.init_policy(rng, vocab_size=7, hidden=5, feature_dim=4)
+        params.vis.b.data[...] = rng.standard_normal(params.vis.b.shape)
+        means = rng.standard_normal((3, 4))
+        weights = [rng.standard_normal(shape) for shape in ((3, 20), (7, 20), (20, 10))]
+
+        def flat(t):
+            return K.Tensor(t.data.ravel(), (t,), lambda g, accum: accum(t, g.reshape(t.shape)))
+
+        def fn():
+            return add_n([K.dotp(K.constant(w.ravel()), flat(t))
+                          for w, t in zip(weights, P.visual_gate_terms(params, means))])
+
+        checked = [params.W_v, params.W_e, *params.vis.parameters()]
+        assert K.grad_check(fn, checked) <= 1e-4
+
+    def test_an_unroll_under_no_grad_has_no_gradient_path(self):
+        params, feats, refs = row_batch()
+        with K.no_grad():
+            run = unroll_batch(params, feats, refs)
+        assert run.steps is None
+        with pytest.raises(ValueError):
+            weighted_loss(run, refs)
+        with K.no_grad():
+            assert float(weighted_loss(run, refs)[2].data) == float(
+                weighted_loss(unroll_batch(params, feats, refs), refs)[2].data)
+
+
 def _values(x):
     return x.data if isinstance(x, K.Tensor) else x
 
@@ -533,7 +661,7 @@ def run_steps(step, params, scene, words, targets, weights=None):
         logits, state, v_hat, attn = step(params, word, state, scene)
         outs.append((logits.data, state.data, _values(v_hat), _values(attn)))
         terms.append(K.dotp(K.cross_entropy(logits, target), K.constant(weights)))
-    return outs, K.add_n(terms + [K.sumsq(state)])
+    return outs, add_n(terms + [K.sumsq(state)])
 
 
 class TestFusedStep:
@@ -630,8 +758,8 @@ class TestFusedStep:
         events = []
         step, take = P.policy_step, P.take_row
 
-        def counted_step(*args):
-            out = step(*args)
+        def counted_step(*args, **kwargs):
+            out = step(*args, **kwargs)
             events.append(("step", (out[1], args[3])))
             return out
 
@@ -644,17 +772,19 @@ class TestFusedStep:
         return events
 
     @staticmethod
-    def state_gathers(events, z):
-        """Per step, the take_rows after it of (rows, 4Z) state arrays; each
-        must gather the state that step returned."""
+    def state_gathers(events):
+        """Per step, the take_rows after it of the state that step returned;
+        every other take_row after it must gather a row term of the scene
+        that step read."""
         counts = []
-        for kind, tensor in events:
+        for kind, value in events:
             if kind == "step":
                 counts.append(0)
-                last = tensor[0]
-            elif tensor.shape[-1] == 4 * z and tensor.data.ndim == 2:
-                assert tensor is last
+                state, scene = value
+            elif value is state:
                 counts[-1] += 1
+            else:
+                assert value is scene.region_proj or value is scene.mean_gates
         return counts
 
     def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
@@ -675,7 +805,7 @@ class TestFusedStep:
         for (state, scene), sources in zip(steps, taken):
             if sources:
                 assert [id(x) for x in sources] == [id(state), id(scene.region_proj),
-                                                    id(scene.mean_proj)]
+                                                    id(scene.mean_gates)]
 
     def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
         params, feats, refs = row_batch()
@@ -684,7 +814,7 @@ class TestFusedStep:
         monkeypatch.undo()
         drops = [len(a) > len(b) for a, b in zip(run.rows, run.rows[1:])] + [False]
         assert sum(drops) >= 2
-        assert self.state_gathers(events, params.hidden_size) == [int(d) for d in drops]
+        assert self.state_gathers(events) == [int(d) for d in drops]
 
 
 class TestGreedy:

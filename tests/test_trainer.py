@@ -12,7 +12,7 @@ from curioseq import synth
 from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
 import oracles
-from oracles import rl_surrogate
+from oracles import add_n, rl_surrogate
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +221,53 @@ class TestTrainStep:
         model, _, _ = self.run_step(tiny_corpus, cfg)
         assert K.global_grad_norm(model.parameters()) == 0.0
 
+    @pytest.mark.parametrize("mode", ["crl", "xe"])
+    def test_each_step_builds_the_gate_terms_from_its_own_parameters(self, tiny_corpus,
+                                                                     monkeypatch, mode):
+        """Two consecutive steps: the policy gradient of each, as it reaches
+        sgd_step, equals the per-step graph of the unhoisted step over the
+        same rows and weights, built from the parameters that step ran with.
+        A gate term or word table kept from the first step would pass the
+        first comparison only."""
+        train, _, vocab = tiny_corpus
+        cfg = tiny_config(mode=mode)
+        batch = train[:cfg.batch_size]
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        policy = model.policy.parameters()
+        seen, errors = {}, []
+        loss, sgd_step = P.RowUnroll.loss, T.sgd_step
+
+        def record_loss(run, ce_weights, lp_weights=None):
+            seen.update(run=run, ce=ce_weights, lp=lp_weights)
+            return loss(run, ce_weights, lp_weights)
+
+        def checked_step(params, opt):
+            got = {p.name: p.grad.copy() for p in params}
+            run, ce_w, lp_w = seen.pop("run"), seen["ce"], seen["lp"]
+            tokens = ([scene.references[0] for scene in batch]
+                      + [t.actions for t in oracles.unstack(run.episodes)])
+            feats = [scene.features for scene in batch] * (len(tokens) // len(batch))
+            oracle = oracles.padded_score_rows(
+                model.policy, feats, tokens, [ce_w[r, :len(t)] for r, t in enumerate(tokens)],
+                None if lp_w is None else [lp_w[r, :len(t)] for r, t in enumerate(tokens)],
+                unhoisted=True)
+            K.zero_grads(policy)
+            K.backward(oracle.loss)
+            errors.append(max(np.abs(got[q.name] - q.grad).max() / np.abs(q.grad).max()
+                              for q in policy))
+            for p in params:
+                p.grad[...] = got[p.name]
+            sgd_step(params, opt)
+
+        monkeypatch.setattr(P.RowUnroll, "loss", record_loss)
+        monkeypatch.setattr(T, "sgd_step", checked_step)
+        opt = T.new_optimizer(cfg)
+        references = reference_stats(batch, train, vocab)
+        for step in range(2):
+            T.train_step(batch, model, opt, cfg, vocab, references, scene_rngs(step, len(batch)),
+                         eta=1.0)
+        assert len(errors) == 2 and max(errors) <= 1e-12, errors
+
 
 def separate_group_gradients(tiny_corpus, cfg, seed=0):
     """Oracle for one crl train_step: the policy, state-prediction and
@@ -246,7 +293,7 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
         policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
         sp_terms.append(C.sp_loss(episode, model.curiosity))
         ap_terms.append(C.ap_loss(episode, model.curiosity))
-    losses = [K.scale(K.add_n(terms), 1.0 / len(batch))
+    losses = [K.scale(add_n(terms), 1.0 / len(batch))
               for terms in (policy_terms, sp_terms, ap_terms)]
     grads = [K.gradients(loss, model.parameters()) for loss in losses]
     return grads, [float(loss.data) for loss in losses[1:]]
@@ -330,6 +377,28 @@ class TestAdvantageAssembly:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("mode", ["crl", "xe"])
+    def test_reference_statistics_are_counted_once_per_run(self, tiny_corpus, monkeypatch, mode):
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=3, mode=mode)
+        calls = []
+        reference_stats, evaluate = M.reference_stats, T.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return reference_stats(*args, **kwargs)
+
+        monkeypatch.setattr(M, "reference_stats", counted)
+        reports = [r.to_json() for r in T.train(train, val, vocab, cfg).reports]
+        train_stats = 0 if mode == "xe" else len(train)
+        assert len(calls) == train_stats + len(val)
+        # the same run with evaluate building the val statistics in every epoch
+        monkeypatch.setattr(T, "evaluate", lambda scenes, model, vocab_, idf, cfg_, references:
+                            evaluate(scenes, model, vocab_, idf, cfg_))
+        del calls[:]
+        assert [r.to_json() for r in T.train(train, val, vocab, cfg).reports] == reports
+        assert len(calls) == train_stats + 4 * len(val)
+
     def test_zero_epochs_returns_initial_params(self, tiny_corpus):
         train, val, vocab = tiny_corpus
         cfg = tiny_config(epochs=0)

@@ -7,6 +7,11 @@ beside it:
         --plan crl_epoch:0:10 --plan crl_epoch:7919:4 --plan xe_epoch:0:6 \\
         --plan decode:0:6 --traced crl_epoch --traced xe_epoch --traced decode
 
+The record names the parent's commit: `git rev-parse HEAD` in the parent
+tree, or, for a parent tree without git metadata (one made with `git
+archive`), the 40-hex-digit sha given with `--parent-commit`. Without
+either the tool exits 2 before it runs anything.
+
 Each `--plan workload:seed:pairs` runs `python3 perfbench/run.py` that many
 times in each tree, alternating: the parent runs first in even pairs and the
 change first in odd pairs. Each `--traced workload` adds one `--trace 1` run
@@ -136,10 +141,21 @@ def parse_plan(text: str) -> tuple[str, int, int]:
     return workload, int(seed), int(pairs)
 
 
-def commit_of(tree: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                          text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+def commit_of(tree: Path) -> str | None:
+    """The commit checked out in tree, or None when git cannot tell."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+                              text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def commit_sha(text: str) -> str:
+    """A full commit sha: 40 hex digits, kept in lower case."""
+    if len(text) != 40 or any(c not in "0123456789abcdef" for c in text.lower()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a 40-hex-digit commit sha")
+    return text.lower()
 
 
 def passed(doc: dict) -> bool:
@@ -157,6 +173,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
                         help="a checkout of the parent commit")
+    parser.add_argument("--parent-commit", type=commit_sha,
+                        help="the parent's 40-hex-digit sha, for a parent tree without git")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--plan", action="append", default=[], type=parse_plan,
                         help="workload:seed:pairs, repeatable")
@@ -164,6 +182,9 @@ def main(argv=None) -> int:
                         help="a workload to trace once per tree (seed 0), repeatable")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    parent_commit = args.parent_commit or commit_of(trees["parent"])
+    if parent_commit is None:
+        parser.error(f"git cannot name the commit of {trees['parent']}; pass --parent-commit")
     bounds = end_to_end_bounds(trees["change"])
     log: list[str] = []
     paired: dict = {}
@@ -185,7 +206,7 @@ def main(argv=None) -> int:
                                 for side in ("parent", "change")}
     except RunFailed as exc:
         failure = str(exc)
-    doc = {"benchmark": BENCHMARK, "pairing": PAIRING, "parent_commit": commit_of(trees["parent"]),
+    doc = {"benchmark": BENCHMARK, "pairing": PAIRING, "parent_commit": parent_commit,
            "paired": paired, "traced": traced, "run_log": log}
     if failure:
         doc["failed_run"] = failure
