@@ -200,6 +200,8 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, {})
+    if args.beam_width < 1:
+        raise CliError("--beam-width must be >= 1")
     manifest = cfg.val_manifest or cfg.train_manifest
     if args.manifest:
         manifest = args.manifest

@@ -6,16 +6,15 @@ graph compiler: nodes simply remember their parents, and ``backward`` walks
 them in reverse topological order. The LSTM and additive-attention math lives
 once, in plain-array forward/backward helpers (``lstm_cell_forward``
 over precomputed gates, ``lstm_forward``, ``attention_forward`` and their
-backward halves) that the fused policy step and the unroll's reverse pass
-call. Weight-matrix gradients are batched into one matmul per Parameter at
-the end of ``backward``. All math is 64-bit so finite-difference checks are
-reliable.
+backward halves) that the policy step and the unroll's reverse pass call;
+the policy's only graph node over its steps is the unroll's. Weight-matrix
+gradients are batched into one matmul per Parameter at the end of
+``backward``. All math is 64-bit so finite-difference checks are reliable.
 
-The step ops take rows: an array with a leading row axis, one row per
-sequence of a minibatch, so a whole minibatch unrolls as one graph and one
-sequence is one row. Indices are int vectors, one per row; ``take_row``
-gathers along the leading row axis to drop finished sequences, and ``dotp``
-and ``sumsq`` reduce per-row values to a scalar loss.
+The ops take rows: an array with a leading row axis, one row per sequence
+or state of a minibatch, so one sequence is one row. Indices are int
+vectors, one per row; ``take_row`` gathers along the leading row axis, and
+``dotp`` and ``sumsq`` reduce per-row values to a scalar loss.
 """
 
 from __future__ import annotations
@@ -273,7 +272,7 @@ def take_row(W: Tensor, index: np.ndarray) -> Tensor:
     """Gather along axis 0 of an array of any rank: the n slices W[index[i]]
     stacked for a vector of n indices. The backward pass scatters into
     zeros, adding up the gradients of a repeated index. It is the embedding
-    lookup, and it moves rows of states and scenes."""
+    lookup, and it pairs the curiosity pass's state rows."""
     if W.data.ndim < 1:
         raise ShapeError("take_row expects an array with at least one axis")
     check_index(index, W.data.shape[0], "take_row")

@@ -5,10 +5,10 @@ Step structure: a visual LSTM reads [previous language state, projected mean
 features, previous word embedding]; its state attends over projected region
 features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
-runs all of it over one state array per sequence, [s_vis, s_lang, c_vis,
-c_lang]: one recorded node for the state plus one for the output
-projection, or, inside unroll_rows, no node at all (the unroll records one
-node whose backward pass runs its steps in reverse).
+runs all of it over plain arrays, one state array per sequence, [s_vis,
+s_lang, c_vis, c_lang], and records no graph node: the one gradient path is
+RowUnroll.loss, one node whose backward pass runs an unroll's steps in
+reverse.
 
 Two thirds of the visual LSTM's input is fixed within an unroll, per scene
 row and per word, so project_batch multiplies those parts by the LSTM's
@@ -40,7 +40,6 @@ from .kernel import (
     attention_backward,
     attention_forward,
     check_index,
-    constant,
     init_lstm,
     lstm_backward,
     lstm_cell_backward,
@@ -50,7 +49,6 @@ from .kernel import (
     project_rows,
     recording,
     softmax_values,
-    take_row,
     xavier_uniform,
 )
 from .vocab import BOS_ID, EOS_ID
@@ -97,49 +95,25 @@ def init_policy(rng: np.random.Generator, vocab_size: int, hidden: int,
     )
 
 
-def initial_state(params: PolicyParams, n: int) -> Tensor:
-    """Zero states [s_vis, s_lang, c_vis, c_lang], one (4Z,) row for each of
-    n sequences. The first 2Z columns, [s_vis, s_lang], are the state the
-    curiosity module reads."""
-    return constant(np.zeros((n, 4 * params.hidden_size)))
-
-
 @dataclass
 class ProjectedScene:
     """What every step of one unroll reads and no step changes, one
-    zero-padded scene per row: the projected regions and the visual LSTM's
-    step-invariant gate terms."""
+    zero-padded scene per row, as plain arrays: the projected regions and
+    the visual LSTM's step-invariant gate terms."""
 
     features: np.ndarray          # (n, m, E), constant
-    region_proj: Tensor           # (n, m, Z), region i is W_v v_i
-    mean_gates: Tensor            # (n, 4Z), the visual gates' term of W_v mean(v), plus its bias
-    word_gates: Tensor            # (D, 4Z), the visual gates' term of each word's embedding
-    W_state: Tensor               # (4Z, 2Z), the visual gate weights of [s_vis, s_lang]
+    region_proj: np.ndarray       # (n, m, Z), region i is W_v v_i
+    mean_gates: np.ndarray        # (n, 4Z), the visual gates' term of W_v mean(v), plus its bias
+    word_gates: np.ndarray        # (D, 4Z), the visual gates' term of each word's embedding
+    W_state: np.ndarray           # (4Z, 2Z), the visual gate weights of [s_vis, s_lang]
     mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
-
-    @property
-    def terms(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return self.region_proj, self.mean_gates, self.word_gates, self.W_state
+    terms: tuple[Tensor, ...] = ()    # project_batch's nodes of the four arrays above; () on a take
 
     def take(self, rows: np.ndarray) -> "ProjectedScene":
         """The scenes of the given rows, in that order; a row may repeat."""
-        return ProjectedScene(features=self.features[rows],
-                              region_proj=take_row(self.region_proj, rows),
-                              mean_gates=take_row(self.mean_gates, rows),
-                              word_gates=self.word_gates, W_state=self.W_state,
-                              mask=None if self.mask is None else self.mask[rows])
-
-    def backward(self, accum, d_regions: np.ndarray, d_mean: np.ndarray, d_gates: np.ndarray,
-                 words: np.ndarray, reads: np.ndarray) -> None:
-        """Hand the terms their gradients: d_regions and d_mean per scene
-        row, and (n, 4Z) visual gate gradients d_gates of steps that were
-        fed words and read the [s_vis, s_lang] states reads."""
-        accum(self.region_proj, d_regions)
-        accum(self.mean_gates, d_mean)
-        onehot = np.zeros((words.size, self.word_gates.shape[0]))
-        onehot[np.arange(words.size), words] = 1.0
-        accum(self.word_gates, onehot, d_gates)
-        accum(self.W_state, d_gates, reads)
+        return ProjectedScene(self.features[rows], self.region_proj[rows], self.mean_gates[rows],
+                              self.word_gates, self.W_state,
+                              None if self.mask is None else self.mask[rows])
 
 
 def _in_columns(block: np.ndarray, start: int, width: int) -> np.ndarray:
@@ -193,15 +167,14 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
         padded[r, :f.shape[0]] = f
         mask[r, :f.shape[0]] = True
     means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
-    mean_gates, word_gates, W_state = visual_gate_terms(params, means)
-    return ProjectedScene(features=padded, region_proj=project_rows(padded, params.W_v),
-                          mean_gates=mean_gates, word_gates=word_gates, W_state=W_state,
-                          mask=None if mask.all() else mask)
+    terms = (project_rows(padded, params.W_v), *visual_gate_terms(params, means))
+    return ProjectedScene(padded, *(t.data for t in terms), None if mask.all() else mask, terms)
 
 
 @dataclass
 class StepRecord:
-    """The plain arrays of one policy_step that its reverse pass reads."""
+    """The plain arrays of one policy_step: the state it made, its attention
+    weights and what RowUnroll.loss's reverse pass reads."""
 
     words: np.ndarray         # (n,) the previous words
     read: np.ndarray          # (n, 4Z) the state the step read
@@ -213,22 +186,30 @@ class StepRecord:
     lang: tuple               # lstm_forward's cache of the language LSTM
 
 
-def _step_forward(params: PolicyParams, prev_word: np.ndarray, read: np.ndarray,
-                  scene: ProjectedScene) -> tuple[np.ndarray, np.ndarray, StepRecord]:
-    """(next-word logits, attended features, record) of one step over plain
-    arrays."""
-    z = params.hidden_size
-    gates = ((read[:, :2 * z] @ scene.W_state.data.T + scene.mean_gates.data)
-             + scene.word_gates.data[prev_word])
-    s_vis, c_vis, vis = lstm_cell_forward(gates, read[:, 2 * z:3 * z])
-    attn, t = attention_forward(scene.region_proj.data, s_vis @ params.W_h.data.T,
+def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray | None,
+                scene: ProjectedScene) -> tuple[np.ndarray, StepRecord]:
+    """One decoding step for a row per sequence: an int vector of n previous
+    words, (n, 4Z) states (None for the zero states) and an n-row
+    project_batch scene. Returns (next-word logits, record), all plain
+    arrays; a step records no graph node, and its gradient is
+    _step_backward's, which RowUnroll.loss runs."""
+    n, z = scene.features.shape[0], params.hidden_size
+    if state is None:
+        state = np.zeros((n, 4 * z))
+    if np.shape(state) != (n, 4 * z) or np.shape(prev_word) != (n,):
+        raise ShapeError(f"policy_step expects words ({n},) and states ({n}, {4 * z}), "
+                         f"got {np.shape(prev_word)} and {np.shape(state)}")
+    check_index(prev_word, params.vocab_size, "policy_step")
+    gates = ((state[:, :2 * z] @ scene.W_state.T + scene.mean_gates)
+             + scene.word_gates[prev_word])
+    s_vis, c_vis, vis = lstm_cell_forward(gates, state[:, 2 * z:3 * z])
+    attn, t = attention_forward(scene.region_proj, s_vis @ params.W_h.data.T,
                                 params.W_a.data, scene.mask)
-    v_hat = attend_values(attn, scene.features)
-    x_lang = np.concatenate([v_hat, s_vis], axis=-1)
-    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, read[:, z:2 * z], read[:, 3 * z:])
-    state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
-    return (s_lang @ params.W_p.data.T, v_hat,
-            StepRecord(prev_word, read, state, scene.features, vis, attn, t, lang))
+    x_lang = np.concatenate([attend_values(attn, scene.features), s_vis], axis=-1)
+    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, state[:, z:2 * z], state[:, 3 * z:])
+    new_state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
+    return (s_lang @ params.W_p.data.T,
+            StepRecord(prev_word, state, new_state, scene.features, vis, attn, t, lang))
 
 
 def _step_backward(accum, params: PolicyParams, step: StepRecord, W_state: np.ndarray,
@@ -253,49 +234,6 @@ def _step_backward(accum, params: PolicyParams, step: StepRecord, W_state: np.nd
             d_gates, d_pre)
 
 
-def policy_step(params: PolicyParams, prev_word: np.ndarray, state: Tensor | None,
-                scene: ProjectedScene, tape: list[StepRecord] | None = None):
-    """One decoding step for a row per sequence: an int vector of n previous
-    words, (n, 4Z) states (None for the zero states) and an n-row
-    project_batch scene.
-
-    Returns (next-word logits, new state, attended features, attention
-    weights). The state is one node whose backward pass runs the whole step
-    in reverse, and the logits a second node over its s_lang columns; the
-    attended features and attention weights are plain arrays, as no
-    gradient flows back through them. With a tape, the step also appends
-    its StepRecord to it, for a reverse pass run outside the graph.
-    """
-    n = scene.features.shape[0]
-    if state is None:
-        state = initial_state(params, n)
-    z = params.hidden_size
-    if state.shape != (n, 4 * z) or np.shape(prev_word) != (n,):
-        raise ShapeError(f"policy_step expects words ({n},) and states ({n}, {4 * z}), "
-                         f"got {np.shape(prev_word)} and {state.shape}")
-    check_index(prev_word, params.vocab_size, "policy_step")
-    logits, v_hat, step = _step_forward(params, prev_word, state.data, scene)
-    if tape is not None:
-        tape.append(step)
-
-    def step_bw(g, accum):
-        d_read, d_gates, d_pre = _step_backward(accum, params, step, scene.W_state.data, g)
-        scene.backward(accum, d_pre, d_gates, d_gates, prev_word, step.read[:, :2 * z])
-        accum(state, d_read)
-
-    new_state = Tensor(step.state, (state, *scene.terms, params.W_h, params.W_a,
-                                    *params.lang.parameters()), step_bw, "policy_step")
-
-    def logits_bw(g, accum):
-        accum(params.W_p, g, step.state[:, z:2 * z])
-        d_state = np.zeros(new_state.shape)
-        d_state[:, z:2 * z] = g @ params.W_p.data
-        accum(new_state, d_state)
-
-    return (Tensor(logits, (new_state, params.W_p), logits_bw, "logits"), new_state, v_hat,
-            step.attn)
-
-
 @dataclass
 class Episodes:
     """The sampled episodes of B rows as (B, T) arrays over the T steps the
@@ -317,25 +255,25 @@ class Episodes:
 
 
 def unroll(params: PolicyParams, scene: ProjectedScene,
-           step: Callable[[int, Tensor, Tensor], tuple[np.ndarray, np.ndarray]],
-           t_max: int, tape: list[StepRecord] | None = None) -> None:
+           step: Callable[[int, np.ndarray, StepRecord], tuple[np.ndarray, np.ndarray]],
+           t_max: int) -> None:
     """The one loop over policy_step. From <bos>, every row of the
-    project_batch scene steps at once; after step t, step(t, logits, state)
+    project_batch scene steps at once; after step t, step(t, logits, record)
     returns (rows, token): the positions of the rows that go on, in the
     order they go on (a row may repeat), and the word each of them feeds
-    next. Unless rows is every row in order, the state (one take_row) and
-    the scene rows are gathered before the next step. The loop ends when
-    rows is empty or after t_max steps. Each step's record goes to tape
-    when one is given."""
-    state: Tensor | None = None
+    next. Unless rows is every row in order, the state and the scene rows
+    are gathered before the next step. The loop ends when rows is empty or
+    after t_max steps."""
+    state = None
     token = np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
-        logits, state, _, _ = policy_step(params, token, state, scene, tape=tape)
-        rows, token = step(t, logits, state)
+        logits, record = policy_step(params, token, state, scene)
+        rows, token = step(t, logits, record)
         if rows.size == 0:
             return
+        state = record.state
         if rows.size != state.shape[0] or (rows != np.arange(rows.size)).any():
-            state, scene = take_row(state, rows), scene.take(rows)
+            state, scene = state[rows], scene.take(rows)
 
 
 @dataclass
@@ -351,9 +289,10 @@ class RowUnroll:
     n_forced: int                   # rows below n_forced are teacher-forced, the others sampled
     params: PolicyParams
     scene: ProjectedScene           # the project_batch scene of every row
-    steps: list[StepRecord] | None  # per step, policy_step's record; None for an unroll run under no_grad
+    steps: list[StepRecord]         # per step, policy_step's record
     probs: list[np.ndarray]         # per step, the softmax of each row's logits
     tokens: list[np.ndarray]        # per step, the token each row took
+    recorded: bool                  # False for an unroll run under no_grad: its scene terms have no path to the parameters
 
     def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
         """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
@@ -363,11 +302,11 @@ class RowUnroll:
         gradient is the same, and its value differs by at most
         log(1 + CE_EPSILON / p). The loss is one node whose backward pass
         runs the unroll's steps in reverse. While recording, an unroll made
-        under no_grad is rejected, as its loss would have a silent zero
-        gradient."""
+        under no_grad is rejected: its scene terms have no path to W_v, W_e
+        or the visual LSTM, so its gradient would be silently partial."""
         if lp_weights is not None and not self.episodes.lengths.size:
             raise ValueError("log-prob weights need sampled rows")
-        if recording() and self.steps is None:
+        if recording() and not self.recorded:
             raise ValueError("the unroll ran under no_grad and has no path to the parameters")
         coefs = []
         value = 0.0
@@ -412,15 +351,20 @@ class RowUnroll:
                 carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
             carry[:, z:2 * z] += ds_lang[end - rows.size:end]
             end -= rows.size
-            carry, d_gates, d_pre = _step_backward(accum, params, steps[t], scene.W_state.data,
-                                                   carry)
+            carry, d_gates, d_pre = _step_backward(accum, params, steps[t], scene.W_state, carry)
             regions += d_pre
             mean += d_gates
             gates.append(d_gates)
-        backwards = steps[::-1]
-        scene.backward(accum, regions, mean, np.concatenate(gates),
-                       np.concatenate([s.words for s in backwards]),
-                       np.concatenate([s.read[:, :2 * z] for s in backwards]))
+        region_proj, mean_gates, word_gates, W_state = scene.terms
+        accum(region_proj, regions)
+        accum(mean_gates, mean)
+        backwards = steps[::-1]                 # the order of gates
+        words = np.concatenate([s.words for s in backwards])
+        onehot = np.zeros((words.size, word_gates.shape[0]))
+        onehot[np.arange(words.size), words] = 1.0
+        gates = np.concatenate(gates)
+        accum(word_gates, onehot, gates)
+        accum(W_state, gates, np.concatenate([s.read[:, :2 * z] for s in backwards]))
 
 
 def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
@@ -443,11 +387,10 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     after t_max steps, so at most max(t_max, longest reference) steps run.
     After every step the rows that ended drop out: unroll gathers the state
     and scene rows of the others, so no step runs on a finished row and
-    finished rows and padded regions get exactly zero gradient. The steps
-    record no graph nodes; while recording, each step's record is kept for
-    the one node of RowUnroll.loss, which the caller weights after it has
-    scored the sampled episodes, so the whole minibatch has one backward
-    pass."""
+    finished rows and padded regions get exactly zero gradient. Each step's
+    record is kept for the one node of RowUnroll.loss, which the caller
+    weights after it has scored the sampled episodes, so the whole minibatch
+    has one backward pass."""
     n, n_forced = len(features), len(forced)
     if n_forced not in (0, n) or len(rngs) not in (0, n) or not n_forced + len(rngs):
         raise ValueError(f"{n} scenes need a reference each, a generator each, or both")
@@ -467,10 +410,11 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     stepped: list[np.ndarray] = []
     probs: list[np.ndarray] = []
     taken: list[np.ndarray] = []
+    records: list[StepRecord] = []
 
-    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
         nonlocal ids
-        p = softmax_values(logits.data)
+        p = softmax_values(logits)
         k = np.searchsorted(ids, n_forced)
         token = np.empty(len(ids), dtype=np.intp)
         token[:k] = tokens[ids[:k], t]
@@ -479,7 +423,8 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
             cdf = np.cumsum(p[k:], axis=-1)
             # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
             token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), p.shape[-1] - 1)
-            states[ids[k:] - n_forced, t] = state.data[k:, :2 * params.hidden_size]
+            states[ids[k:] - n_forced, t] = record.state[k:, :2 * params.hidden_size]
+        records.append(record)
         stepped.append(ids)
         probs.append(p)
         taken.append(token)
@@ -487,9 +432,7 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
         ids = ids[keep]
         return keep, token[keep]
 
-    tape = [] if recording() else None
-    with no_grad():
-        unroll(params, scene, step, steps, tape)
+    unroll(params, scene, step, steps)
     # the per-step values of all steps at once, as (rows, steps) arrays with
     # 0 where a row did not step; the sampled rows' as row i of their episodes
     ran = len(stepped)
@@ -505,7 +448,7 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     log_probs[rows[s] - n_forced, at[s]] = np.log(np.maximum(picked[s], LOGPROB_FLOOR))
     lengths = np.bincount(rows[s] - n_forced, minlength=len(rngs))
     return RowUnroll(stepped, ce_values, Episodes(actions, log_probs, states[:, :ran], lengths),
-                     n_forced, params, scene, tape, probs, taken)
+                     n_forced, params, scene, records, probs, taken, recording())
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
@@ -530,8 +473,8 @@ def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> li
     the lowest index."""
     out: list[int] = []
 
-    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        token = np.argmax(softmax_values(logits.data), axis=-1)
+    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
+        token = np.argmax(softmax_values(logits), axis=-1)
         out.append(int(token[0]))
         return np.flatnonzero(token != EOS_ID), token[token != EOS_ID]
 
@@ -560,9 +503,9 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
     live: list[tuple[int, ...]] = [()]
     done: list[tuple[float, tuple[int, ...]]] = []
 
-    def step(t: int, logits: Tensor, state: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
         nonlocal live_lp, live
-        logd = np.log(np.maximum(softmax_values(logits.data), LOGPROB_FLOOR))
+        logd = np.log(np.maximum(softmax_values(logits), LOGPROB_FLOOR))
         scores = (live_lp[:, None] + logd).ravel()
         picked = np.arange(scores.size)
         if scores.size > width:

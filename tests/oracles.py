@@ -5,23 +5,26 @@ Like the program, every op here takes rows, one per sequence; a scene is
 one row of `policy.project_batch`, and `first_row` drops the row axis of a
 one-row node.
 
-`composite_policy_step` is the attention-LSTM step as the graph of
+`composite_policy_step` is the attention-LSTM step as a graph of
 single-purpose ops (`vslice`, `lstm_cell`, `gates_cell`,
 `additive_attention`, `attend`, defined here over the kernel's plain-array
-helpers) that `policy.policy_step` fuses into one node, reading the visual
-LSTM's hoisted gate terms of `policy.project_batch` as it does.
+helpers) that computes what the plain-array `policy.policy_step` computes,
+bit for bit, reading the nodes of the visual LSTM's hoisted gate terms that
+`policy.project_batch` keeps in its scene's `terms`.
 `unhoisted_policy_step` is the same step with the visual LSTM's whole
 input [s_lang, W_v mean(v), W_e word] multiplied by its W_x at every step,
 as it was before those terms were hoisted, over an `unhoisted_batch` scene
-that `policy.project_batch` has no part in. `row_steps` is the references'
-own loop over `policy.policy_step`, whose per-step nodes are the gradient
-reference of the one node `policy.RowUnroll.loss` records, apart from the
-`policy.unroll` they check. `forced_unroll` is the teacher-forced unroll of
-one scene as one row, which `sequence_log_prob`, `forced_trace` and `rl_surrogate` (the
-per-scene log-prob graph of the policy-gradient loss) read. `one_row_sample` is the sampler that stepped
-one scene at a time, and `per_hypothesis_beam` is the beam search that
-stepped each live hypothesis on its own, as one row, and sorted all width x
-vocab candidates. `padded_sample_rows` and `padded_score_rows` are the two
+that `policy.project_batch` has no part in. These two graphs are the
+gradient references of the one node `policy.RowUnroll.loss` records, the
+policy's only backward. `row_steps` is the references' own loop over
+either of them, apart from the `policy.unroll` they check.
+`forced_unroll` is the teacher-forced unroll of one scene as one row, which
+`sequence_log_prob`, `forced_trace` and `rl_surrogate` (the per-scene
+log-prob graph of the policy-gradient loss) read. `one_row_sample` is the
+sampler that stepped one scene at a time, and `per_hypothesis_beam` is the
+beam search that stepped each live hypothesis on its own, as one row of
+the plain-array `policy.policy_step`, and sorted all width x vocab
+candidates. `padded_sample_rows` and `padded_score_rows` are the two
 row unrolls that a train step ran before `policy.unroll_rows` joined them:
 a graph-less sampler and a recorded teacher-forced scorer with a `logprob`
 node, each stepping every row, finished or not, until its longest row
@@ -188,11 +191,12 @@ def gates_cell(gates, c_prev):
     return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
-def _attend_and_speak(params, scene, s_vis, s_lang0, c_lang0):
-    """The step after the visual LSTM: (logits, s_lang, c_lang, attended
-    features, attention weights)."""
+def _attend_and_speak(params, scene, region_proj, s_vis, s_lang0, c_lang0):
+    """The step after the visual LSTM over the region_proj node of scene's
+    regions: (logits, s_lang, c_lang, attended features, attention
+    weights)."""
     h_proj = K.affine(s_vis, params.W_h)
-    attn = additive_attention(scene.region_proj, h_proj, params.W_a, scene.mask)
+    attn = additive_attention(region_proj, h_proj, params.W_a, scene.mask)
     v_hat = attend(attn, scene.features)
     x_lang = K.concat([v_hat, s_vis])
     s_lang, c_lang = lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
@@ -200,22 +204,23 @@ def _attend_and_speak(params, scene, s_vis, s_lang0, c_lang0):
 
 
 def composite_policy_step(params, prev_word, state, scene):
-    """policy_step as a composite graph: four vslices of the state and one
-    of its [s_vis, s_lang] columns, the visual gates as an affine of those
-    by the scene's W_state plus its mean_gates and a take_row of its
-    word_gates, a gates_cell and an lstm_cell node (each with two vslice
-    views), two more affines, two concats, additive_attention and attend.
-    Returns (logits, [s_vis, s_lang, c_vis, c_lang] state, attended
-    features, attention weights), all as nodes."""
-    if state is None:
-        state = P.initial_state(params, scene.features.shape[0])
+    """policy_step as a composite graph over the nodes of a project_batch
+    scene's terms: four vslices of the state and one of its [s_vis, s_lang]
+    columns, the visual gates as an affine of those by W_state plus
+    mean_gates and a take_row of word_gates, a gates_cell and an lstm_cell
+    node (each with two vslice views), two more affines, two concats,
+    additive_attention and attend. Returns (logits, [s_vis, s_lang, c_vis,
+    c_lang] state, attended features, attention weights), all as nodes."""
     z = params.hidden_size
+    if state is None:       # the zero states [s_vis, s_lang, c_vis, c_lang]
+        state = K.constant(np.zeros((scene.features.shape[0], 4 * z)))
+    region_proj, mean_gates, word_gates, W_state = scene.terms
     s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
-    gates = K.add(K.add(K.affine(vslice(state, 0, 2 * z), scene.W_state), scene.mean_gates),
-                  K.take_row(scene.word_gates, prev_word))
+    gates = K.add(K.add(K.affine(vslice(state, 0, 2 * z), W_state), mean_gates),
+                  K.take_row(word_gates, prev_word))
     s_vis, c_vis = gates_cell(gates, c_vis0)
-    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, s_vis, s_lang0,
-                                                            c_lang0)
+    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, region_proj, s_vis,
+                                                            s_lang0, c_lang0)
     return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
@@ -249,23 +254,23 @@ def unhoisted_policy_step(params, prev_word, state, scene):
     hoisted, over an unhoisted_batch scene: the visual LSTM's input [s_lang,
     W_v mean(v), W_e word] is concatenated and multiplied by its W_x at
     every step (an lstm_cell node)."""
-    if state is None:
-        state = P.initial_state(params, scene.features.shape[0])
     z = params.hidden_size
+    if state is None:       # the zero states [s_vis, s_lang, c_vis, c_lang]
+        state = K.constant(np.zeros((scene.features.shape[0], 4 * z)))
     s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
     x_vis = K.concat([s_lang0, scene.mean_proj, K.take_row(params.W_e, prev_word)])
     s_vis, c_vis = lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
-    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, s_vis, s_lang0,
-                                                            c_lang0)
+    logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, scene.region_proj,
+                                                            s_vis, s_lang0, c_lang0)
     return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
-def row_steps(params, scene, choose, t_max, step=None):
-    """(token, logits, state) per step of a plain loop over step (by default
-    policy_step) from <bos> that feeds every row of scene the tokens
-    choose(t, logits); a caller stops early by leaving the loop. It stands
-    apart from policy.unroll, so no reference runs the loop it checks."""
-    step = step or P.policy_step
+def row_steps(params, scene, choose, t_max, step=composite_policy_step):
+    """(token, logits, state) nodes per step of a plain loop over step (by
+    default composite_policy_step) from <bos> that feeds every row of scene
+    the tokens choose(t, logits); a caller stops early by leaving the loop.
+    It stands apart from policy.unroll, so no reference runs the loop it
+    checks."""
     state, token = None, np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
         logits, state, _, _ = step(params, token, state, scene)
@@ -366,7 +371,7 @@ def sp_targets(episodes, params):
 
 def one_row_sample(params, features, t_max, rng):
     """Sample one episode from <bos> until <eos> or t_max: one one-row
-    policy_step per step and one inverse-CDF draw from rng per step."""
+    composite step per step and one inverse-CDF draw from rng per step."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
 
@@ -399,10 +404,10 @@ def per_hypothesis_beam(params, features, t_max, width):
             candidates = []
             for lp, tokens, state in live:
                 prev = tokens[-1] if tokens else BOS_ID
-                logits, new_state, _, _ = P.policy_step(params, np.array([prev]), state, scene)
-                logd = np.log(np.maximum(K.softmax_values(logits.data)[0], K.LOGPROB_FLOOR))
+                logits, record = P.policy_step(params, np.array([prev]), state, scene)
+                logd = np.log(np.maximum(K.softmax_values(logits)[0], K.LOGPROB_FLOOR))
                 for w in range(params.vocab_size):
-                    candidates.append((lp + float(logd[w]), tokens + (w,), new_state))
+                    candidates.append((lp + float(logd[w]), tokens + (w,), record.state))
             candidates.sort(key=lambda c: (-c[0], c[1]))
             live = []
             for lp, tokens, state in candidates[:width]:
@@ -469,7 +474,7 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None, unh
     """Teacher-force every row for as many steps as the longest one: the
     loss is sum_{r,t} ce_weights[r][t] CE_rt + lp_weights[r][t] logp_rt, and
     steps past the end of a row feed <eos> with weight 0. Each step is a
-    recorded policy_step, or with unhoisted an unhoisted_policy_step."""
+    composite_policy_step, or with unhoisted an unhoisted_policy_step."""
     width = max(len(row) for row in tokens)
     real = _padded([[True] * len(row) for row in tokens], width, bool)
     forced = np.where(real, _padded(tokens, width, np.intp), EOS_ID)
@@ -479,7 +484,7 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None, unh
     terms = []
     scene = (unhoisted_batch if unhoisted else P.project_batch)(params, features)
     steps = row_steps(params, scene, lambda t, logits: forced[:, t], width,
-                      unhoisted_policy_step if unhoisted else P.policy_step)
+                      unhoisted_policy_step if unhoisted else composite_policy_step)
     for t, (_, logits, _) in enumerate(steps):
         node = K.cross_entropy(logits, forced[:, t])
         ce[:, t] = node.data

@@ -178,3 +178,49 @@ def test_traced_step_counts_read_the_length_of_each_result(tracing, corpus):
     assert metrics["policy.rollout_sample.calls"] == len(train)
     assert metrics["policy.sampled_steps"] == sum(len(t) for t in oracle)
     assert metrics["policy.forced_steps"] == sum(len(s.references[0]) for s in train)
+
+
+@pytest.mark.parametrize("run", ["train_step", "greedy", "beam"])
+def test_a_traced_step_builds_no_node_and_each_unrolled_step_is_one_call(tracing, corpus,
+                                                                        monkeypatch, run):
+    """A train step, a greedy and a beam-2 decode, each traced on its own:
+    policy_step builds no graph node (kernel.nodes_per_policy_step reads 0,
+    which a recorded per-step node would raise), and the tracer counts one
+    policy.policy_step call for each step that unroll ran."""
+    train, val, vocab = corpus
+    cfg = T.TrainConfig(batch_size=4, hidden_size=6, t_max=8, epochs=1)
+    model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+    idf = M.build_idf(T.reference_documents(train, vocab))
+    references = [M.reference_stats(doc, idf) for doc in T.reference_documents(train, vocab)]
+    calls = {
+        "train_step": lambda: curioseq.trainer.train_step(
+            train, model, K.OptimState(learning_rate=cfg.learning_rate), cfg, vocab, references,
+            [np.random.default_rng([4, i]) for i in range(len(train))], eta=1.0),
+        "greedy": lambda: curioseq.policy.rollout_greedy(model.policy, val[0].features, cfg.t_max),
+        "beam": lambda: curioseq.policy.beam_search(model.policy, val[0].features, cfg.t_max, 2),
+    }
+    unrolled = []
+    unroll = P.unroll
+
+    def counted(params, scene, step, t_max):
+        def counted_step(*args):
+            unrolled[-1] += 1
+            return step(*args)
+
+        unrolled.append(0)
+        return unroll(params, scene, counted_step, t_max)
+
+    monkeypatch.setattr(P, "unroll", counted)
+    tracer = tracing.Tracer()
+    tracer.install(curioseq)
+    try:
+        calls[run]()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    (steps,) = unrolled
+    assert steps > 1
+    assert metrics["policy.policy_step.calls"] == steps
+    assert metrics["kernel.nodes_per_policy_step"] == 0.0
+    if run != "train_step":
+        assert metrics["policy.decode_steps"] == steps

@@ -504,6 +504,16 @@ class TestGenerate:
         assert code == 1
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_a_beam_width_below_one_is_rejected(self, trained, synth_dir, capsys, width):
+        out, cfg_path = trained
+        code = run(["generate", "--config", str(cfg_path),
+                    "--checkpoint", str(out / "last.ckpt"),
+                    "--manifest", str(synth_dir / "train_manifest.json"),
+                    "--scene-id", "train_0000", "--beam-width", width])
+        assert_clean_error(capsys, code, "--beam-width must be >= 1")
+        assert capsys.readouterr().out == ""
+
 
 class TestShapeMismatch:
     """A checkpoint whose hidden size, curiosity embedding size or feature

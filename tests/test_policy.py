@@ -45,6 +45,37 @@ def enumerate_best(params, feats, t_max, eos=EOS_ID):
     return min(results, key=lambda c: (-c[0], c[1]))
 
 
+def created_tensors(monkeypatch):
+    """Patch kernel.Tensor to record every tensor built from now on."""
+    created = []
+    init = K.Tensor.__init__
+
+    def counted(tensor, *args, **kwargs):
+        init(tensor, *args, **kwargs)
+        created.append(tensor)
+
+    monkeypatch.setattr(K.Tensor, "__init__", counted)
+    return created
+
+
+def region_parameters(monkeypatch):
+    """Patch policy.project_batch to make each scene's region_proj term a
+    Parameter, so its gradient can be read; returns the (features,
+    Parameter) of each scene it projects."""
+    projected = []
+    project = P.project_batch
+
+    def with_region_parameter(params, features):
+        scene = project(params, features)
+        regions = K.Parameter(scene.region_proj.copy(), "regions")
+        scene.terms = (regions, *scene.terms[1:])
+        projected.append((list(features), regions))
+        return scene
+
+    monkeypatch.setattr(P, "project_batch", with_region_parameter)
+    return projected
+
+
 def counted_steps(monkeypatch):
     """Patch policy.policy_step to record the positional arguments of every
     call."""
@@ -63,10 +94,9 @@ def eos_first(seed, boost):
     """A tiny policy whose <eos> logit at the first step is raised by boost:
     W_p's <eos> row gains boost times the direction of that step's s_lang."""
     params, feats = tiny_policy(seed=seed, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
-    with K.no_grad():
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+    _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
     z = params.hidden_size
-    s_lang = state.data[0, z:2 * z]
+    s_lang = record.state[0, z:2 * z]
     params.W_p.data[EOS_ID] += boost * s_lang / (s_lang @ s_lang)
     return params, feats
 
@@ -76,57 +106,52 @@ class TestPolicyStep:
         rng = np.random.default_rng(2)
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
         feats = rng.standard_normal((1, 3))
-        _, _, v_hat, attn = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
-        assert attn.tolist() == [[1.0]]
-        np.testing.assert_allclose(v_hat, feats, atol=1e-15)
+        _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        assert record.attn.tolist() == [[1.0]]
+        np.testing.assert_allclose(K.attend_values(record.attn, record.features), feats, atol=1e-15)
 
     def test_zero_parameters_give_uniform_distribution(self):
         params, feats = tiny_policy(vocab_size=8)
         for p in params.parameters():
             p.data[...] = 0.0
-        logits, _, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
-        np.testing.assert_allclose(K.softmax_values(logits.data), 1.0 / 8, atol=1e-15)
+        logits, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        np.testing.assert_allclose(K.softmax_values(logits), 1.0 / 8, atol=1e-15)
 
     def test_distribution_and_attention_normalized(self):
         params, feats = tiny_policy(seed=5)
         state = None
         for word in (BOS_ID, 4, 7):
-            logits, state, _, attn = P.policy_step(params, np.array([word]), state,
-                                                   one_row(params, feats))
-            dist = K.softmax_values(logits.data)
+            logits, record = P.policy_step(params, np.array([word]), state, one_row(params, feats))
+            state = record.state
+            dist = K.softmax_values(logits)
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert (dist > 0).all()
-            assert abs(attn.sum() - 1.0) <= 1e-9
-            assert (attn >= 0).all()
+            assert abs(record.attn.sum() - 1.0) <= 1e-9
+            assert (record.attn >= 0).all()
 
     def test_state_concat_invariant(self):
         # one state array [s_vis, s_lang, c_vis, c_lang]; an episode records
         # its first 2Z columns, [s_vis, s_lang], as the curiosity state
         params, feats = tiny_policy(seed=6)
         z = params.hidden_size
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         _, parts, _, _ = composite_policy_step(params, np.array([BOS_ID]), None,
                                                one_row(params, feats))
-        assert state.shape == (1, 4 * z)
-        np.testing.assert_array_equal(state.data, parts.data)
+        assert record.state.shape == (1, 4 * z)
+        np.testing.assert_array_equal(record.state, parts.data)
         episode = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(episode.states[0, 0], state.data[0, :2 * z])
+        np.testing.assert_array_equal(episode.states[0, 0], record.state[0, :2 * z])
 
     def test_recorded_step_creates_at_most_3_nodes(self, monkeypatch):
+        # a step is plain arrays: while recording, it creates no node at all
         params, feats = tiny_policy(seed=3)
         scene = one_row(params, feats)
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, scene)
-        created = []
-        init = K.Tensor.__init__
-
-        def counted(tensor, *args, **kwargs):
-            created.append(tensor)
-            init(tensor, *args, **kwargs)
-
-        monkeypatch.setattr(K.Tensor, "__init__", counted)
-        P.policy_step(params, np.array([4]), state, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID]), None, scene)
+        created = created_tensors(monkeypatch)
+        logits, step = P.policy_step(params, np.array([4]), record.state, scene)
         monkeypatch.undo()
-        assert len(created) <= 3, sorted(t.op for t in created)
+        assert K.recording() and created == []
+        assert type(logits) is np.ndarray and type(step.state) is np.ndarray
 
     def test_word_index_validated(self):
         params, feats = tiny_policy()
@@ -136,13 +161,13 @@ class TestPolicyStep:
     def test_an_int_word_or_a_state_vector_is_rejected(self):
         params, feats = tiny_policy()
         scene = one_row(params, feats)
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID]), None, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID]), None, scene)
         with pytest.raises(K.ShapeError):
             P.policy_step(params, BOS_ID, None, scene)
         with pytest.raises(K.ShapeError):
-            P.policy_step(params, np.array([4]), K.constant(state.data[0]), scene)
+            P.policy_step(params, np.array([4]), record.state[0], scene)
         with pytest.raises(K.ShapeError):
-            P.policy_step(params, np.array([4, 4]), state, scene)
+            P.policy_step(params, np.array([4, 4]), record.state, scene)
 
     def test_teacher_forced_gradients_match_finite_differences(self):
         params, feats = tiny_policy(seed=7, vocab_size=7, hidden=5)
@@ -237,7 +262,7 @@ def weighted_loss(run, refs):
 
 
 class TestUnroll:
-    """The step contract of policy.unroll: step(t, logits, state) returns
+    """The step contract of policy.unroll: step(t, logits, record) returns
     the rows that go on, in order and possibly repeated, and their tokens."""
 
     def test_repeated_and_reordered_rows_read_their_parents_rows(self, monkeypatch):
@@ -246,21 +271,21 @@ class TestUnroll:
         rows, token = np.array([2, 0, 0, 1, 2]), np.array([4, 5, 6, 7, 8])
         seen = []
 
-        def step(t, logits, state):
-            seen.append(state)
+        def step(t, logits, record):
+            seen.append(record)
             return rows, token
 
         calls = counted_steps(monkeypatch)
-        with K.no_grad():
-            P.unroll(params, scene, step, 2)
+        P.unroll(params, scene, step, 2)
         monkeypatch.undo()
         assert len(calls) == 2
         _, prev, state, child = calls[1]
         np.testing.assert_array_equal(prev, token)
-        np.testing.assert_array_equal(state.data, seen[0].data[rows])
+        np.testing.assert_array_equal(state, seen[0].state[rows])
+        assert seen[1].read is state
         np.testing.assert_array_equal(child.features, scene.features[rows])
-        np.testing.assert_array_equal(child.region_proj.data, scene.region_proj.data[rows])
-        np.testing.assert_array_equal(child.mean_gates.data, scene.mean_gates.data[rows])
+        np.testing.assert_array_equal(child.region_proj, scene.region_proj[rows])
+        np.testing.assert_array_equal(child.mean_gates, scene.mean_gates[rows])
         assert child.word_gates is scene.word_gates and child.W_state is scene.W_state
         np.testing.assert_array_equal(child.mask, scene.mask[rows])
 
@@ -268,22 +293,24 @@ class TestUnroll:
         params, feats, _ = row_batch()
         n = len(feats)
         taken = []
-        take = P.take_row
-        monkeypatch.setattr(P, "take_row", lambda W, index: taken.append(W) or take(W, index))
+        take = P.ProjectedScene.take
+        monkeypatch.setattr(P.ProjectedScene, "take",
+                            lambda scene, rows: taken.append(rows) or take(scene, rows))
         calls = counted_steps(monkeypatch)
-        with K.no_grad():
-            P.unroll(params, P.project_batch(params, feats), lambda t, logits, state:
-                     (np.arange(n), np.full(n, 4)), 3)
+        records = []
+        P.unroll(params, P.project_batch(params, feats), lambda t, logits, record:
+                 records.append(record) or (np.arange(n), np.full(n, 4)), 3)
         monkeypatch.undo()
         assert len(calls) == 3 and taken == []
+        # each step reads the very state array the step before made
+        assert all(args[2] is r.state for args, r in zip(calls[1:], records))
 
     def test_empty_rows_end_the_loop(self, monkeypatch):
         params, feats, _ = row_batch()
         calls = counted_steps(monkeypatch)
-        with K.no_grad():
-            P.unroll(params, P.project_batch(params, feats), lambda t, logits, state:
-                     (np.arange(len(feats)) if t < 1 else np.empty(0, dtype=np.intp),
-                      np.full(len(feats), 4)), 5)
+        P.unroll(params, P.project_batch(params, feats), lambda t, logits, record:
+                 (np.arange(len(feats)) if t < 1 else np.empty(0, dtype=np.intp),
+                  np.full(len(feats), 4)), 5)
         monkeypatch.undo()
         assert len(calls) == 2
 
@@ -381,16 +408,7 @@ class TestScoreRows:
         feats, refs = feats[:2], [[4, 6], [5, 3, 7, 4, 8, EOS_ID]]
         # row 0 ends after two steps and row 1 after six: token 6 would be
         # fed only to row 0 past its end, and <eos> to neither
-        projected = []
-        project = P.project_batch
-
-        def with_region_parameter(params_, features):
-            scene = project(params_, features)
-            scene.region_proj = K.Parameter(scene.region_proj.data.copy(), "regions")
-            projected.append((list(features), scene.region_proj))
-            return scene
-
-        monkeypatch.setattr(P, "project_batch", with_region_parameter)
+        projected = region_parameters(monkeypatch)
         forced = P.unroll_rows(params, feats, refs, T_MAX)
         joint = P.unroll_rows(params, feats, refs, T_MAX, row_rngs(2))
         monkeypatch.undo()
@@ -412,21 +430,16 @@ class TestScoreRows:
                     assert (regions.grad[r, :m] != 0.0).any()
 
     def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
+        # none: a step of two rows, like a step of one, builds no tensor
         params, feats, _ = row_batch()
         scene = P.project_batch(params, feats[:2])
-        _, state, _, _ = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
-        created = []
-        init = K.Tensor.__init__
-
-        def counted(tensor, *args, **kwargs):
-            created.append(tensor)
-            init(tensor, *args, **kwargs)
-
-        monkeypatch.setattr(K.Tensor, "__init__", counted)
-        logits, _, _, attn = P.policy_step(params, np.array([4, 5]), state, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
+        created = created_tensors(monkeypatch)
+        logits, step = P.policy_step(params, np.array([4, 5]), record.state, scene)
+        P.policy_step(params, np.array([4]), None, scene.take(np.array([0])))
         monkeypatch.undo()
-        assert logits.shape == (2, params.vocab_size) and attn.shape == (2, 5)
-        assert len(created) <= 3, sorted(t.op for t in created)
+        assert logits.shape == (2, params.vocab_size) and step.attn.shape == (2, 5)
+        assert created == []
 
     def test_empty_row_rejected(self):
         params, feats, _ = row_batch()
@@ -582,19 +595,14 @@ class TestUnrollNode:
         np.testing.assert_allclose(run.ce_values, oracle.cross_entropy, rtol=1e-12, atol=0)
 
     def test_records_one_node_and_no_step_nodes(self, monkeypatch):
+        # the unroll builds its scene's four terms and no other tensor
         params, feats, refs = row_batch()
-        created = []
-        init = K.Tensor.__init__
-
-        def counted(tensor, *args, **kwargs):
-            init(tensor, *args, **kwargs)
-            created.append(tensor)
-
-        monkeypatch.setattr(K.Tensor, "__init__", counted)
+        created = created_tensors(monkeypatch)
         run = unroll_batch(params, feats, refs)
         monkeypatch.undo()
-        recorded = sorted(t.op for t in created if t.parents)
-        assert recorded == ["mean_gates", "project_rows", "state_weights", "word_gates"]
+        assert all(t.parents for t in created)
+        assert sorted(t.op for t in created) == ["mean_gates", "project_rows", "state_weights",
+                                                 "word_gates"]
         _, _, loss = weighted_loss(run, refs)
         graph = [node.op for node in K._toposort(loss) if node.op != "param"]
         assert sorted(graph) == ["mean_gates", "project_rows", "state_weights", "unroll",
@@ -636,7 +644,9 @@ class TestUnrollNode:
         params, feats, refs = row_batch()
         with K.no_grad():
             run = unroll_batch(params, feats, refs)
-        assert run.steps is None
+        # the refusal reads the flag the unroll set, not whether it kept steps
+        assert not run.recorded and len(run.steps) == len(run.rows)
+        assert unroll_batch(params, feats, refs).recorded
         with pytest.raises(ValueError):
             weighted_loss(run, refs)
         with K.no_grad():
@@ -644,31 +654,37 @@ class TestUnrollNode:
                 weighted_loss(unroll_batch(params, feats, refs), refs)[2].data)
 
 
-def _values(x):
-    return x.data if isinstance(x, K.Tensor) else x
+def step_values(params, scene, words):
+    """(logits, state, attended features, attention) arrays of policy_step
+    for each word vector of words, from the zero state."""
+    state, outs = None, []
+    for word in words:
+        logits, record = P.policy_step(params, word, state, scene)
+        state = record.state
+        outs.append((logits, state, K.attend_values(record.attn, record.features), record.attn))
+    return outs
 
 
-def run_steps(step, params, scene, words, targets, weights=None):
-    """Feed words through step from the zero state. Returns the per-step
-    (logits, state, attended features, attention) values and a scalar loss:
-    the cross-entropy of targets under every step's logits, weighted per row
-    (by default from 0.5 to 1.5), plus the squared norm of the last state,
-    so every output block gets a gradient."""
-    if weights is None:
-        weights = np.linspace(0.5, 1.5, len(words[0]))
-    state, outs, terms = None, [], []
-    for word, target in zip(words, targets):
-        logits, state, v_hat, attn = step(params, word, state, scene)
-        outs.append((logits.data, state.data, _values(v_hat), _values(attn)))
-        terms.append(K.dotp(K.cross_entropy(logits, target), K.constant(weights)))
-    return outs, add_n(terms + [K.sumsq(state)])
+def composite_values(params, scene, words):
+    """step_values of composite_policy_step's nodes."""
+    state, outs = None, []
+    for word in words:
+        logits, state, v_hat, attn = composite_policy_step(params, word, state, scene)
+        outs.append((logits.data, state.data, v_hat.data, attn.data))
+    return outs
+
+
+def forced_refs(targets):
+    """The reference of each row that feeds it, after <bos>, the targets of
+    the steps before: row r's targets[t][r] of every step t."""
+    return [[int(t[r]) for t in targets] for r in range(len(targets[0]))]
 
 
 class TestFusedStep:
-    """policy_step, one node over one state array, against the composite
-    graph of single-purpose kernel ops it fuses: the same outputs bit for
-    bit, and the same gradients up to summation order; and an n-row step
-    against n one-row steps."""
+    """policy_step, the attention-LSTM step over plain arrays, against the
+    composite graph of single-purpose kernel ops it fuses: the same outputs
+    bit for bit; an n-row step against n one-row steps; and the gathers of
+    unroll. Its gradients are RowUnroll.loss's (TestUnrollNode)."""
 
     @staticmethod
     def vector_case():
@@ -687,125 +703,100 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("case", ["vector_case", "row_case"])
     def test_outputs_equal_the_composite_step(self, case):
-        params, scene, words, targets = getattr(self, case)()
-        fused, _ = run_steps(P.policy_step, params, scene(), words, targets)
-        composite, _ = run_steps(composite_policy_step, params, scene(), words, targets)
+        params, scene, words, _ = getattr(self, case)()
+        fused = step_values(params, scene(), words)
+        composite = composite_values(params, scene(), words)
         for got, want in zip(fused, composite):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("case", ["vector_case", "row_case"])
-    def test_gradients_equal_the_composite_step(self, case):
-        params, scene, words, targets = getattr(self, case)()
-        grads = []
-        for step in (P.policy_step, composite_policy_step):
-            K.zero_grads(params.parameters())
-            K.backward(run_steps(step, params, scene(), words, targets)[1])
-            grads.append({q.name: q.grad.copy() for q in params.parameters()})
-        for q in params.parameters():
-            want = grads[1][q.name]
-            assert np.abs(want).max() > 0.0, q.name
-            np.testing.assert_allclose(grads[0][q.name], want, rtol=0,
-                                       atol=1e-12 * np.abs(want).max(), err_msg=q.name)
-
-    @pytest.mark.parametrize("case", ["vector_case", "row_case"])
-    def test_gradients_match_finite_differences(self, case):
-        params, scene, words, targets = (self.vector_case() if case == "vector_case"
-                                          else self.row_case(saturated=False))
-        err = K.grad_check(lambda: run_steps(P.policy_step, params, scene(), words, targets)[1],
-                           params.parameters(), max_coords=20)
-        assert err <= 1e-4
-
     def test_each_row_equals_a_one_row_step(self):
         # n rows, each with its own scene (m = 2 padded to 5, or m = 5),
-        # against n one-row calls, one scene each
+        # against n one-row calls, one scene each; and the gradient of the
+        # n-row teacher-forced unroll against the sum of the n one-row ones
         params, scene, words, targets = self.row_case(saturated=False)
-        weights = np.linspace(0.5, 1.5, len(words[0]))
+        _, feats, _ = row_batch()
+        refs = forced_refs(targets)
+        weights = np.linspace(0.5, 1.5, len(feats))[:, None] * np.ones(len(words))
+        rows = step_values(params, scene(), words)
         K.zero_grads(params.parameters())
-        rows, loss = run_steps(P.policy_step, params, scene(), words, targets, weights)
-        K.backward(loss)
+        K.backward(P.unroll_rows(params, feats, refs, len(words)).loss(weights))
         batched = {q.name: q.grad.copy() for q in params.parameters()}
         K.zero_grads(params.parameters())
-        _, feats, _ = row_batch()
         for r, f in enumerate(feats):
             m = f.shape[0]
-            one, loss_r = run_steps(P.policy_step, params, one_row(params, f),
-                                    [w[r:r + 1] for w in words], [t[r:r + 1] for t in targets],
-                                    weights[r:r + 1])
-            K.backward(loss_r)                    # accumulates over the rows
+            one = step_values(params, one_row(params, f), [w[r:r + 1] for w in words])
             for got, want in zip(rows, one):
                 for a, b in zip(got[:3], want[:3]):
                     np.testing.assert_allclose(a[r:r + 1], b, rtol=1e-12, atol=1e-15)
                 np.testing.assert_allclose(got[3][r:r + 1, :m], want[3], rtol=1e-12, atol=1e-15)
                 assert (got[3][r, m:] == 0.0).all()
+            # accumulates over the rows
+            K.backward(P.unroll_rows(params, [f], [refs[r]], len(words)).loss(weights[r:r + 1]))
         for q in params.parameters():
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
                                        err_msg=q.name)
 
-    def test_padded_regions_get_exactly_zero_gradient(self):
-        params, scene, words, targets = self.row_case()
-        projected = scene()
-        projected.region_proj = K.Parameter(projected.region_proj.data.copy(), "regions")
-        K.zero_grads(params.parameters() + [projected.region_proj])
-        K.backward(run_steps(P.policy_step, params, projected, words, targets)[1])
-        grad, mask = projected.region_proj.grad, projected.mask
-        assert (grad[~mask] == 0.0).all() and (grad[mask] != 0.0).any(axis=-1).all()
+    def test_padded_regions_get_exactly_zero_gradient(self, monkeypatch):
+        params, _, words, targets = self.row_case()
+        _, feats, _ = row_batch()
+        projected = region_parameters(monkeypatch)
+        run = P.unroll_rows(params, feats, forced_refs(targets), len(words))
+        monkeypatch.undo()
+        ((_, regions),) = projected
+        K.zero_grads(params.parameters() + [regions])
+        K.backward(run.loss(np.ones(run.ce_values.shape)))
+        mask = run.scene.mask
+        assert (regions.grad[~mask] == 0.0).all() and (regions.grad[mask] != 0.0).any(axis=-1).all()
 
     @staticmethod
     def gathers(monkeypatch):
-        """Record each policy_step's state and scene and each take_row's
-        source, in call order."""
+        """Record each policy_step's (state argument, record) and the rows of
+        each ProjectedScene.take, in call order."""
         events = []
-        step, take = P.policy_step, P.take_row
+        step, take = P.policy_step, P.ProjectedScene.take
 
         def counted_step(*args, **kwargs):
             out = step(*args, **kwargs)
-            events.append(("step", (out[1], args[3])))
+            events.append(("step", (args[2], out[1])))
             return out
 
-        def counted_take(W, index):
-            events.append(("take", W))
-            return take(W, index)
+        def counted_take(scene, rows):
+            events.append(("take", rows))
+            return take(scene, rows)
 
         monkeypatch.setattr(P, "policy_step", counted_step)
-        monkeypatch.setattr(P, "take_row", counted_take)
+        monkeypatch.setattr(P.ProjectedScene, "take", counted_take)
         return events
 
     @staticmethod
     def state_gathers(events):
-        """Per step, the take_rows after it of the state that step returned;
-        every other take_row after it must gather a row term of the scene
-        that step read."""
-        counts = []
+        """Per step, the scene takes after it. The next step must read the
+        state that step made, or after a take that state's taken rows."""
+        counts, taken, last = [], None, None
         for kind, value in events:
-            if kind == "step":
-                counts.append(0)
-                state, scene = value
-            elif value is state:
+            if kind == "take":
                 counts[-1] += 1
-            else:
-                assert value is scene.region_proj or value is scene.mean_gates
+                taken = value
+                continue
+            read, record = value
+            if last is not None and taken is None:
+                assert read is last.state
+            elif last is not None:
+                np.testing.assert_array_equal(read, last.state[taken])
+            counts.append(0)
+            taken, last = None, record
         return counts
 
     def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
-        # after each step, either nothing is gathered or, once each, the state
-        # that step returned and the two scene tensors it read
+        # after each step, either nothing is gathered or, once, the state
+        # rows of the parents and their scene rows
         params, feats = tiny_policy(seed=3, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
         events = self.gathers(monkeypatch)
         P.beam_search(params, feats, 6, width=3)
         monkeypatch.undo()
-        steps, taken = [], []
-        for kind, value in events:
-            if kind == "step":
-                steps.append(value)
-                taken.append([])
-            else:
-                taken[-1].append(value)
-        assert len(steps) == 6 and sum(map(bool, taken)) >= 2
-        for (state, scene), sources in zip(steps, taken):
-            if sources:
-                assert [id(x) for x in sources] == [id(state), id(scene.region_proj),
-                                                    id(scene.mean_gates)]
+        counts = self.state_gathers(events)
+        assert len(counts) == 6 and sum(map(bool, counts)) >= 2 and max(counts) == 1
 
     def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
         params, feats, refs = row_batch()
@@ -841,14 +832,13 @@ class TestGreedy:
         state = None
         prev = BOS_ID
         expected = []
-        with K.no_grad():
-            for _ in range(3):
-                logits, state, _, _ = P.policy_step(params, np.array([prev]), state,
-                                                    one_row(params, feats))
-                prev = int(np.argmax(K.softmax_values(logits.data)[0]))
-                expected.append(prev)
-                if prev == EOS_ID:
-                    break
+        for _ in range(3):
+            logits, record = P.policy_step(params, np.array([prev]), state, one_row(params, feats))
+            state = record.state
+            prev = int(np.argmax(K.softmax_values(logits)[0]))
+            expected.append(prev)
+            if prev == EOS_ID:
+                break
         assert greedy == expected
 
 
@@ -921,10 +911,9 @@ class TestBeamSearch:
 class TestSequenceLogProb:
     def test_single_step(self):
         params, feats = tiny_policy(seed=14)
-        with K.no_grad():
-            logits, _, _, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        logits, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         assert sequence_log_prob(params, feats, [3]) == pytest.approx(
-            float(np.log(K.softmax_values(logits.data)[0, 3])))
+            float(np.log(K.softmax_values(logits)[0, 3])))
 
     def test_exp_at_most_one(self):
         params, feats = tiny_policy(seed=15)

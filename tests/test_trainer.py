@@ -115,9 +115,9 @@ class TestXeLoss:
             prev = BOS_ID
             scene_row = P.project_batch(model.policy, [scene.features])
             for tok in scene.references[0]:
-                logits, state, _, _ = P.policy_step(model.policy, np.array([prev]), state,
-                                                    scene_row)
-                total += -math.log(K.softmax_values(logits.data)[0, tok] + 1e-12)
+                logits, record = P.policy_step(model.policy, np.array([prev]), state, scene_row)
+                state = record.state
+                total += -math.log(K.softmax_values(logits)[0, tok] + 1e-12)
                 prev = tok
         assert loss == pytest.approx(total, abs=1e-10)
 
