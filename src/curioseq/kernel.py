@@ -1,15 +1,16 @@
 """Minimal reverse-mode differentiation kernel over float64 numpy arrays.
 
-Every operation the policy and curiosity networks need is implemented here
-with an explicit forward value and a backward closure. There is no general
-graph compiler: nodes simply remember their parents, and ``backward`` walks
-them in reverse topological order. The LSTM and additive-attention math lives
+Every operation the curiosity networks need is implemented here with an
+explicit forward value and a backward closure. There is no general graph
+compiler: nodes simply remember their parents, and ``backward`` walks them
+in reverse topological order. The LSTM and additive-attention math lives
 once, in plain-array forward/backward helpers (``lstm_cell_forward``
 over precomputed gates, ``lstm_forward``, ``attention_forward`` and their
 backward halves) that the policy step and the unroll's reverse pass call;
-the policy's only graph node over its steps is the unroll's. Weight-matrix
-gradients are batched into one matmul per Parameter at the end of
-``backward``. All math is 64-bit so finite-difference checks are reliable.
+the policy's only graph node is the unroll's, whose backward hands every
+policy Parameter its gradient. Weight-matrix gradients are batched into one
+matmul per Parameter at the end of ``backward``. All math is 64-bit so
+finite-difference checks are reliable.
 
 The ops take rows: an array with a leading row axis, one row per sequence
 or state of a minibatch, so one sequence is one row. Indices are int
@@ -46,11 +47,6 @@ def no_grad():
         yield
     finally:
         _RECORDING.pop()
-
-
-def recording() -> bool:
-    """Whether new op outputs record their parents (False inside no_grad)."""
-    return _RECORDING[-1]
 
 
 class Tensor:
@@ -368,22 +364,6 @@ def attention_backward(accum, w_a: Tensor, a: np.ndarray, t: np.ndarray,
     d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
     accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]))
     return d_scores[..., None] * w_a.data * (1.0 - t * t)
-
-
-def project_rows(features: np.ndarray, W: Tensor) -> Tensor:
-    """features @ W.T: every region of a constant (n, m, E) array through
-    W (Z, E) in one node; W's gradient is deferred as the pair (g, features)
-    with the regions flattened into rows."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3 or W.data.ndim != 2 or W.data.shape[1] != features.shape[-1]:
-        raise ShapeError(f"project_rows expects (n, m, E) rows for W {W.shape}, got {features.shape}")
-    flat = features.reshape(-1, features.shape[-1])
-    out = (flat @ W.data.T).reshape(features.shape[:-1] + (W.data.shape[0],))
-
-    def bw(g, accum):
-        accum(W, g.reshape(flat.shape[0], -1), flat)
-
-    return Tensor(out, (W,), bw, "project_rows")
 
 
 def _picked(logits: Tensor, index: np.ndarray) -> tuple:

@@ -85,6 +85,8 @@ def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
                     max_n: int = MAX_NGRAM) -> References:
     """Count refs once: the statistics that BLEU and the consensus score of
     any candidate against them read."""
+    if not refs:
+        raise ValueError("cannot score a sample without references")
     get = idf.values.get
     max_counts, vectors, norms = [], [], []
     for n in range(1, max_n + 1):
@@ -118,8 +120,6 @@ class BleuSums:
         self.samples = 0
 
     def add(self, counts: Sequence[Counter], cand_len: int, refs: References) -> None:
-        if not refs.lengths:
-            raise ValueError("bleu sample without references")
         self.samples += 1
         self.cand_len += cand_len
         # closest reference length, ties resolved toward the shorter reference

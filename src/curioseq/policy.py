@@ -7,14 +7,14 @@ features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
 runs all of it over plain arrays, one state array per sequence, [s_vis,
 s_lang, c_vis, c_lang], and records no graph node: the one gradient path is
-RowUnroll.loss, one node whose backward pass runs an unroll's steps in
-reverse.
+RowUnroll.loss, one node over the policy's Parameters whose backward pass
+runs an unroll's steps in reverse and hands every Parameter its gradient.
 
 Two thirds of the visual LSTM's input is fixed within an unroll, per scene
 row and per word, so project_batch multiplies those parts by the LSTM's
-weights once per unroll: a step's visual gates are one matmul over its
-state's [s_vis, s_lang] columns plus a row of the mean-feature term and a
-row of the word table.
+weights once per unroll, as plain arrays: a step's visual gates are one
+matmul over its state's [s_vis, s_lang] columns plus a row of the
+mean-feature term and a row of the word table.
 
 Every sequence is a row: a scene is one row of project_batch, a word an int
 vector with one entry per row and a state an (n, 4Z) array, so one scene
@@ -45,9 +45,6 @@ from .kernel import (
     lstm_cell_backward,
     lstm_cell_forward,
     lstm_forward,
-    no_grad,
-    project_rows,
-    recording,
     softmax_values,
     xavier_uniform,
 )
@@ -106,13 +103,13 @@ class ProjectedScene:
     mean_gates: np.ndarray        # (n, 4Z), the visual gates' term of W_v mean(v), plus its bias
     word_gates: np.ndarray        # (D, 4Z), the visual gates' term of each word's embedding
     W_state: np.ndarray           # (4Z, 2Z), the visual gate weights of [s_vis, s_lang]
+    means: np.ndarray             # (n, E), each row's region mean, which RowUnroll's backward reads
     mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
-    terms: tuple[Tensor, ...] = ()    # project_batch's nodes of the four arrays above; () on a take
 
     def take(self, rows: np.ndarray) -> "ProjectedScene":
         """The scenes of the given rows, in that order; a row may repeat."""
         return ProjectedScene(self.features[rows], self.region_proj[rows], self.mean_gates[rows],
-                              self.word_gates, self.W_state,
+                              self.word_gates, self.W_state, self.means[rows],
                               None if self.mask is None else self.mask[rows])
 
 
@@ -123,43 +120,13 @@ def _in_columns(block: np.ndarray, start: int, width: int) -> np.ndarray:
     return full
 
 
-def visual_gate_terms(params: PolicyParams, means: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    """The visual LSTM's gate terms that are fixed within an unroll, from
-    its W_x columns [s_lang | mean | word] and (n, E) region means: the
-    (n, 4Z) mean-feature term plus the bias, the (D, 4Z) word table and the
-    (4Z, 2Z) weights [W_h | W_x's s_lang columns] of [s_vis, s_lang]. Each
-    is one node, so a whole unroll's gradient on it is multiplied through
-    the weights once."""
-    vis, z = params.vis, params.hidden_size
-    W_x = vis.W_x.data
-    width = W_x.shape[1]
-    mean_proj = means @ params.W_v.data.T
-
-    def mean_bw(g, accum):
-        accum(params.W_v, g @ W_x[:, z:2 * z], means)
-        accum(vis.W_x, _in_columns(g.T @ mean_proj, z, width))
-        accum(vis.b, g.sum(axis=0))
-
-    def word_bw(g, accum):
-        accum(params.W_e, g @ W_x[:, 2 * z:])
-        accum(vis.W_x, _in_columns(g.T @ params.W_e.data, 2 * z, width))
-
-    def state_bw(g, accum):
-        accum(vis.W_h, g[:, :z])
-        accum(vis.W_x, _in_columns(g[:, z:], 0, width))
-
-    return (Tensor(mean_proj @ W_x[:, z:2 * z].T + vis.b.data, (params.W_v, vis.W_x, vis.b),
-                   mean_bw, "mean_gates"),
-            Tensor(params.W_e.data @ W_x[:, 2 * z:].T, (params.W_e, vis.W_x), word_bw,
-                   "word_gates"),
-            Tensor(np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), (vis.W_h, vis.W_x),
-                   state_bw, "state_weights"))
-
-
 def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
     """One row per (m_r, E) scene: regions zero-padded to the largest m with
-    a region mask, and the visual gate terms of each row's own region
-    mean."""
+    a region mask, projected through W_v, and the visual LSTM's gate terms
+    that are fixed within an unroll, from its W_x columns [s_lang | mean |
+    word]: the (n, 4Z) term of each row's own W_v mean(v) plus the bias,
+    the (D, 4Z) word table and the (4Z, 2Z) weights [W_h | W_x's s_lang
+    columns] of [s_vis, s_lang]."""
     m = max(f.shape[0] for f in features)
     padded = np.zeros((len(features), m, features[0].shape[1]))
     mask = np.zeros((len(features), m), dtype=bool)
@@ -167,8 +134,13 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
         padded[r, :f.shape[0]] = f
         mask[r, :f.shape[0]] = True
     means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
-    terms = (project_rows(padded, params.W_v), *visual_gate_terms(params, means))
-    return ProjectedScene(padded, *(t.data for t in terms), None if mask.all() else mask, terms)
+    vis, z, W_v = params.vis, params.hidden_size, params.W_v.data
+    W_x = vis.W_x.data
+    region_proj = (padded.reshape(-1, padded.shape[-1]) @ W_v.T).reshape((*padded.shape[:-1], z))
+    return ProjectedScene(padded, region_proj, (means @ W_v.T) @ W_x[:, z:2 * z].T + vis.b.data,
+                          params.W_e.data @ W_x[:, 2 * z:].T,
+                          np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), means,
+                          None if mask.all() else mask)
 
 
 @dataclass
@@ -263,13 +235,13 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
     order they go on (a row may repeat), and the word each of them feeds
     next. Unless rows is every row in order, the state and the scene rows
     are gathered before the next step. The loop ends when rows is empty or
-    after t_max steps."""
+    after t_max steps, with no gather after the last step."""
     state = None
     token = np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
         logits, record = policy_step(params, token, state, scene)
         rows, token = step(t, logits, record)
-        if rows.size == 0:
+        if rows.size == 0 or t + 1 == t_max:
             return
         state = record.state
         if rows.size != state.shape[0] or (rows != np.arange(rows.size)).any():
@@ -292,7 +264,6 @@ class RowUnroll:
     steps: list[StepRecord]         # per step, policy_step's record
     probs: list[np.ndarray]         # per step, the softmax of each row's logits
     tokens: list[np.ndarray]        # per step, the token each row took
-    recorded: bool                  # False for an unroll run under no_grad: its scene terms have no path to the parameters
 
     def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
         """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
@@ -300,14 +271,12 @@ class RowUnroll:
         sampled rows, for (rows, steps) weight arrays; the weights of steps a
         row did not take are never read. -CE_rt stands in for logp_rt: its
         gradient is the same, and its value differs by at most
-        log(1 + CE_EPSILON / p). The loss is one node whose backward pass
-        runs the unroll's steps in reverse. While recording, an unroll made
-        under no_grad is rejected: its scene terms have no path to W_v, W_e
-        or the visual LSTM, so its gradient would be silently partial."""
+        log(1 + CE_EPSILON / p). The loss is one node over the policy's
+        Parameters whose backward pass runs the unroll's steps in reverse.
+        The unroll keeps only arrays, so neither the loss nor its gradient
+        depends on the graph mode the unroll ran in."""
         if lp_weights is not None and not self.episodes.lengths.size:
             raise ValueError("log-prob weights need sampled rows")
-        if recording() and not self.recorded:
-            raise ValueError("the unroll ran under no_grad and has no path to the parameters")
         coefs = []
         value = 0.0
         for t, rows in enumerate(self.rows):
@@ -318,9 +287,7 @@ class RowUnroll:
                 w[k:] = -lp_weights[rows[k:], t]
             coefs.append(w)
             value += np.dot(self.ce_values[rows, t], w)
-        params = self.params
-        return Tensor(value, (*self.scene.terms, params.W_h, params.W_a, params.W_p,
-                              *params.lang.parameters()),
+        return Tensor(value, self.params.parameters(),
                       lambda g, accum: self._backward([g * c for c in coefs], accum), "unroll")
 
     def _backward(self, coefs: list[np.ndarray], accum) -> None:
@@ -330,8 +297,10 @@ class RowUnroll:
         state it read to the step before. The running sums of the scene
         terms' gradients stay aligned with the current step's rows and
         spread out where rows ended, so they are summed per row (and per
-        word) and handed on once; W_p's and the visual gate weights' (g, x)
-        rows are stacked for one matmul each."""
+        word) and multiplied through W_v, W_e and the visual LSTM's
+        weights once, in the order regions, mean term, word table, state
+        weights; W_p's and the visual gate weights' (g, x) rows are stacked
+        for one matmul each."""
         params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
         d_logits = np.concatenate(self.probs)
         d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
@@ -355,16 +324,23 @@ class RowUnroll:
             regions += d_pre
             mean += d_gates
             gates.append(d_gates)
-        region_proj, mean_gates, word_gates, W_state = scene.terms
-        accum(region_proj, regions)
-        accum(mean_gates, mean)
+        vis, W_x = params.vis, params.vis.W_x.data
+        width = W_x.shape[1]
+        accum(params.W_v, regions.reshape(-1, z), scene.features.reshape(-1, params.feature_dim))
+        accum(params.W_v, mean @ W_x[:, z:2 * z], scene.means)
+        accum(vis.W_x, _in_columns(mean.T @ (scene.means @ params.W_v.data.T), z, width))
+        accum(vis.b, mean.sum(axis=0))
         backwards = steps[::-1]                 # the order of gates
         words = np.concatenate([s.words for s in backwards])
-        onehot = np.zeros((words.size, word_gates.shape[0]))
+        onehot = np.zeros((words.size, params.vocab_size))
         onehot[np.arange(words.size), words] = 1.0
         gates = np.concatenate(gates)
-        accum(word_gates, onehot, gates)
-        accum(W_state, gates, np.concatenate([s.read[:, :2 * z] for s in backwards]))
+        word = onehot.T @ gates
+        accum(params.W_e, word @ W_x[:, 2 * z:])
+        accum(vis.W_x, _in_columns(word.T @ params.W_e.data, 2 * z, width))
+        state = gates.T @ np.concatenate([s.read[:, :2 * z] for s in backwards])
+        accum(vis.W_h, state[:, :z])
+        accum(vis.W_x, _in_columns(state[:, z:], 0, width))
 
 
 def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
@@ -448,7 +424,7 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     log_probs[rows[s] - n_forced, at[s]] = np.log(np.maximum(picked[s], LOGPROB_FLOOR))
     lengths = np.bincount(rows[s] - n_forced, minlength=len(rngs))
     return RowUnroll(stepped, ce_values, Episodes(actions, log_probs, states[:, :ran], lengths),
-                     n_forced, params, scene, records, probs, taken, recording())
+                     n_forced, params, scene, records, probs, taken)
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
@@ -456,16 +432,14 @@ def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
     """Sample an episode from <bos>; stops at <eos> or t_max. The one-row
     view of unroll_rows, without a graph: inverse-CDF sampling, so identical
     seeds give identical episodes, and len() is the number of steps."""
-    with no_grad():
-        return unroll_rows(params, [features], [], t_max, [rng]).episodes
+    return unroll_rows(params, [features], [], t_max, [rng]).episodes
 
 
 def forced_step_losses(params: PolicyParams, features: np.ndarray,
                        tokens: Sequence[int]) -> np.ndarray:
     """The per-step cross-entropies of a teacher-forced pass (imitation), one
     value per step: the one-row view of unroll_rows, without a graph."""
-    with no_grad():
-        return unroll_rows(params, [features], [tokens], len(tokens)).ce_values[0]
+    return unroll_rows(params, [features], [tokens], len(tokens)).ce_values[0]
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
@@ -478,8 +452,7 @@ def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> li
         out.append(int(token[0]))
         return np.flatnonzero(token != EOS_ID), token[token != EOS_ID]
 
-    with no_grad():
-        unroll(params, project_batch(params, [features]), step, t_max)
+    unroll(params, project_batch(params, [features]), step, t_max)
     return out
 
 
@@ -521,8 +494,7 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
         return (np.array([parent for _, _, parent in keep], dtype=np.intp),
                 np.array([tokens[-1] for _, tokens, _ in keep], dtype=np.intp))
 
-    with no_grad():
-        unroll(params, project_batch(params, [features]), step, t_max)
+    unroll(params, project_batch(params, [features]), step, t_max)
     done.extend(zip(live_lp.tolist(), live))
     best = min(done, key=lambda c: (-c[0], c[1]))
     return list(best[1])

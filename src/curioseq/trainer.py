@@ -73,6 +73,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer")
         if self.embed_size is not None and (type(self.embed_size) is not int or self.embed_size < 1):
             raise ConfigError("embed_size must be an integer >= 1 or null")
+        for f in fields(self):      # json reads NaN and Infinity
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not -math.inf < value < math.inf:
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("intrinsic_scale", "action_loss_weight", "state_loss_weight",
                      "imitation_weight", "bleu_weight", "cider_weight"):
             if getattr(self, name) < 0:
@@ -85,6 +89,8 @@ class TrainConfig:
             raise ConfigError("imitation_decay must be in (0, 1]")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if self.lr_decay <= 0:
+            raise ConfigError("lr_decay must be positive")
         if self.lr_decay_period < 1:
             raise ConfigError("lr_decay_period must be >= 1")
         if self.batch_size < 1 or self.epochs < 0 or self.t_max < 1:

@@ -1,9 +1,8 @@
-"""Token vocabulary with reserved control tokens and deterministic build order."""
+"""Token vocabulary with reserved control tokens."""
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -15,7 +14,7 @@ _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
 
 class CorpusError(ValueError):
-    """Raised for empty corpora or malformed vocabulary input."""
+    """Raised for malformed vocabulary input."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -42,9 +41,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return self.size
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.token_to_index.get(t, UNK_ID) for t in tokens]
@@ -74,18 +70,3 @@ class Vocabulary:
         if tuple(lines[:4]) != RESERVED:
             raise CorpusError(f"vocabulary file {path} does not start with the reserved tokens")
         return cls(lines[4:])
-
-
-def build_vocab(sequences: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
-    """Vocabulary of all tokens with corpus frequency >= min_count, inserted
-    by descending frequency then lexicographic order."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    counts: Counter[str] = Counter()
-    for seq in sequences:
-        counts.update(seq)
-    if not counts:
-        raise CorpusError("cannot build a vocabulary from an empty corpus")
-    kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)

@@ -9,8 +9,11 @@ one-row node.
 single-purpose ops (`vslice`, `lstm_cell`, `gates_cell`,
 `additive_attention`, `attend`, defined here over the kernel's plain-array
 helpers) that computes what the plain-array `policy.policy_step` computes,
-bit for bit, reading the nodes of the visual LSTM's hoisted gate terms that
-`policy.project_batch` keeps in its scene's `terms`.
+bit for bit. It reads a `term_batch` scene: the arrays of a
+`policy.project_batch` scene made again as graph nodes, the regions by
+`project_rows` and the visual LSTM's hoisted gate terms by
+`visual_gate_terms`, whose backward closures take W_v, W_e and the visual
+LSTM's part of the gradient that `policy.RowUnroll.loss` hands them itself.
 `unhoisted_policy_step` is the same step with the visual LSTM's whole
 input [s_lang, W_v mean(v), W_e word] multiplied by its W_x at every step,
 as it was before those terms were hoisted, over an `unhoisted_batch` scene
@@ -191,6 +194,74 @@ def gates_cell(gates, c_prev):
     return vslice(state, 0, z), vslice(state, z, 2 * z)
 
 
+def project_rows(features, W):
+    """features @ W.T: every region of a constant (n, m, E) array through
+    W (Z, E) in one node; W's gradient is deferred as the pair (g, features)
+    with the regions flattened into rows."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 3 or W.data.ndim != 2 or W.data.shape[1] != features.shape[-1]:
+        raise K.ShapeError(f"project_rows expects (n, m, E) rows for W {W.shape}, "
+                           f"got {features.shape}")
+    flat = features.reshape(-1, features.shape[-1])
+    out = (flat @ W.data.T).reshape(features.shape[:-1] + (W.data.shape[0],))
+
+    def bw(g, accum):
+        accum(W, g.reshape(flat.shape[0], -1), flat)
+
+    return K.Tensor(out, (W,), bw, "project_rows")
+
+
+def visual_gate_terms(params, means):
+    """The visual LSTM's gate terms that are fixed within an unroll as
+    nodes, from its W_x columns [s_lang | mean | word] and (n, E) region
+    means: the (n, 4Z) mean-feature term plus the bias, the (D, 4Z) word
+    table and the (4Z, 2Z) weights [W_h | W_x's s_lang columns] of [s_vis,
+    s_lang]."""
+    vis, z = params.vis, params.hidden_size
+    W_x = vis.W_x.data
+    width = W_x.shape[1]
+    mean_proj = means @ params.W_v.data.T
+
+    def mean_bw(g, accum):
+        accum(params.W_v, g @ W_x[:, z:2 * z], means)
+        accum(vis.W_x, P._in_columns(g.T @ mean_proj, z, width))
+        accum(vis.b, g.sum(axis=0))
+
+    def word_bw(g, accum):
+        accum(params.W_e, g @ W_x[:, 2 * z:])
+        accum(vis.W_x, P._in_columns(g.T @ params.W_e.data, 2 * z, width))
+
+    def state_bw(g, accum):
+        accum(vis.W_h, g[:, :z])
+        accum(vis.W_x, P._in_columns(g[:, z:], 0, width))
+
+    return (K.Tensor(mean_proj @ W_x[:, z:2 * z].T + vis.b.data, (params.W_v, vis.W_x, vis.b),
+                     mean_bw, "mean_gates"),
+            K.Tensor(params.W_e.data @ W_x[:, 2 * z:].T, (params.W_e, vis.W_x), word_bw,
+                     "word_gates"),
+            K.Tensor(np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), (vis.W_h, vis.W_x),
+                     state_bw, "state_weights"))
+
+
+@dataclass
+class TermScene:
+    """A policy.project_batch scene whose step-invariant arrays are graph
+    nodes: what composite_policy_step reads."""
+
+    features: np.ndarray          # (n, m, E), zero-padded
+    mask: np.ndarray | None
+    terms: tuple                  # the region_proj, mean_gates, word_gates and W_state nodes
+
+
+def term_batch(params, features):
+    """policy.project_batch's scene of features, its four arrays made again
+    as the nodes of project_rows and visual_gate_terms."""
+    scene = P.project_batch(params, features)
+    return TermScene(scene.features, scene.mask,
+                     (project_rows(scene.features, params.W_v),
+                      *visual_gate_terms(params, scene.means)))
+
+
 def _attend_and_speak(params, scene, region_proj, s_vis, s_lang0, c_lang0):
     """The step after the visual LSTM over the region_proj node of scene's
     regions: (logits, s_lang, c_lang, attended features, attention
@@ -204,7 +275,7 @@ def _attend_and_speak(params, scene, region_proj, s_vis, s_lang0, c_lang0):
 
 
 def composite_policy_step(params, prev_word, state, scene):
-    """policy_step as a composite graph over the nodes of a project_batch
+    """policy_step as a composite graph over the nodes of a term_batch
     scene's terms: four vslices of the state and one of its [s_vis, s_lang]
     columns, the visual gates as an affine of those by W_state plus
     mean_gates and a take_row of word_gates, a gates_cell and an lstm_cell
@@ -245,7 +316,7 @@ def unhoisted_batch(params, features):
         padded[r, :f.shape[0]] = f
         mask[r, :f.shape[0]] = True
     means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
-    return UnhoistedScene(padded, K.project_rows(padded, params.W_v),
+    return UnhoistedScene(padded, project_rows(padded, params.W_v),
                           K.affine(K.constant(means), params.W_v), None if mask.all() else mask)
 
 
@@ -267,7 +338,8 @@ def unhoisted_policy_step(params, prev_word, state, scene):
 
 def row_steps(params, scene, choose, t_max, step=composite_policy_step):
     """(token, logits, state) nodes per step of a plain loop over step (by
-    default composite_policy_step) from <bos> that feeds every row of scene
+    default composite_policy_step, over a term_batch scene) from <bos> that
+    feeds every row of scene
     the tokens choose(t, logits); a caller stops early by leaving the loop.
     It stands apart from policy.unroll, so no reference runs the loop it
     checks."""
@@ -284,7 +356,7 @@ def forced_unroll(params, features, tokens):
     state (1, 4Z); it does not stop at <eos>."""
     if not tokens:
         raise ValueError("cannot unroll an empty sequence")
-    return list(row_steps(params, P.project_batch(params, [features]),
+    return list(row_steps(params, term_batch(params, [features]),
                           lambda t, logits: np.array([tokens[t]]), len(tokens)))
 
 
@@ -382,7 +454,7 @@ def one_row_sample(params, features, t_max, rng):
 
     steps = []
     with K.no_grad():
-        for step in row_steps(params, P.project_batch(params, [features]), choose, t_max):
+        for step in row_steps(params, term_batch(params, [features]), choose, t_max):
             steps.append(step)
             if step[0][0] == EOS_ID:
                 break
@@ -441,7 +513,7 @@ def padded_sample_rows(params, features, t_max, rngs):
         return token
 
     with K.no_grad():
-        for token, _, state in row_steps(params, P.project_batch(params, features),
+        for token, _, state in row_steps(params, term_batch(params, features),
                                          choose, t_max):
             picked = dist[np.arange(n), token]
             steps.append((token, np.log(np.maximum(picked, K.LOGPROB_FLOOR)),
@@ -482,7 +554,7 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None, unh
     lp_w = None if lp_weights is None else _padded(lp_weights, width)
     ce, lp = np.zeros(real.shape), np.zeros(real.shape)
     terms = []
-    scene = (unhoisted_batch if unhoisted else P.project_batch)(params, features)
+    scene = (unhoisted_batch if unhoisted else term_batch)(params, features)
     steps = row_steps(params, scene, lambda t, logits: forced[:, t], width,
                       unhoisted_policy_step if unhoisted else composite_policy_step)
     for t, (_, logits, _) in enumerate(steps):

@@ -193,7 +193,9 @@ class TestTrain:
         assert (out / "last.ckpt").read_bytes() == (rerun / "last.ckpt").read_bytes()
 
     @pytest.mark.parametrize("key,value", [("hidden_size", 2.5), ("t_max", 2.5),
-                                           ("embed_size", 0), ("seed", -1)])
+                                           ("embed_size", 0), ("seed", -1),
+                                           ("learning_rate", float("nan")),
+                                           ("lr_decay", -1.0)])
     def test_bad_config_value_fails_cleanly(self, synth_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train_manifest": str(synth_dir / "train_manifest.json"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from curioseq import kernel as K
 from oracles import (add_n, additive_attention, attend, first_row, gates_cell, logprob, lstm_cell,
-                     vslice)
+                     project_rows, vslice)
 
 
 def p(name, arr):
@@ -563,13 +563,13 @@ class TestProjectRows:
 
     def test_matches_per_row_affine(self):
         features, W, weights = self.make(0)
-        out = K.project_rows(features, W)
+        out = project_rows(features, W)
         rows = seed_project_rows(features, W)
         np.testing.assert_allclose(out.data[0], np.concatenate([r.data for r in rows]),
                                    rtol=0, atol=1e-12)
 
         def fused():
-            return K.sumsq(mul(weights, K.project_rows(features, W)))
+            return K.sumsq(mul(weights, project_rows(features, W)))
 
         def composite():
             return add_n([K.sumsq(mul(K.constant(weights.data[0, i:i + 1]), r))
@@ -579,15 +579,15 @@ class TestProjectRows:
 
     def test_grad_check(self):
         features, W, weights = self.make(1)
-        assert K.grad_check(lambda: K.sumsq(mul(weights, K.project_rows(features, W))),
+        assert K.grad_check(lambda: K.sumsq(mul(weights, project_rows(features, W))),
                             [W]) <= 1e-4
 
     def test_bad_shapes(self):
         features, W, _ = self.make(2)
         with pytest.raises(K.ShapeError):            # (m, E) regions without the row axis
-            K.project_rows(features[0], W)
+            project_rows(features[0], W)
         with pytest.raises(K.ShapeError):
-            K.project_rows(np.zeros((1, 4, 2)), W)
+            project_rows(np.zeros((1, 4, 2)), W)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +607,7 @@ class TestDeferredGradients:
         terms.append(K.dotp(K.constant(ws[0][:3]),
                             first_row(K.take_row(W, np.array([1])))))      # direct
         terms.append(K.sumsq(W))                                           # direct
-        terms.append(K.sumsq(mul(K.constant(fw[None]), K.project_rows(feats[None], W))))
+        terms.append(K.sumsq(mul(K.constant(fw[None]), project_rows(feats[None], W))))
         K.zero_grads([W])
         K.backward(add_n(terms))
         expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
@@ -710,7 +710,7 @@ def _case_attend(rng):
 def _case_project_rows(rng):
     W = p("W", rng.standard_normal((5, 3)))
     features = rng.standard_normal((N_ROWS, 4, 3))
-    return {}, [W], lambda get, r: K.project_rows(features if r is None else features[r:r + 1], W)
+    return {}, [W], lambda get, r: project_rows(features if r is None else features[r:r + 1], W)
 
 
 def _case_softmax(rng):

@@ -244,8 +244,15 @@ class TestReferenceStatistics:
         assert stats.vectors[3] == [{}, {}] and stats.norms[3] == [0.0, 0.0]
 
     def test_a_sample_without_references_is_rejected(self):
+        idf = M.build_idf([DOC1, DOC2])
         with pytest.raises(ValueError, match="without references"):
             M.bleu([(("a",), [])])
+        with pytest.raises(ValueError, match="without references"):
+            M.cider_single(("a",), [], idf)
+        with pytest.raises(ValueError, match="without references"):
+            M.cider([(("a",), [])], idf)
+        with pytest.raises(ValueError, match="without references"):
+            M.reference_stats([], idf)
         with pytest.raises(ValueError, match="at least one sample"):
             M.bleu([])
 

@@ -6,7 +6,8 @@ from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
 from oracles import (add_n, composite_policy_step, forced_trace, forced_unroll, one_row_sample,
                      padded_sample_rows, padded_score_rows, per_hypothesis_beam, rl_surrogate,
-                     sequence_log_prob, unhoisted_batch, unhoisted_policy_step, unstack)
+                     sequence_log_prob, term_batch, unhoisted_batch, unhoisted_policy_step,
+                     unstack, visual_gate_terms)
 
 
 def sample_trace(params, feats, t_max, rng):
@@ -58,22 +59,19 @@ def created_tensors(monkeypatch):
     return created
 
 
-def region_parameters(monkeypatch):
-    """Patch policy.project_batch to make each scene's region_proj term a
-    Parameter, so its gradient can be read; returns the (features,
-    Parameter) of each scene it projects."""
-    projected = []
-    project = P.project_batch
+def region_gradient(run, loss):
+    """The (n, m, Z) gradient of loss on the run's projected regions: the g
+    of the (g, x) pair whose x is the run's padded regions, which the
+    loss's reverse pass hands W_v."""
+    pairs = []
 
-    def with_region_parameter(params, features):
-        scene = project(params, features)
-        regions = K.Parameter(scene.region_proj.copy(), "regions")
-        scene.terms = (regions, *scene.terms[1:])
-        projected.append((list(features), regions))
-        return scene
+    def accum(node, g, x=None):
+        if node is run.params.W_v and x is not None and np.shares_memory(x, run.scene.features):
+            pairs.append(g)
 
-    monkeypatch.setattr(P, "project_batch", with_region_parameter)
-    return projected
+    loss.backward_fn(np.ones(()), accum)
+    (g,) = pairs
+    return g.reshape(run.scene.region_proj.shape)
 
 
 def counted_steps(monkeypatch):
@@ -136,7 +134,7 @@ class TestPolicyStep:
         z = params.hidden_size
         _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         _, parts, _, _ = composite_policy_step(params, np.array([BOS_ID]), None,
-                                               one_row(params, feats))
+                                               term_batch(params, [feats]))
         assert record.state.shape == (1, 4 * z)
         np.testing.assert_array_equal(record.state, parts.data)
         episode = P.rollout_sample(params, feats, 1, np.random.default_rng(0))
@@ -150,7 +148,7 @@ class TestPolicyStep:
         created = created_tensors(monkeypatch)
         logits, step = P.policy_step(params, np.array([4]), record.state, scene)
         monkeypatch.undo()
-        assert K.recording() and created == []
+        assert created == []
         assert type(logits) is np.ndarray and type(step.state) is np.ndarray
 
     def test_word_index_validated(self):
@@ -403,31 +401,28 @@ class TestScoreRows:
             np.testing.assert_allclose(run.ce_values[r, :len(ref)], expected, rtol=1e-12)
             assert (run.ce_values[r, len(ref):] == 0.0).all()
 
-    def test_padded_steps_and_regions_get_exactly_zero_gradient(self, monkeypatch):
+    def test_padded_steps_and_regions_get_exactly_zero_gradient(self):
         params, feats, _ = row_batch()
         feats, refs = feats[:2], [[4, 6], [5, 3, 7, 4, 8, EOS_ID]]
         # row 0 ends after two steps and row 1 after six: token 6 would be
         # fed only to row 0 past its end, and <eos> to neither
-        projected = region_parameters(monkeypatch)
         forced = P.unroll_rows(params, feats, refs, T_MAX)
         joint = P.unroll_rows(params, feats, refs, T_MAX, row_rngs(2))
-        monkeypatch.undo()
-        for run, (rows, regions) in zip((forced, joint), projected):
+        for run, rows in ((forced, feats), (joint, feats + feats)):
             weights = np.ones(run.ce_values.shape)
-            K.zero_grads(params.parameters() + [regions])
-            if run.episodes.lengths.size:
-                K.backward(run.loss(weights, -weights))
-            else:
-                K.backward(run.loss(weights))
+            K.zero_grads(params.parameters())
+            loss = run.loss(weights, -weights) if run.episodes.lengths.size else run.loss(weights)
+            K.backward(loss)
+            if not run.episodes.lengths.size:
                 assert (params.W_e.grad[EOS_ID] == 0.0).all()
                 assert (params.W_e.grad[6] == 0.0).all()
                 assert (params.W_e.grad[4] != 0.0).any()      # fed on row 0's second step
+            regions = region_gradient(run, loss)
             # each scene's regions, wherever its rows are: m = 2, then m = 5 of 5
-            for f in feats:
+            for r, f in enumerate(rows):
                 m = f.shape[0]
-                for r in [r for r, g in enumerate(rows) if g is f]:
-                    assert (regions.grad[r, m:] == 0.0).all()
-                    assert (regions.grad[r, :m] != 0.0).any()
+                assert (regions[r, m:] == 0.0).all()
+                assert (regions[r, :m] != 0.0).any()
 
     def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
         # none: a step of two rows, like a step of one, builds no tensor
@@ -595,18 +590,17 @@ class TestUnrollNode:
         np.testing.assert_allclose(run.ce_values, oracle.cross_entropy, rtol=1e-12, atol=0)
 
     def test_records_one_node_and_no_step_nodes(self, monkeypatch):
-        # the unroll builds its scene's four terms and no other tensor
+        # the unrolls build no tensor; the loss is one node over the Parameters
         params, feats, refs = row_batch()
         created = created_tensors(monkeypatch)
         run = unroll_batch(params, feats, refs)
+        P.rollout_greedy(params, feats[1], T_MAX)
+        P.beam_search(params, feats[1], T_MAX, 3)
         monkeypatch.undo()
-        assert all(t.parents for t in created)
-        assert sorted(t.op for t in created) == ["mean_gates", "project_rows", "state_weights",
-                                                 "word_gates"]
+        assert created == []
         _, _, loss = weighted_loss(run, refs)
-        graph = [node.op for node in K._toposort(loss) if node.op != "param"]
-        assert sorted(graph) == ["mean_gates", "project_rows", "state_weights", "unroll",
-                                 "word_gates"]
+        assert loss.op == "unroll" and list(loss.parents) == params.parameters()
+        assert [node.op for node in K._toposort(loss) if node.op != "param"] == ["unroll"]
 
     @pytest.mark.parametrize("kind", ["forced", "joint"])
     def test_gradients_match_finite_differences(self, kind):
@@ -635,23 +629,26 @@ class TestUnrollNode:
 
         def fn():
             return add_n([K.dotp(K.constant(w.ravel()), flat(t))
-                          for w, t in zip(weights, P.visual_gate_terms(params, means))])
+                          for w, t in zip(weights, visual_gate_terms(params, means))])
 
         checked = [params.W_v, params.W_e, *params.vis.parameters()]
         assert K.grad_check(fn, checked) <= 1e-4
 
-    def test_an_unroll_under_no_grad_has_no_gradient_path(self):
+    def test_an_unroll_under_no_grad_gives_the_recorded_loss_and_gradients(self):
         params, feats, refs = row_batch()
         with K.no_grad():
-            run = unroll_batch(params, feats, refs)
-        # the refusal reads the flag the unroll set, not whether it kept steps
-        assert not run.recorded and len(run.steps) == len(run.rows)
-        assert unroll_batch(params, feats, refs).recorded
-        with pytest.raises(ValueError):
-            weighted_loss(run, refs)
+            detached = unroll_batch(params, feats, refs)
+        runs = []
+        for run in (unroll_batch(params, feats, refs), detached):
+            _, _, loss = weighted_loss(run, refs)
+            runs.append((float(loss.data), K.gradients(loss, params.parameters())))
+        (value, grads), (detached_value, detached_grads) = runs
+        assert detached_value == value
+        for q in params.parameters():
+            assert np.abs(grads[q.name]).max() > 0.0
+            np.testing.assert_array_equal(detached_grads[q.name], grads[q.name], err_msg=q.name)
         with K.no_grad():
-            assert float(weighted_loss(run, refs)[2].data) == float(
-                weighted_loss(unroll_batch(params, feats, refs), refs)[2].data)
+            assert float(weighted_loss(detached, refs)[2].data) == value
 
 
 def step_values(params, scene, words):
@@ -691,7 +688,7 @@ class TestFusedStep:
         """One sequence, as one row."""
         params, feats = tiny_policy(seed=21)
         words = [np.array([w]) for w in (BOS_ID, 4, 7, EOS_ID)]
-        return params, lambda: one_row(params, feats), words[:-1], words[1:]
+        return params, [feats], words[:-1], words[1:]
 
     @staticmethod
     def row_case(saturated=True):
@@ -699,13 +696,13 @@ class TestFusedStep:
         if not saturated:                       # finite differences need smooth logits
             params.W_p.data[...] = np.random.default_rng(3).uniform(-0.5, 0.5, params.W_p.shape)
         words = [np.full(6, BOS_ID), np.array([4, 5, 6, 7, 8, 3]), np.array([5, 5, 2, EOS_ID, 4, 6])]
-        return params, lambda: P.project_batch(params, feats), words, words[1:] + [words[0]]
+        return params, feats, words, words[1:] + [words[0]]
 
     @pytest.mark.parametrize("case", ["vector_case", "row_case"])
     def test_outputs_equal_the_composite_step(self, case):
-        params, scene, words, _ = getattr(self, case)()
-        fused = step_values(params, scene(), words)
-        composite = composite_values(params, scene(), words)
+        params, feats, words, _ = getattr(self, case)()
+        fused = step_values(params, P.project_batch(params, feats), words)
+        composite = composite_values(params, term_batch(params, feats), words)
         for got, want in zip(fused, composite):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -714,11 +711,10 @@ class TestFusedStep:
         # n rows, each with its own scene (m = 2 padded to 5, or m = 5),
         # against n one-row calls, one scene each; and the gradient of the
         # n-row teacher-forced unroll against the sum of the n one-row ones
-        params, scene, words, targets = self.row_case(saturated=False)
-        _, feats, _ = row_batch()
+        params, feats, words, targets = self.row_case(saturated=False)
         refs = forced_refs(targets)
         weights = np.linspace(0.5, 1.5, len(feats))[:, None] * np.ones(len(words))
-        rows = step_values(params, scene(), words)
+        rows = step_values(params, P.project_batch(params, feats), words)
         K.zero_grads(params.parameters())
         K.backward(P.unroll_rows(params, feats, refs, len(words)).loss(weights))
         batched = {q.name: q.grad.copy() for q in params.parameters()}
@@ -737,17 +733,12 @@ class TestFusedStep:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
                                        err_msg=q.name)
 
-    def test_padded_regions_get_exactly_zero_gradient(self, monkeypatch):
-        params, _, words, targets = self.row_case()
-        _, feats, _ = row_batch()
-        projected = region_parameters(monkeypatch)
+    def test_padded_regions_get_exactly_zero_gradient(self):
+        params, feats, words, targets = self.row_case()
         run = P.unroll_rows(params, feats, forced_refs(targets), len(words))
-        monkeypatch.undo()
-        ((_, regions),) = projected
-        K.zero_grads(params.parameters() + [regions])
-        K.backward(run.loss(np.ones(run.ce_values.shape)))
+        regions = region_gradient(run, run.loss(np.ones(run.ce_values.shape)))
         mask = run.scene.mask
-        assert (regions.grad[~mask] == 0.0).all() and (regions.grad[mask] != 0.0).any(axis=-1).all()
+        assert (regions[~mask] == 0.0).all() and (regions[mask] != 0.0).any(axis=-1).all()
 
     @staticmethod
     def gathers(monkeypatch):
@@ -806,6 +797,18 @@ class TestFusedStep:
         drops = [len(a) > len(b) for a, b in zip(run.rows, run.rows[1:])] + [False]
         assert sum(drops) >= 2
         assert self.state_gathers(events) == [int(d) for d in drops]
+
+    def test_no_gather_follows_the_last_step(self, monkeypatch):
+        # a width-3 beam that runs all t_max = 6 steps reorders its rows
+        # after steps 1 and 2; no step is left to read a gather after step 6
+        rng = np.random.default_rng(0)
+        params = P.init_policy(rng, 9, 5, 4)
+        for p in params.parameters():
+            p.data *= 6.0
+        events = self.gathers(monkeypatch)
+        P.beam_search(params, rng.standard_normal((3, 4)), 6, width=3)
+        monkeypatch.undo()
+        assert self.state_gathers(events) == [1, 1, 0, 0, 0, 0]
 
 
 class TestGreedy:

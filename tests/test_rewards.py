@@ -256,13 +256,6 @@ class TestRlLoss:
         with pytest.raises(ValueError):
             R.rl_loss(trace, np.zeros((1, len(trace) + 1)))
 
-    def test_rejects_nodes_made_under_no_grad_while_recording(self, small_rollout):
-        params, feats, trace = small_rollout
-        with K.no_grad():
-            detached = sampled_run(params, feats)
-        with pytest.raises(ValueError, match="no_grad"):
-            lp_loss(detached, np.ones(len(trace)))
-
     def test_value_only_evaluation_inside_no_grad(self, small_rollout):
         params, feats, trace = small_rollout
         adv = np.linspace(0.5, 1.5, len(trace))

@@ -49,6 +49,8 @@ class TestConfigValidation:
         ("imitation_decay", 1.5),
         ("intrinsic_scale", -1.0),
         ("learning_rate", 0.0),
+        ("lr_decay", 0.0),
+        ("lr_decay", -1.0),
         ("lr_decay_period", 0),
         ("batch_size", 0),
         ("clip_norm", -1.0),
@@ -59,6 +61,15 @@ class TestConfigValidation:
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(T.ConfigError):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "intrinsic_scale", "discount", "td_lambda", "action_loss_weight", "state_loss_weight",
+        "imitation_weight", "imitation_decay", "bleu_weight", "cider_weight", "learning_rate",
+        "lr_decay", "clip_norm", "curiosity_init_scale"])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(T.ConfigError, match=f"{field} must be finite"):
             tiny_config(**{field: value})
 
 

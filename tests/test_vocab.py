@@ -14,36 +14,13 @@ def test_reserved_tokens_have_fixed_indices():
     assert vocab.size == 6
 
 
-def test_min_count_boundary():
-    # frequency 5 with min_count 5 stays in; frequency 4 is dropped
-    sequences = [["kept"] * 5 + ["dropped"] * 4]
-    vocab = V.build_vocab(sequences, min_count=5)
-    assert "kept" in vocab
-    assert "dropped" not in vocab
-    assert vocab.encode(["dropped"]) == [V.UNK_ID]
-
-
-def test_build_order_frequency_then_lexicographic():
-    sequences = [["b", "b", "a", "a", "c"]]
-    vocab = V.build_vocab(sequences)
-    # a and b both have count 2; a wins the tie, c follows with count 1
-    assert vocab.index_to_token[4:] == ["a", "b", "c"]
-
-
-def test_empty_corpus_errors():
-    with pytest.raises(V.CorpusError):
-        V.build_vocab([])
-    with pytest.raises(V.CorpusError):
-        V.build_vocab([[]])
-
-
 def test_unknown_token_round_trips_as_unk():
-    vocab = V.build_vocab([["known"]])
+    vocab = V.Vocabulary(["known"])
     assert vocab.decode(vocab.encode(["mystery"])) == [V.UNK]
 
 
 def test_decode_out_of_range():
-    vocab = V.build_vocab([["x"]])
+    vocab = V.Vocabulary(["x"])
     with pytest.raises(V.CorpusError):
         vocab.decode([vocab.size])
     with pytest.raises(V.CorpusError):
@@ -54,7 +31,7 @@ def test_decode_out_of_range():
                 min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_round_trip_property(tokens):
-    vocab = V.build_vocab([["sun", "moon", "star", "sky", "sea"]])
+    vocab = V.Vocabulary(["sun", "moon", "star", "sky", "sea"])
     assert vocab.decode(vocab.encode(tokens)) == tokens
 
 
@@ -64,7 +41,7 @@ def test_tokenize_lowercases_and_keeps_punctuation():
 
 
 def test_save_and_load(tmp_path):
-    vocab = V.build_vocab([["alpha", "beta", "beta"]])
+    vocab = V.Vocabulary(["beta", "alpha"])
     path = tmp_path / "vocab.txt"
     vocab.save(path)
     loaded = V.Vocabulary.load(path)
@@ -79,7 +56,7 @@ def test_load_rejects_bad_header(tmp_path):
 
 
 def test_decode_text_strips_control_tokens():
-    vocab = V.build_vocab([["word"]])
+    vocab = V.Vocabulary(["word"])
     ids = [V.BOS_ID] + vocab.encode(["word"]) + [V.EOS_ID]
     assert vocab.decode_text(ids) == ["word"]
 
