@@ -4,12 +4,11 @@ Every operation the curiosity networks need is implemented here with an
 explicit forward value and a backward closure. There is no general graph
 compiler: nodes simply remember their parents, and ``backward`` walks them
 in reverse topological order. The LSTM and additive-attention math lives
-once, in plain-array forward/backward helpers (``lstm_cell_forward``
-over precomputed gates, ``lstm_forward``, ``attention_forward`` and their
-backward halves) that the policy step and the unroll's reverse pass call;
-the policy's only graph node is the unroll's, whose backward hands every
-policy Parameter its gradient. Weight-matrix gradients are batched into one
-matmul per Parameter at the end of ``backward``. All math is 64-bit so
+once, in plain-array forward/backward helpers (``lstm_cell_forward`` over
+precomputed gates, ``attention_forward`` and their backward halves) that
+return their gradients as arrays; the policy step and the unroll's reverse
+pass call them, and the policy's only graph node is the unroll's, whose
+backward hands every policy Parameter its gradient. All math is 64-bit so
 finite-difference checks are reliable.
 
 The ops take rows: an array with a leading row axis, one row per sequence
@@ -30,6 +29,7 @@ import numpy as np
 CE_EPSILON = 1e-12
 LOGPROB_FLOOR = 1e-12
 DEFAULT_LEAKY_SLOPE = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # the adaptive variant's decays and floor
 
 
 class ShapeError(ValueError):
@@ -117,32 +117,18 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, seed: float = 1.0) -> None:
     """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
 
-    Backward closures hand each gradient to ``accum(node, g)``. For a weight
-    matrix they may call ``accum(W, g, x)`` instead, meaning ``g.T @ x`` for
-    row-stacked (n, out) g and (n, in) x. Such pairs are collected per
-    Parameter and reduced with one ``G.T @ X`` matmul after the walk; a
-    non-Parameter node gets its pair materialised at once. Other
-    contributions to a Parameter go straight into its grad.
+    Backward closures hand each gradient to ``accum(node, g)``: a Parameter
+    adds g to its grad at once, and any other node sums its gradients until
+    the walk reaches it.
     """
     grads: dict[int, np.ndarray] = {}
-    deferred: dict[int, tuple[Parameter, list, list]] = {}
 
-    def accum(node: Tensor, g: np.ndarray, x: np.ndarray | None = None) -> None:
+    def accum(node: Tensor, g: np.ndarray) -> None:
         if isinstance(node, Parameter):
-            if x is None:
-                node.grad += g
-                return
-            entry = deferred.get(id(node))
-            if entry is None:
-                deferred[id(node)] = (node, [g], [x])
-            else:
-                entry[1].append(g)
-                entry[2].append(x)
+            node.grad += g
             return
         if node.backward_fn is None:
             return
-        if x is not None:
-            g = g.T @ x
         key = id(node)
         prev = grads.get(key)
         grads[key] = g if prev is None else prev + g
@@ -152,8 +138,6 @@ def backward(loss: Tensor, seed: float = 1.0) -> None:
         g = grads.pop(id(node), None)
         if g is not None:
             node.backward_fn(g, accum)
-    for p, gs, xs in deferred.values():
-        p.grad += np.vstack(gs).T @ np.vstack(xs)
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -185,7 +169,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         out = out + b.data
 
     def bw(g, accum):
-        accum(W, g, x.data)
+        accum(W, g.T @ x.data)
         accum(x, g @ W.data)
         if b is not None:
             accum(b, g.sum(axis=0))
@@ -356,14 +340,14 @@ def attention_forward(R: np.ndarray, h_proj: np.ndarray, w_a: np.ndarray,
     return softmax_values(scores), t
 
 
-def attention_backward(accum, w_a: Tensor, a: np.ndarray, t: np.ndarray,
-                       g: np.ndarray) -> np.ndarray:
-    """Hand w_a its gradient for g on the weights a; return the gradient on
-    the pre-tanh sums R_i + h_proj (h_proj's is its sum over the regions).
-    Masked regions have a = 0, so their gradient is exactly zero."""
+def attention_backward(w_a: np.ndarray, a: np.ndarray, t: np.ndarray,
+                       g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Given g on the weights a, return the gradients (d_w_a, d_pre) on w_a
+    and on the pre-tanh sums R_i + h_proj (h_proj's is d_pre's sum over the
+    regions). Masked regions have a = 0, so their d_pre is exactly zero."""
     d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
-    accum(w_a, d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]))
-    return d_scores[..., None] * w_a.data * (1.0 - t * t)
+    return (d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]),
+            d_scores[..., None] * w_a * (1.0 - t * t))
 
 
 def _picked(logits: Tensor, index: np.ndarray) -> tuple:
@@ -449,28 +433,6 @@ def lstm_cell_backward(cache: tuple, dh: np.ndarray,
     return d_gates, dc * f
 
 
-def lstm_forward(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step over plain arrays, a row per sequence; returns
-    (h, c, cache), the cache being what lstm_backward reads."""
-    gates = (x @ params.W_x.data.T + params.b.data) + h_prev @ params.W_h.data.T
-    h, c, cell = lstm_cell_forward(gates, c_prev)
-    return h, c, (x, h_prev, cell)
-
-
-def lstm_backward(accum, params: LstmParams, cache: tuple, dh: np.ndarray,
-                  dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Given dh and dc on an lstm_forward step's outputs, hand W_x and W_h
-    the gate gradient as deferred (g, x) pairs and b its sum, and return the
-    gradients (dx, dh_prev, dc_prev) on the step's inputs."""
-    x, h_prev, cell = cache
-    d_gates, dc_prev = lstm_cell_backward(cell, dh, dc)
-    accum(params.W_x, d_gates, x)
-    accum(params.W_h, d_gates, h_prev)
-    accum(params.b, d_gates.sum(axis=0))
-    return d_gates @ params.W_x.data, d_gates @ params.W_h.data, dc_prev
-
-
 # ---------------------------------------------------------------------------
 # initialization helpers
 
@@ -496,9 +458,6 @@ class OptimState:
     learning_rate: float
     clip_norm: float | None = 5.0
     variant: str = "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     slots: dict = field(default_factory=dict)
     step_count: int = 0
 
@@ -546,14 +505,14 @@ def sgd_step(params: Sequence[Parameter], opt: OptimState) -> None:
         #   m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) (g g),
         #   data -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
         m, v = slot["m"], slot["v"]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * p.grad
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (p.grad * p.grad)
-        step = m / (1.0 - opt.beta1 ** t)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
+        step = m / (1.0 - ADAM_BETA1 ** t)
         step *= opt.learning_rate
-        denom = np.sqrt(v / (1.0 - opt.beta2 ** t))
-        denom += opt.eps
+        denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+        denom += ADAM_EPS
         step /= denom
         p.data -= step
 

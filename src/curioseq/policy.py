@@ -6,9 +6,11 @@ features, previous word embedding]; its state attends over projected region
 features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
 runs all of it over plain arrays, one state array per sequence, [s_vis,
-s_lang, c_vis, c_lang], and records no graph node: the one gradient path is
-RowUnroll.loss, one node over the policy's Parameters whose backward pass
-runs an unroll's steps in reverse and hands every Parameter its gradient.
+s_lang, c_vis, c_lang], computes both LSTMs' gates for lstm_cell_forward
+and records no graph node: the one gradient path is RowUnroll.loss, one
+node over the policy's Parameters whose backward pass runs an unroll's
+steps in reverse through the kernel's backward helpers, which return their
+gradients, and hands each Parameter its gradient once.
 
 Two thirds of the visual LSTM's input is fixed within an unroll, per scene
 row and per word, so project_batch multiplies those parts by the LSTM's
@@ -41,10 +43,8 @@ from .kernel import (
     attention_forward,
     check_index,
     init_lstm,
-    lstm_backward,
     lstm_cell_backward,
     lstm_cell_forward,
-    lstm_forward,
     softmax_values,
     xavier_uniform,
 )
@@ -113,13 +113,6 @@ class ProjectedScene:
                               None if self.mask is None else self.mask[rows])
 
 
-def _in_columns(block: np.ndarray, start: int, width: int) -> np.ndarray:
-    """block as columns start: of a zero matrix width columns wide."""
-    full = np.zeros((block.shape[0], width))
-    full[:, start:start + block.shape[1]] = block
-    return full
-
-
 def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
     """One row per (m_r, E) scene: regions zero-padded to the largest m with
     a region mask, projected through W_v, and the visual LSTM's gate terms
@@ -155,7 +148,8 @@ class StepRecord:
     vis: tuple                # lstm_cell_forward's cache of the visual LSTM
     attn: np.ndarray          # (n, m) attention weights
     tanh: np.ndarray          # (n, m, Z) attention_forward's tanh
-    lang: tuple               # lstm_forward's cache of the language LSTM
+    x_lang: np.ndarray        # (n, E + Z) the language LSTM's input
+    lang: tuple               # lstm_cell_forward's cache of the language LSTM
 
 
 def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray | None,
@@ -178,32 +172,35 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray |
     attn, t = attention_forward(scene.region_proj, s_vis @ params.W_h.data.T,
                                 params.W_a.data, scene.mask)
     x_lang = np.concatenate([attend_values(attn, scene.features), s_vis], axis=-1)
-    s_lang, c_lang, lang = lstm_forward(params.lang, x_lang, state[:, z:2 * z], state[:, 3 * z:])
+    lang = params.lang
+    gates = (x_lang @ lang.W_x.data.T + lang.b.data) + state[:, z:2 * z] @ lang.W_h.data.T
+    s_lang, c_lang, cell = lstm_cell_forward(gates, state[:, 3 * z:])
     new_state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
     return (s_lang @ params.W_p.data.T,
-            StepRecord(prev_word, state, new_state, scene.features, vis, attn, t, lang))
+            StepRecord(prev_word, state, new_state, scene.features, vis, attn, t, x_lang, cell))
 
 
-def _step_backward(accum, params: PolicyParams, step: StepRecord, W_state: np.ndarray,
-                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step in reverse, given g (n, 4Z) on the state it made: hands
-    W_h, W_a and the language LSTM their gradients through accum and
-    returns the gradients on the state it read, on its visual gates and on
-    its pre-tanh attention sums (those of the regions, whose sum over the
-    regions W_h's projection of s_vis got)."""
+def _step_backward(params: PolicyParams, step: StepRecord, W_state: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step in reverse, given g (n, 4Z) on the state it made: returns
+    the gradients on the state it read, on its visual and language gates,
+    on W_h's projection of s_vis, on its pre-tanh attention sums (those of
+    the regions, whose sum over the regions is the projection's) and on
+    W_a."""
     z = params.hidden_size
     e = step.features.shape[-1]
-    dx_lang, ds_lang, dc_lang = lstm_backward(accum, params.lang, step.lang,
-                                              g[:, z:2 * z], g[:, 3 * z:])
-    d_pre = attention_backward(accum, params.W_a, step.attn, step.tanh,
-                               attend_grad(step.features, dx_lang[:, :e]))
+    lang = params.lang
+    d_lang, dc_lang = lstm_cell_backward(step.lang, g[:, z:2 * z], g[:, 3 * z:])
+    dx_lang = d_lang @ lang.W_x.data
+    d_w_a, d_pre = attention_backward(params.W_a.data, step.attn, step.tanh,
+                                      attend_grad(step.features, dx_lang[:, :e]))
     d_hproj = d_pre.sum(axis=-2)
-    accum(params.W_h, d_hproj, step.state[:, :z])
     d_gates, dc_vis = lstm_cell_backward(
         step.vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data, g[:, 2 * z:3 * z])
     d_read = d_gates @ W_state
+    ds_lang = d_lang @ lang.W_h.data
     return (np.concatenate([d_read[:, :z], ds_lang + d_read[:, z:], dc_vis, dc_lang], axis=-1),
-            d_gates, d_pre)
+            d_gates, d_lang, d_hproj, d_pre, d_w_a)
 
 
 @dataclass
@@ -298,49 +295,57 @@ class RowUnroll:
         terms' gradients stay aligned with the current step's rows and
         spread out where rows ended, so they are summed per row (and per
         word) and multiplied through W_v, W_e and the visual LSTM's
-        weights once, in the order regions, mean term, word table, state
-        weights; W_p's and the visual gate weights' (g, x) rows are stacked
-        for one matmul each."""
+        weights once. The per-step rows of each weight's gradient are
+        stacked in reverse step order for one matmul, and W_a's and the
+        language bias's per-step sums are added in that order, so accum
+        gets each Parameter's gradient once."""
         params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
         d_logits = np.concatenate(self.probs)
         d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
         d_logits *= np.concatenate(coefs)[:, None]
-        accum(params.W_p, d_logits, np.concatenate([s.state[:, z:2 * z] for s in steps]))
+        accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
         n = self.rows[-1].size
         carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
         regions = np.zeros((n,) + scene.region_proj.shape[1:])
         mean = np.zeros((n, 4 * z))
-        gates = []
-        end = ds_lang.shape[0]
+        end = total = ds_lang.shape[0]
+        # each step's visual and language gate and W_h gradient rows, in reverse step order
+        gates, langs, hprojs = np.empty((total, 4 * z)), np.empty((total, 4 * z)), np.empty((total, z))
+        d_b = d_w_a = 0.0
         for t in reversed(range(len(steps))):
             rows = self.rows[t]
             if rows.size != carry.shape[0]:         # rows that ended after step t come back
                 keep = np.searchsorted(rows, self.rows[t + 1])
                 carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
             carry[:, z:2 * z] += ds_lang[end - rows.size:end]
+            at = slice(total - end, total - end + rows.size)
             end -= rows.size
-            carry, d_gates, d_pre = _step_backward(accum, params, steps[t], scene.W_state, carry)
+            carry, gates[at], langs[at], hprojs[at], d_pre, d_a = _step_backward(
+                params, steps[t], scene.W_state, carry)
             regions += d_pre
-            mean += d_gates
-            gates.append(d_gates)
-        vis, W_x = params.vis, params.vis.W_x.data
-        width = W_x.shape[1]
-        accum(params.W_v, regions.reshape(-1, z), scene.features.reshape(-1, params.feature_dim))
-        accum(params.W_v, mean @ W_x[:, z:2 * z], scene.means)
-        accum(vis.W_x, _in_columns(mean.T @ (scene.means @ params.W_v.data.T), z, width))
+            mean += gates[at]
+            d_b = d_b + langs[at].sum(axis=0)
+            d_w_a = d_w_a + d_a
+        backwards = steps[::-1]                 # the order of gates, langs and hprojs
+        lang, vis, W_x = params.lang, params.vis, params.vis.W_x.data
+        accum(lang.W_x, langs.T @ np.concatenate([s.x_lang for s in backwards]))
+        accum(lang.W_h, langs.T @ np.concatenate([s.read[:, z:2 * z] for s in backwards]))
+        accum(lang.b, d_b)
+        accum(params.W_h, hprojs.T @ np.concatenate([s.state[:, :z] for s in backwards]))
+        accum(params.W_a, d_w_a)
+        accum(params.W_v, np.concatenate([regions.reshape(-1, z), mean @ W_x[:, z:2 * z]]).T
+              @ np.concatenate([scene.features.reshape(-1, params.feature_dim), scene.means]))
         accum(vis.b, mean.sum(axis=0))
-        backwards = steps[::-1]                 # the order of gates
         words = np.concatenate([s.words for s in backwards])
         onehot = np.zeros((words.size, params.vocab_size))
         onehot[np.arange(words.size), words] = 1.0
-        gates = np.concatenate(gates)
         word = onehot.T @ gates
         accum(params.W_e, word @ W_x[:, 2 * z:])
-        accum(vis.W_x, _in_columns(word.T @ params.W_e.data, 2 * z, width))
         state = gates.T @ np.concatenate([s.read[:, :2 * z] for s in backwards])
         accum(vis.W_h, state[:, :z])
-        accum(vis.W_x, _in_columns(state[:, z:], 0, width))
+        accum(vis.W_x, np.concatenate([state[:, z:], mean.T @ (scene.means @ params.W_v.data.T),
+                                       word.T @ params.W_e.data], axis=1))
 
 
 def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:

@@ -70,8 +70,8 @@ class GrammarSpec:
             raise GrammarError("feature_dim must be at least the number of nouns")
         if self.regions < 1 or self.references_per_scene < 1:
             raise GrammarError("regions and references_per_scene must be >= 1")
-        if self.noise_sigma < 0:
-            raise GrammarError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise GrammarError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.generic_bias <= 1.0:
             raise GrammarError("generic_bias must be in [0, 1]")
         if not self.generic_templates or not self.templates:

@@ -77,6 +77,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type.startswith("float") and value is not None and not -math.inf < value < math.inf:
                 raise ConfigError(f"{f.name} must be finite")
+            if f.type == "str | None" and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string or null")
         for name in ("intrinsic_scale", "action_loss_weight", "state_loss_weight",
                      "imitation_weight", "bleu_weight", "cider_weight"):
             if getattr(self, name) < 0:

@@ -8,10 +8,12 @@ one-row node.
 `composite_policy_step` is the attention-LSTM step as a graph of
 single-purpose ops (`vslice`, `lstm_cell`, `gates_cell`,
 `additive_attention`, `attend`, defined here over the kernel's plain-array
-helpers) that computes what the plain-array `policy.policy_step` computes,
-bit for bit. It reads a `term_batch` scene: the arrays of a
-`policy.project_batch` scene made again as graph nodes, the regions by
-`project_rows` and the visual LSTM's hoisted gate terms by
+helpers, whose returned gradients their backward closures hand on through
+`accum(node, g)`; `lstm_cell` computes its gates as `policy.policy_step`
+computes the language LSTM's) that computes what the plain-array
+`policy.policy_step` computes, bit for bit. It reads a `term_batch` scene:
+the arrays of a `policy.project_batch` scene made again as graph nodes, the
+regions by `project_rows` and the visual LSTM's hoisted gate terms by
 `visual_gate_terms`, whose backward closures take W_v, W_e and the visual
 LSTM's part of the gradient that `policy.RowUnroll.loss` hands them itself.
 `unhoisted_policy_step` is the same step with the visual LSTM's whole
@@ -131,7 +133,8 @@ def additive_attention(R, h_proj, w_a, mask=None):
     a, t = K.attention_forward(R.data, h_proj.data, w_a.data, mask)
 
     def bw(g, accum):
-        d_pre = K.attention_backward(accum, w_a, a, t, g)
+        d_w_a, d_pre = K.attention_backward(w_a.data, a, t, g)
+        accum(w_a, d_w_a)
         accum(R, d_pre)
         accum(h_proj, d_pre.sum(axis=1))
 
@@ -155,21 +158,27 @@ def logprob(logits, index):
 
 
 def lstm_cell(x, h_prev, c_prev, params):
-    """lstm_forward as a single node holding [h, c], returned as two views;
-    x, h_prev and c_prev have one row per sequence."""
-    W_x = params.W_x
+    """One LSTM step as a single node holding [h, c], returned as two
+    views: the gates (x W_x^T + b) + h_prev W_h^T, computed here, through
+    lstm_cell_forward and lstm_cell_backward; x, h_prev and c_prev have one
+    row per sequence."""
+    W_x, W_h, b = params.W_x, params.W_h, params.b
     z = params.hidden_size
     if x.data.ndim != 2 or W_x.data.shape[1] != x.data.shape[-1]:
         raise K.ShapeError(f"lstm_cell input {x.shape} does not match W_x {W_x.shape}")
     state_shape = (x.data.shape[0], z)
     if h_prev.data.shape != state_shape or c_prev.data.shape != state_shape:
         raise K.ShapeError(f"lstm_cell state shapes {h_prev.shape}, {c_prev.shape} != {state_shape}")
-    h, c, cache = K.lstm_forward(params, x.data, h_prev.data, c_prev.data)
+    gates = (x.data @ W_x.data.T + b.data) + h_prev.data @ W_h.data.T
+    h, c, cache = K.lstm_cell_forward(gates, c_prev.data)
 
     def bw(grad, accum):
-        dx, dh_prev, dc_prev = K.lstm_backward(accum, params, cache, grad[:, :z], grad[:, z:])
-        accum(x, dx)
-        accum(h_prev, dh_prev)
+        d_gates, dc_prev = K.lstm_cell_backward(cache, grad[:, :z], grad[:, z:])
+        accum(W_x, d_gates.T @ x.data)
+        accum(W_h, d_gates.T @ h_prev.data)
+        accum(b, d_gates.sum(axis=0))
+        accum(x, d_gates @ W_x.data)
+        accum(h_prev, d_gates @ W_h.data)
         accum(c_prev, dc_prev)
 
     state = K.Tensor(np.concatenate([h, c], axis=-1),
@@ -196,8 +205,8 @@ def gates_cell(gates, c_prev):
 
 def project_rows(features, W):
     """features @ W.T: every region of a constant (n, m, E) array through
-    W (Z, E) in one node; W's gradient is deferred as the pair (g, features)
-    with the regions flattened into rows."""
+    W (Z, E) in one node; W's gradient is one matmul over the regions
+    flattened into rows."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3 or W.data.ndim != 2 or W.data.shape[1] != features.shape[-1]:
         raise K.ShapeError(f"project_rows expects (n, m, E) rows for W {W.shape}, "
@@ -206,7 +215,7 @@ def project_rows(features, W):
     out = (flat @ W.data.T).reshape(features.shape[:-1] + (W.data.shape[0],))
 
     def bw(g, accum):
-        accum(W, g.reshape(flat.shape[0], -1), flat)
+        accum(W, g.reshape(flat.shape[0], -1).T @ flat)
 
     return K.Tensor(out, (W,), bw, "project_rows")
 
@@ -222,18 +231,23 @@ def visual_gate_terms(params, means):
     width = W_x.shape[1]
     mean_proj = means @ params.W_v.data.T
 
+    def in_columns(block, start):
+        full = np.zeros((block.shape[0], width))
+        full[:, start:start + block.shape[1]] = block
+        return full
+
     def mean_bw(g, accum):
-        accum(params.W_v, g @ W_x[:, z:2 * z], means)
-        accum(vis.W_x, P._in_columns(g.T @ mean_proj, z, width))
+        accum(params.W_v, (g @ W_x[:, z:2 * z]).T @ means)
+        accum(vis.W_x, in_columns(g.T @ mean_proj, z))
         accum(vis.b, g.sum(axis=0))
 
     def word_bw(g, accum):
         accum(params.W_e, g @ W_x[:, 2 * z:])
-        accum(vis.W_x, P._in_columns(g.T @ params.W_e.data, 2 * z, width))
+        accum(vis.W_x, in_columns(g.T @ params.W_e.data, 2 * z))
 
     def state_bw(g, accum):
         accum(vis.W_h, g[:, :z])
-        accum(vis.W_x, P._in_columns(g[:, z:], 0, width))
+        accum(vis.W_x, in_columns(g[:, z:], 0))
 
     return (K.Tensor(mean_proj @ W_x[:, z:2 * z].T + vis.b.data, (params.W_v, vis.W_x, vis.b),
                      mean_bw, "mean_gates"),

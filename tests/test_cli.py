@@ -137,6 +137,15 @@ class TestSynth:
                     "--scenes", "2", "--val-scenes", "1"])
         assert_clean_error(capsys, code, str(grammar), field)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_noise_fails_cleanly(self, tmp_path, capsys, value):
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(f'{{"noise_sigma": {value}}}')
+        code = run(["synth", "--out", str(tmp_path / "o"), "--grammar", str(grammar),
+                    "--scenes", "2", "--val-scenes", "1"])
+        assert_clean_error(capsys, code, str(grammar), "noise_sigma")
+        assert not (tmp_path / "o" / "train_manifest.json").exists()
+
     def test_unknown_grammar_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "grammar.json"
         bad.write_text('{"colors": ["red"]}')
@@ -201,6 +210,16 @@ class TestTrain:
         cfg.write_text(json.dumps({"train_manifest": str(synth_dir / "train_manifest.json"),
                                    "epochs": 1, key: value}))
         assert_clean_error(capsys, run(["train", "--config", str(cfg)]), key)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("key,value", [("train_manifest", 5), ("val_manifest", ["x"]),
+                                           ("out_dir", 5)])
+    def test_non_string_path_fails_cleanly(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["train", "--config", str(cfg)] if command == "train" else \
+            ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.ckpt")]
+        assert_clean_error(capsys, run(argv), f"{key} must be a string or null")
 
     def test_unset_blas_thread_counts_give_the_one_thread_run(self, synth_dir, tmp_path):
         """curioseq sets each unset BLAS thread count to 1 before numpy loads,

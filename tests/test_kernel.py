@@ -281,11 +281,11 @@ class TestOptimizer:
             g = rng.standard_normal((3, 4))
             w.grad[...] = g
             K.sgd_step([w], opt)
-            m = opt.beta1 * m + (1.0 - opt.beta1) * g
-            v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-            m_hat = m / (1.0 - opt.beta1 ** t)
-            v_hat = v / (1.0 - opt.beta2 ** t)
-            data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+            m = K.ADAM_BETA1 * m + (1.0 - K.ADAM_BETA1) * g
+            v = K.ADAM_BETA2 * v + (1.0 - K.ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - K.ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - K.ADAM_BETA2 ** t)
+            data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + K.ADAM_EPS)
             np.testing.assert_array_equal(w.data, data)
             np.testing.assert_array_equal(opt.slots["w"]["m"], m)
             np.testing.assert_array_equal(opt.slots["w"]["v"], v)
@@ -591,11 +591,11 @@ class TestProjectRows:
 
 
 # ---------------------------------------------------------------------------
-# deferred weight gradients
+# gradient accumulation
 
 
-class TestDeferredGradients:
-    def test_mixed_deferred_and_direct_contributions(self):
+class TestGradientAccumulation:
+    def test_contributions_of_several_nodes_add_up(self):
         rng = np.random.default_rng(20)
         W = p("W", rng.standard_normal((4, 3)))
         xs = [rng.standard_normal(3) for _ in range(3)]
@@ -604,9 +604,8 @@ class TestDeferredGradients:
         fw = rng.standard_normal((2, 4))
         terms = [K.dotp(K.constant(w), first_row(K.affine(K.constant(x[None]), W)))
                  for w, x in zip(ws, xs)]
-        terms.append(K.dotp(K.constant(ws[0][:3]),
-                            first_row(K.take_row(W, np.array([1])))))      # direct
-        terms.append(K.sumsq(W))                                           # direct
+        terms.append(K.dotp(K.constant(ws[0][:3]), first_row(K.take_row(W, np.array([1])))))
+        terms.append(K.sumsq(W))
         terms.append(K.sumsq(mul(K.constant(fw[None]), project_rows(feats[None], W))))
         K.zero_grads([W])
         K.backward(add_n(terms))
@@ -630,7 +629,7 @@ class TestDeferredGradients:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, 2.0 * w, rtol=0, atol=1e-12)
 
-    def test_non_parameter_weight_is_materialised(self):
+    def test_computed_weight_passes_its_gradient_on(self):
         rng = np.random.default_rng(22)
         P_ = p("P", rng.standard_normal((3, 2)))
         x = rng.standard_normal(2)

@@ -59,19 +59,22 @@ def created_tensors(monkeypatch):
     return created
 
 
-def region_gradient(run, loss):
-    """The (n, m, Z) gradient of loss on the run's projected regions: the g
-    of the (g, x) pair whose x is the run's padded regions, which the
-    loss's reverse pass hands W_v."""
-    pairs = []
+def region_gradients(monkeypatch, run, loss):
+    """The gradients on the run's pre-tanh attention sums that the loss's
+    reverse pass gets from attention_backward, one (rows, d_pre) pair per
+    step in step order: the scene rows that stepped and their (len(rows),
+    m, Z) gradient on the regions."""
+    got = []
+    backward = P.attention_backward
 
-    def accum(node, g, x=None):
-        if node is run.params.W_v and x is not None and np.shares_memory(x, run.scene.features):
-            pairs.append(g)
+    def spy(*args):
+        d_w_a, d_pre = backward(*args)
+        got.append(d_pre)
+        return d_w_a, d_pre
 
-    loss.backward_fn(np.ones(()), accum)
-    (g,) = pairs
-    return g.reshape(run.scene.region_proj.shape)
+    monkeypatch.setattr(P, "attention_backward", spy)
+    loss.backward_fn(np.ones(()), lambda node, g: None)
+    return list(zip(run.rows, got[::-1], strict=True))
 
 
 def counted_steps(monkeypatch):
@@ -401,7 +404,7 @@ class TestScoreRows:
             np.testing.assert_allclose(run.ce_values[r, :len(ref)], expected, rtol=1e-12)
             assert (run.ce_values[r, len(ref):] == 0.0).all()
 
-    def test_padded_steps_and_regions_get_exactly_zero_gradient(self):
+    def test_padded_steps_and_regions_get_exactly_zero_gradient(self, monkeypatch):
         params, feats, _ = row_batch()
         feats, refs = feats[:2], [[4, 6], [5, 3, 7, 4, 8, EOS_ID]]
         # row 0 ends after two steps and row 1 after six: token 6 would be
@@ -417,12 +420,14 @@ class TestScoreRows:
                 assert (params.W_e.grad[EOS_ID] == 0.0).all()
                 assert (params.W_e.grad[6] == 0.0).all()
                 assert (params.W_e.grad[4] != 0.0).any()      # fed on row 0's second step
-            regions = region_gradient(run, loss)
-            # each scene's regions, wherever its rows are: m = 2, then m = 5 of 5
-            for r, f in enumerate(rows):
-                m = f.shape[0]
-                assert (regions[r, m:] == 0.0).all()
-                assert (regions[r, :m] != 0.0).any()
+            # each scene's regions, at every step its rows take: m = 2, then m = 5 of 5
+            reached = np.zeros(len(rows), dtype=bool)
+            for ids, d_pre in region_gradients(monkeypatch, run, loss):
+                for i, r in enumerate(ids):
+                    m = rows[r].shape[0]
+                    assert (d_pre[i, m:] == 0.0).all()
+                    reached[r] |= (d_pre[i, :m] != 0.0).any()
+            assert reached.all()
 
     def test_batched_step_makes_the_same_nodes_as_a_vector_step(self, monkeypatch):
         # none: a step of two rows, like a step of one, builds no tensor
@@ -733,12 +738,15 @@ class TestFusedStep:
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
                                        err_msg=q.name)
 
-    def test_padded_regions_get_exactly_zero_gradient(self):
+    def test_padded_regions_get_exactly_zero_gradient(self, monkeypatch):
         params, feats, words, targets = self.row_case()
         run = P.unroll_rows(params, feats, forced_refs(targets), len(words))
-        regions = region_gradient(run, run.loss(np.ones(run.ce_values.shape)))
         mask = run.scene.mask
-        assert (regions[~mask] == 0.0).all() and (regions[mask] != 0.0).any(axis=-1).all()
+        regions = np.zeros(run.scene.region_proj.shape)
+        for ids, d_pre in region_gradients(monkeypatch, run, run.loss(np.ones(run.ce_values.shape))):
+            assert (d_pre[~mask[ids]] == 0.0).all()
+            regions[ids] += d_pre
+        assert (regions[mask] != 0.0).any(axis=-1).all()
 
     @staticmethod
     def gathers(monkeypatch):

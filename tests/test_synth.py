@@ -96,3 +96,9 @@ def test_invalid_spec_rejected():
         small_spec(templates=("the {color} {noun} .",))
     with pytest.raises(S.GrammarError):
         S.synth_generate(small_spec(), 0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_non_finite_noise_rejected(sigma):
+    with pytest.raises(S.GrammarError, match="noise_sigma"):
+        small_spec(noise_sigma=sigma)

@@ -72,6 +72,12 @@ class TestConfigValidation:
         with pytest.raises(T.ConfigError, match=f"{field} must be finite"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("train_manifest", 5), ("val_manifest", ["x"]),
+                                             ("out_dir", 5)])
+    def test_non_string_paths_rejected(self, field, value):
+        with pytest.raises(T.ConfigError, match=f"{field} must be a string or null"):
+            tiny_config(**{field: value})
+
 
 class TestSchedules:
     def test_eta_start(self):
