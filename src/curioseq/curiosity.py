@@ -1,9 +1,12 @@
-"""Self-supervised curiosity: a shared state-embedding layer, a next-state
-predictor whose error is the intrinsic reward, and an action predictor that
-shapes the embedding toward controllable dynamics.
+"""Self-supervised curiosity, the forward/inverse design of Pathak et al.
+(2017): a shared state-embedding layer, a next-state predictor whose error
+is the intrinsic reward, and an action predictor that shapes the embedding
+toward controllable dynamics.
 
-Gradients are stopped at the policy states: losses here train only the
-embedding and predictor weights, never the policy.
+``curiosity_pass`` runs both predictors over plain arrays and returns one
+node over the curiosity Parameters whose backward is the pass's own reverse
+pass. Gradients are stopped at the policy states: losses here train only
+the embedding and predictor weights, never the policy.
 """
 
 from __future__ import annotations
@@ -13,24 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import (
+    CE_EPSILON,
     Parameter,
+    ShapeError,
     Tensor,
-    affine,
-    concat,
-    constant,
-    cross_entropy,
-    dotp,
-    grad_scale,
-    leaky_relu,
-    no_grad,
-    scale,
-    sub,
-    sumsq,
-    take_row,
+    softmax_values,
     xavier_uniform,
     zeros_param,
 )
 from .policy import Episodes
+
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
@@ -103,27 +99,38 @@ def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
     )
 
 
-def embed_state(state: Tensor | np.ndarray, params: CuriosityParams) -> Tensor:
+def _leaky_relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(leaky_relu(x), its derivative at x)."""
+    factor = np.where(x > 0, 1.0, LEAKY_SLOPE)
+    return x * factor, factor
+
+
+def embed_state(states: np.ndarray, params: CuriosityParams) -> np.ndarray:
     """Affine + leaky-ReLU embedding of every row of an (N, 2Z) matrix of
     concatenated policy states."""
-    node = state if isinstance(state, Tensor) else constant(state)
-    return leaky_relu(affine(node, params.phi_W, params.phi_b))
+    if np.ndim(states) != 2:
+        raise ShapeError(f"embed_state expects (N, 2Z) rows, got {np.shape(states)}")
+    return _leaky_relu(states @ params.phi_W.data.T + params.phi_b.data)[0]
 
 
-def predict_next_state(phi_t: Tensor, action: np.ndarray, params: CuriosityParams) -> Tensor:
-    """Next-state embedding from the current embedding and the action taken,
-    per row of (N, Zp) embeddings and an int vector of N actions."""
-    x = concat([phi_t, take_row(params.sp_emb, action)])
-    h = leaky_relu(affine(x, params.sp_W1, params.sp_b1))
-    return affine(h, params.sp_W2, params.sp_b2)
+def _head(x: np.ndarray, W1: Parameter, b1: Parameter, W2: Parameter,
+          b2: Parameter) -> tuple[np.ndarray, tuple]:
+    """A predictor, leaky_relu(x W1^T + b1) W2^T + b2 per row of x; returns
+    (out, cache), the cache being what _head_backward reads."""
+    h, factor = _leaky_relu(x @ W1.data.T + b1.data)
+    return h @ W2.data.T + b2.data, (x, h, factor, W1, b1, W2, b2)
 
 
-def predict_action(phi_t: Tensor, phi_next: Tensor, params: CuriosityParams) -> Tensor:
-    """Logits over the vocabulary for the action linking two states, per row
-    of two (N, Zp) embeddings."""
-    x = concat([phi_t, phi_next])
-    h = leaky_relu(affine(x, params.ap_W1, params.ap_b1))
-    return affine(h, params.ap_W2, params.ap_b2)
+def _head_backward(cache: tuple, g: np.ndarray, accum) -> np.ndarray:
+    """Given g on a _head output, hand its four Parameters their gradients
+    and return the gradient on its input rows."""
+    x, h, factor, W1, b1, W2, b2 = cache
+    accum(W2, g.T @ h)
+    accum(b2, g.sum(axis=0))
+    d_pre = (g @ W2.data) * factor
+    accum(W1, d_pre.T @ x)
+    accum(b1, d_pre.sum(axis=0))
+    return d_pre @ W1.data
 
 
 @dataclass
@@ -132,24 +139,26 @@ class CuriosityPass:
     embedding of all their states."""
 
     errors: np.ndarray        # (B, T) 1/2 |pred - target|^2; 0 at the first step and past the end
-    sp_loss: Tensor           # mean over episodes of the mean state-prediction error
-    ap_loss: Tensor           # the same for the action cross-entropy; 0 unless alpha > 0
+    sp_loss: float            # mean over episodes of the mean state-prediction error
+    ap_loss: float            # the same for the action cross-entropy; 0 unless alpha > 0
+    loss: Tensor              # the sum of the terms whose weight is > 0, as one node
 
 
 def curiosity_pass(episodes: Episodes, params: CuriosityParams,
                    alpha: float = 0.0, beta: float = 1.0,
                    targets: np.ndarray | None = None) -> CuriosityPass:
-    """Embed the states of all episodes as one (S, 2Z) matrix and build both
-    heads over all N transitions as (N, .) matrices.
+    """Embed the states of all episodes as one (S, 2Z) matrix and run both
+    predictors over all N transitions as (N, .) matrices.
 
-    The state predictor reads grad_scale(phi, beta) and the action predictor
-    grad_scale(phi, alpha), so one backward over the sum of both losses gives
-    the embedding alpha * d(ap) + beta * d(sp) while each predictor gets its
-    own unweighted gradient. Each loss averages an episode's transitions,
-    then the episodes; an episode shorter than two steps has no transitions,
-    adds 0 and is not embedded. Targets are the detached next-state
-    embeddings unless given as an (N, Zp) array in transition order, row by
-    row (pass frozen ones to finite-difference the prediction path).
+    Each loss averages an episode's transitions, then the episodes; an
+    episode shorter than two steps has no transitions, adds 0 and is not
+    embedded. The loss node sums sp_loss if beta > 0 and ap_loss if
+    alpha > 0. Its backward pass gives each predictor the unweighted
+    gradient of its own loss and the embedding beta times the state
+    predictor's gradient plus alpha times the action predictor's. Targets
+    are the detached next-state embeddings unless given as an (N, Zp) array
+    in transition order, row by row (pass frozen ones to finite-difference
+    the prediction path).
     """
     b, t_len = episodes.actions.shape
     lengths = episodes.lengths
@@ -157,38 +166,71 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
     # transition (r, t) goes from step t to step t + 1 of row r
     rows, steps = np.nonzero(np.arange(t_len) + 1 < lengths[:, None])
     if not rows.size:
-        return CuriosityPass(errors, constant(0.0), constant(0.0))
+        return CuriosityPass(errors, 0.0, 0.0, Tensor(0.0))
     embedded = (np.arange(t_len) < lengths[:, None]) & (lengths > 1)[:, None]
     flat = np.cumsum(embedded).reshape(embedded.shape) - 1     # each step's row in the matrix
-    src = flat[rows, steps]
+    src = flat[rows, steps]     # increasing, so no index repeats in src or in dst
     dst = src + 1
     actions = episodes.actions[rows, steps]
     weights = 1.0 / (b * (lengths[rows] - 1))
-    phi = embed_state(episodes.states[embedded], params)
+    states = episodes.states[embedded]
+    phi = embed_state(states, params)
     if targets is None:
-        targets = phi.data[dst]
-    pred = predict_next_state(take_row(grad_scale(phi, beta), src), actions, params)
-    diff = sub(pred, constant(targets))
-    errors[rows, steps + 1] = 0.5 * np.einsum("ij,ij->i", diff.data, diff.data)
-    ap_loss = constant(0.0)
+        targets = phi[dst]
+    pred, sp_cache = _head(np.concatenate([phi[src], params.sp_emb.data[actions]], axis=1),
+                           params.sp_W1, params.sp_b1, params.sp_W2, params.sp_b2)
+    diff = pred - targets
+    sq = np.einsum("ij,ij->i", diff, diff)
+    errors[rows, steps + 1] = 0.5 * sq
+    sp_value = np.dot(weights, sq) * 0.5
+    ap_value = 0.0
     if alpha > 0:
-        to_ap = grad_scale(phi, alpha)
-        logits = predict_action(take_row(to_ap, src), take_row(to_ap, dst), params)
-        ap_loss = dotp(cross_entropy(logits, actions), constant(weights))
-    return CuriosityPass(errors, scale(sumsq(diff, weights), 0.5), ap_loss)
+        logits, ap_cache = _head(np.concatenate([phi[src], phi[dst]], axis=1),
+                                 params.ap_W1, params.ap_b1, params.ap_W2, params.ap_b2)
+        probs = softmax_values(logits)
+        picked = (np.arange(len(actions)), actions)
+        ap_value = np.dot(-np.log(probs[picked] + CE_EPSILON), weights)
+    zp = params.embed_size
+
+    def backward(g, accum):
+        d_phi = np.zeros(phi.shape)
+        if beta > 0:
+            d_x = _head_backward(sp_cache, 2.0 * weights[:, None] * (g * 0.5) * diff, accum)
+            d_emb = np.zeros(params.sp_emb.data.shape)
+            np.add.at(d_emb, actions, d_x[:, zp:])
+            accum(params.sp_emb, d_emb)
+            d_phi[src] += d_x[:, :zp] * beta
+        if alpha > 0:
+            d_logits = probs.copy()
+            d_logits[picked] -= 1.0
+            d_x = _head_backward(ap_cache, (g * weights)[:, None] * d_logits, accum)
+            to_ap = np.zeros(phi.shape)
+            to_ap[src] += d_x[:, :zp]
+            to_ap[dst] += d_x[:, zp:]
+            d_phi += to_ap * alpha
+        # phi > 0 exactly where its pre-activation is, so this is embed_state's slope
+        d_pre = d_phi * np.where(phi > 0, 1.0, LEAKY_SLOPE)
+        accum(params.phi_W, d_pre.T @ states)
+        accum(params.phi_b, d_pre.sum(axis=0))
+
+    value = (sp_value if beta > 0 else 0.0) + (ap_value if alpha > 0 else 0.0)
+    return CuriosityPass(errors, float(sp_value), float(ap_value),
+                         Tensor(value, params.parameters(), backward, "curiosity"))
 
 
 def sp_loss(episodes: Episodes, params: CuriosityParams,
             targets: np.ndarray | None = None) -> Tensor:
     """Mean over episodes of the mean over their transitions of half the
-    squared next-state prediction error. No gradient flows through the
-    target path; episodes shorter than two steps give 0."""
-    return curiosity_pass(episodes, params, targets=targets).sp_loss
+    squared next-state prediction error, as the pass's node at alpha 0 and
+    beta 1. No gradient flows through the target path; episodes shorter
+    than two steps give 0."""
+    return curiosity_pass(episodes, params, 0.0, 1.0, targets).loss
 
 
 def ap_loss(episodes: Episodes, params: CuriosityParams) -> Tensor:
-    """Mean cross-entropy of the true actions under the action predictor."""
-    return curiosity_pass(episodes, params, alpha=1.0).ap_loss
+    """Mean cross-entropy of the true actions under the action predictor, as
+    the pass's node at alpha 1 and beta 0."""
+    return curiosity_pass(episodes, params, 1.0, 0.0).loss
 
 
 def intrinsic_rewards(episodes: Episodes, params: CuriosityParams,
@@ -198,5 +240,4 @@ def intrinsic_rewards(episodes: Episodes, params: CuriosityParams,
     end. A pure scalar signal, no gradients flow."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    with no_grad():
-        return rho * curiosity_pass(episodes, params).errors
+    return rho * curiosity_pass(episodes, params).errors

@@ -1,20 +1,20 @@
 """Minimal reverse-mode differentiation kernel over float64 numpy arrays.
 
-Every operation the curiosity networks need is implemented here with an
-explicit forward value and a backward closure. There is no general graph
-compiler: nodes simply remember their parents, and ``backward`` walks them
-in reverse topological order. The LSTM and additive-attention math lives
-once, in plain-array forward/backward helpers (``lstm_cell_forward`` over
-precomputed gates, ``attention_forward`` and their backward halves) that
-return their gradients as arrays; the policy step and the unroll's reverse
-pass call them, and the policy's only graph node is the unroll's, whose
-backward hands every policy Parameter its gradient. All math is 64-bit so
-finite-difference checks are reliable.
+A ``Tensor`` node remembers its parents and a backward closure, and
+``backward`` walks the nodes in reverse topological order; there is no
+general graph compiler. A training loss is the policy unroll's node, or
+the ``add`` of it and the curiosity pass's node; each is one node over its
+module's Parameters whose backward closure is that module's whole reverse
+pass over plain arrays. Besides that engine (``Tensor``, ``Parameter``,
+``no_grad``, ``backward``, ``gradients``, ``add`` and ``sumsq``), this
+module holds the LSTM and additive-attention math as plain-array
+forward/backward helpers (``lstm_cell_forward`` over precomputed gates,
+``attention_forward`` and their backward halves, which return their
+gradients as arrays), the optimizer and ``grad_check``. All math is 64-bit
+so finite-difference checks are reliable.
 
-The ops take rows: an array with a leading row axis, one row per sequence
-or state of a minibatch, so one sequence is one row. Indices are int
-vectors, one per row; ``take_row`` gathers along the leading row axis, and
-``dotp`` and ``sumsq`` reduce per-row values to a scalar loss.
+The helpers take rows: an array with a leading row axis, one row per
+sequence or state of a minibatch, so one sequence is one row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 CE_EPSILON = 1e-12
 LOGPROB_FLOOR = 1e-12
-DEFAULT_LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # the adaptive variant's decays and floor
 
 
@@ -85,10 +84,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +151,6 @@ def gradients(loss: Tensor, params: Sequence[Parameter]) -> dict[str, np.ndarray
 # primitives
 
 
-def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """x W^T (+ b) for each row of an (n, in) matrix x."""
-    if W.data.ndim != 2 or x.data.ndim != 2:
-        raise ShapeError(f"affine expects a matrix and rows, got {W.shape} and {x.shape}")
-    if W.data.shape[1] != x.data.shape[-1]:
-        raise ShapeError(f"affine inner dimensions differ: {W.shape} vs {x.shape}")
-    out = x.data @ W.data.T
-    if b is not None:
-        if b.data.shape != out.shape[-1:]:
-            raise ShapeError(f"affine bias shape {b.shape} does not match output {out.shape}")
-        out = out + b.data
-
-    def bw(g, accum):
-        accum(W, g.T @ x.data)
-        accum(x, g @ W.data)
-        if b is not None:
-            accum(b, g.sum(axis=0))
-
-    parents = (x, W) if b is None else (x, W, b)
-    return Tensor(out, parents, bw, "affine")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
@@ -187,55 +160,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accum(b, g)
 
     return Tensor(a.data + b.data, (a, b), bw, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-
-    def bw(g, accum):
-        accum(a, g)
-        accum(b, -g)
-
-    return Tensor(a.data - b.data, (a, b), bw, "sub")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g, accum):
-        accum(a, g * c)
-
-    return Tensor(a.data * c, (a,), bw, "scale")
-
-
-def grad_scale(x: Tensor, c: float) -> Tensor:
-    """The identity in the forward pass; multiplies the gradient by c in the
-    backward pass. Weights one consumer's gradient into a shared node."""
-    c = float(c)
-
-    def bw(g, accum):
-        accum(x, g * c)
-
-    return Tensor(x.data, (x,), bw, "grad_scale")
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join matrices of equal row count along their columns."""
-    n = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != n:
-            raise ShapeError("concat expects matrices with equal row counts")
-    sizes = [p.data.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
-
-    def bw(g, accum):
-        off = 0
-        for p, k in zip(parts, sizes):
-            accum(p, g[:, off:off + k])
-            off += k
-
-    return Tensor(out, tuple(parts), bw, "concat")
 
 
 def check_index(index: np.ndarray, n: int, what: str) -> None:
@@ -248,54 +172,11 @@ def check_index(index: np.ndarray, n: int, what: str) -> None:
         raise IndexError(f"{what} index out of range [0, {n})")
 
 
-def take_row(W: Tensor, index: np.ndarray) -> Tensor:
-    """Gather along axis 0 of an array of any rank: the n slices W[index[i]]
-    stacked for a vector of n indices. The backward pass scatters into
-    zeros, adding up the gradients of a repeated index. It is the embedding
-    lookup, and it pairs the curiosity pass's state rows."""
-    if W.data.ndim < 1:
-        raise ShapeError("take_row expects an array with at least one axis")
-    check_index(index, W.data.shape[0], "take_row")
-    out = W.data[index]         # advanced indexing copies
-
-    def bw(g, accum):
-        full = np.zeros_like(W.data)
-        if (index[1:] > index[:-1]).all():
-            full[index] += g    # no index repeats: the same sums as np.add.at, faster
-        else:
-            np.add.at(full, index, g)
-        accum(W, full)
-
-    return Tensor(out, (W,), bw, "take_row")
-
-
-def leaky_relu(x: Tensor, slope: float = DEFAULT_LEAKY_SLOPE) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, slope)
-    y = x.data * factor
-
-    def bw(g, accum):
-        accum(x, g * factor)
-
-    return Tensor(y, (x,), bw, "leaky_relu")
-
-
 def softmax_values(x: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis via max subtraction, as plain arrays:
     what the decoders and samplers read as the next-word distribution."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def dotp(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dotp expects equal vectors, got {a.shape} and {b.shape}")
-    out = np.dot(a.data, b.data)
-
-    def bw(g, accum):
-        accum(a, g * b.data)
-        accum(b, g * a.data)
-
-    return Tensor(out, (a, b), bw, "dot")
 
 
 def sumsq(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
@@ -348,31 +229,6 @@ def attention_backward(w_a: np.ndarray, a: np.ndarray, t: np.ndarray,
     d_scores = a * (g - (g * a).sum(axis=-1, keepdims=True))
     return (d_scores.reshape(-1) @ t.reshape(-1, t.shape[-1]),
             d_scores[..., None] * w_a * (1.0 - t * t))
-
-
-def _picked(logits: Tensor, index: np.ndarray) -> tuple:
-    """Index tuple (arange(n), index) of the chosen entry per row, for (n, D)
-    logits and n ints."""
-    check_index(index, logits.data.shape[-1], "log-softmax")
-    if logits.data.ndim != 2 or index.shape != logits.data.shape[:1]:
-        raise ShapeError(f"indices {index.shape} do not match logits {logits.shape}")
-    return np.arange(len(index)), index
-
-
-def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
-    """-log(softmax(logits)[target] + eps), one value per row of (n, D)
-    logits for n targets. The backward pass is softmax(logits) -
-    onehot(target)."""
-    at = _picked(logits, target)
-    p = softmax_values(logits.data)
-    out = -np.log(p[at] + CE_EPSILON)
-
-    def bw(g, accum):
-        delta = p.copy()
-        delta[at] -= 1.0
-        accum(logits, g[:, None] * delta)
-
-    return Tensor(out, (logits,), bw, "cross_entropy")
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,13 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer")
         if self.embed_size is not None and (type(self.embed_size) is not int or self.embed_size < 1):
             raise ConfigError("embed_size must be an integer >= 1 or null")
-        for f in fields(self):      # json reads NaN and Infinity
+        for f in fields(self):      # json reads NaN and Infinity, and true as a bool
             value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not -math.inf < value < math.inf:
-                raise ConfigError(f"{f.name} must be finite")
+            if f.type == "float" or (f.type == "float | None" and value is not None):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"{f.name} must be a number")
+                if not -math.inf < value < math.inf:
+                    raise ConfigError(f"{f.name} must be finite")
             if f.type == "str | None" and value is not None and not isinstance(value, str):
                 raise ConfigError(f"{f.name} must be a string or null")
         for name in ("intrinsic_scale", "action_loss_weight", "state_loss_weight",
@@ -191,7 +194,8 @@ def _check_finite(name: str, value: float) -> float:
 def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
                cfg: TrainConfig, vocab: Vocabulary, references: Sequence[met.References],
                rngs: Sequence[np.random.Generator], eta: float, epoch: int = 0) -> StepStats:
-    """One minibatch update from one batched graph and one backward pass.
+    """One minibatch update from two nodes, the unroll's and the curiosity
+    pass's, and one backward pass.
 
     One recorded row unroll steps the B reference rows (teacher-forced) and,
     outside xe mode, the B sampled rows, scene i sampling from its own
@@ -203,11 +207,10 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
     cross-entropy (imitation) and the sampled rows weight -A_t/B on their
     log-probabilities (policy gradient). Curiosity losses do not reach the
     policy: gradients are stopped at the states.
-    The curiosity pass runs over all sampled transitions at once; the action
-    predictor trains on its own loss, the state predictor on its own loss,
-    and the shared embedding on the alpha/beta-weighted sum, which
-    grad_scale in the curiosity pass applies. Gradients are cleared after
-    the step.
+    The curiosity pass runs over all sampled transitions at once and adds
+    one node to the loss: the action predictor trains on its own loss, the
+    state predictor on its own loss, and the shared embedding on their
+    alpha/beta-weighted sum. Gradients are cleared after the step.
     """
     all_params = model.parameters()
     b = len(batch)
@@ -241,14 +244,12 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
         for r_e, row, k in zip(terminal.tolist(), intrinsic, episodes.lengths):
             stats.intrinsic_sum += float(row[:k].sum())
             stats.extrinsic_sum += r_e
-        # one loss, one backward; a zero loss weight keeps its predictor out of it
-        loss = run.loss(ce_weights, lp_weights)
         if cfg.state_loss_weight > 0:
-            stats.sp_loss = _check_finite("state-prediction", float(terms.sp_loss.data))
-            loss = add(loss, terms.sp_loss)
+            stats.sp_loss = _check_finite("state-prediction", terms.sp_loss)
         if cfg.action_loss_weight > 0:
-            stats.ap_loss = _check_finite("action-prediction", float(terms.ap_loss.data))
-            loss = add(loss, terms.ap_loss)
+            stats.ap_loss = _check_finite("action-prediction", terms.ap_loss)
+        # one loss, one backward; a zero loss weight keeps its predictor out of it
+        loss = add(run.loss(ce_weights, lp_weights), terms.loss)
     gradients(loss, all_params)
     sgd_step(all_params, opt)
     zero_grads(all_params)

@@ -1,6 +1,11 @@
 """Reference decoders, scorers and graph ops that the tests compare
 curioseq's row paths against.
 
+The graph ops (`constant`, `affine`, `sub`, `scale`, `grad_scale`,
+`concat`, `take_row`, `leaky_relu`, `dotp` and `cross_entropy`) are nodes
+over `kernel.Tensor` with a backward closure each; `grad_check` checks
+each one, and the references below are built from them.
+
 Like the program, every op here takes rows, one per sequence; a scene is
 one row of `policy.project_batch`, and `first_row` drops the row axis of a
 one-row node.
@@ -36,7 +41,12 @@ node, each stepping every row, finished or not, until its longest row
 ended. `policy.unroll_rows`, `policy.rollout_sample` and
 `policy.beam_search` must agree with them.
 `sp_targets` gives the frozen next-state targets that finite-difference the
-curiosity state predictor.
+curiosity state predictor. `graph_curiosity_pass` is the curiosity pass as
+a graph of those ops (`embed_state`, `predict_next_state` and
+`predict_action` are its pieces), with `grad_scale(phi, beta)` and
+`grad_scale(phi, alpha)` weighting the two predictors' gradients into the
+shared embedding; `graph_curiosity_loss` sums the terms whose weight is
+> 0. The node of `curiosity.curiosity_pass` must equal it bit for bit.
 
 `RolloutTrace` is the per-episode record that the samplers here return;
 `stack` and `unstack` turn traces into the rows of a `policy.Episodes` and
@@ -63,6 +73,153 @@ from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.metrics import MAX_NGRAM, IdfTable, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
+
+
+# ---------------------------------------------------------------------------
+# graph ops
+
+
+def constant(x):
+    return K.Tensor(x)
+
+
+def affine(x, W, b=None):
+    """x W^T (+ b) for each row of an (n, in) matrix x."""
+    if W.data.ndim != 2 or x.data.ndim != 2:
+        raise K.ShapeError(f"affine expects a matrix and rows, got {W.shape} and {x.shape}")
+    if W.data.shape[1] != x.data.shape[-1]:
+        raise K.ShapeError(f"affine inner dimensions differ: {W.shape} vs {x.shape}")
+    out = x.data @ W.data.T
+    if b is not None:
+        if b.data.shape != out.shape[-1:]:
+            raise K.ShapeError(f"affine bias shape {b.shape} does not match output {out.shape}")
+        out = out + b.data
+
+    def bw(g, accum):
+        accum(W, g.T @ x.data)
+        accum(x, g @ W.data)
+        if b is not None:
+            accum(b, g.sum(axis=0))
+
+    parents = (x, W) if b is None else (x, W, b)
+    return K.Tensor(out, parents, bw, "affine")
+
+
+def sub(a, b):
+    if a.data.shape != b.data.shape:
+        raise K.ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
+
+    def bw(g, accum):
+        accum(a, g)
+        accum(b, -g)
+
+    return K.Tensor(a.data - b.data, (a, b), bw, "sub")
+
+
+def scale(a, c: float):
+    c = float(c)
+
+    def bw(g, accum):
+        accum(a, g * c)
+
+    return K.Tensor(a.data * c, (a,), bw, "scale")
+
+
+def grad_scale(x, c: float):
+    """The identity in the forward pass; multiplies the gradient by c in the
+    backward pass. Weights one consumer's gradient into a shared node."""
+    c = float(c)
+
+    def bw(g, accum):
+        accum(x, g * c)
+
+    return K.Tensor(x.data, (x,), bw, "grad_scale")
+
+
+def concat(parts: Sequence):
+    """Join matrices of equal row count along their columns."""
+    n = parts[0].data.shape[0]
+    for p in parts:
+        if p.data.ndim != 2 or p.data.shape[0] != n:
+            raise K.ShapeError("concat expects matrices with equal row counts")
+    sizes = [p.data.shape[1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=1)
+
+    def bw(g, accum):
+        off = 0
+        for p, k in zip(parts, sizes):
+            accum(p, g[:, off:off + k])
+            off += k
+
+    return K.Tensor(out, tuple(parts), bw, "concat")
+
+
+def take_row(W, index: np.ndarray):
+    """Gather along axis 0 of an array of any rank: the n slices W[index[i]]
+    stacked for a vector of n indices. The backward pass scatters into
+    zeros, adding up the gradients of a repeated index. It is the embedding
+    lookup, and it pairs the curiosity pass's state rows."""
+    if W.data.ndim < 1:
+        raise K.ShapeError("take_row expects an array with at least one axis")
+    K.check_index(index, W.data.shape[0], "take_row")
+    out = W.data[index]         # advanced indexing copies
+
+    def bw(g, accum):
+        full = np.zeros_like(W.data)
+        if (index[1:] > index[:-1]).all():
+            full[index] += g    # no index repeats: the same sums as np.add.at, faster
+        else:
+            np.add.at(full, index, g)
+        accum(W, full)
+
+    return K.Tensor(out, (W,), bw, "take_row")
+
+
+def leaky_relu(x, slope: float = C.LEAKY_SLOPE):
+    factor = np.where(x.data > 0, 1.0, slope)
+    y = x.data * factor
+
+    def bw(g, accum):
+        accum(x, g * factor)
+
+    return K.Tensor(y, (x,), bw, "leaky_relu")
+
+
+def dotp(a, b):
+    if a.data.shape != b.data.shape or a.data.ndim != 1:
+        raise K.ShapeError(f"dotp expects equal vectors, got {a.shape} and {b.shape}")
+    out = np.dot(a.data, b.data)
+
+    def bw(g, accum):
+        accum(a, g * b.data)
+        accum(b, g * a.data)
+
+    return K.Tensor(out, (a, b), bw, "dot")
+
+
+def _picked(logits, index: np.ndarray) -> tuple:
+    """Index tuple (arange(n), index) of the chosen entry per row, for (n, D)
+    logits and n ints."""
+    K.check_index(index, logits.data.shape[-1], "log-softmax")
+    if logits.data.ndim != 2 or index.shape != logits.data.shape[:1]:
+        raise K.ShapeError(f"indices {index.shape} do not match logits {logits.shape}")
+    return np.arange(len(index)), index
+
+
+def cross_entropy(logits, target: np.ndarray):
+    """-log(softmax(logits)[target] + eps), one value per row of (n, D)
+    logits for n targets. The backward pass is softmax(logits) -
+    onehot(target)."""
+    at = _picked(logits, target)
+    p = K.softmax_values(logits.data)
+    out = -np.log(p[at] + K.CE_EPSILON)
+
+    def bw(g, accum):
+        delta = p.copy()
+        delta[at] -= 1.0
+        accum(logits, g[:, None] * delta)
+
+    return K.Tensor(out, (logits,), bw, "cross_entropy")
 
 
 def add_n(nodes):
@@ -145,7 +302,7 @@ def logprob(logits, index):
     """log softmax(logits)[index] per row of (n, D) logits, floored at
     LOGPROB_FLOOR so exp(result) <= 1. The backward pass is onehot(index) -
     softmax(logits)."""
-    at = K._picked(logits, index)
+    at = _picked(logits, index)
     p = K.softmax_values(logits.data)
     out = np.log(np.maximum(p[at], K.LOGPROB_FLOOR))
 
@@ -280,12 +437,12 @@ def _attend_and_speak(params, scene, region_proj, s_vis, s_lang0, c_lang0):
     """The step after the visual LSTM over the region_proj node of scene's
     regions: (logits, s_lang, c_lang, attended features, attention
     weights)."""
-    h_proj = K.affine(s_vis, params.W_h)
+    h_proj = affine(s_vis, params.W_h)
     attn = additive_attention(region_proj, h_proj, params.W_a, scene.mask)
     v_hat = attend(attn, scene.features)
-    x_lang = K.concat([v_hat, s_vis])
+    x_lang = concat([v_hat, s_vis])
     s_lang, c_lang = lstm_cell(x_lang, s_lang0, c_lang0, params.lang)
-    return K.affine(s_lang, params.W_p), s_lang, c_lang, v_hat, attn
+    return affine(s_lang, params.W_p), s_lang, c_lang, v_hat, attn
 
 
 def composite_policy_step(params, prev_word, state, scene):
@@ -298,15 +455,15 @@ def composite_policy_step(params, prev_word, state, scene):
     c_lang] state, attended features, attention weights), all as nodes."""
     z = params.hidden_size
     if state is None:       # the zero states [s_vis, s_lang, c_vis, c_lang]
-        state = K.constant(np.zeros((scene.features.shape[0], 4 * z)))
+        state = constant(np.zeros((scene.features.shape[0], 4 * z)))
     region_proj, mean_gates, word_gates, W_state = scene.terms
     s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
-    gates = K.add(K.add(K.affine(vslice(state, 0, 2 * z), W_state), mean_gates),
-                  K.take_row(word_gates, prev_word))
+    gates = K.add(K.add(affine(vslice(state, 0, 2 * z), W_state), mean_gates),
+                  take_row(word_gates, prev_word))
     s_vis, c_vis = gates_cell(gates, c_vis0)
     logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, region_proj, s_vis,
                                                             s_lang0, c_lang0)
-    return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
+    return logits, concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
 @dataclass
@@ -331,7 +488,7 @@ def unhoisted_batch(params, features):
         mask[r, :f.shape[0]] = True
     means = np.array([np.asarray(f, dtype=np.float64).mean(axis=0) for f in features])
     return UnhoistedScene(padded, project_rows(padded, params.W_v),
-                          K.affine(K.constant(means), params.W_v), None if mask.all() else mask)
+                          affine(constant(means), params.W_v), None if mask.all() else mask)
 
 
 def unhoisted_policy_step(params, prev_word, state, scene):
@@ -341,13 +498,13 @@ def unhoisted_policy_step(params, prev_word, state, scene):
     every step (an lstm_cell node)."""
     z = params.hidden_size
     if state is None:       # the zero states [s_vis, s_lang, c_vis, c_lang]
-        state = K.constant(np.zeros((scene.features.shape[0], 4 * z)))
+        state = constant(np.zeros((scene.features.shape[0], 4 * z)))
     s_vis0, s_lang0, c_vis0, c_lang0 = (vslice(state, i * z, (i + 1) * z) for i in range(4))
-    x_vis = K.concat([s_lang0, scene.mean_proj, K.take_row(params.W_e, prev_word)])
+    x_vis = concat([s_lang0, scene.mean_proj, take_row(params.W_e, prev_word)])
     s_vis, c_vis = lstm_cell(x_vis, s_vis0, c_vis0, params.vis)
     logits, s_lang, c_lang, v_hat, attn = _attend_and_speak(params, scene, scene.region_proj,
                                                             s_vis, s_lang0, c_lang0)
-    return logits, K.concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
+    return logits, concat([s_vis, s_lang, c_vis, c_lang]), v_hat, attn
 
 
 def row_steps(params, scene, choose, t_max, step=composite_policy_step):
@@ -441,7 +598,7 @@ def rl_surrogate(params, features, actions, advantage):
     """-sum_t A_t log pi(y_t | s_t) of one scene's actions as a graph of
     per-step logprob nodes: the policy-gradient loss that the sampled rows
     of policy.RowUnroll.loss weight with -A_t."""
-    return add_n([K.dotp(logprob(logits, token), K.constant([-float(a)]))
+    return add_n([dotp(logprob(logits, token), constant([-float(a)]))
                   for (token, logits, _), a in zip(forced_unroll(params, features, actions),
                                                    advantage)])
 
@@ -451,8 +608,79 @@ def sp_targets(episodes, params):
     policy.Episodes, row by row."""
     rows, steps = np.nonzero(np.arange(episodes.actions.shape[1]) + 1
                              < episodes.lengths[:, None])
-    with K.no_grad():
-        return C.embed_state(episodes.states[rows, steps + 1], params).data
+    return C.embed_state(episodes.states[rows, steps + 1], params)
+
+
+def embed_state(state, params):
+    """curiosity.embed_state as a graph over a node or an array of rows."""
+    node = state if isinstance(state, K.Tensor) else constant(state)
+    return leaky_relu(affine(node, params.phi_W, params.phi_b))
+
+
+def predict_next_state(phi_t, action, params):
+    """Next-state embedding from the current embedding and the action taken,
+    per row of (N, Zp) embeddings and an int vector of N actions."""
+    x = concat([phi_t, take_row(params.sp_emb, action)])
+    h = leaky_relu(affine(x, params.sp_W1, params.sp_b1))
+    return affine(h, params.sp_W2, params.sp_b2)
+
+
+def predict_action(phi_t, phi_next, params):
+    """Logits over the vocabulary for the action linking two states, per row
+    of two (N, Zp) embeddings."""
+    x = concat([phi_t, phi_next])
+    h = leaky_relu(affine(x, params.ap_W1, params.ap_b1))
+    return affine(h, params.ap_W2, params.ap_b2)
+
+
+@dataclass
+class GraphCuriosityPass:
+    errors: np.ndarray
+    sp_loss: object     # node
+    ap_loss: object     # node; constant 0 unless alpha > 0
+
+
+def graph_curiosity_pass(episodes, params, alpha=0.0, beta=1.0, targets=None):
+    """curiosity.curiosity_pass as a graph: the state predictor reads
+    grad_scale(phi, beta) and the action predictor grad_scale(phi, alpha),
+    so one backward over the sum of both loss nodes gives the embedding
+    alpha * d(ap) + beta * d(sp) while each predictor gets its own
+    unweighted gradient."""
+    b, t_len = episodes.actions.shape
+    lengths = episodes.lengths
+    errors = np.zeros((b, t_len))
+    rows, steps = np.nonzero(np.arange(t_len) + 1 < lengths[:, None])
+    if not rows.size:
+        return GraphCuriosityPass(errors, constant(0.0), constant(0.0))
+    embedded = (np.arange(t_len) < lengths[:, None]) & (lengths > 1)[:, None]
+    flat = np.cumsum(embedded).reshape(embedded.shape) - 1
+    src = flat[rows, steps]
+    dst = src + 1
+    actions = episodes.actions[rows, steps]
+    weights = 1.0 / (b * (lengths[rows] - 1))
+    phi = embed_state(episodes.states[embedded], params)
+    if targets is None:
+        targets = phi.data[dst]
+    pred = predict_next_state(take_row(grad_scale(phi, beta), src), actions, params)
+    diff = sub(pred, constant(targets))
+    errors[rows, steps + 1] = 0.5 * np.einsum("ij,ij->i", diff.data, diff.data)
+    ap_loss = constant(0.0)
+    if alpha > 0:
+        to_ap = grad_scale(phi, alpha)
+        logits = predict_action(take_row(to_ap, src), take_row(to_ap, dst), params)
+        ap_loss = dotp(cross_entropy(logits, actions), constant(weights))
+    return GraphCuriosityPass(errors, scale(K.sumsq(diff, weights), 0.5), ap_loss)
+
+
+def graph_curiosity_loss(terms, alpha, beta):
+    """The loss train_step added to the policy's before curiosity.curiosity_pass
+    had its own node: each term whose weight is > 0."""
+    loss = constant(0.0)
+    if beta > 0:
+        loss = K.add(loss, terms.sp_loss)
+    if alpha > 0:
+        loss = K.add(loss, terms.ap_loss)
+    return loss
 
 
 def one_row_sample(params, features, t_max, rng):
@@ -572,13 +800,13 @@ def padded_score_rows(params, features, tokens, ce_weights, lp_weights=None, unh
     steps = row_steps(params, scene, lambda t, logits: forced[:, t], width,
                       unhoisted_policy_step if unhoisted else composite_policy_step)
     for t, (_, logits, _) in enumerate(steps):
-        node = K.cross_entropy(logits, forced[:, t])
+        node = cross_entropy(logits, forced[:, t])
         ce[:, t] = node.data
-        terms.append(K.dotp(node, K.constant(ce_w[:, t])))
+        terms.append(dotp(node, constant(ce_w[:, t])))
         if lp_w is not None:
             node = logprob(logits, forced[:, t])
             lp[:, t] = node.data
-            terms.append(K.dotp(node, K.constant(lp_w[:, t])))
+            terms.append(dotp(node, constant(lp_w[:, t])))
     return PaddedScores(add_n(terms), np.where(real, ce, 0.0), np.where(real, lp, 0.0))
 
 

@@ -211,6 +211,15 @@ class TestTrain:
                                    "epochs": 1, key: value}))
         assert_clean_error(capsys, run(["train", "--config", str(cfg)]), key)
 
+    @pytest.mark.parametrize("key,value", [("learning_rate", "x"), ("discount", True),
+                                           ("clip_norm", "5"), ("lr_decay", None)])
+    def test_a_float_field_that_is_not_a_number_fails_cleanly(self, synth_dir, tmp_path, capsys,
+                                                              key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_manifest": str(synth_dir / "train_manifest.json"),
+                                   "epochs": 1, key: value}))
+        assert_clean_error(capsys, run(["train", "--config", str(cfg)]), f"{key} must be a number")
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("key,value", [("train_manifest", 5), ("val_manifest", ["x"]),
                                            ("out_dir", 5)])

@@ -4,7 +4,9 @@ import pytest
 from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
-from oracles import add_n, first_row, forced_trace, sp_targets, stack, unstack
+import oracles as O
+from oracles import (constant, cross_entropy, dotp, first_row, forced_trace, sp_targets, stack,
+                     unstack)
 
 
 def make_setup(seed=0, vocab_size=9, hidden=5, embed=6, t_max=5):
@@ -34,20 +36,25 @@ class TestEmbedState:
         _, _, trace, cur = make_setup()
         zeroed(cur)
         out = C.embed_state(state_row(trace, 0), cur)
-        np.testing.assert_array_equal(out.data, np.zeros((1, cur.embed_size)))
+        np.testing.assert_array_equal(out, np.zeros((1, cur.embed_size)))
 
     def test_deterministic(self):
         _, _, trace, cur = make_setup()
         a = C.embed_state(state_row(trace, 0), cur)
         b = C.embed_state(state_row(trace, 0), cur)
-        assert (a.data == b.data).all()
+        assert (a == b).all()
+
+    def test_equals_the_graph_form(self):
+        _, _, trace, cur = make_setup(seed=2)
+        states = trace.states[0]
+        assert np.array_equal(C.embed_state(states, cur), O.embed_state(states, cur).data)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
-        w = K.constant(np.random.default_rng(3).standard_normal(cur.embed_size))
+        w = constant(np.random.default_rng(3).standard_normal(cur.embed_size))
 
         def fn():
-            return K.dotp(w, first_row(C.embed_state(state_row(trace, 0), cur)))
+            return dotp(w, first_row(O.embed_state(state_row(trace, 0), cur)))
 
         assert K.grad_check(fn, cur.embedding_parameters()) <= 1e-4
 
@@ -58,54 +65,58 @@ class TestEmbedState:
 
 
 class TestPredictNextState:
+    """The graph form of the state predictor that the oracle pass builds."""
+
     def test_zero_weights_give_zero_prediction(self):
         _, _, trace, cur = make_setup()
         zeroed(cur)
-        phi = C.embed_state(state_row(trace, 0), cur)
-        out = C.predict_next_state(phi, trace.actions[0, :1], cur)
+        phi = O.embed_state(state_row(trace, 0), cur)
+        out = O.predict_next_state(phi, trace.actions[0, :1], cur)
         np.testing.assert_array_equal(out.data, np.zeros((1, cur.embed_size)))
 
     def test_output_dimension(self):
         _, _, trace, cur = make_setup(embed=7)
-        phi = C.embed_state(state_row(trace, 0), cur)
-        assert C.predict_next_state(phi, np.array([2]), cur).shape == (1, 7)
+        phi = O.embed_state(state_row(trace, 0), cur)
+        assert O.predict_next_state(phi, np.array([2]), cur).shape == (1, 7)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
-        w = K.constant(np.random.default_rng(4).standard_normal(cur.embed_size))
+        w = constant(np.random.default_rng(4).standard_normal(cur.embed_size))
 
         def fn():
-            phi = C.embed_state(state_row(trace, 0), cur)
-            return K.dotp(w, first_row(C.predict_next_state(phi, trace.actions[0, :1], cur)))
+            phi = O.embed_state(state_row(trace, 0), cur)
+            return dotp(w, first_row(O.predict_next_state(phi, trace.actions[0, :1], cur)))
 
         params = cur.embedding_parameters() + cur.state_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4
 
 
 class TestPredictAction:
+    """The graph form of the action predictor that the oracle pass builds."""
+
     def test_distribution_sums_to_one(self):
         _, _, trace, cur = make_setup()
-        phi_a = C.embed_state(state_row(trace, 0), cur)
-        phi_b = C.embed_state(state_row(trace, 1), cur)
-        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)[0]
+        phi_a = O.embed_state(state_row(trace, 0), cur)
+        phi_b = O.embed_state(state_row(trace, 1), cur)
+        dist = K.softmax_values(O.predict_action(phi_a, phi_b, cur).data)[0]
         assert abs(dist.sum() - 1.0) <= 1e-9
 
     def test_zero_weights_give_uniform(self):
         _, _, trace, cur = make_setup(vocab_size=8)
         zeroed(cur)
-        phi_a = C.embed_state(state_row(trace, 0), cur)
-        phi_b = C.embed_state(state_row(trace, 1), cur)
-        dist = K.softmax_values(C.predict_action(phi_a, phi_b, cur).data)[0]
+        phi_a = O.embed_state(state_row(trace, 0), cur)
+        phi_b = O.embed_state(state_row(trace, 1), cur)
+        dist = K.softmax_values(O.predict_action(phi_a, phi_b, cur).data)[0]
         np.testing.assert_allclose(dist, 1.0 / 8, atol=1e-15)
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup()
 
         def fn():
-            phi_a = C.embed_state(state_row(trace, 0), cur)
-            phi_b = C.embed_state(state_row(trace, 1), cur)
-            return first_row(K.cross_entropy(C.predict_action(phi_a, phi_b, cur),
-                                             trace.actions[0, :1]))
+            phi_a = O.embed_state(state_row(trace, 0), cur)
+            phi_b = O.embed_state(state_row(trace, 1), cur)
+            return first_row(cross_entropy(O.predict_action(phi_a, phi_b, cur),
+                                           trace.actions[0, :1]))
 
         params = cur.embedding_parameters() + cur.action_predictor_parameters()
         assert K.grad_check(fn, params) <= 1e-4
@@ -248,40 +259,65 @@ def test_init_scale_shrinks_initial_intrinsic_signal():
 
 
 class TestBatchedPass:
-    """The pass over many episodes at once against the one-episode views."""
+    """The pass over many episodes at once against the one-episode views and
+    against the graph it replaced (oracles.graph_curiosity_pass)."""
 
     def make(self):
         policy, feats, episode, cur = make_setup(seed=16, t_max=6)
         traces = unstack(episode) + [forced_trace(policy, feats, [3]),       # no transitions
-                                     forced_trace(policy, feats, [4, 1, 1, 5, 2, 7, 3])]
+                                     forced_trace(policy, feats, [4, 1, 1, 5, 2, 7, 3]),
+                                     forced_trace(policy, feats, [6, 6, 6, 2])]
         return traces, cur
 
     def test_matches_mean_of_per_trace_losses_and_gradients(self):
         traces, cur = self.make()
         alpha, beta = 0.3, 0.6
-        terms = C.curiosity_pass(stack(traces), cur, alpha, beta)
         params = cur.parameters()
-        K.zero_grads(params)
-        K.backward(K.add(terms.sp_loss, terms.ap_loss))
-        batched = {q.name: q.grad.copy() for q in params}
-
+        terms = C.curiosity_pass(stack(traces), cur, alpha, beta)
+        batched = K.gradients(terms.loss, params)
         n = len(traces)
         per_trace = [C.curiosity_pass(stack([t]), cur, alpha, beta) for t in traces]
-        oracle_sp = K.scale(add_n([t.sp_loss for t in per_trace]), 1.0 / n)
-        oracle_ap = K.scale(add_n([t.ap_loss for t in per_trace]), 1.0 / n)
-        assert float(terms.sp_loss.data) == pytest.approx(float(oracle_sp.data), rel=1e-12)
-        assert float(terms.ap_loss.data) == pytest.approx(float(oracle_ap.data), rel=1e-12)
-        K.zero_grads(params)
-        K.backward(K.add(oracle_sp, oracle_ap))
+        assert terms.sp_loss == pytest.approx(sum(t.sp_loss for t in per_trace) / n, rel=1e-12)
+        assert terms.ap_loss == pytest.approx(sum(t.ap_loss for t in per_trace) / n, rel=1e-12)
+        per_trace_grads = [K.gradients(t.loss, params) for t in per_trace]
         for q in params:
-            np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
-                                       atol=1e-12 * np.abs(q.grad).max(), err_msg=q.name)
+            mean = sum(g[q.name] for g in per_trace_grads) / n
+            np.testing.assert_allclose(batched[q.name], mean, rtol=0,
+                                       atol=1e-12 * np.abs(mean).max(), err_msg=q.name)
         assert terms.errors.shape == (n, max(len(t) for t in traces))
         for trace, errors in zip(traces, terms.errors):
             np.testing.assert_allclose(errors[:len(trace)],
                                        C.intrinsic_rewards(stack([trace]), cur, 1.0)[0],
                                        rtol=1e-12, atol=0)
             assert (errors[len(trace):] == 0.0).all()
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2, 0.8), (0.3, 0.6), (1.0, 0.0), (0.0, 1.0)])
+    def test_node_equals_the_graph_pass(self, alpha, beta):
+        # a one-step episode (no transitions) and repeated actions, which
+        # sum into one row of sp_emb's gradient
+        traces, cur = self.make()
+        episodes = stack(traces)
+        params = cur.parameters()
+        terms = C.curiosity_pass(episodes, cur, alpha, beta)
+        graph = O.graph_curiosity_pass(episodes, cur, alpha, beta)
+        assert np.array_equal(terms.errors, graph.errors)
+        assert terms.sp_loss == float(graph.sp_loss.data)
+        assert terms.ap_loss == float(graph.ap_loss.data)
+        assert terms.loss.parents == tuple(params)
+        node = K.gradients(terms.loss, params)
+        reference = K.gradients(O.graph_curiosity_loss(graph, alpha, beta), params)
+        for q in params:
+            assert np.array_equal(node[q.name], reference[q.name]), q.name
+
+    def test_node_gradcheck_with_frozen_targets(self):
+        # at alpha = beta = 1 the embedding's gradient is the true gradient
+        # of the node's value, sp_loss + ap_loss
+        traces, cur = self.make()
+        episodes = stack(traces)
+        targets = sp_targets(episodes, cur)
+        err = K.grad_check(lambda: C.curiosity_pass(episodes, cur, 1.0, 1.0, targets).loss,
+                           cur.parameters(), max_coords=30)
+        assert err <= 1e-4
 
     def test_one_embedding_call_per_pass(self, monkeypatch):
         traces, cur = self.make()
@@ -295,11 +331,14 @@ class TestBatchedPass:
         monkeypatch.setattr(C, "embed_state", counted)
         C.curiosity_pass(stack(traces), cur, 0.2, 0.8)
         # every state of the episodes with a transition, as one matrix
-        assert calls == [(len(traces[0]) + len(traces[2]), cur.phi_W.data.shape[1])]
+        assert calls == [(len(traces[0]) + len(traces[2]) + len(traces[3]),
+                          cur.phi_W.data.shape[1])]
 
     def test_no_transitions_embed_nothing(self, monkeypatch):
         policy, feats, _, cur = make_setup()
         monkeypatch.setattr(C, "embed_state", None)
         terms = C.curiosity_pass(stack([forced_trace(policy, feats, [2])] * 2), cur, 1.0, 1.0)
-        assert float(terms.sp_loss.data) == float(terms.ap_loss.data) == 0.0
+        assert terms.sp_loss == terms.ap_loss == float(terms.loss.data) == 0.0
         assert terms.errors.tolist() == [[0.0], [0.0]]
+        grads = K.gradients(terms.loss, cur.parameters())
+        assert all((g == 0.0).all() for g in grads.values())

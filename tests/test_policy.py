@@ -4,10 +4,10 @@ import pytest
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
-from oracles import (add_n, composite_policy_step, forced_trace, forced_unroll, one_row_sample,
-                     padded_sample_rows, padded_score_rows, per_hypothesis_beam, rl_surrogate,
-                     sequence_log_prob, term_batch, unhoisted_batch, unhoisted_policy_step,
-                     unstack, visual_gate_terms)
+from oracles import (add_n, composite_policy_step, constant, cross_entropy, dotp, forced_trace,
+                     forced_unroll, one_row_sample, padded_sample_rows, padded_score_rows,
+                     per_hypothesis_beam, rl_surrogate, sequence_log_prob, term_batch,
+                     unhoisted_batch, unhoisted_policy_step, unstack, visual_gate_terms)
 
 
 def sample_trace(params, feats, t_max, rng):
@@ -385,9 +385,9 @@ class TestScoreRows:
         K.backward(loss)
         batched = {q.name: q.grad.copy() for q in params.parameters()}
 
-        per_scene = [K.dotp(add_n([K.cross_entropy(logits, tok)
+        per_scene = [dotp(add_n([cross_entropy(logits, tok)
                                    for tok, logits, _ in forced_unroll(params, f, ref)]),
-                            K.constant([e]))
+                            constant([e]))
                      for f, ref, e in zip(feats, refs, eta)]
         per_scene += [rl_surrogate(params, f, t.actions, a)
                       for f, t, a in zip(feats, unstack(run.episodes), adv)]
@@ -633,7 +633,7 @@ class TestUnrollNode:
             return K.Tensor(t.data.ravel(), (t,), lambda g, accum: accum(t, g.reshape(t.shape)))
 
         def fn():
-            return add_n([K.dotp(K.constant(w.ravel()), flat(t))
+            return add_n([dotp(constant(w.ravel()), flat(t))
                           for w, t in zip(weights, visual_gate_terms(params, means))])
 
         checked = [params.W_v, params.W_e, *params.vis.parameters()]

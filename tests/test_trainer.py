@@ -12,7 +12,7 @@ from curioseq import synth
 from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
 import oracles
-from oracles import add_n, rl_surrogate
+from oracles import add_n, rl_surrogate, scale
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,23 @@ class TestConfigValidation:
     def test_non_finite_floats_rejected(self, field, value):
         with pytest.raises(T.ConfigError, match=f"{field} must be finite"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, "x", None])
+    @pytest.mark.parametrize("field", [
+        "intrinsic_scale", "discount", "td_lambda", "action_loss_weight", "state_loss_weight",
+        "imitation_weight", "imitation_decay", "bleu_weight", "cider_weight", "learning_rate",
+        "lr_decay", "clip_norm", "curiosity_init_scale"])
+    def test_non_number_floats_rejected(self, field, value):
+        # a JSON true is a bool, which Python counts as an int; only
+        # clip_norm may be null
+        if value is None and field == "clip_norm":
+            assert tiny_config(clip_norm=None).clip_norm is None
+            return
+        with pytest.raises(T.ConfigError, match=f"{field} must be a number"):
+            tiny_config(**{field: value})
+
+    def test_an_int_is_a_number(self):
+        assert tiny_config(imitation_weight=6, learning_rate=1).imitation_weight == 6
 
     @pytest.mark.parametrize("field,value", [("train_manifest", 5), ("val_manifest", ["x"]),
                                              ("out_dir", 5)])
@@ -307,10 +324,10 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
         q = R.q_closed_form(r_e, len(trace), cfg.discount)
         rl = rl_surrogate(model.policy, scene.features, trace.actions, q + intrinsic)
         xe = T.xe_loss(model.policy, scene, 0)
-        policy_terms.append(K.add(rl, K.scale(xe, cfg.imitation_weight)))
+        policy_terms.append(K.add(rl, scale(xe, cfg.imitation_weight)))
         sp_terms.append(C.sp_loss(episode, model.curiosity))
         ap_terms.append(C.ap_loss(episode, model.curiosity))
-    losses = [K.scale(add_n(terms), 1.0 / len(batch))
+    losses = [scale(add_n(terms), 1.0 / len(batch))
               for terms in (policy_terms, sp_terms, ap_terms)]
     grads = [K.gradients(loss, model.parameters()) for loss in losses]
     return grads, [float(loss.data) for loss in losses[1:]]
