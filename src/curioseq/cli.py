@@ -85,6 +85,21 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
         raise CliError(f"grammar spec {path}: {exc}") from exc
 
 
+def check_val_split(train: dat.LoadedDataset, val: dat.LoadedDataset, train_path,
+                    val_path) -> None:
+    """A val split is scored by a model of the train split: its scenes must
+    have the train split's feature dimension, and its references must be
+    encoded with the same token list."""
+    if val.feature_dim != train.feature_dim:
+        what = f"feature_dim {val.feature_dim}, not {train.feature_dim}"
+    elif val.vocab.index_to_token != train.vocab.index_to_token:
+        what = "a vocabulary with other tokens"
+    else:
+        return
+    raise CliError(f"val manifest {val_path} does not match train manifest {train_path}: "
+                   f"it has {what}")
+
+
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,8 +145,11 @@ def cmd_train(args) -> int:
                 raise CliError(f"cannot write checkpoint {path}: it is a directory")
 
     train_ds = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
-    val_scenes = ([] if cfg.val_manifest is None
-                  else dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max).scenes)
+    val_scenes = []
+    if cfg.val_manifest is not None:
+        val_ds = dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max)
+        check_val_split(train_ds, val_ds, cfg.train_manifest, cfg.val_manifest)
+        val_scenes = val_ds.scenes
 
     model = opt = None
     start_epoch = 0
@@ -178,6 +196,8 @@ def cmd_eval(args) -> int:
                        "frequencies are built from")
     ds = dat.load_dataset(manifest, t_max=cfg.t_max)
     train_ds = ds if args.split == "train" else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
+    if args.split == "val":
+        check_val_split(train_ds, ds, cfg.train_manifest, manifest)
     model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
     idf = met.build_idf(trn.reference_documents(train_ds.scenes, train_ds.vocab))
     report = trn.evaluate(ds.scenes, model, ds.vocab, idf, cfg)

@@ -263,22 +263,25 @@ def init_lstm(rng: np.random.Generator, name: str, input_size: int, hidden: int,
 
 def lstm_cell_forward(gates: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The LSTM cell over its (n, 4Z) pre-activation gates, a row per
-    sequence; returns (h, c, cache), the cache being what
-    lstm_cell_backward reads."""
+    sequence; returns (h, c, cache), the cache (c_prev, act, tanh(c)) being
+    what lstm_cell_backward reads. act is one (n, 4Z) array in gate order:
+    the sigmoid of the input, forget and output gates, and in the cell
+    candidate's block, whose sigmoid nothing reads, its tanh."""
     z = gates.shape[-1] // 4
-    sig = 1.0 / (1.0 + np.exp(-gates))     # the input, forget and output gates
-    i, f, o = sig[:, :z], sig[:, z:2 * z], sig[:, 3 * z:]
-    g = np.tanh(gates[:, 2 * z:3 * z])
-    c = f * c_prev + i * g
+    act = 1.0 / (1.0 + np.exp(-gates))
+    g = np.tanh(gates[:, 2 * z:3 * z], out=act[:, 2 * z:3 * z])
+    c = act[:, z:2 * z] * c_prev + act[:, :z] * g
     tc = np.tanh(c)
-    return o * tc, c, (c_prev, i, f, o, g, tc)
+    return act[:, 3 * z:] * tc, c, (c_prev, act, tc)
 
 
 def lstm_cell_backward(cache: tuple, dh: np.ndarray,
                        dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Given dh and dc on an lstm_cell_forward step's outputs, return the
     gradients (d_gates, dc_prev) on its inputs."""
-    c_prev, i, f, o, g, tc = cache
+    c_prev, act, tc = cache
+    z = act.shape[-1] // 4
+    i, f, g, o = act[:, :z], act[:, z:2 * z], act[:, 2 * z:3 * z], act[:, 3 * z:]
     dc = dc + dh * o * (1.0 - tc * tc)
     d_gates = np.concatenate([
         dc * g * i * (1.0 - i),

@@ -1,5 +1,9 @@
 """Evaluation metrics: corpus and smoothed BLEU-n, TF-IDF consensus scoring,
-and diversity-graph statistics over generated paragraphs."""
+and diversity-graph statistics over generated paragraphs.
+
+reference_stats counts a scene's references once, for BLEU's clip and the
+consensus score both, keyed by the IdfTable's own n-gram tuples, so a run's
+statistics hold one tuple per distinct n-gram."""
 
 from __future__ import annotations
 
@@ -34,10 +38,17 @@ def candidate_counts(tokens: TokenSeq, max_n: int = MAX_NGRAM) -> list[Counter]:
 
 @dataclass
 class IdfTable:
-    """log(N / df) per n-gram over a reference corpus of N documents."""
+    """log(N / df) per n-gram over a reference corpus of N documents. keys
+    maps each n-gram of the table to the table's own tuple of it, which
+    reference_stats keys its dicts by, so that every count of an n-gram
+    shares one tuple."""
 
     values: dict[Ngram, float]
     doc_count: int
+    keys: dict[Ngram, Ngram] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.keys = {g: g for g in self.values}
 
     def get(self, gram: Ngram) -> float:
         return self.values.get(gram, 0.0)
@@ -84,13 +95,14 @@ class References:
 def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
                     max_n: int = MAX_NGRAM) -> References:
     """Count refs once: the statistics that BLEU and the consensus score of
-    any candidate against them read."""
+    any candidate against them read. An n-gram that idf has is keyed by
+    idf's own tuple."""
     if not refs:
         raise ValueError("cannot score a sample without references")
-    get = idf.values.get
+    get, own = idf.values.get, idf.keys.get
     max_counts, vectors, norms = [], [], []
     for n in range(1, max_n + 1):
-        counts = [ngram_counts(ref, n) for ref in refs]
+        counts = [{own(g, g): c for g, c in ngram_counts(ref, n).items()} for ref in refs]
         best: dict[Ngram, int] = {}
         for rg in counts:
             for g, c in rg.items():

@@ -1,26 +1,26 @@
-"""Two-layer attention LSTM policy over region features, with stochastic
-rollout, greedy decoding and beam search.
+"""Two-layer attention LSTM policy over region features, with the one
+unroll loop that training, greedy decoding and beam search share.
 
 Step structure: a visual LSTM reads [previous language state, projected mean
 features, previous word embedding]; its state attends over projected region
 features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
-runs all of it over plain arrays, one state array per sequence, [s_vis,
-s_lang, c_vis, c_lang], computes both LSTMs' gates for lstm_cell_forward
-and records no graph node: the one gradient path is RowUnroll.loss, one
-node over the policy's Parameters whose backward pass runs an unroll's
-steps in reverse through the kernel's backward helpers, which return their
-gradients, and hands each Parameter its gradient once.
-
-Two thirds of the visual LSTM's input is fixed within an unroll, per scene
-row and per word, so project_batch multiplies those parts by the LSTM's
-weights once per unroll, as plain arrays: a step's visual gates are one
-matmul over its state's [s_vis, s_lang] columns plus a row of the
-mean-feature term and a row of the word table.
+runs all of it over plain arrays and records no graph node.
 
 Every sequence is a row: a scene is one row of project_batch, a word an int
-vector with one entry per row and a state an (n, 4Z) array, so one scene
-decodes as one row.
+vector and a state an (n, 4Z) array [s_vis, s_lang, c_vis, c_lang]. Two
+thirds of the visual LSTM's input is fixed within an unroll, so
+project_batch multiplies those parts by its weights once per unroll. After
+each step, unroll gathers the state rows that go on, and their scene rows
+unless the scene is one row, which every row reads (a one-scene beam).
+
+A training unroll keeps one StepRecord per step, which holds each value
+once: the state read and made, the words, the attention weights and tanh,
+the attended features and each LSTM cell's activations and tanh(c). The
+regions stay in the unroll's scene, and s_vis, the rest of the language
+LSTM's input, in the state. RowUnroll.loss is the policy's one gradient
+path: a node whose backward runs the steps in reverse over those records
+and hands each of the 11 Parameters its gradient once.
 """
 
 from __future__ import annotations
@@ -139,61 +139,66 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
 @dataclass
 class StepRecord:
     """The plain arrays of one policy_step: the state it made, its attention
-    weights and what RowUnroll.loss's reverse pass reads."""
+    weights and what RowUnroll.loss's reverse pass reads. It holds each
+    value once: no regions (the scene has them), and of the language LSTM's
+    input [attended, s_vis] only the attended features, s_vis being
+    state[:, :Z]."""
 
     words: np.ndarray         # (n,) the previous words
     read: np.ndarray          # (n, 4Z) the state the step read
     state: np.ndarray         # (n, 4Z) the state it made
-    features: np.ndarray      # (n, m, E) its rows' regions
     vis: tuple                # lstm_cell_forward's cache of the visual LSTM
     attn: np.ndarray          # (n, m) attention weights
     tanh: np.ndarray          # (n, m, Z) attention_forward's tanh
-    x_lang: np.ndarray        # (n, E + Z) the language LSTM's input
+    attended: np.ndarray      # (n, E) the attended features
     lang: tuple               # lstm_cell_forward's cache of the language LSTM
 
 
 def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray | None,
                 scene: ProjectedScene) -> tuple[np.ndarray, StepRecord]:
     """One decoding step for a row per sequence: an int vector of n previous
-    words, (n, 4Z) states (None for the zero states) and an n-row
-    project_batch scene. Returns (next-word logits, record), all plain
-    arrays; a step records no graph node, and its gradient is
-    _step_backward's, which RowUnroll.loss runs."""
-    n, z = scene.features.shape[0], params.hidden_size
-    if state is None:
+    words, (n, 4Z) states (None for the zero states) and a project_batch
+    scene of n rows, or of one row that every row reads. Returns
+    (next-word logits, record), all plain arrays; a step records no graph
+    node, and its gradient is _step_backward's, which RowUnroll.loss runs."""
+    z = params.hidden_size
+    n = len(prev_word) if np.ndim(prev_word) == 1 else -1
+    if state is None and n >= 0:
         state = np.zeros((n, 4 * z))
-    if np.shape(state) != (n, 4 * z) or np.shape(prev_word) != (n,):
-        raise ShapeError(f"policy_step expects words ({n},) and states ({n}, {4 * z}), "
-                         f"got {np.shape(prev_word)} and {np.shape(state)}")
+    if n < 0 or scene.features.shape[0] not in (1, n) or np.shape(state) != (n, 4 * z):
+        raise ShapeError(f"policy_step expects words (n,) and states (n, {4 * z}) for a scene "
+                         f"of n or 1 rows, got {np.shape(prev_word)} and {np.shape(state)} "
+                         f"for {scene.features.shape[0]} rows")
     check_index(prev_word, params.vocab_size, "policy_step")
     gates = ((state[:, :2 * z] @ scene.W_state.T + scene.mean_gates)
              + scene.word_gates[prev_word])
     s_vis, c_vis, vis = lstm_cell_forward(gates, state[:, 2 * z:3 * z])
     attn, t = attention_forward(scene.region_proj, s_vis @ params.W_h.data.T,
                                 params.W_a.data, scene.mask)
-    x_lang = np.concatenate([attend_values(attn, scene.features), s_vis], axis=-1)
+    attended = attend_values(attn, scene.features)
     lang = params.lang
-    gates = (x_lang @ lang.W_x.data.T + lang.b.data) + state[:, z:2 * z] @ lang.W_h.data.T
+    gates = ((np.concatenate([attended, s_vis], axis=-1) @ lang.W_x.data.T + lang.b.data)
+             + state[:, z:2 * z] @ lang.W_h.data.T)
     s_lang, c_lang, cell = lstm_cell_forward(gates, state[:, 3 * z:])
     new_state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
     return (s_lang @ params.W_p.data.T,
-            StepRecord(prev_word, state, new_state, scene.features, vis, attn, t, x_lang, cell))
+            StepRecord(prev_word, state, new_state, vis, attn, t, attended, cell))
 
 
-def _step_backward(params: PolicyParams, step: StepRecord, W_state: np.ndarray,
-                   g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One step in reverse, given g (n, 4Z) on the state it made: returns
-    the gradients on the state it read, on its visual and language gates,
-    on W_h's projection of s_vis, on its pre-tanh attention sums (those of
-    the regions, whose sum over the regions is the projection's) and on
-    W_a."""
+def _step_backward(params: PolicyParams, step: StepRecord, features: np.ndarray,
+                   W_state: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step in reverse, given its rows' (n, m, E) regions and g (n, 4Z)
+    on the state it made: returns the gradients on the state it read, on
+    its visual and language gates, on W_h's projection of s_vis, on its
+    pre-tanh attention sums (those of the regions, whose sum over the
+    regions is the projection's) and on W_a."""
     z = params.hidden_size
-    e = step.features.shape[-1]
+    e = features.shape[-1]
     lang = params.lang
     d_lang, dc_lang = lstm_cell_backward(step.lang, g[:, z:2 * z], g[:, 3 * z:])
     dx_lang = d_lang @ lang.W_x.data
     d_w_a, d_pre = attention_backward(params.W_a.data, step.attn, step.tanh,
-                                      attend_grad(step.features, dx_lang[:, :e]))
+                                      attend_grad(features, dx_lang[:, :e]))
     d_hproj = d_pre.sum(axis=-2)
     d_gates, dc_vis = lstm_cell_backward(
         step.vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data, g[:, 2 * z:3 * z])
@@ -230,9 +235,10 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
     project_batch scene steps at once; after step t, step(t, logits, record)
     returns (rows, token): the positions of the rows that go on, in the
     order they go on (a row may repeat), and the word each of them feeds
-    next. Unless rows is every row in order, the state and the scene rows
-    are gathered before the next step. The loop ends when rows is empty or
-    after t_max steps, with no gather after the last step."""
+    next. Unless rows is every row in order, the state rows are gathered
+    before the next step, and so are the scene rows, except of a one-row
+    scene, which every row reads as it is. The loop ends when rows is
+    empty or after t_max steps, with no gather after the last step."""
     state = None
     token = np.full(scene.features.shape[0], BOS_ID)
     for t in range(t_max):
@@ -242,7 +248,9 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
             return
         state = record.state
         if rows.size != state.shape[0] or (rows != np.arange(rows.size)).any():
-            state, scene = state[rows], scene.take(rows)
+            state = state[rows]
+            if scene.features.shape[0] > 1:
+                scene = scene.take(rows)
 
 
 @dataclass
@@ -295,10 +303,11 @@ class RowUnroll:
         terms' gradients stay aligned with the current step's rows and
         spread out where rows ended, so they are summed per row (and per
         word) and multiplied through W_v, W_e and the visual LSTM's
-        weights once. The per-step rows of each weight's gradient are
-        stacked in reverse step order for one matmul, and W_a's and the
-        language bias's per-step sums are added in that order, so accum
-        gets each Parameter's gradient once."""
+        weights once. The steps' regions are gathered from the scene where
+        the rows change, as the forward's gathers did. The per-step rows of
+        each weight's gradient are stacked in reverse step order for one
+        matmul, and W_a's and the language bias's per-step sums are added in
+        that order, so accum gets each Parameter's gradient once."""
         params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
         d_logits = np.concatenate(self.probs)
         d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
@@ -306,6 +315,7 @@ class RowUnroll:
         accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
         n = self.rows[-1].size
+        features = self._regions(self.rows[-1])
         carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
         regions = np.zeros((n,) + scene.region_proj.shape[1:])
         mean = np.zeros((n, 4 * z))
@@ -318,18 +328,19 @@ class RowUnroll:
             if rows.size != carry.shape[0]:         # rows that ended after step t come back
                 keep = np.searchsorted(rows, self.rows[t + 1])
                 carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
+                features = self._regions(rows)
             carry[:, z:2 * z] += ds_lang[end - rows.size:end]
             at = slice(total - end, total - end + rows.size)
             end -= rows.size
             carry, gates[at], langs[at], hprojs[at], d_pre, d_a = _step_backward(
-                params, steps[t], scene.W_state, carry)
+                params, steps[t], features, scene.W_state, carry)
             regions += d_pre
             mean += gates[at]
             d_b = d_b + langs[at].sum(axis=0)
             d_w_a = d_w_a + d_a
         backwards = steps[::-1]                 # the order of gates, langs and hprojs
         lang, vis, W_x = params.lang, params.vis, params.vis.W_x.data
-        accum(lang.W_x, langs.T @ np.concatenate([s.x_lang for s in backwards]))
+        accum(lang.W_x, langs.T @ _lang_inputs(backwards, z))
         accum(lang.W_h, langs.T @ np.concatenate([s.read[:, z:2 * z] for s in backwards]))
         accum(lang.b, d_b)
         accum(params.W_h, hprojs.T @ np.concatenate([s.state[:, :z] for s in backwards]))
@@ -346,6 +357,21 @@ class RowUnroll:
         accum(vis.W_h, state[:, :z])
         accum(vis.W_x, np.concatenate([state[:, z:], mean.T @ (scene.means @ params.W_v.data.T),
                                        word.T @ params.W_e.data], axis=1))
+
+    def _regions(self, rows: np.ndarray) -> np.ndarray:
+        """The regions of the scene rows rows, ascending ids as in self.rows."""
+        features = self.scene.features
+        return features if rows.size == features.shape[0] else features[rows]
+
+
+def _lang_inputs(steps: list[StepRecord], z: int) -> np.ndarray:
+    """The language LSTM's inputs [attended | s_vis] of the steps' rows,
+    stacked in the order of steps."""
+    e = steps[0].attended.shape[-1]
+    x = np.empty((sum(s.attended.shape[0] for s in steps), e + z))
+    np.concatenate([s.attended for s in steps], out=x[:, :e])
+    np.concatenate([s.state[:, :z] for s in steps], out=x[:, e:])
+    return x
 
 
 def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Training orchestration: the collaborative objective over policy,
 state/action predictors and the embedding layer, with geometric imitation
 decay, stepped learning-rate decay, per-epoch evaluation and checkpointing.
+
+A train_step is one unroll of the minibatch's reference and sampled rows,
+one curiosity pass, one advantage assembly and one backward over the sum
+of two nodes. train counts the reference statistics once per run and
+writes checkpoints that a resumed run continues from exactly.
 """
 
 from __future__ import annotations

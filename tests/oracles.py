@@ -71,7 +71,7 @@ from curioseq import curiosity as C
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq import rewards as R
-from curioseq.metrics import MAX_NGRAM, IdfTable, TokenSeq
+from curioseq.metrics import MAX_NGRAM, IdfTable, References, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
 
 
@@ -884,6 +884,25 @@ def _tfidf_cosine(cand: TokenSeq, ref: TokenSeq, idf: IdfTable, n: int) -> float
     if cnorm == 0.0 or rnorm == 0.0:
         return 0.0
     return num / (cnorm * rnorm)
+
+
+def fresh_key_reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
+                              max_n: int = MAX_NGRAM) -> References:
+    """metrics.reference_stats with a tuple of its own for each reference's
+    n-grams, as counting makes them, instead of the table's shared tuples."""
+    max_counts, vectors, norms = [], [], []
+    for n in range(1, max_n + 1):
+        counts = [ngram_counts(ref, n) for ref in refs]
+        best: dict = {}
+        for rg in counts:
+            for g, c in rg.items():
+                if c > best.get(g, 0):
+                    best[g] = c
+        vecs = [{g: c * idf.values.get(g, 0.0) for g, c in rg.items()} for rg in counts]
+        max_counts.append(best)
+        vectors.append(vecs)
+        norms.append([math.sqrt(sum(w ** 2 for w in vec.values())) for vec in vecs])
+    return References(idf, [len(ref) for ref in refs], max_counts, vectors, norms)
 
 
 def cider_single(cand: TokenSeq, refs: Sequence[TokenSeq], idf: IdfTable,

@@ -597,6 +597,71 @@ class TestShapeMismatch:
         assert_clean_error(capsys, code, tensor, "expected")
 
 
+class TestValSplitMismatch:
+    """A val manifest that the train manifest's model cannot score, by its
+    feature dimension or by its vocabulary: train stops before its first
+    epoch, and eval --split val before it decodes, with one error line
+    naming both manifests."""
+
+    @pytest.fixture(scope="class")
+    def narrow_features(self, tmp_path_factory):
+        """A corpus of 32-dimensional features over 3 regions."""
+        out = tmp_path_factory.mktemp("narrow")
+        grammar = out / "grammar.json"
+        grammar.write_text(json.dumps({"feature_dim": 32, "regions": 3}))
+        assert run(["synth", "--out", str(out), "--seed", "3", "--grammar", str(grammar),
+                    "--scenes", "4", "--val-scenes", "3"]) == 0
+        return out
+
+    @pytest.fixture(scope="class")
+    def other_vocabulary(self, synth_dir, tmp_path_factory):
+        """The val manifest of synth_dir beside a vocabulary file that lists
+        the same number of tokens in another order."""
+        out = tmp_path_factory.mktemp("other_vocab")
+        (out / "features").symlink_to(synth_dir / "features")
+        lines = (synth_dir / "vocab.txt").read_text().splitlines()
+        (out / "vocab.txt").write_text("\n".join(lines[:4] + lines[:3:-1]) + "\n")
+        (out / "val_manifest.json").write_text((synth_dir / "val_manifest.json").read_text())
+        return out
+
+    @pytest.fixture(params=["feature_dim", "vocabulary"])
+    def pair(self, request, synth_dir, narrow_features, other_vocabulary, tmp_path):
+        """(config path, train manifest, val manifest) of a mismatched pair."""
+        val = {"feature_dim": narrow_features,
+               "vocabulary": other_vocabulary}[request.param] / "val_manifest.json"
+        train = synth_dir / "train_manifest.json"
+        cfg = {"train_manifest": str(train), "val_manifest": str(val), "epochs": 1,
+               "batch_size": 4, "hidden_size": 10, "t_max": 12}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path, str(train), str(val)
+
+    def test_train_fails_before_its_first_epoch(self, pair, tmp_path, capsys):
+        cfg_path, train, val = pair
+        out = tmp_path / "run"
+        code = run(["train", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert '"epoch"' not in captured.out
+        assert not (out / "reports.jsonl").exists() and not (out / "last.ckpt").exists()
+        assert code == 1 and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+        assert train in captured.err and val in captured.err
+
+    def test_eval_of_the_val_split_fails_cleanly(self, trained, pair, capsys):
+        out, _ = trained
+        cfg_path, train, val = pair
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
+                    "--split", "val"])
+        assert_clean_error(capsys, code, train, val)
+
+    def test_the_matching_pair_trains(self, synth_dir, tmp_path):
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"), "epochs": 0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["train", "--config", str(path)]) == 0
+
+
 class TestDiversity:
     def test_counts_match_module_scan(self, tmp_path, capsys):
         text = tmp_path / "gen.txt"

@@ -220,6 +220,23 @@ class TestLstmCell:
         for a, b in zip(lstm_cell(x, h0, c0, params), gates_cell(gates, c0)):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_the_cache_holds_each_gate_activation_once(self):
+        # one (n, 4Z) array of activations: the sigmoid of the input, forget
+        # and output gates, and in the cell candidate's block its tanh
+        rng = np.random.default_rng(7)
+        gates, c_prev = rng.standard_normal((3, 16)), rng.standard_normal((3, 4))
+        kept = gates.copy()
+        h, c, (cached_c, act, tc) = K.lstm_cell_forward(gates, c_prev)
+        sig = 1.0 / (1.0 + np.exp(-kept))
+        np.testing.assert_array_equal(gates, kept)
+        assert cached_c is c_prev and act.shape == (3, 16)
+        np.testing.assert_array_equal(act[:, 8:12], np.tanh(kept[:, 8:12]))
+        for block in (slice(0, 4), slice(4, 8), slice(12, 16)):
+            np.testing.assert_array_equal(act[:, block], sig[:, block])
+        np.testing.assert_array_equal(c, sig[:, 4:8] * c_prev + sig[:, :4] * np.tanh(kept[:, 8:12]))
+        np.testing.assert_array_equal(tc, np.tanh(c))
+        np.testing.assert_array_equal(h, sig[:, 12:] * tc)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         params = self.make(rng)

@@ -243,6 +243,23 @@ class TestReferenceStatistics:
         assert stats.norms[1][1] == math.sqrt(idf.get(("a", "box")) ** 2)
         assert stats.vectors[3] == [{}, {}] and stats.norms[3] == [0.0, 0.0]
 
+    @given(REFS, st.lists(REFS, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_keys_are_the_tables_own_tuples(self, refs, other_docs):
+        # against a table of the references' own corpus, which has every
+        # n-gram of them, and one of other documents, which may lack some
+        for docs in ([refs] + other_docs, [[["a", "b"]]] + other_docs):
+            idf = M.build_idf(docs)
+            own = {g: g for g in idf.values}
+            stats = M.reference_stats(refs, idf)
+            fresh = oracles.fresh_key_reference_stats(refs, idf)
+            assert stats == fresh
+            for got, want in zip(stats.max_counts + [v for vs in stats.vectors for v in vs],
+                                 fresh.max_counts + [v for vs in fresh.vectors for v in vs],
+                                 strict=True):
+                assert list(got.items()) == list(want.items())
+                assert all(g is own[g] for g in got if g in own)
+
     def test_a_sample_without_references_is_rejected(self):
         idf = M.build_idf([DOC1, DOC2])
         with pytest.raises(ValueError, match="without references"):

@@ -109,7 +109,7 @@ class TestPolicyStep:
         feats = rng.standard_normal((1, 3))
         _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
         assert record.attn.tolist() == [[1.0]]
-        np.testing.assert_allclose(K.attend_values(record.attn, record.features), feats, atol=1e-15)
+        np.testing.assert_allclose(record.attended, feats, atol=1e-15)
 
     def test_zero_parameters_give_uniform_distribution(self):
         params, feats = tiny_policy(vocab_size=8)
@@ -169,6 +169,26 @@ class TestPolicyStep:
             P.policy_step(params, np.array([4]), record.state[0], scene)
         with pytest.raises(K.ShapeError):
             P.policy_step(params, np.array([4, 4]), record.state, scene)
+
+    def test_a_one_row_scene_serves_every_row(self):
+        # n rows over one scene row step as over its n-row take, bit for bit
+        params, feats = tiny_policy(seed=4)
+        scene, rows = one_row(params, feats), np.zeros(3, dtype=np.intp)
+        words = np.array([BOS_ID, 4, 7])
+        state = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 4 * params.hidden_size))
+        logits, record = P.policy_step(params, words, state, scene)
+        want_logits, want = P.policy_step(params, words, state, scene.take(rows))
+        np.testing.assert_array_equal(logits, want_logits)
+        for name in ("words", "read", "state", "attn", "tanh", "attended"):
+            np.testing.assert_array_equal(getattr(record, name), getattr(want, name))
+        for got, expected in zip(record.vis + record.lang, want.vis + want.lang, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_a_scene_of_other_rows_is_rejected(self):
+        params, feats, _ = row_batch()
+        scene = P.project_batch(params, feats[:2])
+        with pytest.raises(K.ShapeError):
+            P.policy_step(params, np.array([4, 4, 4]), None, scene)
 
     def test_teacher_forced_gradients_match_finite_differences(self):
         params, feats = tiny_policy(seed=7, vocab_size=7, hidden=5)
@@ -314,6 +334,47 @@ class TestUnroll:
                   np.full(len(feats), 4)), 5)
         monkeypatch.undo()
         assert len(calls) == 2
+
+
+def _root(a):
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestStepRecord:
+    """A training step's record holds each value once: no regions (the
+    unroll's scene holds them), no copy of s_vis (its state holds it) and
+    one activation array per LSTM cell."""
+
+    def test_a_record_holds_each_value_once(self):
+        params, feats, refs = row_batch()
+        run = unroll_batch(params, feats, refs)
+        z, e = params.hidden_size, params.feature_dim
+        m = run.scene.features.shape[1]
+        assert e != z
+        for rows, step in zip(run.rows, run.steps, strict=True):
+            n = rows.size
+            arrays = [a for value in vars(step).values()
+                      for a in (value if isinstance(value, tuple) else (value,))]
+            s_vis = step.state[:, :z]
+            for a in arrays:
+                assert not np.shares_memory(a, run.scene.features)
+                assert not (a.ndim == 3 and a.shape[-1] == e)       # no regions
+                if a.ndim == 2 and not np.shares_memory(a, step.state):
+                    assert not any(np.array_equal(a[:, k:k + z], s_vis)
+                                   for k in range(a.shape[1] - z + 1))
+            assert step.attended.shape == (n, e)
+            for c_prev, *held in (step.vis, step.lang):
+                assert np.shares_memory(c_prev, step.read)
+                assert sum({id(_root(a)): _root(a).nbytes for a in held}.values()) == 5 * n * z * 8
+            # every buffer but the two states': words, attention weights,
+            # tanh, attended features and the two cells' activations and tanh(c)
+            own = {id(_root(a)): _root(a) for a in arrays
+                   if not np.shares_memory(a, step.state) and not np.shares_memory(a, step.read)}
+            assert sum(a.nbytes for a in own.values()) == (
+                step.words.nbytes + 8 * n * (m + m * z + e + 2 * 5 * z))
 
 
 class TestSampleRows:
@@ -663,7 +724,7 @@ def step_values(params, scene, words):
     for word in words:
         logits, record = P.policy_step(params, word, state, scene)
         state = record.state
-        outs.append((logits, state, K.attend_values(record.attn, record.features), record.attn))
+        outs.append((logits, state, record.attended, record.attn))
     return outs
 
 
@@ -750,15 +811,26 @@ class TestFusedStep:
 
     @staticmethod
     def gathers(monkeypatch):
-        """Record each policy_step's (state argument, record) and the rows of
-        each ProjectedScene.take, in call order."""
+        """Record, in call order, each policy_step's (state argument, scene
+        argument, record), each gather of the rows of a state that a step
+        made (an index array into it) and the rows of each
+        ProjectedScene.take."""
         events = []
         step, take = P.policy_step, P.ProjectedScene.take
 
+        class Logged(np.ndarray):
+            """A state that logs each index array it is gathered by."""
+
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+                    events.append(("gather", key))
+                return np.ndarray.__getitem__(self, key)
+
         def counted_step(*args, **kwargs):
-            out = step(*args, **kwargs)
-            events.append(("step", (args[2], out[1])))
-            return out
+            logits, record = step(*args, **kwargs)
+            events.append(("step", (args[2], args[3], record)))
+            record.state = record.state.view(Logged)
+            return logits, record
 
         def counted_take(scene, rows):
             events.append(("take", rows))
@@ -769,42 +841,56 @@ class TestFusedStep:
         return events
 
     @staticmethod
-    def state_gathers(events):
-        """Per step, the scene takes after it. The next step must read the
-        state that step made, or after a take that state's taken rows."""
-        counts, taken, last = [], None, None
-        for kind, value in events:
-            if kind == "take":
-                counts[-1] += 1
-                taken = value
+    def after_each_step(events, kind):
+        """Per step, the events of kind ("gather" or "take") after it. The
+        next step must read the state that step made, or after a gather its
+        gathered rows."""
+        counts, gathered, last = [], None, None
+        for event, value in events:
+            if event == "step":
+                read, _, record = value
+                if last is not None and gathered is None:
+                    assert read is last.state
+                elif last is not None:
+                    np.testing.assert_array_equal(read, last.state.view(np.ndarray)[gathered])
+                counts.append(0)
+                gathered, last = None, record
                 continue
-            read, record = value
-            if last is not None and taken is None:
-                assert read is last.state
-            elif last is not None:
-                np.testing.assert_array_equal(read, last.state[taken])
-            counts.append(0)
-            taken, last = None, record
+            if event == "gather":
+                gathered = value
+            if event == kind:
+                counts[-1] += 1
         return counts
+
+    @classmethod
+    def one_scene(cls, events):
+        """Whether every step read the first step's scene as it is, with no
+        take: a one-row scene serves all the rows of a beam."""
+        scenes = [value[1] for event, value in events if event == "step"]
+        return (cls.after_each_step(events, "take") == [0] * len(scenes)
+                and all(scene is scenes[0] for scene in scenes))
 
     def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
         # after each step, either nothing is gathered or, once, the state
-        # rows of the parents and their scene rows
+        # rows of the parents; the one scene row is never gathered
         params, feats = tiny_policy(seed=3, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
         events = self.gathers(monkeypatch)
         P.beam_search(params, feats, 6, width=3)
         monkeypatch.undo()
-        counts = self.state_gathers(events)
+        counts = self.after_each_step(events, "gather")
         assert len(counts) == 6 and sum(map(bool, counts)) >= 2 and max(counts) == 1
+        assert self.one_scene(events)
 
     def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
+        # and the scene rows once, as the rows hold several scenes
         params, feats, refs = row_batch()
         events = self.gathers(monkeypatch)
         run = unroll_batch(params, feats, refs)
         monkeypatch.undo()
-        drops = [len(a) > len(b) for a, b in zip(run.rows, run.rows[1:])] + [False]
+        drops = [int(len(a) > len(b)) for a, b in zip(run.rows, run.rows[1:])] + [0]
         assert sum(drops) >= 2
-        assert self.state_gathers(events) == [int(d) for d in drops]
+        assert self.after_each_step(events, "gather") == drops
+        assert self.after_each_step(events, "take") == drops
 
     def test_no_gather_follows_the_last_step(self, monkeypatch):
         # a width-3 beam that runs all t_max = 6 steps reorders its rows
@@ -816,7 +902,8 @@ class TestFusedStep:
         events = self.gathers(monkeypatch)
         P.beam_search(params, rng.standard_normal((3, 4)), 6, width=3)
         monkeypatch.undo()
-        assert self.state_gathers(events) == [1, 1, 0, 0, 0, 0]
+        assert self.after_each_step(events, "gather") == [1, 1, 0, 0, 0, 0]
+        assert self.one_scene(events)
 
 
 class TestGreedy:
