@@ -87,9 +87,9 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
 
 def check_val_split(train: dat.LoadedDataset, val: dat.LoadedDataset, train_path,
                     val_path) -> None:
-    """A val split is scored by a model of the train split: its scenes must
-    have the train split's feature dimension, and its references must be
-    encoded with the same token list."""
+    """A val split is scored or decoded by a model of the train split: its
+    scenes must have the train split's feature dimension, and its
+    references must be encoded with the same token list."""
     if val.feature_dim != train.feature_dim:
         what = f"feature_dim {val.feature_dim}, not {train.feature_dim}"
     elif val.vocab.index_to_token != train.vocab.index_to_token:
@@ -222,21 +222,23 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config, {})
     if args.beam_width < 1:
         raise CliError("--beam-width must be >= 1")
-    manifest = cfg.val_manifest or cfg.train_manifest
-    if args.manifest:
-        manifest = args.manifest
-    if manifest is None:
-        raise CliError("no manifest available; pass --manifest or set one in the config")
+    if cfg.train_manifest is None:
+        raise CliError("config does not name a train_manifest, whose vocabulary the model "
+                       "decodes with")
+    manifest = args.manifest or cfg.val_manifest or cfg.train_manifest
     ds = dat.load_dataset(manifest, t_max=cfg.t_max)
     scene = next((s for s in ds.scenes if s.scene_id == args.scene_id), None)
     if scene is None:
         raise CliError(f"scene id {args.scene_id!r} not found in {manifest}")
-    model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
+    train_ds = (ds if manifest == cfg.train_manifest
+                else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max))
+    check_val_split(train_ds, ds, cfg.train_manifest, manifest)
+    model, _ = trn.load_model(args.checkpoint, cfg, train_ds.vocab.size, train_ds.feature_dim)
     if args.beam_width > 1:
         tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, args.beam_width)
     else:
         tokens = pol.rollout_greedy(model.policy, scene.features, cfg.t_max)
-    print(" ".join(ds.vocab.decode_text(tokens)))
+    print(" ".join(train_ds.vocab.decode_text(tokens)))
     return 0
 
 
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-size", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--mode", choices=trn.MODES)
+    p.add_argument("--mode", help=f"one of {', '.join(trn.MODES)}")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 

@@ -262,36 +262,27 @@ class RowUnroll:
 
     rows: list[np.ndarray]          # per step, the ids of the rows that stepped
     ce_values: np.ndarray           # (rows, steps) -log(p + CE_EPSILON) of each row's token, 0 where a row did not step
-    episodes: Episodes              # the sampled rows' episodes, row n_forced + i as row i
-    n_forced: int                   # rows below n_forced are teacher-forced, the others sampled
+    episodes: Episodes              # the episodes of the sampled rows, which follow the forced ones
     params: PolicyParams
     scene: ProjectedScene           # the project_batch scene of every row
     steps: list[StepRecord]         # per step, policy_step's record
     probs: list[np.ndarray]         # per step, the softmax of each row's logits
     tokens: list[np.ndarray]        # per step, the token each row took
 
-    def loss(self, ce_weights: np.ndarray, lp_weights: np.ndarray | None = None) -> Tensor:
-        """sum over steps t and rows r in rows[t] of ce_weights[r, t] CE_rt
-        on the teacher-forced rows and lp_weights[r, t] logp_rt on the
-        sampled rows, for (rows, steps) weight arrays; the weights of steps a
-        row did not take are never read. -CE_rt stands in for logp_rt: its
-        gradient is the same, and its value differs by at most
-        log(1 + CE_EPSILON / p). The loss is one node over the policy's
-        Parameters whose backward pass runs the unroll's steps in reverse.
-        The unroll keeps only arrays, so neither the loss nor its gradient
-        depends on the graph mode the unroll ran in."""
-        if lp_weights is not None and not self.episodes.lengths.size:
-            raise ValueError("log-prob weights need sampled rows")
-        coefs = []
-        value = 0.0
+    def loss(self, weights: np.ndarray) -> Tensor:
+        """sum over steps t and rows r in rows[t] of weights[r, t] CE_rt, for
+        a (rows, steps) weight array, whatever chose each row's token; the
+        weights of steps a row did not take are never read. On a sampled
+        row, weight A_t is the policy-gradient term -A_t logp_rt: -CE_rt
+        stands in for logp_rt, with the same gradient and a value that
+        differs by at most log(1 + CE_EPSILON / p). The loss is one node
+        over the policy's Parameters whose backward pass runs the unroll's
+        steps in reverse. The unroll keeps only arrays, so neither the loss
+        nor its gradient depends on the graph mode the unroll ran in."""
+        coefs, value = [], 0.0
         for t, rows in enumerate(self.rows):
-            k = np.searchsorted(rows, self.n_forced)
-            w = np.zeros(len(rows))
-            w[:k] = ce_weights[rows[:k], t]
-            if lp_weights is not None:
-                w[k:] = -lp_weights[rows[k:], t]
-            coefs.append(w)
-            value += np.dot(self.ce_values[rows, t], w)
+            coefs.append(weights[rows, t])
+            value += np.dot(self.ce_values[rows, t], coefs[-1])
         return Tensor(value, self.params.parameters(),
                       lambda g, accum: self._backward([g * c for c in coefs], accum), "unroll")
 
@@ -455,7 +446,7 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     log_probs[rows[s] - n_forced, at[s]] = np.log(np.maximum(picked[s], LOGPROB_FLOOR))
     lengths = np.bincount(rows[s] - n_forced, minlength=len(rngs))
     return RowUnroll(stepped, ce_values, Episodes(actions, log_probs, states[:, :ran], lengths),
-                     n_forced, params, scene, records, probs, taken)
+                     params, scene, records, probs, taken)
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,

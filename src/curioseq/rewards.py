@@ -1,6 +1,9 @@
-"""Rewards of the sampled episodes: the terminal linguistic reward, its
-temporal-difference returns Q as (B, T) arrays over a batch of episodes,
-and the value of the policy-gradient surrogate loss."""
+"""Rewards of the sampled episodes: the terminal linguistic reward
+(scored_reward, against a scene's reference statistics, which train counts
+once per run), their temporal-difference returns Q as (B, T) arrays over a
+batch of episodes (terminal_q), and the value of the policy-gradient
+surrogate loss (rl_loss), whose gradient comes from the weights of the
+sampled rows in policy.RowUnroll.loss."""
 
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ def terminal_q(terminal: np.ndarray, lengths: np.ndarray, steps: int, gamma: flo
 def rl_loss(episodes: Episodes, advantage: np.ndarray) -> float:
     """The value of the surrogate loss -sum_t A_t log pi(y_t | s_t) of the
     episodes, over each one's own steps, for (B, T) advantages. Its gradient
-    comes from the sampled rows of policy.RowUnroll.loss."""
+    is that of policy.RowUnroll.loss with weight A_t on the sampled rows."""
     if advantage.shape != episodes.log_probs.shape:
         raise ValueError(f"advantage shape {advantage.shape} != episodes "
                          f"{episodes.log_probs.shape}")

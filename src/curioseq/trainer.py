@@ -27,7 +27,7 @@ from .data import Scene
 from .kernel import OptimState, Parameter, add, gradients, sgd_step, zero_grads
 from .vocab import Vocabulary
 
-MODES = ("crl", "xe", "no_intrinsic")
+MODES = ("crl", "xe")
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,8 @@ class TrainConfig:
     beam_width: int = 1
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "t_max", "hidden_size", "seed", "beam_width"):
+        for name in ("batch_size", "epochs", "t_max", "hidden_size", "seed", "beam_width",
+                     "lr_decay_period"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
         if self.embed_size is not None and (type(self.embed_size) is not int or self.embed_size < 1):
@@ -202,16 +203,15 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
     """One minibatch update from two nodes, the unroll's and the curiosity
     pass's, and one backward pass.
 
-    One recorded row unroll steps the B reference rows (teacher-forced) and,
-    outside xe mode, the B sampled rows, scene i sampling from its own
-    generator rngs[i] (xe mode draws nothing). Its episodes stay (B, T)
-    arrays: one assembly adds the TD(lambda) returns Q of their terminal
-    rewards, episode i scored against references[i] (xe mode reads none),
-    and rho times their curiosity errors (not in no_intrinsic mode) into
-    the advantages A. The reference rows get weight eta/B on their
-    cross-entropy (imitation) and the sampled rows weight -A_t/B on their
-    log-probabilities (policy gradient). Curiosity losses do not reach the
-    policy: gradients are stopped at the states.
+    One recorded row unroll steps the B reference rows (teacher-forced) and
+    a sampled row per generator, scene i sampling from rngs[i] (xe mode
+    passes none). Its episodes stay (B, T) arrays: one assembly adds the
+    TD(lambda) returns Q of their terminal rewards, episode i scored against
+    references[i], and rho times their curiosity errors into the advantages
+    A. The one weight array of RowUnroll.loss gives the reference rows
+    eta/B on their cross-entropy (imitation) and the sampled rows A_t/B
+    (policy gradient). Curiosity losses do not reach the policy: gradients
+    are stopped at the states.
     The curiosity pass runs over all sampled transitions at once and adds
     one node to the loss: the action predictor trains on its own loss, the
     state predictor on its own loss, and the shared embedding on their
@@ -222,39 +222,34 @@ def train_step(batch: Sequence[Scene], model: ModelParams, opt: OptimState,
     # deterministic rotation through references
     refs = [scene.references[epoch % len(scene.references)] for scene in batch]
     run = pol.unroll_rows(model.policy, [scene.features for scene in batch], refs, cfg.t_max,
-                          [] if cfg.mode == "xe" else rngs)
+                          rngs)
     episodes = run.episodes
     stats = StepStats(episodes=episodes.lengths.size, sampled_steps=len(episodes),
                       eos_episodes=int(episodes.ended_with_eos.sum()))
     stats.xe_loss = _check_finite("imitation", float(run.ce_values[:b].sum()) / b)
-    ce_weights = np.zeros(run.ce_values.shape)
-    ce_weights[:b] = eta / b
-    if cfg.mode == "xe":
-        loss = run.loss(ce_weights)
-    else:
-        terms = cur.curiosity_pass(episodes, model.curiosity, cfg.action_loss_weight,
-                                   cfg.state_loss_weight)
-        terminal = np.array([rew.scored_reward(vocab.decode_text(actions[:k]), scene_refs,
-                                               cfg.bleu_weight, cfg.cider_weight)
-                             for actions, k, scene_refs in zip(episodes.actions, episodes.lengths,
-                                                               references, strict=True)])
-        intrinsic = (cfg.intrinsic_scale * terms.errors if cfg.mode == "crl"
-                     else np.zeros(terms.errors.shape))
-        advantage = rew.terminal_q(terminal, episodes.lengths, episodes.actions.shape[1],
-                                   cfg.discount, cfg.td_lambda) + intrinsic
-        lp_weights = np.zeros(run.ce_values.shape)
-        lp_weights[b:] = -advantage / b
-        stats.rl_loss = _check_finite("reinforcement", rew.rl_loss(episodes, advantage) / b)
-        # over each episode's own steps, in order: a zero-padded row's sum rounds otherwise
-        for r_e, row, k in zip(terminal.tolist(), intrinsic, episodes.lengths):
-            stats.intrinsic_sum += float(row[:k].sum())
-            stats.extrinsic_sum += r_e
-        if cfg.state_loss_weight > 0:
-            stats.sp_loss = _check_finite("state-prediction", terms.sp_loss)
-        if cfg.action_loss_weight > 0:
-            stats.ap_loss = _check_finite("action-prediction", terms.ap_loss)
-        # one loss, one backward; a zero loss weight keeps its predictor out of it
-        loss = add(run.loss(ce_weights, lp_weights), terms.loss)
+    terms = cur.curiosity_pass(episodes, model.curiosity, cfg.action_loss_weight,
+                               cfg.state_loss_weight)
+    terminal = np.array([rew.scored_reward(vocab.decode_text(actions[:k]), scene_refs,
+                                           cfg.bleu_weight, cfg.cider_weight)
+                         for actions, k, scene_refs in zip(episodes.actions, episodes.lengths,
+                                                           references, strict=True)])
+    intrinsic = cfg.intrinsic_scale * terms.errors
+    advantage = rew.terminal_q(terminal, episodes.lengths, episodes.actions.shape[1],
+                               cfg.discount, cfg.td_lambda) + intrinsic
+    weights = np.zeros(run.ce_values.shape)
+    weights[:b] = eta / b
+    weights[b:] = advantage / b
+    stats.rl_loss = _check_finite("reinforcement", rew.rl_loss(episodes, advantage) / b)
+    # over each episode's own steps, in order: a zero-padded row's sum rounds otherwise
+    for r_e, row, k in zip(terminal.tolist(), intrinsic, episodes.lengths):
+        stats.intrinsic_sum += float(row[:k].sum())
+        stats.extrinsic_sum += r_e
+    if cfg.state_loss_weight > 0:
+        stats.sp_loss = _check_finite("state-prediction", terms.sp_loss)
+    if cfg.action_loss_weight > 0:
+        stats.ap_loss = _check_finite("action-prediction", terms.ap_loss)
+    # one loss, one backward; a zero loss weight keeps its predictor out of it
+    loss = add(run.loss(weights), terms.loss)
     gradients(loss, all_params)
     sgd_step(all_params, opt)
     zero_grads(all_params)
@@ -467,8 +462,9 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
         for lo in range(0, len(order), cfg.batch_size):
             indices = order[lo:lo + cfg.batch_size].tolist()
             batch = [train_scenes[i] for i in indices]
-            rngs = [np.random.default_rng([cfg.seed, epoch, i]) for i in indices]
-            batch_refs = [references[i] for i in indices] if references else []
+            sampled = [] if cfg.mode == "xe" else indices
+            rngs = [np.random.default_rng([cfg.seed, epoch, i]) for i in sampled]
+            batch_refs = [references[i] for i in sampled]
             stats = train_step(batch, model, opt, cfg, vocab, batch_refs, rngs, eta, epoch)
             for f in fields(StepStats):
                 setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))

@@ -959,8 +959,7 @@ def per_episode_assembly(traces, errors, references, vocab, cfg, shape):
                  sampled_steps=0, eos_episodes=0)
     rl = 0.0
     for i, (scene_refs, trace, err) in enumerate(zip(references, traces, errors, strict=True)):
-        intrinsic = (cfg.intrinsic_scale * err if cfg.mode == "crl"
-                     else np.zeros(len(trace)))
+        intrinsic = cfg.intrinsic_scale * err
         r_e = R.scored_reward(vocab.decode_text(trace.actions), scene_refs,
                               cfg.bleu_weight, cfg.cider_weight)
         if cfg.td_lambda == 1.0:

@@ -51,14 +51,15 @@ def test_criterion_1_gradient_integrity():
                           cur.parameters(), max_coords=200)
     assert err_ap <= 1e-4, f"action-prediction gradient error {err_ap}"
 
-    # (d) policy-gradient surrogate with frozen advantages: the log-prob
-    # weights of RowUnroll.loss on the row that samples the same trace
+    # (d) policy-gradient surrogate with frozen advantages: RowUnroll.loss on
+    # the row that samples the same trace, weight -A_t on its log-probability
+    # being weight A_t on its cross-entropy
     advantage = np.linspace(0.5, 1.5, len(trace))
     lp_weights = -advantage[None, :]
 
     def rl_fn():
         run = P.unroll_rows(policy, [feats], [], 5, [np.random.default_rng(1)])
-        return run.loss(np.zeros(lp_weights.shape), lp_weights)
+        return run.loss(np.zeros(lp_weights.shape) - lp_weights)
 
     err_rl = K.grad_check(rl_fn, policy.parameters(), max_coords=200)
     assert err_rl <= 1e-4, f"policy-gradient surrogate error {err_rl}"

@@ -220,6 +220,27 @@ class TestTrain:
                                    "epochs": 1, key: value}))
         assert_clean_error(capsys, run(["train", "--config", str(cfg)]), f"{key} must be a number")
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_a_non_integer_lr_decay_period_fails_cleanly(self, synth_dir, tmp_path, capsys,
+                                                        value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_manifest": str(synth_dir / "train_manifest.json"),
+                                   "epochs": 1, "lr_decay_period": value}))
+        assert_clean_error(capsys, run(["train", "--config", str(cfg)]),
+                           "lr_decay_period must be an integer")
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_the_no_intrinsic_mode_is_rejected(self, synth_dir, tmp_path, capsys, where):
+        """intrinsic_scale 0 replaces it: the modes are crl and xe."""
+        doc = {"train_manifest": str(synth_dir / "train_manifest.json"), "epochs": 1}
+        argv = ["train", "--config", str(tmp_path / "cfg.json")]
+        if where == "config":
+            doc["mode"] = "no_intrinsic"
+        else:
+            argv += ["--mode", "no_intrinsic"]
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert_clean_error(capsys, run(argv), "mode must be one of ('crl', 'xe')")
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("key,value", [("train_manifest", 5), ("val_manifest", ["x"]),
                                            ("out_dir", 5)])
@@ -600,8 +621,8 @@ class TestShapeMismatch:
 class TestValSplitMismatch:
     """A val manifest that the train manifest's model cannot score, by its
     feature dimension or by its vocabulary: train stops before its first
-    epoch, and eval --split val before it decodes, with one error line
-    naming both manifests."""
+    epoch, and eval --split val and generate before they decode, with one
+    error line naming both manifests."""
 
     @pytest.fixture(scope="class")
     def narrow_features(self, tmp_path_factory):
@@ -653,6 +674,37 @@ class TestValSplitMismatch:
         code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
                     "--split", "val"])
         assert_clean_error(capsys, code, train, val)
+
+    def test_generate_from_the_val_manifest_fails_cleanly(self, trained, pair, capsys):
+        out, _ = trained
+        cfg_path, train, val = pair
+        code = run(["generate", "--config", str(cfg_path), "--checkpoint",
+                    str(out / "last.ckpt"), "--scene-id", "val_0000"])
+        assert_clean_error(capsys, code, train, val)
+        assert capsys.readouterr().out == ""
+
+    def test_generate_from_a_matching_val_manifest_decodes_with_its_words(self, trained,
+                                                                         synth_dir, capsys):
+        out, cfg_path = trained
+        assert run(["generate", "--config", str(cfg_path), "--checkpoint",
+                    str(out / "last.ckpt"), "--scene-id", "val_0000"]) == 0
+        printed = capsys.readouterr().out
+        cfg = cli.load_config(str(cfg_path), {})
+        ds = dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max)
+        model, _ = curioseq.trainer.load_model(out / "last.ckpt", cfg, ds.vocab.size,
+                                               ds.feature_dim)
+        tokens = curioseq.policy.rollout_greedy(model.policy, ds.scenes[0].features, cfg.t_max)
+        assert ds.scenes[0].scene_id == "val_0000" and tokens
+        assert printed == " ".join(ds.vocab.decode_text(tokens)) + "\n"
+
+    def test_generate_needs_the_train_manifest(self, trained, synth_dir, tmp_path, capsys):
+        out, _ = trained
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"val_manifest": str(synth_dir / "val_manifest.json"),
+                                   "hidden_size": 10, "t_max": 12}))
+        code = run(["generate", "--config", str(cfg), "--checkpoint", str(out / "last.ckpt"),
+                    "--scene-id", "val_0000"])
+        assert_clean_error(capsys, code, "train_manifest")
 
     def test_the_matching_pair_trains(self, synth_dir, tmp_path):
         cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),

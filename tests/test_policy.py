@@ -279,7 +279,7 @@ def weighted_loss(run, refs):
         ce_w[r, :len(ref)] = eta[r]
     for i, a in enumerate(adv):
         lp_w[n + i, :len(a)] = -a
-    return eta, adv, run.loss(ce_w, lp_w)
+    return eta, adv, run.loss(ce_w - lp_w)
 
 
 class TestUnroll:
@@ -475,7 +475,7 @@ class TestScoreRows:
         for run, rows in ((forced, feats), (joint, feats + feats)):
             weights = np.ones(run.ce_values.shape)
             K.zero_grads(params.parameters())
-            loss = run.loss(weights, -weights) if run.episodes.lengths.size else run.loss(weights)
+            loss = run.loss(weights)
             K.backward(loss)
             if not run.episodes.lengths.size:
                 assert (params.W_e.grad[EOS_ID] == 0.0).all()
@@ -506,9 +506,6 @@ class TestScoreRows:
         params, feats, _ = row_batch()
         with pytest.raises(ValueError):
             P.unroll_rows(params, feats[:2], [[4], []], T_MAX)
-        run = P.unroll_rows(params, feats[:2], [[4], [5]], T_MAX)
-        with pytest.raises(ValueError):        # no sampled rows, so no log-probs to weight
-            run.loss(np.ones(run.ce_values.shape), np.ones(run.ce_values.shape))
 
 
 class TestUnrollRows:
@@ -589,7 +586,7 @@ class TestUnrollRows:
             ce_w[r, :end] = 1.0 if r < n else 0.0
             lp_w[r, :end] = 0.0 if r < n else -1.0
         K.zero_grads(params.parameters())
-        K.backward(run.loss(ce_w, lp_w))
+        K.backward(run.loss(ce_w - lp_w))
         assert all(np.isfinite(q.grad).all() for q in params.parameters())
 
 
@@ -627,7 +624,7 @@ class TestUnrollNode:
             assert len(run.rows[-1]) == 1 and len({len(r) for r in run.rows}) > 2
             assert [EOS_ID] in forced
         K.zero_grads(params.parameters())
-        loss = run.loss(ce_w, lp_w)
+        loss = run.loss(ce_w if lp_w is None else ce_w - lp_w)
         K.backward(loss)
         grads = {q.name: q.grad.copy() for q in params.parameters()}
 
@@ -678,8 +675,9 @@ class TestUnrollNode:
         def fn():
             run = P.unroll_rows(params, feats, refs, 4,
                                 row_rngs(len(feats)) if kind == "joint" else [])
-            w = np.ones(run.ce_values.shape)
-            return run.loss(0.7 * w, -0.4 * w if kind == "joint" else None)
+            w = np.full(run.ce_values.shape, 0.4)
+            w[:len(refs)] = 0.7
+            return run.loss(w)
 
         assert K.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
 

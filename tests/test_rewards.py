@@ -188,10 +188,11 @@ def sampled_run(params, feats, t_max=4):
 
 def lp_loss(run, advantage):
     """The policy-gradient loss of the run's sampled row: weight -A_t on its
-    log-probabilities, as train_step weights them."""
-    lp_weights = np.zeros(run.ce_values.shape)
-    lp_weights[0, :len(advantage)] = -np.asarray(advantage)
-    return run.loss(np.zeros(run.ce_values.shape), lp_weights)
+    log-probabilities, which is weight A_t on its cross-entropies, as
+    train_step weights them."""
+    ce_w, lp_w = np.zeros(run.ce_values.shape), np.zeros(run.ce_values.shape)
+    lp_w[0, :len(advantage)] = -np.asarray(advantage)
+    return run.loss(ce_w - lp_w)
 
 
 @pytest.fixture

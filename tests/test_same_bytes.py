@@ -1,0 +1,94 @@
+"""The comparison and the exit status of tools/same_bytes.py: on hand-made
+hash maps, and one tiny end-to-end call that compares this tree with
+itself. The tool uses only the standard library, so it is loaded by path."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_bytes.py"
+
+
+@pytest.fixture(scope="module")
+def same_bytes():
+    spec = importlib.util.spec_from_file_location("curioseq_same_bytes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hashes(same_bytes, **changed):
+    """A full hash map: file f hashes to f * 8, unless changed names it."""
+    out = {name: name.replace(".", "") * 8 for name in same_bytes.FILES}
+    out.update({name.replace("_", "."): value for name, value in changed.items()})
+    return out
+
+
+def test_equal_hashes_compare_the_same(same_bytes):
+    runs = {"seed0 crl": {"parent": hashes(same_bytes), "change": hashes(same_bytes)},
+            "seed0 xe": {"parent": hashes(same_bytes), "change": hashes(same_bytes)}}
+    lines, same = same_bytes.compare(runs)
+    assert same
+    assert len(lines) == 2 * len(same_bytes.FILES)
+    assert all(line.endswith(" same") for line in lines)
+    first = lines[0].split()
+    assert first[:3] == ["seed0", "crl", "reports.jsonl"]
+    assert first[3] == first[4] == ("reportsjsonl" * 8)[:same_bytes.PREFIX]
+
+
+def test_one_differing_file_fails_the_comparison(same_bytes):
+    runs = {"seed7919 beta_0": {"parent": hashes(same_bytes),
+                                "change": hashes(same_bytes, best_ckpt="f" * 64)}}
+    lines, same = same_bytes.compare(runs)
+    assert not same
+    assert [line.split()[2] for line in lines if line.endswith("DIFFERENT")] == ["best.ckpt"]
+
+
+def test_a_file_neither_tree_wrote_counts_as_the_same(same_bytes):
+    sgd = hashes(same_bytes, last_ckpt_adam=None)
+    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": sgd, "change": dict(sgd)}})
+    assert same
+    assert "last.ckpt.adam  absent" in lines[2] and lines[2].endswith(" same")
+    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": sgd,
+                                                        "change": hashes(same_bytes)}})
+    assert not same and "absent" in lines[2] and lines[2].endswith("DIFFERENT")
+
+
+def test_a_failed_run_fails_the_comparison(same_bytes):
+    runs = {"seed0 crl": {"parent": hashes(same_bytes), "change": hashes(same_bytes)},
+            "seed0 xe": {"parent": None, "change": hashes(same_bytes)}}
+    lines, same = same_bytes.compare(runs)
+    assert not same
+    assert lines[-1] == "seed0 xe: FAILED (parent)"
+    assert all(line.endswith(" same") for line in lines[:-1])
+
+
+def test_the_variants_cover_the_ablations(same_bytes):
+    assert same_bytes.SEEDS == (0, 7919) and same_bytes.JOBS <= 2
+    assert same_bytes.VARIANTS["xe"] == {"mode": "xe"}
+    assert same_bytes.VARIANTS["zero_reward"] == {"bleu_weight": 0.0, "cider_weight": 0.0,
+                                                  "intrinsic_scale": 0.0}
+    assert all(v.get("mode", "crl") in ("crl", "xe") for v in same_bytes.VARIANTS.values())
+
+
+def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(ROOT)
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
+                            "--variant", "crl", "--epochs", "1", "--scenes", "6",
+                            "--val-scenes", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0, out
+    assert out[-1] == "1 runs: every file byte-identical"
+    rows = [line.split() for line in out[1:-1]]
+    assert [row[2] for row in rows] == list(same_bytes.FILES)
+    assert all(row[3] == row[4] != "absent" and row[5] == "same" for row in rows)
+    assert (tmp_path / "seed0" / "crl" / "change" / "last.ckpt").is_file()
+
+
+def test_an_unknown_parent_tree_stops_before_any_run(same_bytes, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        same_bytes.main(["--parent", str(tmp_path), "--work", str(tmp_path / "work")])
+    assert exit_.value.code == 2 and "src/curioseq/cli.py" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()

@@ -56,6 +56,7 @@ class TestConfigValidation:
         ("clip_norm", -1.0),
         ("optimizer", "rmsprop"),
         ("mode", "hybrid"),
+        ("mode", "no_intrinsic"),
         ("beam_width", 0),
         ("curiosity_init_scale", 0.0),
     ])
@@ -85,6 +86,12 @@ class TestConfigValidation:
             return
         with pytest.raises(T.ConfigError, match=f"{field} must be a number"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_non_integer_lr_decay_period_rejected(self, value):
+        # 2.5 would decay at fractional periods, and true at period 1
+        with pytest.raises(T.ConfigError, match="lr_decay_period must be an integer"):
+            tiny_config(lr_decay_period=value)
 
     def test_an_int_is_a_number(self):
         assert tiny_config(imitation_weight=6, learning_rate=1).imitation_weight == 6
@@ -195,9 +202,10 @@ class TestTrainStep:
                            variant=cfg.optimizer)
         batch = train[: cfg.batch_size]
         eta = 1.0 if cfg.mode == "xe" else cfg.imitation_weight
+        sampled = [] if cfg.mode == "xe" else batch        # as train passes them
         before = snapshot(model.parameters())
-        stats = T.train_step(batch, model, opt, cfg, vocab, reference_stats(batch, train, vocab),
-                             scene_rngs(seed, len(batch)), eta=eta)
+        stats = T.train_step(batch, model, opt, cfg, vocab, reference_stats(sampled, train, vocab),
+                             scene_rngs(seed, len(sampled)), eta=eta)
         return model, before, stats
 
     def test_zero_weights_and_advantages_change_nothing(self, tiny_corpus):
@@ -271,19 +279,23 @@ class TestTrainStep:
         seen, errors = {}, []
         loss, sgd_step = P.RowUnroll.loss, T.sgd_step
 
-        def record_loss(run, ce_weights, lp_weights=None):
-            seen.update(run=run, ce=ce_weights, lp=lp_weights)
-            return loss(run, ce_weights, lp_weights)
+        def record_loss(run, weights):
+            seen.update(run=run, weights=weights)
+            return loss(run, weights)
 
         def checked_step(params, opt):
             got = {p.name: p.grad.copy() for p in params}
-            run, ce_w, lp_w = seen.pop("run"), seen["ce"], seen["lp"]
+            run, w = seen.pop("run"), seen["weights"]
             tokens = ([scene.references[0] for scene in batch]
                       + [t.actions for t in oracles.unstack(run.episodes)])
             feats = [scene.features for scene in batch] * (len(tokens) // len(batch))
+            # the oracle's two weights: eta/B on the reference rows' cross-entropy
+            # and -A/B on the sampled rows' log-probabilities
+            b = len(batch)
             oracle = oracles.padded_score_rows(
-                model.policy, feats, tokens, [ce_w[r, :len(t)] for r, t in enumerate(tokens)],
-                None if lp_w is None else [lp_w[r, :len(t)] for r, t in enumerate(tokens)],
+                model.policy, feats, tokens,
+                [w[r, :len(t)] if r < b else np.zeros(len(t)) for r, t in enumerate(tokens)],
+                [np.zeros(len(t)) if r < b else -w[r, :len(t)] for r, t in enumerate(tokens)],
                 unhoisted=True)
             K.zero_grads(policy)
             K.backward(oracle.loss)
@@ -296,11 +308,57 @@ class TestTrainStep:
         monkeypatch.setattr(P.RowUnroll, "loss", record_loss)
         monkeypatch.setattr(T, "sgd_step", checked_step)
         opt = T.new_optimizer(cfg)
-        references = reference_stats(batch, train, vocab)
+        sampled = [] if mode == "xe" else batch
+        references = reference_stats(sampled, train, vocab)
         for step in range(2):
-            T.train_step(batch, model, opt, cfg, vocab, references, scene_rngs(step, len(batch)),
-                         eta=1.0)
+            T.train_step(batch, model, opt, cfg, vocab, references,
+                         scene_rngs(step, len(sampled)), eta=1.0)
         assert len(errors) == 2 and max(errors) <= 1e-12, errors
+
+    def test_the_zero_reward_control_gets_the_imitation_gradient_alone(self, tiny_corpus,
+                                                                      monkeypatch):
+        """mode crl with bleu_weight, cider_weight and intrinsic_scale at 0:
+        every advantage is 0, so the policy's gradients as they reach
+        sgd_step equal, bit for bit, those of the step's own unroll weighted
+        eta/B on its reference rows and 0 on its sampled rows."""
+        train, _, vocab = tiny_corpus
+        cfg = tiny_config(bleu_weight=0.0, cider_weight=0.0, intrinsic_scale=0.0,
+                          imitation_weight=2.0)
+        batch = train[:cfg.batch_size]
+        b = len(batch)
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        policy = model.policy.parameters()
+        seen = {}
+        loss, sgd_step = P.RowUnroll.loss, T.sgd_step
+
+        def record_loss(run, weights):
+            seen["run"] = run
+            return loss(run, weights)
+
+        def checked_step(params, opt):
+            got = {p.name: p.grad.copy() for p in params}
+            run = seen["run"]
+            weights = np.zeros(run.ce_values.shape)
+            weights[:b] = cfg.imitation_weight / b
+            K.zero_grads(policy)
+            K.backward(loss(run, weights))
+            seen["want"] = {p.name: p.grad.copy() for p in policy}
+            for p in params:
+                p.grad[...] = got[p.name]
+            seen["got"] = got
+            sgd_step(params, opt)
+
+        monkeypatch.setattr(P.RowUnroll, "loss", record_loss)
+        monkeypatch.setattr(T, "sgd_step", checked_step)
+        stats = T.train_step(batch, model, T.new_optimizer(cfg), cfg, vocab,
+                             reference_stats(batch, train, vocab), scene_rngs(0, b),
+                             eta=cfg.imitation_weight)
+        assert seen["run"].episodes.lengths.size == b and stats.sampled_steps > b
+        assert stats.rl_loss == 0.0 and stats.extrinsic_sum == 0.0
+        assert stats.intrinsic_sum == 0.0
+        for p in policy:
+            assert np.abs(seen["want"][p.name]).max() > 0.0, p.name
+            assert np.array_equal(seen["got"][p.name], seen["want"][p.name]), p.name
 
 
 def separate_group_gradients(tiny_corpus, cfg, seed=0):
@@ -366,18 +424,19 @@ class TestPerGroupUpdate:
 class TestAdvantageAssembly:
     """train_step's (B, T) assembly against the per-episode loop it replaced
     (oracles.per_episode_assembly), fed the same episodes and curiosity
-    errors: the log-prob weights handed to RowUnroll.loss and the step's
-    report sums must be equal, not close."""
+    errors: the sampled rows' weights handed to RowUnroll.loss, A/B, against
+    the oracle's log-prob weights -A/B, and the step's report sums must be
+    equal, not close."""
 
-    @pytest.mark.parametrize("mode", ["crl", "no_intrinsic"])
+    @pytest.mark.parametrize("rho", [0.7, 0.0], ids=["crl", "no_intrinsic"])
     @pytest.mark.parametrize("lam", [1.0, 0.5])
     def test_weights_and_stats_equal_the_per_episode_oracle(self, tiny_corpus, monkeypatch,
-                                                            mode, lam):
+                                                            rho, lam):
         train, _, vocab = tiny_corpus
         # episodes of up to 16 steps and a large curiosity init: with these a
         # sum over a zero-padded row rounds apart from one over the episode's
         # own steps, which the report sums must keep
-        cfg = tiny_config(mode=mode, td_lambda=lam, t_max=16, intrinsic_scale=0.7,
+        cfg = tiny_config(td_lambda=lam, t_max=16, intrinsic_scale=rho,
                           curiosity_init_scale=3.0, batch_size=10)
         batch = train[:cfg.batch_size]
         model = T.init_model(cfg, vocab.size, train[0].feature_dim)
@@ -388,9 +447,9 @@ class TestAdvantageAssembly:
             seen["terms"] = curiosity_pass(*args, **kwargs)
             return seen["terms"]
 
-        def record_loss(run, ce_weights, lp_weights=None):
-            seen["run"], seen["lp_weights"] = run, lp_weights
-            return loss(run, ce_weights, lp_weights)
+        def record_loss(run, weights):
+            seen["run"], seen["weights"] = run, weights
+            return loss(run, weights)
 
         monkeypatch.setattr(C, "curiosity_pass", record_pass)
         monkeypatch.setattr(P.RowUnroll, "loss", record_loss)
@@ -405,9 +464,11 @@ class TestAdvantageAssembly:
         errors = [e[:len(t)] for e, t in zip(seen["terms"].errors, traces)]
         lp_weights, sums = oracles.per_episode_assembly(traces, errors, references, vocab, cfg,
                                                         run.ce_values.shape)
-        assert np.array_equal(seen["lp_weights"], lp_weights)
+        b = len(batch)
+        assert np.array_equal(seen["weights"][b:], -lp_weights[b:])
+        assert (seen["weights"][:b] == 1.0 / b).all()
         assert {name: getattr(stats, name) for name in sums} == sums
-        assert (sums["intrinsic_sum"] > 0.0) == (mode == "crl")
+        assert (sums["intrinsic_sum"] > 0.0) == (rho > 0.0)
 
 
 class TestTrain:
@@ -716,23 +777,17 @@ class TestAblationModes:
     def test_three_modes_produce_distinct_finite_trajectories(self, tiny_corpus):
         train, val, vocab = tiny_corpus
         trajectories = {}
-        for mode in ("crl", "no_intrinsic", "xe"):
-            cfg = tiny_config(epochs=2, mode=mode, seed=11)
+        # crl, its no-curiosity ablation (intrinsic_scale 0) and imitation only
+        for name, kw in (("crl", {}), ("rho0", {"intrinsic_scale": 0.0}), ("xe", {"mode": "xe"})):
+            cfg = tiny_config(epochs=2, seed=11, **kw)
             result = T.train(train, val, vocab, cfg)
             for r in result.reports:
                 r.validate_finite()
-            trajectories[mode] = tuple(r.xe_loss for r in result.reports)
+            trajectories[name] = tuple(r.xe_loss for r in result.reports)
         assert len(set(trajectories.values())) == 3
 
-    def test_no_intrinsic_mode_zeroes_intrinsic_reward(self, tiny_corpus):
+    def test_rho_zero_zeroes_intrinsic_reward(self, tiny_corpus):
         train, val, vocab = tiny_corpus
-        result = T.train(train, val, vocab, tiny_config(epochs=1, mode="no_intrinsic"))
+        result = T.train(train, val, vocab, tiny_config(epochs=1, intrinsic_scale=0.0))
         assert result.reports[0].mean_intrinsic_reward == 0.0
-
-    def test_rho_zero_equivalent_to_no_intrinsic_mode(self, tiny_corpus):
-        train, val, vocab = tiny_corpus
-        a = T.train(train, val, vocab, tiny_config(epochs=1, mode="no_intrinsic", seed=2))
-        b = T.train(train, val, vocab, tiny_config(epochs=1, mode="crl",
-                                                   intrinsic_scale=0.0, seed=2))
-        for pa, pb in zip(a.model.parameters(), b.model.parameters()):
-            assert (pa.data == pb.data).all()
+        assert result.reports[0].mean_extrinsic_reward > 0.0

@@ -1,0 +1,151 @@
+"""Byte-for-byte comparison of training runs of a change and its parent.
+
+Run from the root of the changed tree, with a copy of the parent commit
+beside it (a `git archive` of it will do):
+
+    python3 tools/same_bytes.py --parent ../parent
+
+The tool synthesises the 200+50-scene corpora at corpus seeds 0 and 7919
+once, with this tree's `curioseq synth`. It then trains each variant of
+VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
+of the README config. Every process runs at one BLAS thread, and at most two
+run at a time. For each run the tool prints the sha256 prefix of each of
+its four output files (FILES) side by side, and exits 1 when a file differs
+or a run fails; a file that neither tree wrote (`last.ckpt.adam` under sgd)
+counts as the same. `--seed`, `--variant`, `--epochs`, `--scenes` and
+`--val-scenes` narrow the set. Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+FILES = ("reports.jsonl", "last.ckpt", "last.ckpt.adam", "best.ckpt")
+README_CONFIG = {"optimizer": "adam", "learning_rate": 0.003, "imitation_weight": 6.0,
+                 "t_max": 30}
+VARIANTS = {
+    "crl": {},
+    "crl_lambda_0.5": {"td_lambda": 0.5},
+    "xe": {"mode": "xe"},
+    "crl_sgd": {"optimizer": "sgd", "learning_rate": 0.0006},
+    "alpha_0": {"action_loss_weight": 0.0},
+    "beta_0": {"state_loss_weight": 0.0},
+    "rho_0": {"intrinsic_scale": 0.0},
+    "zero_reward": {"bleu_weight": 0.0, "cider_weight": 0.0, "intrinsic_scale": 0.0},
+}
+SEEDS = (0, 7919)
+JOBS = 2                # processes at a time
+PREFIX = 12             # hex digits of each sha256 shown
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def curioseq(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """`python -m curioseq.cli args` on tree's own source, at one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    return subprocess.run([sys.executable, "-m", "curioseq.cli", *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+
+
+def file_hashes(out: Path) -> dict[str, str | None]:
+    """The sha256 of each of FILES in out, None for a file that is not there."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            if (out / name).is_file() else None for name in FILES}
+
+
+def compare(runs: dict[str, dict]) -> tuple[list[str], bool]:
+    """Lines that set each run's parent and change hashes side by side, and
+    whether every run of both trees finished with the same files. runs maps
+    a run's name to {"parent": side, "change": side}, a side being the
+    file_hashes of its output or None when the run failed."""
+    lines, same = [], True
+    width = max(map(len, runs), default=0)
+    for name, sides in runs.items():
+        parent, change = sides["parent"], sides["change"]
+        if parent is None or change is None:
+            failed = " and ".join(side for side in ("parent", "change") if sides[side] is None)
+            lines.append(f"{name}: FAILED ({failed})")
+            same = False
+            continue
+        for file in FILES:
+            a, b = (h[file][:PREFIX] if h[file] else "absent" for h in (parent, change))
+            lines.append(f"{name:<{width}} {file:<15} {a:<{PREFIX}} {b:<{PREFIX}} "
+                         f"{'same' if parent[file] == change[file] else 'DIFFERENT'}")
+            same = same and parent[file] == change[file]
+    return lines, same
+
+
+def synth_corpus(tree: Path, out: Path, seed: int, scenes: int, val_scenes: int) -> None:
+    proc = curioseq(tree, "synth", "--out", str(out), "--seed", str(seed),
+                    "--scenes", str(scenes), "--val-scenes", str(val_scenes))
+    if proc.returncode != 0:
+        raise SystemExit(f"error: synth of corpus seed {seed} exited {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+
+
+def train_run(tree: Path, config: Path, out: Path) -> dict[str, str | None] | None:
+    """The file_hashes of one train run, or None when it fails (its stderr
+    goes to ours)."""
+    proc = curioseq(tree, "train", "--config", str(config), "--out", str(out))
+    if proc.returncode != 0:
+        print(f"{out}: exit {proc.returncode}\n{proc.stderr.rstrip()}", file=sys.stderr)
+        return None
+    return file_hashes(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="a copy of the parent commit's tree")
+    parser.add_argument("--work", type=Path,
+                        help="where corpora and runs go (default: a temporary directory)")
+    parser.add_argument("--seed", type=int, action="append", help="corpus seed, repeatable")
+    parser.add_argument("--variant", action="append", choices=VARIANTS, help="repeatable")
+    parser.add_argument("--epochs", type=int, default=3)
+    parser.add_argument("--scenes", type=int, default=200)
+    parser.add_argument("--val-scenes", type=int, default=50)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    for tree in trees.values():
+        if not (tree / "src" / "curioseq" / "cli.py").is_file():
+            parser.error(f"{tree} holds no src/curioseq/cli.py")
+    with tempfile.TemporaryDirectory() as scratch:
+        work = (args.work or Path(scratch)).resolve()
+        seeds, variants = args.seed or SEEDS, args.variant or list(VARIANTS)
+        with ThreadPoolExecutor(JOBS) as pool:
+            list(pool.map(lambda s: synth_corpus(trees["change"], work / f"corpus{s}", s,
+                                                 args.scenes, args.val_scenes), seeds))
+            pending = {}
+            for seed in seeds:
+                corpus = work / f"corpus{seed}"
+                for variant in variants:
+                    name = f"seed{seed} {variant}"
+                    config = work / f"seed{seed}" / variant / "config.json"
+                    config.parent.mkdir(parents=True, exist_ok=True)
+                    config.write_text(json.dumps({
+                        **README_CONFIG, **VARIANTS[variant], "epochs": args.epochs,
+                        "train_manifest": str(corpus / "train_manifest.json"),
+                        "val_manifest": str(corpus / "val_manifest.json")}))
+                    pending[name] = {side: pool.submit(train_run, tree, config,
+                                                       config.parent / side)
+                                     for side, tree in trees.items()}
+            runs = {name: {side: job.result() for side, job in sides.items()}
+                    for name, sides in pending.items()}
+    lines, same = compare(runs)
+    print(f"run, file, then the sha256[:{PREFIX}] of the parent's and of the change's")
+    print("\n".join(lines))
+    print(f"{len(runs)} runs: " + ("every file byte-identical" if same
+                                  else "a file differs or a run failed"))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
