@@ -1,8 +1,14 @@
 """Command-line surface: synth, train, eval, generate, diversity.
 
-Behavior is driven by a JSON config file; explicit flags override file
-values, and file values override built-in defaults. The effective config is
-dumped at startup so every run is reproducible from its log alone.
+Flags override the JSON config file's values, which override the built-in
+defaults; the effective config is dumped at startup, so every run is
+reproducible from its log alone. Bad input, and a file the system refuses
+to read or write (a directory where a file goes, or the reverse), end a
+command with exit status 1 and one `error:` line on stderr that names the
+flag or the path. `train --out D` checks that none of D/last.ckpt,
+D/last.ckpt.adam and D/best.ckpt is a directory before the first epoch;
+`train`, `eval --split val` and `generate` reject a manifest whose feature
+dimension or vocabulary differs from the train manifest's.
 """
 
 from __future__ import annotations
@@ -101,6 +107,9 @@ def check_val_split(train: dat.LoadedDataset, val: dat.LoadedDataset, train_path
 
 
 def cmd_synth(args) -> int:
+    for flag, count in (("--scenes", args.scenes), ("--val-scenes", args.val_scenes)):
+        if count < 1:
+            raise CliError(f"{flag} must be >= 1, got {count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_grammar(args.grammar, args.seed)
@@ -211,10 +220,10 @@ def cmd_eval(args) -> int:
         "cider": report.cider,
         "distinct1": report.distinct1, "distinct2": report.distinct2,
     }
-    print(json.dumps(record, sort_keys=True))
     if args.graph_out:
         Path(args.graph_out).write_text(
             json.dumps(report.graph.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(json.dumps(record, sort_keys=True))
     return 0
 
 
@@ -310,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. Bad input, and a file the system refuses to read or
-    write, end it with exit status 1 and one `error:` line on stderr."""
+    """Run one command; a failure ends it as the module docstring says."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,12 +15,12 @@ each step, unroll gathers the state rows that go on, and their scene rows
 unless the scene is one row, which every row reads (a one-scene beam).
 
 A training unroll keeps one StepRecord per step, which holds each value
-once: the state read and made, the words, the attention weights and tanh,
-the attended features and each LSTM cell's activations and tanh(c). The
-regions stay in the unroll's scene, and s_vis, the rest of the language
-LSTM's input, in the state. RowUnroll.loss is the policy's one gradient
-path: a node whose backward runs the steps in reverse over those records
-and hands each of the 11 Parameters its gradient once.
+once: the words, the state made, the attention weights, the attended
+features and each LSTM cell's activations. RowUnroll.loss is the policy's
+one gradient path: a node whose backward runs the steps in reverse over
+those records, recomputes bit for bit what they leave out (the state read,
+the attention's tanh and each cell's tanh(c)) and hands each of the 11
+Parameters its gradient once.
 """
 
 from __future__ import annotations
@@ -142,16 +142,15 @@ class StepRecord:
     weights and what RowUnroll.loss's reverse pass reads. It holds each
     value once: no regions (the scene has them), and of the language LSTM's
     input [attended, s_vis] only the attended features, s_vis being
-    state[:, :Z]."""
+    state[:, :Z]. Nor does it hold the state read (the step before's), the
+    attention's (n, m, Z) tanh or a cell's tanh(c): the reverse pass remakes them."""
 
     words: np.ndarray         # (n,) the previous words
-    read: np.ndarray          # (n, 4Z) the state the step read
     state: np.ndarray         # (n, 4Z) the state it made
-    vis: tuple                # lstm_cell_forward's cache of the visual LSTM
+    vis: np.ndarray           # (n, 4Z) the visual LSTM's activations
     attn: np.ndarray          # (n, m) attention weights
-    tanh: np.ndarray          # (n, m, Z) attention_forward's tanh
     attended: np.ndarray      # (n, E) the attended features
-    lang: tuple               # lstm_cell_forward's cache of the language LSTM
+    lang: np.ndarray          # (n, 4Z) the language LSTM's activations
 
 
 def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray | None,
@@ -173,7 +172,7 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray |
     gates = ((state[:, :2 * z] @ scene.W_state.T + scene.mean_gates)
              + scene.word_gates[prev_word])
     s_vis, c_vis, vis = lstm_cell_forward(gates, state[:, 2 * z:3 * z])
-    attn, t = attention_forward(scene.region_proj, s_vis @ params.W_h.data.T,
+    attn, _ = attention_forward(scene.region_proj, s_vis @ params.W_h.data.T,
                                 params.W_a.data, scene.mask)
     attended = attend_values(attn, scene.features)
     lang = params.lang
@@ -182,26 +181,32 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray |
     s_lang, c_lang, cell = lstm_cell_forward(gates, state[:, 3 * z:])
     new_state = np.concatenate([s_vis, s_lang, c_vis, c_lang], axis=-1)
     return (s_lang @ params.W_p.data.T,
-            StepRecord(prev_word, state, new_state, vis, attn, t, attended, cell))
+            StepRecord(prev_word, new_state, vis[1], attn, attended, cell[1]))
 
 
-def _step_backward(params: PolicyParams, step: StepRecord, features: np.ndarray,
-                   W_state: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One step in reverse, given its rows' (n, m, E) regions and g (n, 4Z)
-    on the state it made: returns the gradients on the state it read, on
-    its visual and language gates, on W_h's projection of s_vis, on its
+def _step_backward(params: PolicyParams, step: StepRecord, read: np.ndarray,
+                   features: np.ndarray, projected: np.ndarray, W_state: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step in reverse, given the (n, 4Z) state it read, its rows'
+    (n, m, E) regions and (n, m, Z) projected regions and g (n, 4Z) on the
+    state it made: returns the gradients on the state it read, on its
+    visual and language gates, on W_h's projection of s_vis, on its
     pre-tanh attention sums (those of the regions, whose sum over the
-    regions is the projection's) and on W_a."""
+    regions is the projection's) and on W_a. The attention's tanh and each
+    cell's tanh(c) are recomputed from the regions and the state made."""
     z = params.hidden_size
     e = features.shape[-1]
-    lang = params.lang
-    d_lang, dc_lang = lstm_cell_backward(step.lang, g[:, z:2 * z], g[:, 3 * z:])
+    lang, state = params.lang, step.state
+    d_lang, dc_lang = lstm_cell_backward((read[:, 3 * z:], step.lang, np.tanh(state[:, 3 * z:])),
+                                         g[:, z:2 * z], g[:, 3 * z:])
     dx_lang = d_lang @ lang.W_x.data
-    d_w_a, d_pre = attention_backward(params.W_a.data, step.attn, step.tanh,
+    t = np.tanh(projected + (state[:, :z] @ params.W_h.data.T)[:, None, :])
+    d_w_a, d_pre = attention_backward(params.W_a.data, step.attn, t,
                                       attend_grad(features, dx_lang[:, :e]))
     d_hproj = d_pre.sum(axis=-2)
     d_gates, dc_vis = lstm_cell_backward(
-        step.vis, g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data, g[:, 2 * z:3 * z])
+        (read[:, 2 * z:3 * z], step.vis, np.tanh(state[:, 2 * z:3 * z])),
+        g[:, :z] + dx_lang[:, e:] + d_hproj @ params.W_h.data, g[:, 2 * z:3 * z])
     d_read = d_gates @ W_state
     ds_lang = d_lang @ lang.W_h.data
     return (np.concatenate([d_read[:, :z], ds_lang + d_read[:, z:], dc_vis, dc_lang], axis=-1),
@@ -306,25 +311,30 @@ class RowUnroll:
         accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
         n = self.rows[-1].size
-        features = self._regions(self.rows[-1])
+        features, projected = self._regions(self.rows[-1])
         carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
         regions = np.zeros((n,) + scene.region_proj.shape[1:])
         mean = np.zeros((n, 4 * z))
         end = total = ds_lang.shape[0]
-        # each step's visual and language gate and W_h gradient rows, in reverse step order
-        gates, langs, hprojs = np.empty((total, 4 * z)), np.empty((total, 4 * z)), np.empty((total, z))
+        # each step's gate, language gate, W_h gradient and read [s_vis, s_lang] rows, in reverse step order
+        gates, langs, hprojs, reads = (np.empty((total, k * z)) for k in (4, 4, 1, 2))
         d_b = d_w_a = 0.0
         for t in reversed(range(len(steps))):
             rows = self.rows[t]
             if rows.size != carry.shape[0]:         # rows that ended after step t come back
-                keep = np.searchsorted(rows, self.rows[t + 1])
                 carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
-                features = self._regions(rows)
+                features, projected = self._regions(rows)
+            # the state step t read: zeros, or step t - 1's rows that went on
+            read = np.zeros((rows.size, 4 * z)) if t == 0 else steps[t - 1].state
+            if read.shape[0] != rows.size:
+                keep = np.searchsorted(self.rows[t - 1], rows)
+                read = read[keep]
             carry[:, z:2 * z] += ds_lang[end - rows.size:end]
             at = slice(total - end, total - end + rows.size)
             end -= rows.size
+            reads[at] = read[:, :2 * z]
             carry, gates[at], langs[at], hprojs[at], d_pre, d_a = _step_backward(
-                params, steps[t], features, scene.W_state, carry)
+                params, steps[t], read, features, projected, scene.W_state, carry)
             regions += d_pre
             mean += gates[at]
             d_b = d_b + langs[at].sum(axis=0)
@@ -332,7 +342,7 @@ class RowUnroll:
         backwards = steps[::-1]                 # the order of gates, langs and hprojs
         lang, vis, W_x = params.lang, params.vis, params.vis.W_x.data
         accum(lang.W_x, langs.T @ _lang_inputs(backwards, z))
-        accum(lang.W_h, langs.T @ np.concatenate([s.read[:, z:2 * z] for s in backwards]))
+        accum(lang.W_h, langs.T @ reads[:, z:])
         accum(lang.b, d_b)
         accum(params.W_h, hprojs.T @ np.concatenate([s.state[:, :z] for s in backwards]))
         accum(params.W_a, d_w_a)
@@ -344,15 +354,16 @@ class RowUnroll:
         onehot[np.arange(words.size), words] = 1.0
         word = onehot.T @ gates
         accum(params.W_e, word @ W_x[:, 2 * z:])
-        state = gates.T @ np.concatenate([s.read[:, :2 * z] for s in backwards])
+        state = gates.T @ reads
         accum(vis.W_h, state[:, :z])
         accum(vis.W_x, np.concatenate([state[:, z:], mean.T @ (scene.means @ params.W_v.data.T),
                                        word.T @ params.W_e.data], axis=1))
 
-    def _regions(self, rows: np.ndarray) -> np.ndarray:
-        """The regions of the scene rows rows, ascending ids as in self.rows."""
-        features = self.scene.features
-        return features if rows.size == features.shape[0] else features[rows]
+    def _regions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The regions and projected regions of the scene rows rows,
+        ascending ids as in self.rows."""
+        whole = rows.size == self.scene.features.shape[0]
+        return tuple(a if whole else a[rows] for a in (self.scene.features, self.scene.region_proj))
 
 
 def _lang_inputs(steps: list[StepRecord], z: int) -> np.ndarray:

@@ -21,14 +21,16 @@ def run(argv):
 
 
 def assert_clean_error(capsys, code, *words):
-    """Exit status 1 and one `error:` line naming each word, no traceback."""
-    err = capsys.readouterr().err
+    """Exit status 1 and one `error:` line naming each word, no traceback;
+    returns what the command printed on stdout."""
+    out, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     for word in words:
         assert word in err
+    return out
 
 
 def under_a_file(tmp_path: Path, name: str) -> Path:
@@ -117,7 +119,9 @@ class TestSynth:
     def test_bad_scene_count_fails_cleanly(self, tmp_path, capsys, flag, value):
         argv = ["synth", "--out", str(tmp_path / "o"), "--scenes", "2", "--val-scenes", "1"]
         argv[argv.index(flag) + 1] = value
-        assert_clean_error(capsys, run(argv), "scenes")
+        # "error: --scenes " names --scenes, not --val-scenes
+        assert_clean_error(capsys, run(argv), f"error: {flag} ", value)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spec", ['[]', '{"nouns": 5}', '{"regions": "3"}'])
     def test_mistyped_grammar_fails_cleanly(self, tmp_path, capsys, spec):
@@ -481,7 +485,15 @@ class TestEval:
         graph_path = under_a_file(tmp_path, "graph.json")
         code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
                     "--graph-out", str(graph_path)])
-        assert_clean_error(capsys, code, str(graph_path))
+        assert assert_clean_error(capsys, code, str(graph_path)) == ""
+
+    def test_graph_out_at_a_directory_fails_cleanly(self, trained, tmp_path, capsys):
+        out, cfg_path = trained
+        graph_path = tmp_path / "graph"
+        graph_path.mkdir()
+        code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
+                    "--graph-out", str(graph_path)])
+        assert assert_clean_error(capsys, code, str(graph_path)) == ""
 
     def test_val_split_without_train_manifest_fails_cleanly(self, trained, tmp_path, capsys):
         out, cfg_path = trained

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,10 +181,8 @@ class TestPolicyStep:
         logits, record = P.policy_step(params, words, state, scene)
         want_logits, want = P.policy_step(params, words, state, scene.take(rows))
         np.testing.assert_array_equal(logits, want_logits)
-        for name in ("words", "read", "state", "attn", "tanh", "attended"):
+        for name in ("words", "state", "vis", "attn", "attended", "lang"):
             np.testing.assert_array_equal(getattr(record, name), getattr(want, name))
-        for got, expected in zip(record.vis + record.lang, want.vis + want.lang, strict=True):
-            np.testing.assert_array_equal(got, expected)
 
     def test_a_scene_of_other_rows_is_rejected(self):
         params, feats, _ = row_batch()
@@ -303,7 +303,6 @@ class TestUnroll:
         _, prev, state, child = calls[1]
         np.testing.assert_array_equal(prev, token)
         np.testing.assert_array_equal(state, seen[0].state[rows])
-        assert seen[1].read is state
         np.testing.assert_array_equal(child.features, scene.features[rows])
         np.testing.assert_array_equal(child.region_proj, scene.region_proj[rows])
         np.testing.assert_array_equal(child.mean_gates, scene.mean_gates[rows])
@@ -344,9 +343,11 @@ def _root(a):
 
 
 class TestStepRecord:
-    """A training step's record holds each value once: no regions (the
-    unroll's scene holds them), no copy of s_vis (its state holds it) and
-    one activation array per LSTM cell."""
+    """A training step's record holds each value once and nothing that the
+    reverse pass remakes elementwise: no regions (the unroll's scene holds
+    them), no copy of s_vis (its state holds it), no state read (the step
+    before's state holds it), no attention tanh and one activation array
+    per LSTM cell. The reverse pass recomputes the rest bit for bit."""
 
     def test_a_record_holds_each_value_once(self):
         params, feats, refs = row_batch()
@@ -354,27 +355,61 @@ class TestStepRecord:
         z, e = params.hidden_size, params.feature_dim
         m = run.scene.features.shape[1]
         assert e != z
+        assert not {"read", "tanh"} & {f.name for f in dataclasses.fields(P.StepRecord)}
         for rows, step in zip(run.rows, run.steps, strict=True):
             n = rows.size
-            arrays = [a for value in vars(step).values()
-                      for a in (value if isinstance(value, tuple) else (value,))]
+            arrays = list(vars(step).values())
             s_vis = step.state[:, :z]
             for a in arrays:
                 assert not np.shares_memory(a, run.scene.features)
-                assert not (a.ndim == 3 and a.shape[-1] == e)       # no regions
+                assert not (a.ndim == 3 and a.shape[-1] in (e, z))     # no regions, no tanh
                 if a.ndim == 2 and not np.shares_memory(a, step.state):
                     assert not any(np.array_equal(a[:, k:k + z], s_vis)
                                    for k in range(a.shape[1] - z + 1))
             assert step.attended.shape == (n, e)
-            for c_prev, *held in (step.vis, step.lang):
-                assert np.shares_memory(c_prev, step.read)
-                assert sum({id(_root(a)): _root(a).nbytes for a in held}.values()) == 5 * n * z * 8
-            # every buffer but the two states': words, attention weights,
-            # tanh, attended features and the two cells' activations and tanh(c)
-            own = {id(_root(a)): _root(a) for a in arrays
-                   if not np.shares_memory(a, step.state) and not np.shares_memory(a, step.read)}
+            assert step.vis.shape == step.lang.shape == (n, 4 * z)
+            # every buffer but the state's: words, attention weights,
+            # attended features and the two cells' activations
+            own = {id(_root(a)): _root(a) for a in arrays if not np.shares_memory(a, step.state)}
             assert sum(a.nbytes for a in own.values()) == (
-                step.words.nbytes + 8 * n * (m + m * z + e + 2 * 5 * z))
+                step.words.nbytes + 8 * n * (m + e + 2 * 4 * z))
+
+    def test_the_reverse_pass_recomputes_what_the_forward_made(self, monkeypatch):
+        # row drops and m = 2 and m = 5 scenes: gathered reads and masked regions
+        params, feats, refs = row_batch()
+        made_tanh, made_cells, read_tanh, read_cells = [], [], [], []
+
+        def spy(name, log, pick):
+            fn = getattr(P, name)
+
+            def logged(*args):
+                out = fn(*args)
+                log.append([np.copy(a) for a in pick(args, out)])
+                return out
+
+            monkeypatch.setattr(P, name, logged)
+
+        # a cell's cache is (c_prev, act, tanh(c)); the attention's tanh is
+        # attention_forward's second output and attention_backward's third input
+        spy("attention_forward", made_tanh, lambda args, out: [out[1]])
+        spy("lstm_cell_forward", made_cells, lambda args, out: [out[2][2], out[2][0]])
+        spy("attention_backward", read_tanh, lambda args, out: [args[2]])
+        spy("lstm_cell_backward", read_cells, lambda args, out: [args[0][2], args[0][0]])
+        run = unroll_batch(params, feats, refs)
+        _, _, loss = weighted_loss(run, refs)
+        loss.backward_fn(np.ones(()), lambda node, g: None)
+        monkeypatch.undo()
+        assert len({rows.size for rows in run.rows}) > 2
+        assert run.scene.mask is not None
+        # the forward runs step by step, a visual then a language cell per
+        # step; the reverse pass runs the steps and each step's cells backward
+        assert len(made_tanh) == len(read_tanh) == len(run.steps)
+        for (want,), (got,) in zip(made_tanh, read_tanh[::-1], strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert len(made_cells) == len(read_cells) == 2 * len(run.steps)
+        for (want_tc, want_c), (got_tc, got_c) in zip(made_cells, read_cells[::-1], strict=True):
+            np.testing.assert_array_equal(got_tc, want_tc)
+            np.testing.assert_array_equal(got_c, want_c)
 
 
 class TestSampleRows:

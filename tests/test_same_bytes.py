@@ -19,10 +19,13 @@ def same_bytes():
     return module
 
 
-def hashes(same_bytes, **changed):
-    """A full hash map: file f hashes to f * 8, unless changed names it."""
-    out = {name: name.replace(".", "") * 8 for name in same_bytes.FILES}
-    out.update({name.replace("_", "."): value for name, value in changed.items()})
+def hashes(same_bytes, decoded=False, **changed):
+    """A full hash map: file f hashes to f * 8, and so, for a decoded run,
+    does each eval record, unless changed names it."""
+    names = list(same_bytes.FILES) + (list(same_bytes.EVALS) if decoded else [])
+    out = {name: name.replace(".", "").replace("_", "") * 8 for name in names}
+    out.update({name if name in out else name.replace("_", "."): value
+                for name, value in changed.items()})
     return out
 
 
@@ -56,6 +59,21 @@ def test_a_file_neither_tree_wrote_counts_as_the_same(same_bytes):
     assert not same and "absent" in lines[2] and lines[2].endswith("DIFFERENT")
 
 
+def test_a_decoded_run_compares_its_eval_records(same_bytes):
+    runs = {"seed0 xe": {"parent": hashes(same_bytes, True), "change": hashes(same_bytes, True)},
+            "seed0 rho_0": {"parent": hashes(same_bytes), "change": hashes(same_bytes)}}
+    lines, same = same_bytes.compare(runs)
+    assert same
+    names = list(same_bytes.FILES) + list(same_bytes.EVALS)
+    assert [line.split()[2] for line in lines] == names + list(same_bytes.FILES)
+    assert set(same_bytes.EVALS) == {"eval_greedy", "eval_beam2"}
+    assert same_bytes.EVALS["eval_beam2"] == ("--beam-width", "2")
+    runs["seed0 xe"]["change"] = hashes(same_bytes, True, eval_beam2="f" * 64)
+    lines, same = same_bytes.compare(runs)
+    assert not same
+    assert [line.split()[2] for line in lines if line.endswith("DIFFERENT")] == ["eval_beam2"]
+
+
 def test_a_failed_run_fails_the_comparison(same_bytes):
     runs = {"seed0 crl": {"parent": hashes(same_bytes), "change": hashes(same_bytes)},
             "seed0 xe": {"parent": None, "change": hashes(same_bytes)}}
@@ -71,6 +89,7 @@ def test_the_variants_cover_the_ablations(same_bytes):
     assert same_bytes.VARIANTS["zero_reward"] == {"bleu_weight": 0.0, "cider_weight": 0.0,
                                                   "intrinsic_scale": 0.0}
     assert all(v.get("mode", "crl") in ("crl", "xe") for v in same_bytes.VARIANTS.values())
+    assert same_bytes.DECODED == ("crl", "xe")
 
 
 def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_path, capsys):
@@ -82,7 +101,7 @@ def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_
     assert code == 0, out
     assert out[-1] == "1 runs: every file byte-identical"
     rows = [line.split() for line in out[1:-1]]
-    assert [row[2] for row in rows] == list(same_bytes.FILES)
+    assert [row[2] for row in rows] == list(same_bytes.FILES) + list(same_bytes.EVALS)
     assert all(row[3] == row[4] != "absent" and row[5] == "same" for row in rows)
     assert (tmp_path / "seed0" / "crl" / "change" / "last.ckpt").is_file()
 

@@ -8,11 +8,14 @@ beside it (a `git archive` of it will do):
 The tool synthesises the 200+50-scene corpora at corpus seeds 0 and 7919
 once, with this tree's `curioseq synth`. It then trains each variant of
 VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
-of the README config. Every process runs at one BLAS thread, and at most two
-run at a time. For each run the tool prints the sha256 prefix of each of
-its four output files (FILES) side by side, and exits 1 when a file differs
-or a run fails; a file that neither tree wrote (`last.ckpt.adam` under sgd)
-counts as the same. `--seed`, `--variant`, `--epochs`, `--scenes` and
+of the README config. After the `crl` and `xe` runs (DECODED) it scores
+their `last.ckpt` on the val split with `curioseq eval`, greedy and at
+beam width 2 (EVALS), in each tree. Every process runs at one BLAS thread,
+and at most two run at a time. For each run the tool prints the sha256
+prefix of each of its four output files (FILES) and of each printed eval
+record side by side, and exits 1 when a file or a record differs or a run
+fails; a file that neither tree wrote (`last.ckpt.adam` under sgd) counts
+as the same. `--seed`, `--variant`, `--epochs`, `--scenes` and
 `--val-scenes` narrow the set. Uses only the standard library.
 """
 
@@ -41,6 +44,8 @@ VARIANTS = {
     "rho_0": {"intrinsic_scale": 0.0},
     "zero_reward": {"bleu_weight": 0.0, "cider_weight": 0.0, "intrinsic_scale": 0.0},
 }
+DECODED = ("crl", "xe")
+EVALS = {"eval_greedy": (), "eval_beam2": ("--beam-width", "2")}
 SEEDS = (0, 7919)
 JOBS = 2                # processes at a time
 PREFIX = 12             # hex digits of each sha256 shown
@@ -63,9 +68,10 @@ def file_hashes(out: Path) -> dict[str, str | None]:
 
 def compare(runs: dict[str, dict]) -> tuple[list[str], bool]:
     """Lines that set each run's parent and change hashes side by side, and
-    whether every run of both trees finished with the same files. runs maps
-    a run's name to {"parent": side, "change": side}, a side being the
-    file_hashes of its output or None when the run failed."""
+    whether every run of both trees finished with the same files and eval
+    records. runs maps a run's name to {"parent": side, "change": side}, a
+    side being the hashes of its output (file_hashes, and for a decoded
+    run those of its EVALS records) or None when the run failed."""
     lines, same = [], True
     width = max(map(len, runs), default=0)
     for name, sides in runs.items():
@@ -75,11 +81,12 @@ def compare(runs: dict[str, dict]) -> tuple[list[str], bool]:
             lines.append(f"{name}: FAILED ({failed})")
             same = False
             continue
-        for file in FILES:
-            a, b = (h[file][:PREFIX] if h[file] else "absent" for h in (parent, change))
+        for file in {**parent, **change}:
+            a, b = ((h.get(file) or "absent")[:PREFIX] for h in (parent, change))
+            equal = parent.get(file) == change.get(file)
             lines.append(f"{name:<{width}} {file:<15} {a:<{PREFIX}} {b:<{PREFIX}} "
-                         f"{'same' if parent[file] == change[file] else 'DIFFERENT'}")
-            same = same and parent[file] == change[file]
+                         f"{'same' if equal else 'DIFFERENT'}")
+            same = same and equal
     return lines, same
 
 
@@ -91,14 +98,24 @@ def synth_corpus(tree: Path, out: Path, seed: int, scenes: int, val_scenes: int)
                          f"{proc.stderr.strip()}")
 
 
-def train_run(tree: Path, config: Path, out: Path) -> dict[str, str | None] | None:
-    """The file_hashes of one train run, or None when it fails (its stderr
-    goes to ours)."""
-    proc = curioseq(tree, "train", "--config", str(config), "--out", str(out))
-    if proc.returncode != 0:
-        print(f"{out}: exit {proc.returncode}\n{proc.stderr.rstrip()}", file=sys.stderr)
-        return None
-    return file_hashes(out)
+def train_run(tree: Path, config: Path, out: Path, decode: bool) -> dict[str, str | None] | None:
+    """The file_hashes of one train run and, when decode, the sha256 of the
+    record that each `curioseq eval` of EVALS prints for its last.ckpt on
+    the val split; None when a command fails (its stderr goes to ours)."""
+    commands = [("train", "--config", str(config), "--out", str(out))]
+    if decode:
+        commands += [("eval", "--config", str(config), "--checkpoint", str(out / "last.ckpt"),
+                      "--split", "val", *flags) for flags in EVALS.values()]
+    printed = []
+    for args in commands:
+        proc = curioseq(tree, *args)
+        if proc.returncode != 0:
+            print(f"{out}: {args[0]} exit {proc.returncode}\n{proc.stderr.rstrip()}",
+                  file=sys.stderr)
+            return None
+        printed.append(proc.stdout)
+    return {**file_hashes(out), **{name: hashlib.sha256(text.encode()).hexdigest()
+                                   for name, text in zip(EVALS, printed[1:])}}
 
 
 def main(argv=None) -> int:
@@ -135,7 +152,7 @@ def main(argv=None) -> int:
                         "train_manifest": str(corpus / "train_manifest.json"),
                         "val_manifest": str(corpus / "val_manifest.json")}))
                     pending[name] = {side: pool.submit(train_run, tree, config,
-                                                       config.parent / side)
+                                                       config.parent / side, variant in DECODED)
                                      for side, tree in trees.items()}
             runs = {name: {side: job.result() for side, job in sides.items()}
                     for name, sides in pending.items()}
