@@ -57,19 +57,30 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and the extra record of the checkpoint at path. The file
+    is read once into a writable buffer, and each tensor is a writable,
+    aligned float64 array over it, converted only on a big-endian host."""
     path = Path(path)
+    start = len(MAGIC) + 8
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(start)
+            fh.seek(0)
+            # the file sits in buf at the shift that puts the tensors, which
+            # follow the manifest, at a multiple of 8 bytes
+            shift = -(start + int.from_bytes(head[len(MAGIC):], "little")) % 8
+            buf = memoryview(bytearray(shift + size))
+            raw = buf[shift:shift + fh.readinto(buf[shift:])]
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
+    if len(raw) < start or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     (manifest_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    start = len(MAGIC) + 8
     if start + manifest_len > len(raw):
         raise CheckpointError(f"{path} has a manifest length past the end of the file")
     try:
-        manifest = json.loads(raw[start:start + manifest_len].decode("utf-8"))
+        manifest = json.loads(str(raw[start:start + manifest_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path} has a corrupt manifest: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -93,7 +104,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path} is truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        tensors[entry["name"]] = arr.astype(np.float64)
+        tensors[entry["name"]] = arr.astype(np.float64, copy=False)
         offset += nbytes
     return tensors, extra
 

@@ -5,8 +5,9 @@ defaults; the effective config is dumped at startup, so every run is
 reproducible from its log alone. Bad input, and a file the system refuses
 to read or write (a directory where a file goes, or the reverse), end a
 command with exit status 1 and one `error:` line on stderr that names the
-flag or the path. `train --out D` checks that none of D/last.ckpt,
-D/last.ckpt.adam and D/best.ckpt is a directory before the first epoch;
+flag or the path. `train --out D` checks that a file can be written at
+each of D/last.ckpt, D/last.ckpt.adam and D/best.ckpt before the first
+epoch, and `eval --graph-out P` checks P before it loads the model;
 `train`, `eval --split val` and `generate` reject a manifest whose feature
 dimension or vocabulary differs from the train manifest's.
 """
@@ -65,6 +66,15 @@ def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
         return trn.TrainConfig(**values)
     except (trn.ConfigError, TypeError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
+
+
+def check_writable(path: Path, what: str) -> None:
+    """Fail, before any work, on a path no file can be written at: a
+    directory, or a path whose parent is not a directory."""
+    if path.is_dir():
+        raise CliError(f"cannot write {what} {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise CliError(f"cannot write {what} {path}: {path.parent} is not a directory")
 
 
 def dump_effective_config(cfg: trn.TrainConfig, out_dir: Path | None) -> None:
@@ -150,8 +160,7 @@ def cmd_train(args) -> int:
         # train writes these after its first epoch; find a blocked one before it
         last = out_dir / "last.ckpt"
         for path in (last, trn.optimizer_path(last), out_dir / "best.ckpt"):
-            if path.is_dir():
-                raise CliError(f"cannot write checkpoint {path}: it is a directory")
+            check_writable(path, "checkpoint")
 
     train_ds = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
     val_scenes = []
@@ -203,6 +212,8 @@ def cmd_eval(args) -> int:
     if cfg.train_manifest is None:
         raise CliError("config does not name a train_manifest, which CIDEr's document "
                        "frequencies are built from")
+    if args.graph_out:
+        check_writable(Path(args.graph_out), "graph")
     ds = dat.load_dataset(manifest, t_max=cfg.t_max)
     train_ds = ds if args.split == "train" else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
     if args.split == "val":

@@ -7,6 +7,14 @@ toward controllable dynamics.
 node over the curiosity Parameters whose backward is the pass's own reverse
 pass. Gradients are stopped at the policy states: losses here train only
 the embedding and predictor weights, never the policy.
+
+The node keeps the embeddings phi, each predictor's hidden activations,
+the transitions' index and weight vectors and any caller-given targets.
+Its reverse pass remakes the rest with the forward's own expressions on
+the same inputs, so bit for bit: it regathers the predictor inputs and the
+embedded states, takes each leaky slope from the activation (which is > 0
+exactly where its pre-activation is) and recomputes the state prediction
+and the action softmax from the hidden rows.
 """
 
 from __future__ import annotations
@@ -99,10 +107,14 @@ def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
     )
 
 
-def _leaky_relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(leaky_relu(x), its derivative at x)."""
-    factor = np.where(x > 0, 1.0, LEAKY_SLOPE)
-    return x * factor, factor
+def _slope(x: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's derivative at x, and at any y with y > 0 exactly
+    where x > 0: leaky_relu(x) is one such y."""
+    return np.where(x > 0, 1.0, LEAKY_SLOPE)
+
+
+def _leaky_relu(x: np.ndarray) -> np.ndarray:
+    return x * _slope(x)
 
 
 def embed_state(states: np.ndarray, params: CuriosityParams) -> np.ndarray:
@@ -110,24 +122,18 @@ def embed_state(states: np.ndarray, params: CuriosityParams) -> np.ndarray:
     concatenated policy states."""
     if np.ndim(states) != 2:
         raise ShapeError(f"embed_state expects (N, 2Z) rows, got {np.shape(states)}")
-    return _leaky_relu(states @ params.phi_W.data.T + params.phi_b.data)[0]
+    return _leaky_relu(states @ params.phi_W.data.T + params.phi_b.data)
 
 
-def _head(x: np.ndarray, W1: Parameter, b1: Parameter, W2: Parameter,
-          b2: Parameter) -> tuple[np.ndarray, tuple]:
-    """A predictor, leaky_relu(x W1^T + b1) W2^T + b2 per row of x; returns
-    (out, cache), the cache being what _head_backward reads."""
-    h, factor = _leaky_relu(x @ W1.data.T + b1.data)
-    return h @ W2.data.T + b2.data, (x, h, factor, W1, b1, W2, b2)
-
-
-def _head_backward(cache: tuple, g: np.ndarray, accum) -> np.ndarray:
-    """Given g on a _head output, hand its four Parameters their gradients
-    and return the gradient on its input rows."""
-    x, h, factor, W1, b1, W2, b2 = cache
+def _head_backward(x: np.ndarray, h: np.ndarray, g: np.ndarray, W1: Parameter,
+                   b1: Parameter, W2: Parameter, b2: Parameter, accum) -> np.ndarray:
+    """The reverse of a predictor, leaky_relu(x W1^T + b1) W2^T + b2 per row
+    of x: given its input rows x, its hidden activations h and g on its
+    output, hand its four Parameters their gradients and return the
+    gradient on x."""
     accum(W2, g.T @ h)
     accum(b2, g.sum(axis=0))
-    d_pre = (g @ W2.data) * factor
+    d_pre = (g @ W2.data) * _slope(h)
     accum(W1, d_pre.T @ x)
     accum(b1, d_pre.sum(axis=0))
     return d_pre @ W1.data
@@ -142,6 +148,14 @@ class CuriosityPass:
     sp_loss: float            # mean over episodes of the mean state-prediction error
     ap_loss: float            # the same for the action cross-entropy; 0 unless alpha > 0
     loss: Tensor              # the sum of the terms whose weight is > 0, as one node
+
+
+def _embedded(episodes: Episodes) -> np.ndarray:
+    """(B, T), the steps whose states the pass embeds: every step of each
+    episode with a transition."""
+    lengths = episodes.lengths
+    return ((np.arange(episodes.actions.shape[1]) < lengths[:, None])
+            & (lengths > 1)[:, None])
 
 
 def curiosity_pass(episodes: Episodes, params: CuriosityParams,
@@ -167,50 +181,62 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
     rows, steps = np.nonzero(np.arange(t_len) + 1 < lengths[:, None])
     if not rows.size:
         return CuriosityPass(errors, 0.0, 0.0, Tensor(0.0))
-    embedded = (np.arange(t_len) < lengths[:, None]) & (lengths > 1)[:, None]
+    embedded = _embedded(episodes)
     flat = np.cumsum(embedded).reshape(embedded.shape) - 1     # each step's row in the matrix
     src = flat[rows, steps]     # increasing, so no index repeats in src or in dst
     dst = src + 1
     actions = episodes.actions[rows, steps]
     weights = 1.0 / (b * (lengths[rows] - 1))
-    states = episodes.states[embedded]
-    phi = embed_state(states, params)
-    if targets is None:
-        targets = phi[dst]
-    pred, sp_cache = _head(np.concatenate([phi[src], params.sp_emb.data[actions]], axis=1),
-                           params.sp_W1, params.sp_b1, params.sp_W2, params.sp_b2)
-    diff = pred - targets
+    phi = embed_state(episodes.states[embedded], params)
+    sp = (params.sp_W1, params.sp_b1, params.sp_W2, params.sp_b2)
+    ap = (params.ap_W1, params.ap_b1, params.ap_W2, params.ap_b2)
+
+    # the predictors' inputs and outputs, which the reverse pass remakes
+    def sp_input() -> np.ndarray:
+        return np.concatenate([phi[src], params.sp_emb.data[actions]], axis=1)
+
+    def ap_input() -> np.ndarray:
+        return np.concatenate([phi[src], phi[dst]], axis=1)
+
+    def sp_diff() -> np.ndarray:
+        return (h_sp @ params.sp_W2.data.T + params.sp_b2.data
+                - (phi[dst] if targets is None else targets))
+
+    def ap_probs() -> np.ndarray:
+        return softmax_values(h_ap @ params.ap_W2.data.T + params.ap_b2.data)
+
+    h_sp = _leaky_relu(sp_input() @ params.sp_W1.data.T + params.sp_b1.data)
+    diff = sp_diff()
     sq = np.einsum("ij,ij->i", diff, diff)
     errors[rows, steps + 1] = 0.5 * sq
     sp_value = np.dot(weights, sq) * 0.5
     ap_value = 0.0
+    h_ap = None
     if alpha > 0:
-        logits, ap_cache = _head(np.concatenate([phi[src], phi[dst]], axis=1),
-                                 params.ap_W1, params.ap_b1, params.ap_W2, params.ap_b2)
-        probs = softmax_values(logits)
-        picked = (np.arange(len(actions)), actions)
-        ap_value = np.dot(-np.log(probs[picked] + CE_EPSILON), weights)
+        h_ap = _leaky_relu(ap_input() @ params.ap_W1.data.T + params.ap_b1.data)
+        picked = ap_probs()[np.arange(len(actions)), actions]
+        ap_value = np.dot(-np.log(picked + CE_EPSILON), weights)
     zp = params.embed_size
 
     def backward(g, accum):
         d_phi = np.zeros(phi.shape)
         if beta > 0:
-            d_x = _head_backward(sp_cache, 2.0 * weights[:, None] * (g * 0.5) * diff, accum)
+            d_x = _head_backward(sp_input(), h_sp, 2.0 * weights[:, None] * (g * 0.5) * sp_diff(),
+                                 *sp, accum)
             d_emb = np.zeros(params.sp_emb.data.shape)
             np.add.at(d_emb, actions, d_x[:, zp:])
             accum(params.sp_emb, d_emb)
             d_phi[src] += d_x[:, :zp] * beta
         if alpha > 0:
-            d_logits = probs.copy()
-            d_logits[picked] -= 1.0
-            d_x = _head_backward(ap_cache, (g * weights)[:, None] * d_logits, accum)
+            d_logits = ap_probs()
+            d_logits[np.arange(len(actions)), actions] -= 1.0
+            d_x = _head_backward(ap_input(), h_ap, (g * weights)[:, None] * d_logits, *ap, accum)
             to_ap = np.zeros(phi.shape)
             to_ap[src] += d_x[:, :zp]
             to_ap[dst] += d_x[:, zp:]
             d_phi += to_ap * alpha
-        # phi > 0 exactly where its pre-activation is, so this is embed_state's slope
-        d_pre = d_phi * np.where(phi > 0, 1.0, LEAKY_SLOPE)
-        accum(params.phi_W, d_pre.T @ states)
+        d_pre = d_phi * _slope(phi)
+        accum(params.phi_W, d_pre.T @ episodes.states[_embedded(episodes)])
         accum(params.phi_b, d_pre.sum(axis=0))
 
     value = (sp_value if beta > 0 else 0.0) + (ap_value if alpha > 0 else 0.0)

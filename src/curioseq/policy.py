@@ -310,6 +310,7 @@ class RowUnroll:
         d_logits *= np.concatenate(coefs)[:, None]
         accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
+        del d_logits
         n = self.rows[-1].size
         features, projected = self._regions(self.rows[-1])
         carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
@@ -339,22 +340,29 @@ class RowUnroll:
             mean += gates[at]
             d_b = d_b + langs[at].sum(axis=0)
             d_w_a = d_w_a + d_a
+        del ds_lang
+        # each stack is freed after the last matmul that reads it
         backwards = steps[::-1]                 # the order of gates, langs and hprojs
         lang, vis, W_x = params.lang, params.vis, params.vis.W_x.data
-        accum(lang.W_x, langs.T @ _lang_inputs(backwards, z))
+        x = _lang_inputs(backwards, z)          # [attended | s_vis]
+        accum(lang.W_x, langs.T @ x)
+        accum(params.W_h, hprojs.T @ x[:, -z:])
+        del x, hprojs
         accum(lang.W_h, langs.T @ reads[:, z:])
+        del langs
         accum(lang.b, d_b)
-        accum(params.W_h, hprojs.T @ np.concatenate([s.state[:, :z] for s in backwards]))
         accum(params.W_a, d_w_a)
         accum(params.W_v, np.concatenate([regions.reshape(-1, z), mean @ W_x[:, z:2 * z]]).T
               @ np.concatenate([scene.features.reshape(-1, params.feature_dim), scene.means]))
         accum(vis.b, mean.sum(axis=0))
+        state = gates.T @ reads
+        del reads
         words = np.concatenate([s.words for s in backwards])
         onehot = np.zeros((words.size, params.vocab_size))
         onehot[np.arange(words.size), words] = 1.0
         word = onehot.T @ gates
+        del onehot, gates
         accum(params.W_e, word @ W_x[:, 2 * z:])
-        state = gates.T @ reads
         accum(vis.W_h, state[:, :z])
         accum(vis.W_x, np.concatenate([state[:, z:], mean.T @ (scene.means @ params.W_v.data.T),
                                        word.T @ params.W_e.data], axis=1))

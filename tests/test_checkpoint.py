@@ -27,6 +27,30 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert (loaded[name] == arr).all()
 
 
+@pytest.mark.parametrize("pad", range(8))
+def test_loaded_tensors_are_writable_aligned_views_of_one_buffer(tmp_path, pad):
+    # the manifest's length takes every residue mod 8 over the pads
+    rng = np.random.default_rng(1)
+    tensors = {"m.w": rng.standard_normal((4, 3)), "v.w": rng.random((4, 3)), "b": np.ones(5)}
+    path = tmp_path / "moments.ckpt"
+    C.save_checkpoint(path, tensors, extra={"pad": "x" * pad})
+    loaded, extra = C.load_checkpoint(path)
+    assert extra == {"pad": "x" * pad}
+    owners = set()
+    for name, arr in tensors.items():
+        out = loaded[name]
+        assert out.dtype == np.float64 and out.flags.writeable and out.flags.aligned
+        np.testing.assert_array_equal(out, arr)
+        out *= 2.0          # an Adam slot is updated in place
+        np.testing.assert_array_equal(out, 2.0 * arr)
+        while isinstance(out.base, np.ndarray):
+            out = out.base
+        assert isinstance(out.base, memoryview)
+        owners.add(id(out.base.obj))
+    # no copy per tensor: every array is a view of the one buffer the file was read into
+    assert len(owners) == 1
+
+
 def test_identical_contents_identical_bytes(tmp_path):
     tensors = {"w": np.arange(6, dtype=np.float64).reshape(2, 3)}
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -480,17 +480,30 @@ class TestEval:
         assert doc["stats"]["node_count"] == len(doc["nodes"])
         assert doc["stats"]["edge_count"] == len(doc["edges"])
 
-    def test_graph_out_under_a_regular_file_fails_cleanly(self, trained, tmp_path, capsys):
+    @staticmethod
+    def forbid_decoding(monkeypatch):
+        """An unwritable --graph-out fails before the model is loaded or decodes."""
+        def never(*args, **kwargs):
+            raise AssertionError("eval decoded before it checked --graph-out")
+
+        monkeypatch.setattr(cli.trn, "load_model", never)
+        monkeypatch.setattr(cli.trn, "evaluate", never)
+
+    def test_graph_out_under_a_regular_file_fails_cleanly(self, trained, tmp_path, capsys,
+                                                          monkeypatch):
         out, cfg_path = trained
         graph_path = under_a_file(tmp_path, "graph.json")
+        self.forbid_decoding(monkeypatch)
         code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
                     "--graph-out", str(graph_path)])
         assert assert_clean_error(capsys, code, str(graph_path)) == ""
 
-    def test_graph_out_at_a_directory_fails_cleanly(self, trained, tmp_path, capsys):
+    def test_graph_out_at_a_directory_fails_cleanly(self, trained, tmp_path, capsys,
+                                                    monkeypatch):
         out, cfg_path = trained
         graph_path = tmp_path / "graph"
         graph_path.mkdir()
+        self.forbid_decoding(monkeypatch)
         code = run(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
                     "--graph-out", str(graph_path)])
         assert assert_clean_error(capsys, code, str(graph_path)) == ""

@@ -342,3 +342,51 @@ class TestBatchedPass:
         assert terms.errors.tolist() == [[0.0], [0.0]]
         grads = K.gradients(terms.loss, cur.parameters())
         assert all((g == 0.0).all() for g in grads.values())
+
+
+def _closure_arrays(fn):
+    """The arrays that fn's closure references, through the closures of the
+    functions and the tuples it references, one per owning buffer."""
+    found, seen = {}, set()
+    todo = [cell.cell_contents for cell in fn.__closure__]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(found.values())
+
+
+class TestPassFootprint:
+    """The pass's node keeps phi, the two predictors' hidden activations,
+    the index and weight vectors and any caller-given targets; its reverse
+    pass remakes the predictor inputs, slopes, outputs and softmax."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["detached", "given"])
+    def test_the_node_holds_phi_the_hidden_rows_and_the_vectors(self, frozen):
+        traces, cur = TestBatchedPass().make()
+        episodes = stack(traces)
+        targets = sp_targets(episodes, cur) if frozen else None
+        terms = C.curiosity_pass(episodes, cur, 0.3, 0.6, targets)
+        s = sum(len(t) for t in traces if len(t) > 1)       # the embedded states
+        n = s - sum(len(t) > 1 for t in traces)               # their transitions
+        zp, d = cur.embed_size, cur.vocab_size
+        assert len({s, n, 2 * zp, d}) == 4 and zp not in (s, n)
+        arrays = _closure_arrays(terms.loss.backward_fn)
+        # phi, h_sp, h_ap, then src, dst, actions and weights, and the targets
+        expected = [(s, zp), (n, zp), (n, zp), (n,), (n,), (n,), (n,)] + [(n, zp)] * frozen
+        assert sorted(a.shape for a in arrays) == sorted(expected)
+        assert sum(a.nbytes for a in arrays) == 8 * (s * zp + (2 + frozen) * n * zp + 4 * n)
+        # no (N, 2Zp) input, no slope array, no diff and no (N, D) softmax
+        for a in arrays:
+            assert a.ndim == 1 or not np.isin(a, (1.0, C.LEAKY_SLOPE)).all()
+        if frozen:
+            assert any(a is targets for a in arrays)
