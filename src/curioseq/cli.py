@@ -2,14 +2,19 @@
 
 Flags override the JSON config file's values, which override the built-in
 defaults; the effective config is dumped at startup, so every run is
-reproducible from its log alone. Bad input, and a file the system refuses
-to read or write (a directory where a file goes, or the reverse), end a
-command with exit status 1 and one `error:` line on stderr that names the
-flag or the path. `train --out D` checks that a file can be written at
-each of D/last.ckpt, D/last.ckpt.adam and D/best.ckpt before the first
-epoch, and `eval --graph-out P` checks P before it loads the model;
-`train`, `eval --split val` and `generate` reject a manifest whose feature
-dimension or vocabulary differs from the train manifest's.
+reproducible from its log alone. `eval` and `generate` decode with the
+config's `decode` and `beam_width`, and `--beam-width` overrides both;
+`train` validates with greedy decoding. D/reports.jsonl of `train --out D`
+holds the epochs up to D/last.ckpt: a fresh run starts it empty, and
+`--resume` keeps the epochs before the one it resumes at. Bad input, and
+a file the system refuses to read or write (a directory where a file
+goes, or the reverse), end a command with exit status 1 and one `error:`
+line on stderr that names the flag or the path. `train --out D` checks
+that a file can be written at each of D/last.ckpt, D/last.ckpt.adam and
+D/best.ckpt before the first epoch, and `eval --graph-out P` checks P
+before it loads the model; `train`, `eval --split val` and `generate`
+reject a manifest whose feature dimension or vocabulary differs from the
+train manifest's.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -57,15 +63,26 @@ def read_json_object(path: str, what: str, known: set[str]) -> dict:
     return doc
 
 
-def load_config(path: str | None, overrides: dict) -> trn.TrainConfig:
-    values = read_json_object(path, "config", CONFIG_KEYS) if path else {}
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+def load_config(args) -> trn.TrainConfig:
+    """The config file args.config names, if any, under the values that the
+    command's flags set: each argparse destination named after a TrainConfig
+    field, and decode from --beam-width: beam search above 1, greedy at 1.
+    Every command that loads a config reads the train manifest."""
+    values = read_json_object(args.config, "config", CONFIG_KEYS) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in CONFIG_KEYS and value is not None)
+    width = getattr(args, "beam_width", None)
+    if width is not None:
+        if width < 1:
+            raise CliError("--beam-width must be >= 1")
+        values["decode"] = "beam" if width > 1 else "greedy"
     try:
-        return trn.TrainConfig(**values)
+        cfg = trn.TrainConfig(**values)
     except (trn.ConfigError, TypeError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
+    if cfg.train_manifest is None:
+        raise CliError("a train manifest is required (config train_manifest or --train-manifest)")
+    return cfg
 
 
 def check_writable(path: Path, what: str) -> None:
@@ -101,19 +118,23 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
         raise CliError(f"grammar spec {path}: {exc}") from exc
 
 
-def check_val_split(train: dat.LoadedDataset, val: dat.LoadedDataset, train_path,
-                    val_path) -> None:
-    """A val split is scored or decoded by a model of the train split: its
-    scenes must have the train split's feature dimension, and its
-    references must be encoded with the same token list."""
-    if val.feature_dim != train.feature_dim:
-        what = f"feature_dim {val.feature_dim}, not {train.feature_dim}"
-    elif val.vocab.index_to_token != train.vocab.index_to_token:
+def load_split(cfg: trn.TrainConfig, manifest: str):
+    """The datasets of manifest and of the config's train manifest, one load
+    when they are one file. Another split is scored or decoded by a model of
+    the train split: its scenes must have the train split's feature
+    dimension, and its references must be encoded with the same token list."""
+    ds = dat.load_dataset(manifest, t_max=cfg.t_max)
+    if manifest == cfg.train_manifest:
+        return ds, ds
+    train = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
+    if ds.feature_dim != train.feature_dim:
+        what = f"feature_dim {ds.feature_dim}, not {train.feature_dim}"
+    elif ds.vocab.index_to_token != train.vocab.index_to_token:
         what = "a vocabulary with other tokens"
     else:
-        return
-    raise CliError(f"val manifest {val_path} does not match train manifest {train_path}: "
-                   f"it has {what}")
+        return ds, train
+    raise CliError(f"val manifest {manifest} does not match train manifest "
+                   f"{cfg.train_manifest}: it has {what}")
 
 
 def cmd_synth(args) -> int:
@@ -143,17 +164,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def reports_before(path: Path, epoch: int) -> int:
+    """The byte length of the whole lines that open the reports.jsonl at
+    path and report epochs before epoch: what a run resumed at epoch keeps."""
+    kept = 0
+    for line in path.read_bytes().splitlines(keepends=True):
+        try:
+            if not line.endswith(b"\n") or json.loads(line)["epoch"] >= epoch:
+                break
+        except (ValueError, TypeError, KeyError):     # not a report line
+            break
+        kept += len(line)
+    return kept
+
+
 def cmd_train(args) -> int:
-    overrides = {
-        "seed": args.seed, "epochs": args.epochs, "batch_size": args.batch_size,
-        "hidden_size": args.hidden_size, "train_manifest": args.train_manifest,
-        "val_manifest": args.val_manifest, "out_dir": args.out,
-        "mode": args.mode, "optimizer": args.optimizer,
-        "learning_rate": args.learning_rate,
-    }
-    cfg = load_config(args.config, overrides)
-    if cfg.train_manifest is None:
-        raise CliError("a train manifest is required (config train_manifest or --train-manifest)")
+    cfg = load_config(args)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     dump_effective_config(cfg, out_dir)
     if out_dir:
@@ -162,12 +188,7 @@ def cmd_train(args) -> int:
         for path in (last, trn.optimizer_path(last), out_dir / "best.ckpt"):
             check_writable(path, "checkpoint")
 
-    train_ds = dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
-    val_scenes = []
-    if cfg.val_manifest is not None:
-        val_ds = dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max)
-        check_val_split(train_ds, val_ds, cfg.train_manifest, cfg.val_manifest)
-        val_scenes = val_ds.scenes
+    val_ds, train_ds = load_split(cfg, cfg.val_manifest or cfg.train_manifest)
 
     model = opt = None
     start_epoch = 0
@@ -182,49 +203,37 @@ def cmd_train(args) -> int:
         start_epoch += 1
         print(f"resuming from {args.resume} at epoch {start_epoch}")
 
-    report_file = (out_dir / "reports.jsonl").open("a") if out_dir else None
-
-    def sink(report: trn.EpochReport):
-        line = report.to_json()
-        print(line)
-        if report_file:
+    reports = out_dir / "reports.jsonl" if out_dir else Path(os.devnull)
+    if args.resume and reports.is_file():
+        os.truncate(reports, reports_before(reports, start_epoch))
+    with reports.open("a" if args.resume else "w") as report_file:
+        def sink(report: trn.EpochReport):
+            line = report.to_json()
+            print(line)
             report_file.write(line + "\n")
             report_file.flush()
 
-    try:
-        trn.train(train_ds.scenes, val_scenes, train_ds.vocab, cfg,
+        trn.train(train_ds.scenes, val_ds.scenes, train_ds.vocab, cfg,
                   start_epoch=start_epoch, model=model, report_sink=sink,
                   best_cider=best_cider, opt=opt)
-    finally:
-        if report_file:
-            report_file.close()
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config, {
-        "beam_width": args.beam_width,
-        "decode": "beam" if args.beam_width and args.beam_width > 1 else None,
-    })
+    cfg = load_config(args)
     manifest = {"train": cfg.train_manifest, "val": cfg.val_manifest}[args.split]
     if manifest is None:
         raise CliError(f"config does not name a manifest for split {args.split!r}")
-    if cfg.train_manifest is None:
-        raise CliError("config does not name a train_manifest, which CIDEr's document "
-                       "frequencies are built from")
     if args.graph_out:
         check_writable(Path(args.graph_out), "graph")
-    ds = dat.load_dataset(manifest, t_max=cfg.t_max)
-    train_ds = ds if args.split == "train" else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max)
-    if args.split == "val":
-        check_val_split(train_ds, ds, cfg.train_manifest, manifest)
+    ds, train_ds = load_split(cfg, manifest)
     model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
     idf = met.build_idf(trn.reference_documents(train_ds.scenes, train_ds.vocab))
     report = trn.evaluate(ds.scenes, model, ds.vocab, idf, cfg)
     record = {
         "split": args.split,
-        "decode": cfg.decode,
-        "beam_width": cfg.beam_width,
+        "decode": "beam" if cfg.decode_width > 1 else "greedy",
+        "beam_width": cfg.decode_width,
         "n_scenes": report.n_scenes,
         "bleu1": report.bleu[1], "bleu2": report.bleu[2],
         "bleu3": report.bleu[3], "bleu4": report.bleu[4],
@@ -239,25 +248,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config, {})
-    if args.beam_width < 1:
-        raise CliError("--beam-width must be >= 1")
-    if cfg.train_manifest is None:
-        raise CliError("config does not name a train_manifest, whose vocabulary the model "
-                       "decodes with")
+    cfg = load_config(args)
     manifest = args.manifest or cfg.val_manifest or cfg.train_manifest
-    ds = dat.load_dataset(manifest, t_max=cfg.t_max)
+    ds, train_ds = load_split(cfg, manifest)
     scene = next((s for s in ds.scenes if s.scene_id == args.scene_id), None)
     if scene is None:
         raise CliError(f"scene id {args.scene_id!r} not found in {manifest}")
-    train_ds = (ds if manifest == cfg.train_manifest
-                else dat.load_dataset(cfg.train_manifest, t_max=cfg.t_max))
-    check_val_split(train_ds, ds, cfg.train_manifest, manifest)
-    model, _ = trn.load_model(args.checkpoint, cfg, train_ds.vocab.size, train_ds.feature_dim)
-    if args.beam_width > 1:
-        tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, args.beam_width)
-    else:
-        tokens = pol.rollout_greedy(model.policy, scene.features, cfg.t_max)
+    model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
+    tokens = pol.decode(model.policy, scene.features, cfg.t_max, cfg.decode_width)
     print(" ".join(train_ds.vocab.decode_text(tokens)))
     return 0
 
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--train-manifest")
     p.add_argument("--val-manifest")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="out_dir")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene-id", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--beam-width", type=int, default=1)
+    p.add_argument("--beam-width", type=int)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("diversity", help="export a diversity graph from text")

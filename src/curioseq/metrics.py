@@ -26,10 +26,10 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def candidate_counts(tokens: TokenSeq, max_n: int = MAX_NGRAM) -> list[Counter]:
-    """A candidate's n-gram counts for n = 1..max_n: what BLEU and the
+def candidate_counts(tokens: TokenSeq) -> list[Counter]:
+    """A candidate's n-gram counts for n = 1..MAX_NGRAM: what BLEU and the
     consensus score both read from it."""
-    return [ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+    return [ngram_counts(tokens, n) for n in range(1, MAX_NGRAM + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,6 @@ class IdfTable:
     shares one tuple."""
 
     values: dict[Ngram, float]
-    doc_count: int
     keys: dict[Ngram, Ngram] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,8 +53,7 @@ class IdfTable:
         return self.values.get(gram, 0.0)
 
 
-def build_idf(reference_docs: Sequence[Sequence[TokenSeq]],
-              max_n: int = MAX_NGRAM) -> IdfTable:
+def build_idf(reference_docs: Sequence[Sequence[TokenSeq]]) -> IdfTable:
     """One document = the reference set of one sample; df counts documents."""
     if not reference_docs:
         raise ValueError("cannot build idf from an empty corpus")
@@ -63,20 +61,17 @@ def build_idf(reference_docs: Sequence[Sequence[TokenSeq]],
     for refs in reference_docs:
         seen: set[Ngram] = set()
         for ref in refs:
-            for n in range(1, max_n + 1):
+            for n in range(1, MAX_NGRAM + 1):
                 seen.update(ngram_counts(ref, n))
         df.update(seen)
     n_docs = len(reference_docs)
-    return IdfTable(
-        values={g: math.log(n_docs / c) for g, c in df.items()},
-        doc_count=n_docs,
-    )
+    return IdfTable({g: math.log(n_docs / c) for g, c in df.items()})
 
 
 @dataclass
 class References:
     """One scene's references, counted once against an IdfTable, for n =
-    1..max_n. Index [n - 1] of max_counts, vectors and norms holds the
+    1..MAX_NGRAM. Index [n - 1] of max_counts, vectors and norms holds the
     n-grams:
 
     - max_counts: BLEU's clip, each gram's largest count in any reference.
@@ -92,8 +87,7 @@ class References:
     norms: list[list[float]]
 
 
-def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
-                    max_n: int = MAX_NGRAM) -> References:
+def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable) -> References:
     """Count refs once: the statistics that BLEU and the consensus score of
     any candidate against them read. An n-gram that idf has is keyed by
     idf's own tuple."""
@@ -101,7 +95,7 @@ def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
         raise ValueError("cannot score a sample without references")
     get, own = idf.values.get, idf.keys.get
     max_counts, vectors, norms = [], [], []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_NGRAM + 1):
         counts = [{own(g, g): c for g, c in ngram_counts(ref, n).items()} for ref in refs]
         best: dict[Ngram, int] = {}
         for rg in counts:
@@ -122,11 +116,11 @@ def reference_stats(refs: Sequence[TokenSeq], idf: IdfTable,
 class BleuSums:
     """Clipped n-gram matches and totals per n, and the candidate and closest
     reference lengths, summed over the samples added; score(n) is BLEU-n of
-    those sums for any n up to max_n."""
+    those sums for any n up to MAX_NGRAM."""
 
-    def __init__(self, max_n: int = MAX_NGRAM):
-        self.matched = [0] * max_n
-        self.total = [0] * max_n
+    def __init__(self):
+        self.matched = [0] * MAX_NGRAM
+        self.total = [0] * MAX_NGRAM
         self.cand_len = 0
         self.ref_len = 0
         self.samples = 0
@@ -166,16 +160,18 @@ class BleuSums:
 
 
 # BLEU reads no idf: bleu builds its statistics against this empty table
-NO_IDF = IdfTable({}, 0)
+NO_IDF = IdfTable({})
 
 
 def bleu(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
-         max_n: int = 4, mode: str = "corpus") -> float:
-    """BleuSums.score over (candidate, references) token pairs, aggregated
-    corpus-style."""
-    sums = BleuSums(max_n)
+         max_n: int = MAX_NGRAM, mode: str = "corpus") -> float:
+    """BLEU-max_n, for max_n in 1..MAX_NGRAM: BleuSums.score over
+    (candidate, references) token pairs, aggregated corpus-style."""
+    if not 1 <= max_n <= MAX_NGRAM:
+        raise ValueError(f"BLEU order must be in 1..{MAX_NGRAM}, got {max_n}")
+    sums = BleuSums()
     for cand, refs in samples:
-        sums.add(candidate_counts(cand, max_n), len(cand), reference_stats(refs, NO_IDF, max_n))
+        sums.add(candidate_counts(cand), len(cand), reference_stats(refs, NO_IDF))
     return sums.score(max_n, mode)
 
 
@@ -203,17 +199,15 @@ def consensus(counts: Sequence[Counter], refs: References) -> float:
     return sum(per_n) / len(per_n)
 
 
-def cider_single(cand: TokenSeq, refs: Sequence[TokenSeq], idf: IdfTable,
-                 max_n: int = MAX_NGRAM) -> float:
-    return consensus(candidate_counts(cand, max_n), reference_stats(refs, idf, max_n))
+def cider_single(cand: TokenSeq, refs: Sequence[TokenSeq], idf: IdfTable) -> float:
+    return consensus(candidate_counts(cand), reference_stats(refs, idf))
 
 
-def cider(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]],
-          idf: IdfTable, max_n: int = MAX_NGRAM) -> float:
+def cider(samples: Sequence[tuple[TokenSeq, Sequence[TokenSeq]]], idf: IdfTable) -> float:
     """Mean over candidates of the per-n-averaged TF-IDF cosine consensus."""
     if not samples:
         raise ValueError("cider needs at least one sample")
-    return sum(cider_single(c, r, idf, max_n) for c, r in samples) / len(samples)
+    return sum(cider_single(c, r, idf) for c, r in samples) / len(samples)
 
 
 # ---------------------------------------------------------------------------

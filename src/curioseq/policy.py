@@ -539,3 +539,11 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
     done.extend(zip(live_lp.tolist(), live))
     best = min(done, key=lambda c: (-c[0], c[1]))
     return list(best[1])
+
+
+def decode(params: PolicyParams, features: np.ndarray, t_max: int, width: int) -> list[int]:
+    """One scene's paragraph: beam_search above width 1, else rollout_greedy,
+    each looked up in this module at the call, where probes replace them."""
+    if width > 1:
+        return beam_search(params, features, t_max, width)
+    return rollout_greedy(params, features, t_max)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -73,14 +73,12 @@ class TrainConfig:
     beam_width: int = 1
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "t_max", "hidden_size", "seed", "beam_width",
-                     "lr_decay_period"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer")
         if self.embed_size is not None and (type(self.embed_size) is not int or self.embed_size < 1):
             raise ConfigError("embed_size must be an integer >= 1 or null")
         for f in fields(self):      # json reads NaN and Infinity, and true as a bool
             value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer")
             if f.type == "float" or (f.type == "float | None" and value is not None):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigError(f"{f.name} must be a number")
@@ -92,24 +90,20 @@ class TrainConfig:
                      "imitation_weight", "bleu_weight", "cider_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ConfigError("discount must be in [0, 1]")
-        if not 0.0 <= self.td_lambda <= 1.0:
-            raise ConfigError("td_lambda must be in [0, 1]")
+        for name in ("learning_rate", "lr_decay", "curiosity_init_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("discount", "td_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if not 0.0 < self.imitation_decay <= 1.0:
             raise ConfigError("imitation_decay must be in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.lr_decay <= 0:
-            raise ConfigError("lr_decay must be positive")
         if self.lr_decay_period < 1:
             raise ConfigError("lr_decay_period must be >= 1")
         if self.batch_size < 1 or self.epochs < 0 or self.t_max < 1:
             raise ConfigError("batch_size >= 1, epochs >= 0, t_max >= 1 required")
         if self.hidden_size < 1 or self.seed < 0:
             raise ConfigError("hidden_size must be >= 1 and seed >= 0")
-        if self.curiosity_init_scale <= 0:
-            raise ConfigError("curiosity_init_scale must be positive")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive or null")
         if self.optimizer not in ("sgd", "adam"):
@@ -124,6 +118,11 @@ class TrainConfig:
     @property
     def phi_size(self) -> int:
         return self.embed_size if self.embed_size is not None else self.hidden_size
+
+    @property
+    def decode_width(self) -> int:
+        """The beam width evaluate decodes at: beam_width under decode "beam", else 1."""
+        return self.beam_width if self.decode == "beam" else 1
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -299,20 +298,18 @@ class MetricReport:
 def evaluate(scenes: Sequence[Scene], model: ModelParams, vocab: Vocabulary,
              idf: met.IdfTable, cfg: TrainConfig,
              references: Sequence[met.References] | None = None) -> MetricReport:
-    """Decode every scene and score corpus BLEU-1..4, the consensus metric
-    and diversity statistics. Each candidate's n-grams are counted once, for
-    BLEU's sums and its consensus score against its scene's references.
+    """Decode every scene at cfg.decode_width and score corpus BLEU-1..4,
+    the consensus metric and diversity statistics. Each candidate's n-grams
+    are counted once, for BLEU's sums and its consensus score against its
+    scene's references.
     Scene i's reference statistics against idf are references[i] when
     given, and are otherwise built here, one scene at a time."""
     sums = met.BleuSums()
     consensus = []
     candidates = []
     for i, scene in enumerate(scenes):
-        if cfg.decode == "beam" and cfg.beam_width > 1:
-            tokens = pol.beam_search(model.policy, scene.features, cfg.t_max, cfg.beam_width)
-        else:
-            tokens = pol.rollout_greedy(model.policy, scene.features, cfg.t_max)
-        cand = vocab.decode_text(tokens)
+        cand = vocab.decode_text(pol.decode(model.policy, scene.features, cfg.t_max,
+                                            cfg.decode_width))
         refs = (met.reference_stats([vocab.decode_text(r) for r in scene.references], idf)
                 if references is None else references[i])
         counts = met.candidate_counts(cand)
@@ -424,9 +421,9 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     train_scenes samples from its own default_rng([cfg.seed, e, i]),
     whichever minibatch the shuffle puts it in. Each epoch applies the
     imitation-weight and learning-rate schedules, evaluates the validation
-    split with greedy decoding, and writes checkpoints when out_dir is set:
-    last.ckpt every epoch and best.ckpt when the validation CIDEr beats
-    best_cider. last.ckpt also holds the optimizer state (the adam moments
+    split with greedy decoding whatever cfg.decode says, and writes
+    checkpoints when out_dir is set: last.ckpt every epoch and best.ckpt
+    when the validation CIDEr beats best_cider. last.ckpt also holds the optimizer state (the adam moments
     in last.ckpt.adam beside it), so a run resumed from resume_state(last.ckpt)
     with its epoch, best_cider and optimizer state matches the
     uninterrupted run.
@@ -444,6 +441,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     eval_scenes = val_scenes if val_scenes else train_scenes
     eval_references = [met.reference_stats(doc, idf)
                        for doc in reference_documents(eval_scenes, vocab)]
+    greedy = replace(cfg, decode="greedy")
     if opt is None:
         opt = new_optimizer(cfg)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
@@ -470,7 +468,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
                 setattr(totals, f.name, getattr(totals, f.name) + getattr(stats, f.name))
             n_batches += 1
 
-        val = evaluate(eval_scenes, model, vocab, idf, cfg, eval_references)
+        val = evaluate(eval_scenes, model, vocab, idf, greedy, eval_references)
 
         def per_episode(total: float) -> float:
             return total / totals.episodes if totals.episodes else 0.0

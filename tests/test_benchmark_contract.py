@@ -90,6 +90,29 @@ def test_evaluate_calls_the_probed_decoder_once_per_scene(corpus, monkeypatch, d
     assert calls == [(probed, id(scene.features)) for scene in val]
 
 
+def test_train_validates_through_the_probed_greedy_decoder_under_a_beam_config(corpus,
+                                                                               monkeypatch):
+    """The epoch workloads read every val decode off the rollout_greedy
+    probe: train decodes greedily whatever cfg.decode says, so a beam config
+    trains and reports as its greedy twin."""
+    train, val, vocab = corpus
+    calls = []
+    for name in ("rollout_greedy", "beam_search"):
+        def counted(params, features, *rest, _name=name, _decode=getattr(P, name)):
+            calls.append((_name, id(features)))
+            return _decode(params, features, *rest)
+
+        monkeypatch.setattr(P, name, counted)
+    reports = {}
+    for decode, width in (("beam", 2), ("greedy", 1)):
+        calls.clear()
+        cfg = T.TrainConfig(hidden_size=6, t_max=8, batch_size=2, epochs=2, decode=decode,
+                            beam_width=width)
+        reports[decode] = [r.to_json() for r in T.train(train, val, vocab, cfg).reports]
+        assert calls == [("rollout_greedy", id(scene.features)) for scene in val] * 2
+    assert reports["beam"] == reports["greedy"]
+
+
 def test_xe_loss_is_a_0d_node(corpus):
     train, _, vocab = corpus
     cfg = T.TrainConfig(hidden_size=6)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from curioseq import checkpoint as ckpt
 from curioseq import cli
 from curioseq import data as dat
 from curioseq import metrics as M
+from curioseq import policy as pol
 from curioseq.vocab import tokenize
 
 
@@ -348,12 +350,25 @@ class TestTrain:
         assert run(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
         assert run(["train", "--config", str(cfg_path), "--out", str(part),
                     "--epochs", "1"]) == 0
+        # a crash after epoch 1's report line was flushed, before its last.ckpt
+        reports = (full / "reports.jsonl").read_bytes()
+        with (part / "reports.jsonl").open("ab") as f:
+            f.write(reports.splitlines(keepends=True)[1])
         assert run(["train", "--config", str(cfg_path), "--out", str(part),
                     "--resume", str(part / "last.ckpt")]) == 0
         for name in ("last.ckpt", "last.ckpt.adam"):
             assert (part / name).read_bytes() == (full / name).read_bytes()
-        reports = [(d / "reports.jsonl").read_text().splitlines() for d in (full, part)]
-        assert reports[0] == reports[1]
+        assert (part / "reports.jsonl").read_bytes() == reports
+
+    def test_a_fresh_run_into_a_used_out_starts_its_reports_anew(self, trained, tmp_path,
+                                                                 capsys):
+        _, cfg_path = trained
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        first = (out / "reports.jsonl").read_bytes()
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "reports.jsonl").read_bytes() == first
+        assert len(first.splitlines()) == 1
 
     def test_missing_manifest_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -582,13 +597,62 @@ class TestGenerate:
 
     @pytest.mark.parametrize("width", ["0", "-2"])
     def test_a_beam_width_below_one_is_rejected(self, trained, synth_dir, capsys, width):
+        """By generate and eval alike, with an error that names the flag."""
         out, cfg_path = trained
-        code = run(["generate", "--config", str(cfg_path),
-                    "--checkpoint", str(out / "last.ckpt"),
-                    "--manifest", str(synth_dir / "train_manifest.json"),
-                    "--scene-id", "train_0000", "--beam-width", width])
-        assert_clean_error(capsys, code, "--beam-width must be >= 1")
-        assert capsys.readouterr().out == ""
+        common = ["--config", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
+                  "--beam-width", width]
+        for argv in (["generate", *common, "--manifest", str(synth_dir / "train_manifest.json"),
+                      "--scene-id", "train_0000"], ["eval", *common]):
+            assert assert_clean_error(capsys, run(argv), "--beam-width must be >= 1") == ""
+
+
+class TestDecoderChoice:
+    """eval and generate decode with the config's decode and beam_width, and
+    --beam-width overrides both; eval's record names the decoder that ran."""
+
+    @pytest.fixture
+    def decoders(self, monkeypatch):
+        """The (decoder, width) of every decode, through the policy module."""
+        calls = []
+        for name in ("rollout_greedy", "beam_search"):
+            def counted(params, features, t_max, *width, _name=name, _decode=getattr(pol, name)):
+                calls.append((_name, *width))
+                return _decode(params, features, t_max, *width)
+
+            monkeypatch.setattr(pol, name, counted)
+        return calls
+
+    @staticmethod
+    def config(trained, tmp_path, **decoder) -> str:
+        path = tmp_path / "decoder.json"
+        path.write_text(json.dumps({**json.loads(trained[1].read_text()), **decoder}))
+        return str(path)
+
+    @pytest.mark.parametrize("decoder,flags,ran,printed", [
+        ({"decode": "beam", "beam_width": 2}, [], ("beam_search", 2), ("beam", 2)),
+        ({"decode": "beam", "beam_width": 2}, ["--beam-width", "1"], ("rollout_greedy",),
+         ("greedy", 1)),
+        ({"decode": "greedy", "beam_width": 3}, [], ("rollout_greedy",), ("greedy", 1)),
+        ({}, ["--beam-width", "2"], ("beam_search", 2), ("beam", 2)),
+    ], ids=["beam-config", "beam-config-flag-1", "greedy-config-width-3", "flag-2"])
+    def test_eval(self, trained, tmp_path, capsys, decoders, decoder, flags, ran, printed):
+        cfg = self.config(trained, tmp_path, **decoder)
+        assert run(["eval", "--config", cfg, "--checkpoint", str(trained[0] / "last.ckpt"),
+                    *flags]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert decoders == [ran] * record["n_scenes"] and record["n_scenes"] == 3
+        assert (record["decode"], record["beam_width"]) == printed
+
+    def test_generate_decodes_as_eval_does(self, trained, tmp_path, capsys, decoders):
+        out, cfg_path = trained
+        argv = ["generate", "--checkpoint", str(out / "last.ckpt"), "--scene-id", "val_0000"]
+        cfg = self.config(trained, tmp_path, decode="beam", beam_width=2)
+        assert run([*argv, "--config", cfg]) == 0
+        assert run([*argv, "--config", str(cfg_path), "--beam-width", "2"]) == 0
+        assert run([*argv, "--config", cfg, "--beam-width", "1"]) == 0
+        beam, flagged, greedy = capsys.readouterr().out.splitlines()
+        assert beam == flagged
+        assert decoders == [("beam_search", 2), ("beam_search", 2), ("rollout_greedy",)]
 
 
 class TestShapeMismatch:
@@ -714,7 +778,7 @@ class TestValSplitMismatch:
         assert run(["generate", "--config", str(cfg_path), "--checkpoint",
                     str(out / "last.ckpt"), "--scene-id", "val_0000"]) == 0
         printed = capsys.readouterr().out
-        cfg = cli.load_config(str(cfg_path), {})
+        cfg = cli.load_config(argparse.Namespace(config=str(cfg_path)))
         ds = dat.load_dataset(cfg.val_manifest, t_max=cfg.t_max)
         model, _ = curioseq.trainer.load_model(out / "last.ckpt", cfg, ds.vocab.size,
                                                ds.feature_dim)

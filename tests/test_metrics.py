@@ -91,6 +91,11 @@ class TestBleu:
         for n in (1, 2, 3, 4):
             assert M.bleu(samples, max_n=n) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_an_order_outside_one_to_max_ngram_is_rejected(self, order):
+        with pytest.raises(ValueError, match="BLEU order must be in 1..4"):
+            M.bleu([(("a",), [("a",)])], max_n=order)
+
     @given(st.permutations(range(4)))
     @settings(max_examples=24, deadline=None)
     def test_permutation_invariance(self, order):
@@ -166,8 +171,7 @@ class TestCider:
 
     def test_idf_scale_invariance(self):
         idf = M.build_idf([DOC1, DOC2])
-        scaled = M.IdfTable(values={g: 3.7 * v for g, v in idf.values.items()},
-                            doc_count=idf.doc_count)
+        scaled = M.IdfTable(values={g: 3.7 * v for g, v in idf.values.items()})
         cand = tuple("a red tree sits here".split())
         assert M.cider([(cand, DOC1)], scaled) == pytest.approx(
             M.cider([(cand, DOC1)], idf), abs=1e-12)

@@ -21,8 +21,8 @@ def same_bytes():
 
 def hashes(same_bytes, decoded=False, **changed):
     """A full hash map: file f hashes to f * 8, and so, for a decoded run,
-    does each eval record, unless changed names it."""
-    names = list(same_bytes.FILES) + (list(same_bytes.EVALS) if decoded else [])
+    does each decode record, unless changed names it."""
+    names = list(same_bytes.FILES) + (list(same_bytes.DECODES) if decoded else [])
     out = {name: name.replace(".", "").replace("_", "") * 8 for name in names}
     out.update({name if name in out else name.replace("_", "."): value
                 for name, value in changed.items()})
@@ -64,14 +64,18 @@ def test_a_decoded_run_compares_its_eval_records(same_bytes):
             "seed0 rho_0": {"parent": hashes(same_bytes), "change": hashes(same_bytes)}}
     lines, same = same_bytes.compare(runs)
     assert same
-    names = list(same_bytes.FILES) + list(same_bytes.EVALS)
+    names = list(same_bytes.FILES) + list(same_bytes.DECODES)
     assert [line.split()[2] for line in lines] == names + list(same_bytes.FILES)
-    assert set(same_bytes.EVALS) == {"eval_greedy", "eval_beam2"}
-    assert same_bytes.EVALS["eval_beam2"] == ("--beam-width", "2")
-    runs["seed0 xe"]["change"] = hashes(same_bytes, True, eval_beam2="f" * 64)
-    lines, same = same_bytes.compare(runs)
-    assert not same
-    assert [line.split()[2] for line in lines if line.endswith("DIFFERENT")] == ["eval_beam2"]
+    assert same_bytes.DECODES == {
+        "eval_greedy": ("eval", "--split", "val"),
+        "eval_beam2": ("eval", "--split", "val", "--beam-width", "2"),
+        "generate_greedy": ("generate", "--scene-id", "val_0000"),
+        "generate_beam2": ("generate", "--scene-id", "val_0000", "--beam-width", "2")}
+    for record in ("eval_beam2", "generate_greedy"):
+        runs["seed0 xe"]["change"] = hashes(same_bytes, True, **{record: "f" * 64})
+        lines, same = same_bytes.compare(runs)
+        assert not same
+        assert [line.split()[2] for line in lines if line.endswith("DIFFERENT")] == [record]
 
 
 def test_a_failed_run_fails_the_comparison(same_bytes):
@@ -101,7 +105,7 @@ def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_
     assert code == 0, out
     assert out[-1] == "1 runs: every file byte-identical"
     rows = [line.split() for line in out[1:-1]]
-    assert [row[2] for row in rows] == list(same_bytes.FILES) + list(same_bytes.EVALS)
+    assert [row[2] for row in rows] == list(same_bytes.FILES) + list(same_bytes.DECODES)
     assert all(row[3] == row[4] != "absent" and row[5] == "same" for row in rows)
     assert (tmp_path / "seed0" / "crl" / "change" / "last.ckpt").is_file()
 

@@ -8,13 +8,14 @@ beside it (a `git archive` of it will do):
 The tool synthesises the 200+50-scene corpora at corpus seeds 0 and 7919
 once, with this tree's `curioseq synth`. It then trains each variant of
 VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
-of the README config. After the `crl` and `xe` runs (DECODED) it scores
-their `last.ckpt` on the val split with `curioseq eval`, greedy and at
-beam width 2 (EVALS), in each tree. Every process runs at one BLAS thread,
-and at most two run at a time. For each run the tool prints the sha256
-prefix of each of its four output files (FILES) and of each printed eval
-record side by side, and exits 1 when a file or a record differs or a run
-fails; a file that neither tree wrote (`last.ckpt.adam` under sgd) counts
+of the README config. After the `crl` and `xe` runs (DECODED) it decodes
+with their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the
+val split and `curioseq generate` prints the paragraph of the first val
+scene, each greedy and at beam width 2. Every process runs at one BLAS
+thread, and at most two run at a time. For each run the tool prints the
+sha256 prefix of each of its four output files (FILES) and of each printed
+decode record side by side, and exits 1 when a file or a record differs
+or a run fails; a file that neither tree wrote (`last.ckpt.adam` under sgd) counts
 as the same. `--seed`, `--variant`, `--epochs`, `--scenes` and
 `--val-scenes` narrow the set. Uses only the standard library.
 """
@@ -45,7 +46,13 @@ VARIANTS = {
     "zero_reward": {"bleu_weight": 0.0, "cider_weight": 0.0, "intrinsic_scale": 0.0},
 }
 DECODED = ("crl", "xe")
-EVALS = {"eval_greedy": (), "eval_beam2": ("--beam-width", "2")}
+FIRST_VAL_SCENE = "val_0000"
+DECODES = {
+    "eval_greedy": ("eval", "--split", "val"),
+    "eval_beam2": ("eval", "--split", "val", "--beam-width", "2"),
+    "generate_greedy": ("generate", "--scene-id", FIRST_VAL_SCENE),
+    "generate_beam2": ("generate", "--scene-id", FIRST_VAL_SCENE, "--beam-width", "2"),
+}
 SEEDS = (0, 7919)
 JOBS = 2                # processes at a time
 PREFIX = 12             # hex digits of each sha256 shown
@@ -71,7 +78,7 @@ def compare(runs: dict[str, dict]) -> tuple[list[str], bool]:
     whether every run of both trees finished with the same files and eval
     records. runs maps a run's name to {"parent": side, "change": side}, a
     side being the hashes of its output (file_hashes, and for a decoded
-    run those of its EVALS records) or None when the run failed."""
+    run those of its DECODES records) or None when the run failed."""
     lines, same = [], True
     width = max(map(len, runs), default=0)
     for name, sides in runs.items():
@@ -99,13 +106,13 @@ def synth_corpus(tree: Path, out: Path, seed: int, scenes: int, val_scenes: int)
 
 
 def train_run(tree: Path, config: Path, out: Path, decode: bool) -> dict[str, str | None] | None:
-    """The file_hashes of one train run and, when decode, the sha256 of the
-    record that each `curioseq eval` of EVALS prints for its last.ckpt on
-    the val split; None when a command fails (its stderr goes to ours)."""
+    """The file_hashes of one train run and, when decode, the sha256 of
+    what each command of DECODES prints with its last.ckpt; None when a
+    command fails (its stderr goes to ours)."""
     commands = [("train", "--config", str(config), "--out", str(out))]
     if decode:
-        commands += [("eval", "--config", str(config), "--checkpoint", str(out / "last.ckpt"),
-                      "--split", "val", *flags) for flags in EVALS.values()]
+        commands += [(*args, "--config", str(config), "--checkpoint", str(out / "last.ckpt"))
+                     for args in DECODES.values()]
     printed = []
     for args in commands:
         proc = curioseq(tree, *args)
@@ -115,7 +122,7 @@ def train_run(tree: Path, config: Path, out: Path, decode: bool) -> dict[str, st
             return None
         printed.append(proc.stdout)
     return {**file_hashes(out), **{name: hashlib.sha256(text.encode()).hexdigest()
-                                   for name, text in zip(EVALS, printed[1:])}}
+                                   for name, text in zip(DECODES, printed[1:])}}
 
 
 def main(argv=None) -> int:
