@@ -191,16 +191,10 @@ def cmd_train(args) -> int:
     val_ds, train_ds = load_split(cfg, cfg.val_manifest or cfg.train_manifest)
 
     model = opt = None
-    start_epoch = 0
-    best_cider = -math.inf
+    start_epoch, best_cider = 0, -math.inf
     if args.resume:
-        model, opt, extra = trn.resume_state(args.resume, cfg, train_ds.vocab.size,
-                                             train_ds.feature_dim)
-        start_epoch = extra.get("epoch", -1)
-        best_cider = extra.get("best_cider", best_cider)
-        if type(start_epoch) is not int or type(best_cider) not in (int, float):
-            raise CliError(f"checkpoint {args.resume} has a malformed epoch or best_cider")
-        start_epoch += 1
+        model, opt, start_epoch, best_cider = trn.resume_state(
+            args.resume, cfg, train_ds.vocab.size, train_ds.feature_dim)
         print(f"resuming from {args.resume} at epoch {start_epoch}")
 
     reports = out_dir / "reports.jsonl" if out_dir else Path(os.devnull)

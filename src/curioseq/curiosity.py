@@ -9,12 +9,13 @@ pass. Gradients are stopped at the policy states: losses here train only
 the embedding and predictor weights, never the policy.
 
 The node keeps the embeddings phi, each predictor's hidden activations,
-the transitions' index and weight vectors and any caller-given targets.
-Its reverse pass remakes the rest with the forward's own expressions on
-the same inputs, so bit for bit: it regathers the predictor inputs and the
-embedded states, takes each leaky slope from the activation (which is > 0
-exactly where its pre-activation is) and recomputes the state prediction
-and the action softmax from the hidden rows.
+the (B, T) mask of the embedded steps, the transitions' index and weight
+vectors and any caller-given targets. Its reverse pass remakes the rest
+with the forward's own expressions on the same inputs, so bit for bit: it
+regathers the predictor inputs and the embedded states, takes each leaky
+slope from the activation (which is > 0 exactly where its pre-activation
+is) and recomputes the state prediction and the action softmax from the
+hidden rows.
 """
 
 from __future__ import annotations
@@ -150,14 +151,6 @@ class CuriosityPass:
     loss: Tensor              # the sum of the terms whose weight is > 0, as one node
 
 
-def _embedded(episodes: Episodes) -> np.ndarray:
-    """(B, T), the steps whose states the pass embeds: every step of each
-    episode with a transition."""
-    lengths = episodes.lengths
-    return ((np.arange(episodes.actions.shape[1]) < lengths[:, None])
-            & (lengths > 1)[:, None])
-
-
 def curiosity_pass(episodes: Episodes, params: CuriosityParams,
                    alpha: float = 0.0, beta: float = 1.0,
                    targets: np.ndarray | None = None) -> CuriosityPass:
@@ -181,7 +174,8 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
     rows, steps = np.nonzero(np.arange(t_len) + 1 < lengths[:, None])
     if not rows.size:
         return CuriosityPass(errors, 0.0, 0.0, Tensor(0.0))
-    embedded = _embedded(episodes)
+    # the steps whose states the pass embeds: every step of each episode with a transition
+    embedded = (np.arange(t_len) < lengths[:, None]) & (lengths > 1)[:, None]
     flat = np.cumsum(embedded).reshape(embedded.shape) - 1     # each step's row in the matrix
     src = flat[rows, steps]     # increasing, so no index repeats in src or in dst
     dst = src + 1
@@ -236,7 +230,7 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
             to_ap[dst] += d_x[:, zp:]
             d_phi += to_ap * alpha
         d_pre = d_phi * _slope(phi)
-        accum(params.phi_W, d_pre.T @ episodes.states[_embedded(episodes)])
+        accum(params.phi_W, d_pre.T @ episodes.states[embedded])
         accum(params.phi_b, d_pre.sum(axis=0))
 
     value = (sp_value if beta > 0 else 0.0) + (ap_value if alpha > 0 else 0.0)

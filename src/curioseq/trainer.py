@@ -4,7 +4,7 @@ decay, stepped learning-rate decay, per-epoch evaluation and checkpointing.
 
 A train_step is one unroll of the minibatch's reference and sampled rows,
 one curiosity pass, one advantage assembly and one backward over the sum
-of two nodes. train counts the reference statistics once per run and
+of two nodes. train counts each split's reference statistics once and
 writes checkpoints that a resumed run continues from exactly.
 """
 
@@ -374,19 +374,25 @@ def new_optimizer(cfg: TrainConfig) -> OptimState:
 
 
 def resume_state(path, cfg: TrainConfig, vocab_size: int,
-                 feature_dim: int) -> tuple[ModelParams, OptimState, dict]:
-    """The model, optimizer state and extra record of a last.ckpt that train
-    wrote, to continue its run exactly. Under sgd, which keeps no state, a
+                 feature_dim: int) -> tuple[ModelParams, OptimState, int, float]:
+    """The model, optimizer state, epoch to resume at and best validation
+    CIDEr of a last.ckpt that train wrote, to continue its run exactly; the
+    one reader of its record, which without an epoch resumes at 0 and
+    without a best_cider at -inf. Under sgd, which keeps no state, a
     checkpoint without an optimizer record (one written before the record
     was kept, or a best.ckpt) resumes with a fresh optimizer. Raises
-    CheckpointError when the record names another optimizer than cfg, or
-    when an adam checkpoint has no record or its moments are missing or do
-    not belong to it."""
+    CheckpointError for a non-integer epoch or a non-number best_cider,
+    when the record names another optimizer than cfg, or when an adam
+    checkpoint has no record or its moments are missing or do not belong
+    to it."""
     model, extra = load_model(path, cfg, vocab_size, feature_dim)
+    epoch, best_cider = extra.get("epoch", -1), extra.get("best_cider", -math.inf)
+    if type(epoch) is not int or type(best_cider) not in (int, float):
+        raise ckpt.CheckpointError(f"checkpoint {path} has a malformed epoch or best_cider")
     opt = new_optimizer(cfg)
     record = extra.get("optimizer")
     if record is None and opt.variant == "sgd":
-        return model, opt, extra
+        return model, opt, epoch + 1, best_cider
     if (not isinstance(record, dict) or type(record.get("step_count")) is not int
             or record["step_count"] < 0):
         raise ckpt.CheckpointError(f"checkpoint {path} holds no optimizer state to resume")
@@ -406,7 +412,7 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
                 raise ckpt.CheckpointError(f"{moments_path} lacks the adam moments of "
                                            f"{p.name!r}")
             opt.slots[p.name] = {"m": m, "v": v}
-    return model, opt, extra
+    return model, opt, epoch + 1, best_cider
 
 
 def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
@@ -423,10 +429,12 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     imitation-weight and learning-rate schedules, evaluates the validation
     split with greedy decoding whatever cfg.decode says, and writes
     checkpoints when out_dir is set: last.ckpt every epoch and best.ckpt
-    when the validation CIDEr beats best_cider. last.ckpt also holds the optimizer state (the adam moments
-    in last.ckpt.adam beside it), so a run resumed from resume_state(last.ckpt)
-    with its epoch, best_cider and optimizer state matches the
-    uninterrupted run.
+    when the validation CIDEr beats best_cider. last.ckpt also holds the
+    optimizer state (the adam moments in last.ckpt.adam beside it), so a
+    run resumed at the epoch, best_cider and optimizer state that
+    resume_state(last.ckpt) returns matches the uninterrupted run.
+    A run counts each split's reference statistics once: with no val split,
+    one train table scores both the sampled episodes and the validation.
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
@@ -435,12 +443,13 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
         model = init_model(cfg, vocab.size, feature_dim)
     documents = reference_documents(train_scenes, vocab)
     idf = met.build_idf(documents)
-    # xe mode scores no sampled episodes, so it needs no train reference statistics
-    references = ([] if cfg.mode == "xe"
-                  else [met.reference_stats(doc, idf) for doc in documents])
-    eval_scenes = val_scenes if val_scenes else train_scenes
-    eval_references = [met.reference_stats(doc, idf)
-                       for doc in reference_documents(eval_scenes, vocab)]
+    # xe mode scores no sampled episodes: it needs the train statistics only to validate on
+    references = ([met.reference_stats(doc, idf) for doc in documents]
+                  if cfg.mode == "crl" or not val_scenes else [])
+    eval_scenes = val_scenes or train_scenes
+    eval_references = ([met.reference_stats(doc, idf)
+                        for doc in reference_documents(val_scenes, vocab)]
+                       if val_scenes else references)
     greedy = replace(cfg, decode="greedy")
     if opt is None:
         opt = new_optimizer(cfg)

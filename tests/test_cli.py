@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -285,13 +286,16 @@ class TestTrain:
         assert run(["train", "--config", str(cfg)]) == 1
         assert "learning_rte" in capsys.readouterr().err
 
-    def test_resume_continues_epoch_numbering(self, trained, capsys):
-        out, cfg_path = trained
-        code = run(["train", "--config", str(cfg_path), "--out", str(out),
+    def test_resume_continues_epoch_numbering(self, trained, tmp_path, capsys):
+        # resumes a copy: the module's trained run stays a one-epoch run
+        out = shutil.copytree(trained[0], tmp_path / "run")
+        code = run(["train", "--config", str(trained[1]), "--out", str(out),
                     "--epochs", "2", "--resume", str(out / "last.ckpt")])
         assert code == 0
         printed = capsys.readouterr().out
         assert '"epoch": 1' in printed
+        assert [json.loads(line)["epoch"] for line in
+                (out / "reports.jsonl").read_text().splitlines()] == [0, 1]
 
     def test_resumed_epoch_below_stored_best_keeps_best_checkpoint(self, synth_dir, tmp_path,
                                                                     capsys):

@@ -367,8 +367,9 @@ def _closure_arrays(fn):
 
 class TestPassFootprint:
     """The pass's node keeps phi, the two predictors' hidden activations,
-    the index and weight vectors and any caller-given targets; its reverse
-    pass remakes the predictor inputs, slopes, outputs and softmax."""
+    the (B, T) mask of the embedded steps, the index and weight vectors and
+    any caller-given targets; its reverse pass remakes the predictor inputs,
+    slopes, outputs and softmax."""
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["detached", "given"])
     def test_the_node_holds_phi_the_hidden_rows_and_the_vectors(self, frozen):
@@ -381,12 +382,15 @@ class TestPassFootprint:
         zp, d = cur.embed_size, cur.vocab_size
         assert len({s, n, 2 * zp, d}) == 4 and zp not in (s, n)
         arrays = _closure_arrays(terms.loss.backward_fn)
-        # phi, h_sp, h_ap, then src, dst, actions and weights, and the targets
-        expected = [(s, zp), (n, zp), (n, zp), (n,), (n,), (n,), (n,)] + [(n, zp)] * frozen
+        # phi, h_sp, h_ap, then src, dst, actions and weights, the bool mask
+        # and the targets
+        expected = ([(s, zp), (n, zp), (n, zp), (n,), (n,), (n,), (n,), episodes.actions.shape]
+                    + [(n, zp)] * frozen)
         assert sorted(a.shape for a in arrays) == sorted(expected)
-        assert sum(a.nbytes for a in arrays) == 8 * (s * zp + (2 + frozen) * n * zp + 4 * n)
+        assert (sum(a.nbytes for a in arrays)
+                == 8 * (s * zp + (2 + frozen) * n * zp + 4 * n) + episodes.actions.size)
         # no (N, 2Zp) input, no slope array, no diff and no (N, D) softmax
         for a in arrays:
-            assert a.ndim == 1 or not np.isin(a, (1.0, C.LEAKY_SLOPE)).all()
+            assert a.ndim == 1 or a.dtype == bool or not np.isin(a, (1.0, C.LEAKY_SLOPE)).all()
         if frozen:
             assert any(a is targets for a in arrays)

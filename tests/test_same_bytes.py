@@ -3,6 +3,7 @@ hash maps, and one tiny end-to-end call that compares this tree with
 itself. The tool uses only the standard library, so it is loaded by path."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,22 @@ def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_
     assert [row[2] for row in rows] == list(same_bytes.FILES) + list(same_bytes.DECODES)
     assert all(row[3] == row[4] != "absent" and row[5] == "same" for row in rows)
     assert (tmp_path / "seed0" / "crl" / "change" / "last.ckpt").is_file()
+
+
+def test_the_no_val_variant_trains_without_a_val_manifest(same_bytes, monkeypatch, tmp_path,
+                                                          capsys):
+    # eval --split val needs a val manifest, so the variant is not decoded
+    assert "crl_no_val" not in same_bytes.DECODED
+    monkeypatch.chdir(ROOT)
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
+                            "--variant", "crl_no_val", "--epochs", "1", "--scenes", "6",
+                            "--val-scenes", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0, out
+    assert [line.split()[2] for line in out[1:-1]] == list(same_bytes.FILES)
+    config = json.loads((tmp_path / "seed0" / "crl_no_val" / "config.json").read_text())
+    assert config == {**same_bytes.README_CONFIG, "epochs": 1, "val_manifest": None,
+                      "train_manifest": str(tmp_path / "corpus0" / "train_manifest.json")}
 
 
 def test_an_unknown_parent_tree_stops_before_any_run(same_bytes, tmp_path, capsys):

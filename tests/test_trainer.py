@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,29 @@ class TestTrain:
         assert [r.to_json() for r in T.train(train, val, vocab, cfg).reports] == reports
         assert len(calls) == train_stats + 4 * len(val)
 
+    @pytest.mark.parametrize("mode,with_val,count", [("crl", False, 6), ("crl", True, 9),
+                                                     ("xe", False, 6), ("xe", True, 3)])
+    def test_each_split_counts_its_reference_statistics_once(self, tiny_corpus, monkeypatch,
+                                                             mode, with_val, count):
+        # without a val split, one train table scores the episodes and the validation
+        train, val, vocab = tiny_corpus
+        train, val = train[:6], val[:3] if with_val else []
+        cfg = tiny_config(epochs=2, mode=mode)
+        calls = []
+        reference_stats, evaluate = M.reference_stats, T.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return reference_stats(*args, **kwargs)
+
+        monkeypatch.setattr(M, "reference_stats", counted)
+        reports = [r.to_json() for r in T.train(train, val, vocab, cfg).reports]
+        assert len(calls) == count
+        # the reports of a run whose evaluate builds its own statistics
+        monkeypatch.setattr(T, "evaluate", lambda scenes, model, vocab_, idf, cfg_, references:
+                            evaluate(scenes, model, vocab_, idf, cfg_))
+        assert [r.to_json() for r in T.train(train, val, vocab, cfg).reports] == reports
+
     def test_zero_epochs_returns_initial_params(self, tiny_corpus):
         train, val, vocab = tiny_corpus
         cfg = tiny_config(epochs=0)
@@ -538,9 +562,9 @@ class TestTrain:
         result = T.train(train, val, vocab, cfg)
         assert (tmp_path / "last.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
-        model, extra = T.load_model(tmp_path / "last.ckpt", cfg, vocab.size,
-                                    train[0].feature_dim)
-        assert extra["epoch"] == 1
+        model, _, start_epoch, best_cider = T.resume_state(tmp_path / "last.ckpt", cfg,
+                                                           vocab.size, train[0].feature_dim)
+        assert (start_epoch, best_cider) == (2, result.best_cider)
         for a, b in zip(model.parameters(), result.model.parameters()):
             assert (a.data == b.data).all()
 
@@ -555,12 +579,13 @@ class TestTrain:
 
             part_cfg = tiny_config(epochs=2, seed=9, optimizer=optimizer, out_dir=str(part_dir))
             T.train(train, val, vocab, part_cfg)
-            model, opt, extra = T.resume_state(part_dir / "last.ckpt", full_cfg,
-                                               vocab.size, train[0].feature_dim)
+            model, opt, start_epoch, best_cider = T.resume_state(
+                part_dir / "last.ckpt", full_cfg, vocab.size, train[0].feature_dim)
+            assert start_epoch == 2
             resumed_cfg = tiny_config(epochs=3, seed=9, optimizer=optimizer,
                                       out_dir=str(part_dir))
-            resumed = T.train(train, val, vocab, resumed_cfg, start_epoch=extra["epoch"] + 1,
-                              model=model, best_cider=extra["best_cider"], opt=opt)
+            resumed = T.train(train, val, vocab, resumed_cfg, start_epoch=start_epoch,
+                              model=model, best_cider=best_cider, opt=opt)
             assert [r.epoch for r in resumed.reports] == [2]
             assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
             for a, b in zip(full.model.parameters(), resumed.model.parameters()):
@@ -577,8 +602,11 @@ class TestTrain:
         cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
         result = T.train(train, val, vocab, cfg)
         path = tmp_path / "last.ckpt"
-        _, opt, extra = T.resume_state(path, cfg, vocab.size, train[0].feature_dim)
+        _, opt, start_epoch, best_cider = T.resume_state(path, cfg, vocab.size,
+                                                         train[0].feature_dim)
+        assert (start_epoch, best_cider) == (1, result.best_cider)
         steps = -(-len(train) // cfg.batch_size)
+        extra = T.ckpt.load_checkpoint(path)[1]
         assert extra["optimizer"] == {"variant": "adam", "step_count": steps}
         assert opt.step_count == steps and opt.variant == "adam"
         names = sorted(p.name for p in result.model.parameters())
@@ -622,9 +650,9 @@ class TestTrain:
         cfg = tiny_config(epochs=1, optimizer="sgd")
         model = T.init_model(cfg, vocab.size, train[0].feature_dim)
         T.save_model(tmp_path / "old.ckpt", model, extra={"epoch": 0})
-        resumed, opt, extra = T.resume_state(tmp_path / "old.ckpt", cfg, vocab.size,
-                                             train[0].feature_dim)
-        assert extra == {"epoch": 0}
+        resumed, opt, start_epoch, best_cider = T.resume_state(tmp_path / "old.ckpt", cfg,
+                                                               vocab.size, train[0].feature_dim)
+        assert (start_epoch, best_cider) == (1, -math.inf)
         assert (opt.variant, opt.step_count, opt.slots) == ("sgd", 0, {})
         assert opt.learning_rate == cfg.learning_rate and opt.clip_norm == cfg.clip_norm
         for a, b in zip(model.parameters(), resumed.parameters()):
@@ -632,6 +660,22 @@ class TestTrain:
         with pytest.raises(T.ckpt.CheckpointError, match="no optimizer state"):
             T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer="adam"), vocab.size,
                            train[0].feature_dim)
+
+
+    @pytest.mark.parametrize("key,value", [("epoch", "x"), ("epoch", None), ("epoch", 1.0),
+                                           ("epoch", True), ("best_cider", "high"),
+                                           ("best_cider", None)])
+    def test_resume_state_rejects_a_malformed_epoch_or_best_cider(self, tiny_corpus, tmp_path,
+                                                                  key, value):
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=1, out_dir=str(tmp_path))
+        T.train(train, val, vocab, cfg)
+        tensors, extra = T.ckpt.load_checkpoint(tmp_path / "last.ckpt")
+        T.ckpt.save_checkpoint(tmp_path / "bad.ckpt", tensors, extra={**extra, key: value})
+        with pytest.raises(T.ckpt.CheckpointError,
+                           match=re.escape(f"checkpoint {tmp_path / 'bad.ckpt'} has a "
+                                           "malformed epoch or best_cider")):
+            T.resume_state(tmp_path / "bad.ckpt", cfg, vocab.size, train[0].feature_dim)
 
 
 class TestLearningDynamics:

@@ -8,7 +8,9 @@ beside it (a `git archive` of it will do):
 The tool synthesises the 200+50-scene corpora at corpus seeds 0 and 7919
 once, with this tree's `curioseq synth`. It then trains each variant of
 VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
-of the README config. After the `crl` and `xe` runs (DECODED) it decodes
+of the README config; a variant's keys override the corpus's manifests,
+so `crl_no_val` trains without a val manifest and validates on the train
+split. After the `crl` and `xe` runs (DECODED) it decodes
 with their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the
 val split and `curioseq generate` prints the paragraph of the first val
 scene, each greedy and at beam width 2. Every process runs at one BLAS
@@ -44,6 +46,7 @@ VARIANTS = {
     "beta_0": {"state_loss_weight": 0.0},
     "rho_0": {"intrinsic_scale": 0.0},
     "zero_reward": {"bleu_weight": 0.0, "cider_weight": 0.0, "intrinsic_scale": 0.0},
+    "crl_no_val": {"val_manifest": None},
 }
 DECODED = ("crl", "xe")
 FIRST_VAL_SCENE = "val_0000"
@@ -155,9 +158,10 @@ def main(argv=None) -> int:
                     config = work / f"seed{seed}" / variant / "config.json"
                     config.parent.mkdir(parents=True, exist_ok=True)
                     config.write_text(json.dumps({
-                        **README_CONFIG, **VARIANTS[variant], "epochs": args.epochs,
+                        **README_CONFIG, "epochs": args.epochs,
                         "train_manifest": str(corpus / "train_manifest.json"),
-                        "val_manifest": str(corpus / "val_manifest.json")}))
+                        "val_manifest": str(corpus / "val_manifest.json"),
+                        **VARIANTS[variant]}))
                     pending[name] = {side: pool.submit(train_run, tree, config,
                                                        config.parent / side, variant in DECODED)
                                      for side, tree in trees.items()}
