@@ -110,9 +110,6 @@ def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
                            {f.name for f in dataclasses.fields(synth.GrammarSpec)})
     doc["seed"] = seed
     try:
-        for key in ("nouns", "adjectives", "verbs", "generic_templates", "templates"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
         return synth.GrammarSpec(**doc)
     except (synth.GrammarError, TypeError) as exc:
         raise CliError(f"grammar spec {path}: {exc}") from exc
@@ -138,12 +135,13 @@ def load_split(cfg: trn.TrainConfig, manifest: str):
 
 
 def cmd_synth(args) -> int:
-    for flag, count in (("--scenes", args.scenes), ("--val-scenes", args.val_scenes)):
-        if count < 1:
-            raise CliError(f"{flag} must be >= 1, got {count}")
+    for flag, value, least in (("--scenes", args.scenes, 1), ("--val-scenes", args.val_scenes, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise CliError(f"{flag} must be >= {least}, got {value}")
+    spec = _load_grammar(args.grammar, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _load_grammar(args.grammar, args.seed)
     train_scenes, val_scenes, vocab = synth.synth_split(spec, args.scenes, args.val_scenes)
     vocab.save(out / "vocab.txt")
     (out / "features").mkdir(exist_ok=True)

@@ -212,7 +212,7 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
         ap_value = np.dot(-np.log(picked + CE_EPSILON), weights)
     zp = params.embed_size
 
-    def backward(g, accum):
+    def bw(g, accum):
         d_phi = np.zeros(phi.shape)
         if beta > 0:
             d_x = _head_backward(sp_input(), h_sp, 2.0 * weights[:, None] * (g * 0.5) * sp_diff(),
@@ -235,7 +235,7 @@ def curiosity_pass(episodes: Episodes, params: CuriosityParams,
 
     value = (sp_value if beta > 0 else 0.0) + (ap_value if alpha > 0 else 0.0)
     return CuriosityPass(errors, float(sp_value), float(ap_value),
-                         Tensor(value, params.parameters(), backward, "curiosity"))
+                         Tensor(value, params.parameters(), bw, "curiosity"))
 
 
 def sp_loss(episodes: Episodes, params: CuriosityParams,

@@ -1,16 +1,18 @@
 """Minimal reverse-mode differentiation kernel over float64 numpy arrays.
 
-A ``Tensor`` node remembers its parents and a backward closure, and
-``backward`` walks the nodes in reverse topological order; there is no
+A ``Tensor`` node remembers its parents and a backward closure; there is no
 general graph compiler. A training loss is the policy unroll's node, or
 the ``add`` of it and the curiosity pass's node; each is one node over its
 module's Parameters whose backward closure is that module's whole reverse
-pass over plain arrays. Besides that engine (``Tensor``, ``Parameter``,
-``no_grad``, ``backward``, ``gradients``, ``add`` and ``sumsq``), this
-module holds the LSTM and additive-attention math as plain-array
-forward/backward helpers (``lstm_cell_forward`` over precomputed gates,
-``attention_forward`` and their backward halves, which return their
-gradients as arrays), the optimizer and ``grad_check``. All math is 64-bit
+pass over plain arrays, so ``gradients`` walks the loss as a tree. The
+general DAG walk (``backward`` over a topological order) and the
+finite-difference ``grad_check`` live in the tests' ``oracles`` module,
+beside the reference graphs they differentiate. Besides the engine
+(``Tensor``, ``Parameter``, ``no_grad``, ``gradients``, ``add`` and
+``sumsq``), this module holds the LSTM and additive-attention math as
+plain-array forward/backward helpers (``lstm_cell_forward`` over
+precomputed gates, ``attention_forward`` and their backward halves, which
+return their gradients as arrays) and the optimizer. All math is 64-bit
 so finite-difference checks are reliable.
 
 The helpers take rows: an array with a leading row axis, one row per
@@ -22,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,52 +89,7 @@ class Parameter(Tensor):
 
 
 # ---------------------------------------------------------------------------
-# backward machinery
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return order
-
-
-def backward(loss: Tensor, seed: float = 1.0) -> None:
-    """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
-
-    Backward closures hand each gradient to ``accum(node, g)``: a Parameter
-    adds g to its grad at once, and any other node sums its gradients until
-    the walk reaches it.
-    """
-    grads: dict[int, np.ndarray] = {}
-
-    def accum(node: Tensor, g: np.ndarray) -> None:
-        if isinstance(node, Parameter):
-            node.grad += g
-            return
-        if node.backward_fn is None:
-            return
-        key = id(node)
-        prev = grads.get(key)
-        grads[key] = g if prev is None else prev + g
-
-    accum(loss, np.full_like(loss.data, seed))
-    for node in reversed(_toposort(loss)):
-        g = grads.pop(id(node), None)
-        if g is not None:
-            node.backward_fn(g, accum)
+# gradients
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -141,9 +98,24 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 
 
 def gradients(loss: Tensor, params: Sequence[Parameter]) -> dict[str, np.ndarray]:
-    """Zero the given params, backprop the loss, return copies of the grads."""
+    """Zero the given params, backprop the loss, return copies of the grads.
+
+    The loss is walked as a tree: ``accum(node, g)`` adds g to a Parameter's
+    grad and otherwise runs the node's backward closure on g, once per path
+    that reaches the node; a node without one (a leaf, or one made under
+    no_grad) takes no gradient. A training loss is such a tree, the ``add``
+    of the unroll's and the curiosity pass's nodes, which hand each
+    Parameter its gradient directly.
+    """
     zero_grads(params)
-    backward(loss)
+
+    def accum(node: Tensor, g: np.ndarray) -> None:
+        if isinstance(node, Parameter):
+            node.grad += g
+        elif node.backward_fn is not None:
+            node.backward_fn(g, accum)
+
+    accum(loss, np.ones_like(loss.data))
     return {p.name: p.grad.copy() for p in params}
 
 
@@ -374,48 +346,3 @@ def sgd_step(params: Sequence[Parameter], opt: OptimState) -> None:
         denom += ADAM_EPS
         step /= denom
         p.data -= step
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter],
-               h: float = 1e-5, max_coords: int = 200, seed: int = 0,
-               floor: float = 1e-2) -> float:
-    """Compare analytic gradients of a deterministic scalar fn against central
-    finite differences. Returns the max relative error over checked coords.
-
-    The error for one coordinate is |analytic - numeric| / max(|analytic|,
-    |numeric|, floor); with floor 1e-2 a 1e-4 threshold corresponds to an
-    absolute floor of 1e-6. Tensors with more than max_coords entries are
-    subsampled with a seeded RNG.
-    """
-    zero_grads(params)
-    backward(fn())
-    analytic = {p.name: p.grad.copy() for p in params}
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        ga = analytic[p.name].reshape(-1)
-        n = flat.size
-        if n <= max_coords:
-            coords = range(n)
-        else:
-            coords = sorted(rng.choice(n, size=max_coords, replace=False).tolist())
-        for i in coords:
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                f_plus = float(fn().data)
-                flat[i] = orig - h
-                f_minus = float(fn().data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = ga[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            if err > worst:
-                worst = err
-    zero_grads(params)
-    return worst

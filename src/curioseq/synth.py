@@ -60,6 +60,11 @@ class GrammarSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("nouns", "adjectives", "verbs", "generic_templates", "templates"):
+            words = getattr(self, name)
+            if not isinstance(words, (list, tuple)) or not all(isinstance(w, str) for w in words):
+                raise GrammarError(f"{name} must be a list of strings")
+            setattr(self, name, tuple(words))
         for name in ("objects_per_scene", "regions", "feature_dim", "references_per_scene"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -90,8 +95,9 @@ class GrammarSpec:
             try:
                 probe = tpl.format(noun=self.nouns[0], adj=self.adjectives[0],
                                    verb=self.verbs[0])
-            except (KeyError, IndexError) as exc:
-                raise GrammarError(f"template {tpl!r} uses an unknown slot: {exc}") from exc
+            except (KeyError, IndexError, AttributeError, ValueError) as exc:
+                raise GrammarError(f"template {tpl!r} is malformed or uses an unknown slot: "
+                                   f"{exc}") from exc
             for tok in tokenize(probe):
                 if tok not in inventory:
                     raise GrammarError(

@@ -1,6 +1,15 @@
 """Reference decoders, scorers and graph ops that the tests compare
 curioseq's row paths against.
 
+The graph engine is here, not in the program: `backward` walks any graph
+of `kernel.Tensor` nodes in reverse topological order (`_toposort`),
+summing a shared node's gradients before it runs its closure, `gradients`
+is `kernel.gradients` over that walk, and `grad_check` compares a
+function's `backward` gradients with central finite differences. The
+program's losses are trees of nodes that hand their Parameters gradients
+directly, which `kernel.gradients` walks as such; the reference graphs
+below share nodes, so they are differentiated here.
+
 The graph ops (`constant`, `affine`, `sub`, `scale`, `grad_scale`,
 `concat`, `take_row`, `leaky_relu`, `dotp` and `cross_entropy`) are nodes
 over `kernel.Tensor` with a backward closure each; `grad_check` checks
@@ -63,7 +72,7 @@ statistics-based scorers must equal them exactly.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +82,103 @@ from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq.metrics import MAX_NGRAM, IdfTable, References, TokenSeq
 from curioseq.vocab import BOS_ID, EOS_ID
+
+
+# ---------------------------------------------------------------------------
+# graph engine
+
+
+def _toposort(root: K.Tensor) -> list[K.Tensor]:
+    order: list[K.Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[K.Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return order
+
+
+def backward(loss: K.Tensor, seed: float = 1.0) -> None:
+    """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
+
+    Backward closures hand each gradient to ``accum(node, g)``: a Parameter
+    adds g to its grad at once, and any other node sums its gradients until
+    the walk reaches it.
+    """
+    grads: dict[int, np.ndarray] = {}
+
+    def accum(node: K.Tensor, g: np.ndarray) -> None:
+        if isinstance(node, K.Parameter):
+            node.grad += g
+            return
+        if node.backward_fn is None:
+            return
+        key = id(node)
+        prev = grads.get(key)
+        grads[key] = g if prev is None else prev + g
+
+    accum(loss, np.full_like(loss.data, seed))
+    for node in reversed(_toposort(loss)):
+        g = grads.pop(id(node), None)
+        if g is not None:
+            node.backward_fn(g, accum)
+
+
+def gradients(loss: K.Tensor, params: Sequence[K.Parameter]) -> dict[str, np.ndarray]:
+    """Zero the given params, backprop the loss, return copies of the grads."""
+    K.zero_grads(params)
+    backward(loss)
+    return {p.name: p.grad.copy() for p in params}
+
+
+def grad_check(fn: Callable[[], K.Tensor], params: Sequence[K.Parameter],
+               h: float = 1e-5, max_coords: int = 200, seed: int = 0,
+               floor: float = 1e-2) -> float:
+    """Compare analytic gradients of a deterministic scalar fn against central
+    finite differences. Returns the max relative error over checked coords.
+
+    The error for one coordinate is |analytic - numeric| / max(|analytic|,
+    |numeric|, floor); with floor 1e-2 a 1e-4 threshold corresponds to an
+    absolute floor of 1e-6. Tensors with more than max_coords entries are
+    subsampled with a seeded RNG.
+    """
+    K.zero_grads(params)
+    backward(fn())
+    analytic = {p.name: p.grad.copy() for p in params}
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for p in params:
+        flat = p.data.reshape(-1)
+        ga = analytic[p.name].reshape(-1)
+        n = flat.size
+        if n <= max_coords:
+            coords = range(n)
+        else:
+            coords = sorted(rng.choice(n, size=max_coords, replace=False).tolist())
+        for i in coords:
+            orig = flat[i]
+            with K.no_grad():
+                flat[i] = orig + h
+                f_plus = float(fn().data)
+                flat[i] = orig - h
+                f_minus = float(fn().data)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            a = ga[i]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            if err > worst:
+                worst = err
+    K.zero_grads(params)
+    return worst
 
 
 # ---------------------------------------------------------------------------

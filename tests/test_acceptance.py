@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from curioseq import curiosity as C
-from curioseq import kernel as K
 from curioseq import metrics as M
 from curioseq import policy as P
 from curioseq import rewards as R
 from curioseq import synth
 from curioseq import trainer as T
+import oracles as O
 from oracles import sequence_log_prob, sp_targets
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -36,7 +36,7 @@ def test_criterion_1_gradient_integrity():
     def unroll_loss():
         return P.unroll_rows(policy, [feats], [tokens], len(tokens)).loss(np.ones((1, 5)))
 
-    err_unroll = K.grad_check(unroll_loss, policy.parameters(), max_coords=200)
+    err_unroll = O.grad_check(unroll_loss, policy.parameters(), max_coords=200)
     assert err_unroll <= 1e-4, f"policy unroll gradient error {err_unroll}"
 
     # (b), (c): curiosity losses on a sampled trace
@@ -44,10 +44,10 @@ def test_criterion_1_gradient_integrity():
     cur = C.init_curiosity(np.random.default_rng(2), vocab_size=11,
                            state_size=16, embed_size=8)
     targets = sp_targets(trace, cur)
-    err_sp = K.grad_check(lambda: C.sp_loss(trace, cur, targets),
+    err_sp = O.grad_check(lambda: C.sp_loss(trace, cur, targets),
                           cur.parameters(), max_coords=200)
     assert err_sp <= 1e-4, f"state-prediction gradient error {err_sp}"
-    err_ap = K.grad_check(lambda: C.ap_loss(trace, cur),
+    err_ap = O.grad_check(lambda: C.ap_loss(trace, cur),
                           cur.parameters(), max_coords=200)
     assert err_ap <= 1e-4, f"action-prediction gradient error {err_ap}"
 
@@ -61,7 +61,7 @@ def test_criterion_1_gradient_integrity():
         run = P.unroll_rows(policy, [feats], [], 5, [np.random.default_rng(1)])
         return run.loss(np.zeros(lp_weights.shape) - lp_weights)
 
-    err_rl = K.grad_check(rl_fn, policy.parameters(), max_coords=200)
+    err_rl = O.grad_check(rl_fn, policy.parameters(), max_coords=200)
     assert err_rl <= 1e-4, f"policy-gradient surrogate error {err_rl}"
 
     elapsed = time.time() - started

@@ -118,21 +118,28 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "line" in err
 
-    @pytest.mark.parametrize("flag,value", [("--scenes", "0"), ("--val-scenes", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--scenes", "0"), ("--val-scenes", "-1"),
+                                            ("--seed", "-1")])
     def test_bad_scene_count_fails_cleanly(self, tmp_path, capsys, flag, value):
-        argv = ["synth", "--out", str(tmp_path / "o"), "--scenes", "2", "--val-scenes", "1"]
+        argv = ["synth", "--out", str(tmp_path / "o"), "--scenes", "2", "--val-scenes", "1",
+                "--seed", "0"]
         argv[argv.index(flag) + 1] = value
         # "error: --scenes " names --scenes, not --val-scenes
         assert_clean_error(capsys, run(argv), f"error: {flag} ", value)
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("spec", ['[]', '{"nouns": 5}', '{"regions": "3"}'])
+    @pytest.mark.parametrize("spec", ['[]', '{"nouns": 5}', '{"regions": "3"}',
+                                      '{"templates": ["there is a {noun.x} ."]}',
+                                      '{"templates": ["there is a { ."]}',
+                                      '{"templates": ["there is a {noun!z} ."]}',
+                                      '{"nouns": "box"}'])
     def test_mistyped_grammar_fails_cleanly(self, tmp_path, capsys, spec):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(spec)
         code = run(["synth", "--out", str(tmp_path / "o"), "--grammar", str(grammar),
                     "--scenes", "2", "--val-scenes", "1"])
         assert_clean_error(capsys, code, str(grammar))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field,value", [("objects_per_scene", 2.5), ("regions", 2.5),
                                              ("feature_dim", 12.5),

@@ -56,7 +56,7 @@ class TestEmbedState:
         def fn():
             return dotp(w, first_row(O.embed_state(state_row(trace, 0), cur)))
 
-        assert K.grad_check(fn, cur.embedding_parameters()) <= 1e-4
+        assert O.grad_check(fn, cur.embedding_parameters()) <= 1e-4
 
     def test_a_state_vector_is_rejected(self):
         _, _, trace, cur = make_setup()
@@ -88,7 +88,7 @@ class TestPredictNextState:
             return dotp(w, first_row(O.predict_next_state(phi, trace.actions[0, :1], cur)))
 
         params = cur.embedding_parameters() + cur.state_predictor_parameters()
-        assert K.grad_check(fn, params) <= 1e-4
+        assert O.grad_check(fn, params) <= 1e-4
 
 
 class TestPredictAction:
@@ -119,7 +119,7 @@ class TestPredictAction:
                                            trace.actions[0, :1]))
 
         params = cur.embedding_parameters() + cur.action_predictor_parameters()
-        assert K.grad_check(fn, params) <= 1e-4
+        assert O.grad_check(fn, params) <= 1e-4
 
 
 class TestSpLoss:
@@ -150,7 +150,7 @@ class TestSpLoss:
     def test_gradcheck_with_frozen_targets(self):
         _, _, trace, cur = make_setup(seed=6)
         targets = sp_targets(trace, cur)
-        err = K.grad_check(lambda: C.sp_loss(trace, cur, targets),
+        err = O.grad_check(lambda: C.sp_loss(trace, cur, targets),
                            cur.parameters(), max_coords=30)
         assert err <= 1e-4
 
@@ -158,7 +158,7 @@ class TestSpLoss:
         policy, _, trace, cur = make_setup(seed=7)
         everything = policy.parameters() + cur.parameters()
         K.zero_grads(everything)
-        K.backward(C.sp_loss(trace, cur))
+        O.backward(C.sp_loss(trace, cur))
         assert K.global_grad_norm(policy.parameters()) == 0.0
         assert K.global_grad_norm(cur.action_predictor_parameters()) == 0.0
         assert K.global_grad_norm(cur.state_predictor_parameters()) > 0.0
@@ -189,7 +189,7 @@ class TestApLoss:
 
     def test_gradcheck(self):
         _, _, trace, cur = make_setup(seed=9)
-        err = K.grad_check(lambda: C.ap_loss(trace, cur), cur.parameters(),
+        err = O.grad_check(lambda: C.ap_loss(trace, cur), cur.parameters(),
                            max_coords=30)
         assert err <= 1e-4
 
@@ -197,7 +197,7 @@ class TestApLoss:
         policy, _, trace, cur = make_setup(seed=10)
         everything = policy.parameters() + cur.parameters()
         K.zero_grads(everything)
-        K.backward(C.ap_loss(trace, cur))
+        O.backward(C.ap_loss(trace, cur))
         assert K.global_grad_norm(policy.parameters()) == 0.0
         assert K.global_grad_norm(cur.state_predictor_parameters()) == 0.0
         assert K.global_grad_norm(cur.action_predictor_parameters()) > 0.0
@@ -305,7 +305,7 @@ class TestBatchedPass:
         assert terms.ap_loss == float(graph.ap_loss.data)
         assert terms.loss.parents == tuple(params)
         node = K.gradients(terms.loss, params)
-        reference = K.gradients(O.graph_curiosity_loss(graph, alpha, beta), params)
+        reference = O.gradients(O.graph_curiosity_loss(graph, alpha, beta), params)
         for q in params:
             assert np.array_equal(node[q.name], reference[q.name]), q.name
 
@@ -315,7 +315,7 @@ class TestBatchedPass:
         traces, cur = self.make()
         episodes = stack(traces)
         targets = sp_targets(episodes, cur)
-        err = K.grad_check(lambda: C.curiosity_pass(episodes, cur, 1.0, 1.0, targets).loss,
+        err = O.grad_check(lambda: C.curiosity_pass(episodes, cur, 1.0, 1.0, targets).loss,
                            cur.parameters(), max_coords=30)
         assert err <= 1e-4
 

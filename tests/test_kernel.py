@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curioseq import kernel as K
+from curioseq import metrics as M
+from curioseq import synth
+from curioseq import trainer as T
+import oracles as O
 from oracles import (add_n, additive_attention, affine, attend, concat, constant, cross_entropy,
                      dotp, first_row, gates_cell, grad_scale, leaky_relu, logprob, lstm_cell,
                      project_rows, scale, take_row, vslice)
@@ -86,7 +90,7 @@ class TestAffine:
         def fn():
             return dotp(weights, first_row(affine(x, W, b)))
 
-        assert K.grad_check(fn, [W, b, x], h=1e-5) <= 1e-4
+        assert O.grad_check(fn, [W, b, x], h=1e-5) <= 1e-4
 
 
 class TestNonlinearities:
@@ -108,7 +112,7 @@ class TestNonlinearities:
         def fn():
             return dotp(w, NONLINEARITIES[kind](x))
 
-        assert K.grad_check(fn, [x]) <= 1e-4
+        assert O.grad_check(fn, [x]) <= 1e-4
 
 
 class TestSoftmax:
@@ -135,7 +139,7 @@ class TestSoftmax:
     def test_backward(self):
         x = p("x", np.random.default_rng(3).standard_normal(5))
         w = constant(np.random.default_rng(4).standard_normal(5))
-        assert K.grad_check(lambda: dotp(w, softmax(x)), [x]) <= 1e-4
+        assert O.grad_check(lambda: dotp(w, softmax(x)), [x]) <= 1e-4
 
 
 class TestCrossEntropy:
@@ -157,7 +161,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(5)
         x = p("x", rng.standard_normal((1, 7)))
         K.zero_grads([x])
-        K.backward(cross_entropy(x, np.array([3])))
+        O.backward(cross_entropy(x, np.array([3])))
         expected = np.exp(x.data[0] - x.data.max())
         expected /= expected.sum()
         expected[3] -= 1.0
@@ -166,7 +170,7 @@ class TestCrossEntropy:
     def test_plain_distribution_backward(self):
         # the logits of a plain distribution go through the one log-softmax path
         logits = p("d", [[0.2, 0.3, 0.5]])
-        assert K.grad_check(lambda: first_row(cross_entropy(logits, np.array([2]))),
+        assert O.grad_check(lambda: first_row(cross_entropy(logits, np.array([2]))),
                             [logits]) <= 1e-4
 
 
@@ -250,7 +254,7 @@ class TestLstmCell:
             return K.add(dotp(w, first_row(h)), dotp(w, first_row(c)))
 
         checked = params.parameters() + [x, h0, c0]
-        assert K.grad_check(fn, checked) <= 1e-4
+        assert O.grad_check(fn, checked) <= 1e-4
 
 
 class TestOptimizer:
@@ -316,7 +320,7 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         w = p("w", rng.standard_normal(5))
         direction = constant(rng.standard_normal(5))
-        assert K.grad_check(lambda: dotp(direction, w), [w]) <= 1e-9
+        assert O.grad_check(lambda: dotp(direction, w), [w]) <= 1e-9
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(8)
@@ -326,8 +330,8 @@ class TestGradCheck:
         def fn():
             return dotp(direction, tanh_(w))
 
-        a = K.grad_check(fn, [w], max_coords=50, seed=3)
-        b = K.grad_check(fn, [w], max_coords=50, seed=3)
+        a = O.grad_check(fn, [w], max_coords=50, seed=3)
+        b = O.grad_check(fn, [w], max_coords=50, seed=3)
         assert a == b
 
 
@@ -344,7 +348,7 @@ class TestGradScale:
         def fn():
             return dotp(w, tanh_(grad_scale(tanh_(x), 1.0)))
 
-        assert K.grad_check(fn, [x]) <= 1e-4
+        assert O.grad_check(fn, [x]) <= 1e-4
 
     def test_backward_multiplies_gradient(self):
         rng = np.random.default_rng(12)
@@ -353,7 +357,7 @@ class TestGradScale:
         grads = {}
         for c in (1.0, 0.25):
             K.zero_grads([x])
-            K.backward(dotp(w, tanh_(grad_scale(tanh_(x), c))))
+            O.backward(dotp(w, tanh_(grad_scale(tanh_(x), c))))
             grads[c] = x.grad.copy()
         np.testing.assert_allclose(grads[0.25], 0.25 * grads[1.0], rtol=1e-15, atol=0)
 
@@ -361,7 +365,7 @@ class TestGradScale:
         x = p("x", [1.0, -3.0])
         y = p("y", [2.0, 5.0])
         K.zero_grads([x, y])
-        K.backward(K.add(K.sumsq(grad_scale(x, 0.0)), K.sumsq(y)))
+        O.backward(K.add(K.sumsq(grad_scale(x, 0.0)), K.sumsq(y)))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
         np.testing.assert_array_equal(y.grad, [4.0, 10.0])
 
@@ -371,14 +375,14 @@ class TestGraphMachinery:
         x = p("x", [2.0])
         y = mul(x, x)  # x^2, dy/dx = 2x = 4
         K.zero_grads([x])
-        K.backward(y)
+        O.backward(y)
         assert x.grad[0] == pytest.approx(4.0)
 
     def test_backward_accumulates_across_calls(self):
         x = p("x", [3.0])
         K.zero_grads([x])
-        K.backward(scale(x, 2.0))
-        K.backward(scale(x, 5.0))
+        O.backward(scale(x, 2.0))
+        O.backward(scale(x, 5.0))
         assert x.grad[0] == pytest.approx(7.0)
 
     def test_no_grad_blocks_recording(self):
@@ -402,7 +406,7 @@ class TestGraphMachinery:
         piece = vslice(joined, 1, 3)
         w = constant([1.0, 10.0])
         K.zero_grads([a, b])
-        K.backward(dotp(w, first_row(piece)))
+        O.backward(dotp(w, first_row(piece)))
         np.testing.assert_array_equal(a.grad, [[0.0, 1.0]])
         np.testing.assert_array_equal(b.grad, [[10.0]])
 
@@ -416,7 +420,7 @@ def test_identical_seeds_give_bit_identical_updates():
             x = constant(rng.standard_normal((1, 4)))
             loss = K.sumsq(tanh_(affine(x, w)))
             K.zero_grads([w])
-            K.backward(loss)
+            O.backward(loss)
             K.sgd_step([w], opt)
         return w.data.copy()
 
@@ -467,7 +471,7 @@ def seed_project_rows(features, W):
 def forward_and_grads(fn, params):
     K.zero_grads(params)
     out = fn()
-    K.backward(out)
+    O.backward(out)
     grads = [q.grad.copy() for q in params]
     K.zero_grads(params)
     return float(out.data), grads
@@ -524,7 +528,7 @@ class TestFusedLstm:
             h, c = lstm_cell(x, h0, c0, params)
             return K.add(dotp(wh, first_row(h)), dotp(wc, first_row(c)))
 
-        assert K.grad_check(fn, params.parameters() + [x, h0, c0]) <= 1e-4
+        assert O.grad_check(fn, params.parameters() + [x, h0, c0]) <= 1e-4
 
     def test_bad_shapes(self):
         params, x, h0, c0, _, _ = self.make(13)
@@ -559,7 +563,7 @@ class TestFusedAttention:
     def test_grad_check(self):
         R, h_proj, w_a, w = self.make(5)
         fn = lambda: dotp(w, first_row(additive_attention(R, h_proj, w_a)))  # noqa: E731
-        assert K.grad_check(fn, [R, h_proj, w_a]) <= 1e-4
+        assert O.grad_check(fn, [R, h_proj, w_a]) <= 1e-4
 
     def test_bad_shapes(self):
         R, h_proj, w_a, _ = self.make(6)
@@ -599,7 +603,7 @@ class TestProjectRows:
 
     def test_grad_check(self):
         features, W, weights = self.make(1)
-        assert K.grad_check(lambda: K.sumsq(mul(weights, project_rows(features, W))),
+        assert O.grad_check(lambda: K.sumsq(mul(weights, project_rows(features, W))),
                             [W]) <= 1e-4
 
     def test_bad_shapes(self):
@@ -628,7 +632,7 @@ class TestGradientAccumulation:
         terms.append(K.sumsq(W))
         terms.append(K.sumsq(mul(constant(fw[None]), project_rows(feats[None], W))))
         K.zero_grads([W])
-        K.backward(add_n(terms))
+        O.backward(add_n(terms))
         expected = sum(np.outer(w, x) for w, x in zip(ws, xs))
         expected[1] += ws[0][:3]
         expected += 2.0 * W.data
@@ -643,8 +647,8 @@ class TestGradientAccumulation:
         x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
         w = rng.standard_normal(3)
         K.zero_grads([W, b])
-        K.backward(dotp(constant(w), first_row(affine(constant(x1[None]), W, b))))
-        K.backward(dotp(constant(w), first_row(affine(constant(x2[None]), W, b))))
+        O.backward(dotp(constant(w), first_row(affine(constant(x1[None]), W, b))))
+        O.backward(dotp(constant(w), first_row(affine(constant(x2[None]), W, b))))
         np.testing.assert_allclose(W.grad, np.outer(w, x1) + np.outer(w, x2),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, 2.0 * w, rtol=0, atol=1e-12)
@@ -656,7 +660,7 @@ class TestGradientAccumulation:
         w = rng.standard_normal(3)
         W = scale(P_, 2.0)        # a computed, non-Parameter weight matrix
         K.zero_grads([P_])
-        K.backward(dotp(constant(w), first_row(affine(constant(x[None]), W))))
+        O.backward(dotp(constant(w), first_row(affine(constant(x[None]), W))))
         np.testing.assert_allclose(P_.grad, 2.0 * np.outer(w, x), rtol=0, atol=1e-12)
 
 
@@ -772,7 +776,7 @@ class TestRowAxis:
         out = build(full.get, None)
         assert out.shape[0] == N_ROWS
         w = rng.standard_normal(out.shape)
-        err = K.grad_check(lambda: _reduce(build(full.get, None), w),
+        err = O.grad_check(lambda: _reduce(build(full.get, None), w),
                            shared + list(full.values()))
         assert err <= 1e-4
 
@@ -786,7 +790,7 @@ class TestRowAxis:
         out = build(full.get, None)
         w = rng.standard_normal(out.shape)
         K.zero_grads(shared + list(full.values()))
-        K.backward(_reduce(out, w))
+        O.backward(_reduce(out, w))
         batched = {q.name: q.grad.copy() for q in shared}
         K.zero_grads(shared)
         for r in range(N_ROWS):
@@ -794,7 +798,7 @@ class TestRowAxis:
             out_r = build(row.get, r)
             assert out_r.shape == (1,) + out.shape[1:]
             np.testing.assert_allclose(out.data[r:r + 1], out_r.data, rtol=1e-12, atol=1e-15)
-            K.backward(_reduce(out_r, w[r:r + 1]))    # accumulates the shared grads
+            O.backward(_reduce(out_r, w[r:r + 1]))    # accumulates the shared grads
             for k, q in row.items():
                 np.testing.assert_allclose(full[k].grad[r:r + 1], q.grad, rtol=1e-12, atol=1e-15,
                                            err_msg=k)
@@ -812,12 +816,12 @@ class TestRowAxis:
             lambda: add_n([scale(K.sumsq(constant(x.data[r])), weights[r])
                            for r in range(N_ROWS)]), [])
         K.zero_grads([x] + rows)
-        K.backward(K.sumsq(x, weights))
+        O.backward(K.sumsq(x, weights))
         for r, row in enumerate(rows):
-            K.backward(scale(K.sumsq(row), weights[r]))
+            O.backward(scale(K.sumsq(row), weights[r]))
             np.testing.assert_allclose(x.grad[r], row.grad, rtol=1e-12, atol=0)
         assert (x.grad[1] == 0.0).all()
-        assert K.grad_check(lambda: K.sumsq(x, weights), [x]) <= 1e-4
+        assert O.grad_check(lambda: K.sumsq(x, weights), [x]) <= 1e-4
         with pytest.raises(K.ShapeError):
             K.sumsq(x, weights[:2])
 
@@ -830,13 +834,13 @@ class TestRowAxis:
         np.testing.assert_array_equal(out.data, x.data[rows])
         w = rng.standard_normal(out.shape)
         K.zero_grads([x])
-        K.backward(_reduce(out, w))
+        O.backward(_reduce(out, w))
         expected = np.zeros(shape)
         for i, r in enumerate(rows):
             expected[r] += 2.0 * w[i] * w[i] * x.data[r]
         np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
         assert (x.grad[[1, 3]] == 0.0).all()
-        assert K.grad_check(lambda: _reduce(take_row(x, rows), w), [x]) <= 1e-4
+        assert O.grad_check(lambda: _reduce(take_row(x, rows), w), [x]) <= 1e-4
         assert take_row(x, np.array([2])).shape == (1,) + shape[1:]
 
     @pytest.mark.parametrize("rows", [[0, 2, 3, 5], [5], [], [3, 1, 4], [4, 0, 4, 2, 4]])
@@ -865,16 +869,16 @@ class TestRowAxis:
         assert (attn.data[0, 2:] == 0.0).all()
         w = rng.standard_normal(attn.shape)
         K.zero_grads([R, h, w_a])
-        K.backward(_reduce(attn, w))
+        O.backward(_reduce(attn, w))
         assert (R.grad[0, 2:] == 0.0).all()
         # the real regions of row 0 are the one-row op on its two regions
         R0, h0 = p("R0", R.data[:1, :2]), p("h0", h.data[:1])
         attn0 = additive_attention(R0, h0, w_a)
         np.testing.assert_allclose(attn.data[:1, :2], attn0.data, rtol=1e-12, atol=0)
-        K.backward(_reduce(attn0, w[:1, :2]))
+        O.backward(_reduce(attn0, w[:1, :2]))
         np.testing.assert_allclose(R.grad[:1, :2], R0.grad, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h.grad[:1], h0.grad, rtol=1e-12, atol=1e-15)
-        assert K.grad_check(lambda: _reduce(additive_attention(R, h, w_a, mask), w),
+        assert O.grad_check(lambda: _reduce(additive_attention(R, h, w_a, mask), w),
                             [R, h, w_a]) <= 1e-4
 
     def test_zero_weighted_rows_get_zero_gradient(self):
@@ -882,7 +886,7 @@ class TestRowAxis:
         logits = p("x", rng.standard_normal((N_ROWS, 5)))
         targets = np.array([2, 0, 4])
         K.zero_grads([logits])
-        K.backward(K.add(dotp(cross_entropy(logits, targets), constant([1.5, 0.0, 0.0])),
+        O.backward(K.add(dotp(cross_entropy(logits, targets), constant([1.5, 0.0, 0.0])),
                          dotp(logprob(logits, targets), constant([0.0, 0.0, -0.7]))))
         assert (logits.grad[1] == 0.0).all()
         assert (logits.grad[0] != 0.0).any() and (logits.grad[2] != 0.0).any()
@@ -925,13 +929,57 @@ class TestRowAxis:
                       constant(np.zeros(2)), params)
 
 
+class TestTreeWalk:
+    """kernel.gradients walks a loss as the tree every loss in src/ is; on
+    those losses the oracles' DAG walk must give the same bits."""
+
+    @pytest.mark.parametrize("mode", ["crl", "xe"])
+    def test_train_step_loss_gradients_equal_the_dag_walk(self, monkeypatch, mode):
+        spec = synth.GrammarSpec(nouns=("box", "tree", "dog"), adjectives=("red", "tall"),
+                                 verbs=("standing",), objects_per_scene=2, regions=3,
+                                 feature_dim=6, references_per_scene=2, seed=5)
+        train, _, vocab = synth.synth_split(spec, 4, 1)
+        cfg = T.TrainConfig(mode=mode, batch_size=4, hidden_size=8, t_max=8, seed=0,
+                            action_loss_weight=0.3, state_loss_weight=0.7)
+        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
+        idf = M.build_idf(T.reference_documents(train, vocab))
+        sampled = range(len(train)) if mode == "crl" else []    # as train picks them
+        docs = T.reference_documents(train, vocab)
+        refs = [M.reference_stats(docs[i], idf) for i in sampled]
+        rngs = [np.random.default_rng([0, i]) for i in sampled]
+        seen = {}
+
+        def both(loss, params):
+            seen["ops"] = (loss.op, [node.op for node in loss.parents])
+            seen["dag"] = O.gradients(loss, params)
+            seen["tree"] = K.gradients(loss, params)
+            return seen["tree"]
+
+        monkeypatch.setattr(T, "gradients", both)
+        T.train_step(train, model, T.new_optimizer(cfg), cfg, vocab, refs, rngs, eta=1.0)
+        # with no sampled rows the curiosity node is a leaf without a closure
+        assert seen["ops"] == ("add", ["unroll", "curiosity" if mode == "crl" else "leaf"])
+        for q in model.parameters():
+            assert np.array_equal(seen["tree"][q.name], seen["dag"][q.name]), q.name
+        nonzero = {q.name for q in model.curiosity.parameters() if seen["tree"][q.name].any()}
+        assert bool(nonzero) == (mode == "crl")
+
+    @pytest.mark.parametrize("weights", [None, np.array([0.5, 2.0, 1.5])])
+    def test_sumsq_of_a_parameter_equals_the_dag_walk(self, weights):
+        w = p("w", np.random.default_rng(6).standard_normal((3, 4)))
+        tree = K.gradients(K.sumsq(w, weights), [w])["w"]
+        assert np.array_equal(tree, O.gradients(K.sumsq(w, weights), [w])["w"])
+        assert np.array_equal(w.grad, tree)
+
+
 # The graph surface of src/: the engine's add and sumsq, RowUnroll.loss and
-# the curiosity pass's node. Any other graph op belongs in tests/oracles.py.
+# the curiosity pass's node, and the tree walk kernel.gradients. Any other
+# graph op, the DAG walk and grad_check belong in tests/oracles.py.
 SRC = Path(K.__file__).resolve().parent
 NODE_BUILDERS = {"kernel.add", "kernel.sumsq", "policy.RowUnroll.loss",
                  "curiosity.curiosity_pass"}
 GRAPH_OPS = ("affine", "sub", "scale", "grad_scale", "concat", "take_row", "leaky_relu", "dotp",
-             "cross_entropy", "constant")
+             "cross_entropy", "constant", "backward", "_toposort", "grad_check")
 
 
 class TensorSites(ast.NodeVisitor):

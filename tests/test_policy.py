@@ -6,6 +6,7 @@ import pytest
 from curioseq import kernel as K
 from curioseq import policy as P
 from curioseq.vocab import BOS_ID, EOS_ID
+import oracles as O
 from oracles import (add_n, composite_policy_step, constant, cross_entropy, dotp, forced_trace,
                      forced_unroll, one_row_sample, padded_sample_rows, padded_score_rows,
                      per_hypothesis_beam, rl_surrogate, sequence_log_prob, term_batch,
@@ -197,7 +198,7 @@ class TestPolicyStep:
         def fn():
             return P.unroll_rows(params, [feats], [tokens], len(tokens)).loss(np.ones((1, 4)))
 
-        assert K.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
+        assert O.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
 
 
 class TestRolloutSample:
@@ -478,7 +479,7 @@ class TestScoreRows:
         n = len(feats)
         eta, adv, loss = weighted_loss(run, refs)
         K.zero_grads(params.parameters())
-        K.backward(loss)
+        O.backward(loss)
         batched = {q.name: q.grad.copy() for q in params.parameters()}
 
         per_scene = [dotp(add_n([cross_entropy(logits, tok)
@@ -489,7 +490,7 @@ class TestScoreRows:
                       for f, t, a in zip(feats, unstack(run.episodes), adv)]
         oracle = add_n(per_scene)
         K.zero_grads(params.parameters())
-        K.backward(oracle)
+        O.backward(oracle)
         assert float(loss.data) == pytest.approx(float(oracle.data), rel=1e-12)
         for q in params.parameters():
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=0,
@@ -511,7 +512,7 @@ class TestScoreRows:
             weights = np.ones(run.ce_values.shape)
             K.zero_grads(params.parameters())
             loss = run.loss(weights)
-            K.backward(loss)
+            O.backward(loss)
             if not run.episodes.lengths.size:
                 assert (params.W_e.grad[EOS_ID] == 0.0).all()
                 assert (params.W_e.grad[6] == 0.0).all()
@@ -590,7 +591,7 @@ class TestUnrollRows:
         n = len(feats)
         eta, adv, loss = weighted_loss(run, refs)
         K.zero_grads(params.parameters())
-        K.backward(loss)
+        O.backward(loss)
         grads = {q.name: q.grad.copy() for q in params.parameters()}
 
         sampled = [t.actions for t in unstack(run.episodes)]
@@ -599,7 +600,7 @@ class TestUnrollRows:
                                    + [[0.0] * len(s) for s in sampled],
                                    [[0.0] * len(ref) for ref in refs] + [-a for a in adv])
         K.zero_grads(params.parameters())
-        K.backward(oracle.loss)
+        O.backward(oracle.loss)
         assert float(loss.data) == pytest.approx(float(oracle.loss.data), rel=1e-12, abs=0)
         for q in params.parameters():
             np.testing.assert_allclose(grads[q.name], q.grad, rtol=0,
@@ -621,7 +622,7 @@ class TestUnrollRows:
             ce_w[r, :end] = 1.0 if r < n else 0.0
             lp_w[r, :end] = 0.0 if r < n else -1.0
         K.zero_grads(params.parameters())
-        K.backward(run.loss(ce_w - lp_w))
+        O.backward(run.loss(ce_w - lp_w))
         assert all(np.isfinite(q.grad).all() for q in params.parameters())
 
 
@@ -660,7 +661,7 @@ class TestUnrollNode:
             assert [EOS_ID] in forced
         K.zero_grads(params.parameters())
         loss = run.loss(ce_w if lp_w is None else ce_w - lp_w)
-        K.backward(loss)
+        O.backward(loss)
         grads = {q.name: q.grad.copy() for q in params.parameters()}
 
         sampled = [t.actions for t in unstack(run.episodes)]
@@ -671,7 +672,7 @@ class TestUnrollNode:
                                    list(forced) + sampled, [c for c, _ in rows],
                                    [lp for _, lp in rows], unhoisted=unhoisted)
         K.zero_grads(params.parameters())
-        K.backward(oracle.loss)
+        O.backward(oracle.loss)
         # -CE stands in for logp in the loss value, not in its gradient
         lp_as_ce = 0.0 if lp_w is None else -float((lp_w * oracle.cross_entropy).sum())
         assert float(loss.data) == pytest.approx(
@@ -698,7 +699,7 @@ class TestUnrollNode:
         assert created == []
         _, _, loss = weighted_loss(run, refs)
         assert loss.op == "unroll" and list(loss.parents) == params.parameters()
-        assert [node.op for node in K._toposort(loss) if node.op != "param"] == ["unroll"]
+        assert [node.op for node in O._toposort(loss) if node.op != "param"] == ["unroll"]
 
     @pytest.mark.parametrize("kind", ["forced", "joint"])
     def test_gradients_match_finite_differences(self, kind):
@@ -714,7 +715,7 @@ class TestUnrollNode:
             w[:len(refs)] = 0.7
             return run.loss(w)
 
-        assert K.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
+        assert O.grad_check(fn, params.parameters(), max_coords=20) <= 1e-4
 
     def test_visual_gate_terms_match_finite_differences(self):
         rng = np.random.default_rng(18)
@@ -731,7 +732,7 @@ class TestUnrollNode:
                           for w, t in zip(weights, visual_gate_terms(params, means))])
 
         checked = [params.W_v, params.W_e, *params.vis.parameters()]
-        assert K.grad_check(fn, checked) <= 1e-4
+        assert O.grad_check(fn, checked) <= 1e-4
 
     def test_an_unroll_under_no_grad_gives_the_recorded_loss_and_gradients(self):
         params, feats, refs = row_batch()
@@ -815,7 +816,7 @@ class TestFusedStep:
         weights = np.linspace(0.5, 1.5, len(feats))[:, None] * np.ones(len(words))
         rows = step_values(params, P.project_batch(params, feats), words)
         K.zero_grads(params.parameters())
-        K.backward(P.unroll_rows(params, feats, refs, len(words)).loss(weights))
+        O.backward(P.unroll_rows(params, feats, refs, len(words)).loss(weights))
         batched = {q.name: q.grad.copy() for q in params.parameters()}
         K.zero_grads(params.parameters())
         for r, f in enumerate(feats):
@@ -827,7 +828,7 @@ class TestFusedStep:
                 np.testing.assert_allclose(got[3][r:r + 1, :m], want[3], rtol=1e-12, atol=1e-15)
                 assert (got[3][r, m:] == 0.0).all()
             # accumulates over the rows
-            K.backward(P.unroll_rows(params, [f], [refs[r]], len(words)).loss(weights[r:r + 1]))
+            O.backward(P.unroll_rows(params, [f], [refs[r]], len(words)).loss(weights[r:r + 1]))
         for q in params.parameters():
             np.testing.assert_allclose(batched[q.name], q.grad, rtol=1e-12, atol=1e-15,
                                        err_msg=q.name)
@@ -1065,4 +1066,4 @@ def test_full_unroll_backprop_gradcheck():
     def fn():
         return P.unroll_rows(params, [feats], [tokens], len(tokens)).loss(np.ones((1, 5)))
 
-    assert K.grad_check(fn, params.parameters(), max_coords=15, seed=1) <= 1e-4
+    assert O.grad_check(fn, params.parameters(), max_coords=15, seed=1) <= 1e-4

@@ -213,7 +213,7 @@ class TestRlLoss:
         loss = lp_loss(sampled_run(params, feats), np.zeros(len(trace)))
         assert float(loss.data) == 0.0
         K.zero_grads(params.parameters())
-        K.backward(loss)
+        oracles.backward(loss)
         assert K.global_grad_norm(params.parameters()) == 0.0
 
     def test_single_step_unit_advantage_matches_cross_entropy_gradient(self, small_rollout):
@@ -221,13 +221,13 @@ class TestRlLoss:
         run = sampled_run(params, feats, t_max=1)
         assert len(run.episodes) == 1
         K.zero_grads(params.parameters())
-        K.backward(lp_loss(run, np.ones(1)))
+        oracles.backward(lp_loss(run, np.ones(1)))
         rl_grads = {p.name: p.grad.copy() for p in params.parameters()}
 
         xe = P.unroll_rows(params, [feats], [unstack(run.episodes)[0].actions], 1).loss(
             np.ones((1, 1)))
         K.zero_grads(params.parameters())
-        K.backward(xe)
+        oracles.backward(xe)
         for p in params.parameters():
             np.testing.assert_allclose(rl_grads[p.name], p.grad, atol=1e-12)
 
@@ -235,11 +235,11 @@ class TestRlLoss:
         params, feats, trace = small_rollout
         adv = np.linspace(0.2, 1.0, len(trace))
         K.zero_grads(params.parameters())
-        K.backward(lp_loss(sampled_run(params, feats), adv))
+        oracles.backward(lp_loss(sampled_run(params, feats), adv))
         base = {p.name: p.grad.copy() for p in params.parameters()}
 
         K.zero_grads(params.parameters())
-        K.backward(lp_loss(sampled_run(params, feats), 3.0 * adv))
+        oracles.backward(lp_loss(sampled_run(params, feats), 3.0 * adv))
         for p in params.parameters():
             np.testing.assert_allclose(p.grad, 3.0 * base[p.name], rtol=1e-12, atol=1e-14)
 
@@ -250,7 +250,7 @@ class TestRlLoss:
         def fn():
             return lp_loss(sampled_run(params, feats), adv)
 
-        assert K.grad_check(fn, params.parameters(), max_coords=25) <= 1e-4
+        assert oracles.grad_check(fn, params.parameters(), max_coords=25) <= 1e-4
 
     def test_length_mismatch(self, small_rollout):
         _, _, trace = small_rollout

@@ -98,6 +98,18 @@ def test_invalid_spec_rejected():
         S.synth_generate(small_spec(), 0)
 
 
+@pytest.mark.parametrize("field,value", [("nouns", "box"), ("verbs", 5),
+                                         ("templates", ["the {noun} .", 3])])
+def test_word_lists_must_be_lists_of_strings(field, value):
+    with pytest.raises(S.GrammarError, match=field):
+        small_spec(**{field: value})
+
+
+def test_word_lists_are_kept_as_tuples():
+    spec = small_spec(nouns=["box", "tree", "dog", "cat"])
+    assert spec.nouns == ("box", "tree", "dog", "cat")
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_non_finite_noise_rejected(sigma):
     with pytest.raises(S.GrammarError, match="noise_sigma"):

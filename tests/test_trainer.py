@@ -172,7 +172,7 @@ class TestXeLoss:
         def fn():
             return T.xe_loss(model.policy, scene)
 
-        assert K.grad_check(fn, model.policy.parameters(), max_coords=10) <= 1e-4
+        assert oracles.grad_check(fn, model.policy.parameters(), max_coords=10) <= 1e-4
 
 
 def reference_stats(batch, train, vocab):
@@ -299,7 +299,7 @@ class TestTrainStep:
                 [np.zeros(len(t)) if r < b else -w[r, :len(t)] for r, t in enumerate(tokens)],
                 unhoisted=True)
             K.zero_grads(policy)
-            K.backward(oracle.loss)
+            oracles.backward(oracle.loss)
             errors.append(max(np.abs(got[q.name] - q.grad).max() / np.abs(q.grad).max()
                               for q in policy))
             for p in params:
@@ -342,7 +342,7 @@ class TestTrainStep:
             weights = np.zeros(run.ce_values.shape)
             weights[:b] = cfg.imitation_weight / b
             K.zero_grads(policy)
-            K.backward(loss(run, weights))
+            oracles.backward(loss(run, weights))
             seen["want"] = {p.name: p.grad.copy() for p in policy}
             for p in params:
                 p.grad[...] = got[p.name]
@@ -388,7 +388,7 @@ def separate_group_gradients(tiny_corpus, cfg, seed=0):
         ap_terms.append(C.ap_loss(episode, model.curiosity))
     losses = [scale(add_n(terms), 1.0 / len(batch))
               for terms in (policy_terms, sp_terms, ap_terms)]
-    grads = [K.gradients(loss, model.parameters()) for loss in losses]
+    grads = [oracles.gradients(loss, model.parameters()) for loss in losses]
     return grads, [float(loss.data) for loss in losses[1:]]
 
 
