@@ -10,11 +10,10 @@ holds the epochs up to D/last.ckpt: a fresh run starts it empty, and
 a file the system refuses to read or write (a directory where a file
 goes, or the reverse), end a command with exit status 1 and one `error:`
 line on stderr that names the flag or the path. `train --out D` checks
-that a file can be written at each of D/last.ckpt, D/last.ckpt.adam and
-D/best.ckpt before the first epoch, and `eval --graph-out P` checks P
-before it loads the model; `train`, `eval --split val` and `generate`
-reject a manifest whose feature dimension or vocabulary differs from the
-train manifest's.
+that a file can be written at each of D/last.ckpt and D/best.ckpt before
+the first epoch, and `eval --graph-out P` checks P before it loads the
+model; `train`, `eval --split val` and `generate` reject a manifest whose
+feature dimension or vocabulary differs from the train manifest's.
 """
 
 from __future__ import annotations
@@ -182,9 +181,8 @@ def cmd_train(args) -> int:
     dump_effective_config(cfg, out_dir)
     if out_dir:
         # train writes these after its first epoch; find a blocked one before it
-        last = out_dir / "last.ckpt"
-        for path in (last, trn.optimizer_path(last), out_dir / "best.ckpt"):
-            check_writable(path, "checkpoint")
+        for name in ("last.ckpt", "best.ckpt"):
+            check_writable(out_dir / name, "checkpoint")
 
     val_ds, train_ds = load_split(cfg, cfg.val_manifest or cfg.train_manifest)
 

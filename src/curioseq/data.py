@@ -111,9 +111,11 @@ def _require(doc, key: str, where: str, kind: type):
     return doc[key]
 
 
-def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
-    """Load every scene of a manifest. Any fault of the manifest, of the
-    files it names or of their contents raises DatasetError."""
+def load_dataset(manifest_path, t_max: int) -> LoadedDataset:
+    """Load every scene of a manifest, each reference cut to t_max tokens
+    with its <eos>. Any fault of the manifest, of the files it names or of
+    their contents, and a scene id that two entries share, raise
+    DatasetError."""
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -141,9 +143,13 @@ def load_dataset(manifest_path, t_max: int = 80) -> LoadedDataset:
         raise DatasetError(str(exc)) from exc
 
     scenes: list[Scene] = []
+    first_entry: dict[str, int] = {}
     for n, entry in enumerate(entries):
         where = f"manifest {manifest_path} scene entry {n}"
         sid = _require(entry, "id", where, str)
+        if first_entry.setdefault(sid, n) != n:
+            raise DatasetError(f"{where} repeats the id {sid!r} of scene entry "
+                               f"{first_entry[sid]}")
         feat_path = base / _require(entry, "features", where, str)
         if not feat_path.exists():
             raise DatasetError(f"scene {sid!r}: feature file {feat_path} is missing")

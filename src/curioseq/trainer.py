@@ -334,30 +334,20 @@ class TrainResult:
     best_cider: float
 
 
-def optimizer_path(path) -> Path:
-    """The file beside checkpoint path that holds the adam moments of its
-    optimizer state: last.ckpt.adam for last.ckpt."""
-    path = Path(path)
-    return path.with_name(path.name + ".adam")
-
-
 def save_model(path, model: ModelParams, extra: dict | None = None,
                opt: OptimState | None = None) -> None:
-    """Write the model's parameters; with opt, also the optimizer state that
-    resume_state reads back: its variant and step count in extra, and for
-    adam the moments of each parameter, as tensors "m.<name>" and "v.<name>",
-    in their own file optimizer_path(path), so that the checkpoint itself
-    stays the size of the model. The moments are written first, under the
-    same variant and step count: a write that stops between the two files
-    leaves a pair whose step counts differ, which resume_state rejects."""
+    """Write the model's parameters in one checkpoint file; with opt, also
+    the optimizer state that resume_state reads back: its variant and step
+    count in extra, and for adam the moments of each parameter, as tensors
+    "m.<name>" and "v.<name>". A write that stops part-way leaves the
+    previous file at path whole, so the run's state is never torn."""
+    tensors = ckpt.params_as_dict(model.parameters())
     if opt is not None:
-        record = {"variant": opt.variant, "step_count": opt.step_count}
-        extra = {**(extra or {}), "optimizer": record}
-        if opt.slots:
-            moments = {f"{key}.{name}": slot[key]
-                       for name, slot in opt.slots.items() for key in ("m", "v")}
-            ckpt.save_checkpoint(optimizer_path(path), moments, extra=record)
-    ckpt.save_checkpoint(path, ckpt.params_as_dict(model.parameters()), extra=extra)
+        extra = {**(extra or {}),
+                 "optimizer": {"variant": opt.variant, "step_count": opt.step_count}}
+        tensors.update((f"{key}.{name}", slot[key])
+                       for name, slot in opt.slots.items() for key in ("m", "v"))
+    ckpt.save_checkpoint(path, tensors, extra=extra)
 
 
 def load_model(path, cfg: TrainConfig, vocab_size: int,
@@ -383,9 +373,11 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
     was kept, or a best.ckpt) resumes with a fresh optimizer. Raises
     CheckpointError for a non-integer epoch or a non-number best_cider,
     when the record names another optimizer than cfg, or when an adam
-    checkpoint has no record or its moments are missing or do not belong
-    to it."""
-    model, extra = load_model(path, cfg, vocab_size, feature_dim)
+    checkpoint has no record or lacks a moment of the shape of its
+    parameter."""
+    model = init_model(cfg, vocab_size, feature_dim)
+    tensors, extra = ckpt.load_checkpoint(path)
+    ckpt.load_into_params(model.parameters(), tensors)
     epoch, best_cider = extra.get("epoch", -1), extra.get("best_cider", -math.inf)
     if type(epoch) is not int or type(best_cider) not in (int, float):
         raise ckpt.CheckpointError(f"checkpoint {path} has a malformed epoch or best_cider")
@@ -401,17 +393,13 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
                                    f"{record.get('variant')!r}, not {opt.variant!r}")
     opt.step_count = record["step_count"]
     if opt.variant == "adam" and opt.step_count > 0:
-        moments_path = optimizer_path(path)
-        moments, stored = ckpt.load_checkpoint(moments_path)
-        if stored != record:
-            raise ckpt.CheckpointError(f"{moments_path} holds the optimizer state of "
-                                       f"another step than checkpoint {path}")
         for p in model.parameters():
-            m, v = moments.get(f"m.{p.name}"), moments.get(f"v.{p.name}")
-            if m is None or v is None or m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ckpt.CheckpointError(f"{moments_path} lacks the adam moments of "
-                                           f"{p.name!r}")
-            opt.slots[p.name] = {"m": m, "v": v}
+            slot = {key: tensors.get(f"{key}.{p.name}") for key in ("m", "v")}
+            for key, moment in slot.items():
+                if moment is None or moment.shape != p.data.shape:
+                    raise ckpt.CheckpointError(f"checkpoint {path} lacks the adam moment "
+                                               f"'{key}.{p.name}'")
+            opt.slots[p.name] = slot
     return model, opt, epoch + 1, best_cider
 
 
@@ -428,11 +416,13 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     whichever minibatch the shuffle puts it in. Each epoch applies the
     imitation-weight and learning-rate schedules, evaluates the validation
     split with greedy decoding whatever cfg.decode says, and writes
-    checkpoints when out_dir is set: last.ckpt every epoch and best.ckpt
-    when the validation CIDEr beats best_cider. last.ckpt also holds the
-    optimizer state (the adam moments in last.ckpt.adam beside it), so a
-    run resumed at the epoch, best_cider and optimizer state that
-    resume_state(last.ckpt) returns matches the uninterrupted run.
+    checkpoints when out_dir is set: best.ckpt when the validation CIDEr
+    beats best_cider, then last.ckpt every epoch. last.ckpt also holds the
+    optimizer state, so a run resumed at the epoch, best_cider and
+    optimizer state that resume_state(last.ckpt) returns matches the
+    uninterrupted run. A run stopped before an epoch's last.ckpt is in
+    place resumes at that epoch and writes its best.ckpt again, with the
+    same bytes.
     A run counts each split's reference statistics once: with no val split,
     one train table scores both the sampled episodes and the validation.
     """
@@ -510,7 +500,7 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
             best_cider = val.cider
         if out_dir:
             extra = {"epoch": epoch, "config": cfg.semantic_dict(), "best_cider": best_cider}
-            save_model(out_dir / "last.ckpt", model, extra=extra, opt=opt)
             if improved:
                 save_model(out_dir / "best.ckpt", model, extra=extra)
+            save_model(out_dir / "last.ckpt", model, extra=extra, opt=opt)
     return TrainResult(model=model, reports=reports, best_cider=best_cider)

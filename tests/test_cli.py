@@ -184,7 +184,7 @@ class TestTrain:
                     "--epochs", "1", "--hidden-size", "8", "--out", str(blocked.parent)])
         assert_clean_error(capsys, code, str(blocked))
 
-    @pytest.mark.parametrize("name", ["last.ckpt", "last.ckpt.adam", "best.ckpt"])
+    @pytest.mark.parametrize("name", ["last.ckpt", "best.ckpt"])
     def test_a_checkpoint_path_that_is_a_directory_fails_before_training(
             self, synth_dir, tmp_path, capsys, name):
         blocked = tmp_path / "run" / name
@@ -367,9 +367,49 @@ class TestTrain:
             f.write(reports.splitlines(keepends=True)[1])
         assert run(["train", "--config", str(cfg_path), "--out", str(part),
                     "--resume", str(part / "last.ckpt")]) == 0
-        for name in ("last.ckpt", "last.ckpt.adam"):
-            assert (part / name).read_bytes() == (full / name).read_bytes()
+        assert (part / "last.ckpt").read_bytes() == (full / "last.ckpt").read_bytes()
         assert (part / "reports.jsonl").read_bytes() == reports
+        # the adam moments are in last.ckpt; there is no other file of the run's state
+        tensors, _ = ckpt.load_checkpoint(part / "last.ckpt")
+        assert "m.policy.W_e" in tensors and "v.policy.W_e" in tensors
+        assert sorted(p.name for p in part.iterdir()) == ["best.ckpt", "effective_config.json",
+                                                          "last.ckpt", "reports.jsonl"]
+
+    def test_a_run_killed_after_its_best_epochs_last_checkpoint_resumes_to_the_same_files(
+            self, synth_dir, tmp_path, capsys, monkeypatch):
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"),
+               "epochs": 4, "batch_size": 2, "hidden_size": 16, "t_max": 12, "seed": 2,
+               "learning_rate": 0.001, "imitation_weight": 6.0, "optimizer": "adam"}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert run(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
+        ciders = [json.loads(line)["val_cider"]
+                  for line in (full / "reports.jsonl").read_text().splitlines()]
+        best_epoch = ciders.index(max(ciders))
+        # the best epoch is neither the first nor the last
+        assert 0 < best_epoch < len(ciders) - 1
+
+        class Killed(Exception):
+            pass
+
+        replace = os.replace
+
+        def kill_after_best_last_ckpt(src, dst):
+            replace(src, dst)
+            if (Path(dst).name == "last.ckpt"
+                    and ckpt.load_checkpoint(dst)[1]["epoch"] == best_epoch):
+                raise Killed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", kill_after_best_last_ckpt)
+            with pytest.raises(Killed):
+                run(["train", "--config", str(cfg_path), "--out", str(part)])
+        assert run(["train", "--config", str(cfg_path), "--out", str(part),
+                    "--resume", str(part / "last.ckpt")]) == 0
+        for name in ("best.ckpt", "last.ckpt", "reports.jsonl"):
+            assert (part / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_a_fresh_run_into_a_used_out_starts_its_reports_anew(self, trained, tmp_path,
                                                                  capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from curioseq import data as D
 from curioseq.vocab import EOS_ID, Vocabulary
 
+T_MAX = 40      # TrainConfig's default
+
 
 @pytest.fixture
 def corpus_dir(tmp_path):
@@ -51,11 +53,11 @@ def test_feature_file_with_non_finite_value_rejected(tmp_path, bad):
 def test_non_finite_feature_file_names_it_in_manifest_load(corpus_dir):
     D.write_features(corpus_dir / "s1.bin", np.full((3, 4), np.nan))
     with pytest.raises(D.DatasetError, match="s1.bin"):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 def test_load_two_scene_manifest(corpus_dir):
-    ds = D.load_dataset(corpus_dir / "manifest.json")
+    ds = D.load_dataset(corpus_dir / "manifest.json", T_MAX)
     assert len(ds.scenes) == 2
     assert ds.feature_dim == 4
     scene = ds.scenes[0]
@@ -67,13 +69,13 @@ def test_load_two_scene_manifest(corpus_dir):
 def test_wrong_feature_dimension_names_scene(corpus_dir):
     D.write_features(corpus_dir / "s1.bin", np.ones((3, 9)))
     with pytest.raises(D.DatasetError, match="s1"):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 def test_missing_feature_file_names_scene(corpus_dir):
     (corpus_dir / "s0.bin").unlink()
     with pytest.raises(D.DatasetError, match="s0"):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 def test_manifest_with_zero_scenes(tmp_path):
@@ -81,12 +83,12 @@ def test_manifest_with_zero_scenes(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(D.DatasetError, match="no scenes"):
-        D.load_dataset(path)
+        D.load_dataset(path, T_MAX)
 
 
 def test_missing_manifest(tmp_path):
     with pytest.raises(D.DatasetError):
-        D.load_dataset(tmp_path / "nope.json")
+        D.load_dataset(tmp_path / "nope.json", T_MAX)
 
 
 def test_empty_reference_rejected(corpus_dir):
@@ -94,6 +96,20 @@ def test_empty_reference_rejected(corpus_dir):
     doc["scenes"][0]["references"] = ["   "]
     (corpus_dir / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(D.DatasetError, match="s0"):
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
+
+
+def test_repeated_scene_id_names_it_and_both_entries(corpus_dir):
+    doc = json.loads((corpus_dir / "manifest.json").read_text())
+    doc["scenes"].append({**doc["scenes"][0], "references": ["the box ."]})
+    (corpus_dir / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(D.DatasetError, match=r"scene entry 2 repeats the id 's0' of scene "
+                                             r"entry 0$"):
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
+
+
+def test_t_max_is_required(corpus_dir):
+    with pytest.raises(TypeError, match="t_max"):
         D.load_dataset(corpus_dir / "manifest.json")
 
 
@@ -134,7 +150,7 @@ def test_mistyped_manifest_field_raises_dataset_error(corpus_dir, key, value):
     doc[key] = value
     (corpus_dir / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(D.DatasetError, match=key):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 @pytest.mark.parametrize("key,value", [("references", 5), ("references", [5]),
@@ -144,24 +160,24 @@ def test_mistyped_scene_field_raises_dataset_error(corpus_dir, key, value):
     doc["scenes"][0][key] = value
     (corpus_dir / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(D.DatasetError):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 def test_non_utf8_manifest_raises_dataset_error(corpus_dir):
     (corpus_dir / "manifest.json").write_bytes(b'{"version": 1, "id": "\xff"}')
     with pytest.raises(D.DatasetError, match="UTF-8"):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 def test_nul_byte_in_manifest_path_raises_dataset_error():
     with pytest.raises(D.DatasetError, match="null byte"):
-        D.load_dataset("a\x00b")
+        D.load_dataset("a\x00b", T_MAX)
 
 
 def test_bad_vocabulary_file_raises_dataset_error(corpus_dir):
     (corpus_dir / "vocab.txt").write_text("hello\nworld\n")
     with pytest.raises(D.DatasetError, match="reserved"):
-        D.load_dataset(corpus_dir / "manifest.json")
+        D.load_dataset(corpus_dir / "manifest.json", T_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +192,10 @@ def fuzz_dir(tmp_path_factory):
     D.write_manifest(base / "manifest.json", [("s0", "s0.bin", ["the red box ."])],
                      "vocab.txt", 3)
     return base
+
+
+def load_manifest(path):
+    return D.load_dataset(path, T_MAX)
 
 
 def _loads_or_raises_dataset_error(fn, path):
@@ -199,7 +219,7 @@ def test_fuzzed_feature_file_raises_only_dataset_error(fuzz_dir, raw):
 def test_fuzzed_manifest_bytes_raise_only_dataset_error(fuzz_dir, raw):
     path = fuzz_dir / "fuzz.json"
     path.write_bytes(raw)
-    _loads_or_raises_dataset_error(D.load_dataset, path)
+    _loads_or_raises_dataset_error(load_manifest, path)
 
 
 # JSON values whose strings hold no "/", so a path read from them stays in
@@ -228,4 +248,4 @@ def test_fuzzed_manifest_fields_raise_only_dataset_error(fuzz_dir, field, value)
         doc["scenes"][0][field] = value
     path = fuzz_dir / "fuzz.json"
     path.write_text(json.dumps(doc))
-    _loads_or_raises_dataset_error(D.load_dataset, path)
+    _loads_or_raises_dataset_error(load_manifest, path)

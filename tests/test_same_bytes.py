@@ -51,11 +51,12 @@ def test_one_differing_file_fails_the_comparison(same_bytes):
 
 
 def test_a_file_neither_tree_wrote_counts_as_the_same(same_bytes):
-    sgd = hashes(same_bytes, last_ckpt_adam=None)
-    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": sgd, "change": dict(sgd)}})
+    unwritten = hashes(same_bytes, best_ckpt=None)
+    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": unwritten,
+                                                        "change": dict(unwritten)}})
     assert same
-    assert "last.ckpt.adam  absent" in lines[2] and lines[2].endswith(" same")
-    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": sgd,
+    assert "best.ckpt       absent" in lines[2] and lines[2].endswith(" same")
+    lines, same = same_bytes.compare({"seed0 crl_sgd": {"parent": unwritten,
                                                         "change": hashes(same_bytes)}})
     assert not same and "absent" in lines[2] and lines[2].endswith("DIFFERENT")
 

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,10 @@ from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
 import oracles
 from oracles import add_n, rl_surrogate, scale
+
+
+class Stopped(Exception):
+    """Ends a train call where a kill would."""
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +577,8 @@ class TestTrain:
 
     def test_resumed_run_matches_uninterrupted(self, tiny_corpus, tmp_path):
         # for both optimizers: the report and last.ckpt bytes of the resumed
-        # epoch equal those of the uninterrupted run
+        # epoch equal those of the uninterrupted run, and last.ckpt is the
+        # one file of the run's state
         train, val, vocab = tiny_corpus
         for optimizer in ("sgd", "adam"):
             full_dir, part_dir = tmp_path / optimizer / "full", tmp_path / optimizer / "part"
@@ -590,12 +598,60 @@ class TestTrain:
             assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
             for a, b in zip(full.model.parameters(), resumed.model.parameters()):
                 np.testing.assert_allclose(a.data, b.data, rtol=0, atol=0, err_msg=optimizer)
-            for name in ("last.ckpt", "last.ckpt.adam"):
-                assert (part_dir / name).exists() == (full_dir / name).exists()
-                if (full_dir / name).exists():
-                    assert ((part_dir / name).read_bytes()
-                            == (full_dir / name).read_bytes()), (optimizer, name)
-            assert (full_dir / "last.ckpt.adam").exists() == (optimizer == "adam")
+            assert sorted(p.name for p in part_dir.iterdir()) == ["best.ckpt", "last.ckpt"]
+            assert ((part_dir / "last.ckpt").read_bytes()
+                    == (full_dir / "last.ckpt").read_bytes()), optimizer
+
+    @pytest.mark.parametrize("optimizer,learning_rate,seed,improving", [
+        ("sgd", 0.02, 1, [0, 3]), ("adam", 0.005, 5, [0, 1, 2])])
+    def test_a_run_stopped_at_any_checkpoint_write_resumes_to_the_same_files(
+            self, tiny_corpus, tmp_path, monkeypatch, optimizer, learning_rate, seed,
+            improving):
+        # stop train right after each os.replace of a run's saves, as a kill
+        # would, resume from last.ckpt (or start again when there is none),
+        # and check every output against the uninterrupted run's
+        train, val, vocab = tiny_corpus
+        replace = os.replace
+
+        def run(out_dir, stop_after=None, **resume):
+            reports, written = [], []
+
+            def stopping_replace(src, dst):
+                replace(src, dst)
+                written.append(Path(dst).name)
+                if len(written) == stop_after:
+                    raise Stopped
+
+            cfg = tiny_config(epochs=4, seed=seed, optimizer=optimizer,
+                              learning_rate=learning_rate, out_dir=str(out_dir))
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", stopping_replace)
+                try:
+                    T.train(train, val, vocab, cfg, report_sink=reports.append, **resume)
+                except Stopped:
+                    pass
+            return cfg, [r.to_json() for r in reports], written
+
+        cfg, full_reports, full_writes = run(tmp_path / "full")
+        # the run has epochs that write best.ckpt after the first and one that does not
+        assert [json.loads(r)["epoch"] for r in full_reports] == [0, 1, 2, 3]
+        assert full_writes.count("best.ckpt") == len(improving)
+        assert full_writes.count("last.ckpt") == 4
+        full = {name: (tmp_path / "full" / name).read_bytes()
+                for name in ("best.ckpt", "last.ckpt")}
+        for stop in range(1, len(full_writes) + 1):
+            out = tmp_path / f"stop{stop}"
+            _, reports, written = run(out, stop_after=stop)
+            assert written == full_writes[:stop]
+            resume = {}
+            if (out / "last.ckpt").exists():
+                model, opt, start, best = T.resume_state(out / "last.ckpt", cfg, vocab.size,
+                                                         train[0].feature_dim)
+                resume = dict(start_epoch=start, model=model, opt=opt, best_cider=best)
+            kept = [r for r in reports if json.loads(r)["epoch"] < resume.get("start_epoch", 0)]
+            _, resumed_reports, _ = run(out, **resume)
+            assert kept + resumed_reports == full_reports, stop
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == full, stop
 
     def test_resume_state_restores_the_optimizer_it_was_saved_with(self, tiny_corpus, tmp_path):
         train, val, vocab = tiny_corpus
@@ -606,19 +662,18 @@ class TestTrain:
                                                          train[0].feature_dim)
         assert (start_epoch, best_cider) == (1, result.best_cider)
         steps = -(-len(train) // cfg.batch_size)
-        extra = T.ckpt.load_checkpoint(path)[1]
+        tensors, extra = T.ckpt.load_checkpoint(path)
         assert extra["optimizer"] == {"variant": "adam", "step_count": steps}
         assert opt.step_count == steps and opt.variant == "adam"
         names = sorted(p.name for p in result.model.parameters())
         assert sorted(opt.slots) == names
-        # the checkpoints hold the parameters alone; the moments lie beside last.ckpt
-        for name in ("last.ckpt", "best.ckpt"):
-            tensors, _ = T.ckpt.load_checkpoint(tmp_path / name)
-            assert sorted(tensors) == names
-        moments, stored = T.ckpt.load_checkpoint(T.optimizer_path(path))
-        assert stored == extra["optimizer"]
-        assert sorted(moments) == sorted(f"{k}.{n}" for n in names for k in "mv")
-        assert not T.optimizer_path(tmp_path / "best.ckpt").exists()
+        # last.ckpt holds the parameters and their moments; best.ckpt the parameters alone
+        assert sorted(tensors) == sorted(names + [f"{k}.{n}" for n in names for k in "mv"])
+        for name in names:
+            for key in "mv":
+                assert (opt.slots[name][key] == tensors[f"{key}.{name}"]).all()
+        assert sorted(T.ckpt.load_checkpoint(tmp_path / "best.ckpt")[0]) == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
         with pytest.raises(T.ckpt.CheckpointError, match="'adam', not 'sgd'"):
             T.resume_state(path, tiny_config(optimizer="sgd"), vocab.size, train[0].feature_dim)
 
@@ -627,19 +682,16 @@ class TestTrain:
         cfg = tiny_config(epochs=1, optimizer="adam", out_dir=str(tmp_path))
         T.train(train, val, vocab, cfg)
         tensors, extra = T.ckpt.load_checkpoint(tmp_path / "last.ckpt")
-        moments, record = T.ckpt.load_checkpoint(T.optimizer_path(tmp_path / "last.ckpt"))
         no_record = {k: v for k, v in extra.items() if k != "optimizer"}
-        no_moment = {k: v for k, v in moments.items() if k != "v.policy.W_e"}
-        later = {**record, "step_count": record["step_count"] + 1}
-        cases = {"a.ckpt": (no_record, None),        # no optimizer record
-                 "b.ckpt": (extra, (no_moment, record)),
-                 "c.ckpt": (extra, None),            # no moments file
-                 "d.ckpt": (extra, (moments, later))}    # moments of another step
-        for name, (e, beside) in cases.items():
-            T.ckpt.save_checkpoint(tmp_path / name, tensors, extra=e)
-            if beside is not None:
-                T.ckpt.save_checkpoint(T.optimizer_path(tmp_path / name), *beside)
-            with pytest.raises(T.ckpt.CheckpointError, match=name):
+        no_moment = {k: v for k, v in tensors.items() if k != "v.policy.W_e"}
+        misshapen = {**tensors, "m.policy.W_e": tensors["m.policy.W_e"][:1]}
+        cases = {"a.ckpt": (tensors, no_record, "holds no optimizer state"),
+                 "b.ckpt": (no_moment, extra, "lacks the adam moment 'v.policy.W_e'"),
+                 "c.ckpt": (misshapen, extra, "lacks the adam moment 'm.policy.W_e'")}
+        for name, (t, e, message) in cases.items():
+            T.ckpt.save_checkpoint(tmp_path / name, t, extra=e)
+            with pytest.raises(T.ckpt.CheckpointError,
+                               match=re.escape(f"checkpoint {tmp_path / name} {message}")):
                 T.resume_state(tmp_path / name, cfg, vocab.size, train[0].feature_dim)
 
     def test_sgd_resumes_from_a_checkpoint_without_optimizer_state(self, tiny_corpus,

@@ -15,11 +15,11 @@ with their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the
 val split and `curioseq generate` prints the paragraph of the first val
 scene, each greedy and at beam width 2. Every process runs at one BLAS
 thread, and at most two run at a time. For each run the tool prints the
-sha256 prefix of each of its four output files (FILES) and of each printed
+sha256 prefix of each of its three output files (FILES) and of each printed
 decode record side by side, and exits 1 when a file or a record differs
-or a run fails; a file that neither tree wrote (`last.ckpt.adam` under sgd) counts
-as the same. `--seed`, `--variant`, `--epochs`, `--scenes` and
-`--val-scenes` narrow the set. Uses only the standard library.
+or a run fails; a file that neither tree wrote counts as the same.
+`--seed`, `--variant`, `--epochs`, `--scenes` and `--val-scenes` narrow
+the set. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-FILES = ("reports.jsonl", "last.ckpt", "last.ckpt.adam", "best.ckpt")
+FILES = ("reports.jsonl", "last.ckpt", "best.ckpt")
 README_CONFIG = {"optimizer": "adam", "learning_rate": 0.003, "imitation_weight": 6.0,
                  "t_max": 30}
 VARIANTS = {
