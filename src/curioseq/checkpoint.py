@@ -59,7 +59,9 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], extra: dict | None 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """The tensors and the extra record of the checkpoint at path. The file
     is read once into a writable buffer, and each tensor is a writable,
-    aligned float64 array over it, converted only on a big-endian host."""
+    aligned float64 array over it, converted only on a big-endian host.
+    The table names each tensor once, and its tensors end where the file
+    does; anything else raises CheckpointError."""
     path = Path(path)
     start = len(MAGIC) + 8
     try:
@@ -98,6 +100,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     tensors: dict[str, np.ndarray] = {}
     offset = start + manifest_len
     for entry in entries:
+        if entry["name"] in tensors:
+            raise CheckpointError(f"{path} names tensor {entry['name']!r} twice")
         shape = tuple(entry["shape"])
         count = math.prod(shape)
         nbytes = count * 8
@@ -106,6 +110,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         tensors[entry["name"]] = arr.astype(np.float64, copy=False)
         offset += nbytes
+    if offset != len(raw):
+        raise CheckpointError(f"{path} has {len(raw) - offset} bytes past its last tensor")
     return tensors, extra
 
 

@@ -1,19 +1,18 @@
 """Command-line surface: synth, train, eval, generate, diversity.
 
 Flags override the JSON config file's values, which override the built-in
-defaults; the effective config is dumped at startup, so every run is
+defaults; the effective config is printed at startup, so every run is
 reproducible from its log alone. `eval` and `generate` decode with the
 config's `decode` and `beam_width`, and `--beam-width` overrides both;
-`train` validates with greedy decoding. D/reports.jsonl of `train --out D`
-holds the epochs up to D/last.ckpt: a fresh run starts it empty, and
-`--resume` keeps the epochs before the one it resumes at. Bad input, and
-a file the system refuses to read or write (a directory where a file
-goes, or the reverse), end a command with exit status 1 and one `error:`
-line on stderr that names the flag or the path. `train --out D` checks
-that a file can be written at each of D/last.ckpt and D/best.ckpt before
-the first epoch, and `eval --graph-out P` checks P before it loads the
-model; `train`, `eval --split val` and `generate` reject a manifest whose
-feature dimension or vocabulary differs from the train manifest's.
+`train` validates with greedy decoding and prints each epoch's report line.
+`train --out D` leaves D to trainer.train, which writes every file there
+and checks, before its first epoch, that its checkpoints can be written.
+Bad input, and a file the system refuses to read or write (a directory
+where a file goes, or the reverse), end a command with exit status 1 and
+one `error:` line on stderr that names the flag or the path. `eval
+--graph-out P` checks P before it loads the model; `train`, `eval --split
+val` and `generate` reject a manifest whose feature dimension or
+vocabulary differs from the train manifest's.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -84,24 +81,6 @@ def load_config(args) -> trn.TrainConfig:
     return cfg
 
 
-def check_writable(path: Path, what: str) -> None:
-    """Fail, before any work, on a path no file can be written at: a
-    directory, or a path whose parent is not a directory."""
-    if path.is_dir():
-        raise CliError(f"cannot write {what} {path}: it is a directory")
-    if not path.parent.is_dir():
-        raise CliError(f"cannot write {what} {path}: {path.parent} is not a directory")
-
-
-def dump_effective_config(cfg: trn.TrainConfig, out_dir: Path | None) -> None:
-    line = cfg.to_json()
-    print(f"config {line}")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "effective_config.json").write_text(
-            json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _load_grammar(path: str | None, seed: int) -> synth.GrammarSpec:
     if path is None:
         return synth.GrammarSpec(seed=seed)
@@ -161,51 +140,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def reports_before(path: Path, epoch: int) -> int:
-    """The byte length of the whole lines that open the reports.jsonl at
-    path and report epochs before epoch: what a run resumed at epoch keeps."""
-    kept = 0
-    for line in path.read_bytes().splitlines(keepends=True):
-        try:
-            if not line.endswith(b"\n") or json.loads(line)["epoch"] >= epoch:
-                break
-        except (ValueError, TypeError, KeyError):     # not a report line
-            break
-        kept += len(line)
-    return kept
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    dump_effective_config(cfg, out_dir)
-    if out_dir:
-        # train writes these after its first epoch; find a blocked one before it
-        for name in ("last.ckpt", "best.ckpt"):
-            check_writable(out_dir / name, "checkpoint")
-
+    print(f"config {cfg.to_json()}")
     val_ds, train_ds = load_split(cfg, cfg.val_manifest or cfg.train_manifest)
-
-    model = opt = None
-    start_epoch, best_cider = 0, -math.inf
-    if args.resume:
-        model, opt, start_epoch, best_cider = trn.resume_state(
-            args.resume, cfg, train_ds.vocab.size, train_ds.feature_dim)
-        print(f"resuming from {args.resume} at epoch {start_epoch}")
-
-    reports = out_dir / "reports.jsonl" if out_dir else Path(os.devnull)
-    if args.resume and reports.is_file():
-        os.truncate(reports, reports_before(reports, start_epoch))
-    with reports.open("a" if args.resume else "w") as report_file:
-        def sink(report: trn.EpochReport):
-            line = report.to_json()
-            print(line)
-            report_file.write(line + "\n")
-            report_file.flush()
-
-        trn.train(train_ds.scenes, val_ds.scenes, train_ds.vocab, cfg,
-                  start_epoch=start_epoch, model=model, report_sink=sink,
-                  best_cider=best_cider, opt=opt)
+    trn.train(train_ds.scenes, val_ds.scenes, train_ds.vocab, cfg, resume=args.resume,
+              report_sink=lambda report: print(report.to_json()))
     return 0
 
 
@@ -215,7 +155,7 @@ def cmd_eval(args) -> int:
     if manifest is None:
         raise CliError(f"config does not name a manifest for split {args.split!r}")
     if args.graph_out:
-        check_writable(Path(args.graph_out), "graph")
+        trn.check_writable(Path(args.graph_out), "graph")
     ds, train_ds = load_split(cfg, manifest)
     model, _ = trn.load_model(args.checkpoint, cfg, ds.vocab.size, ds.feature_dim)
     idf = met.build_idf(trn.reference_documents(train_ds.scenes, train_ds.vocab))

@@ -69,6 +69,10 @@ class GrammarSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise GrammarError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise_sigma", "generic_bias"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise GrammarError(f"{name} must be a number, got {value!r}")
         if self.objects_per_scene < 1 or self.objects_per_scene > len(self.nouns):
             raise GrammarError("objects_per_scene must be in [1, len(nouns)]")
         if self.feature_dim < len(self.nouns):

@@ -5,7 +5,8 @@ decay, stepped learning-rate decay, per-epoch evaluation and checkpointing.
 A train_step is one unroll of the minibatch's reference and sampled rows,
 one curiosity pass, one advantage assembly and one backward over the sum
 of two nodes. train counts each split's reference statistics once and
-writes checkpoints that a resumed run continues from exactly.
+writes every file of its run directory, which a resumed run continues
+exactly.
 """
 
 from __future__ import annotations
@@ -399,38 +400,79 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
                 if moment is None or moment.shape != p.data.shape:
                     raise ckpt.CheckpointError(f"checkpoint {path} lacks the adam moment "
                                                f"'{key}.{p.name}'")
-            opt.slots[p.name] = slot
+            # copies, so the moments do not keep the whole file's buffer alive
+            opt.slots[p.name] = {key: moment.copy() for key, moment in slot.items()}
     return model, opt, epoch + 1, best_cider
 
 
+def check_writable(path: Path, what: str) -> None:
+    """Fail, before any work, on a path no file can be written at: a
+    directory, or a path whose parent is not a directory."""
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write {what} {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise NotADirectoryError(f"cannot write {what} {path}: {path.parent} is not a directory")
+
+
+def reports_before(data: bytes, epoch: int) -> int:
+    """The byte length of the whole lines that open data, the bytes of a
+    reports.jsonl, and report epochs 0 to epoch - 1: what a run that starts
+    at epoch keeps of it."""
+    kept = 0
+    for line in data.splitlines(keepends=True):
+        try:
+            if not line.endswith(b"\n") or not 0 <= json.loads(line)["epoch"] < epoch:
+                break
+        except (ValueError, TypeError, KeyError, RecursionError):     # not a report line
+            break
+        kept += len(line)
+    return kept
+
+
 def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
-          vocab: Vocabulary, cfg: TrainConfig,
-          start_epoch: int = 0, model: ModelParams | None = None,
-          report_sink=None, best_cider: float = -math.inf,
-          opt: OptimState | None = None) -> TrainResult:
-    """Run the full training loop.
+          vocab: Vocabulary, cfg: TrainConfig, resume=None,
+          report_sink=None) -> TrainResult:
+    """Run the full training loop, from the start or, given resume, the path
+    of a last.ckpt that train wrote, from the epoch after it.
 
     Deterministic given (scenes, config): parameter init, per-epoch shuffles
     and rollout sampling all derive from cfg.seed; in epoch e, scene i of
     train_scenes samples from its own default_rng([cfg.seed, e, i]),
     whichever minibatch the shuffle puts it in. Each epoch applies the
     imitation-weight and learning-rate schedules, evaluates the validation
-    split with greedy decoding whatever cfg.decode says, and writes
-    checkpoints when out_dir is set: best.ckpt when the validation CIDEr
-    beats best_cider, then last.ckpt every epoch. last.ckpt also holds the
-    optimizer state, so a run resumed at the epoch, best_cider and
-    optimizer state that resume_state(last.ckpt) returns matches the
-    uninterrupted run. A run stopped before an epoch's last.ckpt is in
-    place resumes at that epoch and writes its best.ckpt again, with the
-    same bytes.
+    split with greedy decoding whatever cfg.decode says, and hands its
+    report to report_sink.
+    With cfg.out_dir, train owns that directory. Before the first epoch it
+    makes it, checks that last.ckpt and best.ckpt can be written there,
+    writes effective_config.json and cuts reports.jsonl to the lines of the
+    epochs before the one it starts at, to nothing for a fresh run. Each
+    epoch it appends its report line, then writes best.ckpt when the
+    validation CIDEr beats the best so far, then last.ckpt. last.ckpt also
+    holds the optimizer state, so a run resumed from it matches the
+    uninterrupted run file for file. A run stopped before an epoch's
+    last.ckpt is in place resumes at that epoch and writes its report line
+    and best.ckpt again, with the same bytes.
     A run counts each split's reference statistics once: with no val split,
     one train table scores both the sampled episodes and the validation.
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
     feature_dim = train_scenes[0].feature_dim
-    if model is None:
-        model = init_model(cfg, vocab.size, feature_dim)
+    if resume is None:
+        model, opt = init_model(cfg, vocab.size, feature_dim), new_optimizer(cfg)
+        start_epoch, best_cider = 0, -math.inf
+    else:
+        model, opt, start_epoch, best_cider = resume_state(resume, cfg, vocab.size, feature_dim)
+    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("last.ckpt", "best.ckpt"):
+            check_writable(out_dir / name, "checkpoint")
+        (out_dir / "effective_config.json").write_text(
+            json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with open(out_dir / "reports.jsonl", "a+b") as fh:
+            fh.seek(0)
+            fh.truncate(reports_before(fh.read(), start_epoch))
     documents = reference_documents(train_scenes, vocab)
     idf = met.build_idf(documents)
     # xe mode scores no sampled episodes: it needs the train statistics only to validate on
@@ -441,11 +483,6 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
                         for doc in reference_documents(val_scenes, vocab)]
                        if val_scenes else references)
     greedy = replace(cfg, decode="greedy")
-    if opt is None:
-        opt = new_optimizer(cfg)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[EpochReport] = []
     for epoch in range(start_epoch, cfg.epochs):
@@ -493,6 +530,9 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
         )
         report.validate_finite()
         reports.append(report)
+        if out_dir:
+            with open(out_dir / "reports.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
         if report_sink is not None:
             report_sink(report)
         improved = val.cider > best_cider

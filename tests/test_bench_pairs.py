@@ -57,6 +57,25 @@ def test_summary_counts_wins_ties_and_the_gap(bench_pairs):
     assert r["gap_exceeds_parent_iqr"] is False
 
 
+def test_a_gap_within_the_parent_iqr_either_way_is_unresolved(bench_pairs):
+    # parent quartiles 1.925 and 2.175 (distance 0.25) around a median of 2.05
+    parent = [2.0, 2.2, 1.9, 2.1]
+    cases = {"better inside": [1.9, 2.0, 1.8, 1.9], "worse inside": [2.2, 2.3, 2.1, 2.2],
+             "better past": [1.7, 1.8, 1.6, 1.7], "worse past": [2.4, 2.5, 2.3, 2.4]}
+    unresolved = {}
+    for case, change in cases.items():
+        pairs = [{"parent": record(p), "change": record(c)} for p, c in zip(parent, change)]
+        s = bench_pairs.summarize(pairs, {"epoch_s": 0.25})
+        unresolved[case] = s["epoch_s"]["unresolved"]
+        line = bench_pairs.bound_lines("crl_epoch-seed0", s)[0]
+        assert ("parent IQR: False (unresolved), gain rule" in line) is unresolved[case], case
+    assert unresolved == {"better inside": True, "worse inside": True,
+                          "better past": False, "worse past": False}
+    # without spread, equal runs are resolved as unchanged
+    same = bench_pairs.summarize([{"parent": record(2.0), "change": record(2.0)}] * 4)
+    assert same["epoch_s"]["unresolved"] is False
+
+
 def test_a_failed_or_incorrect_run_clears_all_correct(bench_pairs):
     ok = {"parent": record(2.0), "change": record(1.0)}
     for bad in (record(1.0, failed=1), record(1.0, correct=False)):

@@ -136,6 +136,20 @@ def test_well_formed_hand_written_manifest_loads(tmp_path):
     assert extra == {}
 
 
+@pytest.mark.parametrize("entries,payload,message", [
+    pytest.param([{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}], 16,
+                 "names tensor 'w' twice", id="repeated-name"),
+    pytest.param([{"name": "w", "shape": [1]}], 24, "16 bytes past its last tensor",
+                 id="bytes-past-the-last-tensor"),
+])
+def test_a_table_that_does_not_match_the_payload_one_to_one_is_rejected(tmp_path, entries,
+                                                                        payload, message):
+    manifest = {"version": C.FORMAT_VERSION, "tensors": entries, "extra": {}}
+    path = write_with_manifest(tmp_path / "bad.ckpt", manifest, payload=bytes(payload))
+    with pytest.raises(C.CheckpointError, match=message):
+        C.load_checkpoint(path)
+
+
 class _FailingFile:
     """A binary file whose writes raise once `limit` bytes have gone out."""
 

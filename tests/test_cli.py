@@ -132,7 +132,8 @@ class TestSynth:
                                       '{"templates": ["there is a {noun.x} ."]}',
                                       '{"templates": ["there is a { ."]}',
                                       '{"templates": ["there is a {noun!z} ."]}',
-                                      '{"nouns": "box"}'])
+                                      '{"nouns": "box"}', '{"noise_sigma": true}',
+                                      '{"noise_sigma": "0.1"}'])
     def test_mistyped_grammar_fails_cleanly(self, tmp_path, capsys, spec):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(spec)
@@ -299,8 +300,10 @@ class TestTrain:
         code = run(["train", "--config", str(trained[1]), "--out", str(out),
                     "--epochs", "2", "--resume", str(out / "last.ckpt")])
         assert code == 0
-        printed = capsys.readouterr().out
-        assert '"epoch": 1' in printed
+        printed = capsys.readouterr().out.splitlines()
+        # the config line, then one line per epoch run, each naming its epoch
+        assert printed[0].startswith("config ")
+        assert [json.loads(line)["epoch"] for line in printed[1:]] == [1]
         assert [json.loads(line)["epoch"] for line in
                 (out / "reports.jsonl").read_text().splitlines()] == [0, 1]
 
@@ -420,6 +423,29 @@ class TestTrain:
         assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "reports.jsonl").read_bytes() == first
         assert len(first.splitlines()) == 1
+
+    def test_a_library_run_writes_the_files_of_the_cli_run(self, synth_dir, tmp_path, capsys):
+        # trainer.train owns the run directory: the CLI adds no file to it
+        # and prints what it appends to reports.jsonl, after the config line
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"),
+               "epochs": 2, "batch_size": 4, "hidden_size": 10, "t_max": 12,
+               "optimizer": "adam"}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        by_cli, by_library = tmp_path / "cli", tmp_path / "library"
+        assert run(["train", "--config", str(cfg_path), "--out", str(by_cli)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        train_ds = dat.load_dataset(cfg["train_manifest"], t_max=cfg["t_max"])
+        val_ds = dat.load_dataset(cfg["val_manifest"], t_max=cfg["t_max"])
+        cli.trn.train(train_ds.scenes, val_ds.scenes, train_ds.vocab,
+                      cli.trn.TrainConfig(**cfg, out_dir=str(by_library)))
+        assert sorted(p.name for p in by_cli.iterdir()) == sorted(
+            p.name for p in by_library.iterdir())
+        for name in ("reports.jsonl", "best.ckpt", "last.ckpt"):
+            assert (by_cli / name).read_bytes() == (by_library / name).read_bytes(), name
+        assert printed[0].startswith("config ")
+        assert printed[1:] == (by_cli / "reports.jsonl").read_text().splitlines()
 
     def test_missing_manifest_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

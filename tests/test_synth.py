@@ -114,3 +114,24 @@ def test_word_lists_are_kept_as_tuples():
 def test_non_finite_noise_rejected(sigma):
     with pytest.raises(S.GrammarError, match="noise_sigma"):
         small_spec(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("field,value", [("noise_sigma", True), ("noise_sigma", "0.1"),
+                                         ("generic_bias", False), ("generic_bias", None)])
+def test_float_fields_must_be_numbers(field, value):
+    with pytest.raises(S.GrammarError, match=f"{field} must be a number"):
+        small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [0, 7919, 1])
+def test_a_longer_val_split_starts_with_the_shorter_one(seed):
+    # the val stream has its own seed: the first scenes of a 1,000-scene val
+    # split are the whole of a 50-scene one, whatever the train split's size
+    spec = S.GrammarSpec(seed=seed)
+    _, short, _ = S.synth_split(spec, 1, 50)
+    _, long, _ = S.synth_split(spec, 1, 1000)
+    assert len(long) == 1000
+    for a, b in zip(short, long[:50], strict=True):
+        assert a.scene_id == b.scene_id
+        assert (a.features == b.features).all()
+        assert a.references == b.references

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,10 @@ from curioseq import trainer as T
 from curioseq.vocab import EOS_ID
 import oracles
 from oracles import add_n, rl_surrogate, scale
+
+
+# what train writes to cfg.out_dir
+RUN_FILES = ["best.ckpt", "effective_config.json", "last.ckpt", "reports.jsonl"]
 
 
 class Stopped(Exception):
@@ -576,9 +581,9 @@ class TestTrain:
             assert (a.data == b.data).all()
 
     def test_resumed_run_matches_uninterrupted(self, tiny_corpus, tmp_path):
-        # for both optimizers: the report and last.ckpt bytes of the resumed
-        # epoch equal those of the uninterrupted run, and last.ckpt is the
-        # one file of the run's state
+        # for both optimizers: the report, reports.jsonl and last.ckpt bytes
+        # of the resumed epoch equal those of the uninterrupted run, and
+        # last.ckpt is the one file of the run's state
         train, val, vocab = tiny_corpus
         for optimizer in ("sgd", "adam"):
             full_dir, part_dir = tmp_path / optimizer / "full", tmp_path / optimizer / "part"
@@ -587,20 +592,17 @@ class TestTrain:
 
             part_cfg = tiny_config(epochs=2, seed=9, optimizer=optimizer, out_dir=str(part_dir))
             T.train(train, val, vocab, part_cfg)
-            model, opt, start_epoch, best_cider = T.resume_state(
-                part_dir / "last.ckpt", full_cfg, vocab.size, train[0].feature_dim)
-            assert start_epoch == 2
             resumed_cfg = tiny_config(epochs=3, seed=9, optimizer=optimizer,
                                       out_dir=str(part_dir))
-            resumed = T.train(train, val, vocab, resumed_cfg, start_epoch=start_epoch,
-                              model=model, best_cider=best_cider, opt=opt)
+            resumed = T.train(train, val, vocab, resumed_cfg, resume=part_dir / "last.ckpt")
             assert [r.epoch for r in resumed.reports] == [2]
             assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
             for a, b in zip(full.model.parameters(), resumed.model.parameters()):
                 np.testing.assert_allclose(a.data, b.data, rtol=0, atol=0, err_msg=optimizer)
-            assert sorted(p.name for p in part_dir.iterdir()) == ["best.ckpt", "last.ckpt"]
-            assert ((part_dir / "last.ckpt").read_bytes()
-                    == (full_dir / "last.ckpt").read_bytes()), optimizer
+            assert sorted(p.name for p in part_dir.iterdir()) == RUN_FILES
+            for name in ("last.ckpt", "reports.jsonl"):
+                assert ((part_dir / name).read_bytes()
+                        == (full_dir / name).read_bytes()), (optimizer, name)
 
     @pytest.mark.parametrize("optimizer,learning_rate,seed,improving", [
         ("sgd", 0.02, 1, [0, 3]), ("adam", 0.005, 5, [0, 1, 2])])
@@ -609,11 +611,15 @@ class TestTrain:
             improving):
         # stop train right after each os.replace of a run's saves, as a kill
         # would, resume from last.ckpt (or start again when there is none),
-        # and check every output against the uninterrupted run's
+        # and check every output against the uninterrupted run's; every run
+        # writes to one directory, so effective_config.json is the same too
         train, val, vocab = tiny_corpus
         replace = os.replace
+        out = tmp_path / "run"
+        cfg = tiny_config(epochs=4, seed=seed, optimizer=optimizer,
+                          learning_rate=learning_rate, out_dir=str(out))
 
-        def run(out_dir, stop_after=None, **resume):
+        def run(stop_after=None, resume=None):
             reports, written = [], []
 
             def stopping_replace(src, dst):
@@ -622,36 +628,36 @@ class TestTrain:
                 if len(written) == stop_after:
                     raise Stopped
 
-            cfg = tiny_config(epochs=4, seed=seed, optimizer=optimizer,
-                              learning_rate=learning_rate, out_dir=str(out_dir))
             with monkeypatch.context() as patch:
                 patch.setattr(os, "replace", stopping_replace)
                 try:
-                    T.train(train, val, vocab, cfg, report_sink=reports.append, **resume)
+                    T.train(train, val, vocab, cfg, resume=resume, report_sink=reports.append)
                 except Stopped:
                     pass
-            return cfg, [r.to_json() for r in reports], written
+            return [r.to_json() for r in reports], written
 
-        cfg, full_reports, full_writes = run(tmp_path / "full")
+        def files():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        full_reports, full_writes = run()
         # the run has epochs that write best.ckpt after the first and one that does not
         assert [json.loads(r)["epoch"] for r in full_reports] == [0, 1, 2, 3]
         assert full_writes.count("best.ckpt") == len(improving)
         assert full_writes.count("last.ckpt") == 4
-        full = {name: (tmp_path / "full" / name).read_bytes()
-                for name in ("best.ckpt", "last.ckpt")}
+        full = files()
+        assert sorted(full) == RUN_FILES
+        assert full["reports.jsonl"].decode().splitlines() == full_reports
         for stop in range(1, len(full_writes) + 1):
-            out = tmp_path / f"stop{stop}"
-            _, reports, written = run(out, stop_after=stop)
+            shutil.rmtree(out)
+            reports, written = run(stop_after=stop)
             assert written == full_writes[:stop]
-            resume = {}
-            if (out / "last.ckpt").exists():
-                model, opt, start, best = T.resume_state(out / "last.ckpt", cfg, vocab.size,
-                                                         train[0].feature_dim)
-                resume = dict(start_epoch=start, model=model, opt=opt, best_cider=best)
-            kept = [r for r in reports if json.loads(r)["epoch"] < resume.get("start_epoch", 0)]
-            _, resumed_reports, _ = run(out, **resume)
+            last = out / "last.ckpt"
+            resume = last if last.exists() else None
+            start = T.ckpt.load_checkpoint(last)[1]["epoch"] + 1 if resume else 0
+            kept = [r for r in reports if json.loads(r)["epoch"] < start]
+            resumed_reports, _ = run(resume=resume)
             assert kept + resumed_reports == full_reports, stop
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == full, stop
+            assert files() == full, stop
 
     def test_resume_state_restores_the_optimizer_it_was_saved_with(self, tiny_corpus, tmp_path):
         train, val, vocab = tiny_corpus
@@ -673,7 +679,9 @@ class TestTrain:
             for key in "mv":
                 assert (opt.slots[name][key] == tensors[f"{key}.{name}"]).all()
         assert sorted(T.ckpt.load_checkpoint(tmp_path / "best.ckpt")[0]) == names
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == RUN_FILES
+        # the moments are copies, not views that keep the file's whole buffer alive
+        assert all(moment.base is None for slot in opt.slots.values() for moment in slot.values())
         with pytest.raises(T.ckpt.CheckpointError, match="'adam', not 'sgd'"):
             T.resume_state(path, tiny_config(optimizer="sgd"), vocab.size, train[0].feature_dim)
 

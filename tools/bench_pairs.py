@@ -20,7 +20,10 @@ verbatim, with the run log and, per workload and seed, each metric's median
 and [q1, q3] per side, the pairs the change won and whether the gain rule
 holds: the change won at least 9 of every 10 pairs, ties counting for
 neither side, and the gap between the medians exceeds the distance between
-the parent's quartiles. Every metric of the benchmark is lower-is-better.
+the parent's quartiles. A metric whose gap, in either direction, lies
+within that distance is marked unresolved: the runs cannot tell the two
+trees apart on it (a parent without spread resolves every gap, none
+included). Every metric of the benchmark is lower-is-better.
 For each end-to-end metric of the changed tree's BENCHMARK.json, the
 summary also records its bound and whether the change's median is worse
 than the parent's by more than it, and the tool prints one line per
@@ -73,8 +76,10 @@ def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict
     """Per metric over pairs of {"parent": record, "change": record}: each
     side's median and [q1, q3], the pairs the change won (a lower value)
     and tied, its median relative to the parent's, whether the gap between
-    the medians exceeds the parent's quartile distance, and whether the
-    gain rule holds: that gap, with wins in at least 9 of 10 pairs. A metric
+    the medians exceeds the parent's quartile distance, whether the shift
+    is unresolved (that gap, in either direction, lies within the parent's
+    non-zero quartile distance), and whether the gain rule holds: a gap past that
+    distance, with wins in at least 9 of 10 pairs. A metric
     with a bound also records it and whether the change's median is worse
     than the parent's by more than the bound."""
     bounds = bounds or {}
@@ -89,7 +94,8 @@ def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         gap = parent["median"] - change["median"]
         wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        gap_exceeds = gap > parent["q3"] - parent["q1"]
+        iqr = parent["q3"] - parent["q1"]
+        gap_exceeds = gap > iqr
         out[name] = {
             "parent": parent,
             "change": change,
@@ -98,6 +104,7 @@ def summarize(pairs: list[dict], bounds: dict[str, float] | None = None) -> dict
             "relative_change": (change["median"] / parent["median"] - 1.0
                                 if parent["median"] else 0.0),
             "gap_exceeds_parent_iqr": gap_exceeds,
+            "unresolved": iqr > 0 and abs(gap) <= iqr,
             "gain_rule_holds": 10 * wins >= 9 * len(pairs) and gap_exceeds,
         }
         if name in bounds:
@@ -112,7 +119,7 @@ def bound_lines(key: str, summary: dict) -> list[str]:
             f"({m['relative_change']:+.1%}, bound +{m['bound']:.0%}: "
             f"{'WORSE' if m['worse_than_bound'] else 'within'}), change won "
             f"{m['change_wins']}/{summary['pairs']}, gap exceeds parent IQR: "
-            f"{m['gap_exceeds_parent_iqr']}, gain rule: "
+            f"{m['gap_exceeds_parent_iqr']}{' (unresolved)' if m['unresolved'] else ''}, gain rule: "
             f"{'holds' if m['gain_rule_holds'] else 'not met'}"
             for name, m in sorted(summary.items()) if isinstance(m, dict) and "bound" in m]
 
