@@ -5,8 +5,8 @@ defaults; the effective config is printed at startup, so every run is
 reproducible from its log alone. `eval` and `generate` decode with the
 config's `decode` and `beam_width`, and `--beam-width` overrides both;
 `train` validates with greedy decoding and prints each epoch's report line.
-`train --out D` leaves D to trainer.train, which writes every file there
-and checks, before its first epoch, that its checkpoints can be written.
+`train --out D` leaves D to trainer.train, which writes every file there,
+and `--resume` continues the run in D, or starts it when D has no last.ckpt.
 Bad input, and a file the system refuses to read or write (a directory
 where a file goes, or the reverse), end a command with exit status 1 and
 one `error:` line on stderr that names the flag or the path. `eval
@@ -144,8 +144,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args)
     print(f"config {cfg.to_json()}")
     val_ds, train_ds = load_split(cfg, cfg.val_manifest or cfg.train_manifest)
-    trn.train(train_ds.scenes, val_ds.scenes, train_ds.vocab, cfg, resume=args.resume,
-              report_sink=lambda report: print(report.to_json()))
+    trn.train(train_ds.scenes, val_ds.scenes if cfg.val_manifest else [], train_ds.vocab, cfg,
+              resume=args.resume, report_sink=lambda report: print(report.to_json()))
     return 0
 
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--optimizer", choices=("sgd", "adam"))
     p.add_argument("--mode", help=f"one of {', '.join(trn.MODES)}")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--resume", action="store_true", help="continue the run in --out")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")

@@ -371,16 +371,17 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
     one reader of its record, which without an epoch resumes at 0 and
     without a best_cider at -inf. Under sgd, which keeps no state, a
     checkpoint without an optimizer record (one written before the record
-    was kept, or a best.ckpt) resumes with a fresh optimizer. Raises
-    CheckpointError for a non-integer epoch or a non-number best_cider,
-    when the record names another optimizer than cfg, or when an adam
-    checkpoint has no record or lacks a moment of the shape of its
-    parameter."""
+    was kept) resumes with a fresh optimizer. Raises CheckpointError for an
+    epoch that is not an integer >= 0, a best_cider that is not a number
+    below +inf (NaN included), when the record names another optimizer
+    than cfg, or when an adam checkpoint has no record or lacks a moment of
+    the shape of its parameter."""
     model = init_model(cfg, vocab_size, feature_dim)
     tensors, extra = ckpt.load_checkpoint(path)
     ckpt.load_into_params(model.parameters(), tensors)
     epoch, best_cider = extra.get("epoch", -1), extra.get("best_cider", -math.inf)
-    if type(epoch) is not int or type(best_cider) not in (int, float):
+    if (type(epoch) is not int or (epoch < 0 and "epoch" in extra)
+            or type(best_cider) not in (int, float) or not best_cider < math.inf):
         raise ckpt.CheckpointError(f"checkpoint {path} has a malformed epoch or best_cider")
     opt = new_optimizer(cfg)
     record = extra.get("optimizer")
@@ -430,10 +431,11 @@ def reports_before(data: bytes, epoch: int) -> int:
 
 
 def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
-          vocab: Vocabulary, cfg: TrainConfig, resume=None,
+          vocab: Vocabulary, cfg: TrainConfig, resume: bool = False,
           report_sink=None) -> TrainResult:
-    """Run the full training loop, from the start or, given resume, the path
-    of a last.ckpt that train wrote, from the epoch after it.
+    """Run the full training loop from epoch 0 or, with resume, continue the
+    run in cfg.out_dir after its last.ckpt when there is one; a resume
+    without an out_dir raises ConfigError.
 
     Deterministic given (scenes, config): parameter init, per-epoch shuffles
     and rollout sampling all derive from cfg.seed; in epoch e, scene i of
@@ -452,18 +454,21 @@ def train(train_scenes: Sequence[Scene], val_scenes: Sequence[Scene],
     uninterrupted run file for file. A run stopped before an epoch's
     last.ckpt is in place resumes at that epoch and writes its report line
     and best.ckpt again, with the same bytes.
-    A run counts each split's reference statistics once: with no val split,
+    A run counts each split's reference statistics once: given no val_scenes,
     one train table scores both the sampled episodes and the validation.
     """
     if not train_scenes:
         raise ConfigError("training split is empty")
+    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+    if resume and not out_dir:
+        raise ConfigError("resume continues the run in out_dir, and no out_dir is set")
     feature_dim = train_scenes[0].feature_dim
-    if resume is None:
+    if resume and (out_dir / "last.ckpt").exists():
+        model, opt, start_epoch, best_cider = resume_state(out_dir / "last.ckpt", cfg,
+                                                           vocab.size, feature_dim)
+    else:
         model, opt = init_model(cfg, vocab.size, feature_dim), new_optimizer(cfg)
         start_epoch, best_cider = 0, -math.inf
-    else:
-        model, opt, start_epoch, best_cider = resume_state(resume, cfg, vocab.size, feature_dim)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in ("last.ckpt", "best.ckpt"):

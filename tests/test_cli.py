@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -298,7 +299,7 @@ class TestTrain:
         # resumes a copy: the module's trained run stays a one-epoch run
         out = shutil.copytree(trained[0], tmp_path / "run")
         code = run(["train", "--config", str(trained[1]), "--out", str(out),
-                    "--epochs", "2", "--resume", str(out / "last.ckpt")])
+                    "--epochs", "2", "--resume"])
         assert code == 0
         printed = capsys.readouterr().out.splitlines()
         # the config line, then one line per epoch run, each naming its epoch
@@ -324,29 +325,33 @@ class TestTrain:
         ckpt.save_checkpoint(out / "last.ckpt", tensors, extra=extra)
         best_before = (out / "best.ckpt").read_bytes()
         assert run(["train", "--config", str(cfg_path), "--out", str(out),
-                    "--epochs", "2", "--resume", str(out / "last.ckpt")]) == 0
+                    "--epochs", "2", "--resume"]) == 0
         assert '"epoch": 1' in capsys.readouterr().out
         assert (out / "best.ckpt").read_bytes() == best_before
         assert ckpt.load_checkpoint(out / "last.ckpt")[1]["best_cider"] == 1e9
 
-    @pytest.mark.parametrize("key,value", [("epoch", "x"), ("epoch", None),
-                                           ("best_cider", "high")])
+    @pytest.mark.parametrize("key,value", [("epoch", "x"), ("epoch", None), ("epoch", -3),
+                                           ("best_cider", "high"), ("best_cider", math.nan),
+                                           ("best_cider", math.inf)])
     def test_resume_from_malformed_extra_fails_cleanly(self, trained, tmp_path, capsys, key,
                                                        value):
         out, cfg_path = trained
-        tensors, extra = ckpt.load_checkpoint(out / "best.ckpt")
-        ckpt.save_checkpoint(tmp_path / "bad.ckpt", tensors, extra={**extra, key: value})
-        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
-                    "--epochs", "2", "--resume", str(tmp_path / "bad.ckpt")])
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith("error:") and "Traceback" not in err
-        assert "bad.ckpt" in err
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        tensors, extra = ckpt.load_checkpoint(out / "last.ckpt")
+        ckpt.save_checkpoint(run_dir / "last.ckpt", tensors, extra={**extra, key: value})
+        code = run(["train", "--config", str(cfg_path), "--out", str(run_dir),
+                    "--epochs", "2", "--resume"])
+        assert_clean_error(capsys, code, str(run_dir / "last.ckpt"),
+                           "malformed epoch or best_cider")
 
     def test_resume_with_another_optimizer_fails_cleanly(self, trained, tmp_path, capsys):
         out, cfg_path = trained
-        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
-                    "--epochs", "2", "--optimizer", "adam",
-                    "--resume", str(out / "last.ckpt")])
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(out / "last.ckpt", run_dir / "last.ckpt")
+        code = run(["train", "--config", str(cfg_path), "--out", str(run_dir),
+                    "--epochs", "2", "--optimizer", "adam", "--resume"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
@@ -368,8 +373,7 @@ class TestTrain:
         reports = (full / "reports.jsonl").read_bytes()
         with (part / "reports.jsonl").open("ab") as f:
             f.write(reports.splitlines(keepends=True)[1])
-        assert run(["train", "--config", str(cfg_path), "--out", str(part),
-                    "--resume", str(part / "last.ckpt")]) == 0
+        assert run(["train", "--config", str(cfg_path), "--out", str(part), "--resume"]) == 0
         assert (part / "last.ckpt").read_bytes() == (full / "last.ckpt").read_bytes()
         assert (part / "reports.jsonl").read_bytes() == reports
         # the adam moments are in last.ckpt; there is no other file of the run's state
@@ -409,10 +413,76 @@ class TestTrain:
             patch.setattr(os, "replace", kill_after_best_last_ckpt)
             with pytest.raises(Killed):
                 run(["train", "--config", str(cfg_path), "--out", str(part)])
-        assert run(["train", "--config", str(cfg_path), "--out", str(part),
-                    "--resume", str(part / "last.ckpt")]) == 0
+        assert run(["train", "--config", str(cfg_path), "--out", str(part), "--resume"]) == 0
         for name in ("best.ckpt", "last.ckpt", "reports.jsonl"):
             assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_resume_continues_only_the_run_in_its_out(self, synth_dir, tmp_path, capsys):
+        # --resume reads nothing but <out>/last.ckpt: into a new B it starts
+        # B's run, not A's, and into A it continues A's; either way the out
+        # holds the files of the uninterrupted run
+        cfg = {"train_manifest": str(synth_dir / "train_manifest.json"),
+               "val_manifest": str(synth_dir / "val_manifest.json"),
+               "epochs": 3, "batch_size": 4, "hidden_size": 10, "t_max": 12}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        full, a, b = tmp_path / "full", tmp_path / "a", tmp_path / "b"
+        assert run(["train", "--config", str(cfg_path), "--out", str(full), "--epochs", "4"]) == 0
+        assert run(["train", "--config", str(cfg_path), "--out", str(a)]) == 0
+        capsys.readouterr()
+        for out, epochs in ((b, [0, 1, 2, 3]), (a, [3])):
+            assert run(["train", "--config", str(cfg_path), "--out", str(out), "--epochs", "4",
+                        "--resume"]) == 0
+            printed = capsys.readouterr().out.splitlines()[1:]
+            assert [json.loads(line)["epoch"] for line in printed] == epochs, out.name
+            for name in ("reports.jsonl", "last.ckpt"):
+                assert (out / name).read_bytes() == (full / name).read_bytes(), (out.name, name)
+        assert (b / "best.ckpt").read_bytes() == (full / "best.ckpt").read_bytes()
+        # A's best epoch came before the resume: its best.ckpt holds the
+        # uninterrupted run's parameters under the config that wrote them
+        tensors, extra = ckpt.load_checkpoint(a / "best.ckpt")
+        full_tensors, full_extra = ckpt.load_checkpoint(full / "best.ckpt")
+        assert extra["epoch"] < 3
+        assert extra == {**full_extra, "config": {**full_extra["config"], "epochs": 3}}
+        assert sorted(tensors) == sorted(full_tensors)
+        assert all((tensors[k] == full_tensors[k]).all() for k in tensors)
+
+    def test_resume_without_an_out_fails_cleanly(self, trained, capsys):
+        _, cfg_path = trained
+        assert "out_dir" not in json.loads(cfg_path.read_text())
+        assert_clean_error(capsys, run(["train", "--config", str(cfg_path), "--resume"]),
+                           "resume", "out_dir")
+
+    def test_a_run_without_a_val_manifest_counts_the_train_statistics_once(
+            self, tmp_path, capsys, monkeypatch):
+        # the CLI hands train no val split, so one table of the train split's
+        # reference statistics scores the episodes and the validation, as in
+        # a library run with val_scenes=[]
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--out", str(corpus), "--seed", "3",
+                    "--scenes", "6", "--val-scenes", "1"]) == 0
+        cfg = {"train_manifest": str(corpus / "train_manifest.json"), "mode": "crl",
+               "epochs": 2, "batch_size": 4, "hidden_size": 10, "t_max": 12}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        by_cli, by_library = tmp_path / "cli", tmp_path / "library"
+        calls = []
+        reference_stats = M.reference_stats
+
+        def counted(*args):
+            calls.append(args)
+            return reference_stats(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "reference_stats", counted)
+            assert run(["train", "--config", str(cfg_path), "--out", str(by_cli)]) == 0
+        assert len(calls) == 6
+        train_ds = dat.load_dataset(cfg["train_manifest"], t_max=cfg["t_max"])
+        assert len(train_ds.scenes) == 6
+        cli.trn.train(train_ds.scenes, [], train_ds.vocab,
+                      cli.trn.TrainConfig(**cfg, out_dir=str(by_library)))
+        assert ((by_cli / "reports.jsonl").read_bytes()
+                == (by_library / "reports.jsonl").read_bytes())
 
     def test_a_fresh_run_into_a_used_out_starts_its_reports_anew(self, trained, tmp_path,
                                                                  capsys):
@@ -779,8 +849,11 @@ class TestShapeMismatch:
     def test_train_resume(self, trained, mismatched, tmp_path, capsys):
         out, _ = trained
         cfg_path, _, tensor = mismatched
-        code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
-                    "--epochs", "2", "--resume", str(out / "last.ckpt")])
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(out / "last.ckpt", run_dir / "last.ckpt")
+        code = run(["train", "--config", str(cfg_path), "--out", str(run_dir),
+                    "--epochs", "2", "--resume"])
         assert_clean_error(capsys, code, tensor, "expected")
 
 

@@ -594,7 +594,7 @@ class TestTrain:
             T.train(train, val, vocab, part_cfg)
             resumed_cfg = tiny_config(epochs=3, seed=9, optimizer=optimizer,
                                       out_dir=str(part_dir))
-            resumed = T.train(train, val, vocab, resumed_cfg, resume=part_dir / "last.ckpt")
+            resumed = T.train(train, val, vocab, resumed_cfg, resume=True)
             assert [r.epoch for r in resumed.reports] == [2]
             assert resumed.reports[0].to_json() == full.reports[2].to_json(), optimizer
             for a, b in zip(full.model.parameters(), resumed.model.parameters()):
@@ -610,7 +610,7 @@ class TestTrain:
             self, tiny_corpus, tmp_path, monkeypatch, optimizer, learning_rate, seed,
             improving):
         # stop train right after each os.replace of a run's saves, as a kill
-        # would, resume from last.ckpt (or start again when there is none),
+        # would, resume in place (from last.ckpt, or from the start without one),
         # and check every output against the uninterrupted run's; every run
         # writes to one directory, so effective_config.json is the same too
         train, val, vocab = tiny_corpus
@@ -619,7 +619,7 @@ class TestTrain:
         cfg = tiny_config(epochs=4, seed=seed, optimizer=optimizer,
                           learning_rate=learning_rate, out_dir=str(out))
 
-        def run(stop_after=None, resume=None):
+        def run(stop_after=None, resume=False):
             reports, written = [], []
 
             def stopping_replace(src, dst):
@@ -652,10 +652,9 @@ class TestTrain:
             reports, written = run(stop_after=stop)
             assert written == full_writes[:stop]
             last = out / "last.ckpt"
-            resume = last if last.exists() else None
-            start = T.ckpt.load_checkpoint(last)[1]["epoch"] + 1 if resume else 0
+            start = T.ckpt.load_checkpoint(last)[1]["epoch"] + 1 if last.exists() else 0
             kept = [r for r in reports if json.loads(r)["epoch"] < start]
-            resumed_reports, _ = run(resume=resume)
+            resumed_reports, _ = run(resume=True)
             assert kept + resumed_reports == full_reports, stop
             assert files() == full, stop
 
@@ -704,8 +703,8 @@ class TestTrain:
 
     def test_sgd_resumes_from_a_checkpoint_without_optimizer_state(self, tiny_corpus,
                                                                    tmp_path):
-        # sgd keeps no state, so a checkpoint saved without one (as best.ckpt
-        # is, and as every checkpoint was before the state was kept) resumes
+        # sgd keeps no state, so a checkpoint saved without one (as every
+        # checkpoint was before the state was kept) resumes
         train, val, vocab = tiny_corpus
         cfg = tiny_config(epochs=1, optimizer="sgd")
         model = T.init_model(cfg, vocab.size, train[0].feature_dim)
@@ -721,10 +720,23 @@ class TestTrain:
             T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer="adam"), vocab.size,
                            train[0].feature_dim)
 
+    def test_resume_state_without_an_epoch_resumes_at_0(self, tiny_corpus, tmp_path):
+        train, val, vocab = tiny_corpus
+        cfg = tiny_config(epochs=1)
+        T.save_model(tmp_path / "bare.ckpt", T.init_model(cfg, vocab.size, train[0].feature_dim))
+        _, _, start_epoch, best_cider = T.resume_state(tmp_path / "bare.ckpt", cfg, vocab.size,
+                                                       train[0].feature_dim)
+        assert (start_epoch, best_cider) == (0, -math.inf)
+
+    def test_resume_needs_an_out_dir(self, tiny_corpus):
+        train, val, vocab = tiny_corpus
+        with pytest.raises(T.ConfigError, match="no out_dir"):
+            T.train(train, val, vocab, tiny_config(), resume=True)
 
     @pytest.mark.parametrize("key,value", [("epoch", "x"), ("epoch", None), ("epoch", 1.0),
-                                           ("epoch", True), ("best_cider", "high"),
-                                           ("best_cider", None)])
+                                           ("epoch", True), ("epoch", -1), ("epoch", -3),
+                                           ("best_cider", "high"), ("best_cider", None),
+                                           ("best_cider", math.nan), ("best_cider", math.inf)])
     def test_resume_state_rejects_a_malformed_epoch_or_best_cider(self, tiny_corpus, tmp_path,
                                                                   key, value):
         train, val, vocab = tiny_corpus
