@@ -108,7 +108,7 @@ def load_split(cfg: trn.TrainConfig, manifest: str):
         what = "a vocabulary with other tokens"
     else:
         return ds, train
-    raise CliError(f"val manifest {manifest} does not match train manifest "
+    raise CliError(f"manifest {manifest} does not match train manifest "
                    f"{cfg.train_manifest}: it has {what}")
 
 

@@ -296,14 +296,12 @@ class RowUnroll:
         every step's logit gradient (softmax minus onehot, times its weight)
         at once, then the steps in reverse, each handing the gradient on the
         state it read to the step before. The running sums of the scene
-        terms' gradients stay aligned with the current step's rows and
-        spread out where rows ended, so they are summed per row (and per
-        word) and multiplied through W_v, W_e and the visual LSTM's
-        weights once. The steps' regions are gathered from the scene where
-        the rows change, as the forward's gathers did. The per-step rows of
-        each weight's gradient are stacked in reverse step order for one
-        matmul, and W_a's and the language bias's per-step sums are added in
-        that order, so accum gets each Parameter's gradient once."""
+        terms' gradients hold a row per unroll row, indexed by each step's
+        row ids, so they are summed per row (and per word) and multiplied
+        through W_v, W_e and the visual LSTM's weights once. The per-step
+        rows of each weight's gradient are stacked in reverse step order for
+        one matmul, and W_a's and the language bias's per-step sums are added
+        in that order, so accum gets each Parameter's gradient once."""
         params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
         d_logits = np.concatenate(self.probs)
         d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
@@ -311,9 +309,8 @@ class RowUnroll:
         accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
         del d_logits
-        n = self.rows[-1].size
-        features, projected = self._regions(self.rows[-1])
-        carry = np.zeros((n, 4 * z))    # the gradient on the state that step t made
+        n = self.rows[0].size
+        carry = np.zeros((n, 4 * z))    # per row, the gradient on the state that step t made
         regions = np.zeros((n,) + scene.region_proj.shape[1:])
         mean = np.zeros((n, 4 * z))
         end = total = ds_lang.shape[0]
@@ -322,22 +319,20 @@ class RowUnroll:
         d_b = d_w_a = 0.0
         for t in reversed(range(len(steps))):
             rows = self.rows[t]
-            if rows.size != carry.shape[0]:         # rows that ended after step t come back
-                carry, regions, mean = (_spread(a, keep, rows.size) for a in (carry, regions, mean))
-                features, projected = self._regions(rows)
             # the state step t read: zeros, or step t - 1's rows that went on
             read = np.zeros((rows.size, 4 * z)) if t == 0 else steps[t - 1].state
             if read.shape[0] != rows.size:
-                keep = np.searchsorted(self.rows[t - 1], rows)
-                read = read[keep]
-            carry[:, z:2 * z] += ds_lang[end - rows.size:end]
+                read = read[np.searchsorted(self.rows[t - 1], rows)]
+            g = carry[rows]
+            g[:, z:2 * z] += ds_lang[end - rows.size:end]
             at = slice(total - end, total - end + rows.size)
             end -= rows.size
             reads[at] = read[:, :2 * z]
-            carry, gates[at], langs[at], hprojs[at], d_pre, d_a = _step_backward(
-                params, steps[t], read, features, projected, scene.W_state, carry)
-            regions += d_pre
-            mean += gates[at]
+            carry[rows], gates[at], langs[at], hprojs[at], d_pre, d_a = _step_backward(
+                params, steps[t], read, scene.features[rows], scene.region_proj[rows],
+                scene.W_state, g)
+            regions[rows] += d_pre
+            mean[rows] += gates[at]
             d_b = d_b + langs[at].sum(axis=0)
             d_w_a = d_w_a + d_a
         del ds_lang
@@ -367,12 +362,6 @@ class RowUnroll:
         accum(vis.W_x, np.concatenate([state[:, z:], mean.T @ (scene.means @ params.W_v.data.T),
                                        word.T @ params.W_e.data], axis=1))
 
-    def _regions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The regions and projected regions of the scene rows rows,
-        ascending ids as in self.rows."""
-        whole = rows.size == self.scene.features.shape[0]
-        return tuple(a if whole else a[rows] for a in (self.scene.features, self.scene.region_proj))
-
 
 def _lang_inputs(steps: list[StepRecord], z: int) -> np.ndarray:
     """The language LSTM's inputs [attended | s_vis] of the steps' rows,
@@ -382,13 +371,6 @@ def _lang_inputs(steps: list[StepRecord], z: int) -> np.ndarray:
     np.concatenate([s.attended for s in steps], out=x[:, :e])
     np.concatenate([s.state[:, :z] for s in steps], out=x[:, e:])
     return x
-
-
-def _spread(a: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
-    """a's rows at positions keep of n zero rows."""
-    out = np.zeros((n,) + a.shape[1:])
-    out[keep] = a
-    return out
 
 
 def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],

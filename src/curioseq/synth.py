@@ -77,8 +77,8 @@ class GrammarSpec:
             raise GrammarError("objects_per_scene must be in [1, len(nouns)]")
         if self.feature_dim < len(self.nouns):
             raise GrammarError("feature_dim must be at least the number of nouns")
-        if self.regions < 1 or self.references_per_scene < 1:
-            raise GrammarError("regions and references_per_scene must be >= 1")
+        if self.regions < self.objects_per_scene or self.references_per_scene < 1:
+            raise GrammarError("regions must be >= objects_per_scene, references_per_scene >= 1")
         if not 0 <= self.noise_sigma < np.inf:
             raise GrammarError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.generic_bias <= 1.0:

@@ -134,7 +134,8 @@ class TestSynth:
                                       '{"templates": ["there is a { ."]}',
                                       '{"templates": ["there is a {noun!z} ."]}',
                                       '{"nouns": "box"}', '{"noise_sigma": true}',
-                                      '{"noise_sigma": "0.1"}'])
+                                      '{"noise_sigma": "0.1"}',
+                                      '{"objects_per_scene": 3, "regions": 2}'])
     def test_mistyped_grammar_fails_cleanly(self, tmp_path, capsys, spec):
         grammar = tmp_path / "grammar.json"
         grammar.write_text(spec)
@@ -921,6 +922,23 @@ class TestValSplitMismatch:
                     str(out / "last.ckpt"), "--scene-id", "val_0000"])
         assert_clean_error(capsys, code, train, val)
         assert capsys.readouterr().out == ""
+
+    def test_generate_from_another_manifest_names_it_by_its_path(self, trained, synth_dir,
+                                                                 narrow_features, tmp_path,
+                                                                 capsys):
+        """generate --manifest names a file that need not be the val split's:
+        the error names it by its path, with a config that names no val
+        manifest."""
+        out, _ = trained
+        train = str(synth_dir / "train_manifest.json")
+        other = str(narrow_features / "val_manifest.json")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"train_manifest": train, "hidden_size": 10, "t_max": 12}))
+        code = run(["generate", "--config", str(cfg), "--checkpoint", str(out / "last.ckpt"),
+                    "--manifest", other, "--scene-id", "val_0000"])
+        err = capsys.readouterr().err
+        assert code == 1 and err == (f"error: manifest {other} does not match train manifest "
+                                     f"{train}: it has feature_dim 32, not 64\n")
 
     def test_generate_from_a_matching_val_manifest_decodes_with_its_words(self, trained,
                                                                          synth_dir, capsys):

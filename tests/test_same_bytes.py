@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from curioseq import data as dat
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_bytes.py"
 
@@ -126,6 +128,39 @@ def test_the_no_val_variant_trains_without_a_val_manifest(same_bytes, monkeypatc
     config = json.loads((tmp_path / "seed0" / "crl_no_val" / "config.json").read_text())
     assert config == {**same_bytes.README_CONFIG, "epochs": 1, "val_manifest": None,
                       "train_manifest": str(tmp_path / "corpus0" / "train_manifest.json")}
+
+
+def test_the_ragged_copy_keeps_the_first_regions_of_each_scene(same_bytes, tmp_path):
+    corpus, ragged = tmp_path / "corpus", tmp_path / "ragged"
+    same_bytes.synth_corpus(ROOT, corpus, 0, 6, 5)
+    same_bytes.ragged_copy(corpus, ragged)
+    for split in ("train", "val"):
+        full, cut = (dat.load_dataset(d / f"{split}_manifest.json", t_max=30)
+                     for d in (corpus, ragged))
+        m = full.scenes[0].features.shape[0]
+        assert [s.features.shape[0] for s in cut.scenes] == [m - i % 4
+                                                             for i in range(len(full.scenes))]
+        assert cut.vocab.index_to_token == full.vocab.index_to_token
+        for a, b in zip(full.scenes, cut.scenes):
+            assert a.scene_id == b.scene_id and a.references == b.references
+            assert (b.features == a.features[:b.features.shape[0]]).all()
+
+
+def test_the_ragged_variants_train_on_the_ragged_copy(same_bytes, monkeypatch, tmp_path,
+                                                      capsys):
+    assert same_bytes.RAGGED == ("crl_ragged", "xe_ragged")
+    assert same_bytes.VARIANTS["xe_ragged"] == same_bytes.VARIANTS["xe"]
+    assert same_bytes.VARIANTS["crl_ragged"] == same_bytes.VARIANTS["crl"]
+    monkeypatch.chdir(ROOT)
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
+                            "--variant", "xe_ragged", "--epochs", "1", "--scenes", "6",
+                            "--val-scenes", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0, out
+    assert out[-1] == "1 runs: every file byte-identical"
+    config = json.loads((tmp_path / "seed0" / "xe_ragged" / "config.json").read_text())
+    assert config["train_manifest"] == str(tmp_path / "ragged0" / "train_manifest.json")
+    assert config["val_manifest"] == str(tmp_path / "ragged0" / "val_manifest.json")
 
 
 def test_an_unknown_parent_tree_stops_before_any_run(same_bytes, tmp_path, capsys):

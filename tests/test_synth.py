@@ -90,6 +90,9 @@ def test_split_is_seed_disjoint_but_shares_vocab():
 def test_invalid_spec_rejected():
     with pytest.raises(S.GrammarError):
         small_spec(objects_per_scene=99)
+    with pytest.raises(S.GrammarError, match="regions must be >= objects_per_scene"):
+        # a reference would name an object that no region carries
+        small_spec(objects_per_scene=3, regions=2)
     with pytest.raises(S.GrammarError):
         small_spec(feature_dim=1)
     with pytest.raises(S.GrammarError):

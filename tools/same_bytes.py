@@ -10,7 +10,10 @@ once, with this tree's `curioseq synth`. It then trains each variant of
 VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
 of the README config; a variant's keys override the corpus's manifests,
 so `crl_no_val` trains without a val manifest and validates on the train
-split. After the `crl` and `xe` runs (DECODED) it decodes
+split. The RAGGED variants train on a copy of the corpus whose scene i (in
+each manifest's order) keeps the first m - (i mod 4) of its m regions, so
+their minibatches pad and mask regions, which the grammar's equal region
+counts never do. After the `crl` and `xe` runs (DECODED) it decodes
 with their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the
 val split and `curioseq generate` prints the paragraph of the first val
 scene, each greedy and at beam width 2. Every process runs at one BLAS
@@ -28,6 +31,8 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -47,7 +52,10 @@ VARIANTS = {
     "rho_0": {"intrinsic_scale": 0.0},
     "zero_reward": {"bleu_weight": 0.0, "cider_weight": 0.0, "intrinsic_scale": 0.0},
     "crl_no_val": {"val_manifest": None},
+    "crl_ragged": {},
+    "xe_ragged": {"mode": "xe"},
 }
+RAGGED = ("crl_ragged", "xe_ragged")
 DECODED = ("crl", "xe")
 FIRST_VAL_SCENE = "val_0000"
 DECODES = {
@@ -108,6 +116,19 @@ def synth_corpus(tree: Path, out: Path, seed: int, scenes: int, val_scenes: int)
                          f"{proc.stderr.strip()}")
 
 
+def ragged_copy(corpus: Path, out: Path) -> None:
+    """A copy of corpus in out whose scene i, counted in each manifest's
+    order, keeps the first m - (i mod 4) rows of its (m, E) feature file."""
+    shutil.copytree(corpus, out)
+    for manifest in ("train_manifest.json", "val_manifest.json"):
+        for i, scene in enumerate(json.loads((out / manifest).read_text())["scenes"]):
+            path = out / scene["features"]
+            raw = path.read_bytes()
+            m, e = struct.unpack_from("<II", raw)
+            keep = m - i % 4
+            path.write_bytes(struct.pack("<II", keep, e) + raw[8:8 + keep * e * 8])
+
+
 def train_run(tree: Path, config: Path, out: Path, decode: bool) -> dict[str, str | None] | None:
     """The file_hashes of one train run and, when decode, the sha256 of
     what each command of DECODES prints with its last.ckpt; None when a
@@ -152,8 +173,9 @@ def main(argv=None) -> int:
                                                  args.scenes, args.val_scenes), seeds))
             pending = {}
             for seed in seeds:
-                corpus = work / f"corpus{seed}"
+                ragged_copy(work / f"corpus{seed}", work / f"ragged{seed}")
                 for variant in variants:
+                    corpus = work / f"{'ragged' if variant in RAGGED else 'corpus'}{seed}"
                     name = f"seed{seed} {variant}"
                     config = work / f"seed{seed}" / variant / "config.json"
                     config.parent.mkdir(parents=True, exist_ok=True)
