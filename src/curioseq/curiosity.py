@@ -78,8 +78,7 @@ class CuriosityParams:
 
 
 def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
-                   embed_size: int, prefix: str = "curiosity",
-                   init_scale: float = 1.0) -> CuriosityParams:
+                   embed_size: int, init_scale: float = 1.0) -> CuriosityParams:
     """state_size is the concatenated policy state length (2Z).
 
     init_scale shrinks the embedding and state-predictor weights so the
@@ -94,17 +93,17 @@ def init_curiosity(rng: np.random.Generator, vocab_size: int, state_size: int,
 
     zp = embed_size
     return CuriosityParams(
-        phi_W=scaled((zp, state_size), f"{prefix}.phi_W"),
-        phi_b=zeros_param((zp,), f"{prefix}.phi_b"),
-        sp_emb=scaled((vocab_size, zp), f"{prefix}.sp_emb"),
-        sp_W1=scaled((zp, 2 * zp), f"{prefix}.sp_W1"),
-        sp_b1=zeros_param((zp,), f"{prefix}.sp_b1"),
-        sp_W2=scaled((zp, zp), f"{prefix}.sp_W2"),
-        sp_b2=zeros_param((zp,), f"{prefix}.sp_b2"),
-        ap_W1=xavier_uniform(rng, (zp, 2 * zp), f"{prefix}.ap_W1"),
-        ap_b1=zeros_param((zp,), f"{prefix}.ap_b1"),
-        ap_W2=xavier_uniform(rng, (vocab_size, zp), f"{prefix}.ap_W2"),
-        ap_b2=zeros_param((vocab_size,), f"{prefix}.ap_b2"),
+        phi_W=scaled((zp, state_size), "curiosity.phi_W"),
+        phi_b=zeros_param((zp,), "curiosity.phi_b"),
+        sp_emb=scaled((vocab_size, zp), "curiosity.sp_emb"),
+        sp_W1=scaled((zp, 2 * zp), "curiosity.sp_W1"),
+        sp_b1=zeros_param((zp,), "curiosity.sp_b1"),
+        sp_W2=scaled((zp, zp), "curiosity.sp_W2"),
+        sp_b2=zeros_param((zp,), "curiosity.sp_b2"),
+        ap_W1=xavier_uniform(rng, (zp, 2 * zp), "curiosity.ap_W1"),
+        ap_b1=zeros_param((zp,), "curiosity.ap_b1"),
+        ap_W2=xavier_uniform(rng, (vocab_size, zp), "curiosity.ap_W2"),
+        ap_b2=zeros_param((vocab_size,), "curiosity.ap_b2"),
     )
 
 

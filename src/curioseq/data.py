@@ -113,9 +113,11 @@ def _require(doc, key: str, where: str, kind: type):
 
 def load_dataset(manifest_path, t_max: int) -> LoadedDataset:
     """Load every scene of a manifest, each reference cut to t_max tokens
-    with its <eos>. Any fault of the manifest, of the files it names or of
-    their contents, and a scene id that two entries share, raise
-    DatasetError."""
+    with its <eos>. A t_max that is not an int >= 1, any fault of the
+    manifest, of the files it names or of their contents, and a scene id
+    that two entries share, raise DatasetError."""
+    if type(t_max) is not int or t_max < 1:
+        raise DatasetError(f"t_max must be an int >= 1, got {t_max!r}")
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))

@@ -181,16 +181,13 @@ def attend_grad(features: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def attention_forward(R: np.ndarray, h_proj: np.ndarray, w_a: np.ndarray,
-                      mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attention weights a = softmax_i(w_a . tanh(R_i + h_proj)) over the
-    regions R_i, per row of (n, m, Z) R and (n, Z) h_proj, -inf scores where
-    a boolean (n, m) mask is False; returns (a, t) with t the tanh that
-    attention_backward reads."""
+    regions R_i, per row of (n, m, Z) R and (n, Z) h_proj, with -inf scores
+    where the boolean (n, m) mask is False, the padded regions; returns
+    (a, t) with t the tanh that attention_backward reads."""
     t = np.tanh(R + h_proj[:, None, :])
-    scores = t @ w_a
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    return softmax_values(scores), t
+    return softmax_values(np.where(mask, t @ w_a, -np.inf)), t
 
 
 def attention_backward(w_a: np.ndarray, a: np.ndarray, t: np.ndarray,

@@ -80,23 +80,23 @@ class PolicyParams:
 
 
 def init_policy(rng: np.random.Generator, vocab_size: int, hidden: int,
-                feature_dim: int, prefix: str = "policy") -> PolicyParams:
+                feature_dim: int) -> PolicyParams:
     return PolicyParams(
-        W_e=xavier_uniform(rng, (vocab_size, hidden), f"{prefix}.W_e"),
-        W_v=xavier_uniform(rng, (hidden, feature_dim), f"{prefix}.W_v"),
-        W_h=xavier_uniform(rng, (hidden, hidden), f"{prefix}.W_h"),
-        W_a=xavier_uniform(rng, (hidden,), f"{prefix}.W_a"),
-        W_p=xavier_uniform(rng, (vocab_size, hidden), f"{prefix}.W_p"),
-        vis=init_lstm(rng, f"{prefix}.vis", 3 * hidden, hidden),
-        lang=init_lstm(rng, f"{prefix}.lang", feature_dim + hidden, hidden),
+        W_e=xavier_uniform(rng, (vocab_size, hidden), "policy.W_e"),
+        W_v=xavier_uniform(rng, (hidden, feature_dim), "policy.W_v"),
+        W_h=xavier_uniform(rng, (hidden, hidden), "policy.W_h"),
+        W_a=xavier_uniform(rng, (hidden,), "policy.W_a"),
+        W_p=xavier_uniform(rng, (vocab_size, hidden), "policy.W_p"),
+        vis=init_lstm(rng, "policy.vis", 3 * hidden, hidden),
+        lang=init_lstm(rng, "policy.lang", feature_dim + hidden, hidden),
     )
 
 
 @dataclass
 class ProjectedScene:
     """What every step of one unroll reads and no step changes, one
-    zero-padded scene per row, as plain arrays: the projected regions and
-    the visual LSTM's step-invariant gate terms."""
+    zero-padded scene per row, as plain arrays: the projected regions, the
+    mask of the real ones and the visual LSTM's step-invariant gate terms."""
 
     features: np.ndarray          # (n, m, E), constant
     region_proj: np.ndarray       # (n, m, Z), region i is W_v v_i
@@ -104,18 +104,18 @@ class ProjectedScene:
     word_gates: np.ndarray        # (D, 4Z), the visual gates' term of each word's embedding
     W_state: np.ndarray           # (4Z, 2Z), the visual gate weights of [s_vis, s_lang]
     means: np.ndarray             # (n, E), each row's region mean, which RowUnroll's backward reads
-    mask: np.ndarray | None = None    # (n, m): True on real regions; None when none are padded
+    mask: np.ndarray              # (n, m): True on real regions
 
     def take(self, rows: np.ndarray) -> "ProjectedScene":
         """The scenes of the given rows, in that order; a row may repeat."""
         return ProjectedScene(self.features[rows], self.region_proj[rows], self.mean_gates[rows],
-                              self.word_gates, self.W_state, self.means[rows],
-                              None if self.mask is None else self.mask[rows])
+                              self.word_gates, self.W_state, self.means[rows], self.mask[rows])
 
 
 def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> ProjectedScene:
     """One row per (m_r, E) scene: regions zero-padded to the largest m with
-    a region mask, projected through W_v, and the visual LSTM's gate terms
+    an (n, m) mask that is True on the real regions (all True when no scene
+    is padded), projected through W_v, and the visual LSTM's gate terms
     that are fixed within an unroll, from its W_x columns [s_lang | mean |
     word]: the (n, 4Z) term of each row's own W_v mean(v) plus the bias,
     the (D, 4Z) word table and the (4Z, 2Z) weights [W_h | W_x's s_lang
@@ -132,8 +132,7 @@ def project_batch(params: PolicyParams, features: Sequence[np.ndarray]) -> Proje
     region_proj = (padded.reshape(-1, padded.shape[-1]) @ W_v.T).reshape((*padded.shape[:-1], z))
     return ProjectedScene(padded, region_proj, (means @ W_v.T) @ W_x[:, z:2 * z].T + vis.b.data,
                           params.W_e.data @ W_x[:, 2 * z:].T,
-                          np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), means,
-                          None if mask.all() else mask)
+                          np.concatenate([vis.W_h.data, W_x[:, :z]], axis=1), means, mask)
 
 
 @dataclass
@@ -320,9 +319,8 @@ class RowUnroll:
         for t in reversed(range(len(steps))):
             rows = self.rows[t]
             # the state step t read: zeros, or step t - 1's rows that went on
-            read = np.zeros((rows.size, 4 * z)) if t == 0 else steps[t - 1].state
-            if read.shape[0] != rows.size:
-                read = read[np.searchsorted(self.rows[t - 1], rows)]
+            read = (np.zeros((rows.size, 4 * z)) if t == 0
+                    else steps[t - 1].state[np.searchsorted(self.rows[t - 1], rows)])
             g = carry[rows]
             g[:, z:2 * z] += ds_lang[end - rows.size:end]
             at = slice(total - end, total - end + rows.size)
@@ -503,9 +501,8 @@ def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
         nonlocal live_lp, live
         logd = np.log(np.maximum(softmax_values(logits), LOGPROB_FLOOR))
         scores = (live_lp[:, None] + logd).ravel()
-        picked = np.arange(scores.size)
-        if scores.size > width:
-            picked = np.flatnonzero(scores >= -np.partition(-scores, width - 1)[width - 1])
+        k = min(width, scores.size) - 1
+        picked = np.flatnonzero(scores >= -np.partition(-scores, k)[k])
         chosen = sorted((-float(scores[i]), live[i // vocab] + (int(i % vocab),), i // vocab)
                         for i in picked)[:width]
         keep = [(-neg, tokens, parent) for neg, tokens, parent in chosen if tokens[-1] != EOS_ID]

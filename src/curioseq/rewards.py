@@ -21,8 +21,6 @@ def scored_reward(candidate: Sequence[str], references: met.References,
     sentence BLEU-4 and the TF-IDF consensus score of the finished sequence
     against its scene's reference statistics. The candidate's n-grams are
     counted once for both. A candidate stripped to nothing scores 0."""
-    if not candidate:
-        return 0.0
     counts = met.candidate_counts(candidate)
     sums = met.BleuSums()
     sums.add(counts, len(candidate), references)

@@ -368,25 +368,21 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
                  feature_dim: int) -> tuple[ModelParams, OptimState, int, float]:
     """The model, optimizer state, epoch to resume at and best validation
     CIDEr of a last.ckpt that train wrote, to continue its run exactly; the
-    one reader of its record, which without an epoch resumes at 0 and
-    without a best_cider at -inf. Under sgd, which keeps no state, a
-    checkpoint without an optimizer record (one written before the record
-    was kept) resumes with a fresh optimizer. Raises CheckpointError for an
-    epoch that is not an integer >= 0, a best_cider that is not a number
-    below +inf (NaN included), when the record names another optimizer
-    than cfg, or when an adam checkpoint has no record or lacks a moment of
-    the shape of its parameter."""
+    one reader of its record, which train writes with an epoch, a best_cider
+    and an optimizer record in every last.ckpt. Raises CheckpointError for
+    an epoch that is missing or not an integer >= 0, a best_cider that is
+    missing or not a number below +inf (NaN included), an optimizer record
+    that is missing or names another optimizer than cfg, or an adam
+    checkpoint that lacks a moment of the shape of its parameter."""
     model = init_model(cfg, vocab_size, feature_dim)
     tensors, extra = ckpt.load_checkpoint(path)
     ckpt.load_into_params(model.parameters(), tensors)
-    epoch, best_cider = extra.get("epoch", -1), extra.get("best_cider", -math.inf)
-    if (type(epoch) is not int or (epoch < 0 and "epoch" in extra)
+    epoch, best_cider = extra.get("epoch"), extra.get("best_cider")
+    if (type(epoch) is not int or epoch < 0
             or type(best_cider) not in (int, float) or not best_cider < math.inf):
         raise ckpt.CheckpointError(f"checkpoint {path} has a malformed epoch or best_cider")
     opt = new_optimizer(cfg)
     record = extra.get("optimizer")
-    if record is None and opt.variant == "sgd":
-        return model, opt, epoch + 1, best_cider
     if (not isinstance(record, dict) or type(record.get("step_count")) is not int
             or record["step_count"] < 0):
         raise ckpt.CheckpointError(f"checkpoint {path} holds no optimizer state to resume")
@@ -394,7 +390,7 @@ def resume_state(path, cfg: TrainConfig, vocab_size: int,
         raise ckpt.CheckpointError(f"checkpoint {path} was trained with optimizer "
                                    f"{record.get('variant')!r}, not {opt.variant!r}")
     opt.step_count = record["step_count"]
-    if opt.variant == "adam" and opt.step_count > 0:
+    if opt.variant == "adam":
         for p in model.parameters():
             slot = {key: tensors.get(f"{key}.{p.name}") for key in ("m", "v")}
             for key, moment in slot.items():

@@ -383,15 +383,17 @@ def attend(weights, features):
 
 def additive_attention(R, h_proj, w_a, mask=None):
     """attention_forward as one node over (n, m, Z) regions R, (n, Z) h_proj
-    and an optional boolean (n, m) mask of the real regions; padded regions
-    get weight 0 and no gradient."""
+    and a boolean (n, m) mask of the real regions, all True when none is
+    given; padded regions get weight 0 and no gradient."""
     if R.data.ndim != 3 or R.data.shape[1] < 1:
         raise K.ShapeError(f"additive_attention expects non-empty (n, m, Z) regions, got {R.shape}")
     z = R.data.shape[-1]
     if h_proj.data.shape != (R.data.shape[0], z) or w_a.data.shape != (z,):
         raise K.ShapeError(f"additive_attention vectors {h_proj.shape}, {w_a.shape} "
                            f"do not match rows of {R.shape}")
-    if mask is not None and mask.shape != R.data.shape[:-1]:
+    if mask is None:
+        mask = np.ones(R.data.shape[:-1], dtype=bool)
+    if mask.shape != R.data.shape[:-1]:
         raise K.ShapeError(f"additive_attention mask {mask.shape} does not match {R.shape}")
     a, t = K.attention_forward(R.data, h_proj.data, w_a.data, mask)
 

@@ -346,6 +346,23 @@ class TestTrain:
         assert_clean_error(capsys, code, str(run_dir / "last.ckpt"),
                            "malformed epoch or best_cider")
 
+    @pytest.mark.parametrize("key,message", [("optimizer", "holds no optimizer state"),
+                                             ("epoch", "malformed epoch or best_cider")])
+    def test_resume_from_a_record_without_its_key_fails_cleanly(self, trained, tmp_path,
+                                                                 capsys, key, message):
+        # every last.ckpt that train writes holds an epoch and an optimizer
+        # record, under sgd too; a record without one is no run's state
+        out, cfg_path = trained
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        tensors, extra = ckpt.load_checkpoint(out / "last.ckpt")
+        assert extra["optimizer"]["variant"] == "sgd"
+        del extra[key]
+        ckpt.save_checkpoint(run_dir / "last.ckpt", tensors, extra=extra)
+        code = run(["train", "--config", str(cfg_path), "--out", str(run_dir),
+                    "--epochs", "2", "--resume"])
+        assert_clean_error(capsys, code, str(run_dir / "last.ckpt"), message)
+
     def test_resume_with_another_optimizer_fails_cleanly(self, trained, tmp_path, capsys):
         out, cfg_path = trained
         run_dir = tmp_path / "run"

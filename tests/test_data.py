@@ -113,6 +113,14 @@ def test_t_max_is_required(corpus_dir):
         D.load_dataset(corpus_dir / "manifest.json")
 
 
+@pytest.mark.parametrize("t_max", [0, -3, 2.0, True])
+def test_t_max_below_1_or_not_an_int_is_rejected(corpus_dir, t_max):
+    # at t_max <= 0, cutting to t_max - 1 words would drop a reference's
+    # last 1 - t_max words instead of cutting it to t_max tokens
+    with pytest.raises(D.DatasetError, match=r"t_max must be an int >= 1"):
+        D.load_dataset(corpus_dir / "manifest.json", t_max)
+
+
 def test_long_references_truncated_to_t_max(corpus_dir):
     ds = D.load_dataset(corpus_dir / "manifest.json", t_max=4)
     for scene in ds.scenes:

@@ -106,6 +106,13 @@ def eos_first(seed, boost):
 
 
 class TestPolicyStep:
+    def test_scenes_with_equal_region_counts_get_an_all_true_mask(self):
+        rng = np.random.default_rng(3)
+        params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
+        scene = P.project_batch(params, [rng.standard_normal((4, 3)) for _ in range(3)])
+        assert scene.mask.dtype == bool and scene.mask.shape == (3, 4)
+        assert scene.mask.all()
+
     def test_single_region_attention_is_one(self):
         rng = np.random.default_rng(2)
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)

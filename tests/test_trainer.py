@@ -703,30 +703,28 @@ class TestTrain:
 
     def test_sgd_resumes_from_a_checkpoint_without_optimizer_state(self, tiny_corpus,
                                                                    tmp_path):
-        # sgd keeps no state, so a checkpoint saved without one (as every
-        # checkpoint was before the state was kept) resumes
+        # train writes the optimizer record into every last.ckpt, under sgd
+        # too, so a checkpoint without one is no run's state under either
         train, val, vocab = tiny_corpus
-        cfg = tiny_config(epochs=1, optimizer="sgd")
-        model = T.init_model(cfg, vocab.size, train[0].feature_dim)
-        T.save_model(tmp_path / "old.ckpt", model, extra={"epoch": 0})
-        resumed, opt, start_epoch, best_cider = T.resume_state(tmp_path / "old.ckpt", cfg,
-                                                               vocab.size, train[0].feature_dim)
-        assert (start_epoch, best_cider) == (1, -math.inf)
-        assert (opt.variant, opt.step_count, opt.slots) == ("sgd", 0, {})
-        assert opt.learning_rate == cfg.learning_rate and opt.clip_norm == cfg.clip_norm
-        for a, b in zip(model.parameters(), resumed.parameters()):
-            assert (a.data == b.data).all()
-        with pytest.raises(T.ckpt.CheckpointError, match="no optimizer state"):
-            T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer="adam"), vocab.size,
-                           train[0].feature_dim)
+        model = T.init_model(tiny_config(), vocab.size, train[0].feature_dim)
+        T.save_model(tmp_path / "old.ckpt", model, extra={"epoch": 0, "best_cider": 0.5})
+        for optimizer in ("sgd", "adam"):
+            with pytest.raises(T.ckpt.CheckpointError,
+                               match=re.escape(f"checkpoint {tmp_path / 'old.ckpt'} holds no "
+                                               "optimizer state")):
+                T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer=optimizer),
+                               vocab.size, train[0].feature_dim)
 
     def test_resume_state_without_an_epoch_resumes_at_0(self, tiny_corpus, tmp_path):
+        # train writes an epoch and a best_cider into every last.ckpt, so a
+        # checkpoint without them is not a run's state
         train, val, vocab = tiny_corpus
         cfg = tiny_config(epochs=1)
         T.save_model(tmp_path / "bare.ckpt", T.init_model(cfg, vocab.size, train[0].feature_dim))
-        _, _, start_epoch, best_cider = T.resume_state(tmp_path / "bare.ckpt", cfg, vocab.size,
-                                                       train[0].feature_dim)
-        assert (start_epoch, best_cider) == (0, -math.inf)
+        with pytest.raises(T.ckpt.CheckpointError,
+                           match=re.escape(f"checkpoint {tmp_path / 'bare.ckpt'} has a "
+                                           "malformed epoch or best_cider")):
+            T.resume_state(tmp_path / "bare.ckpt", cfg, vocab.size, train[0].feature_dim)
 
     def test_resume_needs_an_out_dir(self, tiny_corpus):
         train, val, vocab = tiny_corpus
