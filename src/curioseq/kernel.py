@@ -147,8 +147,8 @@ def check_index(index: np.ndarray, n: int, what: str) -> None:
 def softmax_values(x: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis via max subtraction, as plain arrays:
     what the decoders and samplers read as the next-word distribution."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def sumsq(x: Tensor, weights: np.ndarray | None = None) -> Tensor:

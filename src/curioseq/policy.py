@@ -1,5 +1,5 @@
 """Two-layer attention LSTM policy over region features, with the one
-unroll loop that training, greedy decoding and beam search share.
+unroll loop that training and decoding share and one search at any width.
 
 Step structure: a visual LSTM reads [previous language state, projected mean
 features, previous word embedding]; its state attends over projected region
@@ -251,7 +251,7 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
         if rows.size == 0 or t + 1 == t_max:
             return
         state = record.state
-        if rows.size != state.shape[0] or (rows != np.arange(rows.size)).any():
+        if rows.tolist() != list(range(state.shape[0])):
             state = state[rows]
             if scene.features.shape[0] > 1:
                 scene = scene.take(rows)
@@ -464,60 +464,59 @@ def forced_step_losses(params: PolicyParams, features: np.ndarray,
 
 
 def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> list[int]:
-    """Stepwise argmax decoding of one scene as one row; ties break toward
-    the lowest index."""
-    out: list[int] = []
-
-    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
-        token = np.argmax(softmax_values(logits), axis=-1)
-        out.append(int(token[0]))
-        return np.flatnonzero(token != EOS_ID), token[token != EOS_ID]
-
-    unroll(params, project_batch(params, [features]), step, t_max)
-    return out
+    """Greedy decoding, the search at width 1: until <eos> or t_max, the word
+    of the highest log(max(p, LOGPROB_FLOOR)), the lower id where two
+    probabilities round to one log (argmax(p) would take the larger p)."""
+    return _search(params, features, t_max, 1)
 
 
 def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
                 width: int) -> list[int]:
     """Keep the width highest cumulative-log-probability partials per step;
     finished sequences are held aside and compete on total log-probability.
-    Ties resolve toward the lexicographically smaller token sequence.
-
-    The live partials are the rows of one unroll: each step's rows are the
-    parents of the partials that go on. Every candidate scoring at least the
-    width-th largest score is sorted by (-score, token path), which picks the
-    same width as a sort of all candidates. As no log-probability term is
-    positive, a live score can only fall, so the search stops once the best
-    finished score is strictly above every live score; an exact tie goes on
-    for the token-path tie-break."""
+    Ties resolve toward the lexicographically smaller token sequence."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
+    return _search(params, features, t_max, width)
+
+
+def _search(params: PolicyParams, features: np.ndarray, t_max: int, width: int) -> list[int]:
+    """The one decoding search, which rollout_greedy and beam_search call, not
+    each other: probes replace their names in this module. The live partials
+    are the rows of one unroll: each step's rows are the parents of the
+    partials that go on. Every candidate scoring at least the width-th
+    largest score is sorted by (-score, token path), which picks the same
+    width as a sort of all candidates; done keeps the first finished one in
+    that order. No log-probability term is positive, so the search stops
+    once done's score is strictly above every live score; an exact tie goes
+    on for the token-path tie-break."""
     vocab = params.vocab_size
-    live_lp = np.zeros(1)
-    live: list[tuple[int, ...]] = [()]
-    done: list[tuple[float, tuple[int, ...]]] = []
+    live_neg, live, done = np.zeros(1), [()], (np.inf, ())  # -scores, token paths
 
     def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal live_lp, live
+        nonlocal live_neg, live, done
         logd = np.log(np.maximum(softmax_values(logits), LOGPROB_FLOOR))
-        scores = (live_lp[:, None] + logd).ravel()
-        k = min(width, scores.size) - 1
-        picked = np.flatnonzero(scores >= -np.partition(-scores, k)[k])
-        chosen = sorted((-float(scores[i]), live[i // vocab] + (int(i % vocab),), i // vocab)
-                        for i in picked)[:width]
-        keep = [(-neg, tokens, parent) for neg, tokens, parent in chosen if tokens[-1] != EOS_ID]
-        done.extend((-neg, tokens) for neg, tokens, _ in chosen if tokens[-1] == EOS_ID)
-        live_lp = np.array([lp for lp, _, _ in keep])
-        live = [tokens for _, tokens, _ in keep]
-        if done and live and max(lp for lp, _ in done) > live_lp.max():
+        neg = (live_neg[:, None] - logd).ravel()
+        k = min(width, neg.size) - 1
+        part = neg.copy()
+        part.partition(k)
+        picked = (neg <= part[k]).nonzero()[0].tolist()
+        chosen = sorted((s, live[i // vocab] + (i % vocab,), i // vocab)
+                        for i, s in zip(picked, neg[picked].tolist()))[:width]
+        keep = []
+        for s, tokens, parent in chosen:
+            if tokens[-1] == EOS_ID:
+                done = min(done, (s, tokens))
+            else:
+                keep.append((s, tokens, parent))
+        live_neg, live = np.array([c[0] for c in keep]), [c[1] for c in keep]
+        if keep and done[0] < keep[0][0]:
             keep = []
-        return (np.array([parent for _, _, parent in keep], dtype=np.intp),
-                np.array([tokens[-1] for _, tokens, _ in keep], dtype=np.intp))
+        return (np.array([c[2] for c in keep], dtype=np.intp),
+                np.array([c[1][-1] for c in keep], dtype=np.intp))
 
     unroll(params, project_batch(params, [features]), step, t_max)
-    done.extend(zip(live_lp.tolist(), live))
-    best = min(done, key=lambda c: (-c[0], c[1]))
-    return list(best[1])
+    return list(min([done, *zip(live_neg.tolist(), live)])[1])
 
 
 def decode(params: PolicyParams, features: np.ndarray, t_max: int, width: int) -> list[int]:

@@ -43,12 +43,14 @@ log-prob graph of the policy-gradient loss) read. `one_row_sample` is the
 sampler that stepped one scene at a time, and `per_hypothesis_beam` is the
 beam search that stepped each live hypothesis on its own, as one row of
 the plain-array `policy.policy_step`, and sorted all width x vocab
-candidates. `padded_sample_rows` and `padded_score_rows` are the two
+candidates. `stepwise_argmax` is greedy decoding as its own argmax loop,
+apart from the search that `policy.rollout_greedy` runs at width 1.
+`padded_sample_rows` and `padded_score_rows` are the two
 row unrolls that a train step ran before `policy.unroll_rows` joined them:
 a graph-less sampler and a recorded teacher-forced scorer with a `logprob`
 node, each stepping every row, finished or not, until its longest row
-ended. `policy.unroll_rows`, `policy.rollout_sample` and
-`policy.beam_search` must agree with them.
+ended. `policy.unroll_rows`, `policy.rollout_sample`,
+`policy.rollout_greedy` and `policy.beam_search` must agree with them.
 `sp_targets` gives the frozen next-state targets that finite-difference the
 curiosity state predictor. `graph_curiosity_pass` is the curiosity pass as
 a graph of those ops (`embed_state`, `predict_next_state` and
@@ -809,6 +811,21 @@ def one_row_sample(params, features, t_max, rng):
             if step[0][0] == EOS_ID:
                 break
     return _trace(steps, params.hidden_size)
+
+
+def stepwise_argmax(params, features, t_max):
+    """Greedy decoding as one one-row policy_step per step, each taking the
+    argmax of the softmax (ties to the lowest id), until <eos> or t_max."""
+    state, prev, out = None, BOS_ID, []
+    scene = P.project_batch(params, [features])
+    for _ in range(t_max):
+        logits, record = P.policy_step(params, np.array([prev]), state, scene)
+        state = record.state
+        prev = int(np.argmax(K.softmax_values(logits)[0]))
+        out.append(prev)
+        if prev == EOS_ID:
+            break
+    return out
 
 
 def per_hypothesis_beam(params, features, t_max, width):

@@ -34,6 +34,23 @@ def one_row(params, feats):
     return P.project_batch(params, [feats])
 
 
+def rounded_tie(vocab, low, high):
+    """(1, vocab) logits whose softmax gives high a larger probability than
+    low (p about 0.04, above every other word's) where the two probabilities
+    round to one log(max(p, LOGPROB_FLOOR)): from a shared logit near 0.5,
+    high's is raised by a few ulps until that holds."""
+    logits = np.zeros((1, vocab))
+    for shared in np.linspace(0.5, 0.6, 101):
+        logits[0, [low, high]] = shared
+        for _ in range(8):
+            logits[0, high] = np.nextafter(logits[0, high], np.inf)
+            p = K.softmax_values(logits)[0]
+            logd = np.log(np.maximum(p, K.LOGPROB_FLOOR))
+            if p[high] > p[low] and logd[high] == logd[low]:
+                return logits
+    raise AssertionError("no rounded tie found")
+
+
 def enumerate_best(params, feats, t_max, eos=EOS_ID):
     """Exhaustive scoring of every action sequence that ends at eos or t_max."""
     results = []
@@ -953,11 +970,30 @@ class TestGreedy:
         assert P.rollout_greedy(params, feats, 6) == P.rollout_greedy(params, feats, 6)
 
     def test_equals_beam_width_one(self):
+        # both run the one search; the oracle's own argmax loop is the
+        # reference apart from it
         for seed in range(10):
             params, feats = tiny_policy(seed=seed, vocab_size=6, hidden=4)
             g = P.rollout_greedy(params, feats, 5)
-            b = P.beam_search(params, feats, 5, width=1)
-            assert g == b, f"seed {seed}: greedy {g} != beam-1 {b}"
+            ref = O.stepwise_argmax(params, feats, 5)
+            assert g == ref == P.beam_search(params, feats, 5, width=1), \
+                f"seed {seed}: greedy {g} != stepwise argmax {ref}"
+
+    def test_a_rounded_tie_goes_to_the_lower_id(self, monkeypatch):
+        # two probabilities that round to one log: argmax(p) takes the larger
+        # (id 6), the search ranks by the log and takes the lower id (5)
+        params, feats = tiny_policy(seed=0, vocab_size=40, hidden=4)
+        first = rounded_tie(params.vocab_size, 5, 6)
+        ends = np.where(np.arange(params.vocab_size) == EOS_ID, 50.0, 0.0)[None]
+        step = P.policy_step
+
+        def crafted(params, word, state, scene):
+            _, record = step(params, word, state, scene)
+            return (first if word[0] == BOS_ID else ends), record
+
+        monkeypatch.setattr(P, "policy_step", crafted)
+        assert P.rollout_greedy(params, feats, 5) == [5, EOS_ID]
+        assert O.stepwise_argmax(params, feats, 5) == [6, EOS_ID]
 
     def test_stepwise_argmax_not_global_optimum(self):
         # frozen instance where the stepwise-argmax path differs from the
@@ -967,18 +1003,7 @@ class TestGreedy:
         greedy = P.rollout_greedy(params, feats, 3)
         _, best = enumerate_best(params, feats, 3)
         assert tuple(greedy) != best
-        # greedy is the stepwise argmax path by construction
-        state = None
-        prev = BOS_ID
-        expected = []
-        for _ in range(3):
-            logits, record = P.policy_step(params, np.array([prev]), state, one_row(params, feats))
-            state = record.state
-            prev = int(np.argmax(K.softmax_values(logits)[0]))
-            expected.append(prev)
-            if prev == EOS_ID:
-                break
-        assert greedy == expected
+        assert greedy == O.stepwise_argmax(params, feats, 3)
 
 
 class TestBeamSearch:

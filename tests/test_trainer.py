@@ -701,8 +701,8 @@ class TestTrain:
                                match=re.escape(f"checkpoint {tmp_path / name} {message}")):
                 T.resume_state(tmp_path / name, cfg, vocab.size, train[0].feature_dim)
 
-    def test_sgd_resumes_from_a_checkpoint_without_optimizer_state(self, tiny_corpus,
-                                                                   tmp_path):
+    def test_a_checkpoint_without_an_optimizer_record_does_not_resume(self, tiny_corpus,
+                                                                      tmp_path):
         # train writes the optimizer record into every last.ckpt, under sgd
         # too, so a checkpoint without one is no run's state under either
         train, val, vocab = tiny_corpus
@@ -715,7 +715,7 @@ class TestTrain:
                 T.resume_state(tmp_path / "old.ckpt", tiny_config(optimizer=optimizer),
                                vocab.size, train[0].feature_dim)
 
-    def test_resume_state_without_an_epoch_resumes_at_0(self, tiny_corpus, tmp_path):
+    def test_a_checkpoint_without_an_epoch_does_not_resume(self, tiny_corpus, tmp_path):
         # train writes an epoch and a best_cider into every last.ckpt, so a
         # checkpoint without them is not a run's state
         train, val, vocab = tiny_corpus
