@@ -8,19 +8,19 @@ LSTM whose state is projected to the next-word distribution. policy_step
 runs all of it over plain arrays and records no graph node.
 
 Every sequence is a row: a scene is one row of project_batch, a word an int
-vector and a state an (n, 4Z) array [s_vis, s_lang, c_vis, c_lang]. Two
-thirds of the visual LSTM's input is fixed within an unroll, so
-project_batch multiplies those parts by its weights once per unroll. After
-each step, unroll gathers the state rows that go on, and their scene rows
-unless the scene is one row, which every row reads (a one-scene beam).
+vector and a state an (n, 4Z) array [s_vis, s_lang, c_vis, c_lang], zero at
+<bos>. Two thirds of the visual LSTM's input is fixed within an unroll, so
+project_batch multiplies those parts by its weights once per unroll. unroll
+hands each step's softmax to its caller and gathers the state rows that go on,
+and their scene rows unless the scene is one row, which every row reads.
 
-A training unroll keeps one StepRecord per step, which holds each value
-once: the words, the state made, the attention weights, the attended
-features and each LSTM cell's activations. RowUnroll.loss is the policy's
-one gradient path: a node whose backward runs the steps in reverse over
-those records, recomputes bit for bit what they leave out (the state read,
-the attention's tanh and each cell's tanh(c)) and hands each of the 11
-Parameters its gradient once.
+A training unroll keeps one StepRecord per step, which holds each value once:
+the words, the state made, the attention weights, the attended features and
+each LSTM cell's activations, and one (rows, steps) token matrix whose
+sampled rows are the episodes'. RowUnroll.loss, the one gradient path, is a
+node whose backward runs the steps in reverse over those records, recomputes
+bit for bit what they leave out (the state read, the attention's tanh and
+each cell's tanh(c)) and hands each of the 11 Parameters its gradient once.
 """
 
 from __future__ import annotations
@@ -152,17 +152,15 @@ class StepRecord:
     lang: np.ndarray          # (n, 4Z) the language LSTM's activations
 
 
-def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray | None,
+def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray,
                 scene: ProjectedScene) -> tuple[np.ndarray, StepRecord]:
     """One decoding step for a row per sequence: an int vector of n previous
-    words, (n, 4Z) states (None for the zero states) and a project_batch
+    words, the (n, 4Z) states they read (zeros at <bos>) and a project_batch
     scene of n rows, or of one row that every row reads. Returns
     (next-word logits, record), all plain arrays; a step records no graph
     node, and its gradient is _step_backward's, which RowUnroll.loss runs."""
     z = params.hidden_size
     n = len(prev_word) if np.ndim(prev_word) == 1 else -1
-    if state is None and n >= 0:
-        state = np.zeros((n, 4 * z))
     if n < 0 or scene.features.shape[0] not in (1, n) or np.shape(state) != (n, 4 * z):
         raise ShapeError(f"policy_step expects words (n,) and states (n, {4 * z}) for a scene "
                          f"of n or 1 rows, got {np.shape(prev_word)} and {np.shape(state)} "
@@ -235,19 +233,20 @@ class Episodes:
 def unroll(params: PolicyParams, scene: ProjectedScene,
            step: Callable[[int, np.ndarray, StepRecord], tuple[np.ndarray, np.ndarray]],
            t_max: int) -> None:
-    """The one loop over policy_step. From <bos>, every row of the
-    project_batch scene steps at once; after step t, step(t, logits, record)
-    returns (rows, token): the positions of the rows that go on, in the
-    order they go on (a row may repeat), and the word each of them feeds
-    next. Unless rows is every row in order, the state rows are gathered
-    before the next step, and so are the scene rows, except of a one-row
-    scene, which every row reads as it is. The loop ends when rows is
-    empty or after t_max steps, with no gather after the last step."""
-    state = None
+    """The one loop over policy_step. From <bos> and the zero state, every
+    row of the project_batch scene steps at once; after step t, step(t,
+    softmax of the logits, record) returns (rows, token): the positions of
+    the rows that go on, in the order they go on (a row may repeat), and
+    the word each of them feeds next. Unless rows is every row in order,
+    the state rows are gathered before the next step, and so are the scene
+    rows, except of a one-row scene, which every row reads as it is. The
+    loop ends when rows is empty or after t_max steps, with no gather after
+    the last step."""
     token = np.full(scene.features.shape[0], BOS_ID)
+    state = np.zeros((token.size, 4 * params.hidden_size))
     for t in range(t_max):
         logits, record = policy_step(params, token, state, scene)
-        rows, token = step(t, logits, record)
+        rows, token = step(t, softmax_values(logits), record)
         if rows.size == 0 or t + 1 == t_max:
             return
         state = record.state
@@ -266,12 +265,12 @@ class RowUnroll:
 
     rows: list[np.ndarray]          # per step, the ids of the rows that stepped
     ce_values: np.ndarray           # (rows, steps) -log(p + CE_EPSILON) of each row's token, 0 where a row did not step
-    episodes: Episodes              # the episodes of the sampled rows, which follow the forced ones
+    episodes: Episodes              # views of the sampled rows, which follow the forced ones
     params: PolicyParams
     scene: ProjectedScene           # the project_batch scene of every row
     steps: list[StepRecord]         # per step, policy_step's record
     probs: list[np.ndarray]         # per step, the softmax of each row's logits
-    tokens: list[np.ndarray]        # per step, the token each row took
+    tokens: np.ndarray              # the token of each row of rows[0], then of rows[1], ...
 
     def loss(self, weights: np.ndarray) -> Tensor:
         """sum over steps t and rows r in rows[t] of weights[r, t] CE_rt, for
@@ -303,7 +302,7 @@ class RowUnroll:
         in that order, so accum gets each Parameter's gradient once."""
         params, scene, steps, z = self.params, self.scene, self.steps, self.params.hidden_size
         d_logits = np.concatenate(self.probs)
-        d_logits[np.arange(d_logits.shape[0]), np.concatenate(self.tokens)] -= 1.0
+        d_logits[np.arange(d_logits.shape[0]), self.tokens] -= 1.0
         d_logits *= np.concatenate(coefs)[:, None]
         accum(params.W_p, d_logits.T @ np.concatenate([s.state[:, z:2 * z] for s in steps]))
         ds_lang = d_logits @ params.W_p.data
@@ -382,12 +381,14 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
 
     A forced row ends after its last token, and a sampled row at <eos> or
     after t_max steps, so at most max(t_max, longest reference) steps run.
-    After every step the rows that ended drop out: unroll gathers the state
-    and scene rows of the others, so no step runs on a finished row and
-    finished rows and padded regions get exactly zero gradient. Each step's
-    record is kept for the one node of RowUnroll.loss, which the caller
-    weights after it has scored the sampled episodes, so the whole minibatch
-    has one backward pass."""
+    One (rows, steps) matrix holds every row's tokens: the references from
+    the start, each sampled token once drawn. After every step the rows
+    that ended drop out: unroll gathers the state and scene rows of the
+    others, so no step runs on a finished row and finished rows and padded
+    regions get exactly zero gradient. Each step's record is kept for the
+    one node of RowUnroll.loss, which the caller weights after it has
+    scored the sampled episodes, so the whole minibatch has one backward
+    pass."""
     n, n_forced = len(features), len(forced)
     if n_forced not in (0, n) or len(rngs) not in (0, n) or not n_forced + len(rngs):
         raise ValueError(f"{n} scenes need a reference each, a generator each, or both")
@@ -397,55 +398,49 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
         raise ValueError("t_max must be >= 1")
     ends = np.array([len(ref) for ref in forced] + [t_max] * len(rngs))
     steps = int(ends.max())
-    tokens = np.full((n_forced, steps), EOS_ID)
+    actions = np.zeros((len(ends), steps), dtype=np.intp)   # every row's tokens
     for r, ref in enumerate(forced):
-        tokens[r, :len(ref)] = ref
+        actions[r, :len(ref)] = ref
     scene = project_batch(params, (list(features) if forced else [])
                           + (list(features) if rngs else []))
     ids = np.arange(len(ends))          # the rows of the current step
     states = np.zeros((len(rngs), steps, 2 * params.hidden_size))   # the sampled rows'
     stepped: list[np.ndarray] = []
     probs: list[np.ndarray] = []
-    taken: list[np.ndarray] = []
     records: list[StepRecord] = []
 
-    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
+    def step(t: int, p: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
         nonlocal ids
-        p = softmax_values(logits)
         k = np.searchsorted(ids, n_forced)
-        token = np.empty(len(ids), dtype=np.intp)
-        token[:k] = tokens[ids[:k], t]
         if k < len(ids):
             u = np.array([rngs[r - n_forced].random() for r in ids[k:]])
             cdf = np.cumsum(p[k:], axis=-1)
             # searchsorted(cdf, u, side="right") per row: the count of cdf <= u
-            token[k:] = np.minimum((cdf <= u[:, None]).sum(axis=-1), p.shape[-1] - 1)
+            actions[ids[k:], t] = np.minimum((cdf <= u[:, None]).sum(axis=-1), p.shape[-1] - 1)
             states[ids[k:] - n_forced, t] = record.state[k:, :2 * params.hidden_size]
+        token = actions[ids, t]
         records.append(record)
         stepped.append(ids)
         probs.append(p)
-        taken.append(token)
         keep = np.flatnonzero((t + 1 < ends[ids]) & ((ids < n_forced) | (token != EOS_ID)))
         ids = ids[keep]
         return keep, token[keep]
 
     unroll(params, scene, step, steps)
-    # the per-step values of all steps at once, as (rows, steps) arrays with
-    # 0 where a row did not step; the sampled rows' as row i of their episodes
+    # the values of all steps at once, as (rows, steps) arrays with 0 where a
+    # row did not step; a forced row's log_probs cost a log per step, not a mask
     ran = len(stepped)
-    rows, took = np.concatenate(stepped), np.concatenate(taken)
+    rows = np.concatenate(stepped)
     at = np.repeat(np.arange(ran), [r.size for r in stepped])
+    took = actions[rows, at]
     picked = np.concatenate(probs)[np.arange(rows.size), took]
     ce_values = np.zeros((len(ends), ran))
+    log_probs = np.zeros((len(ends), ran))
     ce_values[rows, at] = -np.log(picked + CE_EPSILON)
-    s = rows >= n_forced
-    actions = np.zeros((len(rngs), ran), dtype=np.intp)
-    log_probs = np.zeros((len(rngs), ran))
-    actions[rows[s] - n_forced, at[s]] = took[s]
-    log_probs[rows[s] - n_forced, at[s]] = np.log(np.maximum(picked[s], LOGPROB_FLOOR))
-    lengths = np.bincount(rows[s] - n_forced, minlength=len(rngs))
-    return RowUnroll(stepped, ce_values, Episodes(actions, log_probs, states[:, :ran], lengths),
-                     params, scene, records, probs, taken)
+    log_probs[rows, at] = np.log(np.maximum(picked, LOGPROB_FLOOR))
+    episodes = Episodes(actions[n_forced:, :ran], log_probs[n_forced:], states[:, :ran],
+                        np.bincount(rows, minlength=len(ends))[n_forced:])
+    return RowUnroll(stepped, ce_values, episodes, params, scene, records, probs, took)
 
 
 def rollout_sample(params: PolicyParams, features: np.ndarray, t_max: int,
@@ -493,9 +488,9 @@ def _search(params: PolicyParams, features: np.ndarray, t_max: int, width: int) 
     vocab = params.vocab_size
     live_neg, live, done = np.zeros(1), [()], (np.inf, ())  # -scores, token paths
 
-    def step(t: int, logits: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
+    def step(t: int, p: np.ndarray, record: StepRecord) -> tuple[np.ndarray, np.ndarray]:
         nonlocal live_neg, live, done
-        logd = np.log(np.maximum(softmax_values(logits), LOGPROB_FLOOR))
+        logd = np.log(np.maximum(p, LOGPROB_FLOOR))
         neg = (live_neg[:, None] - logd).ravel()
         k = min(width, neg.size) - 1
         part = neg.copy()

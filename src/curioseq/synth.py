@@ -65,7 +65,8 @@ class GrammarSpec:
             if not isinstance(words, (list, tuple)) or not all(isinstance(w, str) for w in words):
                 raise GrammarError(f"{name} must be a list of strings")
             setattr(self, name, tuple(words))
-        for name in ("objects_per_scene", "regions", "feature_dim", "references_per_scene"):
+        for name in ("objects_per_scene", "regions", "feature_dim", "references_per_scene",
+                     "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise GrammarError(f"{name} must be an integer, got {value!r}")
@@ -79,6 +80,8 @@ class GrammarSpec:
             raise GrammarError("feature_dim must be at least the number of nouns")
         if self.regions < self.objects_per_scene or self.references_per_scene < 1:
             raise GrammarError("regions must be >= objects_per_scene, references_per_scene >= 1")
+        if self.seed < 0:
+            raise GrammarError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise_sigma < np.inf:
             raise GrammarError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.generic_bias <= 1.0:

@@ -813,10 +813,15 @@ def one_row_sample(params, features, t_max, rng):
     return _trace(steps, params.hidden_size)
 
 
+def zero_state(params, n=1):
+    """The (n, 4Z) zero state that policy.policy_step reads at <bos>."""
+    return np.zeros((n, 4 * params.hidden_size))
+
+
 def stepwise_argmax(params, features, t_max):
     """Greedy decoding as one one-row policy_step per step, each taking the
     argmax of the softmax (ties to the lowest id), until <eos> or t_max."""
-    state, prev, out = None, BOS_ID, []
+    state, prev, out = zero_state(params), BOS_ID, []
     scene = P.project_batch(params, [features])
     for _ in range(t_max):
         logits, record = P.policy_step(params, np.array([prev]), state, scene)
@@ -835,7 +840,7 @@ def per_hypothesis_beam(params, features, t_max, width):
         raise ValueError("beam width must be >= 1")
     with K.no_grad():
         scene = P.project_batch(params, [features])
-        live = [(0.0, (), None)]
+        live = [(0.0, (), zero_state(params))]
         done = []
         for _ in range(t_max):
             if not live:

@@ -10,7 +10,8 @@ import oracles as O
 from oracles import (add_n, composite_policy_step, constant, cross_entropy, dotp, forced_trace,
                      forced_unroll, one_row_sample, padded_sample_rows, padded_score_rows,
                      per_hypothesis_beam, rl_surrogate, sequence_log_prob, term_batch,
-                     unhoisted_batch, unhoisted_policy_step, unstack, visual_gate_terms)
+                     unhoisted_batch, unhoisted_policy_step, unstack, visual_gate_terms,
+                     zero_state)
 
 
 def sample_trace(params, feats, t_max, rng):
@@ -115,7 +116,8 @@ def eos_first(seed, boost):
     """A tiny policy whose <eos> logit at the first step is raised by boost:
     W_p's <eos> row gains boost times the direction of that step's s_lang."""
     params, feats = tiny_policy(seed=seed, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
-    _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+    _, record = P.policy_step(params, np.array([BOS_ID]), zero_state(params),
+                              one_row(params, feats))
     z = params.hidden_size
     s_lang = record.state[0, z:2 * z]
     params.W_p.data[EOS_ID] += boost * s_lang / (s_lang @ s_lang)
@@ -134,7 +136,8 @@ class TestPolicyStep:
         rng = np.random.default_rng(2)
         params = P.init_policy(rng, vocab_size=6, hidden=4, feature_dim=3)
         feats = rng.standard_normal((1, 3))
-        _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        _, record = P.policy_step(params, np.array([BOS_ID]), zero_state(params),
+                                  one_row(params, feats))
         assert record.attn.tolist() == [[1.0]]
         np.testing.assert_allclose(record.attended, feats, atol=1e-15)
 
@@ -142,12 +145,13 @@ class TestPolicyStep:
         params, feats = tiny_policy(vocab_size=8)
         for p in params.parameters():
             p.data[...] = 0.0
-        logits, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        logits, _ = P.policy_step(params, np.array([BOS_ID]), zero_state(params),
+                                  one_row(params, feats))
         np.testing.assert_allclose(K.softmax_values(logits), 1.0 / 8, atol=1e-15)
 
     def test_distribution_and_attention_normalized(self):
         params, feats = tiny_policy(seed=5)
-        state = None
+        state = zero_state(params)
         for word in (BOS_ID, 4, 7):
             logits, record = P.policy_step(params, np.array([word]), state, one_row(params, feats))
             state = record.state
@@ -162,7 +166,8 @@ class TestPolicyStep:
         # its first 2Z columns, [s_vis, s_lang], as the curiosity state
         params, feats = tiny_policy(seed=6)
         z = params.hidden_size
-        _, record = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        _, record = P.policy_step(params, np.array([BOS_ID]), zero_state(params),
+                                  one_row(params, feats))
         _, parts, _, _ = composite_policy_step(params, np.array([BOS_ID]), None,
                                                term_batch(params, [feats]))
         assert record.state.shape == (1, 4 * z)
@@ -174,7 +179,7 @@ class TestPolicyStep:
         # a step is plain arrays: while recording, it creates no node at all
         params, feats = tiny_policy(seed=3)
         scene = one_row(params, feats)
-        _, record = P.policy_step(params, np.array([BOS_ID]), None, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID]), zero_state(params), scene)
         created = created_tensors(monkeypatch)
         logits, step = P.policy_step(params, np.array([4]), record.state, scene)
         monkeypatch.undo()
@@ -184,18 +189,25 @@ class TestPolicyStep:
     def test_word_index_validated(self):
         params, feats = tiny_policy()
         with pytest.raises(IndexError):
-            P.policy_step(params, np.array([params.vocab_size]), None, one_row(params, feats))
+            P.policy_step(params, np.array([params.vocab_size]), zero_state(params),
+                          one_row(params, feats))
 
     def test_an_int_word_or_a_state_vector_is_rejected(self):
         params, feats = tiny_policy()
         scene = one_row(params, feats)
-        _, record = P.policy_step(params, np.array([BOS_ID]), None, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID]), zero_state(params), scene)
         with pytest.raises(K.ShapeError):
-            P.policy_step(params, BOS_ID, None, scene)
+            P.policy_step(params, BOS_ID, zero_state(params), scene)
         with pytest.raises(K.ShapeError):
             P.policy_step(params, np.array([4]), record.state[0], scene)
         with pytest.raises(K.ShapeError):
             P.policy_step(params, np.array([4, 4]), record.state, scene)
+
+    def test_a_missing_state_is_rejected(self):
+        # a step reads the state it is given: unroll starts from the zeros
+        params, feats = tiny_policy()
+        with pytest.raises(K.ShapeError):
+            P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
 
     def test_a_one_row_scene_serves_every_row(self):
         # n rows over one scene row step as over its n-row take, bit for bit
@@ -213,7 +225,7 @@ class TestPolicyStep:
         params, feats, _ = row_batch()
         scene = P.project_batch(params, feats[:2])
         with pytest.raises(K.ShapeError):
-            P.policy_step(params, np.array([4, 4, 4]), None, scene)
+            P.policy_step(params, np.array([4, 4, 4]), zero_state(params, 3), scene)
 
     def test_teacher_forced_gradients_match_finite_differences(self):
         params, feats = tiny_policy(seed=7, vocab_size=7, hidden=5)
@@ -308,7 +320,7 @@ def weighted_loss(run, refs):
 
 
 class TestUnroll:
-    """The step contract of policy.unroll: step(t, logits, record) returns
+    """The step contract of policy.unroll: step(t, probs, record) returns
     the rows that go on, in order and possibly repeated, and their tokens."""
 
     def test_repeated_and_reordered_rows_read_their_parents_rows(self, monkeypatch):
@@ -317,7 +329,7 @@ class TestUnroll:
         rows, token = np.array([2, 0, 0, 1, 2]), np.array([4, 5, 6, 7, 8])
         seen = []
 
-        def step(t, logits, record):
+        def step(t, probs, record):
             seen.append(record)
             return rows, token
 
@@ -343,7 +355,7 @@ class TestUnroll:
                             lambda scene, rows: taken.append(rows) or take(scene, rows))
         calls = counted_steps(monkeypatch)
         records = []
-        P.unroll(params, P.project_batch(params, feats), lambda t, logits, record:
+        P.unroll(params, P.project_batch(params, feats), lambda t, probs, record:
                  records.append(record) or (np.arange(n), np.full(n, 4)), 3)
         monkeypatch.undo()
         assert len(calls) == 3 and taken == []
@@ -353,7 +365,7 @@ class TestUnroll:
     def test_empty_rows_end_the_loop(self, monkeypatch):
         params, feats, _ = row_batch()
         calls = counted_steps(monkeypatch)
-        P.unroll(params, P.project_batch(params, feats), lambda t, logits, record:
+        P.unroll(params, P.project_batch(params, feats), lambda t, probs, record:
                  (np.arange(len(feats)) if t < 1 else np.empty(0, dtype=np.intp),
                   np.full(len(feats), 4)), 5)
         monkeypatch.undo()
@@ -554,10 +566,10 @@ class TestScoreRows:
         # none: a step of two rows, like a step of one, builds no tensor
         params, feats, _ = row_batch()
         scene = P.project_batch(params, feats[:2])
-        _, record = P.policy_step(params, np.array([BOS_ID, BOS_ID]), None, scene)
+        _, record = P.policy_step(params, np.array([BOS_ID, BOS_ID]), zero_state(params, 2), scene)
         created = created_tensors(monkeypatch)
         logits, step = P.policy_step(params, np.array([4, 5]), record.state, scene)
-        P.policy_step(params, np.array([4]), None, scene.take(np.array([0])))
+        P.policy_step(params, np.array([4]), zero_state(params), scene.take(np.array([0])))
         monkeypatch.undo()
         assert logits.shape == (2, params.vocab_size) and step.attn.shape == (2, 5)
         assert created == []
@@ -778,7 +790,7 @@ class TestUnrollNode:
 def step_values(params, scene, words):
     """(logits, state, attended features, attention) arrays of policy_step
     for each word vector of words, from the zero state."""
-    state, outs = None, []
+    state, outs = zero_state(params, len(words[0])), []
     for word in words:
         logits, record = P.policy_step(params, word, state, scene)
         state = record.state
@@ -1075,7 +1087,8 @@ class TestBeamSearch:
 class TestSequenceLogProb:
     def test_single_step(self):
         params, feats = tiny_policy(seed=14)
-        logits, _ = P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
+        logits, _ = P.policy_step(params, np.array([BOS_ID]), zero_state(params),
+                                  one_row(params, feats))
         assert sequence_log_prob(params, feats, [3]) == pytest.approx(
             float(np.log(K.softmax_values(logits)[0, 3])))
 

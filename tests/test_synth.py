@@ -99,6 +99,11 @@ def test_invalid_spec_rejected():
         small_spec(templates=("the {color} {noun} .",))
     with pytest.raises(S.GrammarError):
         S.synth_generate(small_spec(), 0)
+    for seed in (-1, 1.5, "3", None, True):
+        # a seed is an int >= 0: numpy would reject -1 and the non-ints at
+        # synthesis with its own errors, and take True as seed 1
+        with pytest.raises(S.GrammarError, match="seed"):
+            small_spec(seed=seed)
 
 
 @pytest.mark.parametrize("field,value", [("nouns", "box"), ("verbs", 5),

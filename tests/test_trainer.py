@@ -165,7 +165,7 @@ class TestXeLoss:
         from curioseq.vocab import BOS_ID
         with K.no_grad():
             total = 0.0
-            state = None
+            state = oracles.zero_state(model.policy)
             prev = BOS_ID
             scene_row = P.project_batch(model.policy, [scene.features])
             for tok in scene.references[0]:
