@@ -11,8 +11,8 @@ Every sequence is a row: a scene is one row of project_batch, a word an int
 vector and a state an (n, 4Z) array [s_vis, s_lang, c_vis, c_lang], zero at
 <bos>. Two thirds of the visual LSTM's input is fixed within an unroll, so
 project_batch multiplies those parts by its weights once per unroll. unroll
-hands each step's softmax to its caller and gathers the state rows that go on,
-and their scene rows unless the scene is one row, which every row reads.
+hands each step's softmax to its caller and gathers the state and scene rows
+that go on, so every row reads its own scene row.
 
 A training unroll keeps one StepRecord per step, which holds each value once:
 the words, the state made, the attention weights, the attended features and
@@ -156,14 +156,14 @@ def policy_step(params: PolicyParams, prev_word: np.ndarray, state: np.ndarray,
                 scene: ProjectedScene) -> tuple[np.ndarray, StepRecord]:
     """One decoding step for a row per sequence: an int vector of n previous
     words, the (n, 4Z) states they read (zeros at <bos>) and a project_batch
-    scene of n rows, or of one row that every row reads. Returns
-    (next-word logits, record), all plain arrays; a step records no graph
-    node, and its gradient is _step_backward's, which RowUnroll.loss runs."""
+    scene of n rows, row r's scene in row r. Returns (next-word logits,
+    record), all plain arrays; a step records no graph node, and its
+    gradient is _step_backward's, which RowUnroll.loss runs."""
     z = params.hidden_size
     n = len(prev_word) if np.ndim(prev_word) == 1 else -1
-    if n < 0 or scene.features.shape[0] not in (1, n) or np.shape(state) != (n, 4 * z):
+    if n < 0 or scene.features.shape[0] != n or np.shape(state) != (n, 4 * z):
         raise ShapeError(f"policy_step expects words (n,) and states (n, {4 * z}) for a scene "
-                         f"of n or 1 rows, got {np.shape(prev_word)} and {np.shape(state)} "
+                         f"of n rows, got {np.shape(prev_word)} and {np.shape(state)} "
                          f"for {scene.features.shape[0]} rows")
     check_index(prev_word, params.vocab_size, "policy_step")
     gates = ((state[:, :2 * z] @ scene.W_state.T + scene.mean_gates)
@@ -238,10 +238,9 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
     softmax of the logits, record) returns (rows, token): the positions of
     the rows that go on, in the order they go on (a row may repeat), and
     the word each of them feeds next. Unless rows is every row in order,
-    the state rows are gathered before the next step, and so are the scene
-    rows, except of a one-row scene, which every row reads as it is. The
-    loop ends when rows is empty or after t_max steps, with no gather after
-    the last step."""
+    the state and scene rows are gathered before the next step, so each
+    row reads its own scene row. The loop ends when rows is empty or after
+    t_max steps, with no gather after the last step."""
     token = np.full(scene.features.shape[0], BOS_ID)
     state = np.zeros((token.size, 4 * params.hidden_size))
     for t in range(t_max):
@@ -251,9 +250,7 @@ def unroll(params: PolicyParams, scene: ProjectedScene,
             return
         state = record.state
         if rows.tolist() != list(range(state.shape[0])):
-            state = state[rows]
-            if scene.features.shape[0] > 1:
-                scene = scene.take(rows)
+            state, scene = state[rows], scene.take(rows)
 
 
 @dataclass
@@ -479,12 +476,13 @@ def _search(params: PolicyParams, features: np.ndarray, t_max: int, width: int) 
     """The one decoding search, which rollout_greedy and beam_search call, not
     each other: probes replace their names in this module. The live partials
     are the rows of one unroll: each step's rows are the parents of the
-    partials that go on. Every candidate scoring at least the width-th
-    largest score is sorted by (-score, token path), which picks the same
-    width as a sort of all candidates; done keeps the first finished one in
-    that order. No log-probability term is positive, so the search stops
-    once done's score is strictly above every live score; an exact tie goes
-    on for the token-path tie-break."""
+    partials that go on, whose state and scene rows unroll gathers, as in
+    training. Every candidate scoring at least the width-th largest score
+    is sorted by (-score, token path), which picks the same width as a sort
+    of all candidates; done keeps the first finished one in that order. No
+    log-probability term is positive, so the search stops once done's score
+    is strictly above every live score; an exact tie goes on for the
+    token-path tie-break."""
     vocab = params.vocab_size
     live_neg, live, done = np.zeros(1), [()], (np.inf, ())  # -scores, token paths
 

@@ -1,5 +1,6 @@
-"""The summary arithmetic of tools/claim.py on hand-made report lists, one
-tiny end-to-end call, and the README config that the claim, the exactness
+"""The summary arithmetic of tools/claim.py on hand-made report lists and
+block scores, the shuffled twin's permutation, the held-out blocks, tiny
+end-to-end calls, and the README config that the claim, the exactness
 tool and the benchmark each train with. The tools use only the standard
 library, so they are loaded by path."""
 
@@ -11,8 +12,12 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from curioseq import cli
+from curioseq import data as dat
+from curioseq import rewards as R
 from curioseq import trainer as T
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,14 +100,119 @@ def test_table_prints_the_baseline_digits(claim):
     assert lines[3] == "| `crl` | failed | failed | - |"
 
 
+def held(cider):
+    return {"heldout_cider": cider, "heldout_block_mean": cider, "heldout_block_std": 0.02}
+
+
+def test_a_candidate_is_paired_with_its_twin_on_the_heldout_cider_too(claim):
+    summaries = {
+        0: {"xe": {**summary(0.3, 0.03, 0.25), **held(0.30)},
+            "crl": {**summary(0.2, 0.02, 0.22), **held(0.25)},
+            "crl_shuffled": {**summary(0.25, 0.02, 0.20), **held(0.24)}},
+        1: {"crl": {**summary(0.3, 0.03, 0.30), **held(0.28)},
+            "crl_shuffled": {**summary(0.2, 0.01, 0.31), **held(0.29)}},
+    }
+    diffs, wins = claim.paired(summaries)
+    assert diffs[0]["crl"]["vs_twin"] == pytest.approx(
+        {"val_cider_last": -0.05, "val_distinct2_last": 0.0, "val_cider_tail_mean": 0.02,
+         "heldout_cider": 0.01}, abs=1e-15)
+    assert wins["crl"]["vs_twin"] == {"val_cider_last": 1, "val_distinct2_last": 1,
+                                      "val_cider_tail_mean": 1, "heldout_cider": 1}
+    assert set(diffs[0]["crl"]) == {"vs_xe", "vs_twin"}
+    # a twin has no twin, and is paired with the references
+    assert set(diffs[0]["crl_shuffled"]) == {"vs_xe"} and "crl_shuffled" not in diffs[1]
+
+
+def test_the_heldout_numbers_of_hand_made_blocks(claim):
+    h = claim.heldout(0.31, [0.30, 0.34, 0.26, 0.30])
+    assert h["heldout_cider"] == 0.31
+    assert h["heldout_block_mean"] == pytest.approx(0.30, abs=1e-15)
+    # the sample standard deviation: deviations 0, 0.04, -0.04, 0 over 3 degrees of freedom
+    assert h["heldout_block_std"] == pytest.approx((0.0032 / 3) ** 0.5, abs=1e-15)
+    assert claim.heldout(0.2, [0.2, 0.2])["heldout_block_std"] == 0.0
+
+
+def test_the_heldout_synthesis_splits_the_corpus_val_scenes_into_blocks(claim, tmp_path,
+                                                                       monkeypatch):
+    monkeypatch.setattr(claim, "SCENES", 8)
+    monkeypatch.setattr(claim, "HELDOUT_SCENES", 10)
+    monkeypatch.setattr(claim, "BLOCK", 4)
+    corpus = tmp_path / "corpus"
+    claim.same_bytes.synth_corpus(ROOT, corpus, 0, 8, 4)
+    manifests = claim.synth_heldout(ROOT, corpus, tmp_path / "heldout", 0)
+    assert [m.name for m in manifests] == ["val_manifest.json", "block00_manifest.json",
+                                           "block01_manifest.json", "block02_manifest.json"]
+    full, *blocks = (dat.load_dataset(m, t_max=30) for m in manifests)
+    ids = [scene.scene_id for scene in full.scenes]
+    assert len(ids) == 10
+    assert [[s.scene_id for s in b.scenes] for b in blocks] == [ids[:4], ids[4:8], ids[8:]]
+    val = dat.load_dataset(corpus / "val_manifest.json", t_max=30)
+    for a, b in zip(val.scenes, full.scenes[:4], strict=False):
+        assert a.scene_id == b.scene_id and a.references == b.references
+        assert (a.features == b.features).all()
+    # another seed's corpus has another train split, and the tool stops
+    with pytest.raises(SystemExit):
+        claim.synth_heldout(ROOT, corpus, tmp_path / "other", 1)
+
+
+def test_the_twin_shuffles_call_k_of_a_run_by_its_seed_and_k(claim, monkeypatch):
+    terminal = np.array([0.1, 0.5, 0.2, 0.9, 0.4, 0.0, 0.7])
+    first = [claim.shuffle(terminal, 7919, k) for k in range(4)]
+    for k, got in enumerate(first):
+        assert sorted(got.tolist()) == sorted(terminal.tolist())
+        np.testing.assert_array_equal(got, claim.shuffle(terminal, 7919, k))
+        np.testing.assert_array_equal(
+            got, terminal[np.random.default_rng([7919, k]).permutation(terminal.size)])
+    assert terminal.tolist() == [0.1, 0.5, 0.2, 0.9, 0.4, 0.0, 0.7]
+    assert any((got != terminal).any() for got in first)
+    # twin_main wraps the terminal_q that the run looks up, call by call
+    seen = []
+    monkeypatch.setattr(R, "terminal_q", lambda t, *args: seen.append((t, args)) or len(seen))
+
+    def run(argv):
+        assert argv == ["train", "--config", "c.json"]
+        assert [R.terminal_q(terminal + k, "lengths", 9) for k in range(3)] == [1, 2, 3]
+        return 0
+
+    monkeypatch.setattr(cli, "main", run)
+    assert claim.twin_main(["7919", "train", "--config", "c.json"]) == 0
+    for k, (got, args) in enumerate(seen):
+        np.testing.assert_array_equal(got, claim.shuffle(terminal + k, 7919, k))
+        assert args == ("lengths", 9)
+    # a run that never calls terminal_q trains no twin
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    assert claim.twin_main(["7919", "train"]) == 3
+
+
+def test_the_twin_of_the_zero_reward_control_writes_the_same_bytes(claim, tmp_path):
+    # every terminal reward is 0, so shuffling them changes nothing
+    corpus, config = tmp_path / "corpus", tmp_path / "config.json"
+    claim.same_bytes.synth_corpus(ROOT, corpus, 0, 8, 4)
+    config.write_text(json.dumps({
+        **claim.same_bytes.README_CONFIG, "epochs": 2,
+        "train_manifest": str(corpus / "train_manifest.json"),
+        "val_manifest": str(corpus / "val_manifest.json"),
+        **claim.same_bytes.VARIANTS["zero_reward"]}))
+    real = claim.train(ROOT, config, tmp_path / "real")
+    twin = claim.train(ROOT, config, tmp_path / "twin", twin_seed=0)
+    assert real is not None and twin is not None
+    hashes = claim.same_bytes.file_hashes(tmp_path / "real")
+    assert hashes["reports.jsonl"] and hashes["last.ckpt"]
+    assert claim.same_bytes.file_hashes(tmp_path / "twin") == hashes
+    assert {k: v for k, v in twin.items() if k != "wall_s"} == \
+        {k: v for k, v in real.items() if k != "wall_s"}
+
+
 def tiny(claim, monkeypatch, variants, epochs):
-    """Shrink the claim to corpus seed 0, the given variants and epochs, and
-    8 train and 4 val scenes."""
+    """Shrink the claim to corpus seed 0, the given variants and epochs, 8
+    train and 4 val scenes, and 8 held-out scenes in two blocks."""
     monkeypatch.setattr(claim, "SEEDS", (0,))
     monkeypatch.setattr(claim, "VARIANTS", variants)
     monkeypatch.setattr(claim, "EPOCHS", epochs)
     monkeypatch.setattr(claim, "SCENES", 8)
     monkeypatch.setattr(claim, "VAL_SCENES", 4)
+    monkeypatch.setattr(claim, "HELDOUT_SCENES", 8)
+    monkeypatch.setattr(claim, "BLOCK", 4)
 
 
 def test_a_tiny_claim_is_recorded_and_reruns_to_the_same_numbers(claim, tmp_path, monkeypatch):

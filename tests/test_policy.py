@@ -209,23 +209,12 @@ class TestPolicyStep:
         with pytest.raises(K.ShapeError):
             P.policy_step(params, np.array([BOS_ID]), None, one_row(params, feats))
 
-    def test_a_one_row_scene_serves_every_row(self):
-        # n rows over one scene row step as over its n-row take, bit for bit
-        params, feats = tiny_policy(seed=4)
-        scene, rows = one_row(params, feats), np.zeros(3, dtype=np.intp)
-        words = np.array([BOS_ID, 4, 7])
-        state = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 4 * params.hidden_size))
-        logits, record = P.policy_step(params, words, state, scene)
-        want_logits, want = P.policy_step(params, words, state, scene.take(rows))
-        np.testing.assert_array_equal(logits, want_logits)
-        for name in ("words", "state", "vis", "attn", "attended", "lang"):
-            np.testing.assert_array_equal(getattr(record, name), getattr(want, name))
-
     def test_a_scene_of_other_rows_is_rejected(self):
+        # every row reads its own scene row: a one-row scene serves one row
         params, feats, _ = row_batch()
-        scene = P.project_batch(params, feats[:2])
-        with pytest.raises(K.ShapeError):
-            P.policy_step(params, np.array([4, 4, 4]), zero_state(params, 3), scene)
+        for scene in (P.project_batch(params, feats[:2]), P.project_batch(params, feats[:1])):
+            with pytest.raises(K.ShapeError):
+                P.policy_step(params, np.array([4, 4, 4]), zero_state(params, 3), scene)
 
     def test_teacher_forced_gradients_match_finite_differences(self):
         params, feats = tiny_policy(seed=7, vocab_size=7, hidden=5)
@@ -881,10 +870,9 @@ class TestFusedStep:
 
     @staticmethod
     def gathers(monkeypatch):
-        """Record, in call order, each policy_step's (state argument, scene
-        argument, record), each gather of the rows of a state that a step
-        made (an index array into it) and the rows of each
-        ProjectedScene.take."""
+        """Record, in call order, each policy_step's (state argument, record),
+        each gather of the rows of a state that a step made (an index array
+        into it) and the rows of each ProjectedScene.take."""
         events = []
         step, take = P.policy_step, P.ProjectedScene.take
 
@@ -898,7 +886,7 @@ class TestFusedStep:
 
         def counted_step(*args, **kwargs):
             logits, record = step(*args, **kwargs)
-            events.append(("step", (args[2], args[3], record)))
+            events.append(("step", (args[2], record)))
             record.state = record.state.view(Logged)
             return logits, record
 
@@ -918,7 +906,7 @@ class TestFusedStep:
         counts, gathered, last = [], None, None
         for event, value in events:
             if event == "step":
-                read, _, record = value
+                read, record = value
                 if last is not None and gathered is None:
                     assert read is last.state
                 elif last is not None:
@@ -932,24 +920,16 @@ class TestFusedStep:
                 counts[-1] += 1
         return counts
 
-    @classmethod
-    def one_scene(cls, events):
-        """Whether every step read the first step's scene as it is, with no
-        take: a one-row scene serves all the rows of a beam."""
-        scenes = [value[1] for event, value in events if event == "step"]
-        return (cls.after_each_step(events, "take") == [0] * len(scenes)
-                and all(scene is scenes[0] for scene in scenes))
-
     def test_a_reordering_beam_step_gathers_the_state_once(self, monkeypatch):
         # after each step, either nothing is gathered or, once, the state
-        # rows of the parents; the one scene row is never gathered
+        # and scene rows of the parents
         params, feats = tiny_policy(seed=3, vocab_size=5, hidden=4, feature_dim=3, sharpen=3.0)
         events = self.gathers(monkeypatch)
         P.beam_search(params, feats, 6, width=3)
         monkeypatch.undo()
         counts = self.after_each_step(events, "gather")
         assert len(counts) == 6 and sum(map(bool, counts)) >= 2 and max(counts) == 1
-        assert self.one_scene(events)
+        assert self.after_each_step(events, "take") == counts
 
     def test_a_row_drop_gathers_the_state_once(self, monkeypatch):
         # and the scene rows once, as the rows hold several scenes
@@ -973,7 +953,7 @@ class TestFusedStep:
         P.beam_search(params, rng.standard_normal((3, 4)), 6, width=3)
         monkeypatch.undo()
         assert self.after_each_step(events, "gather") == [1, 1, 0, 0, 0, 0]
-        assert self.one_scene(events)
+        assert self.after_each_step(events, "take") == [1, 1, 0, 0, 0, 0]
 
 
 class TestGreedy:

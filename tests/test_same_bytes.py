@@ -100,11 +100,20 @@ def test_the_variants_cover_the_ablations(same_bytes):
     assert same_bytes.DECODED == ("crl", "xe")
 
 
+def tiny(same_bytes, monkeypatch, variant):
+    """Shrink the comparison to corpus seed 0, the one variant, one epoch
+    and 6 train and 2 val scenes."""
+    monkeypatch.setattr(same_bytes, "SEEDS", (0,))
+    monkeypatch.setattr(same_bytes, "VARIANTS", {variant: same_bytes.VARIANTS[variant]})
+    monkeypatch.setattr(same_bytes, "EPOCHS", 1)
+    monkeypatch.setattr(same_bytes, "SCENES", 6)
+    monkeypatch.setattr(same_bytes, "VAL_SCENES", 2)
+
+
 def test_this_tree_writes_the_same_bytes_as_itself(same_bytes, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(ROOT)
-    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
-                            "--variant", "crl", "--epochs", "1", "--scenes", "6",
-                            "--val-scenes", "2"])
+    tiny(same_bytes, monkeypatch, "crl")
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == 0, out
     assert out[-1] == "1 runs: every file byte-identical"
@@ -119,9 +128,8 @@ def test_the_no_val_variant_trains_without_a_val_manifest(same_bytes, monkeypatc
     # eval --split val needs a val manifest, so the variant is not decoded
     assert "crl_no_val" not in same_bytes.DECODED
     monkeypatch.chdir(ROOT)
-    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
-                            "--variant", "crl_no_val", "--epochs", "1", "--scenes", "6",
-                            "--val-scenes", "2"])
+    tiny(same_bytes, monkeypatch, "crl_no_val")
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == 0, out
     assert [line.split()[2] for line in out[1:-1]] == list(same_bytes.FILES)
@@ -152,9 +160,8 @@ def test_the_ragged_variants_train_on_the_ragged_copy(same_bytes, monkeypatch, t
     assert same_bytes.VARIANTS["xe_ragged"] == same_bytes.VARIANTS["xe"]
     assert same_bytes.VARIANTS["crl_ragged"] == same_bytes.VARIANTS["crl"]
     monkeypatch.chdir(ROOT)
-    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path), "--seed", "0",
-                            "--variant", "xe_ragged", "--epochs", "1", "--scenes", "6",
-                            "--val-scenes", "2"])
+    tiny(same_bytes, monkeypatch, "xe_ragged")
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert code == 0, out
     assert out[-1] == "1 runs: every file byte-identical"

@@ -6,28 +6,49 @@ Run from anywhere, with this tree's own source:
 
 The tool synthesises the 200+50-scene corpus at each corpus seed (0, 7919
 and 1) once, with this tree's `curioseq synth`, and trains each variant
-(`xe`, the zero-reward control `zero_reward`, the README `crl` and `rho_0`,
-`crl` at `intrinsic_scale` 0) on it with `curioseq train`, for 30 epochs
-of the README config. The corpus synthesis, the config, the variants and
-the runner come from `tools/same_bytes.py`: every process runs at one
-BLAS thread, and at most two run at a time, so a run's wall time includes
-sharing the host with one other run.
+(`xe`, the zero-reward control `zero_reward`, the README `crl`, `rho_0`,
+`crl` at `intrinsic_scale` 0, and the shuffled twins `crl_shuffled` and
+`rho_0_shuffled`) on it with `curioseq train`, for 30 epochs of the README
+config. The corpus synthesis, the config, the variants and the runner come
+from `tools/same_bytes.py`: every process runs at one BLAS thread, and at
+most two run at a time, so a run's wall time includes sharing the host
+with one other run.
 
-The record holds, per run, its wall time and the per-epoch SERIES of its
-`reports.jsonl`; per seed and variant, the last epoch's val CIDEr and
-distinct-2 and the mean val CIDEr over the last TAIL epochs (all of them
-when fewer ran); per seed, each variant's paired differences in those
-three numbers against each of REFERENCES; and, per variant and reference,
-the number of seeds on which the variant's number is the larger. It names
-the commit checked out in the tree (`git rev-parse HEAD`), or the sha given
-with `--commit` for a tree without git metadata; without either the tool
-exits 2 before it runs anything. When git sees uncommitted changes under
-`src/` or `tools/`, the runs used code that no commit holds, so the record
-reads `"dirty": true` beside the commit those changes sit on. It prints the
-table of the ROADMAP's Baseline, one row per variant and one cell per seed
-(CIDEr@last / distinct-2@last / tail mean CIDEr), with the mean of the
-tail means last, and exits 1 when a run fails. Uses only the standard
-library.
+A variant named v + TWIN is v's shuffled-reward twin: it trains with v's
+config in a child process (twin_main) that wraps
+`curioseq.rewards.terminal_q`, the one call that reads the terminal
+rewards, so that call k of the run permutes a copy of its rewards with
+`numpy.random.default_rng([corpus seed, k])`. The rewards keep their
+values, and each episode gets another episode's score; the reported
+`mean_extrinsic_reward` is the real one, which `train_step` sums apart.
+The child exits 3 when terminal_q was never called, so a renamed call
+fails the run instead of training an untwinned copy.
+
+Each seed's corpus is synthesised a second time with HELDOUT_SCENES
+(1,000) val scenes, whose first 50 are the corpus's val split; the tool
+stops unless the two train manifests and vocabularies are equal. After
+training, `curioseq eval` scores each run's `last.ckpt` on all of them
+and on each block of BLOCK (50) consecutive ones, with the train split's
+IDF.
+
+The record holds, per run, its wall time, the per-epoch SERIES of its
+`reports.jsonl`, its held-out CIDEr and each block's; per seed and
+variant, the last epoch's val CIDEr and distinct-2, the mean val CIDEr
+over the last TAIL epochs (all of them when fewer ran), the held-out CIDEr
+and the mean and sample standard deviation of the block CIDErs; per seed,
+each variant's paired differences in the SUMMARY numbers and the held-out
+CIDEr against each of REFERENCES and against its twin (`vs_twin`); and,
+per variant and reference, the number of seeds on which the variant's
+number is the larger. It names the commit checked out in the tree (`git
+rev-parse HEAD`), or the sha given with `--commit` for a tree without git
+metadata; without either the tool exits 2 before it runs anything. When
+git sees uncommitted changes under `src/` or `tools/`, the runs used code
+that no commit holds, so the record reads `"dirty": true` beside the
+commit those changes sit on. It prints the table of the ROADMAP's
+Baseline, one row per variant and one cell per seed (CIDEr@last /
+distinct-2@last / tail mean CIDEr), with the mean of the tail means last,
+and exits 1 when a run fails. The tool uses only the standard library; a
+twin's child process imports numpy and curioseq from the tree's source.
 """
 
 from __future__ import annotations
@@ -35,6 +56,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,14 +79,19 @@ same_bytes = _load("same_bytes")
 bench_pairs = _load("bench_pairs")
 
 SEEDS = (0, 7919, 1)
-VARIANTS = ("xe", "zero_reward", "crl", "rho_0")
+VARIANTS = ("xe", "zero_reward", "crl", "rho_0", "crl_shuffled", "rho_0_shuffled")
 REFERENCES = ("xe", "zero_reward")
+TWIN = "_shuffled"      # the suffix of a shuffled-reward twin's name
 EPOCHS = 30
 SCENES, VAL_SCENES = 200, 50  # each corpus seed's train and val scenes
+HELDOUT_SCENES, BLOCK = 1000, 50  # the held-out val scenes, scored in blocks of BLOCK
 TAIL = 5                # the last epochs whose val CIDEr is averaged
 SERIES = ("val_cider", "val_distinct2", "mean_episode_length", "eos_rate",
           "mean_extrinsic_reward")
 SUMMARY = ("val_cider_last", "val_distinct2_last", "val_cider_tail_mean")
+PAIRED = (*SUMMARY, "heldout_cider")
+# the child of a twin's run: sys.argv is [-c, this file, corpus seed, curioseq args...]
+TWIN_CHILD = "import runpy, sys; sys.exit(runpy.run_path(sys.argv[1])['twin_main'](sys.argv[2:]))"
 
 
 def series(reports: list[dict]) -> dict[str, list[float]]:
@@ -80,23 +107,34 @@ def summarize(run: dict[str, list[float]]) -> dict[str, float]:
             "val_cider_tail_mean": sum(tail) / len(tail)}
 
 
+def heldout(cider: float, blocks: list[float]) -> dict[str, float]:
+    """The held-out numbers of one run, from its CIDEr on every held-out
+    scene and its CIDEr on each block: the block CIDErs' mean and sample
+    standard deviation."""
+    return {"heldout_cider": cider, "heldout_block_mean": statistics.fmean(blocks),
+            "heldout_block_std": statistics.stdev(blocks)}
+
+
 def paired(summaries: dict[int, dict[str, dict]]) -> tuple[dict, dict]:
-    """Per seed, each variant's SUMMARY differences (variant minus
-    reference) against each reference of REFERENCES that ran at that seed,
-    and per variant and reference, the seeds on which each difference is
-    positive. summaries maps a seed to {variant: summarize(...)}."""
+    """Per seed, each variant's differences (variant minus reference) in
+    the PAIRED numbers that both runs hold, against each reference of
+    REFERENCES and against its twin (`vs_twin`) that ran at that seed, and
+    per variant and reference, the seeds on which each difference is
+    positive. summaries maps a seed to {variant: summarize(...), with the
+    heldout(...) numbers when they were scored}."""
     diffs: dict = {}
     wins: dict = {}
     for seed, runs in summaries.items():
         for variant, own in runs.items():
-            for ref in REFERENCES:
+            refs = {f"vs_{ref}": ref for ref in REFERENCES} | {"vs_twin": variant + TWIN}
+            for key, ref in refs.items():
                 if ref == variant or ref not in runs:
                     continue
-                d = {name: own[name] - runs[ref][name] for name in SUMMARY}
-                diffs.setdefault(seed, {}).setdefault(variant, {})[f"vs_{ref}"] = d
-                won = wins.setdefault(variant, {}).setdefault(f"vs_{ref}",
-                                                              dict.fromkeys(SUMMARY, 0))
-                for name in SUMMARY:
+                d = {name: own[name] - runs[ref][name] for name in PAIRED
+                     if name in own and name in runs[ref]}
+                diffs.setdefault(seed, {}).setdefault(variant, {})[key] = d
+                won = wins.setdefault(variant, {}).setdefault(key, dict.fromkeys(d, 0))
+                for name in d:
                     won[name] += d[name] > 0
     return diffs, wins
 
@@ -121,6 +159,51 @@ def table(summaries: dict[int, dict[str, dict]], seeds, variants) -> list[str]:
     return lines
 
 
+def shuffle(terminal, seed: int, k: int):
+    """A copy of the terminal rewards of a run's call k to terminal_q,
+    permuted by numpy.random.default_rng([seed, k])."""
+    import numpy as np
+    return np.asarray(terminal)[np.random.default_rng([seed, k]).permutation(len(terminal))]
+
+
+def twin_main(argv: list[str]) -> int:
+    """`curioseq argv[1:]` with every terminal_q call's rewards shuffled at
+    corpus seed argv[0]; 3 when no call was made."""
+    from curioseq import cli, rewards
+    calls = 0
+    terminal_q = rewards.terminal_q
+
+    def shuffled(terminal, *args):
+        nonlocal calls
+        calls += 1
+        return terminal_q(shuffle(terminal, int(argv[0]), calls - 1), *args)
+
+    rewards.terminal_q = shuffled
+    code = cli.main(argv[1:])
+    if code == 0 and calls == 0:
+        print("error: terminal_q was never called, so no reward was shuffled", file=sys.stderr)
+        return 3
+    return code
+
+
+def synth_heldout(tree: Path, corpus: Path, out: Path, seed: int) -> list[Path]:
+    """The corpus of seed again in out, with HELDOUT_SCENES val scenes: its
+    val manifest, then one manifest per BLOCK consecutive val scenes,
+    beside it. Stops unless its train manifest and vocabulary are
+    corpus's."""
+    same_bytes.synth_corpus(tree, out, seed, SCENES, HELDOUT_SCENES)
+    for name in ("train_manifest.json", "vocab.txt"):
+        if (out / name).read_bytes() != (corpus / name).read_bytes():
+            raise SystemExit(f"error: the held-out synthesis of corpus seed {seed} has "
+                             f"another {name}")
+    doc = json.loads((out / "val_manifest.json").read_text())
+    manifests = [out / "val_manifest.json"]
+    for b in range(0, len(doc["scenes"]), BLOCK):
+        manifests.append(out / f"block{b // BLOCK:02d}_manifest.json")
+        manifests[-1].write_text(json.dumps({**doc, "scenes": doc["scenes"][b:b + BLOCK]}))
+    return manifests
+
+
 def dirty(tree: Path) -> bool:
     """Whether git sees uncommitted changes to src/ or tools/ in tree (False
     when git cannot tell)."""
@@ -132,17 +215,45 @@ def dirty(tree: Path) -> bool:
     return proc.returncode == 0 and proc.stdout.strip() != ""
 
 
-def train(tree: Path, config: Path, out: Path) -> dict | None:
-    """One `curioseq train` run: its wall time and series, or None when it
-    fails (its stderr goes to ours)."""
+def train(tree: Path, config: Path, out: Path, twin_seed: int | None = None) -> dict | None:
+    """One `curioseq train` run, or with twin_seed its shuffled-reward twin
+    at that corpus seed: its wall time and series, or None when it fails
+    (its stderr goes to ours)."""
+    args = ("train", "--config", str(config), "--out", str(out))
     start = time.perf_counter()
-    proc = same_bytes.curioseq(tree, "train", "--config", str(config), "--out", str(out))
+    proc = (same_bytes.curioseq(tree, *args) if twin_seed is None else
+            same_bytes.python(tree, "-c", TWIN_CHILD, str(TOOLS / "claim.py"), str(twin_seed),
+                              *args))
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         print(f"{out}: train exit {proc.returncode}\n{proc.stderr.rstrip()}", file=sys.stderr)
         return None
     lines = (out / "reports.jsonl").read_text().splitlines()
     return {"wall_s": wall, **series([json.loads(line) for line in lines])}
+
+
+def claim_run(tree: Path, config: Path, seed: int, variant: str,
+              manifests: list[Path]) -> dict | None:
+    """One variant's train run at one seed, then `curioseq eval` of its
+    last.ckpt on each of manifests (every held-out scene, then each
+    block): the train record with `heldout_cider` and `heldout_block_cider`
+    added, or None when a command fails."""
+    out = config.parent / "run"
+    run = train(tree, config, out, seed if variant.endswith(TWIN) else None)
+    if run is None:
+        return None
+    cider, doc = [], json.loads(config.read_text())
+    for i, manifest in enumerate(manifests):
+        scored = config.parent / f"heldout{i:02d}.json"
+        scored.write_text(json.dumps({**doc, "val_manifest": str(manifest)}))
+        proc = same_bytes.curioseq(tree, "eval", "--config", str(scored),
+                                   "--checkpoint", str(out / "last.ckpt"))
+        if proc.returncode != 0:
+            print(f"{out}: eval of {manifest.name} exit {proc.returncode}\n"
+                  f"{proc.stderr.rstrip()}", file=sys.stderr)
+            return None
+        cider.append(json.loads(proc.stdout)["cider"])
+    return {**run, "heldout_cider": cider[0], "heldout_block_cider": cider[1:]}
 
 
 def main(argv=None) -> int:
@@ -162,6 +273,9 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(same_bytes.JOBS) as pool:
             list(pool.map(lambda s: same_bytes.synth_corpus(tree, work / f"corpus{s}", s,
                                                             SCENES, VAL_SCENES), SEEDS))
+            heldouts = dict(zip(SEEDS, pool.map(
+                lambda s: synth_heldout(tree, work / f"corpus{s}", work / f"heldout{s}", s),
+                SEEDS)))
             pending = {}
             for seed in SEEDS:
                 corpus = work / f"corpus{seed}"
@@ -172,19 +286,22 @@ def main(argv=None) -> int:
                         **same_bytes.README_CONFIG, "epochs": EPOCHS,
                         "train_manifest": str(corpus / "train_manifest.json"),
                         "val_manifest": str(corpus / "val_manifest.json"),
-                        **same_bytes.VARIANTS[variant]}))
-                    pending[seed, variant] = pool.submit(train, tree, config, config.parent / "run")
+                        **same_bytes.VARIANTS[variant.removesuffix(TWIN)]}))
+                    pending[seed, variant] = pool.submit(claim_run, tree, config, seed, variant,
+                                                         heldouts[seed])
             runs = {key: job.result() for key, job in pending.items()}
     summaries: dict[int, dict[str, dict]] = {}
     for (seed, variant), run in runs.items():
         if run is not None:
-            summaries.setdefault(seed, {})[variant] = summarize(run)
+            summaries.setdefault(seed, {})[variant] = {
+                **summarize(run), **heldout(run["heldout_cider"], run["heldout_block_cider"])}
     diffs, wins = paired(summaries)
     failed = [f"seed{seed} {variant}" for (seed, variant), run in runs.items() if run is None]
     doc = {"commit": commit, "dirty": changed, "seeds": SEEDS, "variants": VARIANTS,
            "epochs": EPOCHS, "scenes": SCENES, "val_scenes": VAL_SCENES, "tail_epochs": TAIL,
-           "config": same_bytes.README_CONFIG, "overrides": {v: same_bytes.VARIANTS[v]
-                                                             for v in VARIANTS},
+           "heldout_scenes": HELDOUT_SCENES, "block_scenes": BLOCK,
+           "config": same_bytes.README_CONFIG,
+           "overrides": {v: same_bytes.VARIANTS[v.removesuffix(TWIN)] for v in VARIANTS},
            "jobs": same_bytes.JOBS, "elapsed_s": time.perf_counter() - start,
            "runs": {f"seed{seed} {variant}": run for (seed, variant), run in runs.items()},
            "summary": summaries, "paired": diffs, "seeds_won": wins, "failed": failed}

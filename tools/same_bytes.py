@@ -5,24 +5,25 @@ beside it (a `git archive` of it will do):
 
     python3 tools/same_bytes.py --parent ../parent
 
-The tool synthesises the 200+50-scene corpora at corpus seeds 0 and 7919
-once, with this tree's `curioseq synth`. It then trains each variant of
-VARIANTS on each corpus in both trees with `curioseq train`, for 3 epochs
-of the README config; a variant's keys override the corpus's manifests,
-so `crl_no_val` trains without a val manifest and validates on the train
-split. The RAGGED variants train on a copy of the corpus whose scene i (in
-each manifest's order) keeps the first m - (i mod 4) of its m regions, so
-their minibatches pad and mask regions, which the grammar's equal region
-counts never do. After the `crl` and `xe` runs (DECODED) it decodes
-with their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the
-val split and `curioseq generate` prints the paragraph of the first val
+The tool synthesises the SCENES+VAL_SCENES-scene corpus (200+50) at each
+corpus seed of SEEDS (0 and 7919) once, with this tree's `curioseq
+synth`. It then trains each variant of VARIANTS on each corpus in both
+trees with `curioseq train`, for EPOCHS (3) epochs of the README config;
+a variant's keys override the corpus's manifests, so `crl_no_val` trains
+without a val manifest and validates on the train split. The RAGGED
+variants train on a copy of the corpus whose scene i (in each manifest's
+order) keeps the first m - (i mod 4) of its m regions, so their
+minibatches pad and mask regions, which the grammar's equal region
+counts never do. After the `crl` and `xe` runs (DECODED) it decodes with
+their `last.ckpt` in each tree (DECODES): `curioseq eval` scores the val
+split and `curioseq generate` prints the paragraph of the first val
 scene, each greedy and at beam width 2. Every process runs at one BLAS
 thread, and at most two run at a time. For each run the tool prints the
-sha256 prefix of each of its three output files (FILES) and of each printed
-decode record side by side, and exits 1 when a file or a record differs
-or a run fails; a file that neither tree wrote counts as the same.
-`--seed`, `--variant`, `--epochs`, `--scenes` and `--val-scenes` narrow
-the set. Uses only the standard library.
+sha256 prefix of each of its three output files (FILES) and of each
+printed decode record side by side, and exits 1 when a file or a record
+differs or a run fails; a file that neither tree wrote counts as the
+same. Its only options are `--parent` and `--work`, where the corpora
+and runs go. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -65,17 +66,24 @@ DECODES = {
     "generate_beam2": ("generate", "--scene-id", FIRST_VAL_SCENE, "--beam-width", "2"),
 }
 SEEDS = (0, 7919)
+EPOCHS = 3
+SCENES, VAL_SCENES = 200, 50  # each corpus seed's train and val scenes
 JOBS = 2                # processes at a time
 PREFIX = 12             # hex digits of each sha256 shown
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
+def python(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """`python args` on tree's own source, at one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
+                          text=True)
+
+
 def curioseq(tree: Path, *args: str) -> subprocess.CompletedProcess:
     """`python -m curioseq.cli args` on tree's own source, at one BLAS thread."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    return subprocess.run([sys.executable, "-m", "curioseq.cli", *args], cwd=tree, env=env,
-                          capture_output=True, text=True)
+    return python(tree, "-m", "curioseq.cli", *args)
 
 
 def file_hashes(out: Path) -> dict[str, str | None]:
@@ -155,11 +163,6 @@ def main(argv=None) -> int:
                         help="a copy of the parent commit's tree")
     parser.add_argument("--work", type=Path,
                         help="where corpora and runs go (default: a temporary directory)")
-    parser.add_argument("--seed", type=int, action="append", help="corpus seed, repeatable")
-    parser.add_argument("--variant", action="append", choices=VARIANTS, help="repeatable")
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--scenes", type=int, default=200)
-    parser.add_argument("--val-scenes", type=int, default=50)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
     for tree in trees.values():
@@ -167,20 +170,19 @@ def main(argv=None) -> int:
             parser.error(f"{tree} holds no src/curioseq/cli.py")
     with tempfile.TemporaryDirectory() as scratch:
         work = (args.work or Path(scratch)).resolve()
-        seeds, variants = args.seed or SEEDS, args.variant or list(VARIANTS)
         with ThreadPoolExecutor(JOBS) as pool:
             list(pool.map(lambda s: synth_corpus(trees["change"], work / f"corpus{s}", s,
-                                                 args.scenes, args.val_scenes), seeds))
+                                                 SCENES, VAL_SCENES), SEEDS))
             pending = {}
-            for seed in seeds:
+            for seed in SEEDS:
                 ragged_copy(work / f"corpus{seed}", work / f"ragged{seed}")
-                for variant in variants:
+                for variant in VARIANTS:
                     corpus = work / f"{'ragged' if variant in RAGGED else 'corpus'}{seed}"
                     name = f"seed{seed} {variant}"
                     config = work / f"seed{seed}" / variant / "config.json"
                     config.parent.mkdir(parents=True, exist_ok=True)
                     config.write_text(json.dumps({
-                        **README_CONFIG, "epochs": args.epochs,
+                        **README_CONFIG, "epochs": EPOCHS,
                         "train_manifest": str(corpus / "train_manifest.json"),
                         "val_manifest": str(corpus / "val_manifest.json"),
                         **VARIANTS[variant]}))
