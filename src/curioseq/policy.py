@@ -465,8 +465,11 @@ def rollout_greedy(params: PolicyParams, features: np.ndarray, t_max: int) -> li
 def beam_search(params: PolicyParams, features: np.ndarray, t_max: int,
                 width: int) -> list[int]:
     """Keep the width highest cumulative-log-probability partials per step;
-    finished sequences are held aside and compete on total log-probability.
-    Ties resolve toward the lexicographically smaller token sequence."""
+    finished paragraphs are held aside and compete on summed log-probability,
+    with no length term. Under the 3-epoch seed-0 checkpoints of
+    tools/same_bytes.py, width 5 decoded `<eos>` alone on all 250 scenes and
+    width 3 never stopped. Ties resolve toward the lexicographically smaller
+    token sequence."""
     if width < 1:
         raise ValueError("beam width must be >= 1")
     return _search(params, features, t_max, width)

@@ -1,6 +1,6 @@
 """Rewards of the sampled episodes: the terminal linguistic reward
 (scored_reward, against a scene's reference statistics, which train counts
-once per run), their temporal-difference returns Q as (B, T) arrays over a
+once per run), their discounted returns Q as (B, T) arrays over a
 batch of episodes (terminal_q), and the value of the policy-gradient
 surrogate loss (rl_loss), whose gradient comes from the weights of the
 sampled rows in policy.RowUnroll.loss."""
@@ -41,12 +41,11 @@ def td_lambda_q(rewards: Sequence[float] | np.ndarray, gamma: float,
 
     Evaluated in O(T) by the backward recursions G_t = r_t + gamma G_{t+1}
     and M_t = r_t sum_{j<=H_t} lam^j + gamma lam M_{t+1}, where M_t is the
-    lam-weighted sum of truncated returns and H_t = T - t the horizon.
+    lam-weighted sum of truncated returns and H_t = T - t the horizon. Kept
+    as the general recursion that terminal_q's closed form is checked against.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError("gamma and lambda must be in [0, 1]")
     r = np.asarray(rewards, dtype=np.float64)
     t_len = r.shape[-1]
     q = np.zeros(r.shape)
@@ -60,8 +59,8 @@ def td_lambda_q(rewards: Sequence[float] | np.ndarray, gamma: float,
 
 
 def q_closed_form(r_terminal: float, length: int, gamma: float) -> np.ndarray:
-    """The lambda=1 special case with a terminal-only reward:
-    Q_t = gamma^(T-t) * r_T."""
+    """The lambda=1 special case with a terminal-only reward,
+    Q_t = gamma^(T-t) * r_T: the reference terminal_q is checked against."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if not 0.0 <= gamma <= 1.0:
@@ -73,18 +72,15 @@ def q_closed_form(r_terminal: float, length: int, gamma: float) -> np.ndarray:
 def terminal_q(terminal: np.ndarray, lengths: np.ndarray, steps: int, gamma: float,
                lam: float) -> np.ndarray:
     """(B, steps) Q of B episodes rewarded only at their last step, 0 past
-    their ends: q_closed_form at lam 1, else td_lambda_q run once over the
-    episodes aligned at their last step. Q_t depends only on the steps left,
-    so both equal the per-episode functions bit for bit."""
-    mask = np.arange(steps) < lengths[:, None]
-    aligned = np.where(mask, np.arange(steps) + steps - lengths[:, None], steps - 1)
-    if lam == 1.0:
-        q = q_closed_form(1.0, steps, gamma)[aligned] * terminal[:, None]
-    else:
-        rewards = np.zeros((lengths.size, steps))
-        rewards[:, -1] = terminal
-        q = np.take_along_axis(td_lambda_q(rewards, gamma, lam), aligned, axis=1)
-    return np.where(mask, q, 0.0)
+    their ends: td_lambda_q's closed form Q_t = (2 - lam)(gamma lam)^H_t r_T,
+    H_t the steps after t. A Monte-Carlo return discounted at gamma lam, its
+    last step gets (2 - lam) r_T (1.5 r_T at lam 0.5); no value is estimated
+    and nothing is bootstrapped. At lam 1 it gives q_closed_form's floats."""
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError("gamma and lambda must be in [0, 1]")
+    left = lengths[:, None] - 1 - np.arange(steps)
+    q = (2.0 - lam) * (gamma * lam) ** np.maximum(left, 0) * terminal[:, None]
+    return np.where(left >= 0, q, 0.0)
 
 
 def rl_loss(episodes: Episodes, advantage: np.ndarray) -> float:

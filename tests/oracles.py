@@ -1075,12 +1075,18 @@ def terminal_reward_vector(reward: float, length: int) -> np.ndarray:
     return out
 
 
+def terminal_closed_form_q(reward: float, length: int, gamma: float, lam: float) -> np.ndarray:
+    """Q of one episode rewarded only at its last step, in closed form:
+    (2 - lam) (gamma lam)^H_t r_T, H_t the steps after t."""
+    return (2.0 - lam) * (gamma * lam) ** np.arange(length - 1, -1, -1) * reward
+
+
 def per_episode_assembly(traces, errors, references, vocab, cfg, shape):
     """The log-prob weights (an array of the given (2B, T) shape) and the
     report sums of one train step's B sampled traces, built one episode at a
     time, as train_step built them before its episodes stayed (B, T)
-    arrays: episode i's Q (q_closed_form at lambda 1, otherwise td_lambda_q
-    of its terminal reward vector) plus its intrinsic reward from errors[i],
+    arrays: episode i's Q (q_closed_form at lambda 1, otherwise
+    terminal_closed_form_q) plus its intrinsic reward from errors[i],
     the per-step curiosity errors of its own steps. Returns (lp_weights,
     {StepStats field: value}) for the fields it fills."""
     b = len(traces)
@@ -1095,8 +1101,7 @@ def per_episode_assembly(traces, errors, references, vocab, cfg, shape):
         if cfg.td_lambda == 1.0:
             q = R.q_closed_form(r_e, len(trace), cfg.discount)
         else:
-            q = R.td_lambda_q(terminal_reward_vector(r_e, len(trace)),
-                              cfg.discount, cfg.td_lambda)
+            q = terminal_closed_form_q(r_e, len(trace), cfg.discount, cfg.td_lambda)
         advantage = q + intrinsic
         lp_weights[b + i, :len(trace)] = -advantage / b
         rl += float(-advantage @ np.asarray(trace.log_probs))

@@ -124,12 +124,32 @@ def test_a_candidate_is_paired_with_its_twin_on_the_heldout_cider_too(claim):
 
 
 def test_the_heldout_numbers_of_hand_made_blocks(claim):
-    h = claim.heldout(0.31, [0.30, 0.34, 0.26, 0.30])
+    h = claim.heldout(0.31, [0.30, 0.34, 0.26, 0.30], [0.02, 0.04, 0.03, 0.03])
     assert h["heldout_cider"] == 0.31
     assert h["heldout_block_mean"] == pytest.approx(0.30, abs=1e-15)
     # the sample standard deviation: deviations 0, 0.04, -0.04, 0 over 3 degrees of freedom
     assert h["heldout_block_std"] == pytest.approx((0.0032 / 3) ** 0.5, abs=1e-15)
-    assert claim.heldout(0.2, [0.2, 0.2])["heldout_block_std"] == 0.0
+    assert h["heldout_block_distinct2_mean"] == pytest.approx(0.03, abs=1e-15)
+    # deviations -0.01, 0.01, 0, 0 over 3 degrees of freedom
+    assert h["heldout_block_distinct2_std"] == pytest.approx((0.0002 / 3) ** 0.5, abs=1e-15)
+    same = claim.heldout(0.2, [0.2, 0.2], [0.05, 0.05])
+    assert same["heldout_block_std"] == same["heldout_block_distinct2_std"] == 0.0
+
+
+def test_each_block_eval_record_gives_its_cider_and_distinct2(claim, tmp_path, monkeypatch):
+    # hand-made `curioseq eval` records: the first scores every held-out
+    # scene, one per block follows
+    evals = iter([{"cider": 0.25, "distinct2": 0.0012},
+                  {"cider": 0.20, "distinct2": 0.031}, {"cider": 0.30, "distinct2": 0.029}])
+    monkeypatch.setattr(claim, "train", lambda *args: {"wall_s": 1.0})
+    monkeypatch.setattr(claim.same_bytes, "curioseq", lambda *args: subprocess.CompletedProcess(
+        args, 0, json.dumps(next(evals)), ""))
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    manifests = [tmp_path / f"m{i}.json" for i in range(3)]
+    run = claim.claim_run(ROOT, config, 0, "crl", manifests)
+    assert run == {"wall_s": 1.0, "heldout_cider": 0.25, "heldout_block_cider": [0.20, 0.30],
+                   "heldout_block_distinct2": [0.031, 0.029]}
 
 
 def test_the_heldout_synthesis_splits_the_corpus_val_scenes_into_blocks(claim, tmp_path,
@@ -235,6 +255,9 @@ def test_a_tiny_claim_is_recorded_and_reruns_to_the_same_numbers(claim, tmp_path
     assert doc["runs"]["seed0 xe"]["mean_episode_length"] == [0.0, 0.0]
     assert doc["runs"]["seed0 zero_reward"]["mean_episode_length"][0] > 0
     assert set(doc["summary"]["0"]) == {"xe", "zero_reward"}
+    for held_out in doc["summary"]["0"].values():
+        assert 0 <= held_out["heldout_block_distinct2_mean"] <= 1
+        assert held_out["heldout_block_distinct2_std"] >= 0
     assert set(doc["paired"]["0"]) == {"xe", "zero_reward"}
     assert set(doc["seeds_won"]) == {"xe", "zero_reward"}
 

@@ -147,26 +147,42 @@ class TestExtrinsicReward:
 
 
 class TestTerminalQ:
-    """terminal_q against the per-episode q_closed_form and td_lambda_q."""
+    """terminal_q against the per-episode q_closed_form, closed-form oracle
+    and td_lambda_q."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.95, 1.0])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0])
     def test_equals_the_per_episode_functions_exactly(self, gamma, lam):
         rng = np.random.default_rng([21, int(10 * gamma), int(100 * lam)])
         for _ in range(20):
-            lengths = rng.integers(1, 12, size=rng.integers(1, 7))
+            lengths = rng.integers(1, 31, size=rng.integers(1, 7))
             steps = int(lengths.max()) + int(rng.integers(0, 3))
             terminal = rng.uniform(-1.0, 3.0, lengths.size)
             q = R.terminal_q(terminal, lengths, steps, gamma, lam)
             assert q.shape == (lengths.size, steps)
             for row, r, k in zip(q, terminal, lengths):
                 if lam == 1.0:
-                    want = R.q_closed_form(float(r), int(k), gamma)
+                    assert row[:k].tolist() == R.q_closed_form(float(r), int(k), gamma).tolist()
                 else:
-                    want = R.td_lambda_q(oracles.terminal_reward_vector(float(r), int(k)),
-                                         gamma, lam)
-                assert row[:k].tolist() == want.tolist()
+                    want = oracles.terminal_closed_form_q(float(r), int(k), gamma, lam)
+                    assert row[:k].tolist() == want.tolist()
+                    # the recursion sums in another order, so it rounds differently
+                    recursion = R.td_lambda_q(oracles.terminal_reward_vector(float(r), int(k)),
+                                              gamma, lam)
+                    np.testing.assert_allclose(row[:k], recursion, rtol=1e-14, atol=0)
                 assert (row[k:] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, lam", [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.9, 0.0)])
+    def test_no_discount_pays_only_the_last_step(self, gamma, lam):
+        # (gamma lam)^H with gamma lam 0 is 1 at H 0 and 0 before; no step
+        # takes 0 to a negative power, which would warn
+        terminal = np.array([2.0, -1.5, 0.7])
+        lengths = np.array([1, 4, 3])
+        q = R.terminal_q(terminal, lengths, 5, gamma, lam)
+        want = np.zeros((3, 5))
+        want[[0, 1, 2], lengths - 1] = (2.0 - lam) * terminal
+        assert q.tolist() == want.tolist()
 
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ValueError):

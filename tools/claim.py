@@ -32,10 +32,11 @@ and on each block of BLOCK (50) consecutive ones, with the train split's
 IDF.
 
 The record holds, per run, its wall time, the per-epoch SERIES of its
-`reports.jsonl`, its held-out CIDEr and each block's; per seed and
-variant, the last epoch's val CIDEr and distinct-2, the mean val CIDEr
-over the last TAIL epochs (all of them when fewer ran), the held-out CIDEr
-and the mean and sample standard deviation of the block CIDErs; per seed,
+`reports.jsonl`, its held-out CIDEr and each block's CIDEr and distinct-2;
+per seed and variant, the last epoch's val CIDEr and distinct-2, the mean
+val CIDEr over the last TAIL epochs (all of them when fewer ran), the
+held-out CIDEr and the mean and sample standard deviation of the block
+CIDErs and of the block distinct-2s; per seed,
 each variant's paired differences in the SUMMARY numbers and the held-out
 CIDEr against each of REFERENCES and against its twin (`vs_twin`); and,
 per variant and reference, the number of seeds on which the variant's
@@ -107,12 +108,16 @@ def summarize(run: dict[str, list[float]]) -> dict[str, float]:
             "val_cider_tail_mean": sum(tail) / len(tail)}
 
 
-def heldout(cider: float, blocks: list[float]) -> dict[str, float]:
+def heldout(cider: float, blocks: list[float], distinct2: list[float]) -> dict[str, float]:
     """The held-out numbers of one run, from its CIDEr on every held-out
-    scene and its CIDEr on each block: the block CIDErs' mean and sample
-    standard deviation."""
+    scene and its CIDEr and distinct-2 on each block: the mean and sample
+    standard deviation of the block CIDErs and of the block distinct-2s.
+    Distinct-2 over every held-out scene saturates, so only the block mean
+    compares with the val split's."""
     return {"heldout_cider": cider, "heldout_block_mean": statistics.fmean(blocks),
-            "heldout_block_std": statistics.stdev(blocks)}
+            "heldout_block_std": statistics.stdev(blocks),
+            "heldout_block_distinct2_mean": statistics.fmean(distinct2),
+            "heldout_block_distinct2_std": statistics.stdev(distinct2)}
 
 
 def paired(summaries: dict[int, dict[str, dict]]) -> tuple[dict, dict]:
@@ -236,13 +241,13 @@ def claim_run(tree: Path, config: Path, seed: int, variant: str,
               manifests: list[Path]) -> dict | None:
     """One variant's train run at one seed, then `curioseq eval` of its
     last.ckpt on each of manifests (every held-out scene, then each
-    block): the train record with `heldout_cider` and `heldout_block_cider`
-    added, or None when a command fails."""
+    block): the train record with `heldout_cider`, `heldout_block_cider`
+    and `heldout_block_distinct2` added, or None when a command fails."""
     out = config.parent / "run"
     run = train(tree, config, out, seed if variant.endswith(TWIN) else None)
     if run is None:
         return None
-    cider, doc = [], json.loads(config.read_text())
+    scores, doc = [], json.loads(config.read_text())
     for i, manifest in enumerate(manifests):
         scored = config.parent / f"heldout{i:02d}.json"
         scored.write_text(json.dumps({**doc, "val_manifest": str(manifest)}))
@@ -252,8 +257,10 @@ def claim_run(tree: Path, config: Path, seed: int, variant: str,
             print(f"{out}: eval of {manifest.name} exit {proc.returncode}\n"
                   f"{proc.stderr.rstrip()}", file=sys.stderr)
             return None
-        cider.append(json.loads(proc.stdout)["cider"])
-    return {**run, "heldout_cider": cider[0], "heldout_block_cider": cider[1:]}
+        scores.append(json.loads(proc.stdout))
+    return {**run, "heldout_cider": scores[0]["cider"],
+            "heldout_block_cider": [s["cider"] for s in scores[1:]],
+            "heldout_block_distinct2": [s["distinct2"] for s in scores[1:]]}
 
 
 def main(argv=None) -> int:
@@ -294,7 +301,8 @@ def main(argv=None) -> int:
     for (seed, variant), run in runs.items():
         if run is not None:
             summaries.setdefault(seed, {})[variant] = {
-                **summarize(run), **heldout(run["heldout_cider"], run["heldout_block_cider"])}
+                **summarize(run), **heldout(run["heldout_cider"], run["heldout_block_cider"],
+                                            run["heldout_block_distinct2"])}
     diffs, wins = paired(summaries)
     failed = [f"seed{seed} {variant}" for (seed, variant), run in runs.items() if run is None]
     doc = {"commit": commit, "dirty": changed, "seeds": SEEDS, "variants": VARIANTS,
