@@ -7,12 +7,13 @@ features; the attended feature vector and the visual state drive a language
 LSTM whose state is projected to the next-word distribution. policy_step
 runs all of it over plain arrays and records no graph node.
 
-Every sequence is a row: a scene is one row of project_batch, a word an int
-vector and a state an (n, 4Z) array [s_vis, s_lang, c_vis, c_lang], zero at
-<bos>. Two thirds of the visual LSTM's input is fixed within an unroll, so
-project_batch multiplies those parts by its weights once per unroll. unroll
-hands each step's softmax to its caller and gathers the state and scene rows
-that go on, so every row reads its own scene row.
+Every sequence is a row: a word an int vector and a state an (n, 4Z) array
+[s_vis, s_lang, c_vis, c_lang], zero at <bos>. Two thirds of the visual
+LSTM's input is fixed within an unroll, so project_batch multiplies those
+parts by its weights once per scene: an unroll of B scenes projects each
+once, and its row r reads scene r mod B. unroll hands each step's softmax
+to its caller and gathers the state and scene rows that go on, so every
+row reads its own scene row.
 
 A training unroll keeps one StepRecord per step, which holds each value once:
 the words, the state made, the attention weights, the attended features and
@@ -264,7 +265,7 @@ class RowUnroll:
     ce_values: np.ndarray           # (rows, steps) -log(p + CE_EPSILON) of each row's token, 0 where a row did not step
     episodes: Episodes              # views of the sampled rows, which follow the forced ones
     params: PolicyParams
-    scene: ProjectedScene           # the project_batch scene of every row
+    scene: ProjectedScene           # per row r, the minibatch's scene r mod B
     steps: list[StepRecord]         # per step, policy_step's record
     probs: list[np.ndarray]         # per step, the softmax of each row's logits
     tokens: np.ndarray              # the token of each row of rows[0], then of rows[1], ...
@@ -370,11 +371,11 @@ def _lang_inputs(steps: list[StepRecord], z: int) -> np.ndarray:
 def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
                 forced: Sequence[Sequence[int]], t_max: int,
                 rngs: Sequence[np.random.Generator] = ()) -> RowUnroll:
-    """Unroll a minibatch over (rows, .) arrays: a teacher-forced row per
-    reference (row r reads features[r] and is fed forced[r]), then a
-    sampled row per generator (row len(forced) + i reads features[i] and
-    draws its inverse-CDF u from rngs[i] alone, once per step it takes,
-    from its own softmax row).
+    """Unroll a minibatch of B scenes over (rows, .) arrays: a
+    teacher-forced row per reference (row r is fed forced[r]), then a
+    sampled row per generator (row len(forced) + i draws its inverse-CDF u
+    from rngs[i] alone, once per step it takes, from its own softmax row).
+    project_batch projects each scene once, and row r reads scene r mod B.
 
     A forced row ends after its last token, and a sampled row at <eos> or
     after t_max steps, so at most max(t_max, longest reference) steps run.
@@ -398,9 +399,8 @@ def unroll_rows(params: PolicyParams, features: Sequence[np.ndarray],
     actions = np.zeros((len(ends), steps), dtype=np.intp)   # every row's tokens
     for r, ref in enumerate(forced):
         actions[r, :len(ref)] = ref
-    scene = project_batch(params, (list(features) if forced else [])
-                          + (list(features) if rngs else []))
     ids = np.arange(len(ends))          # the rows of the current step
+    scene = project_batch(params, features).take(ids % n)
     states = np.zeros((len(rngs), steps, 2 * params.hidden_size))   # the sampled rows'
     stepped: list[np.ndarray] = []
     probs: list[np.ndarray] = []

@@ -101,7 +101,7 @@ def test_table_prints_the_baseline_digits(claim):
 
 
 def held(cider):
-    return {"heldout_cider": cider, "heldout_block_mean": cider, "heldout_block_std": 0.02}
+    return {"heldout_cider": cider, "heldout_block_std": 0.02}
 
 
 def test_a_candidate_is_paired_with_its_twin_on_the_heldout_cider_too(claim):
@@ -124,48 +124,88 @@ def test_a_candidate_is_paired_with_its_twin_on_the_heldout_cider_too(claim):
 
 
 def test_the_heldout_numbers_of_hand_made_blocks(claim):
-    h = claim.heldout(0.31, [0.30, 0.34, 0.26, 0.30], [0.02, 0.04, 0.03, 0.03])
-    assert h["heldout_cider"] == 0.31
-    assert h["heldout_block_mean"] == pytest.approx(0.30, abs=1e-15)
+    h = claim.heldout([0.30, 0.34, 0.26, 0.30], [0.02, 0.04, 0.03, 0.03])
+    assert set(h) == {"heldout_cider", "heldout_block_std", "heldout_block_distinct2_mean",
+                      "heldout_block_distinct2_std"}
+    # the blocks are of equal size, so their mean is the CIDEr of every scene
+    assert h["heldout_cider"] == pytest.approx(0.30, abs=1e-15)
     # the sample standard deviation: deviations 0, 0.04, -0.04, 0 over 3 degrees of freedom
     assert h["heldout_block_std"] == pytest.approx((0.0032 / 3) ** 0.5, abs=1e-15)
     assert h["heldout_block_distinct2_mean"] == pytest.approx(0.03, abs=1e-15)
     # deviations -0.01, 0.01, 0, 0 over 3 degrees of freedom
     assert h["heldout_block_distinct2_std"] == pytest.approx((0.0002 / 3) ** 0.5, abs=1e-15)
-    same = claim.heldout(0.2, [0.2, 0.2], [0.05, 0.05])
+    same = claim.heldout([0.2, 0.2], [0.05, 0.05])
     assert same["heldout_block_std"] == same["heldout_block_distinct2_std"] == 0.0
 
 
 def test_each_block_eval_record_gives_its_cider_and_distinct2(claim, tmp_path, monkeypatch):
-    # hand-made `curioseq eval` records: the first scores every held-out
-    # scene, one per block follows
-    evals = iter([{"cider": 0.25, "distinct2": 0.0012},
-                  {"cider": 0.20, "distinct2": 0.031}, {"cider": 0.30, "distinct2": 0.029}])
+    # a hand-made record of the held-out child, one entry per block, from
+    # one child process that scores the held-out manifest in blocks of BLOCK
+    blocks = [{"cider": 0.20, "distinct2": 0.031}, {"cider": 0.30, "distinct2": 0.029}]
+    calls = []
+
+    def child(tree, *args):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, json.dumps(blocks) + "\n", "")
+
     monkeypatch.setattr(claim, "train", lambda *args: {"wall_s": 1.0})
-    monkeypatch.setattr(claim.same_bytes, "curioseq", lambda *args: subprocess.CompletedProcess(
-        args, 0, json.dumps(next(evals)), ""))
+    monkeypatch.setattr(claim.same_bytes, "python", child)
     config = tmp_path / "config.json"
-    config.write_text("{}")
-    manifests = [tmp_path / f"m{i}.json" for i in range(3)]
-    run = claim.claim_run(ROOT, config, 0, "crl", manifests)
-    assert run == {"wall_s": 1.0, "heldout_cider": 0.25, "heldout_block_cider": [0.20, 0.30],
+    config.write_text(json.dumps({"epochs": 2, "val_manifest": "val.json"}))
+    run = claim.claim_run(ROOT, config, 0, "crl", tmp_path / "heldout.json")
+    assert run == {"wall_s": 1.0, "heldout_block_cider": [0.20, 0.30],
                    "heldout_block_distinct2": [0.031, 0.029]}
+    (args,) = calls
+    scored = tmp_path / "heldout.json"
+    assert args[3:] == (str(claim.BLOCK), str(scored), str(tmp_path / "run" / "last.ckpt"))
+    assert "heldout_main" in args[1]
+    assert json.loads(scored.read_text()) == {"epochs": 2,
+                                              "val_manifest": str(tmp_path / "heldout.json")}
 
 
-def test_the_heldout_synthesis_splits_the_corpus_val_scenes_into_blocks(claim, tmp_path,
-                                                                       monkeypatch):
+def test_the_heldout_child_scores_each_block_as_curioseq_eval_does(claim, tmp_path, monkeypatch):
+    # a tiny xe run scored on 10 held-out scenes in blocks of 4, 4 and 2,
+    # against `curioseq eval` on a manifest of each block
     monkeypatch.setattr(claim, "SCENES", 8)
     monkeypatch.setattr(claim, "HELDOUT_SCENES", 10)
     monkeypatch.setattr(claim, "BLOCK", 4)
+    corpus, config = tmp_path / "corpus", tmp_path / "xe" / "config.json"
+    claim.same_bytes.synth_corpus(ROOT, corpus, 0, 8, 4)
+    manifest = claim.synth_heldout(ROOT, corpus, tmp_path / "heldout", 0)
+    config.parent.mkdir()
+    config.write_text(json.dumps({
+        **claim.same_bytes.README_CONFIG, "epochs": 1,
+        "train_manifest": str(corpus / "train_manifest.json"),
+        "val_manifest": str(corpus / "val_manifest.json"), "mode": "xe"}))
+    run = claim.claim_run(ROOT, config, 0, "xe", manifest)
+    assert run is not None and len(run["heldout_block_cider"]) == 3
+    doc = json.loads(manifest.read_text())
+    for i, b in enumerate(range(0, 10, 4)):
+        block = manifest.parent / f"block{i}_manifest.json"     # beside the features
+        block.write_text(json.dumps({**doc, "scenes": doc["scenes"][b:b + 4]}))
+        scored = tmp_path / f"block{i}_config.json"
+        scored.write_text(json.dumps({**json.loads(config.read_text()),
+                                      "val_manifest": str(block)}))
+        proc = claim.same_bytes.curioseq(ROOT, "eval", "--config", str(scored), "--checkpoint",
+                                         str(config.parent / "run" / "last.ckpt"))
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["n_scenes"] == min(4, 10 - b)
+        assert run["heldout_block_cider"][i] == record["cider"]
+        assert run["heldout_block_distinct2"][i] == record["distinct2"]
+
+
+def test_the_heldout_synthesis_extends_the_corpus_val_split(claim, tmp_path, monkeypatch):
+    monkeypatch.setattr(claim, "SCENES", 8)
+    monkeypatch.setattr(claim, "HELDOUT_SCENES", 10)
     corpus = tmp_path / "corpus"
     claim.same_bytes.synth_corpus(ROOT, corpus, 0, 8, 4)
-    manifests = claim.synth_heldout(ROOT, corpus, tmp_path / "heldout", 0)
-    assert [m.name for m in manifests] == ["val_manifest.json", "block00_manifest.json",
-                                           "block01_manifest.json", "block02_manifest.json"]
-    full, *blocks = (dat.load_dataset(m, t_max=30) for m in manifests)
-    ids = [scene.scene_id for scene in full.scenes]
-    assert len(ids) == 10
-    assert [[s.scene_id for s in b.scenes] for b in blocks] == [ids[:4], ids[4:8], ids[8:]]
+    manifest = claim.synth_heldout(ROOT, corpus, tmp_path / "heldout", 0)
+    assert manifest == tmp_path / "heldout" / "val_manifest.json"
+    assert sorted(p.name for p in manifest.parent.glob("*.json")) == ["train_manifest.json",
+                                                                       "val_manifest.json"]
+    full = dat.load_dataset(manifest, t_max=30)
+    assert len(full.scenes) == 10
     val = dat.load_dataset(corpus / "val_manifest.json", t_max=30)
     for a, b in zip(val.scenes, full.scenes[:4], strict=False):
         assert a.scene_id == b.scene_id and a.references == b.references
@@ -255,7 +295,9 @@ def test_a_tiny_claim_is_recorded_and_reruns_to_the_same_numbers(claim, tmp_path
     assert doc["runs"]["seed0 xe"]["mean_episode_length"] == [0.0, 0.0]
     assert doc["runs"]["seed0 zero_reward"]["mean_episode_length"][0] > 0
     assert set(doc["summary"]["0"]) == {"xe", "zero_reward"}
-    for held_out in doc["summary"]["0"].values():
+    for variant, held_out in doc["summary"]["0"].items():
+        blocks = doc["runs"][f"seed0 {variant}"]["heldout_block_cider"]
+        assert len(blocks) == 2 and held_out["heldout_cider"] == sum(blocks) / 2
         assert 0 <= held_out["heldout_block_distinct2_mean"] <= 1
         assert held_out["heldout_block_distinct2_std"] >= 0
     assert set(doc["paired"]["0"]) == {"xe", "zero_reward"}

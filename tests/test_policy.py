@@ -650,6 +650,45 @@ class TestUnrollRows:
         O.backward(run.loss(ce_w - lp_w))
         assert all(np.isfinite(q.grad).all() for q in params.parameters())
 
+    def test_row_r_and_row_b_plus_r_read_scene_r(self):
+        # the forced row and the sampled row of scene r read its one
+        # projected row, which equals row r of the minibatch's projection
+        params, feats, refs = row_batch()
+        scene = unroll_batch(params, feats, refs).scene
+        own = P.project_batch(params, feats)
+        b = len(feats)
+        for name in ("features", "region_proj", "mean_gates", "means", "mask"):
+            rows, want = getattr(scene, name), getattr(own, name)
+            assert rows.shape[0] == 2 * b, name
+            assert (rows[:b] == want).all() and (rows[b:] == want).all(), name
+        assert (scene.word_gates == own.word_gates).all()
+        assert (scene.W_state == own.W_state).all()
+
+    @pytest.mark.parametrize("kinds", ["forced", "sampled", "both"])
+    def test_each_scene_is_projected_once(self, monkeypatch, kinds):
+        params, feats, refs = row_batch()
+        calls, takes = [], []
+        project, take = P.project_batch, P.ProjectedScene.take
+
+        def counted(params_, features):
+            calls.append(list(features))
+            return project(params_, features)
+
+        def counted_take(scene, rows):
+            takes.append(rows)
+            return take(scene, rows)
+
+        monkeypatch.setattr(P, "project_batch", counted)
+        monkeypatch.setattr(P.ProjectedScene, "take", counted_take)
+        P.unroll_rows(params, feats, [] if kinds == "sampled" else refs, T_MAX,
+                      [] if kinds == "forced" else row_rngs(len(feats)))
+        monkeypatch.undo()
+        assert len(calls) == 1 and len(calls[0]) == len(feats)
+        assert all(a is f for a, f in zip(calls[0], feats))
+        # the first take maps every row to its scene
+        rows = np.arange(len(feats) * (2 if kinds == "both" else 1)) % len(feats)
+        assert takes[0].tolist() == rows.tolist()
+
 
 class TestUnrollNode:
     """RowUnroll.loss is one node whose backward pass runs the unroll's
@@ -904,6 +943,9 @@ class TestFusedStep:
         next step must read the state that step made, or after a gather its
         gathered rows."""
         counts, gathered, last = [], None, None
+        # a take before the first step is unroll_rows' scene map, no gather
+        while events and events[0][0] != "step":
+            events = events[1:]
         for event, value in events:
             if event == "step":
                 read, record = value

@@ -175,3 +175,46 @@ def test_an_unknown_parent_tree_stops_before_any_run(same_bytes, tmp_path, capsy
         same_bytes.main(["--parent", str(tmp_path), "--work", str(tmp_path / "work")])
     assert exit_.value.code == 2 and "src/curioseq/cli.py" in capsys.readouterr().err
     assert not (tmp_path / "work").exists()
+
+
+def report_lines(*epochs):
+    """A reports.jsonl text with one line per dict of fields, numbered."""
+    return "".join(json.dumps({"epoch": e, **fields}, sort_keys=True) + "\n"
+                   for e, fields in enumerate(epochs))
+
+
+def test_a_moved_run_names_its_first_differing_epoch_and_largest_differences(
+        same_bytes, tmp_path):
+    parent, change = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+    parent.write_text(report_lines({"rl_loss": 1.0, "sp_loss": 0.5, "val_cider": 0.2},
+                                   {"rl_loss": 2.0, "sp_loss": 0.5, "val_cider": 0.2},
+                                   {"rl_loss": 4.0, "sp_loss": 0.5, "val_cider": 0.2}))
+    change.write_text(report_lines({"rl_loss": 1.0, "sp_loss": 0.5, "val_cider": 0.2},
+                                   {"rl_loss": 2.5, "sp_loss": 0.5, "val_cider": 0.2},
+                                   {"rl_loss": 4.4, "sp_loss": 0.4, "val_cider": 0.2}))
+    # rl_loss moves 0.5 / 2.5 at epoch 1 and 0.4 / 4.4 at epoch 2; sp_loss 0.1 / 0.5
+    assert same_bytes.moved(parent.read_text(), change.read_text()) == \
+        "first differs at epoch 1; largest relative difference: rl_loss 0.2, sp_loss 0.2"
+    assert same_bytes.moved(parent.read_text(), parent.read_text()) == \
+        "3 report lines against 3, equal where both hold"
+
+
+def test_main_prints_how_far_a_differing_run_moved(same_bytes, monkeypatch, tmp_path, capsys):
+    # train_run replaced by one that writes hand-made reports: the change's
+    # epoch 1 differs in rl_loss alone
+    def fake_run(tree, config, out, decode):
+        out.mkdir()
+        last = 3.0 if out.name == "parent" else 3.0000000000000004
+        (out / "reports.jsonl").write_text(report_lines({"rl_loss": 1.0}, {"rl_loss": last}))
+        return same_bytes.file_hashes(out)
+
+    monkeypatch.chdir(ROOT)
+    tiny(same_bytes, monkeypatch, "rho_0")
+    monkeypatch.setattr(same_bytes, "train_run", fake_run)
+    code = same_bytes.main(["--parent", str(ROOT), "--work", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[1].split()[2] == "reports.jsonl" and out[1].endswith("DIFFERENT")
+    assert out[-2] == ("seed0 rho_0 moved: first differs at epoch 1; "
+                       "largest relative difference: rl_loss 1.5e-16")
+    assert out[-1] == "1 runs: a file differs or a run failed"

@@ -373,6 +373,20 @@ class TestTrainStep:
             assert np.abs(seen["want"][p.name]).max() > 0.0, p.name
             assert np.array_equal(seen["got"][p.name], seen["want"][p.name]), p.name
 
+    @pytest.mark.parametrize("mode", ["crl", "xe"])
+    def test_a_minibatch_projects_each_scene_once(self, tiny_corpus, monkeypatch, mode):
+        calls = []
+        project = P.project_batch
+
+        def counted(params, features):
+            calls.append(len(features))
+            return project(params, features)
+
+        monkeypatch.setattr(P, "project_batch", counted)
+        cfg = tiny_config(mode=mode)
+        self.run_step(tiny_corpus, cfg)
+        assert calls == [cfg.batch_size]
+
 
 def separate_group_gradients(tiny_corpus, cfg, seed=0):
     """Oracle for one crl train_step: the policy, state-prediction and

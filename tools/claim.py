@@ -27,16 +27,18 @@ fails the run instead of training an untwinned copy.
 Each seed's corpus is synthesised a second time with HELDOUT_SCENES
 (1,000) val scenes, whose first 50 are the corpus's val split; the tool
 stops unless the two train manifests and vocabularies are equal. After
-training, `curioseq eval` scores each run's `last.ckpt` on all of them
-and on each block of BLOCK (50) consecutive ones, with the train split's
-IDF.
+training, one child process per run (heldout_main) loads its config,
+`last.ckpt` and the held-out split once and scores each block of BLOCK
+(50) consecutive scenes as `curioseq eval` would score that block alone,
+with the train split's IDF, so every held-out scene is decoded once.
 
 The record holds, per run, its wall time, the per-epoch SERIES of its
-`reports.jsonl`, its held-out CIDEr and each block's CIDEr and distinct-2;
-per seed and variant, the last epoch's val CIDEr and distinct-2, the mean
-val CIDEr over the last TAIL epochs (all of them when fewer ran), the
-held-out CIDEr and the mean and sample standard deviation of the block
-CIDErs and of the block distinct-2s; per seed,
+`reports.jsonl` and each held-out block's CIDEr and distinct-2; per seed
+and variant, the last epoch's val CIDEr and distinct-2, the mean val
+CIDEr over the last TAIL epochs (all of them when fewer ran), the
+held-out CIDEr (the mean of the block CIDErs, which are of equal size)
+and the sample standard deviation of the block CIDErs, and the mean and
+sample standard deviation of the block distinct-2s; per seed,
 each variant's paired differences in the SUMMARY numbers and the held-out
 CIDEr against each of REFERENCES and against its twin (`vs_twin`); and,
 per variant and reference, the number of seeds on which the variant's
@@ -48,8 +50,8 @@ that no commit holds, so the record reads `"dirty": true` beside the
 commit those changes sit on. It prints the table of the ROADMAP's
 Baseline, one row per variant and one cell per seed (CIDEr@last /
 distinct-2@last / tail mean CIDEr), with the mean of the tail means last,
-and exits 1 when a run fails. The tool uses only the standard library; a
-twin's child process imports numpy and curioseq from the tree's source.
+and exits 1 when a run fails. The tool uses only the standard library; its
+child processes import numpy and curioseq from the tree's source.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ SERIES = ("val_cider", "val_distinct2", "mean_episode_length", "eos_rate",
           "mean_extrinsic_reward")
 SUMMARY = ("val_cider_last", "val_distinct2_last", "val_cider_tail_mean")
 PAIRED = (*SUMMARY, "heldout_cider")
-# the child of a twin's run: sys.argv is [-c, this file, corpus seed, curioseq args...]
-TWIN_CHILD = "import runpy, sys; sys.exit(runpy.run_path(sys.argv[1])['twin_main'](sys.argv[2:]))"
+# a child process: sys.argv is [-c, this file, its arguments...]
+CHILD = "import runpy, sys; sys.exit(runpy.run_path(sys.argv[1])[{!r}](sys.argv[2:]))"
 
 
 def series(reports: list[dict]) -> dict[str, list[float]]:
@@ -108,13 +110,14 @@ def summarize(run: dict[str, list[float]]) -> dict[str, float]:
             "val_cider_tail_mean": sum(tail) / len(tail)}
 
 
-def heldout(cider: float, blocks: list[float], distinct2: list[float]) -> dict[str, float]:
-    """The held-out numbers of one run, from its CIDEr on every held-out
-    scene and its CIDEr and distinct-2 on each block: the mean and sample
-    standard deviation of the block CIDErs and of the block distinct-2s.
-    Distinct-2 over every held-out scene saturates, so only the block mean
-    compares with the val split's."""
-    return {"heldout_cider": cider, "heldout_block_mean": statistics.fmean(blocks),
+def heldout(blocks: list[float], distinct2: list[float]) -> dict[str, float]:
+    """The held-out numbers of one run, from its CIDEr and distinct-2 on
+    each block: the mean and sample standard deviation of the block CIDErs
+    (the mean is the CIDEr of every held-out scene, up to rounding, as the
+    blocks are equal) and of the block distinct-2s. Distinct-2 over every
+    held-out scene saturates, so only the block mean compares with the val
+    split's."""
+    return {"heldout_cider": statistics.fmean(blocks),
             "heldout_block_std": statistics.stdev(blocks),
             "heldout_block_distinct2_mean": statistics.fmean(distinct2),
             "heldout_block_distinct2_std": statistics.stdev(distinct2)}
@@ -191,22 +194,32 @@ def twin_main(argv: list[str]) -> int:
     return code
 
 
-def synth_heldout(tree: Path, corpus: Path, out: Path, seed: int) -> list[Path]:
-    """The corpus of seed again in out, with HELDOUT_SCENES val scenes: its
-    val manifest, then one manifest per BLOCK consecutive val scenes,
-    beside it. Stops unless its train manifest and vocabulary are
-    corpus's."""
+def heldout_main(argv: list[str]) -> int:
+    """Score checkpoint argv[2] on the val split of config file argv[1],
+    argv[0] consecutive scenes at a time, each block as `curioseq eval`
+    scores it: prints a JSON list of each block's cider and distinct2."""
+    from curioseq import cli, metrics, trainer
+    block = int(argv[0])
+    cfg = trainer.TrainConfig(**json.loads(Path(argv[1]).read_text()))
+    ds, train_ds = cli.load_split(cfg, cfg.val_manifest)
+    model, _ = trainer.load_model(argv[2], cfg, ds.vocab.size, ds.feature_dim)
+    idf = metrics.build_idf(trainer.reference_documents(train_ds.scenes, train_ds.vocab))
+    reports = [trainer.evaluate(ds.scenes[b:b + block], model, ds.vocab, idf, cfg)
+               for b in range(0, len(ds.scenes), block)]
+    print(json.dumps([{"cider": r.cider, "distinct2": r.distinct2} for r in reports]))
+    return 0
+
+
+def synth_heldout(tree: Path, corpus: Path, out: Path, seed: int) -> Path:
+    """The val manifest of the corpus of seed again in out, with
+    HELDOUT_SCENES val scenes. Stops unless its train manifest and
+    vocabulary are corpus's."""
     same_bytes.synth_corpus(tree, out, seed, SCENES, HELDOUT_SCENES)
     for name in ("train_manifest.json", "vocab.txt"):
         if (out / name).read_bytes() != (corpus / name).read_bytes():
             raise SystemExit(f"error: the held-out synthesis of corpus seed {seed} has "
                              f"another {name}")
-    doc = json.loads((out / "val_manifest.json").read_text())
-    manifests = [out / "val_manifest.json"]
-    for b in range(0, len(doc["scenes"]), BLOCK):
-        manifests.append(out / f"block{b // BLOCK:02d}_manifest.json")
-        manifests[-1].write_text(json.dumps({**doc, "scenes": doc["scenes"][b:b + BLOCK]}))
-    return manifests
+    return out / "val_manifest.json"
 
 
 def dirty(tree: Path) -> bool:
@@ -227,8 +240,8 @@ def train(tree: Path, config: Path, out: Path, twin_seed: int | None = None) -> 
     args = ("train", "--config", str(config), "--out", str(out))
     start = time.perf_counter()
     proc = (same_bytes.curioseq(tree, *args) if twin_seed is None else
-            same_bytes.python(tree, "-c", TWIN_CHILD, str(TOOLS / "claim.py"), str(twin_seed),
-                              *args))
+            same_bytes.python(tree, "-c", CHILD.format("twin_main"), str(TOOLS / "claim.py"),
+                              str(twin_seed), *args))
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         print(f"{out}: train exit {proc.returncode}\n{proc.stderr.rstrip()}", file=sys.stderr)
@@ -238,29 +251,27 @@ def train(tree: Path, config: Path, out: Path, twin_seed: int | None = None) -> 
 
 
 def claim_run(tree: Path, config: Path, seed: int, variant: str,
-              manifests: list[Path]) -> dict | None:
-    """One variant's train run at one seed, then `curioseq eval` of its
-    last.ckpt on each of manifests (every held-out scene, then each
-    block): the train record with `heldout_cider`, `heldout_block_cider`
-    and `heldout_block_distinct2` added, or None when a command fails."""
+              manifest: Path) -> dict | None:
+    """One variant's train run at one seed, then heldout_main's scores of
+    its last.ckpt on each block of the held-out manifest: the train record
+    with `heldout_block_cider` and `heldout_block_distinct2` added, or None
+    when a command fails."""
     out = config.parent / "run"
     run = train(tree, config, out, seed if variant.endswith(TWIN) else None)
     if run is None:
         return None
-    scores, doc = [], json.loads(config.read_text())
-    for i, manifest in enumerate(manifests):
-        scored = config.parent / f"heldout{i:02d}.json"
-        scored.write_text(json.dumps({**doc, "val_manifest": str(manifest)}))
-        proc = same_bytes.curioseq(tree, "eval", "--config", str(scored),
-                                   "--checkpoint", str(out / "last.ckpt"))
-        if proc.returncode != 0:
-            print(f"{out}: eval of {manifest.name} exit {proc.returncode}\n"
-                  f"{proc.stderr.rstrip()}", file=sys.stderr)
-            return None
-        scores.append(json.loads(proc.stdout))
-    return {**run, "heldout_cider": scores[0]["cider"],
-            "heldout_block_cider": [s["cider"] for s in scores[1:]],
-            "heldout_block_distinct2": [s["distinct2"] for s in scores[1:]]}
+    scored = config.parent / "heldout.json"
+    scored.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "val_manifest": str(manifest)}))
+    proc = same_bytes.python(tree, "-c", CHILD.format("heldout_main"), str(TOOLS / "claim.py"),
+                             str(BLOCK), str(scored), str(out / "last.ckpt"))
+    if proc.returncode != 0:
+        print(f"{out}: held-out scoring exit {proc.returncode}\n{proc.stderr.rstrip()}",
+              file=sys.stderr)
+        return None
+    blocks = json.loads(proc.stdout)
+    return {**run, "heldout_block_cider": [b["cider"] for b in blocks],
+            "heldout_block_distinct2": [b["distinct2"] for b in blocks]}
 
 
 def main(argv=None) -> int:
@@ -301,7 +312,7 @@ def main(argv=None) -> int:
     for (seed, variant), run in runs.items():
         if run is not None:
             summaries.setdefault(seed, {})[variant] = {
-                **summarize(run), **heldout(run["heldout_cider"], run["heldout_block_cider"],
+                **summarize(run), **heldout(run["heldout_block_cider"],
                                             run["heldout_block_distinct2"])}
     diffs, wins = paired(summaries)
     failed = [f"seed{seed} {variant}" for (seed, variant), run in runs.items() if run is None]

@@ -22,8 +22,11 @@ thread, and at most two run at a time. For each run the tool prints the
 sha256 prefix of each of its three output files (FILES) and of each
 printed decode record side by side, and exits 1 when a file or a record
 differs or a run fails; a file that neither tree wrote counts as the
-same. Its only options are `--parent` and `--work`, where the corpora
-and runs go. Uses only the standard library.
+same. For a run whose reports.jsonl differs, it also prints how far it
+moved: the first epoch whose report line differs and, per report field
+that differs, the largest relative difference over the epochs. Its only
+options are `--parent` and `--work`, where the corpora and runs go. Uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -116,6 +119,28 @@ def compare(runs: dict[str, dict]) -> tuple[list[str], bool]:
     return lines, same
 
 
+def moved(parent: str, change: str) -> str:
+    """How far the reports.jsonl text change moved from parent: the first
+    epoch whose line differs and each differing field's largest relative
+    difference |a - b| / max(|a|, |b|) over the epochs both hold."""
+    first, largest = None, {}
+    lines = parent.splitlines(), change.splitlines()
+    for a, b in zip(*lines):
+        before, after = json.loads(a), json.loads(b)
+        if a != b and first is None:
+            first = after["epoch"]
+        for field in before.keys() | after.keys():
+            x, y = before.get(field), after.get(field)
+            if x != y:
+                rel = (abs(x - y) / max(abs(x), abs(y)) if isinstance(x, (int, float))
+                       and isinstance(y, (int, float)) else float("inf"))
+                largest[field] = max(largest.get(field, 0.0), rel)
+    if first is None:
+        return f"{len(lines[0])} report lines against {len(lines[1])}, equal where both hold"
+    fields = ", ".join(f"{field} {largest[field]:.2g}" for field in sorted(largest))
+    return f"first differs at epoch {first}; largest relative difference: {fields}"
+
+
 def synth_corpus(tree: Path, out: Path, seed: int, scenes: int, val_scenes: int) -> None:
     proc = curioseq(tree, "synth", "--out", str(out), "--seed", str(seed),
                     "--scenes", str(scenes), "--val-scenes", str(val_scenes))
@@ -191,7 +216,14 @@ def main(argv=None) -> int:
                                      for side, tree in trees.items()}
             runs = {name: {side: job.result() for side, job in sides.items()}
                     for name, sides in pending.items()}
-    lines, same = compare(runs)
+        lines, same = compare(runs)
+        for name, sides in runs.items():
+            parent, change = sides["parent"], sides["change"]
+            if parent and change and parent["reports.jsonl"] != change["reports.jsonl"]:
+                seed, variant = name.split()
+                texts = [(work / seed / variant / side / "reports.jsonl").read_text()
+                         for side in trees]
+                lines.append(f"{name} moved: {moved(*texts)}")
     print(f"run, file, then the sha256[:{PREFIX}] of the parent's and of the change's")
     print("\n".join(lines))
     print(f"{len(runs)} runs: " + ("every file byte-identical" if same
